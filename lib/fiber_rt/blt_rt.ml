@@ -1,7 +1,8 @@
 (* The bi-level thread API on the real fiber runtime.
 
-   A fiber (UC) normally runs decoupled on a scheduler thread (or, under
-   [Fiber.run_parallel], on whichever worker domain holds it).
+   A fiber (UC) normally runs decoupled on whichever worker domain of
+   the fiber engine holds it (the calling domain alone under
+   [Fiber.run]).
    [coupled f] is the paper's couple()/decouple() pair: ship [f] to the
    fiber's own executor thread (its original KC), suspend the fiber so
    the scheduler keeps running other fibers, and resume with [f]'s

@@ -1,7 +1,8 @@
 (** The bi-level thread API on the real fiber runtime.
 
-    A fiber normally runs decoupled on a scheduler thread (or worker
-    domain, under {!Fiber.run_parallel}); {!coupled} ships a section to
+    A fiber normally runs decoupled on a worker domain of the fiber
+    engine (the calling domain alone under {!Fiber.run});
+    {!coupled} ships a section to
     the fiber's own executor thread (its original KC) and suspends the
     fiber meanwhile — the scheduler keeps running every other fiber.
     Because each fiber always couples to the {e same} OS thread, even

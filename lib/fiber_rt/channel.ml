@@ -1,10 +1,9 @@
 (* Bounded FIFO channels for fibers: the communication primitive the
    real runtime's examples, tests and benches build pipelines from.
 
-   Channel state is guarded by a mutex so the same channel works under
-   both engines: uncontended on the single-threaded [Fiber.run], and a
-   real lock under [Fiber.run_parallel] where the two endpoints may sit
-   on different domains.  A fiber that must wait registers its waker
+   Channel state is guarded by a mutex: uncontended under [Fiber.run]
+   (one worker), and a real lock under [Fiber.run_parallel] where the
+   two endpoints may sit on different domains.  A fiber that must wait registers its waker
    *while still holding the lock* (the unlock happens inside the
    [Fiber.suspend] registration callback, after the waker is enqueued),
    so a peer on another domain cannot slip in between the state check

@@ -1,8 +1,7 @@
 (** Bounded FIFO channels for fibers: the communication primitive
-    pipelines are built from.  Safe under both engines — uncontended
-    locking on the single-threaded {!Fiber.run}, domain-safe under
-    {!Fiber.run_parallel} where the endpoints may sit on different
-    worker domains. *)
+    pipelines are built from.  Domain-safe: the endpoints may sit on
+    different worker domains of {!Fiber.run_parallel}; under
+    {!Fiber.run} (one worker) the lock is uncontended. *)
 
 exception Closed
 

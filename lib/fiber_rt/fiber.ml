@@ -3,29 +3,30 @@
    path so other OS threads (the executors of [Blt_rt]) can wake
    suspended fibers.
 
-   Two engines share one fiber abstraction and one effect vocabulary:
+   One engine, the Section VII M:N extension made real on OCaml 5
+   domains: [run_parallel ~domains:n] runs n workers, and [run] is the
+   same engine with one worker.  Each worker owns a Chase-Lev
+   [Atomic_deque] (LIFO owner pop, FIFO steal-half batches) plus a
+   private overflow FIFO for its own yields; cross-thread wake-ups
+   arrive on a lock-free MPSC injection channel reserved for foreign
+   threads; fiber completion is the lock-free [Completion] cell; and
+   idle workers park individually on a Treiber stack so one ready task
+   wakes exactly one worker (the spin-then-block idle-KC policy of the
+   paper's Table II, without the thundering herd).  Only *runnable*
+   continuations migrate between domains; a fiber's blocking jobs
+   still route to its home [Executor] (the original-KC analogue), so
+   system-call consistency is preserved under migration.
 
-   - [run]: the original single-threaded scheduler (one OS thread
-     drains a FIFO ready queue) -- deterministic, used by the
-     simulation-adjacent tests and demos.
+   A lone worker has no thief and no peer to produce work, so two
+   behaviours follow from the worker count alone: local spawns and
+   wakes go to the owner's FIFO instead of the LIFO deque (fibers run
+   in spawn and wake order, as a single run queue would), and the
+   idle worker never spins (its only producers are systhreads on its
+   own domain, which need the domain lock a spinner holds).
 
-   - [run_parallel ~domains:n]: the Section VII M:N extension made
-     real on OCaml 5 domains.  Each domain owns a Chase-Lev
-     [Atomic_deque] (LIFO owner pop, FIFO steal-half batches) plus a
-     private overflow FIFO for its own yields; cross-thread wake-ups
-     arrive on a lock-free MPSC injection channel reserved for foreign
-     threads; fiber completion is the lock-free [Completion] cell; and
-     idle workers park individually on a Treiber stack so one ready
-     task wakes exactly one worker (the spin-then-block idle-KC policy
-     of the paper's Table II, without the thundering herd).  Only
-     *runnable* continuations migrate between domains; a fiber's
-     blocking jobs still route to its home [Executor] (the original-KC
-     analogue), so system-call consistency is preserved under
-     migration.
-
-   This is substrate S3 of DESIGN.md (S2 being the single-threaded
-   engine): it shows that the BLT control flow is real executable code
-   and carries the wall-clock micro-benches of the bench harness. *)
+   This is substrates S2 (one worker) and S3 (many) of DESIGN.md: it
+   shows that the BLT control flow is real executable code and carries
+   the wall-clock micro-benches of the bench harness. *)
 
 type fiber = {
   fid : int;
@@ -40,7 +41,7 @@ type fiber = {
    schedules the continuation, so several racing wakers -- I/O
    readiness vs a timer, say -- resolve to exactly one resume and the
    losers learn they lost.  The closure inside routes through the
-   engine that parked the fiber (inject / pschedule).
+   engine that parked the fiber ([presume]).
 
    [fire_to] is the reactor's targeted entry point: an optional worker
    hint routes the continuation to that worker's private inbox (the
@@ -62,7 +63,6 @@ module Wake = struct
   }
 
   let make_routed resume = { fired = Atomic.make false; resume }
-  let make resume = make_routed (fun _ _ -> resume ())
 
   let fire t =
     if Atomic.exchange t.fired true then false
@@ -103,156 +103,21 @@ type _ Effect.t +=
 
 exception Not_in_scheduler
 
-type scheduler = {
-  ready : (unit -> unit) Queue.t; (* thunks resuming fibers *)
-  inject_mutex : Mutex.t;
-  inject_cond : Condition.t;
-  injected : (unit -> unit) Queue.t;
-  mutable live : int; (* fibers not yet Done *)
-  mutable next_fid : int;
-  mutable current : fiber option;
-  mutable executors : Executor.t list;
-}
-
-(* Completion must be safe against joiners on other domains (the
-   parallel engine) and costs one uncontended exchange on the single
-   engine: Completion.finish publishes Done and snatches the joiner
-   list in one atomic step, then wakes outside any lock. *)
+(* Completion must be safe against joiners on other domains: one
+   uncontended exchange publishes Done and snatches the joiner list in
+   one atomic step, then wakes outside any lock. *)
 let finish_fiber fb =
   fb.state <- `Done;
   Completion.finish fb.completion
-
-(* ================================================================ *)
-(* Engine 1: the single-threaded scheduler                           *)
-(* ================================================================ *)
-
-let make_scheduler () =
-  {
-    ready = Queue.create ();
-    inject_mutex = Mutex.create ();
-    inject_cond = Condition.create ();
-    injected = Queue.create ();
-    live = 0;
-    next_fid = 0;
-    current = None;
-    executors = [];
-  }
-
-(* Wake-ups may arrive from any OS thread. *)
-let inject sched thunk =
-  (* ulplint: allow raw-mutex-in-fiber -- the injection channel is fed by foreign OS threads (reactors, executors); this IS the engine the fiber primitives park through *)
-  Mutex.lock sched.inject_mutex;
-  Queue.push thunk sched.injected;
-  Condition.signal sched.inject_cond;
-  Mutex.unlock sched.inject_mutex
-
-let drain_injected sched =
-  (* ulplint: allow raw-mutex-in-fiber -- the injection channel is fed by foreign OS threads (reactors, executors); this IS the engine the fiber primitives park through *)
-  Mutex.lock sched.inject_mutex;
-  Queue.transfer sched.injected sched.ready;
-  Mutex.unlock sched.inject_mutex
-
-let new_fiber sched =
-  sched.next_fid <- sched.next_fid + 1;
-  sched.live <- sched.live + 1;
-  {
-    fid = sched.next_fid;
-    state = `Runnable;
-    completion = Completion.create ();
-    executor = None;
-  }
-
-let rec exec sched (fb : fiber) (thunk : unit -> unit) =
-  sched.current <- Some fb;
-  fb.state <- `Running;
-  thunk ();
-  sched.current <- None
-
-and handle sched fb body =
-  let open Effect.Deep in
-  match_with body ()
-    {
-      retc =
-        (fun () ->
-          sched.live <- sched.live - 1;
-          finish_fiber fb);
-      exnc = raise;
-      effc =
-        (fun (type b) (eff : b Effect.t) ->
-          match eff with
-          | Yield ->
-              Some
-                (fun (k : (b, unit) continuation) ->
-                  fb.state <- `Runnable;
-                  Queue.push
-                    (fun () -> exec sched fb (fun () -> continue k ()))
-                    sched.ready)
-          | Suspend register ->
-              Some
-                (fun (k : (b, unit) continuation) ->
-                  fb.state <- `Suspended;
-                  let tok =
-                    Wake.make (fun () ->
-                        inject sched (fun () ->
-                            fb.state <- `Runnable;
-                            exec sched fb (fun () -> continue k ())))
-                  in
-                  register tok)
-          | Spawn body' ->
-              Some
-                (fun (k : (b, unit) continuation) ->
-                  let child = new_fiber sched in
-                  Queue.push
-                    (fun () -> exec sched child (fun () -> handle sched child body'))
-                    sched.ready;
-                  continue k child)
-          | Spawn_on (_, body') ->
-              (* one thread: placement is meaningless, spawn locally *)
-              Some
-                (fun (k : (b, unit) continuation) ->
-                  let child = new_fiber sched in
-                  Queue.push
-                    (fun () -> exec sched child (fun () -> handle sched child body'))
-                    sched.ready;
-                  continue k child)
-          | Self -> Some (fun (k : (b, unit) continuation) -> continue k fb)
-          | _ -> None);
-    }
-
-(* Scheduler main loop: run ready fibers; when none are ready but fibers
-   are still live, sleep until an executor injects a wake-up. *)
-let run_loop sched =
-  let rec loop () =
-    drain_injected sched;
-    match Queue.take_opt sched.ready with
-    | Some thunk ->
-        thunk ();
-        loop ()
-    | None ->
-        if sched.live > 0 then begin
-          (* ulplint: allow raw-mutex-in-fiber -- the injection channel is fed by foreign OS threads (reactors, executors); this IS the engine the fiber primitives park through *)
-          Mutex.lock sched.inject_mutex;
-          while Queue.is_empty sched.injected do
-            (* ulplint: allow raw-mutex-in-fiber -- the injection channel is fed by foreign OS threads (reactors, executors); this IS the engine the fiber primitives park through *)
-            Condition.wait sched.inject_cond sched.inject_mutex
-          done;
-          Mutex.unlock sched.inject_mutex;
-          loop ()
-        end
-  in
-  loop ()
-
-(* ================================================================ *)
-(* Engine 2: the parallel work-stealing scheduler (OCaml 5 domains)  *)
-(* ================================================================ *)
 
 type pworker = {
   wid : int;
   deque : (unit -> unit) Atomic_deque.t; (* runnable continuations *)
   overflow : (unit -> unit) Queue.t;
-      (* private FIFO: own yields + injected-batch tails.  Only the
-         owner domain touches it, so no synchronization; the owner
-         never parks while it is non-empty. *)
+      (* private FIFO: own yields + injected-batch tails (and, for a
+         lone worker, its local spawns and wakes).  Only the owner
+         domain touches it, so no synchronization; the owner never
+         parks while it is non-empty. *)
   inbox : (unit -> unit) Mpsc_queue.t;
       (* targeted cross-thread deliveries (the reactor routing a wake
          back to the fiber's home worker, [spawn_on]).  Only the owner
@@ -381,28 +246,17 @@ let ewma_lo = 0.25
 
 (* Spin-then-block: BUSYWAIT rounds before parking (the latency/power
    knob of the paper's Table II).  Spinning only pays when another core
-   can produce work meanwhile, so the base budget is 0 on a 1-core
-   host; [ULP_SPIN_BUDGET] pins both base and ceiling for benching. *)
+   can produce work meanwhile: never on a 1-core host, and never for a
+   lone worker, whose only producers are systhreads on its own domain
+   (executors, reactor shards) -- spinning holds the domain lock they
+   need, delaying exactly the wake it waits for.  (A lone worker never
+   runs a steal session, so [adapt] never raises its budget.) *)
 let make_tune ~domains =
   let host_cores = Domain.recommended_domain_count () in
-  let default_spin = if host_cores > 1 then 256 else 0 in
-  let pinned =
-    match Sys.getenv_opt "ULP_SPIN_BUDGET" with
-    | Some s -> (
-        match int_of_string_opt (String.trim s) with
-        | Some n when n >= 0 -> Some n
-        | _ -> None)
-    | None -> None
-  in
-  let base_spin = match pinned with Some n -> n | None -> default_spin in
-  let max_spin =
-    match pinned with
-    | Some n -> n
-    | None -> if domains <= host_cores then max 256 base_spin else 32
-  in
+  let base_spin = if domains > 1 && host_cores > 1 then 256 else 0 in
   {
     base_spin;
-    max_spin;
+    max_spin = (if domains <= host_cores then 256 else 32);
     base_rounds = (if base_spin > 0 then 3 else 1);
     deep_after = 8;
     host_cores;
@@ -552,26 +406,32 @@ let push_foreign ps thunk (b : Wake.batch option) =
   | None -> wake_some ps ~foreign:true
   | Some b -> Wake.note b ~key:(ps.ps_uid, -1) (fun () -> wake_some ps ~foreign:true)
 
-(* Make a runnable continuation available: onto the local deque when
-   called from a worker of this scheduler, otherwise (executor threads,
-   foreign domains) onto the MPSC injection channel.  Either way one
-   parked worker -- not all of them -- is woken. *)
+(* Make a runnable continuation available to the calling worker: its
+   private FIFO when it is the pool's only worker (nothing can steal, so
+   the LIFO deque would only reverse spawn and wake order), otherwise
+   its Chase-Lev deque plus one wake so a parked peer can steal it. *)
+let push_local ps w thunk =
+  if Array.length ps.workers = 1 then Queue.push thunk w.overflow
+  else begin
+    Atomic_deque.push w.deque thunk;
+    wake_one ps
+  end
+
+(* Called from a worker of this scheduler, take the local path;
+   otherwise (executor threads, foreign domains) the MPSC injection
+   channel.  Either way at most one parked worker is woken. *)
 let pschedule ps thunk =
   match worker_ctx () with
-  | Some c when c.ps == ps ->
-      Atomic_deque.push c.w.deque thunk;
-      wake_one ps
+  | Some c when c.ps == ps -> push_local ps c.w thunk
   | _ -> push_foreign ps thunk None
 
 (* Routed resume for parked fibers: a worker of this scheduler takes
-   its local deque (the classic path); any other thread honours the
-   [worker] hint -- the reactor passing the fiber's home worker --
-   falling back to the global injection channel. *)
+   the local path; any other thread honours the [worker] hint -- the
+   reactor passing the fiber's home worker -- falling back to the
+   global injection channel. *)
 let presume ps thunk worker (b : Wake.batch option) =
   match worker_ctx () with
-  | Some c when c.ps == ps && b = None ->
-      Atomic_deque.push c.w.deque thunk;
-      wake_one ps
+  | Some c when c.ps == ps && b = None -> push_local ps c.w thunk
   | _ -> (
       match worker with
       | Some wid when wid >= 0 && wid < Array.length ps.workers ->
@@ -1029,27 +889,6 @@ let snapshot_sched ps =
 
 (* ---------- public API ---------- *)
 
-(* The ambient scheduler of the calling [run], stored per OS thread
-   (the scheduler loop runs on the thread that called [run]). *)
-let current_sched : scheduler option ref = ref None
-
-let scheduler () =
-  match !current_sched with Some s -> s | None -> raise Not_in_scheduler
-
-(* Run [main] plus everything it spawns to completion. *)
-let run main =
-  let sched = make_scheduler () in
-  let saved = !current_sched in
-  current_sched := Some sched;
-  Fun.protect
-    ~finally:(fun () ->
-      List.iter Executor.shutdown sched.executors;
-      current_sched := saved)
-    (fun () ->
-      let fb = new_fiber sched in
-      Queue.push (fun () -> exec sched fb (fun () -> handle sched fb main)) sched.ready;
-      run_loop sched)
-
 type par_stats = {
   par_domains : int;
   par_steals : int;
@@ -1132,6 +971,10 @@ let run_parallel ?domains ?on_stats main =
   | Some (exn, bt) -> Printexc.raise_with_backtrace exn bt
   | None -> ()
 
+(* Run [main] plus everything it spawns to completion on the calling
+   domain alone. *)
+let run main = run_parallel ~domains:1 main
+
 let spawn body = Effect.perform (Spawn body)
 let spawn_on ~worker body = Effect.perform (Spawn_on (worker, body))
 let yield () = Effect.perform Yield
@@ -1166,7 +1009,7 @@ let join fb =
 let live () =
   match worker_ctx () with
   | Some c -> Atomic.get c.ps.plive
-  | None -> (scheduler ()).live
+  | None -> raise Not_in_scheduler
 
 let worker_index () =
   match worker_ctx () with Some c -> Some c.w.wid | None -> None
@@ -1182,8 +1025,7 @@ let num_workers () =
 let sched_stats () =
   match worker_ctx () with Some c -> Some (snapshot_sched c.ps) | None -> None
 
-(* Track an executor (original KC) for shutdown when the run ends;
-   works under both engines. *)
+(* Track an executor (original KC) for shutdown when the run ends. *)
 let register_executor e =
   match worker_ctx () with
   | Some c ->
@@ -1191,7 +1033,4 @@ let register_executor e =
       Mutex.lock c.ps.pexec_mutex;
       c.ps.pexecutors <- e :: c.ps.pexecutors;
       Mutex.unlock c.ps.pexec_mutex
-  | None -> (
-      match !current_sched with
-      | Some s -> s.executors <- e :: s.executors
-      | None -> raise Not_in_scheduler)
+  | None -> raise Not_in_scheduler

@@ -8,7 +8,7 @@
     seeded-bug twin proves the checker can see the races this code
     avoids.
 
-    All operations must run inside a fiber engine ({!Fiber.run} or
+    All operations must run inside the fiber engine ({!Fiber.run} or
     {!Fiber.run_parallel}); they perform effects and cannot be used
     from plain OS threads (a reactor shard, an executor) — those keep
     using [Stdlib.Mutex], with a [raw-mutex-in-fiber] lint waiver. *)

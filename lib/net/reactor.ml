@@ -96,10 +96,10 @@ let send sh cmd =
     with Unix.Unix_error _ -> ()
 
 (* The shard a watch from this calling context lands on: worker w of
-   the parallel runtime maps to shard [w mod shards] (with shards =
-   domains this is the one-reactor-per-domain topology); callers with
-   no affinity -- the single-threaded engine, foreign threads -- are
-   spread round-robin. *)
+   the fiber runtime maps to shard [w mod shards] (with shards =
+   domains this is the one-reactor-per-domain topology, and every
+   fiber under [Fiber.run] is worker 0); callers with no affinity --
+   foreign threads -- are spread round-robin. *)
 let shard_for t =
   let n = Array.length t.shards in
   if n = 1 then t.shards.(0)
@@ -231,14 +231,24 @@ let shard_loop st =
   Poller.set st.sh.poller st.sh.pipe_r ~read:true ~write:false;
   while not (Atomic.get st.r.stopping) do
     (try
-       (* consume the poke before draining, so a poke raced with the
-          drain leaves a byte for the next round rather than vanishing *)
-       Atomic.set st.sh.poked false;
+       (* drain the pipe BEFORE clearing [poked]: a [send] that writes
+          its byte between a clear and a drain would have that byte
+          drained while [poked] stayed true, and every later send would
+          skip its write and wait out [max_idle_ms].  In this order a
+          send racing the clear either skipped its write with its
+          command already queued (run below) or writes a fresh byte for
+          the next round. *)
        drain_pipe st;
+       Atomic.set st.sh.poked false;
        run_commands st;
        let fired = Timer_wheel.advance st.wheel ~now:(current_tick st.r) in
        if fired > 0 then ignore (Atomic.fetch_and_add st.r.n_timers fired);
-       let timeout_ms = poll_timeout_ms st in
+       (* [shutdown] sets [stopping] before it pokes; when the drain
+          above already ate that poke, nothing else would end the wait
+          before [max_idle_ms] *)
+       let timeout_ms =
+         if Atomic.get st.r.stopping then 0 else poll_timeout_ms st
+       in
        Atomic.incr st.r.n_polls;
        let events = Poller.wait st.sh.poller ~timeout_ms in
        List.iter (dispatch_event st) events;

@@ -5,8 +5,8 @@
     [lib/core/ulp.ml]; see DESIGN.md §5h for the anatomy.
 
     All spawning/waiting entry points require fiber context
-    ({!Fiber_rt.Fiber.run} / [run_parallel]); {!boot}, {!kill} and the
-    accessors run anywhere.  Cancellation (signals included) is
+    ({!Fiber_rt.Fiber.run_parallel}, or {!Fiber_rt.Fiber.run} for one
+    worker); {!boot}, {!kill} and the accessors run anywhere.  Cancellation (signals included) is
     cooperative: ULP code observes it at {!check}. *)
 
 exception Proc_exit of int

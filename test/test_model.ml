@@ -618,9 +618,10 @@ let prop_barrier_counts_generations n =
 
 (* The reference model is the waiter queue itself: [signal] wakes the
    oldest parked fiber, [broadcast] wakes everyone oldest-first.  Under
-   the deterministic single-threaded engine a spawned waiter runs to
-   its park on the next yield, so registration order is the spawn
-   order and the recorded wake order must equal the model's pops.
+   [Fiber.run] the lone worker runs local spawns and wakes in FIFO
+   order, so a spawned waiter runs to its park on the next yield,
+   registration order is the spawn order and the recorded wake order
+   must equal the model's pops.
    (Relies on the no-spurious-wakeup guarantee: each waiter waits
    once.) *)
 type cond_op = Cwait | Csignal | Cbroadcast

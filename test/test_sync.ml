@@ -1,7 +1,7 @@
 (* Unit + multi-domain stress tests for the fiber-aware synchronization
    toolkit (lib/fiber_rt/sync.ml, scope.ml).
 
-   The single-threaded cases pin down API semantics deterministically
+   The single-worker cases pin down API semantics deterministically
    under [Fiber.run]; the stress cases run the real parallel engine
    ([Fiber.run_parallel]) with randomized yield points drawn from
    TEST_SEED so failures replay: every failure message carries the seed
