@@ -650,6 +650,40 @@ let test_tcp_backpressure () =
             "backpressure: %d clients through %d slots, %d accept parks\n%!"
             clients cap st.Tcp.accept_retries))
 
+(* One slot, two listening sockets (SO_REUSEPORT where available): the
+   loop whose socket is idle must not sit on the only slot while it
+   waits, or a client the kernel hashes to the other socket is never
+   accepted.  Clients run one at a time; sixteen of them land on both
+   sockets except with probability 2^-15. *)
+let test_tcp_one_slot_two_listeners () =
+  with_reactor (fun r ->
+      let clients = 16 in
+      let served = Atomic.make 0 in
+      Fiber.run_parallel ~domains:2 (fun () ->
+          let srv =
+            Tcp.start ~reactor:r ~max_conns:1 ~listeners:2
+              ~addr:(Unix.ADDR_INET (localhost, 0))
+              ~handler:echo_handler ()
+          in
+          let port = Tcp.port srv in
+          for _ = 1 to clients do
+            let fd = connect_local r port in
+            let deadline = Reactor.now () +. 2.0 in
+            Fio.write_all r ~deadline fd (Bytes.of_string "hi") 0 2;
+            let buf = Bytes.create 2 in
+            (match Fio.read_exact r ~deadline fd buf 0 2 with
+            | () -> Atomic.incr served
+            | exception Fio.Timeout -> ());
+            Unix.close fd
+          done;
+          Tcp.stop srv;
+          let st = Tcp.stats srv in
+          if st.Tcp.max_active > 1 then
+            failwith
+              (Printf.sprintf "max_conns=1 breached: %d concurrent"
+                 st.Tcp.max_active));
+      Alcotest.(check int) "every client served" clients (Atomic.get served))
+
 let test_tcp_graceful_stop () =
   with_reactor (fun r ->
       let served = Atomic.make false in
@@ -943,6 +977,8 @@ let () =
           Alcotest.test_case "echo, 16 clients" `Quick test_tcp_echo;
           Alcotest.test_case "max_conns backpressure" `Quick
             test_tcp_backpressure;
+          Alcotest.test_case "max_conns 1 over two listeners" `Quick
+            test_tcp_one_slot_two_listeners;
           Alcotest.test_case "graceful drain on stop" `Quick
             test_tcp_graceful_stop;
           Alcotest.test_case "no fd leak" `Quick test_tcp_no_fd_leak;
