@@ -741,7 +741,7 @@ let run_real () =
 
 (* Spawn/join fan-out, recursive fork-join (work_steal_tree), yield
    churn, cross-domain ping-pong, and the sync scenarios (contended
-   counter under both Mutex kinds, read-mostly rwlock, barrier phases)
+   Mutex counter, read-mostly rwlock, barrier phases)
    on [Fiber.run_parallel] for 1, 2 and 4 domains.  Every configuration
    runs [warmup] discarded rounds plus [reps] measured repetitions; the
    table and the JSON report median and p99 wall-clock per config, not
@@ -1024,11 +1024,7 @@ let run_parallel_bench ~quick ~diff () =
           Par_workload.yield_storm ~domains ~fibers:yfibers ~yields);
         (fun ~domains -> Par_workload.ping_pong ~domains ~msgs);
         (fun ~domains ->
-          Par_workload.sync_mutex ~domains ~kind:Fiber_rt.Sync.Mutex.Park
-            ~fibers:sfibers ~iters:siters);
-        (fun ~domains ->
-          Par_workload.sync_mutex ~domains ~kind:Fiber_rt.Sync.Mutex.Queued
-            ~fibers:sfibers ~iters:siters);
+          Par_workload.sync_mutex ~domains ~fibers:sfibers ~iters:siters);
         (fun ~domains ->
           Par_workload.sync_rwlock ~domains ~readers ~reads ~ratio:64);
         (fun ~domains ->

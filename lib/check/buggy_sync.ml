@@ -48,76 +48,73 @@ let split_last ws =
 module Mutex = struct
   type state = Unlocked | Locked of waiter list
 
-  type t = { pstate : state Atomic.t; pspin : int }
+  type t = state Atomic.t
 
-  let create ?(spin = 0) () = { pstate = Atomic.make Unlocked; pspin = spin }
+  let create () = Atomic.make Unlocked
 
   let try_lock m =
-    match Atomic.get m.pstate with
-    | Unlocked -> Atomic.compare_and_set m.pstate Unlocked (Locked [])
+    match Atomic.get m with
+    | Unlocked -> Atomic.compare_and_set m Unlocked (Locked [])
     | Locked _ -> false
 
-  (* Faithful copy of [Sync.Mutex.park_lock]. *)
+  (* Faithful copy of [Sync.Mutex.lock]. *)
   let lock m =
-    let rec spin budget = try_lock m || (budget > 0 && spin (budget - 1)) in
-    if not (spin m.pspin) then
+    if not (try_lock m || Sync.retry (fun () -> try_lock m)) then
       Fiber.suspend_token (fun tok ->
           let w = { wtok = tok; whome = Fiber.worker_index () } in
           let rec register () =
-            match Atomic.get m.pstate with
+            match Atomic.get m with
             | Unlocked ->
-                if Atomic.compare_and_set m.pstate Unlocked (Locked []) then
+                if Atomic.compare_and_set m Unlocked (Locked []) then
                   ignore (Fiber.Wake.fire tok)
                 else register ()
             | Locked ws as cur ->
-                if not (Atomic.compare_and_set m.pstate cur (Locked (w :: ws)))
-                then register ()
+                if not (Atomic.compare_and_set m cur (Locked (w :: ws))) then
+                  register ()
           in
           register ())
 
   let unlock m =
-    match Atomic.get m.pstate with
+    match Atomic.get m with
     | Unlocked -> invalid_arg "Buggy_sync.Mutex.unlock: not locked"
     | Locked ws -> (
         (* THE SEEDED BUG: plain stores computed from a stale read.  A
            waiter enqueued since the [Atomic.get] is silently erased. *)
         match split_last ws with
-        | None -> Atomic.set m.pstate Unlocked
+        | None -> Atomic.set m Unlocked
         | Some (rest, oldest) ->
-            Atomic.set m.pstate (Locked rest);
+            Atomic.set m (Locked rest);
             wake_waiter oldest)
 end
 
 module Semaphore = struct
   type state = { avail : int; sq : waiter list }
 
-  type t = { s : state Atomic.t; spin : int }
+  type t = state Atomic.t
 
-  let create ?(spin = 0) permits =
-    { s = Atomic.make { avail = permits; sq = [] }; spin }
+  let create permits = Atomic.make { avail = permits; sq = [] }
 
   let try_acquire t =
-    let cur = Atomic.get t.s in
+    let cur = Atomic.get t in
     cur.avail > 0
-    && Atomic.compare_and_set t.s cur { cur with avail = cur.avail - 1 }
+    && Atomic.compare_and_set t cur { cur with avail = cur.avail - 1 }
 
   (* Faithful copy of [Sync.Semaphore.acquire]. *)
   let acquire t =
-    let rec spin budget = try_acquire t || (budget > 0 && spin (budget - 1)) in
-    if not (spin t.spin) then
+    if not (try_acquire t || Sync.retry (fun () -> try_acquire t)) then
       Fiber.suspend_token (fun tok ->
           let w = { wtok = tok; whome = Fiber.worker_index () } in
           let rec register () =
-            let cur = Atomic.get t.s in
+            let cur = Atomic.get t in
             if cur.avail > 0 then begin
               if
-                Atomic.compare_and_set t.s cur
+                Atomic.compare_and_set t cur
                   { cur with avail = cur.avail - 1 }
               then ignore (Fiber.Wake.fire tok)
               else register ()
             end
             else if
-              not (Atomic.compare_and_set t.s cur { cur with sq = w :: cur.sq })
+              not (Atomic.compare_and_set t cur { cur with sq = w :: cur.sq })
             then register ()
           in
           register ())
@@ -125,14 +122,14 @@ module Semaphore = struct
   let release t =
     (* THE SEEDED BUG: get-then-set.  An acquirer registering in the
        window is wiped; the permit comes back but the wake is lost. *)
-    let cur = Atomic.get t.s in
+    let cur = Atomic.get t in
     match split_last cur.sq with
-    | None -> Atomic.set t.s { cur with avail = cur.avail + 1 }
+    | None -> Atomic.set t { cur with avail = cur.avail + 1 }
     | Some (rest, oldest) ->
-        Atomic.set t.s { cur with sq = rest };
+        Atomic.set t { cur with sq = rest };
         wake_waiter oldest
 
-  let available t = (Atomic.get t.s).avail
+  let available t = (Atomic.get t).avail
 end
 
 module Condition = struct
@@ -224,89 +221,82 @@ module Rwlock = struct
     wq : waiter list;
   }
 
-  type t = { rw : state Atomic.t; spin : int }
+  type t = state Atomic.t
 
-  let create ?(spin = 0) () =
-    { rw = Atomic.make { readers = 0; writer = false; rq = []; wq = [] }; spin }
+  let create () = Atomic.make { readers = 0; writer = false; rq = []; wq = [] }
 
   let try_acquire_read t =
-    let cur = Atomic.get t.rw in
+    let cur = Atomic.get t in
     (not cur.writer) && cur.wq = []
-    && Atomic.compare_and_set t.rw cur { cur with readers = cur.readers + 1 }
+    && Atomic.compare_and_set t cur { cur with readers = cur.readers + 1 }
 
   (* Faithful copy of [Sync.Rwlock.acquire_read]. *)
   let acquire_read t =
-    let rec spin budget =
-      try_acquire_read t || (budget > 0 && spin (budget - 1))
-    in
-    if not (spin t.spin) then
+    if not (try_acquire_read t || Sync.retry (fun () -> try_acquire_read t)) then
       Fiber.suspend_token (fun tok ->
           let w = { wtok = tok; whome = Fiber.worker_index () } in
           let rec register () =
-            let cur = Atomic.get t.rw in
+            let cur = Atomic.get t in
             if (not cur.writer) && cur.wq = [] then begin
               if
-                Atomic.compare_and_set t.rw cur
+                Atomic.compare_and_set t cur
                   { cur with readers = cur.readers + 1 }
               then ignore (Fiber.Wake.fire tok)
               else register ()
             end
             else if
-              not (Atomic.compare_and_set t.rw cur { cur with rq = w :: cur.rq })
+              not (Atomic.compare_and_set t cur { cur with rq = w :: cur.rq })
             then register ()
           in
           register ())
 
   let try_acquire_write t =
-    let cur = Atomic.get t.rw in
+    let cur = Atomic.get t in
     (not cur.writer) && cur.readers = 0
-    && Atomic.compare_and_set t.rw cur { cur with writer = true }
+    && Atomic.compare_and_set t cur { cur with writer = true }
 
   (* Faithful copy of [Sync.Rwlock.acquire_write]. *)
   let acquire_write t =
-    let rec spin budget =
-      try_acquire_write t || (budget > 0 && spin (budget - 1))
-    in
-    if not (spin t.spin) then
+    if not (try_acquire_write t || Sync.retry (fun () -> try_acquire_write t)) then
       Fiber.suspend_token (fun tok ->
           let w = { wtok = tok; whome = Fiber.worker_index () } in
           let rec register () =
-            let cur = Atomic.get t.rw in
+            let cur = Atomic.get t in
             if (not cur.writer) && cur.readers = 0 then begin
-              if Atomic.compare_and_set t.rw cur { cur with writer = true } then
+              if Atomic.compare_and_set t cur { cur with writer = true } then
                 ignore (Fiber.Wake.fire tok)
               else register ()
             end
             else if
-              not (Atomic.compare_and_set t.rw cur { cur with wq = w :: cur.wq })
+              not (Atomic.compare_and_set t cur { cur with wq = w :: cur.wq })
             then register ()
           in
           register ())
 
   (* Faithful copy of [Sync.Rwlock.release_read]. *)
   let rec release_read t =
-    let cur = Atomic.get t.rw in
+    let cur = Atomic.get t in
     if cur.readers <= 0 then
       invalid_arg "Buggy_sync.Rwlock.release_read: no reader";
     if cur.readers = 1 && not cur.writer then begin
       match split_last cur.wq with
       | Some (rest, oldest) ->
           if
-            Atomic.compare_and_set t.rw cur
+            Atomic.compare_and_set t cur
               { cur with readers = 0; writer = true; wq = rest }
           then wake_waiter oldest
           else release_read t
       | None ->
-          if not (Atomic.compare_and_set t.rw cur { cur with readers = 0 })
+          if not (Atomic.compare_and_set t cur { cur with readers = 0 })
           then release_read t
     end
     else if
       not
-        (Atomic.compare_and_set t.rw cur { cur with readers = cur.readers - 1 })
+        (Atomic.compare_and_set t cur { cur with readers = cur.readers - 1 })
     then release_read t
 
   let rec release_write t =
-    let cur = Atomic.get t.rw in
+    let cur = Atomic.get t in
     if not cur.writer then
       invalid_arg "Buggy_sync.Rwlock.release_write: no writer";
     match split_last cur.rq with
@@ -316,17 +306,17 @@ module Rwlock = struct
            ([readers = List.length rq]); here the stragglers stay
            parked in [rq] with nobody left who will ever wake them. *)
         if
-          Atomic.compare_and_set t.rw cur
+          Atomic.compare_and_set t cur
             { cur with writer = false; readers = 1; rq = rest }
         then wake_waiter oldest
         else release_write t
     | None -> (
         match split_last cur.wq with
         | Some (rest, oldest) ->
-            if Atomic.compare_and_set t.rw cur { cur with wq = rest } then
+            if Atomic.compare_and_set t cur { cur with wq = rest } then
               wake_waiter oldest
             else release_write t
         | None ->
-            if not (Atomic.compare_and_set t.rw cur { cur with writer = false })
+            if not (Atomic.compare_and_set t cur { cur with writer = false })
             then release_write t)
 end

@@ -1,6 +1,7 @@
 (* Park/wake shim standing in for [Fiber_rt.Fiber] inside lib/check:
    the copies of channel.ml, sync.ml and scope.ml compiled here need
-   [suspend], [suspend_token] + [Wake], and (for Scope) [spawn].
+   [suspend], [suspend_token] + [Wake], [worker_index] and
+   [num_workers] (for Sync), and [spawn] (for Scope).
 
    The real runtime's contract: [register] receives a wake function
    callable exactly once from any OS thread; the fiber stays parked
@@ -52,6 +53,12 @@ let suspend_token register =
 
 (* No worker domains in the model; [fire_to] hints fall back. *)
 let worker_index () = None
+
+(* No pool either, so Sync's pre-park retry never runs: every failed
+   first try parks at once, the smallest state space with the same
+   transitions (a retry is one more [try_lock] the park path's CAS
+   re-check already covers). *)
+let num_workers () = None
 
 (* Inline spawn: the child runs to completion inside the calling
    simulated thread.  Scope's CAS protocol (enter/fail/leave racing

@@ -889,12 +889,6 @@ let snapshot_sched ps =
 
 (* ---------- public API ---------- *)
 
-type par_stats = {
-  par_domains : int;
-  par_steals : int;
-  par_sched : Sched_stats.t;
-}
-
 (* Run [main] plus everything it spawns to completion on [domains]
    domains (the calling domain is worker 0). *)
 let run_parallel ?domains ?on_stats main =
@@ -957,16 +951,7 @@ let run_parallel ?domains ?on_stats main =
   Mutex.unlock ps.pexec_mutex;
   List.iter Executor.shutdown executors;
   List.iter Domain.join helpers;
-  (match on_stats with
-  | Some f ->
-      let sched = snapshot_sched ps in
-      f
-        {
-          par_domains = domains;
-          par_steals = sched.Sched_stats.steals;
-          par_sched = sched;
-        }
-  | None -> ());
+  (match on_stats with Some f -> f (snapshot_sched ps) | None -> ());
   match Atomic.get ps.failure with
   | Some (exn, bt) -> Printexc.raise_with_backtrace exn bt
   | None -> ()

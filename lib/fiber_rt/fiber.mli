@@ -71,14 +71,8 @@ module Sched_stats : sig
       converged to, as opposed to the [domains] it was asked for. *)
 end
 
-type par_stats = {
-  par_domains : int;  (** worker domains of the finished run *)
-  par_steals : int;  (** successful deque steals across all workers *)
-  par_sched : Sched_stats.t;  (** full scheduler telemetry of the run *)
-}
-
 val run_parallel :
-  ?domains:int -> ?on_stats:(par_stats -> unit) -> (unit -> unit) -> unit
+  ?domains:int -> ?on_stats:(Sched_stats.t -> unit) -> (unit -> unit) -> unit
 (** Run [main] plus everything it spawns to completion on [domains]
     worker domains (default [Domain.recommended_domain_count ()]; the
     calling domain is worker 0).  An explicit [domains] above the
@@ -90,8 +84,8 @@ val run_parallel :
     breadth-first there, with its whole frontier live at once (more
     memory and time than the depth-first order of a wider pool).
     Executors are shut down on exit; an uncaught exception in any fiber
-    aborts the run and re-raises here.  [on_stats] receives scheduler
-    counters after completion.
+    aborts the run and re-raises here.  [on_stats] receives the run's
+    exact scheduler telemetry after completion.
     @raise Invalid_argument for [domains < 1] or when nested. *)
 
 val sched_stats : unit -> Sched_stats.t option

@@ -14,6 +14,10 @@
    re-added) and fires exactly that waiter, so there is no thundering
    herd and no lost-wakeup window between "release" and "wake".
 
+   Blocking acquires try once, retry a bounded number of times only on
+   a multi-worker pool ([retry]), then park.  Nothing here is tunable:
+   the retry budget follows from the pool width.
+
    This file is recompiled inside lib/check against the traced
    Atomic/Fiber shims, so it must confine itself to that vocabulary:
    no [Unix], no [Domain], no Stdlib.Mutex, no unbounded spinning. *)
@@ -36,67 +40,38 @@ let split_last ws =
   in
   go [] ws
 
-let default_spin = 32
+(* Pre-park retries after a failed first try, on a pool of more than
+   one worker.  On a lone worker the holder is a fiber on this same
+   worker, and it cannot run until this one parks (the engine's no-spin
+   rule for a 1-worker pool), so there the caller parks at once.  Only
+   called after the first try failed: the uncontended path never asks
+   for the pool width, and the closure is built on the slow path only.
+   The lib/check Fiber shim reports no pool, so the checker explores
+   the park-at-once path. *)
+let retry attempt =
+  match Fiber.num_workers () with
+  | Some n when n > 1 ->
+      let rec go budget = budget > 0 && (attempt () || go (budget - 1)) in
+      go 32
+  | Some _ | None -> false
 
 module Mutex = struct
-  type kind = Park | Queued
-
-  (* ---- spin-then-park variant ----------------------------------- *)
-
   (* [Locked ws]: held, with [ws] the parked waiters newest-first.
      Unlock with waiters is a handoff: the state stays [Locked] and the
      oldest waiter is fired, so it owns the mutex when it resumes. *)
-  type park_state = Unlocked | Locked of waiter list
+  type state = Unlocked | Locked of waiter list
 
-  type park_mutex = { pstate : park_state Atomic.t; pspin : int }
+  type t = state Atomic.t
 
-  (* ---- CLH queued variant --------------------------------------- *)
+  let create () = Atomic.make Unlocked
 
-  (* Each locker enqueues a fresh node with an [exchange] on [tail] and
-     waits on its *predecessor*: spin a bounded number of reads on
-     [released], then park by publishing a waiter into the
-     predecessor's [succ] slot.  The unlocker never waits: it sets
-     [released] on its own node, then fires whatever waiter is
-     published there.  The park path re-checks [released] after
-     publishing and self-fires on a lost race (Dekker handshake); the
-     token's exactly-one-fire claim absorbs the double wake. *)
-  type clh_node = {
-    released : bool Atomic.t;
-    succ : waiter option Atomic.t;
-  }
-
-  type clh_mutex = {
-    tail : clh_node Atomic.t;
-    (* Owned by the current lock holder, written only after acquiring
-       (ordered by the [released] flag), read only by its unlock. *)
-    mutable holder : clh_node;
-    qspin : int;
-  }
-
-  type t = P of park_mutex | Q of clh_mutex
-
-  let create ?(spin = default_spin) ?(kind = Park) () =
-    if spin < 0 then invalid_arg "Sync.Mutex.create: negative spin";
-    match kind with
-    | Park -> P { pstate = Atomic.make Unlocked; pspin = spin }
-    | Queued ->
-        let n0 = { released = Atomic.make true; succ = Atomic.make None } in
-        Q { tail = Atomic.make n0; holder = n0; qspin = spin }
-
-  let kind = function P _ -> Park | Q _ -> Queued
-
-  (* ---- park variant ops ----------------------------------------- *)
-
-  let park_try_lock m =
-    match Atomic.get m.pstate with
-    | Unlocked -> Atomic.compare_and_set m.pstate Unlocked (Locked [])
+  let try_lock m =
+    match Atomic.get m with
+    | Unlocked -> Atomic.compare_and_set m Unlocked (Locked [])
     | Locked _ -> false
 
-  let park_lock m =
-    let rec spin budget =
-      park_try_lock m || (budget > 0 && spin (budget - 1))
-    in
-    if not (spin m.pspin) then
+  let lock m =
+    if not (try_lock m || retry (fun () -> try_lock m)) then
       (* Park.  Registration re-checks under CAS: either we enqueue
          ourselves while the mutex is held, or we grab it and consume
          our own token.  Both paths end with us owning the mutex when
@@ -104,73 +79,30 @@ module Mutex = struct
       Fiber.suspend_token (fun tok ->
           let w = { wtok = tok; whome = Fiber.worker_index () } in
           let rec register () =
-            match Atomic.get m.pstate with
+            match Atomic.get m with
             | Unlocked ->
-                if Atomic.compare_and_set m.pstate Unlocked (Locked []) then
+                if Atomic.compare_and_set m Unlocked (Locked []) then
                   ignore (Fiber.Wake.fire tok)
                 else register ()
             | Locked ws as cur ->
-                if not (Atomic.compare_and_set m.pstate cur (Locked (w :: ws)))
-                then register ()
+                if not (Atomic.compare_and_set m cur (Locked (w :: ws))) then
+                  register ()
           in
           register ())
 
-  let rec park_unlock m =
-    match Atomic.get m.pstate with
+  let rec unlock m =
+    match Atomic.get m with
     | Unlocked -> invalid_arg "Sync.Mutex.unlock: not locked"
     | Locked [] as cur ->
-        if not (Atomic.compare_and_set m.pstate cur Unlocked) then
-          park_unlock m
+        if not (Atomic.compare_and_set m cur Unlocked) then unlock m
     | Locked ws as cur -> (
         match split_last ws with
         | None -> assert false
         | Some (rest, oldest) ->
             (* Handoff: state stays [Locked] for [oldest]. *)
-            if Atomic.compare_and_set m.pstate cur (Locked rest) then
+            if Atomic.compare_and_set m cur (Locked rest) then
               wake_waiter oldest
-            else park_unlock m)
-
-  (* ---- CLH variant ops ------------------------------------------ *)
-
-  let clh_lock m =
-    let n = { released = Atomic.make false; succ = Atomic.make None } in
-    let pred = Atomic.exchange m.tail n in
-    let rec spin budget =
-      Atomic.get pred.released || (budget > 0 && spin (budget - 1))
-    in
-    if not (spin m.qspin) then
-      Fiber.suspend_token (fun tok ->
-          Atomic.set pred.succ
-            (Some { wtok = tok; whome = Fiber.worker_index () });
-          (* Dekker re-check: the unlocker may have read [succ] as
-             [None] just before we published.  It set [released] first,
-             so one of us sees the other's write. *)
-          if Atomic.get pred.released then ignore (Fiber.Wake.fire tok));
-    m.holder <- n
-
-  let clh_try_lock m =
-    let cur = Atomic.get m.tail in
-    Atomic.get cur.released
-    &&
-    let n = { released = Atomic.make false; succ = Atomic.make None } in
-    if Atomic.compare_and_set m.tail cur n then begin
-      m.holder <- n;
-      true
-    end
-    else false
-
-  let clh_unlock m =
-    let n = m.holder in
-    Atomic.set n.released true;
-    match Atomic.get n.succ with
-    | Some w -> wake_waiter w
-    | None -> ()
-
-  (* ---- dispatch -------------------------------------------------- *)
-
-  let lock = function P m -> park_lock m | Q m -> clh_lock m
-  let try_lock = function P m -> park_try_lock m | Q m -> clh_try_lock m
-  let unlock = function P m -> park_unlock m | Q m -> clh_unlock m
+            else unlock m)
 
   let with_lock t f =
     lock t;
@@ -190,50 +122,47 @@ module Semaphore = struct
      acquire only enqueues after re-checking [avail = 0] under CAS. *)
   type state = { avail : int; sq : waiter list }
 
-  type t = { s : state Atomic.t; spin : int }
+  type t = state Atomic.t
 
-  let create ?(spin = default_spin) permits =
+  let create permits =
     if permits < 0 then invalid_arg "Sync.Semaphore.create: negative permits";
-    { s = Atomic.make { avail = permits; sq = [] }; spin }
+    Atomic.make { avail = permits; sq = [] }
 
   let try_acquire t =
-    let cur = Atomic.get t.s in
+    let cur = Atomic.get t in
     cur.avail > 0
-    && Atomic.compare_and_set t.s cur { cur with avail = cur.avail - 1 }
+    && Atomic.compare_and_set t cur { cur with avail = cur.avail - 1 }
 
   let acquire t =
-    let rec spin budget =
-      try_acquire t || (budget > 0 && spin (budget - 1))
-    in
-    if not (spin t.spin) then
+    if not (try_acquire t || retry (fun () -> try_acquire t)) then
       Fiber.suspend_token (fun tok ->
           let w = { wtok = tok; whome = Fiber.worker_index () } in
           let rec register () =
-            let cur = Atomic.get t.s in
+            let cur = Atomic.get t in
             if cur.avail > 0 then begin
-              if Atomic.compare_and_set t.s cur { cur with avail = cur.avail - 1 }
+              if Atomic.compare_and_set t cur { cur with avail = cur.avail - 1 }
               then ignore (Fiber.Wake.fire tok)
               else register ()
             end
             else if
-              not (Atomic.compare_and_set t.s cur { cur with sq = w :: cur.sq })
+              not (Atomic.compare_and_set t cur { cur with sq = w :: cur.sq })
             then register ()
           in
           register ())
 
   let rec release t =
-    let cur = Atomic.get t.s in
+    let cur = Atomic.get t in
     match split_last cur.sq with
     | None ->
-        if not (Atomic.compare_and_set t.s cur { cur with avail = cur.avail + 1 })
+        if not (Atomic.compare_and_set t cur { cur with avail = cur.avail + 1 })
         then release t
     | Some (rest, oldest) ->
         (* Permit handoff: [avail] is unchanged, the waiter owns it. *)
-        if Atomic.compare_and_set t.s cur { cur with sq = rest } then
+        if Atomic.compare_and_set t cur { cur with sq = rest } then
           wake_waiter oldest
         else release t
 
-  let available t = (Atomic.get t.s).avail
+  let available t = (Atomic.get t).avail
 
   let with_acquire t f =
     acquire t;
@@ -267,92 +196,85 @@ module Rwlock = struct
     wq : waiter list;
   }
 
-  type t = { rw : state Atomic.t; spin : int }
+  type t = state Atomic.t
 
-  let create ?(spin = default_spin) () =
-    { rw = Atomic.make { readers = 0; writer = false; rq = []; wq = [] }; spin }
+  let create () = Atomic.make { readers = 0; writer = false; rq = []; wq = [] }
 
   let try_acquire_read t =
-    let cur = Atomic.get t.rw in
+    let cur = Atomic.get t in
     (not cur.writer) && cur.wq = []
-    && Atomic.compare_and_set t.rw cur { cur with readers = cur.readers + 1 }
+    && Atomic.compare_and_set t cur { cur with readers = cur.readers + 1 }
 
   let acquire_read t =
-    let rec spin budget =
-      try_acquire_read t || (budget > 0 && spin (budget - 1))
-    in
-    if not (spin t.spin) then
+    if not (try_acquire_read t || retry (fun () -> try_acquire_read t)) then
       Fiber.suspend_token (fun tok ->
           let w = { wtok = tok; whome = Fiber.worker_index () } in
           let rec register () =
-            let cur = Atomic.get t.rw in
+            let cur = Atomic.get t in
             if (not cur.writer) && cur.wq = [] then begin
               if
-                Atomic.compare_and_set t.rw cur
+                Atomic.compare_and_set t cur
                   { cur with readers = cur.readers + 1 }
               then ignore (Fiber.Wake.fire tok)
               else register ()
             end
             else if
-              not (Atomic.compare_and_set t.rw cur { cur with rq = w :: cur.rq })
+              not (Atomic.compare_and_set t cur { cur with rq = w :: cur.rq })
             then register ()
           in
           register ())
 
   let try_acquire_write t =
-    let cur = Atomic.get t.rw in
+    let cur = Atomic.get t in
     (not cur.writer) && cur.readers = 0
-    && Atomic.compare_and_set t.rw cur { cur with writer = true }
+    && Atomic.compare_and_set t cur { cur with writer = true }
 
   let acquire_write t =
-    let rec spin budget =
-      try_acquire_write t || (budget > 0 && spin (budget - 1))
-    in
-    if not (spin t.spin) then
+    if not (try_acquire_write t || retry (fun () -> try_acquire_write t)) then
       Fiber.suspend_token (fun tok ->
           let w = { wtok = tok; whome = Fiber.worker_index () } in
           let rec register () =
-            let cur = Atomic.get t.rw in
+            let cur = Atomic.get t in
             if (not cur.writer) && cur.readers = 0 then begin
-              if Atomic.compare_and_set t.rw cur { cur with writer = true } then
+              if Atomic.compare_and_set t cur { cur with writer = true } then
                 ignore (Fiber.Wake.fire tok)
               else register ()
             end
             else if
-              not (Atomic.compare_and_set t.rw cur { cur with wq = w :: cur.wq })
+              not (Atomic.compare_and_set t cur { cur with wq = w :: cur.wq })
             then register ()
           in
           register ())
 
   let rec release_read t =
-    let cur = Atomic.get t.rw in
+    let cur = Atomic.get t in
     if cur.readers <= 0 then invalid_arg "Sync.Rwlock.release_read: no reader";
     if cur.readers = 1 && not cur.writer then begin
       match split_last cur.wq with
       | Some (rest, oldest) ->
           (* Last reader out with a writer parked: handoff. *)
           if
-            Atomic.compare_and_set t.rw cur
+            Atomic.compare_and_set t cur
               { cur with readers = 0; writer = true; wq = rest }
           then wake_waiter oldest
           else release_read t
       | None ->
-          if not (Atomic.compare_and_set t.rw cur { cur with readers = 0 })
+          if not (Atomic.compare_and_set t cur { cur with readers = 0 })
           then release_read t
     end
     else if
-      not (Atomic.compare_and_set t.rw cur { cur with readers = cur.readers - 1 })
+      not (Atomic.compare_and_set t cur { cur with readers = cur.readers - 1 })
     then release_read t
 
   let rec release_write t =
-    let cur = Atomic.get t.rw in
+    let cur = Atomic.get t in
     if not cur.writer then invalid_arg "Sync.Rwlock.release_write: no writer";
     match cur.rq with
     | _ :: _ ->
         (* Anti-starvation: the whole parked-reader batch enters before
            the next writer, all counted active in this one CAS. *)
         if
-          Atomic.compare_and_set t.rw cur
+          Atomic.compare_and_set t cur
             { cur with writer = false; readers = List.length cur.rq; rq = [] }
         then List.iter wake_waiter (List.rev cur.rq)
         else release_write t
@@ -360,11 +282,11 @@ module Rwlock = struct
         match split_last cur.wq with
         | Some (rest, oldest) ->
             (* Writer-to-writer handoff: [writer] stays set. *)
-            if Atomic.compare_and_set t.rw cur { cur with wq = rest } then
+            if Atomic.compare_and_set t cur { cur with wq = rest } then
               wake_waiter oldest
             else release_write t
         | None ->
-            if not (Atomic.compare_and_set t.rw cur { cur with writer = false })
+            if not (Atomic.compare_and_set t cur { cur with writer = false })
             then release_write t)
 
   let with_read t f =

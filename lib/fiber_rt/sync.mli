@@ -8,33 +8,29 @@
     seeded-bug twin proves the checker can see the races this code
     avoids.
 
+    A blocking acquire that fails its first try retries a bounded
+    number of times before it parks, but only when the run has more
+    than one worker: on a lone worker the holder is a fiber on that
+    same worker, and it cannot release until the caller parks.  There
+    are no tuning parameters.
+
     All operations must run inside the fiber engine ({!Fiber.run} or
     {!Fiber.run_parallel}); they perform effects and cannot be used
     from plain OS threads (a reactor shard, an executor) — those keep
     using [Stdlib.Mutex], with a [raw-mutex-in-fiber] lint waiver. *)
 
 module Mutex : sig
+  (** Spin-then-park list lock: a contended locker parks in a waiter
+      list, and unlock hands the lock to the oldest waiter. *)
+
   type t
 
-  type kind =
-    | Park  (** bounded CAS spinning, then park in a waiter list;
-                unlock hands the lock to the oldest waiter *)
-    | Queued
-        (** CLH queue lock: each locker waits on its predecessor's
-            node, so handoff is FIFO and CAS contention is spread over
-            per-locker cells; unlock never waits.  [unlock] must be
-            called by the locking fiber. *)
-
-  val create : ?spin:int -> ?kind:kind -> unit -> t
-  (** [spin] bounds the pre-park retry loop (default 32; 0 parks
-      immediately — the interleaving checker uses that). *)
-
-  val kind : t -> kind
+  val create : unit -> t
   val lock : t -> unit
   val try_lock : t -> bool
 
   val unlock : t -> unit
-  (** @raise Invalid_argument on a [Park] mutex that is not locked. *)
+  (** @raise Invalid_argument if the mutex is not locked. *)
 
   val with_lock : t -> (unit -> 'a) -> 'a
 end
@@ -42,7 +38,7 @@ end
 module Semaphore : sig
   type t
 
-  val create : ?spin:int -> int -> t
+  val create : int -> t
   (** [create permits].  @raise Invalid_argument if negative. *)
 
   val acquire : t -> unit
@@ -63,7 +59,7 @@ module Rwlock : sig
 
   type t
 
-  val create : ?spin:int -> unit -> t
+  val create : unit -> t
   val acquire_read : t -> unit
   val try_acquire_read : t -> bool
   val release_read : t -> unit

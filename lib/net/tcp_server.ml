@@ -281,6 +281,11 @@ let spawn_handler t conn_fd peer =
       ignore (Fiber.spawn_on ~worker:(Atomic.fetch_and_add t.next_worker 1 mod n) body)
   | _ -> ignore (Fiber.spawn body)
 
+(* Pause before retrying an accept that failed for lack of fds or
+   kernel memory: long enough not to spin on a full fd table, short
+   enough that a freed fd is used promptly. *)
+let accept_backoff_s = 0.01
+
 (* Backpressure: a loop waits for a pending connection first and only
    then takes a slot, for the one non-blocking accept.  With one
    SO_REUSEPORT socket per loop, a slot held across the wait would
@@ -320,6 +325,16 @@ let accept_loop t i =
                  gave up: no connection for this slot *)
               retire t;
               go ()
+          | exception
+              Unix.Unix_error
+                ((Unix.EMFILE | Unix.ENFILE | Unix.ENOBUFS | Unix.ENOMEM), _, _)
+            ->
+              (* out of fds or kernel memory: the connection stays in the
+                 backlog.  Give the slot back, back off, then retry. *)
+              retire t;
+              (match Reactor.sleep t.reactor accept_backoff_s with
+              | () -> go ()
+              | exception Reactor.Reactor_stopped -> ())
           | exception Unix.Unix_error ((Unix.EBADF | Unix.EINVAL), _, _) ->
               (* listener shut down under us: stop requested *)
               retire t

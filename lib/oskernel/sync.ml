@@ -5,7 +5,7 @@
 
    [Waitcell] is a one-shot parking spot supporting both of the paper's
    idle policies: BLOCKING (futex semaphore: frees the CPU, expensive
-   wake) and BUSYWAIT (spin: occupies the CPU, wake is one cache-line
+   wake) and BUSYWAIT (spinning occupies the CPU, wake is one cache-line
    handoff). *)
 
 open Types

@@ -41,16 +41,11 @@ val ping_pong : domains:int -> msgs:int -> result
 (** Two fibers bouncing [msgs] messages over rendezvous channels: the
     cross-domain wake-up path. *)
 
-val sync_mutex :
-  domains:int ->
-  kind:Fiber_rt.Sync.Mutex.kind ->
-  fibers:int ->
-  iters:int ->
-  result
-(** Contended counter: [fibers] fibers each take the lock [iters] times
-    to bump a shared ref — pure handoff throughput under maximal
-    contention, one run per {!Fiber_rt.Sync.Mutex.kind} (the
-    spin-then-park list mutex vs the CLH queue lock). *)
+val sync_mutex : domains:int -> fibers:int -> iters:int -> result
+(** Contended counter: [fibers] fibers each take the
+    {!Fiber_rt.Sync.Mutex} [iters] times to bump a shared ref — pure
+    handoff throughput under maximal contention.  The row keeps its
+    historical name [sync_mutex_park]. *)
 
 val sync_rwlock :
   domains:int -> readers:int -> reads:int -> ratio:int -> result

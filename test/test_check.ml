@@ -676,8 +676,9 @@ let couple_vs_steal ~buggy () =
 (* The copied fiber-aware synchronization (lib/fiber_rt/sync.ml) under
    the traced shims: parking is the shim's guarded step, so a lost
    wakeup — the bug family every seeded twin reintroduces — surfaces as
-   the checker's deadlock detection.  All primitives are created with
-   [spin:0]: the bounded pre-park spin only widens the state space
+   the checker's deadlock detection.  The checker's Fiber shim reports
+   no worker pool, so every failed first try parks at once: the
+   pre-park retry of a multi-worker run only widens the state space
    without adding transitions the park path does not already have. *)
 
 module Sy = Check.Sync
@@ -693,18 +694,10 @@ module type MUTEX = sig
   val unlock : t -> unit
 end
 
-module Park_mutex : MUTEX = struct
+module Good_mutex : MUTEX = struct
   type t = Sy.Mutex.t
 
-  let create () = Sy.Mutex.create ~spin:0 ~kind:Sy.Mutex.Park ()
-  let lock = Sy.Mutex.lock
-  let unlock = Sy.Mutex.unlock
-end
-
-module Clh_mutex : MUTEX = struct
-  type t = Sy.Mutex.t
-
-  let create () = Sy.Mutex.create ~spin:0 ~kind:Sy.Mutex.Queued ()
+  let create = Sy.Mutex.create
   let lock = Sy.Mutex.lock
   let unlock = Sy.Mutex.unlock
 end
@@ -712,7 +705,7 @@ end
 module Bad_mutex : MUTEX = struct
   type t = Bsy.Mutex.t
 
-  let create () = Bsy.Mutex.create ~spin:0 ()
+  let create = Bsy.Mutex.create
   let lock = Bsy.Mutex.lock
   let unlock = Bsy.Mutex.unlock
 end
@@ -747,7 +740,7 @@ end
 module Good_sem : SEMAPHORE = struct
   type t = Sy.Semaphore.t
 
-  let create n = Sy.Semaphore.create ~spin:0 n
+  let create = Sy.Semaphore.create
   let acquire = Sy.Semaphore.acquire
   let release = Sy.Semaphore.release
   let available = Sy.Semaphore.available
@@ -756,7 +749,7 @@ end
 module Bad_sem : SEMAPHORE = struct
   type t = Bsy.Semaphore.t
 
-  let create n = Bsy.Semaphore.create ~spin:0 n
+  let create = Bsy.Semaphore.create
   let acquire = Bsy.Semaphore.acquire
   let release = Bsy.Semaphore.release
   let available = Bsy.Semaphore.available
@@ -793,7 +786,7 @@ end
 module Good_rw : RWLOCK = struct
   type t = Sy.Rwlock.t
 
-  let create () = Sy.Rwlock.create ~spin:0 ()
+  let create = Sy.Rwlock.create
   let acquire_read = Sy.Rwlock.acquire_read
   let release_read = Sy.Rwlock.release_read
   let acquire_write = Sy.Rwlock.acquire_write
@@ -803,7 +796,7 @@ end
 module Bad_rw : RWLOCK = struct
   type t = Bsy.Rwlock.t
 
-  let create () = Bsy.Rwlock.create ~spin:0 ()
+  let create = Bsy.Rwlock.create
   let acquire_read = Bsy.Rwlock.acquire_read
   let release_read = Bsy.Rwlock.release_read
   let acquire_write = Bsy.Rwlock.acquire_write
@@ -870,7 +863,7 @@ module Good_cond : CONDVAR = struct
   type mutex = Sy.Mutex.t
   type t = Sy.Condition.t
 
-  let mcreate () = Sy.Mutex.create ~spin:0 ()
+  let mcreate = Sy.Mutex.create
   let lock = Sy.Mutex.lock
   let unlock = Sy.Mutex.unlock
   let create = Sy.Condition.create
@@ -884,7 +877,7 @@ module Bad_cond : CONDVAR = struct
   type mutex = Sy.Mutex.t
   type t = Bsy.Condition.t
 
-  let mcreate () = Sy.Mutex.create ~spin:0 ()
+  let mcreate = Sy.Mutex.create
   let lock = Sy.Mutex.lock
   let unlock = Sy.Mutex.unlock
   let create = Bsy.Condition.create
@@ -1456,8 +1449,7 @@ let test_couple_vs_steal_buggy () =
 
 (* ---------- sync/scope: faithful copies pass ---------- *)
 
-let park_mutex : (module MUTEX) = (module Park_mutex)
-let clh_mutex : (module MUTEX) = (module Clh_mutex)
+let good_mutex : (module MUTEX) = (module Good_mutex)
 let bad_mutex : (module MUTEX) = (module Bad_mutex)
 let good_sem : (module SEMAPHORE) = (module Good_sem)
 let bad_sem : (module SEMAPHORE) = (module Bad_sem)
@@ -1471,12 +1463,7 @@ let bad_bar : (module BARRIER) = (module Bad_bar)
 let test_mutex_exclusion () =
   ignore
     (expect_pass "mutex-exclusion (park)"
-       (Sched.check ~max_schedules:8_000 (mutex_exclusion park_mutex)))
-
-let test_clh_mutex_exclusion () =
-  ignore
-    (expect_pass "mutex-exclusion (clh)"
-       (Sched.check ~max_schedules:8_000 (mutex_exclusion clh_mutex)))
+       (Sched.check ~max_schedules:8_000 (mutex_exclusion good_mutex)))
 
 let test_semaphore_permits () =
   ignore
@@ -1587,7 +1574,7 @@ let twin_caught name ~buggy ~faithful ~expect_reason () =
 let test_buggy_mutex_caught =
   twin_caught "buggy-mutex-unlock"
     ~buggy:(mutex_exclusion ~threads:2 bad_mutex)
-    ~faithful:(mutex_exclusion ~threads:2 park_mutex)
+    ~faithful:(mutex_exclusion ~threads:2 good_mutex)
     ~expect_reason:"Deadlock"
 
 let test_buggy_semaphore_caught =
@@ -1749,8 +1736,7 @@ let test_fuzz_real_structures_clean () =
       ("mpsc", mpsc_enqueue_drain);
       ("channel", channel_send_recv);
       ("couple-vs-steal", couple_vs_steal ~buggy:false);
-      ("mutex-exclusion-park", mutex_exclusion park_mutex);
-      ("mutex-exclusion-clh", mutex_exclusion clh_mutex);
+      ("mutex-exclusion-park", mutex_exclusion good_mutex);
       ("semaphore-permits", semaphore_permits good_sem);
       ("rwlock-exclusion", rwlock_exclusion good_rw);
       ("rwlock-release-batch", rwlock_release_batch good_rw);
@@ -1796,8 +1782,7 @@ let test_interleaving_budget () =
         ("channel-send-recv", 4_000, channel_send_recv);
         ("channel-two-receivers", 4_000, channel_two_receivers);
         ("couple-vs-steal", 4_000, couple_vs_steal ~buggy:false);
-        ("mutex-exclusion-park", 8_000, mutex_exclusion park_mutex);
-        ("mutex-exclusion-clh", 8_000, mutex_exclusion clh_mutex);
+        ("mutex-exclusion-park", 8_000, mutex_exclusion good_mutex);
         ("semaphore-permits", 8_000, semaphore_permits good_sem);
         ("rwlock-exclusion", 12_000, rwlock_exclusion good_rw);
         ("rwlock-release-batch", 8_000, rwlock_release_batch good_rw);
@@ -1910,8 +1895,6 @@ let () =
         [
           Alcotest.test_case "mutex exclusion + handoff (park)" `Quick
             test_mutex_exclusion;
-          Alcotest.test_case "mutex exclusion + handoff (CLH)" `Quick
-            test_clh_mutex_exclusion;
           Alcotest.test_case "semaphore permits conserved" `Quick
             test_semaphore_permits;
           Alcotest.test_case "rwlock readers/writer exclusion" `Quick

@@ -832,7 +832,7 @@ let test_par_elastic_collapse_stress () =
   let mid_snapshot_ok = ref false in
   let t0 = Unix.gettimeofday () in
   Fiber.run_parallel ~domains
-    ~on_stats:(fun s -> stats := Some s.Fiber.par_sched)
+    ~on_stats:(fun s -> stats := Some s)
     (fun () ->
       Array.iter
         (fun burst ->

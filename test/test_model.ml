@@ -437,7 +437,7 @@ let prop_elastic_matches_model ops =
 (* Sequential interpretation: [lock] on a free mutex must take the fast
    path (no fiber engine here, so an attempt to park would be an
    unhandled effect — itself a failure), [try_lock] mirrors the bit,
-   and a [Park] unlock of a free mutex raises. *)
+   and an unlock of a free mutex raises. *)
 type mutex_op = Mlock | Mtry | Munlock
 
 let mutex_op_gen =
@@ -455,8 +455,8 @@ let mutex_ops_arb =
     ~shrink:QCheck.Shrink.list
     QCheck.Gen.(list_size (int_bound 60) mutex_op_gen)
 
-let prop_mutex_matches_model kind ops =
-  let m = Sync.Mutex.create ~kind () in
+let prop_mutex_matches_model ops =
+  let m = Sync.Mutex.create () in
   let held = ref false in
   List.for_all
     (fun op ->
@@ -481,12 +481,11 @@ let prop_mutex_matches_model kind ops =
             held := false;
             true
           end
-          else if kind = Sync.Mutex.Park then (
-            (* a free Park mutex rejects the unlock *)
+          else
+            (* a free mutex rejects the unlock *)
             match Sync.Mutex.unlock m with
             | () -> false
             | exception Invalid_argument _ -> true)
-          else true (* CLH unlock-by-holder only: skip when free *))
     ops
 
 (* ---------- Sync.Semaphore vs a counter ---------- *)
@@ -998,9 +997,7 @@ let () =
           t "Elastic = two-stack pool model" elastic_ops_arb
             prop_elastic_matches_model;
           t "Sync.Mutex (park) = held/free bit" mutex_ops_arb
-            (prop_mutex_matches_model Sync.Mutex.Park);
-          t "Sync.Mutex (CLH) = held/free bit" mutex_ops_arb
-            (prop_mutex_matches_model Sync.Mutex.Queued);
+            prop_mutex_matches_model;
           t "Sync.Semaphore = counter model" sem_ops_arb prop_sem_matches_model;
           t "Sync.Rwlock = {readers;writer} model" rw_ops_arb
             prop_rw_matches_model;

@@ -684,6 +684,70 @@ let test_tcp_one_slot_two_listeners () =
                  st.Tcp.max_active));
       Alcotest.(check int) "every client served" clients (Atomic.get served))
 
+(* fd exhaustion on accept: with every fd taken, the accept of a
+   pending client fails with EMFILE.  The server must back off and
+   retry rather than let the error abort the run, so once the hoarded
+   fds are released the client is served and the run completes. *)
+let test_tcp_accept_emfile () =
+  let hoard = ref [] in
+  let release () =
+    List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) !hoard;
+    hoard := []
+  in
+  (* dup until EMFILE; give up (and skip) past a cap so a huge
+     RLIMIT_NOFILE does not turn the test into an fd-table stress *)
+  let exhaust base =
+    let rec go n =
+      if n >= 200_000 then false
+      else
+        match Unix.dup ~cloexec:true base with
+        | fd ->
+            hoard := fd :: !hoard;
+            go (n + 1)
+        | exception Unix.Unix_error ((Unix.EMFILE | Unix.ENFILE), _, _) -> true
+    in
+    go 0
+  in
+  let echoed = ref "" in
+  Fun.protect ~finally:release (fun () ->
+      with_reactor (fun r ->
+          Fiber.run (fun () ->
+              let srv =
+                Tcp.start ~reactor:r
+                  ~addr:(Unix.ADDR_INET (localhost, 0))
+                  ~handler:echo_handler ()
+              in
+              let port = Tcp.port srv in
+              let base = Unix.openfile "/dev/null" [ Unix.O_RDONLY ] 0 in
+              hoard := [ base ];
+              if exhaust base then begin
+                (* one free fd, for the client's socket *)
+                (match !hoard with
+                | fd :: rest ->
+                    Unix.close fd;
+                    hoard := rest
+                | [] -> ());
+                let fd = connect_local r port in
+                let deadline = Reactor.now () +. 5.0 in
+                Fio.write_all r ~deadline fd (Bytes.of_string "hi") 0 2;
+                (* the server now fails to accept, several times over *)
+                Reactor.sleep r 0.05;
+                Alcotest.(check int) "nothing accepted while out of fds" 0
+                  (Tcp.stats srv).Tcp.accepted;
+                release ();
+                let buf = Bytes.create 2 in
+                Fio.read_exact r ~deadline fd buf 0 2;
+                echoed := Bytes.to_string buf;
+                Unix.close fd
+              end
+              else begin
+                release ();
+                echoed := "hi";
+                print_endline "RLIMIT_NOFILE too large to exhaust: skipped"
+              end;
+              Tcp.stop srv)));
+  Alcotest.(check string) "client echoed after fds freed" "hi" !echoed
+
 let test_tcp_graceful_stop () =
   with_reactor (fun r ->
       let served = Atomic.make false in
@@ -979,6 +1043,8 @@ let () =
             test_tcp_backpressure;
           Alcotest.test_case "max_conns 1 over two listeners" `Quick
             test_tcp_one_slot_two_listeners;
+          Alcotest.test_case "accept survives EMFILE" `Quick
+            test_tcp_accept_emfile;
           Alcotest.test_case "graceful drain on stop" `Quick
             test_tcp_graceful_stop;
           Alcotest.test_case "no fd leak" `Quick test_tcp_no_fd_leak;

@@ -38,10 +38,9 @@ let stress_domains = 4
 (* Mutex                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let test_mutex_single kind () =
+let test_mutex_single () =
   Fiber.run (fun () ->
-      let m = Sync.Mutex.create ~kind () in
-      checkf (Sync.Mutex.kind m = kind) "kind survives create";
+      let m = Sync.Mutex.create () in
       Sync.Mutex.lock m;
       checkf (not (Sync.Mutex.try_lock m)) "try_lock on a held mutex";
       Sync.Mutex.unlock m;
@@ -55,18 +54,18 @@ let test_mutex_single kind () =
 
 let test_mutex_unlock_unlocked () =
   Fiber.run (fun () ->
-      let m = Sync.Mutex.create ~kind:Sync.Mutex.Park () in
+      let m = Sync.Mutex.create () in
       match Sync.Mutex.unlock m with
-      | () -> failf "unlock of an unlocked Park mutex must raise"
+      | () -> failf "unlock of an unlocked mutex must raise"
       | exception Invalid_argument _ -> ())
 
 (* The classic contended-counter total: [fibers] fibers each add
    [iters] to a plain ref under the lock, with seeded random yields
    inside and outside the critical section.  Any lost update or broken
    mutual exclusion shows up as a wrong total. *)
-let test_mutex_stress kind () =
+let test_mutex_stress () =
   let fibers = 16 and iters = 400 in
-  let m = Sync.Mutex.create ~kind () in
+  let m = Sync.Mutex.create () in
   let total = ref 0 in
   let in_cs = Atomic.make 0 in
   let overlap = Atomic.make false in
@@ -87,11 +86,42 @@ let test_mutex_stress kind () =
                 done))
       in
       List.iter Fiber.join fs);
-  checkf (not (Atomic.get overlap)) "two fibers inside the %s critical section"
-    (match kind with Sync.Mutex.Park -> "Park" | Sync.Mutex.Queued -> "Queued");
+  checkf (not (Atomic.get overlap)) "two fibers inside the critical section";
   checkf
     (!total = fibers * iters)
     "contended counter: expected %d, got %d" (fibers * iters) !total
+
+(* Handoff order, for Mutex and Semaphore alike.  Under [Fiber.run]
+   (one worker, so a failed acquire parks at once) [hold] closes the
+   primitive, three fibers park on it in spawn order, and one
+   [release] opens it.  Each release must hand it to the oldest
+   waiter, so the fibers acquire it as 0, 1, 2. *)
+let check_fifo_handoff what ~hold ~acquire ~release =
+  let order = ref [] in
+  Fiber.run (fun () ->
+      hold ();
+      let fs =
+        List.init 3 (fun i ->
+            Fiber.spawn (fun () ->
+                acquire ();
+                order := i :: !order;
+                release ()))
+      in
+      (* A lone worker runs spawns FIFO: one yield lets all three park. *)
+      Fiber.yield ();
+      checkf (!order = []) "%s: a fiber acquired while it was held" what;
+      release ();
+      List.iter Fiber.join fs);
+  let got = List.rev !order in
+  checkf (got = [ 0; 1; 2 ]) "%s: acquire order %s, want 0,1,2" what
+    (String.concat "," (List.map string_of_int got))
+
+let test_mutex_fifo_handoff () =
+  let m = Sync.Mutex.create () in
+  check_fifo_handoff "Mutex"
+    ~hold:(fun () -> Sync.Mutex.lock m)
+    ~acquire:(fun () -> Sync.Mutex.lock m)
+    ~release:(fun () -> Sync.Mutex.unlock m)
 
 (* ------------------------------------------------------------------ *)
 (* Semaphore                                                          *)
@@ -143,6 +173,12 @@ let test_semaphore_stress () =
     "permits restored: %d <> %d"
     (Sync.Semaphore.available s)
     permits
+
+let test_semaphore_fifo_handoff () =
+  let s = Sync.Semaphore.create 0 in
+  check_fifo_handoff "Semaphore" ~hold:ignore
+    ~acquire:(fun () -> Sync.Semaphore.acquire s)
+    ~release:(fun () -> Sync.Semaphore.release s)
 
 (* ------------------------------------------------------------------ *)
 (* Rwlock                                                             *)
@@ -457,16 +493,16 @@ let () =
     [
       ( "mutex",
         [
-          case "single/park" (test_mutex_single Sync.Mutex.Park);
-          case "single/queued" (test_mutex_single Sync.Mutex.Queued);
+          case "single/park" test_mutex_single;
           case "unlock-unlocked" test_mutex_unlock_unlocked;
-          case "stress/park" (test_mutex_stress Sync.Mutex.Park);
-          case "stress/queued" (test_mutex_stress Sync.Mutex.Queued);
+          case "stress/park" test_mutex_stress;
+          case "fifo-handoff" test_mutex_fifo_handoff;
         ] );
       ( "semaphore",
         [
           case "single" test_semaphore_single;
           case "stress" test_semaphore_stress;
+          case "fifo-handoff" test_semaphore_fifo_handoff;
         ] );
       ( "rwlock",
         [ case "single" test_rwlock_single; case "stress" test_rwlock_stress ]
