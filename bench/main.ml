@@ -10,15 +10,18 @@
       ablation-tls ablation-idle ablation-faults ablation-mn
       ablation-sigmask ablation-blocking ablation-oversub
       ablation-nonblock ablation-policy ablation-scale mpi real
-      parallel [--quick] [--diff old.json] validate)
+      parallel net [--quick] [--diff old.json] [--backend B]
+      validate validate-net)
 
    The [parallel] target measures the work-stealing multicore fiber
    scheduler for 1, 2 and 4 domains (warmup + repetitions, median/p99
-   per config) and writes BENCH_parallel.json; [--quick] shrinks it for
-   CI smoke runs, [--diff old.json] appends a regression table against
-   a previous run's JSON.  [validate] re-parses BENCH_parallel.json and
-   exits nonzero if it is missing, malformed, or lying about
-   oversubscription -- the CI bench-smoke gate.
+   per config) and writes BENCH_parallel.json; [net] load-tests the
+   lib/net echo server and writes BENCH_net.json.  [--quick] shrinks
+   both for CI smoke runs, [--diff old.json] appends regression tables
+   against a previous run's JSON, and [validate] / [validate-net]
+   re-parse the files and exit nonzero on any violated check -- the CI
+   gates.  The file schemas, tables, diffs and checks are declared in
+   Report.Bench_file; this harness only measures the rows.
 
    Absolute numbers for Tables III-V are expected to match the paper
    closely (the base rows are calibration, the composites are validated
@@ -746,12 +749,9 @@ let run_real () =
    runs [warmup] discarded rounds plus [reps] measured repetitions; the
    table and the JSON report median and p99 wall-clock per config, not
    a single sample.  Results go to BENCH_parallel.json (schema
-   ulp-pip/parallel-bench/v4 = v3 plus per-run scheduler telemetry --
-   steal_fail_rate, parks, wakes, active_workers_p50 -- and speedups
-   for EVERY workload, documented in README.md) so later PRs can diff
-   the perf trajectory with --diff (which now gates on speedup
-   regressions across the full sweep).  Speedup beyond 1.0 needs real
-   cores: host_cores is recorded, and the "oversubscribed" flag is now
+   ulp-pip/parallel-bench/v4, declared with its --diff gate and its
+   validate checks in Report.Bench_file).  Speedup beyond 1.0 needs
+   real cores: host_cores is recorded, and the "oversubscribed" flag is
    MEASURED -- true iff the run's median active-worker count exceeded
    the host's cores -- so a domains=4 run the elastic scheduler
    collapsed to one active worker is honestly not oversubscribed: it
@@ -759,33 +759,13 @@ let run_real () =
 
 module Stats = Sim.Stats
 module Json = Report.Json
+module Bench_file = Report.Bench_file
 module Ss = Fiber_rt.Fiber.Sched_stats
 
 let parallel_domain_counts = [ 1; 2; 4 ]
 let host_cores () = Domain.recommended_domain_count ()
-let bench_file = "BENCH_parallel.json"
 
-type pstat = {
-  ps_name : string;
-  ps_domains : int;
-  ps_items : int;
-  ps_reps : int;
-  ps_median_s : float;
-  ps_p99_s : float; (* = max for small rep counts; still honest *)
-  ps_median_tput : float;
-  ps_steals : int; (* median across reps *)
-  (* scheduler telemetry, medians across reps *)
-  ps_steal_fail_rate : float;
-  ps_parks : int;
-  ps_deep_parks : int;
-  ps_wakes : int;
-  ps_spins : int;
-  ps_inj_drains : int;
-  ps_active_p50 : int; (* median active-worker count the pool sustained *)
-  ps_oversub : bool; (* measured: active_p50 > host_cores *)
-}
-
-let measure ~warmup ~reps run =
+let measure ~warmup ~reps run : Bench_file.Parallel.result =
   for _ = 1 to warmup do
     ignore (run ())
   done;
@@ -803,190 +783,63 @@ let measure ~warmup ~reps run =
         match r.Par_workload.sched with Some s -> f s | None -> 0.0)
   in
   let imed st = int_of_float (Stats.median st +. 0.5) in
-  let fail_rate = sched_of Ss.steal_fail_rate in
-  let parks = sched_of (fun s -> float_of_int s.Ss.parks) in
-  let deep_parks = sched_of (fun s -> float_of_int s.Ss.deep_parks) in
-  let wakes = sched_of (fun s -> float_of_int s.Ss.wakes) in
-  let spins = sched_of (fun s -> float_of_int s.Ss.spins) in
-  let inj_drains = sched_of (fun s -> float_of_int s.Ss.inj_drains) in
-  let active_p50 = sched_of (fun s -> float_of_int (Ss.active_p50 s)) in
+  let count f = imed (sched_of (fun s -> float_of_int (f s))) in
   let r0 = List.hd rs in
-  let ps_active_p50 = max 1 (imed active_p50) in
+  let active_workers_p50 = max 1 (count Ss.active_p50) in
   {
-    ps_name = r0.Par_workload.name;
-    ps_domains = r0.Par_workload.domains;
-    ps_items = r0.Par_workload.items;
-    ps_reps = reps;
-    ps_median_s = Stats.median elapsed;
-    ps_p99_s = Stats.percentile elapsed 99.0;
-    ps_median_tput = Stats.median tput;
-    ps_steals = imed steals;
-    ps_steal_fail_rate = Stats.median fail_rate;
-    ps_parks = imed parks;
-    ps_deep_parks = imed deep_parks;
-    ps_wakes = imed wakes;
-    ps_spins = imed spins;
-    ps_inj_drains = imed inj_drains;
-    ps_active_p50;
-    ps_oversub = ps_active_p50 > host_cores ();
+    name = r0.Par_workload.name;
+    domains = r0.Par_workload.domains;
+    items = r0.Par_workload.items;
+    reps;
+    median_s = Stats.median elapsed;
+    p99_s = Stats.percentile elapsed 99.0; (* = max for small rep counts *)
+    median_throughput_per_s = Stats.median tput;
+    steals = imed steals;
+    steal_fail_rate = Stats.median (sched_of Ss.steal_fail_rate);
+    parks = count (fun s -> s.Ss.parks);
+    deep_parks = count (fun s -> s.Ss.deep_parks);
+    wakes = count (fun s -> s.Ss.wakes);
+    spins = count (fun s -> s.Ss.spins);
+    inj_drains = count (fun s -> s.Ss.inj_drains);
+    active_workers_p50;
+    oversubscribed = active_workers_p50 > host_cores ();
   }
 
-let json_escape s =
-  String.concat ""
-    (List.map
-       (function
-         | '"' -> "\\\"" | '\\' -> "\\\\" | '\n' -> "\\n" | c -> String.make 1 c)
-       (List.init (String.length s) (String.get s)))
-
-let parallel_json ~quick ~warmup ~stats ~speedups =
-  let buf = Buffer.create 4096 in
-  let stat_obj p =
-    Printf.sprintf
-      "    {\"name\": \"%s\", \"domains\": %d, \"oversubscribed\": %b, \
-       \"items\": %d, \"reps\": %d, \"median_s\": %.9f, \"p99_s\": %.9f, \
-       \"median_throughput_per_s\": %.3f, \"steals\": %d, \
-       \"steal_fail_rate\": %.4f, \"parks\": %d, \"deep_parks\": %d, \
-       \"wakes\": %d, \"spins\": %d, \"inj_drains\": %d, \
-       \"active_workers_p50\": %d}"
-      (json_escape p.ps_name) p.ps_domains p.ps_oversub p.ps_items p.ps_reps
-      p.ps_median_s p.ps_p99_s p.ps_median_tput p.ps_steals
-      p.ps_steal_fail_rate p.ps_parks p.ps_deep_parks p.ps_wakes p.ps_spins
-      p.ps_inj_drains p.ps_active_p50
+(* Diff BEFORE writing -- the old file is usually this same path, and
+   reading it after the write would compare the run to itself -- and
+   gate AFTER, so a regressed run still leaves a fresh file to inspect. *)
+let write_bench suite ~diff doc =
+  let verdict =
+    match diff with
+    | None -> Bench_file.Pass
+    | Some old_file -> (
+        match
+          Result.bind (Json.parse_file old_file) (fun old ->
+              Bench_file.diff suite ~cores:(host_cores ()) ~old doc)
+        with
+        | Ok v -> v
+        | Error msg ->
+            Printf.eprintf "--diff %s: %s\n" old_file msg;
+            exit 2)
   in
-  let speedup_obj (p, s) =
-    Printf.sprintf
-      "    {\"name\": \"%s\", \"domains\": %d, \"oversubscribed\": %b, \
-       \"speedup_vs_1\": %.4f}"
-      (json_escape p.ps_name) p.ps_domains p.ps_oversub s
-  in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf "  \"schema\": \"ulp-pip/parallel-bench/v4\",\n";
-  Buffer.add_string buf
-    (Printf.sprintf "  \"host_cores\": %d,\n" (host_cores ()));
-  Buffer.add_string buf (Printf.sprintf "  \"quick\": %b,\n" quick);
-  Buffer.add_string buf (Printf.sprintf "  \"warmup\": %d,\n" warmup);
-  Buffer.add_string buf "  \"results\": [\n";
-  Buffer.add_string buf (String.concat ",\n" (List.map stat_obj stats));
-  Buffer.add_string buf "\n  ],\n  \"speedups\": [\n";
-  Buffer.add_string buf (String.concat ",\n" (List.map speedup_obj speedups));
-  Buffer.add_string buf "\n  ]\n}\n";
-  Buffer.contents buf
+  Json.write_file (Bench_file.file suite) doc;
+  Printf.printf "  wrote %s\n" (Bench_file.file suite);
+  match verdict with
+  | Bench_file.Pass -> ()
+  | Warn l ->
+      List.iter (Printf.eprintf "  regression (1-core host, warning): %s\n") l
+  | Regressed l ->
+      List.iter (Printf.eprintf "  regression: %s\n") l;
+      exit 3
 
-(* Regression tables against a previous BENCH_parallel.json (v1 files
-   carry a single elapsed_s sample; v2+ carry the median).  The
-   wall-clock table is reporting only; the SPEEDUP table across the
-   full sweep gates — a workload whose speedup_vs_1 fell below
-   [speedup_gate_ratio] × its old value is returned as a regression
-   (the caller exits non-zero), except on a 1-core host where the gate
-   auto-relaxes to a warning: a shared 1-core CI runner measures its
-   neighbours as much as this code, but it still records the drop. *)
-let speedup_gate_ratio = 0.8
-
-let print_diff ~old_file ~speedups stats =
-  match Json.parse_file old_file with
+(* the CI gates: exit 1 on the first violation *)
+let validate suite () =
+  let file = Bench_file.file suite in
+  match Result.bind (Json.parse_file file) (Bench_file.validate suite) with
+  | Ok summary -> print_endline summary
   | Error msg ->
-      Printf.eprintf "--diff %s: %s\n" old_file msg;
-      exit 2
-  | Ok doc ->
-      let old_entries =
-        match Option.bind (Json.member "results" doc) Json.to_list with
-        | Some l ->
-            List.filter_map
-              (fun e ->
-                let num k = Option.bind (Json.member k e) Json.to_float in
-                match
-                  ( Option.bind (Json.member "name" e) Json.to_string,
-                    num "domains",
-                    (* v2 median_s, else the v1 single sample *)
-                    match num "median_s" with
-                    | Some _ as m -> m
-                    | None -> num "elapsed_s" )
-                with
-                | Some name, Some d, Some s -> Some ((name, int_of_float d), s)
-                | _ -> None)
-              l
-        | None -> []
-      in
-      let t =
-        Table.create
-          ~title:(Printf.sprintf "Regression vs %s (old/new; >1 = faster now)"
-                    old_file)
-          ~headers:[ "workload"; "domains"; "old [s]"; "new [s]"; "speedup" ]
-          ~aligns:
-            [ Table.Left; Table.Right; Table.Right; Table.Right; Table.Right ]
-          ()
-      in
-      List.iter
-        (fun p ->
-          match List.assoc_opt (p.ps_name, p.ps_domains) old_entries with
-          | None -> ()
-          | Some old_s ->
-              Table.add_row t
-                [
-                  p.ps_name;
-                  string_of_int p.ps_domains;
-                  sci old_s;
-                  sci p.ps_median_s;
-                  (if p.ps_median_s > 0.0 then
-                     Printf.sprintf "%.2fx" (old_s /. p.ps_median_s)
-                   else "-");
-                ])
-        stats;
-      Table.print t;
-      (* speedup_vs_1 regression sweep: every (workload, domains) the
-         old file also measured *)
-      let old_speedups =
-        match Option.bind (Json.member "speedups" doc) Json.to_list with
-        | Some l ->
-            List.filter_map
-              (fun e ->
-                let num k = Option.bind (Json.member k e) Json.to_float in
-                match
-                  ( Option.bind (Json.member "name" e) Json.to_string,
-                    num "domains",
-                    num "speedup_vs_1" )
-                with
-                | Some name, Some d, Some s -> Some ((name, int_of_float d), s)
-                | _ -> None)
-              l
-        | None -> []
-      in
-      let st =
-        Table.create
-          ~title:
-            (Printf.sprintf
-               "Speedup_vs_1 regression vs %s (ratio >= %.2f passes)" old_file
-               speedup_gate_ratio)
-          ~headers:[ "workload"; "domains"; "old"; "new"; "ratio"; "gate" ]
-          ~aligns:
-            [ Table.Left; Table.Right; Table.Right; Table.Right; Table.Right;
-              Table.Left ]
-          ()
-      in
-      let regressions = ref [] in
-      List.iter
-        (fun (p, s) ->
-          if p.ps_domains > 1 then
-            match List.assoc_opt (p.ps_name, p.ps_domains) old_speedups with
-            | None -> ()
-            | Some old_s ->
-                let ratio = if old_s > 0.0 then s /. old_s else Float.infinity in
-                let ok = ratio >= speedup_gate_ratio in
-                if not ok then
-                  regressions :=
-                    (p.ps_name, p.ps_domains, old_s, s) :: !regressions;
-                Table.add_row st
-                  [
-                    p.ps_name;
-                    string_of_int p.ps_domains;
-                    Printf.sprintf "%.2fx" old_s;
-                    Printf.sprintf "%.2fx" s;
-                    Printf.sprintf "%.2f" ratio;
-                    (if ok then "ok" else "REGRESSED");
-                  ])
-        speedups;
-      Table.print st;
-      List.rev !regressions
+      Printf.eprintf "%s: %s\n" file msg;
+      exit 1
 
 let run_parallel_bench ~quick ~diff () =
   let fibers = if quick then 2_000 else 20_000 in
@@ -1044,83 +897,15 @@ let run_parallel_bench ~quick ~diff () =
           Proc_workload.fd_direct ~domains ~ulps ~writes:fd_writes);
       ]
   in
-  let t =
-    Table.create
-      ~title:
-        (Printf.sprintf
-           "Parallel fiber runtime (work stealing on OCaml domains; host has \
-            %d core%s; %d warmup + %d reps per config)"
-           (host_cores ())
-           (if host_cores () = 1 then "" else "s")
-           warmup reps)
-      ~headers:
-        [ "workload"; "domains"; "oversub"; "act p50"; "steal fail"; "parks";
-          "items"; "median [s]"; "items/s"; "steals" ]
-      ~aligns:
-        [ Table.Left; Table.Right; Table.Left; Table.Right; Table.Right;
-          Table.Right; Table.Right; Table.Right; Table.Right; Table.Right ]
-      ()
+  let doc =
+    Bench_file.Parallel.doc ~host_cores:(host_cores ()) ~quick ~warmup stats
   in
-  List.iter
-    (fun p ->
-      Table.add_row t
-        [
-          p.ps_name;
-          string_of_int p.ps_domains;
-          (if p.ps_oversub then "YES" else "-");
-          string_of_int p.ps_active_p50;
-          Printf.sprintf "%.2f" p.ps_steal_fail_rate;
-          string_of_int p.ps_parks;
-          string_of_int p.ps_items;
-          sci p.ps_median_s;
-          Printf.sprintf "%.0f" p.ps_median_tput;
-          string_of_int p.ps_steals;
-        ])
-    stats;
-  Table.print t;
-  (* speedup curves from the medians, for EVERY workload in the sweep:
-     under the elastic pool the non-scaling workloads are exactly where
-     oversubscription regressions used to hide *)
-  let workload_names =
-    List.fold_left
-      (fun acc p -> if List.mem p.ps_name acc then acc else p.ps_name :: acc)
-      [] stats
-    |> List.rev
-  in
-  let speedups =
-    List.concat_map
-      (fun wname ->
-        let of_workload = List.filter (fun p -> p.ps_name = wname) stats in
-        match List.find_opt (fun p -> p.ps_domains = 1) of_workload with
-        | None -> []
-        | Some base ->
-            List.map
-              (fun p ->
-                ( p,
-                  if p.ps_median_s > 0.0 then base.ps_median_s /. p.ps_median_s
-                  else 0.0 ))
-              of_workload)
-      workload_names
-  in
-  let st =
-    Table.create ~title:"Speedup vs 1 domain (median wall clock)"
-      ~headers:[ "workload"; "domains"; "oversub"; "act p50"; "speedup" ]
-      ~aligns:
-        [ Table.Left; Table.Right; Table.Left; Table.Right; Table.Right ]
-      ()
-  in
-  List.iter
-    (fun (p, s) ->
-      Table.add_row st
-        [
-          p.ps_name;
-          string_of_int p.ps_domains;
-          (if p.ps_oversub then "YES" else "-");
-          string_of_int p.ps_active_p50;
-          Printf.sprintf "%.2fx" s;
-        ])
-    speedups;
-  Table.print st;
+  Printf.printf "Parallel fiber runtime: host has %d core%s; %d warmup + %d \
+                 reps per config\n"
+    (host_cores ())
+    (if host_cores () = 1 then "" else "s")
+    warmup reps;
+  Bench_file.print_rows Bench_file.Parallel.suite doc;
   print_endline
     "  (per-worker overflow FIFO for yields, steal-half batches, lock-free\n\
     \   join, targeted one-worker wake-ups -- the Section VII M:N extension\n\
@@ -1128,220 +913,7 @@ let run_parallel_bench ~quick ~diff () =
     \   flag is measured -- active_workers_p50 > host_cores -- so a run\n\
     \   that collapsed its excess domains into deep park reads '-' even\n\
     \   when more domains were requested than cores exist)";
-  (* diff BEFORE overwriting: the old file is usually this same path,
-     and reading it after the write would compare the run to itself *)
-  let regressions =
-    match diff with
-    | Some old_file -> print_diff ~old_file ~speedups stats
-    | None -> []
-  in
-  let json = parallel_json ~quick ~warmup ~stats ~speedups in
-  let oc = open_out bench_file in
-  output_string oc json;
-  close_out oc;
-  Printf.printf "  wrote %s (%d results)\n" bench_file (List.length stats);
-  (* gate AFTER the write so a regressed run still leaves a fresh file
-     to inspect.  On a 1-core host the gate relaxes to a warning: a
-     shared single-core runner's numbers swing with its neighbours. *)
-  if regressions <> [] then begin
-    List.iter
-      (fun (name, domains, old_s, new_s) ->
-        Printf.eprintf "  speedup regression: %s@%d %.2fx -> %.2fx\n" name
-          domains old_s new_s)
-      regressions;
-    if host_cores () > 1 then exit 3
-    else
-      Printf.eprintf
-        "  (host has 1 core: speedup-regression gate relaxed to warning)\n"
-  end
-
-(* CI smoke gate: BENCH_parallel.json must exist, parse, and carry the
-   v4 schema with sane fields.  Exit 1 on any violation (the bench-smoke
-   job fails on crash, malformed output, or a broken invariant -- and,
-   since v4, on the one perf property the elastic pool guarantees on
-   ANY host: an oversubscribed run must stay within [oversub_slowdown]
-   of the same workload at domains=1, because the adaptive loop is
-   supposed to collapse the excess workers rather than thrash). *)
-let oversub_slowdown = 1.35
-
-(* Additive slack for the oversubscription gate: the quick sweep's
-   smallest rows (yield_storm, the sync microbenches) finish in ~0.1 ms,
-   where a 1.35x ratio is one scheduler hiccup.  Half a millisecond of
-   absolute headroom makes the gate noise-proof there while changing
-   nothing measurable for rows that take real time. *)
-let oversub_noise_s = 0.0005
-
-(* fd-table indirection gate: the Proc_io path may cost at most this
-   multiple of bare Fiber_io at the same domain count.  Measured on the
-   dev host: ~1.9x at 1k concurrent ULPs (--quick) and ~3.2x at 10k
-   (full size) -- the per-write cost is a table lookup plus a
-   retain/release pair around an unavoidable write(2), and the gap
-   widens with scale because 10k live process structures (fd tables,
-   wait cells, scopes) raise GC pressure that 10k bare fibers don't,
-   on top of the ULP-vs-fiber setup delta the row amortizes over 50
-   writes.  3.5x bounds the worst measured point with runner-noise
-   headroom while still catching a real blowup (an O(live-ULPs) lookup
-   or a leaked pin would land 10x+). *)
-let proc_fd_overhead = 3.5
-
-let run_validate () =
-  let fail msg =
-    Printf.eprintf "%s: %s\n" bench_file msg;
-    exit 1
-  in
-  match Json.parse_file bench_file with
-  | Error msg -> fail msg
-  | Ok doc ->
-      (match Option.bind (Json.member "schema" doc) Json.to_string with
-      | Some "ulp-pip/parallel-bench/v4" -> ()
-      | Some other -> fail (Printf.sprintf "unexpected schema %S" other)
-      | None -> fail "missing schema");
-      let cores =
-        match Option.bind (Json.member "host_cores" doc) Json.to_float with
-        | Some c when c >= 1.0 -> int_of_float c
-        | _ -> fail "missing/bad host_cores"
-      in
-      let results =
-        match Option.bind (Json.member "results" doc) Json.to_list with
-        | Some (_ :: _ as l) -> l
-        | Some [] -> fail "empty results"
-        | None -> fail "missing results"
-      in
-      let rows =
-        List.map
-          (fun e ->
-            let num k =
-              match Option.bind (Json.member k e) Json.to_float with
-              | Some f when Float.is_finite f && f >= 0.0 -> f
-              | _ -> fail (Printf.sprintf "result with missing/bad %S" k)
-            in
-            let name =
-              match Option.bind (Json.member "name" e) Json.to_string with
-              | Some n -> n
-              | None -> fail "result without name"
-            in
-            let domains = int_of_float (num "domains") in
-            let where = Printf.sprintf "%s@%d" name domains in
-            ignore (num "p99_s");
-            ignore (num "median_throughput_per_s");
-            ignore (num "steals");
-            (* v4 scheduler telemetry: present and sane in every row *)
-            List.iter
-              (fun k -> ignore (num k))
-              [ "parks"; "deep_parks"; "wakes"; "spins"; "inj_drains" ];
-            let sfr = num "steal_fail_rate" in
-            if sfr > 1.0 then
-              fail (Printf.sprintf "%s: steal_fail_rate %.4f > 1" where sfr);
-            let active = int_of_float (num "active_workers_p50") in
-            if active < 1 || active > domains then
-              fail
-                (Printf.sprintf "%s: active_workers_p50 %d outside [1, %d]"
-                   where active domains);
-            let flag =
-              match
-                Option.bind (Json.member "oversubscribed" e) Json.to_bool
-              with
-              | Some f -> f
-              | None -> fail (where ^ ": missing oversubscribed flag")
-            in
-            (* v4 flag honesty is MEASURED: the flag reports what the
-               pool did (active workers vs cores), not what was asked *)
-            if flag <> (active > cores) then
-              fail
-                (Printf.sprintf
-                   "%s: oversubscribed=%b but active_workers_p50=%d, \
-                    host_cores=%d -- the flag must reflect measured width"
-                   where flag active cores);
-            (name, domains, num "median_s", int_of_float (num "items")))
-          results
-      in
-      (* oversubscription gate: requesting more domains than cores must
-         not cost more than [oversub_slowdown] vs the 1-domain run *)
-      List.iter
-        (fun (name, domains, median_s, _) ->
-          if domains > cores then
-            match
-              List.find_opt (fun (n, d, _, _) -> n = name && d = 1) rows
-            with
-            | None -> fail (name ^ ": oversubscribed row without domains=1 peer")
-            | Some (_, _, base_s, _) ->
-                if
-                  base_s > 0.0
-                  && median_s > (oversub_slowdown *. base_s) +. oversub_noise_s
-                then
-                  fail
-                    (Printf.sprintf
-                       "%s@%d: %.4fs vs %.4fs at domains=1 (%.2fx > %.2fx \
-                        allowed) -- the elastic pool failed to collapse"
-                       name domains median_s base_s (median_s /. base_s)
-                       oversub_slowdown))
-        rows;
-      (* speedups must cover the full sweep, not a chosen subset *)
-      let speedups =
-        match Option.bind (Json.member "speedups" doc) Json.to_list with
-        | Some (_ :: _ as l) ->
-            List.filter_map
-              (fun e ->
-                match
-                  ( Option.bind (Json.member "name" e) Json.to_string,
-                    Option.bind (Json.member "domains" e) Json.to_float )
-                with
-                | Some n, Some d -> Some (n, int_of_float d)
-                | _ -> None)
-              l
-        | _ -> fail "missing/empty speedups"
-      in
-      List.iter
-        (fun (name, domains, _, _) ->
-          if not (List.mem (name, domains) speedups) then
-            fail
-              (Printf.sprintf "speedups missing %s@%d -- must cover the full \
-                               sweep" name domains))
-        rows;
-      (* ---- lib/proc gates (ISSUE 9) ----
-         The process-layer rows must exist, must have been measured at
-         >= 1000 concurrent ULPs, and the fd-table indirection must
-         stay within [proc_fd_overhead] of the bare Fiber_io baseline
-         at every domain count: the resolve-pin-write-release path adds
-         a table lookup and a refcount round trip per 1-byte write, not
-         an extra syscall, so a blowout here means the table went
-         contended (or worse, started allocating) on the hot path. *)
-      let find_row name domains =
-        List.find_opt (fun (n, d, _, _) -> n = name && d = domains) rows
-      in
-      List.iter
-        (fun name ->
-          match find_row name 1 with
-          | None -> fail (Printf.sprintf "missing proc row %s@1" name)
-          | Some (_, _, _, items) ->
-              if name = "proc_spawn" && items < 1_000 then
-                fail
-                  (Printf.sprintf
-                     "proc_spawn measured %d ULPs; the spawn-cost claim needs \
-                      >= 1000 concurrent ULPs"
-                     items))
-        [ "proc_spawn"; "proc_spawn_fiber_base"; "proc_fd_table";
-          "proc_fd_direct" ];
-      List.iter
-        (fun (name, domains, table_s, _) ->
-          if name = "proc_fd_table" then
-            match find_row "proc_fd_direct" domains with
-            | None ->
-                fail
-                  (Printf.sprintf
-                     "proc_fd_table@%d has no proc_fd_direct peer" domains)
-            | Some (_, _, direct_s, _) ->
-                if direct_s > 0.0 && table_s > proc_fd_overhead *. direct_s
-                then
-                  fail
-                    (Printf.sprintf
-                       "proc_fd_table@%d: %.4fs vs %.4fs direct (%.2fx > \
-                        %.2fx allowed) -- fd-table indirection blew up"
-                       domains table_s direct_s (table_s /. direct_s)
-                       proc_fd_overhead))
-        rows;
-      Printf.printf "%s: valid (%d results, host_cores=%d)\n" bench_file
-        (List.length results) cores
+  write_bench Bench_file.Parallel.suite ~diff doc
 
 (* ---------------------------------------------------------------- *)
 (* Net stack: echo load generator over real localhost sockets        *)
@@ -1349,48 +921,35 @@ let run_validate () =
 
 (* An in-process echo benchmark on lib/net: one Tcp_server and N client
    fibers per sweep point, all on [Fiber.run_parallel] with the reactor
-   shard threads multiplexing every socket.  Clients connect first and
-   rendezvous on a Completion latch so the request phase measures
-   steady-state RTTs, not connection setup; each request is a 64-byte
-   write + exact echo read, timed individually.
+   shard thread multiplexing every socket.  Each client connects and
+   does one untimed echo -- so the server has accepted it and its
+   handler is live -- then rendezvous on a Completion latch, so the
+   request phase measures steady-state RTTs, not connection setup or
+   accept backlog; each request is a 64-byte write + exact echo read,
+   timed individually on the client side.
 
-   Knobs: [--backend epoll|poll|select|auto] picks the Poller backend,
-   [--shards N] the reactor shard count; every result row records both,
-   so one file can hold a cross-backend comparison.  The full sweep
-   climbs to 10000 concurrent connections (epoll's O(ready) wait vs
-   poll's O(interest) scan is invisible at 64 conns and decisive at
-   10k); the select backend is capped at 400 connections -- FD_SETSIZE
-   is 1024 and each in-process connection burns two fds.  A full epoll
-   run also re-measures the 1000-connection point on the poll backend
-   as a built-in cross-check row.
+   [--backend epoll|poll|select|auto] picks the Poller backend; every
+   result row records it, so one file can hold a cross-backend
+   comparison.  The full sweep climbs to 10000 concurrent connections
+   (epoll's O(ready) wait vs poll's O(interest) scan is invisible at 64
+   conns and decisive at 10k); the select backend is capped at
+   [Bench_file.Net.select_conn_cap] connections.  A full epoll run also
+   re-measures the 1000-connection point on the poll backend as a
+   built-in cross-check row.
 
    RLIMIT_NOFILE is raised up front and the fd count must return to its
    baseline after the run -- [validate-net] gates on that, so a leaked
    socket fails CI.  Results go to BENCH_net.json (schema
-   ulp-pip/net-bench/v2); --diff against an older v1 or v2 file
-   regression-tables req/s and p99. *)
+   ulp-pip/net-bench/v2, declared in Report.Bench_file). *)
 
 module Net_reactor = Net.Reactor
 module Net_io = Net.Fiber_io
 module Net_tcp = Net.Tcp_server
 
-let net_bench_file = "BENCH_net.json"
 let net_msg_bytes = 64
 
-type net_point = {
-  np_backend : string; (* poller backend this row actually ran on *)
-  np_shards : int; (* reactor shards this row ran with *)
-  np_conns : int; (* concurrent connections, all live at once *)
-  np_reqs_per_conn : int;
-  np_requests : int; (* completed request/response roundtrips *)
-  np_elapsed_s : float; (* request phase only *)
-  np_req_per_s : float;
-  np_p50_s : float;
-  np_p99_s : float;
-  np_max_s : float;
-  np_accepted : int;
-  np_max_active : int;
-}
+(* one reactor shard: the sweep measures the backend, not the sharding *)
+let net_shards = 1
 
 let count_fds () =
   match Sys.readdir "/proc/self/fd" with
@@ -1413,8 +972,9 @@ let net_backend_name = function
   | `Poll -> "poll"
   | `Epoll -> "epoll"
 
-(* The client herd (fiber context): [conns] clients connect, rendezvous
-   on a Completion latch, then fire [reqs] echo roundtrips each --
+(* The client herd (fiber context): [conns] clients connect and echo
+   once, rendezvous on a Completion latch, then fire [reqs] echo
+   roundtrips each --
    per-request RTTs feed the percentile stats.  Shared between the
    in-process sweep and the [net-client] subprocess (below), so both
    modes measure exactly the same workload.  Returns
@@ -1437,13 +997,17 @@ let net_run_clients r ~port ~conns ~reqs =
             in
             Unix.set_nonblock fd;
             Net_io.connect r fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-            if Atomic.fetch_and_add connected 1 + 1 = conns then
-              Completion.finish all_connected;
-            await go;
             let msg =
               Bytes.init net_msg_bytes (fun j -> Char.chr ((i + j) land 0xff))
             in
             let echo = Bytes.create net_msg_bytes in
+            (* connect returns once the kernel queues the handshake; one
+               untimed echo proves the server accepted this connection *)
+            Net_io.write_all r fd msg 0 net_msg_bytes;
+            Net_io.read_exact r fd echo 0 net_msg_bytes;
+            if Atomic.fetch_and_add connected 1 + 1 = conns then
+              Completion.finish all_connected;
+            await go;
             let rtts = Array.make reqs 0.0 in
             for k = 0 to reqs - 1 do
               let t0 = Fiber_rt.Clock.now () in
@@ -1475,7 +1039,8 @@ let net_run_clients r ~port ~conns ~reqs =
    process, with its own RLIMIT_NOFILE budget.  The parent spawns this
    when 2 fds/connection would not fit under its (unraisable) hard
    limit -- each side of the bench then only needs 1 fd/connection.
-   Prints one JSON object on stdout and exits 0. *)
+   Prints [requests, elapsed, p50, p99, max] as one JSON list on stdout
+   and exits 0. *)
 let run_net_client ~port ~conns ~reqs () =
   ignore (Net.Poller.raise_nofile (conns + 1024));
   let r = Net_reactor.create () in
@@ -1484,10 +1049,11 @@ let run_net_client ~port ~conns ~reqs () =
       result := net_run_clients r ~port ~conns ~reqs);
   Net_reactor.shutdown r;
   let requests, elapsed, p50, p99, mx = !result in
-  Printf.printf
-    "{\"requests\": %d, \"elapsed_s\": %.6f, \"p50_s\": %.9f, \"p99_s\": \
-     %.9f, \"max_s\": %.9f}\n"
-    requests elapsed p50 p99 mx
+  print_string
+    (Json.print
+       (Json.List
+          (List.map (fun f -> Json.Num f)
+             [ float_of_int requests; elapsed; p50; p99; mx ])))
 
 (* Run the herd in a [net-client] subprocess (fiber context): the
    parent keeps serving echoes while a fiber drains the child's stdout
@@ -1519,17 +1085,10 @@ let net_spawn_client r ~port ~conns ~reqs =
   (match Unix.waitpid [] pid with
   | _, Unix.WEXITED 0 -> ()
   | _ -> failwith "net bench: client subprocess failed");
-  let doc = Json.parse (Buffer.contents buf) in
-  let num k =
-    match Option.bind (Json.member k doc) Json.to_float with
-    | Some f -> f
-    | None -> failwith ("net bench: client result missing " ^ k)
-  in
-  ( int_of_float (num "requests"),
-    num "elapsed_s",
-    num "p50_s",
-    num "p99_s",
-    num "max_s" )
+  match Json.parse (Buffer.contents buf) with
+  | Json.List [ Num requests; Num elapsed; Num p50; Num p99; Num mx ] ->
+      (int_of_float requests, elapsed, p50, p99, mx)
+  | _ -> failwith "net bench: bad client result"
 
 (* One sweep point: start a server, run the herd ([`Subproc]: in a
    child process -- see [net_spawn_client]), collect the row. *)
@@ -1552,150 +1111,20 @@ let net_sweep_point r ~mode ~conns ~reqs =
       (Printf.sprintf "net bench: accepted %d of %d connections"
          st.Net_tcp.accepted conns);
   {
-    np_backend = net_backend_name (Net_reactor.backend r);
-    np_shards = Net_reactor.shard_count r;
-    np_conns = conns;
-    np_reqs_per_conn = reqs;
-    np_requests = requests;
-    np_elapsed_s = elapsed;
-    np_req_per_s =
-      (if elapsed > 0.0 then float_of_int requests /. elapsed else 0.0);
-    np_p50_s = p50;
-    np_p99_s = p99;
-    np_max_s = mx;
-    np_accepted = st.Net_tcp.accepted;
-    np_max_active = st.Net_tcp.max_active;
+    Bench_file.Net.backend = net_backend_name (Net_reactor.backend r);
+    shards = Net_reactor.shard_count r;
+    connections = conns;
+    reqs_per_conn = reqs;
+    requests;
+    elapsed_s = elapsed;
+    p50_s = p50;
+    p99_s = p99;
+    max_s = mx;
+    accepted = st.Net_tcp.accepted;
+    max_active = st.Net_tcp.max_active;
   }
 
-let net_json ~quick ~backend ~shards ~fd_baseline ~fd_after points =
-  let buf = Buffer.create 2048 in
-  let point_obj p =
-    Printf.sprintf
-      "    {\"backend\": \"%s\", \"shards\": %d, \"connections\": %d, \
-       \"reqs_per_conn\": %d, \"requests\": %d, \"elapsed_s\": %.6f, \
-       \"req_per_s\": %.1f, \"p50_s\": %.9f, \"p99_s\": %.9f, \"max_s\": \
-       %.9f, \"accepted\": %d, \"max_active\": %d}"
-      p.np_backend p.np_shards p.np_conns p.np_reqs_per_conn p.np_requests
-      p.np_elapsed_s p.np_req_per_s p.np_p50_s p.np_p99_s p.np_max_s
-      p.np_accepted p.np_max_active
-  in
-  let fd_json = function Some n -> string_of_int n | None -> "null" in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf "  \"schema\": \"ulp-pip/net-bench/v2\",\n";
-  Buffer.add_string buf
-    (Printf.sprintf "  \"host_cores\": %d,\n" (host_cores ()));
-  Buffer.add_string buf (Printf.sprintf "  \"quick\": %b,\n" quick);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"backend\": \"%s\",\n" (net_backend_name backend));
-  Buffer.add_string buf (Printf.sprintf "  \"shards\": %d,\n" shards);
-  Buffer.add_string buf (Printf.sprintf "  \"msg_bytes\": %d,\n" net_msg_bytes);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"fd_baseline\": %s,\n" (fd_json fd_baseline));
-  Buffer.add_string buf
-    (Printf.sprintf "  \"fd_after\": %s,\n" (fd_json fd_after));
-  Buffer.add_string buf "  \"results\": [\n";
-  Buffer.add_string buf (String.concat ",\n" (List.map point_obj points));
-  Buffer.add_string buf "\n  ]\n}\n";
-  Buffer.contents buf
-
-(* Regression table against an older BENCH_net.json -- v1 (one backend
-   for the whole file, no per-row backend) or v2 (per-row backend and
-   shards): req/s and p99 per connection count.  New rows match old
-   rows on (connections, backend) when possible, falling back to
-   connections alone so a v1 poll file still diffs against an epoll
-   run.  Reporting only, like the parallel diff -- CI machines differ
-   too much to gate on wall clock. *)
-let print_net_diff ~old_file points =
-  match Json.parse_file old_file with
-  | Error msg ->
-      Printf.eprintf "--diff %s: %s\n" old_file msg;
-      exit 2
-  | Ok doc ->
-      (match Option.bind (Json.member "schema" doc) Json.to_string with
-      | Some ("ulp-pip/net-bench/v1" | "ulp-pip/net-bench/v2") -> ()
-      | Some other ->
-          Printf.eprintf "--diff %s: schema %S is not a net-bench file\n"
-            old_file other;
-          exit 2
-      | None ->
-          Printf.eprintf "--diff %s: missing schema\n" old_file;
-          exit 2);
-      let file_backend =
-        (* v1: the file-level backend is every row's backend *)
-        Option.value ~default:"?"
-          (Option.bind (Json.member "backend" doc) Json.to_string)
-      in
-      let old_entries =
-        match Option.bind (Json.member "results" doc) Json.to_list with
-        | Some l ->
-            List.filter_map
-              (fun e ->
-                let num k = Option.bind (Json.member k e) Json.to_float in
-                let bk =
-                  Option.value ~default:file_backend
-                    (Option.bind (Json.member "backend" e) Json.to_string)
-                in
-                match (num "connections", num "req_per_s", num "p99_s") with
-                | Some c, Some rps, Some p99 ->
-                    Some (int_of_float c, bk, rps, p99)
-                | _ -> None)
-              l
-        | None -> []
-      in
-      let find_old p =
-        let same_conns (c, _, _, _) = c = p.np_conns in
-        match
-          List.find_opt
-            (fun (c, bk, _, _) -> c = p.np_conns && bk = p.np_backend)
-            old_entries
-        with
-        | Some _ as hit -> hit
-        | None -> List.find_opt same_conns old_entries
-      in
-      let t =
-        Table.create
-          ~title:
-            (Printf.sprintf
-               "Net regression vs %s (>1.00x req/s = faster now; <1.00x p99 = \
-                lower latency now)"
-               old_file)
-          ~headers:
-            [ "conns"; "old/new backend"; "old req/s"; "new req/s"; "ratio";
-              "old p99 [s]"; "new p99 [s]"; "ratio" ]
-          ~aligns:
-            [ Table.Right; Table.Right; Table.Right; Table.Right; Table.Right;
-              Table.Right; Table.Right; Table.Right ]
-          ()
-      in
-      List.iter
-        (fun p ->
-          match find_old p with
-          | None -> ()
-          | Some (_, old_bk, old_rps, old_p99) ->
-              Table.add_row t
-                [
-                  string_of_int p.np_conns;
-                  Printf.sprintf "%s/%s" old_bk p.np_backend;
-                  Printf.sprintf "%.0f" old_rps;
-                  Printf.sprintf "%.0f" p.np_req_per_s;
-                  (if old_rps > 0.0 then
-                     Printf.sprintf "%.2fx" (p.np_req_per_s /. old_rps)
-                   else "-");
-                  sci old_p99;
-                  sci p.np_p99_s;
-                  (if old_p99 > 0.0 then
-                     Printf.sprintf "%.2fx" (p.np_p99_s /. old_p99)
-                   else "-");
-                ])
-        points;
-      Table.print t
-
-(* FD_SETSIZE is 1024 and each in-process connection costs two fds:
-   pin the select backend's sweep well under the ceiling.  (CI's
-   select leg relies on this cap; validate-net knows it too.) *)
-let net_select_conn_cap = 400
-
-let run_net_bench ~quick ~diff ~net_backend ~net_shards () =
+let run_net_bench ~quick ~diff ~net_backend () =
   let sweep =
     if quick then [ 100; 1000 ] else [ 64; 256; 1000; 4000; 10000 ]
   in
@@ -1735,7 +1164,7 @@ let run_net_bench ~quick ~diff ~net_backend ~net_shards () =
     let sweep =
       if resolved = `Select then
         List.sort_uniq compare
-          (List.map (fun c -> min c net_select_conn_cap) sweep)
+          (List.map (fun c -> min c Bench_file.Net.select_conn_cap) sweep)
       else sweep
     in
     (* the 1000-connection point anchors the epoll-vs-poll gate in
@@ -1746,7 +1175,7 @@ let run_net_bench ~quick ~diff ~net_backend ~net_shards () =
       if quick || conns <> 1000 then p
       else
         let p' = net_sweep_point r ~mode:(mode_for conns) ~conns ~reqs in
-        if p'.np_p99_s < p.np_p99_s then p' else p
+        if p'.Bench_file.Net.p99_s < p.Bench_file.Net.p99_s then p' else p
     in
     let points = ref [] in
     Fiber_rt.Fiber.run_parallel (fun () ->
@@ -1764,182 +1193,18 @@ let run_net_bench ~quick ~diff ~net_backend ~net_shards () =
     else points
   in
   let fd_after = count_fds () in
-  let t =
-    Table.create
-      ~title:
-        (Printf.sprintf
-           "Net echo bench (localhost, %d-byte messages, %s backend, %d \
-            reactor shard%s, %d reqs/conn; connect first, then a timed \
-            steady-state request phase)"
-           net_msg_bytes (net_backend_name resolved) net_shards
-           (if net_shards = 1 then "" else "s")
-           reqs)
-      ~headers:
-        [ "backend"; "shards"; "conns"; "requests"; "elapsed [s]"; "req/s";
-          "p50 [s]"; "p99 [s]"; "max [s]"; "max active" ]
-      ~aligns:
-        [ Table.Right; Table.Right; Table.Right; Table.Right; Table.Right;
-          Table.Right; Table.Right; Table.Right; Table.Right; Table.Right ]
-      ()
+  let doc =
+    Bench_file.Net.doc ~host_cores:(host_cores ()) ~quick
+      ~backend:(net_backend_name resolved) ~shards:net_shards
+      ~msg_bytes:net_msg_bytes ~fd_baseline ~fd_after points
   in
-  List.iter
-    (fun p ->
-      Table.add_row t
-        [
-          p.np_backend;
-          string_of_int p.np_shards;
-          string_of_int p.np_conns;
-          string_of_int p.np_requests;
-          Printf.sprintf "%.3f" p.np_elapsed_s;
-          Printf.sprintf "%.0f" p.np_req_per_s;
-          sci p.np_p50_s;
-          sci p.np_p99_s;
-          sci p.np_max_s;
-          string_of_int p.np_max_active;
-        ])
-    points;
-  Table.print t;
-  (match (fd_baseline, fd_after) with
-  | Some b, Some a when a <> b ->
-      Printf.printf "  WARNING: fd count %d -> %d (leak?)\n" b a
-  | Some b, Some _ -> Printf.printf "  fd count stable at %d\n" b
-  | _ -> print_endline "  (no /proc/self/fd: fd accounting skipped)");
+  Printf.printf "Net echo bench: %d-byte messages, %s backend, %d reqs/conn\n"
+    net_msg_bytes (net_backend_name resolved) reqs;
+  Bench_file.print_rows Bench_file.Net.suite doc;
   print_endline
     "  (every socket is multiplexed by the reactor shard threads; worker\n\
     \   domains never block in the kernel -- DESIGN.md sections 5c, 5e)";
-  (* diff BEFORE overwriting: the old file is often this same path *)
-  (match diff with
-  | Some old_file -> print_net_diff ~old_file points
-  | None -> ());
-  let json =
-    net_json ~quick ~backend:resolved ~shards:net_shards ~fd_baseline
-      ~fd_after points
-  in
-  let oc = open_out net_bench_file in
-  output_string oc json;
-  close_out oc;
-  Printf.printf "  wrote %s (%d sweep points)\n" net_bench_file
-    (List.length points)
-
-(* CI gate for BENCH_net.json (schema v2): every row completed its
-   requests with sane latency fields; a >= 1000-connection point exists
-   (>= [net_select_conn_cap] when the whole file is the fd-capped
-   select leg); the tail stays bounded as concurrency scales -- for any
-   backend with both a 10000- and a 1000-connection row,
-   p99(10k)/p99(1k) must stay under [net_tail_ratio_max]; where the
-   file carries the built-in epoll-vs-poll cross-check rows, epoll's
-   p99 must not exceed poll's (small tolerance for jitter); and no fd
-   leak.  Exit 1 on violation. *)
-let net_tail_ratio_max = 25.0
-let net_cross_backend_margin = 1.25
-
-let run_validate_net () =
-  let fail msg =
-    Printf.eprintf "%s: %s\n" net_bench_file msg;
-    exit 1
-  in
-  match Json.parse_file net_bench_file with
-  | Error msg -> fail msg
-  | Ok doc ->
-      (match Option.bind (Json.member "schema" doc) Json.to_string with
-      | Some "ulp-pip/net-bench/v2" -> ()
-      | Some other -> fail (Printf.sprintf "unexpected schema %S" other)
-      | None -> fail "missing schema");
-      let results =
-        match Option.bind (Json.member "results" doc) Json.to_list with
-        | Some (_ :: _ as l) -> l
-        | Some [] -> fail "empty results"
-        | None -> fail "missing results"
-      in
-      let rows =
-        List.map
-          (fun e ->
-            let num k =
-              match Option.bind (Json.member k e) Json.to_float with
-              | Some f when Float.is_finite f && f >= 0.0 -> f
-              | _ -> fail (Printf.sprintf "result with missing/bad %S" k)
-            in
-            let backend =
-              match Option.bind (Json.member "backend" e) Json.to_string with
-              | Some ("epoll" | "poll" | "select") as b -> Option.get b
-              | Some other ->
-                  fail (Printf.sprintf "result with unknown backend %S" other)
-              | None -> fail "result without a backend"
-            in
-            let conns = int_of_float (num "connections") in
-            let requests = int_of_float (num "requests") in
-            let reqs_per_conn = int_of_float (num "reqs_per_conn") in
-            if int_of_float (num "shards") < 1 then
-              fail (Printf.sprintf "%d conns: shards < 1" conns);
-            if requests <> conns * reqs_per_conn then
-              fail
-                (Printf.sprintf
-                   "%d conns: %d requests, expected %d -- some client died"
-                   conns requests (conns * reqs_per_conn));
-            let p50 = num "p50_s" and p99 = num "p99_s" and mx = num "max_s" in
-            if not (p50 <= p99 && p99 <= mx) then
-              fail (Printf.sprintf "%d conns: percentiles not monotone" conns);
-            if num "req_per_s" <= 0.0 then
-              fail (Printf.sprintf "%d conns: zero throughput" conns);
-            if int_of_float (num "accepted") < conns then
-              fail (Printf.sprintf "%d conns: server accepted fewer" conns);
-            (backend, conns, p99))
-          results
-      in
-      let select_only =
-        List.for_all (fun (bk, _, _) -> bk = "select") rows
-      in
-      let floor_conns = if select_only then net_select_conn_cap else 1000 in
-      if not (List.exists (fun (_, c, _) -> c >= floor_conns) rows) then
-        fail
-          (Printf.sprintf "no sweep point with >= %d concurrent connections"
-             floor_conns);
-      (* tail gate: p99 must not blow up by more than [net_tail_ratio_max]
-         from 1000 to 10000 connections on the same backend *)
-      let p99_at bk c =
-        List.find_map
-          (fun (bk', c', p) -> if bk' = bk && c' = c then Some p else None)
-          rows
-      in
-      List.iter
-        (fun bk ->
-          match (p99_at bk 1000, p99_at bk 10000) with
-          | Some p1k, Some p10k when p1k > 0.0 ->
-              let ratio = p10k /. p1k in
-              if ratio > net_tail_ratio_max then
-                fail
-                  (Printf.sprintf
-                     "%s: p99(10k)/p99(1k) = %.1f exceeds %.1f -- the tail \
-                      is not scaling"
-                     bk ratio net_tail_ratio_max)
-          | _ -> ())
-        [ "epoll"; "poll" ];
-      (* cross-backend gate: where both were measured at the same
-         connection count, epoll must not be slower than poll *)
-      List.iter
-        (fun (bk, c, p99_e) ->
-          if bk = "epoll" then
-            match p99_at "poll" c with
-            | Some p99_p
-              when p99_p > 0.0 && p99_e > p99_p *. net_cross_backend_margin ->
-                fail
-                  (Printf.sprintf
-                     "%d conns: epoll p99 %.6fs exceeds poll p99 %.6fs" c
-                     p99_e p99_p)
-            | _ -> ())
-        rows;
-      (match
-         ( Option.bind (Json.member "fd_baseline" doc) Json.to_float,
-           Option.bind (Json.member "fd_after" doc) Json.to_float )
-       with
-      | Some b, Some a when a <> b ->
-          fail
-            (Printf.sprintf "fd leak: %d before, %d after" (int_of_float b)
-               (int_of_float a))
-      | _ -> ());
-      Printf.printf
-        "%s: valid (%d sweep points, >= %d-connection point present)\n"
-        net_bench_file (List.length rows) floor_conns
+  write_bench Bench_file.Net.suite ~diff doc
 
 (* ---------------------------------------------------------------- *)
 (* main                                                              *)
@@ -1972,7 +1237,7 @@ let () =
   (* --quick shrinks the parallel workloads for CI smoke runs;
      --diff FILE prints a regression table against an older
      BENCH_parallel.json / BENCH_net.json after the matching target
-     runs; --backend and --shards steer the net bench only *)
+     runs; --backend steers the net bench only *)
   let quick = List.mem "--quick" args in
   let rec extract_opt key acc = function
     | k :: v :: rest when k = key -> (Some v, List.rev_append acc rest)
@@ -2001,7 +1266,6 @@ let () =
   | _ -> ());
   let diff, args = extract_opt "--diff" [] args in
   let backend_arg, args = extract_opt "--backend" [] args in
-  let shards_arg, args = extract_opt "--shards" [] args in
   let net_backend =
     match backend_arg with
     | None | Some "auto" -> `Auto
@@ -2013,29 +1277,22 @@ let () =
           "--backend %s: unknown (want epoll, poll, select or auto)\n" other;
         exit 2
   in
-  let net_shards =
-    match shards_arg with
-    | None -> 1
-    | Some s -> (
-        match int_of_string_opt s with
-        | Some n when n >= 1 -> n
-        | _ ->
-            Printf.eprintf "--shards %s: want an integer >= 1\n" s;
-            exit 2)
-  in
   let names = List.filter (fun a -> a <> "--quick") args in
   let experiments =
     experiments
     @ [
         ("parallel", run_parallel_bench ~quick ~diff);
-        ("net", run_net_bench ~quick ~diff ~net_backend ~net_shards);
+        ("net", run_net_bench ~quick ~diff ~net_backend);
       ]
   in
   (* the validate targets are CI gates, only run by name -- never part
      of "all" *)
   let by_name =
     experiments
-    @ [ ("validate", run_validate); ("validate-net", run_validate_net) ]
+    @ [
+        ("validate", validate Bench_file.Parallel.suite);
+        ("validate-net", validate Bench_file.Net.suite);
+      ]
   in
   let requested =
     match names with [] -> List.map fst experiments | names -> names

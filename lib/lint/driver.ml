@@ -309,83 +309,43 @@ let print ?(show_waived = false) oc r =
     (waived_count r) (warning_count r)
     (if warning_count r = 1 then "" else "s")
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 (* schema v2: the summaries section and per-rule counts make a report
    diffable at a glance; findings are sorted (Finding.order) and keys
    are emitted in one fixed order, so baseline diffs are line-stable. *)
 let rule_counts r =
-  let tbl = Hashtbl.create 16 in
-  List.iter
-    (fun (f : Finding.t) ->
-      Hashtbl.replace tbl f.rule
-        (1 + Option.value ~default:0 (Hashtbl.find_opt tbl f.rule)))
-    r.findings;
-  List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
+  List.sort_uniq compare (List.map (fun (f : Finding.t) -> f.rule) r.findings)
+  |> List.map (fun rule -> (rule, List.length (findings_of_rule r rule)))
 
 let write_json ~path r =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      Printf.fprintf oc "{\n  \"schema\": \"ulp-pip/lint/v2\",\n";
-      Printf.fprintf oc "  \"roots\": [%s],\n"
-        (String.concat ", "
-           (List.map (fun s -> "\"" ^ json_escape s ^ "\"") r.roots));
-      Printf.fprintf oc "  \"files_scanned\": %d,\n" r.files_scanned;
-      Printf.fprintf oc "  \"errors\": %d,\n" (unwaived_errors r);
-      Printf.fprintf oc "  \"warnings\": %d,\n" (warning_count r);
-      Printf.fprintf oc "  \"waived\": %d,\n" (waived_count r);
-      Printf.fprintf oc
-        "  \"summaries\": { \"functions\": %d, \"may_park\": %d, \
-         \"may_block\": %d, \"reaches_cancellation\": %d, \"locks\": %d, \
-         \"lock_order_edges\": %d },\n"
-        r.stats.functions r.stats.may_park r.stats.may_block
-        r.stats.reaches_cancellation r.stats.locks r.stats.lock_order_edges;
-      Printf.fprintf oc "  \"rule_counts\": {%s},\n"
-        (String.concat ", "
-           (List.map
-              (fun (rule, n) ->
-                Printf.sprintf " \"%s\": %d" (json_escape rule) n)
-              (rule_counts r)));
-      Printf.fprintf oc "  \"findings\": [";
-      List.iteri
-        (fun i (f : Finding.t) ->
-          Printf.fprintf oc "%s\n    { \"file\": \"%s\", \"line\": %d, \
-                             \"col\": %d, \"rule\": \"%s\", \"severity\": \
-                             \"%s\", \"message\": \"%s\", \"waived\": %b%s%s }"
-            (if i = 0 then "" else ",")
-            (json_escape f.file) f.line f.col (json_escape f.rule)
-            (Finding.severity_to_string f.severity)
-            (json_escape f.message)
-            (f.waived <> None)
-            (match f.waived with
-            | None -> ""
-            | Some reason ->
-                Printf.sprintf ", \"reason\": \"%s\"" (json_escape reason))
-            (match f.path with
-            | [] -> ""
-            | path ->
-                Printf.sprintf ", \"path\": [%s]"
-                  (String.concat ", "
-                     (List.map
-                        (fun s -> "\"" ^ json_escape s ^ "\"")
-                        path))))
-        r.findings;
-      Printf.fprintf oc "\n  ]\n}\n")
+  let module J = Report.Json in
+  let int n = J.Num (float_of_int n) in
+  let strs l = J.List (List.map (fun s -> J.Str s) l) in
+  let finding (f : Finding.t) =
+    J.Obj
+      ([ ("file", J.Str f.file); ("line", int f.line); ("col", int f.col);
+         ("rule", J.Str f.rule);
+         ("severity", J.Str (Finding.severity_to_string f.severity));
+         ("message", J.Str f.message); ("waived", J.Bool (f.waived <> None)) ]
+      @ (match f.waived with Some why -> [ ("reason", J.Str why) ] | None -> [])
+      @ if f.path = [] then [] else [ ("path", strs f.path) ])
+  in
+  J.write_file path
+    (J.Obj
+       [ ("schema", J.Str "ulp-pip/lint/v2"); ("roots", strs r.roots);
+         ("files_scanned", int r.files_scanned);
+         ("errors", int (unwaived_errors r));
+         ("warnings", int (warning_count r)); ("waived", int (waived_count r));
+         ( "summaries",
+           J.Obj
+             [ ("functions", int r.stats.functions);
+               ("may_park", int r.stats.may_park);
+               ("may_block", int r.stats.may_block);
+               ("reaches_cancellation", int r.stats.reaches_cancellation);
+               ("locks", int r.stats.locks);
+               ("lock_order_edges", int r.stats.lock_order_edges) ] );
+         ( "rule_counts",
+           J.Obj (List.map (fun (rule, n) -> (rule, int n)) (rule_counts r)) );
+         ("findings", J.List (List.map finding r.findings)) ])
 
 (* ---------- --diff: gate only NEW unwaivered findings ---------- *)
 

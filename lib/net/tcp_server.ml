@@ -28,9 +28,8 @@
    accepting, wake the accept loops, wait for active connections to
    retire.
 
-   Counters are atomics (any thread may read [stats] while workers
-   serve); the latency hook keeps a bounded reservoir so [percentile]
-   stays honest at any request volume without unbounded memory. *)
+   Counters are atomics: any thread may read [stats] while workers
+   serve. *)
 
 module Fiber = Fiber_rt.Fiber
 
@@ -43,73 +42,6 @@ type conn = {
 }
 
 let detach c = c.detached <- true
-
-(* ---- latency reservoir (Vitter's algorithm R) ---- *)
-
-module Latency = struct
-  type t = {
-    cap : int;
-    samples : float array;
-    count : int Atomic.t; (* total observations *)
-    sum_ns : int Atomic.t; (* nanoseconds: atomic-int-friendly *)
-    max_ns : int Atomic.t;
-    mutable rng : int;
-    lock : Mutex.t; (* reservoir slot writes only; add is cheap *)
-  }
-
-  let create ?(cap = 16384) () =
-    {
-      cap;
-      samples = Array.make cap 0.0;
-      count = Atomic.make 0;
-      sum_ns = Atomic.make 0;
-      max_ns = Atomic.make 0;
-      rng = 0x2545F491;
-      lock = Mutex.create ();
-    }
-
-  let add t dt =
-    (* round up: max_s must never land below a sample the reservoir
-       still holds (percentile <= max stays true) *)
-    let ns = int_of_float (ceil (dt *. 1e9)) in
-    let i = Atomic.fetch_and_add t.count 1 in
-    ignore (Atomic.fetch_and_add t.sum_ns ns);
-    let rec bump () =
-      let m = Atomic.get t.max_ns in
-      if ns > m && not (Atomic.compare_and_set t.max_ns m ns) then bump ()
-    in
-    bump ();
-    (* ulplint: allow raw-mutex-in-fiber -- reservoir guard shared with stats readers on foreign OS threads; O(1) hold, no park possible while held *)
-    Mutex.lock t.lock;
-    (if i < t.cap then t.samples.(i) <- dt
-     else begin
-       (* replace a random slot with probability cap/i: uniform sample *)
-       t.rng <- (t.rng * 25214903917) + 11;
-       let j = abs (t.rng mod (i + 1)) in
-       if j < t.cap then t.samples.(j) <- dt
-     end);
-    Mutex.unlock t.lock
-
-  let count t = Atomic.get t.count
-  let mean t =
-    let n = Atomic.get t.count in
-    if n = 0 then 0.0 else float_of_int (Atomic.get t.sum_ns) /. 1e9 /. float_of_int n
-
-  let max_s t = float_of_int (Atomic.get t.max_ns) /. 1e9
-
-  let percentile t p =
-    (* ulplint: allow raw-mutex-in-fiber -- reservoir guard shared with stats readers on foreign OS threads; O(1) hold, no park possible while held *)
-    Mutex.lock t.lock;
-    let n = min (Atomic.get t.count) t.cap in
-    let copy = Array.sub t.samples 0 n in
-    Mutex.unlock t.lock;
-    if n = 0 then 0.0
-    else begin
-      Array.sort compare copy;
-      let idx = int_of_float (ceil (p /. 100.0 *. float_of_int n)) - 1 in
-      copy.(max 0 (min (n - 1) idx))
-    end
-end
 
 (* ---- per-tenant connection attribution ---- *)
 
@@ -202,7 +134,6 @@ type t = {
   completed : int Atomic.t;
   failed : int Atomic.t;
   accept_retries : int Atomic.t;
-  latency : Latency.t;
   tenants : Tenants.t;
   (* the round-robin distributor: accepted connections' handlers are
      spawned on worker [fetch_and_add next_worker 1 mod domains] *)
@@ -230,8 +161,6 @@ let stats t =
     tenant_overflow = Tenants.overflow t.tenants;
   }
 
-let latency t = t.latency
-let note_latency t dt = Latency.add t.latency dt
 let note_tenant t key = Tenants.note t.tenants key
 let tenant_loads t = Tenants.loads t.tenants
 let port t = t.port
@@ -419,7 +348,6 @@ let start ~reactor ?(backlog = 128) ?(max_conns = max_int) ?listeners ~addr
       completed = Atomic.make 0;
       failed = Atomic.make 0;
       accept_retries = Atomic.make 0;
-      latency = Latency.create ();
       tenants = Tenants.create ();
       next_worker = Atomic.make 0;
       gates = Array.init n_loops (fun _ -> Readiness.create ());

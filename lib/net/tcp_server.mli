@@ -6,8 +6,7 @@
     ({!Fiber_rt.Fiber.spawn_on}).  Bounded concurrency with real
     backpressure (at [max_conns] the accept loops park until a
     connection retires, letting the kernel backlog throttle clients),
-    graceful drain on {!stop}, and built-in counters plus a
-    bounded-reservoir latency hook.
+    graceful drain on {!stop}, and built-in counters.
 
     All entry points except {!stats}/{!port}/{!active} must run inside
     the fiber runtime ({!start} spawns fibers; {!stop} joins and
@@ -30,20 +29,6 @@ val detach : conn -> unit
     another owner — e.g. {!Proc.Io.adopt} into a per-connection ULP's
     private table, whose refcount then controls the close — so there is
     never a moment with two parties believing they own the fd. *)
-
-(** Latency reservoir: thread-safe, bounded memory (uniform sample of
-    up to 16k observations), honest percentiles at any volume. *)
-module Latency : sig
-  type t
-
-  val add : t -> float -> unit
-  val count : t -> int
-  val mean : t -> float
-  val max_s : t -> float
-
-  val percentile : t -> float -> float
-  (** [percentile t 99.0] over the current sample; 0 when empty. *)
-end
 
 type stats = {
   accepted : int;
@@ -88,11 +73,6 @@ val port : t -> int
 
 val stats : t -> stats
 val active : t -> int
-
-val latency : t -> Latency.t
-val note_latency : t -> float -> unit
-(** The stats hook: handlers record per-request wall-clock latency here;
-    {!latency} exposes count / mean / max / percentiles. *)
 
 val note_tenant : t -> int -> unit
 (** Attribute the current connection to tenant [key] — in the

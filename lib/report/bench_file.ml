@@ -1,0 +1,510 @@
+(* The BENCH_*.json engine.  A suite -- the parallel fiber sweep or the
+   net echo sweep -- is data: its schema tag and file, its row sections
+   and their columns, which columns --diff compares (and which of those
+   gate), and the checks [validate] enforces.  One writer, one diff and
+   one validator serve both suites, so a new section is a declaration,
+   not another hand-written schema. *)
+
+module J = Json
+
+(* [Dec (d, show)]: a float kept to [d] decimals in the file -- a median
+   is not known to the picosecond, and short numbers keep the committed
+   files readable *)
+type kind = Int | Dec of int * (float -> string) | Text | Flag
+
+type col = {
+  key : string;
+  kind : kind;
+  head : string; (* rows-table header; "" = in the file only *)
+  better : [ `Lower | `Higher ] option; (* Some: a --diff metric *)
+  gate : float option; (* --diff fails below this better-is-up ratio *)
+}
+
+type section = {
+  name : string;
+  title : string;
+  keys : string list;
+  cols : col list;
+}
+
+type suite = {
+  schema : string;
+  file : string;
+  sections : section list;
+  checks : J.t -> unit; (* raises [Invalid] *)
+}
+
+let file s = s.file
+
+(* ---------- declaring sections ---------- *)
+
+(* [c kind key get]: a column, and how a row of the suite fills it *)
+let c ?(head = "") ?better ?gate kind key get =
+  let get =
+    match kind with
+    | Dec (d, _) -> (
+        let scale = 10.0 ** float_of_int d in
+        fun r ->
+          match get r with
+          | J.Num f -> J.Num (Float.round (f *. scale) /. scale)
+          | v -> v)
+    | _ -> get
+  in
+  ({ key; kind; head; better; gate }, get)
+
+let int n = J.Num (float_of_int n)
+let secs = Dec (9, Table.sci)
+let dec d shown = Dec (d, fun f -> Table.fixed ~digits:shown f)
+
+let section name ~keys ~title fields =
+  { name; title; keys; cols = List.map fst fields }
+
+let rows_of sec fields rs =
+  let obj r = J.Obj (List.map (fun (c, get) -> (c.key, get r)) fields) in
+  (sec.name, J.List (List.map obj rs))
+
+let doc suite header body =
+  J.Obj ((("schema", J.Str suite.schema) :: header) @ body)
+
+(* ---------- reading rows back ---------- *)
+
+exception Invalid of string
+
+let fail fmt = Printf.ksprintf (fun m -> raise (Invalid m)) fmt
+
+let rows doc sec =
+  match J.member sec.name doc with Some (J.List l) -> l | _ -> []
+
+let num k r =
+  match J.member k r with Some (J.Num f) -> f | _ -> fail "row without %S" k
+
+let int_at k r = int_of_float (num k r)
+let str k r =
+  match J.member k r with Some (J.Str s) -> s | _ -> fail "row without %S" k
+
+let bool k r =
+  match J.member k r with Some (J.Bool b) -> b | _ -> fail "row without %S" k
+
+let cell c r =
+  match (c.kind, J.member c.key r) with
+  | Int, Some (J.Num f) -> Table.fixed ~digits:0 f
+  | Dec (_, show), Some (J.Num f) -> show f
+  | Text, Some (J.Str s) -> s
+  | Flag, Some (J.Bool b) -> if b then "YES" else "-"
+  | _ -> "?"
+
+(* "ping_pong@4", "epoll@1000": a row named by its key columns *)
+let label sec r =
+  String.concat "@"
+    (List.map
+       (fun k -> cell (List.find (fun c -> c.key = k) sec.cols) r)
+       sec.keys)
+
+let same_keys sec a b =
+  List.for_all (fun k -> J.member k a = J.member k b) sec.keys
+
+(* Each row in [subjects] may cost at most [max] times (plus [slack])
+   its peer's [metric]; a missing peer fails unless [optional]. *)
+let bounded ?(optional = false) ?(slack = 0.0) sec subjects ~peer ~metric
+    ~max ~why =
+  List.iter
+    (fun r ->
+      match peer r with
+      | None -> if not optional then fail "%s has no peer row" (label sec r)
+      | Some p ->
+          let a = num metric r and b = num metric p in
+          if b > 0.0 && a > (max *. b) +. slack then
+            fail "%s: %s %.6f vs %.6f at %s (%.2fx > %.2fx allowed) -- %s"
+              (label sec r) metric a b (label sec p) (a /. b) max why)
+    subjects
+
+(* ---------- print, diff, validate ---------- *)
+
+let table ~title cols rows =
+  let t =
+    Table.create ~title ~headers:(List.map fst cols)
+      ~aligns:(List.map snd cols) ()
+  in
+  List.iter (Table.add_row t) rows;
+  Table.print t
+
+let print_rows suite doc =
+  List.iter
+    (fun sec ->
+      let cols = List.filter (fun c -> c.head <> "") sec.cols in
+      let align c =
+        match c.kind with Text | Flag -> Table.Left | _ -> Table.Right
+      in
+      table ~title:sec.title
+        (List.map (fun c -> (c.head, align c)) cols)
+        (List.map (fun r -> List.map (fun c -> cell c r) cols) (rows doc sec)))
+    suite.sections
+
+type verdict = Pass | Warn of string list | Regressed of string list
+
+(* One table per section: a line per metric of each new row the old
+   file also has, its ratio oriented so > 1 is better now; a gated
+   metric below its floor is a failure. *)
+let diff_section ~old doc sec =
+  let metrics = List.filter (fun c -> c.better <> None) sec.cols in
+  let failures = ref [] in
+  let line r o c =
+    let was = num c.key o and now = num c.key r in
+    let hi, lo = if c.better = Some `Higher then (now, was) else (was, now) in
+    let gate =
+      match c.gate with
+      | Some floor when lo > 0.0 && hi /. lo < floor ->
+          failures :=
+            Printf.sprintf "%s %s: %s -> %s (%.2f < %.2f)" c.key (label sec r)
+              (cell c o) (cell c r) (hi /. lo) floor
+            :: !failures;
+          "REGRESSED"
+      | Some _ -> "ok"
+      | None -> ""
+    in
+    [ label sec r; c.key; cell c o; cell c r;
+      (if lo > 0.0 then Table.fixed ~digits:2 (hi /. lo) else "-");
+      gate ]
+  in
+  let lines r =
+    match List.find_opt (same_keys sec r) (rows old sec) with
+    | Some o -> List.map (line r o) metrics
+    | None -> []
+  in
+  if metrics <> [] then
+    table
+      ~title:(Printf.sprintf "--diff %s (ratio > 1 = better now)" sec.title)
+      Table.
+        [ (String.concat "@" sec.keys, Left); ("metric", Left); ("old", Right);
+          ("new", Right); ("ratio", Right); ("gate", Left) ]
+      (List.concat_map lines (rows doc sec));
+  List.rev !failures
+
+let schema suite doc =
+  match J.member "schema" doc with
+  | Some (J.Str s) when s = suite.schema -> ()
+  | Some (J.Str s) -> fail "unexpected schema %S, want %S" s suite.schema
+  | _ -> fail "missing schema"
+
+let diff suite ~cores ~old doc =
+  match
+    schema suite old;
+    List.concat_map (diff_section ~old doc) suite.sections
+  with
+  | [] -> Ok Pass
+  | l when cores > 1 -> Ok (Regressed l)
+  (* a shared 1-core runner measures its neighbours as much as this
+     code: the drop is reported, not gated *)
+  | l -> Ok (Warn l)
+  | exception Invalid msg -> Error msg
+
+(* Structure first -- the schema tag, every section non-empty, every
+   declared column present with its kind in every row -- then the
+   suite's own checks. *)
+let validate suite doc =
+  let structure sec r =
+    List.iter
+      (fun c ->
+        match (c.kind, J.member c.key r) with
+        | (Int | Dec _), Some (J.Num f) when Float.is_finite f && f >= 0.0 ->
+            ()
+        | Text, Some (J.Str _) | Flag, Some (J.Bool _) -> ()
+        | _ -> fail "%s row with missing/bad %S" sec.name c.key)
+      sec.cols
+  in
+  let count sec =
+    Printf.sprintf "%d %s" (List.length (rows doc sec)) sec.name
+  in
+  match
+    schema suite doc;
+    List.iter
+      (fun sec ->
+        if rows doc sec = [] then fail "missing/empty %s" sec.name;
+        List.iter (structure sec) (rows doc sec))
+      suite.sections;
+    suite.checks doc
+  with
+  | () ->
+      Ok
+        (Printf.sprintf "%s: valid (%s)" suite.file
+           (String.concat ", " (List.map count suite.sections)))
+  | exception Invalid msg -> Error msg
+
+(* ---------- the parallel fiber sweep ---------- *)
+
+module Parallel = struct
+  type result = {
+    name : string;
+    domains : int;
+    oversubscribed : bool;
+    items : int;
+    reps : int;
+    median_s : float;
+    p99_s : float;
+    median_throughput_per_s : float;
+    steals : int;
+    steal_fail_rate : float;
+    parks : int;
+    deep_parks : int;
+    wakes : int;
+    spins : int;
+    inj_drains : int;
+    active_workers_p50 : int;
+  }
+
+  let result_fields =
+    [
+      c Text "name" ~head:"workload" (fun r -> J.Str r.name);
+      c Int "domains" ~head:"domains" (fun r -> int r.domains);
+      c Flag "oversubscribed" ~head:"oversub" (fun r ->
+          J.Bool r.oversubscribed);
+      c Int "items" ~head:"items" (fun r -> int r.items);
+      c Int "reps" (fun r -> int r.reps);
+      c secs "median_s" ~head:"median [s]" ~better:`Lower (fun r ->
+          J.Num r.median_s);
+      c secs "p99_s" (fun r -> J.Num r.p99_s);
+      c (dec 3 0) "median_throughput_per_s" ~head:"items/s" (fun r ->
+          J.Num r.median_throughput_per_s);
+      c Int "steals" ~head:"steals" (fun r -> int r.steals);
+      c (dec 4 2) "steal_fail_rate" ~head:"steal fail" (fun r ->
+          J.Num r.steal_fail_rate);
+      c Int "parks" ~head:"parks" (fun r -> int r.parks);
+      c Int "deep_parks" (fun r -> int r.deep_parks);
+      c Int "wakes" (fun r -> int r.wakes);
+      c Int "spins" (fun r -> int r.spins);
+      c Int "inj_drains" (fun r -> int r.inj_drains);
+      c Int "active_workers_p50" ~head:"act p50" (fun r ->
+          int r.active_workers_p50);
+    ]
+
+  (* speedup_vs_1 is 1 by construction at domains = 1, so its gate
+     bites only where a second worker can help *)
+  let speedup_fields =
+    [
+      c Text "name" ~head:"workload" (fun (r, _) -> J.Str r.name);
+      c Int "domains" ~head:"domains" (fun (r, _) -> int r.domains);
+      c Flag "oversubscribed" ~head:"oversub" (fun (r, _) ->
+          J.Bool r.oversubscribed);
+      c (Dec (4, Printf.sprintf "%.2fx")) "speedup_vs_1" ~head:"speedup"
+        ~better:`Higher ~gate:0.8 (fun (_, s) -> J.Num s);
+    ]
+
+  let results =
+    section "results" ~keys:[ "name"; "domains" ] result_fields
+      ~title:"Parallel fiber runtime (work stealing on OCaml domains)"
+
+  let speedups =
+    section "speedups" ~keys:[ "name"; "domains" ] speedup_fields
+      ~title:"Speedup vs 1 domain (median wall clock)"
+
+  (* The elastic pool's one host-independent perf guarantee: a row
+     with more domains than cores costs at most [oversub_slowdown] of
+     its domains=1 peer, plus [oversub_noise_s] -- the quick sweep's
+     smallest rows finish in ~0.1 ms, where 1.35x is one scheduler
+     hiccup. *)
+  let oversub_slowdown = 1.35
+  let oversub_noise_s = 0.0005
+
+  (* fd-table indirection: ~1.9x bare Fiber_io at 1k concurrent ULPs
+     (--quick) and ~3.2x at 10k (full size), where 10k live process
+     structures raise GC pressure that 10k bare fibers don't.  An
+     O(live-ULPs) lookup or a leaked pin would land 10x+. *)
+  let proc_fd_overhead = 3.5
+
+  let checks doc =
+    let cores =
+      match J.member "host_cores" doc with
+      | Some (J.Num c) when c >= 1.0 -> int_of_float c
+      | _ -> fail "missing/bad host_cores"
+    in
+    let rs = rows doc results in
+    let find name d =
+      List.find_opt (fun r -> str "name" r = name && int_at "domains" r = d) rs
+    in
+    List.iter
+      (fun r ->
+        let where = label results r and domains = int_at "domains" r in
+        if num "steal_fail_rate" r > 1.0 then
+          fail "%s: steal_fail_rate > 1" where;
+        let active = int_at "active_workers_p50" r in
+        if active < 1 || active > domains then
+          fail "%s: active_workers_p50 %d outside [1, %d]" where active domains;
+        (* the flag reports what the pool did, not what was asked *)
+        if bool "oversubscribed" r <> (active > cores) then
+          fail "%s: oversubscribed flag disagrees with active_workers_p50=%d, \
+                host_cores=%d" where active cores)
+      rs;
+    bounded results
+      (List.filter (fun r -> int_at "domains" r > cores) rs)
+      ~peer:(fun r -> find (str "name" r) 1)
+      ~metric:"median_s" ~max:oversub_slowdown ~slack:oversub_noise_s
+      ~why:"the elastic pool failed to collapse";
+    List.iter
+      (fun r ->
+        if not (List.exists (same_keys speedups r) (rows doc speedups)) then
+          fail "speedups missing %s -- must cover the full sweep"
+            (label results r))
+      rs;
+    List.iter
+      (fun name ->
+        match find name 1 with
+        | None -> fail "missing proc row %s@1" name
+        | Some r ->
+            if name = "proc_spawn" && int_at "items" r < 1_000 then
+              fail "proc_spawn measured %d ULPs; the claim needs >= 1000"
+                (int_at "items" r))
+      [ "proc_spawn"; "proc_spawn_fiber_base"; "proc_fd_table";
+        "proc_fd_direct" ];
+    bounded results
+      (List.filter (fun r -> str "name" r = "proc_fd_table") rs)
+      ~peer:(fun r -> find "proc_fd_direct" (int_at "domains" r))
+      ~metric:"median_s" ~max:proc_fd_overhead
+      ~why:"fd-table indirection blew up"
+
+  let suite =
+    {
+      schema = "ulp-pip/parallel-bench/v4";
+      file = "BENCH_parallel.json";
+      sections = [ results; speedups ];
+      checks;
+    }
+
+  (* every row's speedup over its workload's domains=1 row: the
+     non-scaling workloads are exactly where oversubscription
+     regressions hide *)
+  let speedups_of rs =
+    List.filter_map
+      (fun r ->
+        List.find_opt (fun b -> b.name = r.name && b.domains = 1) rs
+        |> Option.map (fun b ->
+               (r, if r.median_s > 0.0 then b.median_s /. r.median_s else 0.0)))
+      rs
+
+  let doc ~host_cores ~quick ~warmup rs =
+    doc suite
+      [ ("host_cores", int host_cores); ("quick", J.Bool quick);
+        ("warmup", int warmup) ]
+      [ rows_of results result_fields rs;
+        rows_of speedups speedup_fields (speedups_of rs) ]
+end
+
+(* ---------- the net echo sweep ---------- *)
+
+module Net = struct
+  type result = {
+    backend : string;
+    shards : int;
+    connections : int;
+    reqs_per_conn : int;
+    requests : int;
+    elapsed_s : float;
+    p50_s : float;
+    p99_s : float;
+    max_s : float;
+    accepted : int;
+    max_active : int;
+  }
+
+  let result_fields =
+    [
+      c Text "backend" ~head:"backend" (fun r -> J.Str r.backend);
+      c Int "shards" ~head:"shards" (fun r -> int r.shards);
+      c Int "connections" ~head:"conns" (fun r -> int r.connections);
+      c Int "reqs_per_conn" (fun r -> int r.reqs_per_conn);
+      c Int "requests" ~head:"requests" (fun r -> int r.requests);
+      c (dec 6 3) "elapsed_s" ~head:"elapsed [s]" (fun r ->
+          J.Num r.elapsed_s);
+      c (dec 1 0) "req_per_s" ~head:"req/s" ~better:`Higher (fun r ->
+          J.Num
+            (if r.elapsed_s > 0.0 then float_of_int r.requests /. r.elapsed_s
+             else 0.0));
+      c secs "p50_s" ~head:"p50 [s]" (fun r -> J.Num r.p50_s);
+      c secs "p99_s" ~head:"p99 [s]" ~better:`Lower (fun r -> J.Num r.p99_s);
+      c secs "max_s" ~head:"max [s]" (fun r -> J.Num r.max_s);
+      c Int "accepted" (fun r -> int r.accepted);
+      c Int "max_active" ~head:"max active" (fun r -> int r.max_active);
+    ]
+
+  let results =
+    section "results" ~keys:[ "backend"; "connections" ] result_fields
+      ~title:
+        "Net echo bench (localhost; connect and one untimed echo per client, \
+         then a timed steady-state request phase)"
+
+  (* FD_SETSIZE is 1024 and each in-process connection costs two fds:
+     the bench caps the select backend's sweep here, and a select-only
+     file's floor is this point instead of 1000 connections. *)
+  let select_conn_cap = 400
+  let tail_ratio_max = 25.0
+  let cross_backend_margin = 1.25
+
+  let checks doc =
+    let rs = rows doc results in
+    List.iter
+      (fun r ->
+        let where = label results r and conns = int_at "connections" r in
+        (match str "backend" r with
+        | "epoll" | "poll" | "select" -> ()
+        | b -> fail "result with unknown backend %S" b);
+        if int_at "shards" r < 1 then fail "%s: shards < 1" where;
+        let expected = conns * int_at "reqs_per_conn" r in
+        if int_at "requests" r <> expected then
+          fail "%s: %d requests, expected %d -- some client died" where
+            (int_at "requests" r) expected;
+        let p99 = num "p99_s" r in
+        if not (num "p50_s" r <= p99 && p99 <= num "max_s" r) then
+          fail "%s: percentiles not monotone" where;
+        if num "req_per_s" r <= 0.0 then fail "%s: zero throughput" where;
+        if int_at "accepted" r < conns then
+          fail "%s: server accepted fewer" where;
+        (* the timed phase must start with every connection live *)
+        if int_at "max_active" r <> conns then
+          fail "%s: max_active %d -- not every connection was live" where
+            (int_at "max_active" r))
+      rs;
+    let floor =
+      if List.for_all (fun r -> str "backend" r = "select") rs then
+        select_conn_cap
+      else 1000
+    in
+    if not (List.exists (fun r -> int_at "connections" r >= floor) rs) then
+      fail "no sweep point with >= %d concurrent connections" floor;
+    let at bk c =
+      List.find_opt
+        (fun r -> str "backend" r = bk && int_at "connections" r = c)
+        rs
+    in
+    List.iter
+      (fun bk ->
+        bounded ~optional:true results
+          (Option.to_list (at bk 10000))
+          ~peer:(fun _ -> at bk 1000)
+          ~metric:"p99_s" ~max:tail_ratio_max ~why:"the tail is not scaling")
+      [ "epoll"; "poll" ];
+    bounded ~optional:true results
+      (List.filter (fun r -> str "backend" r = "epoll") rs)
+      ~peer:(fun r -> at "poll" (int_at "connections" r))
+      ~metric:"p99_s" ~max:cross_backend_margin ~why:"epoll slower than poll";
+    match (J.member "fd_baseline" doc, J.member "fd_after" doc) with
+    | Some (J.Num b), Some (J.Num a) when a <> b ->
+        fail "fd leak: %.0f before, %.0f after" b a
+    | _ -> ()
+
+  let suite =
+    {
+      schema = "ulp-pip/net-bench/v2";
+      file = "BENCH_net.json";
+      sections = [ results ];
+      checks;
+    }
+
+  let doc ~host_cores ~quick ~backend ~shards ~msg_bytes ~fd_baseline
+      ~fd_after rs =
+    let fds = function Some n -> int n | None -> J.Null in
+    doc suite
+      [ ("host_cores", int host_cores); ("quick", J.Bool quick);
+        ("backend", J.Str backend); ("shards", int shards);
+        ("msg_bytes", int msg_bytes); ("fd_baseline", fds fd_baseline);
+        ("fd_after", fds fd_after) ]
+      [ rows_of results result_fields rs ]
+end

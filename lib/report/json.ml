@@ -1,7 +1,8 @@
-(* A minimal recursive-descent JSON reader.  The bench harness both
-   writes and re-reads its BENCH_*.json files (--diff regression tables,
-   CI validation), and the toolchain here has no JSON library -- this
-   covers the full grammar at report scale, nothing more. *)
+(* A minimal recursive-descent JSON reader and a printer.  The bench
+   harness and ulplint both write and re-read their JSON files (--diff
+   regression tables, CI validation), and the toolchain here has no
+   JSON library -- this covers the full grammar at report scale,
+   nothing more. *)
 
 type t =
   | Null
@@ -208,5 +209,76 @@ let parse_file path =
 let member key = function Obj kvs -> List.assoc_opt key kvs | _ -> None
 let to_float = function Num f -> Some f | _ -> None
 let to_string = function Str s -> Some s | _ -> None
-let to_bool = function Bool b -> Some b | _ -> None
 let to_list = function List l -> Some l | _ -> None
+
+(* ---------- printer ---------- *)
+
+let escape b s =
+  String.iter
+    (function
+      | '"' -> Buffer.add_string b "\\\""
+      | '\\' -> Buffer.add_string b "\\\\"
+      | '\n' -> Buffer.add_string b "\\n"
+      | '\r' -> Buffer.add_string b "\\r"
+      | '\t' -> Buffer.add_string b "\\t"
+      | c when Char.code c < 0x20 -> Printf.bprintf b "\\u%04x" (Char.code c)
+      | c -> Buffer.add_char b c)
+    s
+
+(* Integral values print without a fraction (counts stay "1024", not
+   "1024.0"); the rest print in the fewest digits that read back to the
+   same float. *)
+let number f =
+  if not (Float.is_finite f) then
+    invalid_arg (Printf.sprintf "Json.print: non-finite number %g" f);
+  if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
+  else
+    let s = Printf.sprintf "%.15g" f in
+    if float_of_string s = f then s else Printf.sprintf "%.17g" f
+
+let seq b opening closing sep item l =
+  Buffer.add_string b opening;
+  List.iteri
+    (fun i x ->
+      if i > 0 then Buffer.add_string b sep;
+      item b x)
+    l;
+  Buffer.add_string b closing
+
+let rec inline b = function
+  | Null -> Buffer.add_string b "null"
+  | Bool x -> Buffer.add_string b (string_of_bool x)
+  | Num f -> Buffer.add_string b (number f)
+  | Str s ->
+      Buffer.add_char b '"';
+      escape b s;
+      Buffer.add_char b '"'
+  | List l -> seq b "[" "]" ", " inline l
+  | Obj kvs -> seq b "{" "}" ", " pair kvs
+
+and pair b (k, v) =
+  inline b (Str k);
+  Buffer.add_string b ": ";
+  inline b v
+
+(* One top-level member per line, and one line per element of a
+   member's list of objects: a BENCH or LINT file then diffs row by
+   row. *)
+let print v =
+  let b = Buffer.create 4096 in
+  let top b (k, v) =
+    Buffer.add_string b "  ";
+    match v with
+    | List (Obj _ :: _ as rows) ->
+        inline b (Str k);
+        seq b ": [\n    " "\n  ]" ",\n    " inline rows
+    | v -> pair b (k, v)
+  in
+  (match v with
+  | Obj (_ :: _ as kvs) -> seq b "{\n" "\n}" ",\n" top kvs
+  | v -> inline b v);
+  Buffer.add_char b '\n';
+  Buffer.contents b
+
+let write_file path v =
+  Out_channel.with_open_bin path (fun oc -> output_string oc (print v))

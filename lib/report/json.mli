@@ -1,7 +1,8 @@
-(** A minimal JSON reader for the bench harness: enough to parse the
-    BENCH_*.json files this repo writes (and validate them in CI)
-    without pulling in a JSON dependency.  Full number/string/escape
-    support; not a streaming parser — fine at bench-report scale. *)
+(** A minimal JSON reader and printer for the bench harness and
+    ulplint: enough to write and re-read the BENCH_*.json and LINT.json
+    files (and validate them in CI) without pulling in a JSON
+    dependency.  Full number/string/escape support; not a streaming
+    parser — fine at bench-report scale. *)
 
 type t =
   | Null
@@ -25,5 +26,15 @@ val member : string -> t -> t option
 
 val to_float : t -> float option
 val to_string : t -> string option
-val to_bool : t -> bool option
 val to_list : t -> t list option
+
+val print : t -> string
+(** Pretty JSON text, newline-terminated.  A top-level object puts one
+    member per line, and a member holding a list of objects puts one
+    object per line; everything else is inline, [{"k": v, ...}].
+    Integral numbers print without a fraction; other numbers print in
+    the fewest digits that {!parse} reads back exactly.
+    @raise Invalid_argument on a NaN or infinite number. *)
+
+val write_file : string -> t -> unit
+(** [write_file path v] writes [print v] to [path]. *)

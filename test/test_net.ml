@@ -815,46 +815,6 @@ let test_tcp_no_fd_leak () =
       in
       Alcotest.(check int) "fd count back to baseline" baseline after
 
-let test_latency_hook () =
-  (* the stats hook end-to-end: the handler records per-request latency,
-     the reservoir reports honest count / mean / percentiles *)
-  with_reactor (fun r ->
-      let srv_box = ref None in
-      Fiber.run_parallel ~domains:2 (fun () ->
-          let rec srv_of () =
-            match !srv_box with Some s -> s | None -> (Fiber.yield (); srv_of ())
-          in
-          let srv =
-            Tcp.start ~reactor:r
-              ~addr:(Unix.ADDR_INET (localhost, 0))
-              ~handler:(fun r c ->
-                let t0 = Unix.gettimeofday () in
-                echo_handler r c;
-                Tcp.note_latency (srv_of ()) (Unix.gettimeofday () -. t0))
-              ()
-          in
-          srv_box := Some srv;
-          let fibers =
-            List.init 10 (fun _ ->
-                Fiber.spawn (fun () ->
-                    let fd = connect_local r (Tcp.port srv) in
-                    Fio.write_all r fd (Bytes.of_string "ping") 0 4;
-                    let b = Bytes.create 4 in
-                    Fio.read_exact r fd b 0 4;
-                    Unix.close fd))
-          in
-          List.iter Fiber.join fibers;
-          Tcp.stop srv;
-          let lat = Tcp.latency srv in
-          if Tcp.Latency.count lat <> 10 then
-            failwith (Printf.sprintf "recorded %d of 10" (Tcp.Latency.count lat));
-          let p50 = Tcp.Latency.percentile lat 50.0
-          and p99 = Tcp.Latency.percentile lat 99.0
-          and mx = Tcp.Latency.max_s lat in
-          if not (p50 >= 0.0 && p50 <= p99 && p99 <= mx) then
-            failwith "percentiles not monotone";
-          if Tcp.Latency.mean lat < 0.0 then failwith "negative mean"))
-
 let test_tenant_hook () =
   (* per-tenant attribution: handlers note a tenant key per request;
      stats counts distinct tenants, tenant_loads sums to the requests *)
@@ -1048,7 +1008,6 @@ let () =
           Alcotest.test_case "graceful drain on stop" `Quick
             test_tcp_graceful_stop;
           Alcotest.test_case "no fd leak" `Quick test_tcp_no_fd_leak;
-          Alcotest.test_case "latency stats hook" `Quick test_latency_hook;
           Alcotest.test_case "tenant attribution hook" `Quick test_tenant_hook;
         ] );
       ( "backend-matrix",

@@ -1,5 +1,6 @@
-(* Tests for the reporting helpers: ASCII tables, CSV escaping, and the
-   terminal plots used by the figure harness. *)
+(* Tests for the reporting helpers: ASCII tables, CSV escaping, the
+   terminal plots used by the figure harness, the JSON printer, and the
+   BENCH-file engine's validate and --diff verdicts. *)
 
 module Table = Report.Table
 module Csv = Report.Csv
@@ -144,6 +145,265 @@ let test_timeline_collision_marker () =
   in
   check_contains s "*"
 
+(* ---------- json printer ---------- *)
+
+module Json = Report.Json
+module Bf = Report.Bench_file
+
+let roundtrip v =
+  let text = Json.print v in
+  if Json.parse text <> v then Alcotest.failf "%S does not read back" text
+
+let test_json_escapes () =
+  List.iter
+    (fun s -> roundtrip (Json.Str s))
+    [ ""; "plain"; "quote\" and \\ backslash"; "new\nline\r\ttab";
+      "\001\008\012\031 controls"; "\127 del"; "utf-8 \xc3\xa9\xe2\x82\xac" ];
+  (* the parser reads raw control bytes too, so pin the escaped text *)
+  Alcotest.(check string) "escaped" {|"q\" b\\ n\n r\r t\t \u0001"|}
+    (String.trim (Json.print (Json.Str "q\" b\\ n\n r\r t\t \001")))
+
+let test_json_numbers () =
+  List.iter
+    (fun (f, text) ->
+      Alcotest.(check string) text (text ^ "\n") (Json.print (Json.Num f));
+      roundtrip (Json.Num f))
+    [ (3.0, "3"); (-0.5, "-0.5"); (0.015676022, "0.015676022"); (0.1, "0.1");
+      (1e-7, "1e-07"); (1024.0, "1024"); (1e300, "1e+300") ];
+  List.iter
+    (fun f -> roundtrip (Json.Num f))
+    [ 1.0 /. 3.0; Float.pi; 123456789012345678.0; -2.5e-300;
+      4503599627370497.0 ];
+  List.iter
+    (fun f ->
+      match Json.print (Json.Num f) with
+      | exception Invalid_argument _ -> ()
+      | s -> Alcotest.failf "non-finite %g printed as %S" f s)
+    [ Float.nan; Float.infinity; Float.neg_infinity ]
+
+let test_json_layout () =
+  let v =
+    Json.Obj
+      [ ("schema", Json.Str "x/v1");
+        ("tags", Json.List [ Json.Str "a"; Json.Null ]);
+        ("rows", Json.List [ Json.Obj [ ("k", Json.Bool true) ]; Json.Obj [] ]);
+        ("empty", Json.List []) ]
+  in
+  roundtrip v;
+  Alcotest.(check string) "one member and one row per line"
+    "{\n  \"schema\": \"x/v1\",\n  \"tags\": [\"a\", null],\n  \"rows\": [\n\
+    \    {\"k\": true},\n    {}\n  ],\n  \"empty\": []\n}\n"
+    (Json.print v)
+
+let prop_json_roundtrip =
+  QCheck.Test.make ~name:"json print reads back" ~count:200
+    QCheck.(pair string float)
+    (fun (s, f) ->
+      QCheck.assume (Float.is_finite f);
+      let v = Json.Obj [ (s, Json.List [ Json.Str s; Json.Num f ]) ] in
+      Json.parse (Json.print v) = v)
+
+(* ---------- BENCH files: validate and --diff ---------- *)
+
+let load path =
+  match Json.parse_file path with Ok d -> d | Error m -> Alcotest.fail m
+
+(* the committed files: one level up under dune runtest, here under
+   dune exec from the repo root *)
+let committed f = if Sys.file_exists ("../" ^ f) then "../" ^ f else f
+let parallel () = load (committed "BENCH_parallel.json")
+let net () = load (committed "BENCH_net.json")
+let n f = Json.Num f
+let str s = Json.Str s
+
+let map_obj f = function Json.Obj kvs -> Json.Obj (f kvs) | v -> v
+
+let set_top k v =
+  map_obj (List.map (fun (k', v') -> (k', if k' = k then v else v')))
+
+(* apply [f] to section [sec]'s rows *)
+let rows sec f =
+  map_obj
+    (List.map (fun (k, v) ->
+         match v with
+         | Json.List l when k = sec -> (k, Json.List (f l))
+         | _ -> (k, v)))
+
+let matches sel r = List.for_all (fun (k, v) -> Json.member k r = Some v) sel
+let drop sec sel = rows sec (List.filter (fun r -> not (matches sel r)))
+
+(* set field [k] of every row of [sec] matching [sel] *)
+let set ?(sec = "results") sel k v =
+  rows sec (List.map (fun r -> if matches sel r then set_top k v r else r))
+
+let expect_invalid suite needle doc =
+  match Bf.validate suite doc with
+  | Ok s -> Alcotest.failf "accepted a fixture that breaks %S: %s" needle s
+  | Error m ->
+      if not (contains m needle) then Alcotest.failf "%S, expected %S" m needle
+
+let test_committed_files_valid () =
+  List.iter
+    (fun (suite, doc) ->
+      match Bf.validate suite doc with
+      | Ok _ -> ()
+      | Error m -> Alcotest.failf "%s: %s" (Bf.file suite) m)
+    [ (Bf.Parallel.suite, parallel ()); (Bf.Net.suite, net ()) ];
+  (* the printer keeps the committed layout: one line per row *)
+  List.iter
+    (fun (path, doc) ->
+      let lines s = List.length (String.split_on_char '\n' s) in
+      let ic = open_in_bin path in
+      let text = really_input_string ic (in_channel_length ic) in
+      close_in ic;
+      Alcotest.(check int) path (lines text) (lines (Json.print doc)))
+    [ (committed "BENCH_parallel.json", parallel ());
+      (committed "BENCH_net.json", net ()) ]
+
+let pp name d = [ ("name", str name); ("domains", n d) ]
+
+(* each fixture breaks one check of the committed parallel file *)
+let parallel_fixtures =
+  [
+    ("unexpected schema", set_top "schema" (str "ulp-pip/parallel-bench/v3"));
+    ("host_cores", set_top "host_cores" (n 0.0));
+    ("missing/empty results", rows "results" (fun _ -> []));
+    ("missing/bad \"p99_s\"", set (pp "spawn_join" 1.) "p99_s" Json.Null);
+    ( "steal_fail_rate > 1",
+      set (pp "spawn_join" 2.) "steal_fail_rate" (n 1.01) );
+    ("outside [1, 2]", set (pp "spawn_join" 2.) "active_workers_p50" (n 3.0));
+    ( "oversubscribed flag",
+      set (pp "spawn_join" 2.) "oversubscribed" (Json.Bool true) );
+    (* 1.35 x 8.52 ms + 0.5 ms = 12.0 ms *)
+    ("ping_pong@4: median_s", set (pp "ping_pong" 4.) "median_s" (n 0.0121));
+    ("speedups missing yield_storm@2", drop "speedups" (pp "yield_storm" 2.));
+    ( "missing proc row proc_spawn_fiber_base@1",
+      drop "results" [ ("name", str "proc_spawn_fiber_base") ] );
+    ("needs >= 1000", set (pp "proc_spawn" 1.) "items" (n 999.0));
+    (* 3.5 x 106 ms = 371 ms *)
+    ("fd-table indirection", set (pp "proc_fd_table" 1.) "median_s" (n 0.372));
+  ]
+
+let nc bk c = [ ("backend", str bk); ("connections", n c) ]
+
+let net_fixtures =
+  [
+    ("unexpected schema", set_top "schema" (str "ulp-pip/net-bench/v1"));
+    ("unknown backend", set (nc "epoll" 64.) "backend" (str "kqueue"));
+    ("shards < 1", set (nc "epoll" 64.) "shards" (n 0.0));
+    ("some client died", set (nc "epoll" 256.) "requests" (n 5119.0));
+    ("not monotone", set (nc "epoll" 256.) "p50_s" (n 0.5));
+    ("zero throughput", set (nc "epoll" 256.) "req_per_s" (n 0.0));
+    ("accepted fewer", set (nc "epoll" 64.) "accepted" (n 63.0));
+    ("max_active 56", set (nc "epoll" 256.) "max_active" (n 56.0));
+    ( ">= 1000 concurrent",
+      rows "results"
+        (List.filter (fun r -> Json.member "connections" r < Some (n 1000.)))
+    );
+    ( ">= 400 concurrent",
+      fun d ->
+        rows "results"
+          (List.filter_map (fun r ->
+               if Json.member "connections" r < Some (n 1000.) then
+                 Some (set_top "backend" (str "select") r)
+               else None))
+          d );
+    (* 25 x 34.2 ms = 855 ms *)
+    ( "the tail is not scaling",
+      fun d ->
+        set (nc "epoll" 10000.) "p99_s" (n 0.86)
+          (set (nc "epoll" 10000.) "max_s" (n 0.86) d) );
+    (* 1.25 x 44.0 ms = 55.0 ms *)
+    ( "epoll slower than poll",
+      fun d ->
+        set (nc "epoll" 1000.) "p99_s" (n 0.0551)
+          (set (nc "epoll" 1000.) "max_s" (n 0.0551) d) );
+    ("fd leak", set_top "fd_after" (n 5.0));
+  ]
+
+let test_validate_fixtures () =
+  (* just inside the thresholds: the oversubscription slack and the
+     epoll-vs-poll margin are allowed *)
+  List.iter
+    (fun (suite, doc) ->
+      match Bf.validate suite doc with
+      | Ok _ -> ()
+      | Error m -> Alcotest.failf "near miss rejected: %s" m)
+    [ (Bf.Parallel.suite,
+       set (pp "ping_pong" 4.) "median_s" (n 0.0119) (parallel ()));
+      (Bf.Net.suite,
+       set (nc "epoll" 1000.) "p99_s" (n 0.0549)
+         (set (nc "epoll" 1000.) "max_s" (n 0.0549) (net ()))) ];
+  List.iter
+    (fun (suite, doc, fixtures) ->
+      List.iter
+        (fun (needle, break) -> expect_invalid suite needle (break doc))
+        fixtures)
+    [ (Bf.Parallel.suite, parallel (), parallel_fixtures);
+      (Bf.Net.suite, net (), net_fixtures) ]
+
+let test_diff_speedup_gate () =
+  let old = parallel () in
+  let speedup v =
+    set ~sec:"speedups" (pp "spawn_join" 2.) "speedup_vs_1" (n v) old
+  in
+  let diff ~cores doc = Bf.diff Bf.Parallel.suite ~cores ~old doc in
+  (match diff ~cores:2 old with
+  | Ok Bf.Pass -> ()
+  | _ -> Alcotest.fail "self-diff must pass");
+  (* median_s is report-only; 0.90 / 1.1185 = 0.805 clears the 0.8x
+     floor and 0.89 / 1.1185 = 0.796 does not *)
+  let slower = set (pp "spawn_join" 2.) "median_s" (n 10.0) (speedup 0.90) in
+  (match diff ~cores:2 slower with
+  | Ok Bf.Pass -> ()
+  | _ -> Alcotest.fail "a report-only drop must pass");
+  (match diff ~cores:2 (speedup 0.89) with
+  | Ok (Bf.Regressed [ m ]) when contains m "spawn_join@2" -> ()
+  | _ -> Alcotest.fail "0.796x the old speedup must regress on 2 cores");
+  match diff ~cores:1 (speedup 0.89) with
+  | Ok (Bf.Warn [ _ ]) -> ()
+  | _ -> Alcotest.fail "a 1-core host only warns"
+
+let test_diff_schema () =
+  let wrong suite ~old doc =
+    match Bf.diff suite ~cores:2 ~old doc with
+    | Error _ -> ()
+    | Ok _ -> Alcotest.failf "%s diffed another suite's file" (Bf.file suite)
+  in
+  wrong Bf.Parallel.suite ~old:(net ()) (parallel ());
+  wrong Bf.Net.suite ~old:(parallel ()) (net ())
+
+(* the writer and the validator agree: a doc built from rows passes *)
+let test_written_docs_valid () =
+  let row name : Bf.Parallel.result =
+    { name; domains = 1; oversubscribed = false; items = 1000; reps = 3;
+      median_s = 0.01; p99_s = 0.012; median_throughput_per_s = 1e5;
+      steals = 0; steal_fail_rate = 0.0; parks = 0; deep_parks = 0; wakes = 0;
+      spins = 0; inj_drains = 1; active_workers_p50 = 1 }
+  in
+  let rs =
+    List.map row
+      [ "proc_spawn"; "proc_spawn_fiber_base"; "proc_fd_table";
+        "proc_fd_direct" ]
+  in
+  let pdoc = Bf.Parallel.doc ~host_cores:2 ~quick:true ~warmup:1 rs in
+  let point c : Bf.Net.result =
+    { backend = "epoll"; shards = 1; connections = c; reqs_per_conn = 5;
+      requests = 5 * c; elapsed_s = 0.5; p50_s = 0.001; p99_s = 0.002;
+      max_s = 0.003; accepted = c; max_active = c }
+  in
+  let ndoc =
+    Bf.Net.doc ~host_cores:2 ~quick:true ~backend:"epoll" ~shards:1
+      ~msg_bytes:64
+      ~fd_baseline:(Some 4) ~fd_after:None [ point 100; point 1000 ]
+  in
+  List.iter
+    (fun (suite, doc) ->
+      match Bf.validate suite (Json.parse (Json.print doc)) with
+      | Ok _ -> ()
+      | Error m -> Alcotest.failf "%s: %s" (Bf.file suite) m)
+    [ (Bf.Parallel.suite, pdoc); (Bf.Net.suite, ndoc) ]
+
 (* ---------- properties ---------- *)
 
 let prop_csv_field_count_preserved =
@@ -212,8 +472,25 @@ let () =
           Alcotest.test_case "collision marker" `Quick
             test_timeline_collision_marker;
         ] );
+      ( "json",
+        [
+          Alcotest.test_case "escapes round-trip" `Quick test_json_escapes;
+          Alcotest.test_case "numbers" `Quick test_json_numbers;
+          Alcotest.test_case "layout" `Quick test_json_layout;
+        ] );
+      ( "bench-file",
+        [
+          Alcotest.test_case "committed files valid" `Quick
+            test_committed_files_valid;
+          Alcotest.test_case "validate fixtures" `Quick test_validate_fixtures;
+          Alcotest.test_case "diff speedup gate" `Quick test_diff_speedup_gate;
+          Alcotest.test_case "diff schema check" `Quick test_diff_schema;
+          Alcotest.test_case "written docs valid" `Quick
+            test_written_docs_valid;
+        ] );
       ( "properties",
         [
+          QCheck_alcotest.to_alcotest prop_json_roundtrip;
           QCheck_alcotest.to_alcotest prop_csv_field_count_preserved;
           QCheck_alcotest.to_alcotest prop_table_render_never_raises;
         ] );
