@@ -10,22 +10,14 @@
    to the *same* OS thread -- even after the runnable half of the fiber
    migrates to another domain -- thread-keyed kernel state (and blocking
    syscalls) behave exactly as they would on a plain kernel thread:
-   system-call consistency, for real. *)
+   system-call consistency, for real.  KCs are leased per fiber from
+   the run's pool and recycled after the fiber finishes (Kc_pool). *)
 
 exception Coupled_raised of exn
 
-(* The executor (original KC) of the calling fiber, created on first
-   use.  Only the fiber itself touches its [executor] field and a fiber
-   runs on one domain at a time, so no locking is needed here. *)
-let my_executor () =
-  let fb = Fiber.self () in
-  match fb.Fiber.executor with
-  | Some e -> e
-  | None ->
-      let e = Executor.create () in
-      fb.Fiber.executor <- Some e;
-      Fiber.register_executor e;
-      e
+(* The executor (original KC) of the calling fiber, leased from the
+   run's pool on first use and held until the fiber finishes. *)
+let my_executor = Fiber.lease_kc
 
 (* Run [f] coupled to this fiber's original KC; other fibers keep
    running meanwhile.  Exceptions from [f] re-raise in the fiber. *)

@@ -151,6 +151,7 @@ let wake ?(foreign = false) t =
         if p + 1 >= t.re_enlist_after && Atomic.exchange t.pressure 0 > 0 then (
           match Idle_waker.pop t.deep with
           | Some wid ->
+              (* ulplint: allow atomic-check-then-faa -- the n_deep read is only a fast-path hint; the decrement pays for a deep-stack pop that succeeded by its own CAS, so it can never over-count *)
               ignore (Atomic.fetch_and_add t.n_deep (-1));
               raise_target t;
               Some wid

@@ -10,6 +10,7 @@ type t = {
   cond : Condition.t;
   jobs : (unit -> unit) Queue.t;
   mutable stopping : bool;
+  mutable running : bool; (* a job is executing; guarded by [mutex] *)
   mutable thread : Thread.t option;
   mutable executed : int;
   mutable failures : int; (* jobs that raised *)
@@ -20,6 +21,7 @@ let worker t () =
   let rec loop () =
     (* ulplint: allow raw-mutex-in-fiber -- the mailbox of a dedicated OS thread (a KC): producers are foreign threads or fibers, the consumer is this thread -- fiber-aware parking cannot wake an OS thread *)
     Mutex.lock t.mutex;
+    t.running <- false;
     while Queue.is_empty t.jobs && not t.stopping do
       (* ulplint: allow raw-mutex-in-fiber -- the mailbox of a dedicated OS thread (a KC): producers are foreign threads or fibers, the consumer is this thread -- fiber-aware parking cannot wake an OS thread *)
       Condition.wait t.cond t.mutex
@@ -27,6 +29,7 @@ let worker t () =
     if Queue.is_empty t.jobs && t.stopping then Mutex.unlock t.mutex
     else begin
       let job = Queue.pop t.jobs in
+      t.running <- true;
       Mutex.unlock t.mutex;
       (* A raising job must not kill the KC thread, but silently eating
          the exception hides real failures: record it for the owner. *)
@@ -50,6 +53,7 @@ let create () =
       cond = Condition.create ();
       jobs = Queue.create ();
       stopping = false;
+      running = false;
       thread = None;
       executed = 0;
       failures = 0;
@@ -87,6 +91,29 @@ let last_error t =
   let e = t.last_error in
   Mutex.unlock t.mutex;
   e
+
+(* Forget the failure record: what a KC does between two leases, so
+   the next owner starts clean. *)
+let clear_failures t =
+  (* ulplint: allow raw-mutex-in-fiber -- the mailbox of a dedicated OS thread (a KC): producers are foreign threads or fibers, the consumer is this thread -- fiber-aware parking cannot wake an OS thread *)
+  Mutex.lock t.mutex;
+  t.failures <- 0;
+  t.last_error <- None;
+  Mutex.unlock t.mutex
+
+(* [clear_failures], but only when no job is queued or running -- one
+   step under the mailbox mutex, so no job can slip in between the
+   check and the reset.  [false] leaves the record alone. *)
+let clear_failures_if_idle t =
+  (* ulplint: allow raw-mutex-in-fiber -- the mailbox of a dedicated OS thread (a KC): producers are foreign threads or fibers, the consumer is this thread -- fiber-aware parking cannot wake an OS thread *)
+  Mutex.lock t.mutex;
+  let idle = Queue.is_empty t.jobs && not t.running in
+  if idle then begin
+    t.failures <- 0;
+    t.last_error <- None
+  end;
+  Mutex.unlock t.mutex;
+  idle
 
 (* The OS thread id jobs run on (for consistency assertions). *)
 let thread_id t =

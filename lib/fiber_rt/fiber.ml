@@ -32,7 +32,8 @@ type fiber = {
   fid : int;
   mutable state : [ `Runnable | `Running | `Suspended | `Done ];
   completion : Completion.t; (* lock-free Done/joiners protocol *)
-  mutable executor : Executor.t option; (* lazily-created original KC *)
+  mutable executor : Executor.t option;
+      (* original KC, leased on first use and recycled at finish *)
 }
 
 (* A wake token is the one-shot resumption right for a suspended fiber,
@@ -209,8 +210,7 @@ type psched = {
          [run_parallel] (it closes over [worker_loop], defined later)
          and called by whoever pops an unlaunched worker off the deep
          stack *)
-  pexec_mutex : Mutex.t;
-  mutable pexecutors : Executor.t list;
+  kcs : Executor.t Kc_pool.t; (* the run's original KCs, leased per fiber *)
 }
 
 (* The worker executing on this domain, if any.  [tid] pins the context
@@ -316,8 +316,7 @@ let make_psched ~domains =
       n_running = 1 (* worker 0 runs on the calling domain *);
       pdomains = [];
       pspawn = ignore (* installed by run_parallel *);
-      pexec_mutex = Mutex.create ();
-      pexecutors = [];
+      kcs = Kc_pool.create ();
     }
   in
   for wid = eager to domains - 1 do
@@ -461,6 +460,15 @@ and phandle ps fb body =
     {
       retc =
         (fun () ->
+          (* the KC goes back to the pool only after every job this
+             fiber queued on it *)
+          (match fb.executor with
+          | Some e ->
+              fb.executor <- None;
+              Kc_pool.recycle ps.kcs e
+                ~reset_if_idle:Executor.clear_failures_if_idle
+                ~submit:Executor.submit ~reset:Executor.clear_failures
+          | None -> ());
           finish_fiber fb;
           if Atomic.fetch_and_add ps.plive (-1) = 1 then pstop ps);
       exnc = raise (* caught by the worker loop, aborts the run *);
@@ -794,7 +802,7 @@ let worker_loop ps w =
   in
   go ();
   Domain.DLS.set pctx_key None;
-  (* last worker out lets [run_parallel] reap the executors *)
+  (* last worker out lets [run_parallel] reap the KCs *)
   (* ulplint: allow raw-mutex-in-fiber -- run_parallel shutdown handshake between raw domains, outside any fiber engine *)
   Mutex.lock ps.done_mutex;
   ps.n_running <- ps.n_running - 1;
@@ -930,11 +938,12 @@ let run_parallel ?domains ?on_stats main =
     ps.pspawn wid
   done;
   worker_loop ps ps.workers.(0);
-  (* Executors may be registered up to the very last thunk a helper
-     runs, so only reap them once every worker loop has exited; the
-     executors must be shut down BEFORE joining the helper domains --
-     a domain does not terminate while OS threads it created (the
-     executors of fibers that ran there) are still alive. *)
+  (* KCs may be created up to the very last thunk a helper runs, so
+     only reap them once every worker loop has exited; they must be
+     shut down BEFORE joining the helper domains -- a domain does not
+     terminate while OS threads it created (the KCs first leased
+     there) are still alive.  Shutdown drains each KC's queue, pending
+     recycle jobs included. *)
   (* ulplint: allow raw-mutex-in-fiber -- run_parallel shutdown handshake between raw domains, outside any fiber engine *)
   Mutex.lock ps.done_mutex;
   while ps.n_running > 0 do
@@ -944,12 +953,7 @@ let run_parallel ?domains ?on_stats main =
   let helpers = ps.pdomains in
   ps.pdomains <- [];
   Mutex.unlock ps.done_mutex;
-  (* ulplint: allow raw-mutex-in-fiber -- executor registry shared between raw domains during shutdown, outside any fiber engine *)
-  Mutex.lock ps.pexec_mutex;
-  let executors = ps.pexecutors in
-  ps.pexecutors <- [];
-  Mutex.unlock ps.pexec_mutex;
-  List.iter Executor.shutdown executors;
+  List.iter Executor.shutdown (Kc_pool.all ps.kcs);
   List.iter Domain.join helpers;
   (match on_stats with Some f -> f (snapshot_sched ps) | None -> ());
   match Atomic.get ps.failure with
@@ -1010,12 +1014,17 @@ let num_workers () =
 let sched_stats () =
   match worker_ctx () with Some c -> Some (snapshot_sched c.ps) | None -> None
 
-(* Track an executor (original KC) for shutdown when the run ends. *)
-let register_executor e =
+(* The calling fiber's original KC, leased from its run's pool on first
+   use.  Only the fiber itself touches its [executor] field and a fiber
+   runs on one domain at a time, so the field needs no locking. *)
+let lease_kc () =
   match worker_ctx () with
-  | Some c ->
-      (* ulplint: allow raw-mutex-in-fiber -- executor registry shared between raw domains during shutdown, outside any fiber engine *)
-      Mutex.lock c.ps.pexec_mutex;
-      c.ps.pexecutors <- e :: c.ps.pexecutors;
-      Mutex.unlock c.ps.pexec_mutex
   | None -> raise Not_in_scheduler
+  | Some c -> (
+      let fb = self () in
+      match fb.executor with
+      | Some e -> e
+      | None ->
+          let e = Kc_pool.lease c.ps.kcs ~create:Executor.create in
+          fb.executor <- Some e;
+          e)

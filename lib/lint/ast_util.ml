@@ -118,7 +118,7 @@ let defined_module_names structure =
 
 (* ---------- per-function atomic operation sequences ---------- *)
 
-type atomic_op = Aget | Aset | Aupd
+type atomic_op = Aget | Aset | Acas | Afaa | Acmp
 
 type aevent = {
   op : atomic_op;
@@ -134,25 +134,51 @@ let atomic_op_of path =
       match op with
       | "get" -> Some (Aget, op)
       | "set" -> Some (Aset, op)
-      | "compare_and_set" | "exchange" | "fetch_and_add" | "incr" | "decr" ->
-          Some (Aupd, op)
+      | "compare_and_set" | "exchange" -> Some (Acas, op)
+      | "fetch_and_add" | "incr" | "decr" -> Some (Afaa, op)
+      | _ -> None)
+  | _ -> None
+
+let comparisons = [ "<"; "<="; ">"; ">="; "="; "<>"; "=="; "!="; "compare" ]
+
+(* [Atomic.get k] itself: the key [k] *)
+let get_key e =
+  match e.Parsetree.pexp_desc with
+  | Pexp_apply (fn, (_, a0) :: _) -> (
+      match Option.bind (ident_of_expr fn) atomic_op_of with
+      | Some (Aget, _) -> Some (expr_key a0)
       | _ -> None)
   | _ -> None
 
 let iter_atomic_frames ~analyze structure =
   let open Ast_iterator in
+  (* a frame: its events, newest first, and the names it bound to an
+     [Atomic.get] ([let n = Atomic.get k in]) *)
   let frames = ref [] in
-  let push () = frames := ref [] :: !frames in
+  let push () = frames := (ref [], ref []) :: !frames in
   let pop () =
     match !frames with
-    | top :: rest ->
+    | (top, _) :: rest ->
         frames := rest;
         let evs = List.rev !top in
         if evs <> [] then analyze evs
     | [] -> assert false
   in
   let record ev =
-    match !frames with top :: _ -> top := ev :: !top | [] -> ()
+    match !frames with (top, _) :: _ -> top := ev :: !top | [] -> ()
+  in
+  let alias name key =
+    match !frames with (_, al) :: _ -> al := (name, key) :: !al | [] -> ()
+  in
+  (* the atomic key a comparison operand reads: a get, or a name bound
+     to one in this frame *)
+  let operand_key a =
+    match get_key a with
+    | Some k -> Some k
+    | None -> (
+        match (ident_of_expr a, !frames) with
+        | Some [ name ], (_, al) :: _ -> List.assoc_opt name !al
+        | _ -> None)
   in
   let expr self e =
     match e.pexp_desc with
@@ -160,6 +186,14 @@ let iter_atomic_frames ~analyze structure =
         push ();
         default_iterator.expr self e;
         pop ()
+    | Pexp_let (_, vbs, _) ->
+        List.iter
+          (fun (vb : Parsetree.value_binding) ->
+            match (vb.pvb_pat.ppat_desc, get_key vb.pvb_expr) with
+            | Ppat_var { txt; _ }, Some k -> alias txt k
+            | _ -> ())
+          vbs;
+        default_iterator.expr self e
     | Pexp_apply (fn, ((_, a0) :: _ as args)) -> (
         match Option.bind (ident_of_expr fn) atomic_op_of with
         | Some (op, opname) ->
@@ -169,7 +203,18 @@ let iter_atomic_frames ~analyze structure =
             List.iter (fun (_, a) -> self.expr self a) args;
             let line, col = pos_of e.pexp_loc in
             record { op; opname; key = expr_key a0; line; col }
-        | None -> default_iterator.expr self e)
+        | None -> (
+            default_iterator.expr self e;
+            match ident_of_expr fn with
+            | Some [ cmp ] when List.mem cmp comparisons ->
+                let line, col = pos_of e.pexp_loc in
+                List.iter
+                  (fun (_, a) ->
+                    match operand_key a with
+                    | Some key -> record { op = Acmp; opname = cmp; key; line; col }
+                    | None -> ())
+                  args
+            | _ -> ()))
     | _ -> default_iterator.expr self e
   in
   let it = { default_iterator with expr } in

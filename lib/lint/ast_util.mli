@@ -44,7 +44,14 @@ val defined_module_names : Parsetree.structure -> string list
     keyed on a bare stdlib module path ([Mutex.lock]) stand down when
     the file shadows that module with its own definition. *)
 
-type atomic_op = Aget | Aset | Aupd
+type atomic_op =
+  | Aget
+  | Aset
+  | Acas  (** compare_and_set, exchange *)
+  | Afaa  (** fetch_and_add, incr, decr *)
+  | Acmp
+      (** a comparison ([<], [=], [compare], ...) with an operand that
+          is an [Atomic.get] or a name bound to one in this frame *)
 
 type aevent = {
   op : atomic_op;
@@ -57,6 +64,5 @@ type aevent = {
 val iter_atomic_frames : analyze:(aevent list -> unit) -> Parsetree.structure -> unit
 (** Call [analyze] once per function body (and once for module-level
     code) with that frame's [Atomic.*] operations in source order.
-    Nested [fun]s open fresh frames.  [Aupd] covers the atomic
-    read-modify-write family (compare_and_set, exchange, fetch_and_add,
-    incr, decr). *)
+    Nested [fun]s open fresh frames.  A comparison's [Acmp] event comes
+    after the [Aget]s inside its operands. *)

@@ -16,6 +16,11 @@
      (Buggy_reactor.post, Buggy_completion.finish): a stale read
      followed by a store lets a concurrent CAS land in the window and
      be silently overwritten -- the classic lost wakeup.
+   - atomic-check-then-faa: the check-then-act sibling -- a compared
+     Atomic.get, then a fetch_and_add on the same atomic with no CAS
+     between: two threads both pass the check, and the bound it
+     enforces is breached (Buggy_conn_slots.reserve, the old
+     Tcp_server max_conns race).
    - syscall-consistency: the paper's Section IV guarantee.  The
      simulation stack must stay host-syscall-free (its syscalls are
      simulated in lib/oskernel), and thread-keyed syscalls in real
@@ -178,7 +183,8 @@ let atomic_get_then_set =
               (fun (ev : aevent) ->
                 match ev.op with
                 | Aget -> Hashtbl.replace pending ev.key true
-                | Aupd -> Hashtbl.replace pending ev.key false
+                | Acas | Afaa -> Hashtbl.replace pending ev.key false
+                | Acmp -> ()
                 | Aset ->
                     if Hashtbl.find_opt pending ev.key = Some true then
                       acc :=
@@ -193,6 +199,52 @@ let atomic_get_then_set =
                               compare_and_set/exchange/fetch_and_add"
                              ev.key)
                         :: !acc)
+              evs);
+        List.sort Finding.order !acc);
+  }
+
+(* ---------- atomic-check-then-faa ---------- *)
+
+let atomic_check_then_faa =
+  {
+    name = "atomic-check-then-faa";
+    severity = Finding.Error;
+    doc =
+      "an Atomic.get whose value is compared (directly, or through a \
+       let-bound name) followed by an Atomic.fetch_and_add/incr/decr on \
+       the same atomic in one function body, with no interleaving \
+       compare_and_set/exchange on it: two threads can both pass the \
+       check before either adds, so a bound the check enforces is \
+       breached (the pre-CAS Tcp_server accept loop's max_conns race, \
+       seeded as Buggy_conn_slots.reserve).  Make the check and the \
+       update one CAS loop that moves n to n+1 only while the check \
+       holds.";
+    in_scope = (fun _ -> true);
+    check =
+      (fun ~file ast ->
+        let acc = ref [] in
+        iter_atomic_frames ast ~analyze:(fun evs ->
+            let checked = Hashtbl.create 8 in
+            List.iter
+              (fun (ev : aevent) ->
+                match ev.op with
+                | Acmp -> Hashtbl.replace checked ev.key true
+                | Acas -> Hashtbl.replace checked ev.key false
+                | Afaa ->
+                    if Hashtbl.find_opt checked ev.key = Some true then
+                      acc :=
+                        Finding.make ~rule:"atomic-check-then-faa"
+                          ~severity:Finding.Error ~file ~line:ev.line
+                          ~col:ev.col
+                          (Printf.sprintf
+                             "Atomic.%s %s after comparing an Atomic.get of \
+                              it in the same function with no interleaving \
+                              CAS: two threads can both pass the check \
+                              before either updates (check-then-act); use \
+                              a compare_and_set loop"
+                             ev.opname ev.key)
+                        :: !acc
+                | Aget | Aset -> ())
               evs);
         List.sort Finding.order !acc);
   }
@@ -312,6 +364,7 @@ let ast_rules =
     blocking_in_fiber;
     raw_mutex_in_fiber;
     atomic_get_then_set;
+    atomic_check_then_faa;
     syscall_consistency;
     raw_fd_in_proc;
   ]
@@ -434,6 +487,7 @@ let catalog =
     (missed_cancellation_name, Finding.Warning, missed_cancellation_doc);
     (raw_mutex_in_fiber.name, raw_mutex_in_fiber.severity, raw_mutex_in_fiber.doc);
     (atomic_get_then_set.name, atomic_get_then_set.severity, atomic_get_then_set.doc);
+    (atomic_check_then_faa.name, atomic_check_then_faa.severity, atomic_check_then_faa.doc);
     (seam_name, Finding.Error, seam_doc);
     (syscall_consistency.name, syscall_consistency.severity, syscall_consistency.doc);
     (raw_fd_in_proc.name, raw_fd_in_proc.severity, raw_fd_in_proc.doc);

@@ -16,6 +16,7 @@ val fiber_scope : string list -> bool
 
 val blocking_in_fiber : ast_rule
 val atomic_get_then_set : ast_rule
+val atomic_check_then_faa : ast_rule
 val syscall_consistency : ast_rule
 val raw_fd_in_proc : ast_rule
 

@@ -1158,6 +1158,220 @@ let table_add_remove_race () =
       if Ptab.length t <> 1 then
         failwith (Printf.sprintf "proc-table: size %d" (Ptab.length t)) )
 
+(* ---------- the KC pool: lease on first couple, recycle at finish ---- *)
+
+(* Parameterized over the pool so the same scenario drives the faithful
+   Kc_pool copy and the seeded exit-time-push twin. *)
+module type KC_POOL = sig
+  type 'kc t
+
+  val create : unit -> 'kc t
+  val lease : 'kc t -> create:(unit -> 'kc) -> 'kc
+
+  val recycle :
+    'kc t ->
+    reset_if_idle:('kc -> bool) ->
+    submit:('kc -> (unit -> unit) -> unit) ->
+    reset:('kc -> unit) ->
+    'kc ->
+    unit
+
+  val all : 'kc t -> 'kc list
+end
+
+(* A simulated KC: an executor's FIFO mailbox.  Every mailbox operation
+   is one traced step on [kobj], as each real one is one critical
+   section under the executor's mutex.  [owner] is the live fiber that
+   holds the lease. *)
+type sim_kc = {
+  kid : int;
+  kobj : int;
+  mutable jobs : (unit -> unit) list; (* oldest first *)
+  mutable running : bool;
+  mutable closed : bool;
+  mutable failures : int;
+  mutable owner : string option;
+}
+
+let kc_step kc note kind f = Sched.atomic_step ~kind ~obj:kc.kobj ~note f
+
+let kc_submit kc job =
+  kc_step kc "submit" Sched.Set (fun () -> kc.jobs <- kc.jobs @ [ job ])
+
+let kc_reset kc = kc_step kc "reset" Sched.Set (fun () -> kc.failures <- 0)
+
+let kc_reset_if_idle kc =
+  kc_step kc "reset_if_idle" Sched.Cas (fun () ->
+      let idle = kc.jobs = [] && not kc.running in
+      if idle then kc.failures <- 0;
+      idle)
+
+(* The KC thread: run jobs in FIFO order until closed and drained. *)
+let rec kc_serve kc =
+  Sched.wait_until ~on:kc.kobj (fun () -> kc.jobs <> [] || kc.closed);
+  match
+    kc_step kc "take" Sched.Exchange (fun () ->
+        match kc.jobs with
+        | job :: rest ->
+            kc.jobs <- rest;
+            kc.running <- true;
+            Some job
+        | [] -> None)
+  with
+  | None -> ()
+  | Some job ->
+      job ();
+      kc_step kc "idle" Sched.Set (fun () -> kc.running <- false);
+      kc_serve kc
+
+(* Two owners exit while two fibers lease.  A exits with a raw job (one
+   that raises) still queued on its KC; B's KC is idle.  C and D each
+   lease a KC -- a recycled one or a new one -- and queue one coupled
+   section on it.  Invariants: a KC is never leased to two live fibers,
+   a job runs only while its own fiber holds the lease (or nobody
+   does), a new lease starts with a clean failure record, and at
+   quiescence every KC the pool made is leased or free, exactly once
+   (the KC threads have drained every recycle job by then).  The
+   seeded twin pushes A's KC at A's exit, so A's job can run under C's
+   or D's lease. *)
+let kc_pool_lease_vs_exit (module P : KC_POOL) () =
+  let kcs =
+    Array.init 4 (fun kid ->
+        {
+          kid;
+          kobj = Sched.fresh_obj ();
+          jobs = [];
+          running = false;
+          closed = false;
+          failures = 0;
+          owner = None;
+        })
+  in
+  let made = ref 0 in
+  let make () =
+    let kc = kcs.(!made) in
+    incr made;
+    kc
+  in
+  let pool = P.create () in
+  let owned_job kc who f () =
+    let check () =
+      match kc.owner with
+      | Some o when o <> who ->
+          failwith
+            (Printf.sprintf "kc-pool: %s's job ran on KC %d under %s's lease"
+               who kc.kid o)
+      | _ -> ()
+    in
+    check ();
+    (* the job's syscall: other threads may run while it is in flight *)
+    kc_step kc "job" Sched.Get ignore;
+    check ();
+    f ()
+  in
+  let lease who =
+    let kc = P.lease pool ~create:make in
+    (match kc.owner with
+    | Some o ->
+        failwith
+          (Printf.sprintf "kc-pool: KC %d leased to both %s and %s" kc.kid o
+             who)
+    | None -> ());
+    if kc.failures <> 0 then
+      failwith
+        (Printf.sprintf "kc-pool: %s inherits %d failure(s) on KC %d" who
+           kc.failures kc.kid);
+    kc.owner <- Some who;
+    kc
+  in
+  let a = lease "A" and b = lease "B" in
+  kc_submit a (owned_job a "A" (fun () -> a.failures <- a.failures + 1));
+  let finished = Atomic'.make 0 in
+  let done_one () =
+    if Atomic'.fetch_and_add finished 1 = 3 then
+      Array.iter
+        (fun kc -> kc_step kc "close" Sched.Set (fun () -> kc.closed <- true))
+        kcs
+  in
+  let exit kc () =
+    kc.owner <- None;
+    P.recycle pool ~reset_if_idle:kc_reset_if_idle ~submit:kc_submit
+      ~reset:kc_reset kc;
+    done_one ()
+  in
+  let couple who () =
+    let kc = lease who in
+    kc_submit kc (owned_job kc who ignore);
+    done_one ()
+  in
+  ( [ exit a; exit b; couple "C"; couple "D" ]
+    @ Array.to_list (Array.map (fun kc () -> kc_serve kc) kcs),
+    fun () ->
+      let rec drain acc =
+        match P.lease pool ~create:(fun () -> raise Exit) with
+        | kc -> drain (kc :: acc)
+        | exception Exit -> acc
+      in
+      let free = drain [] in
+      List.iter
+        (fun kc ->
+          match (kc.owner, List.length (List.filter (( == ) kc) free)) with
+          | Some ("C" | "D"), 0 | None, 1 -> ()
+          | owner, n ->
+              failwith
+                (Printf.sprintf "kc-pool: KC %d (owner %s) on the free list %d times"
+                   kc.kid
+                   (Option.value owner ~default:"none")
+                   n))
+        (P.all pool);
+      if List.length free + 2 <> List.length (P.all pool) then
+        failwith "kc-pool: the free list holds a KC the pool never made" )
+
+(* ---------- Tcp_server's max_conns slot: accept loops vs retire ----- *)
+
+module type CONN_SLOTS = sig
+  val reserve : int Atomic'.t -> cap:int -> int
+  val release : int Atomic'.t -> int
+end
+
+(* At max_conns = 1 with one connection live, that connection retires
+   while two accept loops (one per reactor shard) each try twice for a
+   slot; a loop that gets one holds a connection, then retires it.  The
+   cap must never be exceeded and every slot must come back.  The
+   seeded check-then-act twin lets both loops read 0 < 1 after the
+   retire and both add one. *)
+let slots_accept_vs_retire (module S : CONN_SLOTS) () =
+  let cap = 1 in
+  let active = Atomic'.make 1 in
+  let live = ref 1 and served = Atomic'.make 0 in
+  let accept_loop () =
+    for _ = 1 to 2 do
+      match S.reserve active ~cap with
+      | 0 -> ()
+      | _ ->
+          incr live;
+          if !live > cap then
+            failwith
+              (Printf.sprintf "max_conns=%d breached: %d live" cap !live);
+          (* the connection is served: the other loop may run meanwhile *)
+          Atomic'.incr served;
+          decr live;
+          ignore (S.release active)
+    done
+  in
+  ( [
+      accept_loop;
+      accept_loop;
+      (fun () ->
+        decr live;
+        ignore (S.release active));
+    ],
+    fun () ->
+      if Atomic'.peek active <> 0 then
+        failwith
+          (Printf.sprintf "max_conns: %d slot(s) never came back"
+             (Atomic'.peek active)) )
+
 (* ---------- the model-checked assertions ---------- *)
 
 let adq : (module DEQUE) = (module Adq)
@@ -1170,6 +1384,10 @@ let idle : (module IDLE) = (module Check.Idle_waker)
 let buggy_idle : (module IDLE) = (module Check.Buggy_shard)
 let elastic : (module ELASTIC) = (module Check.Elastic)
 let buggy_elastic : (module ELASTIC) = (module Check.Buggy_elastic)
+let kc_pool : (module KC_POOL) = (module Check.Kc_pool)
+let buggy_kc_pool : (module KC_POOL) = (module Check.Buggy_kc_pool)
+let slots : (module CONN_SLOTS) = (module Check.Conn_slots)
+let buggy_slots : (module CONN_SLOTS) = (module Check.Buggy_conn_slots)
 
 let test_pop_steal_race () =
   let stats = expect_pass "pop-vs-steal" (Sched.check (pop_steal_race adq)) in
@@ -1631,6 +1849,43 @@ let test_buggy_wait_caught =
     ~faithful:(wait_exit_vs_waiter good_wait)
     ~expect_reason:"Deadlock"
 
+(* ---------- the KC pool and the max_conns slot ---------- *)
+
+let test_kc_pool_lease_vs_exit () =
+  ignore
+    (expect_pass "kc-pool-lease-vs-exit"
+       (Sched.check ~max_schedules:20_000 (kc_pool_lease_vs_exit kc_pool)));
+  match
+    Sched.fuzz ~runs:2_000 ~seed:Test_seed.seed (kc_pool_lease_vs_exit kc_pool)
+  with
+  | Sched.Fuzz_pass _ -> ()
+  | Sched.Fuzz_bug f ->
+      Sched.dump_failure ~file:trace_file f;
+      Sched.print_failure f;
+      Alcotest.failf "kc-pool: fuzzed schedule failed (dumped to %s)" trace_file
+
+(* Pushing a busy KC at its owner's exit runs the dead owner's queued
+   job under the next lease. *)
+let test_buggy_kc_pool_caught =
+  twin_caught "buggy-kc-pool-recycle"
+    ~buggy:(kc_pool_lease_vs_exit buggy_kc_pool)
+    ~faithful:(kc_pool_lease_vs_exit kc_pool)
+    ~expect_reason:"kc-pool"
+
+let test_slots_accept_vs_retire () =
+  let stats =
+    expect_pass "slots-accept-vs-retire"
+      (Sched.check (slots_accept_vs_retire slots))
+  in
+  Alcotest.(check bool) "exhaustive" true stats.Sched.complete
+
+(* The check-then-act reserve lets both accept loops past the cap. *)
+let test_buggy_slots_caught =
+  twin_caught "buggy-conn-slots-reserve"
+    ~buggy:(slots_accept_vs_retire buggy_slots)
+    ~faithful:(slots_accept_vs_retire slots)
+    ~expect_reason:"max_conns=1 breached"
+
 (* ---------- the checker catches the seeded bug ---------- *)
 
 let test_buggy_deque_caught () =
@@ -1883,6 +2138,20 @@ let () =
           Alcotest.test_case "two receivers" `Quick test_channel_two_receivers;
           Alcotest.test_case "forgotten close = deadlock" `Quick
             test_deadlock_detected;
+        ] );
+      ( "kc-pool",
+        [
+          Alcotest.test_case "owners exit while fibers lease" `Quick
+            test_kc_pool_lease_vs_exit;
+          Alcotest.test_case "exit-time push runs a dead owner's job" `Quick
+            test_buggy_kc_pool_caught;
+        ] );
+      ( "conn-slots",
+        [
+          Alcotest.test_case "accept loops racing retire keep max_conns" `Quick
+            test_slots_accept_vs_retire;
+          Alcotest.test_case "check-then-act reserve breaches max_conns"
+            `Quick test_buggy_slots_caught;
         ] );
       ( "couple",
         [

@@ -1190,6 +1190,120 @@ let prop_yield_count_independent_of_interleaving =
    counterexample reproduces with TEST_SEED=<n>. *)
 let qcheck t = QCheck_alcotest.to_alcotest ~rand:(Test_seed.rand_state ()) t
 
+(* ---------- the KC pool: lease on first couple, recycle at finish ---------- *)
+
+let kc_tid () = Blt_rt.coupled (fun () -> Thread.id (Thread.self ()))
+
+(* Park the calling fiber until [e] has run every job queued on it so
+   far: a finished owner's recycle job included, so the KC is back in
+   the pool when this returns. *)
+let drain_kc e = Fiber.suspend (fun wake -> Executor.submit e wake)
+
+(* Fibers that couple one after another reuse the same few KCs instead
+   of each leaving an OS thread behind.  Two, not one: on two domains a
+   fiber can finish before its KC thread has left its last coupled
+   section, and then the KC comes back through a recycle job that the
+   next lease may beat. *)
+let test_pool_sequential_reuse () =
+  let tids = ref [] in
+  Fiber.run_parallel ~domains:2 (fun () ->
+      for _ = 1 to 200 do
+        Fiber.join (Fiber.spawn (fun () -> tids := kc_tid () :: !tids))
+      done);
+  Alcotest.(check int) "200 coupled sections" 200 (List.length !tids);
+  let distinct = List.length (List.sort_uniq compare !tids) in
+  if distinct > 2 then
+    Alcotest.failf "200 sequential fibers used %d KC threads, want <= 2" distinct
+
+(* Live fibers never share a KC, and each keeps its own across
+   suspensions and migrations.  Every fiber stays alive until all of
+   them have coupled once, so all leases overlap. *)
+let test_pool_live_isolation () =
+  let k = 8 in
+  let first = Array.make k (-1) and second = Array.make k (-2) in
+  let coupled_once = Atomic.make 0 in
+  Fiber.run_parallel ~domains:2 (fun () ->
+      let fs =
+        List.init k (fun i ->
+            Fiber.spawn (fun () ->
+                first.(i) <- kc_tid ();
+                Atomic.incr coupled_once;
+                while Atomic.get coupled_once < k do
+                  Fiber.yield ()
+                done;
+                second.(i) <- kc_tid ()))
+      in
+      List.iter Fiber.join fs);
+  Alcotest.(check int) "K distinct KCs" k
+    (List.length (List.sort_uniq compare (Array.to_list first)));
+  Array.iteri
+    (fun i tid -> Alcotest.(check int) "same KC both times" tid second.(i))
+    first
+
+(* A recycled KC carries no failure record into its next lease. *)
+let test_pool_clean_failure_record () =
+  Fiber.run (fun () ->
+      let prev = ref None in
+      Fiber.join
+        (Fiber.spawn (fun () ->
+             let e = Blt_rt.my_executor () in
+             Executor.submit e (fun () -> failwith "previous owner's job");
+             ignore (Blt_rt.coupled (fun () -> ()));
+             Alcotest.(check int) "owner sees its failure" 1
+               (Blt_rt.kc_failures ());
+             prev := Some e));
+      let e = Option.get !prev in
+      drain_kc e;
+      Fiber.join
+        (Fiber.spawn (fun () ->
+             Alcotest.(check int) "reused the only KC"
+               (Executor.thread_id e) (Blt_rt.original_kc_thread_id ());
+             Alcotest.(check int) "clean failure count" 0
+               (Blt_rt.kc_failures ());
+             Alcotest.(check bool) "no last error" true
+               (Blt_rt.kc_last_error () = None))))
+
+(* A raw job a fiber queued just before exiting runs before the next
+   owner of that KC gets its first coupled section.  Each probe fiber
+   holds its KC until the end, so the probes cannot keep reusing one
+   KC among themselves: the dead owner's KC is the only one that can
+   come back, and the probes keep leasing until it does. *)
+let test_pool_fifo_drain () =
+  let ran = Atomic.make false in
+  let reports = ref [] in
+  Fiber.run (fun () ->
+      let owner_tid = ref (-1) in
+      Fiber.join
+        (Fiber.spawn (fun () ->
+             owner_tid := Blt_rt.original_kc_thread_id ();
+             Executor.submit (Blt_rt.my_executor ()) (fun () ->
+                 Thread.delay 0.02;
+                 Atomic.set ran true)));
+      let ch = Fiber_rt.Channel.create ~capacity:1 () in
+      let release = ref [] in
+      let rec probe n =
+        if n = 0 then Alcotest.fail "the dead owner's KC never came back";
+        ignore
+          (Fiber.spawn (fun () ->
+               Fiber_rt.Channel.send ch
+                 (Blt_rt.coupled (fun () ->
+                      Thread.delay 0.002;
+                      (Thread.id (Thread.self ()), Atomic.get ran)));
+               Fiber.suspend (fun wake -> release := wake :: !release)));
+        match Fiber_rt.Channel.recv ch with
+        | Some ((tid, _) as r) ->
+            reports := r :: !reports;
+            if tid <> !owner_tid then probe (n - 1)
+        | None -> assert false
+      in
+      probe 200;
+      List.iter (fun wake -> wake ()) !release);
+  match !reports with
+  | (_, ran_first) :: _ ->
+      Alcotest.(check bool) "raw job ran before the next owner's section"
+        true ran_first
+  | [] -> Alcotest.fail "no probe reported"
+
 let () =
   Test_seed.announce "test_fiber_rt";
   Alcotest.run "fiber_rt"
@@ -1289,6 +1403,15 @@ let () =
             test_sleep_does_not_stall_scheduler;
           Alcotest.test_case "many coupled fibers" `Quick
             test_many_fibers_coupled_concurrently;
+        ] );
+      ( "kc pool",
+        [
+          Alcotest.test_case "sequential reuse" `Quick
+            test_pool_sequential_reuse;
+          Alcotest.test_case "live isolation" `Quick test_pool_live_isolation;
+          Alcotest.test_case "clean failure record" `Quick
+            test_pool_clean_failure_record;
+          Alcotest.test_case "FIFO drain" `Quick test_pool_fifo_drain;
         ] );
       ( "channels",
         [

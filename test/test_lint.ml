@@ -81,6 +81,20 @@ let test_get_then_set () =
   check_n r ~file:(fx "ags/ags_waived.ml") ~rule 0;
   check_n ~waived:true r ~file:(fx "ags/ags_waived.ml") ~rule 1
 
+(* ---------- atomic-check-then-faa ---------- *)
+
+let test_check_then_faa () =
+  let r = Driver.run ~roots:[ fx "ctf" ] () in
+  let rule = "atomic-check-then-faa" in
+  (* two: the pre-CAS accept loop's fetch_and_add, and the incr after a
+     let-bound read *)
+  check_n r ~file:(fx "ctf/ctf_bad.ml") ~rule 2;
+  check_n r ~file:(fx "ctf/ctf_good.ml") ~rule 0;
+  check_n r ~file:(fx "ctf/ctf_waived.ml") ~rule 0;
+  check_n ~waived:true r ~file:(fx "ctf/ctf_waived.ml") ~rule 1;
+  (* the sibling rule does not double-report: no set, no get-then-set *)
+  check_n r ~file:(fx "ctf/ctf_bad.ml") ~rule:"atomic-get-then-set" 0
+
 (* ---------- syscall-consistency ---------- *)
 
 let test_syscall () =
@@ -260,6 +274,10 @@ let test_redetect_seeded_bugs () =
     (unwaived "buggy_scope.ml");
   (* Buggy_fd: the get-then-set pair (retain resurrects, release leaks) *)
   Alcotest.(check int) "buggy_fd refcount races" 2 (unwaived "buggy_fd.ml");
+  (* Buggy_conn_slots.reserve: the check-then-act max_conns race *)
+  Alcotest.(check int) "buggy_conn_slots check-then-act" 1
+    (List.length
+       (hits r ~file:"lib/check/buggy_conn_slots.ml" ~rule:"atomic-check-then-faa"));
   (* Buggy_wait.finish publishes over a stale waiter list *)
   Alcotest.(check int) "buggy_wait lost wakeup" 1 (unwaived "buggy_wait.ml");
   (* Buggy_lockorder: credit takes A->B, debit takes B->A; both edges
@@ -358,6 +376,8 @@ let () =
           Alcotest.test_case "blocking-in-fiber" `Quick test_blocking;
           Alcotest.test_case "raw-mutex-in-fiber" `Quick test_raw_mutex;
           Alcotest.test_case "atomic-get-then-set" `Quick test_get_then_set;
+          Alcotest.test_case "atomic-check-then-faa" `Quick
+            test_check_then_faa;
           Alcotest.test_case "syscall-consistency" `Quick test_syscall;
           Alcotest.test_case "raw-fd-in-proc" `Quick test_raw_fd;
           Alcotest.test_case "seam-bypass" `Quick test_seam;

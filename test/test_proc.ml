@@ -478,6 +478,38 @@ let test_multidomain_stress () =
         kids;
       Alcotest.(check int) "table drained to the root" 1 (Proc.live_procs w))
 
+(* ---------- ULPs and the KC pool ---------- *)
+
+let count_tasks () =
+  match Sys.readdir "/proc/self/task" with
+  | entries -> Some (Array.length entries)
+  | exception Sys_error _ -> None
+
+(* ULPs that couple one after another share a few recycled KC threads;
+   each one holding its own OS thread until the run ended grew the
+   process by one thread per ULP. *)
+let test_coupled_ulps_recycle_kcs () =
+  match count_tasks () with
+  | None -> ()
+  | Some _ ->
+      let baseline = ref 0 and peak = ref 0 in
+      run2 (fun () ->
+          let w = Proc.boot () in
+          let u0 = Proc.root w in
+          baseline := Option.get (count_tasks ());
+          for _ = 1 to 500 do
+            let c =
+              Proc.spawn ~parent:u0 (fun _ ->
+                  ignore (Fiber_rt.Blt_rt.coupled (fun () -> ())))
+            in
+            Alcotest.(check status) "coupled ULP exited" (Proc.Exited 0)
+              (wait_ok ~parent:u0 ~vpid:(Proc.getpid c));
+            peak := max !peak (Option.get (count_tasks ()))
+          done);
+      if !peak > !baseline + 8 then
+        Alcotest.failf "OS threads grew from %d to %d across 500 coupled ULPs"
+          !baseline !peak
+
 let () =
   Test_seed.announce "test_proc";
   Alcotest.run "proc"
@@ -501,6 +533,8 @@ let () =
             test_io_share_pipe_across_ulps;
           Alcotest.test_case "no fd leak across 1000 spawn/exit cycles"
             `Slow test_io_fd_leak_gate_1000_spawns;
+          Alcotest.test_case "coupled ULPs recycle KC threads" `Quick
+            test_coupled_ulps_recycle_kcs;
         ] );
       ( "wait",
         [

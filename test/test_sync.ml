@@ -297,6 +297,7 @@ let test_condition_bounded_buffer () =
                   (match Queue.take_opt buf with
                   | Some v ->
                       ignore (Atomic.fetch_and_add sum v);
+                      (* ulplint: allow atomic-check-then-faa -- the wait-loop check and this add both run under Sync.Mutex m, so no other consumer can act in between *)
                       if Atomic.fetch_and_add consumed 1 + 1 >= stop then
                         (* Everything is consumed: flush the sibling
                            consumers still parked on [not_empty]. *)
