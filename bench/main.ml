@@ -743,9 +743,9 @@ let run_real () =
 (* ---------------------------------------------------------------- *)
 
 (* Spawn/join fan-out, recursive fork-join (work_steal_tree), yield
-   churn, cross-domain ping-pong, and the sync scenarios (contended
-   Mutex counter, read-mostly rwlock, barrier phases)
-   on [Fiber.run_parallel] for 1, 2 and 4 domains.  Every configuration
+   churn, cross-domain ping-pong, the contended Sync.Mutex counter and
+   the lib/proc cost pairs on [Fiber.run_parallel] for 1, 2 and 4
+   domains.  Every configuration
    runs [warmup] discarded rounds plus [reps] measured repetitions; the
    table and the JSON report median and p99 wall-clock per config, not
    a single sample.  Results go to BENCH_parallel.json (schema
@@ -851,9 +851,6 @@ let run_parallel_bench ~quick ~diff () =
   let msgs = if quick then 2_000 else 20_000 in
   let sfibers = if quick then 8 else 16 in
   let siters = if quick then 1_000 else 4_000 in
-  let readers = 8 in
-  let reads = if quick then 2_000 else 10_000 in
-  let phases = if quick then 500 else 2_000 in
   (* proc rows: spawn cost and fd-table indirection at 1k (quick) to
      10k (full) CONCURRENT ULPs.  [rounds] repeats the spawn-and-reap
      pass so the bare-fiber baseline row clears timer noise; [fd_writes]
@@ -878,10 +875,6 @@ let run_parallel_bench ~quick ~diff () =
         (fun ~domains -> Par_workload.ping_pong ~domains ~msgs);
         (fun ~domains ->
           Par_workload.sync_mutex ~domains ~fibers:sfibers ~iters:siters);
-        (fun ~domains ->
-          Par_workload.sync_rwlock ~domains ~readers ~reads ~ratio:64);
-        (fun ~domains ->
-          Par_workload.sync_barrier ~domains ~parties:8 ~phases ~work:50);
         (* lib/proc cost pairs: ULP spawn+reap vs bare fibers, and
            1-byte writes through the private fd table (one shared
            /dev/null handle refcounted into every ULP's namespace) vs

@@ -1,12 +1,15 @@
-(** Fiber-aware synchronization primitives.
+(** The fiber lock: one {!Mutex} and its {!Condition}.
 
-    Blocking here parks the {e fiber} ({!Fiber.suspend_token}), never
-    the worker domain; wake-ups are ownership handoffs routed through
-    {!Fiber.Wake.fire_to} to the worker that parked the waiter.  Every
-    primitive keeps its state in one [Atomic.t] walked by CAS and is
-    recompiled inside [lib/check] against the traced shims, where a
-    seeded-bug twin proves the checker can see the races this code
-    avoids.
+    This is the lock a ULP body holds while it runs in the shared
+    address space, and the one the [raw-mutex-in-fiber],
+    [park-while-locked] and [lock-order-inversion] lint rules send
+    fiber code to.  Blocking here parks the {e fiber}
+    ({!Fiber.suspend_token}), never the worker domain; wake-ups are
+    ownership handoffs routed through {!Fiber.Wake.fire_to} to the
+    worker that parked the waiter.  Both keep their state in one
+    [Atomic.t] walked by CAS and are recompiled inside [lib/check]
+    against the traced shims, where a seeded-bug twin proves the
+    checker can see the races this code avoids.
 
     A blocking acquire that fails its first try retries a bounded
     number of times before it parks, but only when the run has more
@@ -35,41 +38,6 @@ module Mutex : sig
   val with_lock : t -> (unit -> 'a) -> 'a
 end
 
-module Semaphore : sig
-  type t
-
-  val create : int -> t
-  (** [create permits].  @raise Invalid_argument if negative. *)
-
-  val acquire : t -> unit
-  val try_acquire : t -> bool
-
-  val release : t -> unit
-  (** With parked acquirers the permit is handed to the oldest waiter
-      and [available] is unchanged. *)
-
-  val available : t -> int
-  val with_acquire : t -> (unit -> 'a) -> 'a
-end
-
-module Rwlock : sig
-  (** Writer-preferring on entry (readers park behind a queued writer),
-      batch-waking on exit (a write release admits every parked reader
-      in one CAS before the next writer) — so neither side starves. *)
-
-  type t
-
-  val create : unit -> t
-  val acquire_read : t -> unit
-  val try_acquire_read : t -> bool
-  val release_read : t -> unit
-  val acquire_write : t -> unit
-  val try_acquire_write : t -> bool
-  val release_write : t -> unit
-  val with_read : t -> (unit -> 'a) -> 'a
-  val with_write : t -> (unit -> 'a) -> 'a
-end
-
 module Condition : sig
   (** Use with {!Mutex}: [wait] atomically publishes the waiter before
       releasing the mutex (both inside the park registration), closing
@@ -89,22 +57,4 @@ module Condition : sig
   (** Wake the oldest waiter, if any. *)
 
   val broadcast : t -> unit
-end
-
-module Barrier : sig
-  type t
-
-  val create : int -> t
-  (** [create parties].  @raise Invalid_argument if [< 1]. *)
-
-  val await : t -> unit
-  (** Park until [parties] fibers have arrived; the last arrival swings
-      the barrier to the next generation (reset + generation bump in
-      one CAS) and wakes the rest, so the barrier is immediately
-      reusable for the next phase. *)
-
-  val parties : t -> int
-
-  val phase : t -> int
-  (** Completed generations so far. *)
 end

@@ -38,18 +38,15 @@ type t = {
 (* Calls that park the calling FIBER (yielding the worker to the next
    runnable one).  Parking is fine on its own -- it is the whole point
    of the runtime -- but not while holding a lock the waker needs.
-   Sync.Mutex.lock / Rwlock acquires are deliberately absent: nested
-   acquisition risk is lock-order-inversion's domain, and Pass 1
-   records them as acquires, not calls. *)
+   Sync.Mutex.lock is deliberately absent: nested acquisition risk is
+   lock-order-inversion's domain, and Pass 1 records it as an acquire,
+   not a call. *)
 let park_leaf path =
   match List.rev path with
   | ("yield" | "suspend" | "suspend_token" | "join") :: "Fiber" :: _ ->
       Some ("Fiber." ^ List.hd (List.rev path))
   | ("await" | "run") :: "Scope" :: _ -> Some ("Scope." ^ List.hd (List.rev path))
   | "wait" :: "Condition" :: _ -> Some "Condition.wait"
-  | "await" :: "Barrier" :: _ -> Some "Barrier.await"
-  | ("acquire" | "with_acquire") :: "Semaphore" :: _ ->
-      Some ("Semaphore." ^ List.hd (List.rev path))
   | ("send" | "recv" | "iter" | "fold") :: "Channel" :: _ ->
       Some ("Channel." ^ List.hd (List.rev path))
   | "waitpid" :: "Proc" :: _ -> Some "Proc.waitpid"

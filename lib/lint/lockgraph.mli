@@ -2,8 +2,8 @@
     lock-order-inversion (DESIGN.md section 5i).
 
     Lock identities are definition sites: only locks that resolve to a
-    module-level [let x = Mutex.create ()] (or [Sync.Mutex] /
-    [Sync.Rwlock]) binding enter the graph -- "file:line (Qual.name)"
+    module-level [let x = Mutex.create ()] (or [Sync.Mutex]) binding
+    enter the graph -- "file:line (Qual.name)"
     -- so the rule never conflates two records' [mutex] fields.  Edges
     come from direct nested acquisitions and from calls made with a
     lock held into functions that may (transitively) acquire another;

@@ -444,7 +444,7 @@ let park_while_locked_name = "park-while-locked"
 
 let park_while_locked_doc =
   "calling a may-park function (directly or transitively) while the \
-   held-lock summary says a mutex/rwlock is held: the fiber that must \
+   held-lock summary says a mutex is held: the fiber that must \
    take that lock to produce the wakeup can never run -- the classic \
    stall-every-fiber deadlock shape.  Condition.wait is exempt on its \
    own mutex (released atomically around the park); Sync.Mutex.lock \

@@ -22,9 +22,8 @@
    with an empty held set -- a closure may run on another domain or
    after the region ends (a suspend registration callback), so
    inheriting the ambient locks would be noise.  Two closures do
-   inherit: the body argument of [with_lock]/[with_read]/[with_write]/
-   [Mutex.protect], which runs exactly inside the acquisition, and a
-   let-bound local function, which this repo's idiom executes in place
+   inherit: the body argument of [with_lock]/[Mutex.protect], which
+   runs exactly inside the acquisition, and a let-bound local function, which this repo's idiom executes in place
    (channel.ml's [go] retry loops).  [Condition.wait c m] atomically
    releases [m] around the park, so [m] is subtracted from the held
    set at that call.  Callees are assumed lock-balanced. *)
@@ -32,12 +31,11 @@
 open Parsetree
 open Ast_util
 
-type lock_kind = Raw | Fiber_mutex | Fiber_rwlock
+type lock_kind = Raw | Fiber_mutex
 
 let kind_to_string = function
   | Raw -> "raw Mutex"
   | Fiber_mutex -> "Sync.Mutex"
-  | Fiber_rwlock -> "Sync.Rwlock"
 
 (* How a lock object was named at the use site.  Canonicalization to a
    definition-site identity needs the global lockdef table and happens
@@ -113,15 +111,15 @@ let blocking_leaf path =
 (* ---------- lock-operation classification ---------- *)
 
 type lock_op =
-  | Acquire      (* lock / acquire_read / acquire_write *)
-  | Release      (* unlock / release_read / release_write *)
-  | With         (* with_lock / with_read / with_write / protect *)
+  | Acquire      (* lock *)
+  | Release      (* unlock *)
+  | With         (* with_lock / protect *)
   | Cond_wait    (* Condition.wait c m: m released around the park *)
 
-(* [Sync.Mutex]/[Sync.Rwlock] operations are fiber locks wherever they
-   appear; a bare [Mutex] is the raw stdlib one unless the file shadows
-   [Mutex] with its own module (sync.ml's fiber mutex being the
-   motivating shadow). *)
+(* [Sync.Mutex] operations are fiber locks wherever they appear; a bare
+   [Mutex] is the raw stdlib one unless the file shadows [Mutex] with
+   its own module (sync.ml's fiber mutex being the motivating
+   shadow). *)
 let classify_lock_op ~shadows path =
   let has_sync = List.mem "Sync" path in
   let mutex_kind = if has_sync || shadows "Mutex" then Fiber_mutex else Raw in
@@ -131,12 +129,6 @@ let classify_lock_op ~shadows path =
       | "lock" -> Some (Acquire, mutex_kind)
       | "unlock" -> Some (Release, mutex_kind)
       | "with_lock" | "protect" -> Some (With, mutex_kind)
-      | _ -> None)
-  | op :: "Rwlock" :: _ -> (
-      match op with
-      | "acquire_read" | "acquire_write" -> Some (Acquire, Fiber_rwlock)
-      | "release_read" | "release_write" -> Some (Release, Fiber_rwlock)
-      | "with_read" | "with_write" -> Some (With, Fiber_rwlock)
       | _ -> None)
   | "wait" :: "Condition" :: _ when not (shadows "Condition") ->
       Some (Cond_wait, if has_sync then Fiber_mutex else Raw)
@@ -184,7 +176,7 @@ let rec fun_body e =
   | _ -> e
 
 let lock_create_kind e =
-  (* [let m = Mutex.create ()], [let l = Sync.Rwlock.create ()]; only a
+  (* [let m = Mutex.create ()], [let m = Sync.Mutex.create ()]; only a
      direct create names a definition site *)
   match e.pexp_desc with
   | Pexp_apply (fn_e, _) -> (
@@ -194,7 +186,6 @@ let lock_create_kind e =
           match List.rev p with
           | "create" :: "Mutex" :: _ ->
               Some (if List.mem "Sync" p then Fiber_mutex else Raw)
-          | "create" :: "Rwlock" :: _ -> Some Fiber_rwlock
           | _ -> None)
       | None -> None)
   | _ -> None

@@ -7,7 +7,7 @@
     held set; [with_lock]-style bodies and let-bound local functions
     inherit it; [Condition.wait c m] releases [m] around the park). *)
 
-type lock_kind = Raw | Fiber_mutex | Fiber_rwlock
+type lock_kind = Raw | Fiber_mutex
 
 val kind_to_string : lock_kind -> string
 

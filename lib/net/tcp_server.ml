@@ -43,68 +43,6 @@ type conn = {
 
 let detach c = c.detached <- true
 
-(* ---- per-tenant connection attribution ---- *)
-
-(* A fixed open-addressed table of (key, count) atomic pairs: handlers
-   serving a multi-tenant workload (one ULP per connection, keyed by
-   vpid -- or any small non-negative id) attribute each connection with
-   one [note_tenant] call.  Lock-free on both sides: note is a linear
-   probe + CAS claim + fetch-and-add, readers snapshot racily.  A full
-   table never blocks serving -- overflow notes land on a spill
-   counter instead of a key. *)
-module Tenants = struct
-  let slots = 1024
-  let empty_key = -1
-
-  type t = {
-    keys : int Atomic.t array;
-    counts : int Atomic.t array;
-    overflow : int Atomic.t; (* notes that found no free slot *)
-  }
-
-  let create () =
-    {
-      keys = Array.init slots (fun _ -> Atomic.make empty_key);
-      counts = Array.init slots (fun _ -> Atomic.make 0);
-      overflow = Atomic.make 0;
-    }
-
-  let note t key =
-    if key < 0 then invalid_arg "Tcp_server.note_tenant: negative key";
-    let h = key * 0x9E3779B1 land max_int mod slots in
-    let rec probe n =
-      if n >= slots then ignore (Atomic.fetch_and_add t.overflow 1)
-      else begin
-        let j = (h + n) mod slots in
-        let k = Atomic.get t.keys.(j) in
-        if k = key then ignore (Atomic.fetch_and_add t.counts.(j) 1)
-        else if k = empty_key then
-          if Atomic.compare_and_set t.keys.(j) empty_key key then
-            ignore (Atomic.fetch_and_add t.counts.(j) 1)
-          else probe n (* lost the claim: re-read slot j *)
-        else probe (n + 1)
-      end
-    in
-    probe 0
-
-  let loads t =
-    let acc = ref [] in
-    for j = slots - 1 downto 0 do
-      let k = Atomic.get t.keys.(j) in
-      (* a claimed slot's count may still read 0 mid-note; skip it *)
-      let c = Atomic.get t.counts.(j) in
-      if k <> empty_key && c > 0 then acc := (k, c) :: !acc
-    done;
-    !acc
-
-  let population t =
-    let n = ref 0 in
-    Array.iter (fun k -> if Atomic.get k <> empty_key then incr n) t.keys;
-    !n
-
-  let overflow t = Atomic.get t.overflow
-end
-
 type stats = {
   accepted : int;
   active : int;
@@ -114,8 +52,6 @@ type stats = {
   accept_retries : int;  (** accept-loop parks waiting for a free slot *)
   listeners : int;  (** accept loops *)
   reuseport : bool;  (** one socket per loop (vs one shared socket) *)
-  tenants : int;  (** distinct keys seen by [note_tenant] *)
-  tenant_overflow : int;  (** notes dropped because the table was full *)
 }
 
 type t = {
@@ -134,7 +70,6 @@ type t = {
   completed : int Atomic.t;
   failed : int Atomic.t;
   accept_retries : int Atomic.t;
-  tenants : Tenants.t;
   (* the round-robin distributor: accepted connections' handlers are
      spawned on worker [fetch_and_add next_worker 1 mod domains] *)
   next_worker : int Atomic.t;
@@ -157,12 +92,8 @@ let stats t =
     accept_retries = Atomic.get t.accept_retries;
     listeners = t.n_loops;
     reuseport = t.reuseport;
-    tenants = Tenants.population t.tenants;
-    tenant_overflow = Tenants.overflow t.tenants;
   }
 
-let note_tenant t key = Tenants.note t.tenants key
-let tenant_loads t = Tenants.loads t.tenants
 let port t = t.port
 let active t = Atomic.get t.active
 
@@ -340,7 +271,6 @@ let start ~reactor ?(backlog = 128) ?(max_conns = max_int) ?listeners ~addr
       completed = Atomic.make 0;
       failed = Atomic.make 0;
       accept_retries = Atomic.make 0;
-      tenants = Tenants.create ();
       next_worker = Atomic.make 0;
       gates = Array.init n_loops (fun _ -> Readiness.create ());
       drained = Readiness.create ();

@@ -39,10 +39,6 @@ type stats = {
   accept_retries : int;  (** accept-loop parks waiting for a free slot *)
   listeners : int;  (** accept loops *)
   reuseport : bool;  (** one [SO_REUSEPORT] socket per loop *)
-  tenants : int;  (** distinct keys seen by {!note_tenant} *)
-  tenant_overflow : int;
-      (** {!note_tenant} calls dropped because the (fixed, 1024-slot)
-          attribution table was full *)
 }
 
 val start :
@@ -73,15 +69,3 @@ val port : t -> int
 
 val stats : t -> stats
 val active : t -> int
-
-val note_tenant : t -> int -> unit
-(** Attribute the current connection to tenant [key] — in the
-    one-ULP-per-connection topology (examples/multi_tenant.ml) the
-    serving ULP's vpid, but any small non-negative id works.  Lock-free
-    (linear probe + CAS claim + fetch-and-add on an open-addressed
-    atomic table); a full table spills to [tenant_overflow] rather than
-    blocking.  @raise Invalid_argument on a negative key. *)
-
-val tenant_loads : t -> (int * int) list
-(** Racy snapshot of [(key, connections attributed)] pairs, unordered;
-    counts only move up, so each entry is a lower bound at read time. *)

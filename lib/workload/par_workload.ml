@@ -145,56 +145,6 @@ let sync_mutex ~domains ~fibers ~iters =
       List.iter Fiber.join fs;
       assert (!counter = fibers * iters))
 
-(* Read-mostly rwlock: 1 writer bumping a pair of cells, [readers]
-   readers spinning read sections ([ratio] reads per write).  Measures
-   reader-side throughput while the writer-preferring entry keeps the
-   writer from starving. *)
-let sync_rwlock ~domains ~readers ~reads ~ratio =
-  let writes = max 1 (reads / max 1 ratio) in
-  with_stats ~name:"sync_rwlock_readmostly" ~domains
-    ~items:((readers * reads) + writes)
-    (fun () ->
-      let rw = Sync.Rwlock.create () in
-      let a = ref 0 and b = ref 0 in
-      let writer =
-        Fiber.spawn (fun () ->
-            for _ = 1 to writes do
-              Sync.Rwlock.with_write rw (fun () ->
-                  incr a;
-                  incr b);
-              Fiber.yield ()
-            done)
-      in
-      let rs =
-        List.init readers (fun _ ->
-            Fiber.spawn (fun () ->
-                for _ = 1 to reads do
-                  Sync.Rwlock.with_read rw (fun () ->
-                      if !a <> !b then failwith "torn read")
-                done))
-      in
-      List.iter Fiber.join rs;
-      Fiber.join writer)
-
-(* Barrier phases: [parties] fibers in lockstep over [phases]
-   generations, [work] opaque additions per fiber per phase.  The cost
-   of the full-rendezvous wake pattern (one arrival wakes parties-1
-   parked fibers per generation). *)
-let sync_barrier ~domains ~parties ~phases ~work =
-  with_stats ~name:"sync_barrier_phases" ~domains ~items:(parties * phases)
-    (fun () ->
-      let b = Sync.Barrier.create parties in
-      let fs =
-        List.init parties (fun _ ->
-            Fiber.spawn (fun () ->
-                for _ = 1 to phases do
-                  spin work;
-                  Sync.Barrier.await b
-                done))
-      in
-      List.iter Fiber.join fs;
-      assert (Sync.Barrier.phase b = phases))
-
 (* The speedup curve of the acceptance criteria: [spawn_join] at each
    domain count, plus the ratio to the 1-domain run. *)
 let speedup_curve ~domain_counts ~fibers ~work =

@@ -1,8 +1,9 @@
 (** Scaling workloads for the parallel fiber runtime (substrate S3):
     wall-clock micro-benchmarks of {!Fiber_rt.Fiber.run_parallel} —
-    spawn/join fan-out, yield churn, and cross-domain channel
-    ping-pong.  These run on the real machine, not the simulated one;
-    speedup beyond 1 domain requires real cores. *)
+    spawn/join fan-out, fork-join trees, yield churn, cross-domain
+    channel ping-pong and the contended {!Fiber_rt.Sync.Mutex}.  These
+    run on the real machine, not the simulated one; speedup beyond 1
+    domain requires real cores. *)
 
 type result = {
   name : string;
@@ -46,16 +47,6 @@ val sync_mutex : domains:int -> fibers:int -> iters:int -> result
     {!Fiber_rt.Sync.Mutex} [iters] times to bump a shared ref — pure
     handoff throughput under maximal contention.  The row keeps its
     historical name [sync_mutex_park]. *)
-
-val sync_rwlock :
-  domains:int -> readers:int -> reads:int -> ratio:int -> result
-(** Read-mostly rwlock: [readers] readers of [reads] sections each
-    against one writer doing one write per [ratio] reads. *)
-
-val sync_barrier :
-  domains:int -> parties:int -> phases:int -> work:int -> result
-(** [parties] fibers in lockstep across [phases] barrier generations,
-    [work] opaque additions per fiber per phase. *)
 
 val speedup_curve :
   domain_counts:int list -> fibers:int -> work:int -> (result * float) list

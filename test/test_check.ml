@@ -728,125 +728,6 @@ let mutex_exclusion ?(threads = 3) (module M : MUTEX) () =
     fun () ->
       if Atomic'.peek in_cs <> 0 then failwith "critical section not empty" )
 
-module type SEMAPHORE = sig
-  type t
-
-  val create : int -> t
-  val acquire : t -> unit
-  val release : t -> unit
-  val available : t -> int
-end
-
-module Good_sem : SEMAPHORE = struct
-  type t = Sy.Semaphore.t
-
-  let create = Sy.Semaphore.create
-  let acquire = Sy.Semaphore.acquire
-  let release = Sy.Semaphore.release
-  let available = Sy.Semaphore.available
-end
-
-module Bad_sem : SEMAPHORE = struct
-  type t = Bsy.Semaphore.t
-
-  let create = Bsy.Semaphore.create
-  let acquire = Bsy.Semaphore.acquire
-  let release = Bsy.Semaphore.release
-  let available = Bsy.Semaphore.available
-end
-
-(* Three acquirers over one permit: the gauge proves at most one holder
-   at a time, and the permit handoff chain must reach everyone — the
-   seeded get-then-set release wipes a registration and strands it. *)
-let semaphore_permits (module S : SEMAPHORE) () =
-  let s = S.create 1 in
-  let holders = Atomic'.make 0 in
-  let body () =
-    S.acquire s;
-    if Atomic'.fetch_and_add holders 1 <> 0 then
-      failwith "more holders than permits";
-    Atomic'.decr holders;
-    S.release s
-  in
-  ( [ body; body; body ],
-    fun () ->
-      if S.available s <> 1 then
-        failwith (Printf.sprintf "%d permits survive, want 1" (S.available s)) )
-
-module type RWLOCK = sig
-  type t
-
-  val create : unit -> t
-  val acquire_read : t -> unit
-  val release_read : t -> unit
-  val acquire_write : t -> unit
-  val release_write : t -> unit
-end
-
-module Good_rw : RWLOCK = struct
-  type t = Sy.Rwlock.t
-
-  let create = Sy.Rwlock.create
-  let acquire_read = Sy.Rwlock.acquire_read
-  let release_read = Sy.Rwlock.release_read
-  let acquire_write = Sy.Rwlock.acquire_write
-  let release_write = Sy.Rwlock.release_write
-end
-
-module Bad_rw : RWLOCK = struct
-  type t = Bsy.Rwlock.t
-
-  let create = Bsy.Rwlock.create
-  let acquire_read = Bsy.Rwlock.acquire_read
-  let release_read = Bsy.Rwlock.release_read
-  let acquire_write = Bsy.Rwlock.acquire_write
-  let release_write = Bsy.Rwlock.release_write
-end
-
-(* A writer against two readers, gauges on both sides: writers must see
-   zero readers and readers must see no writer, in every
-   interleaving of the park/handoff paths. *)
-let rwlock_exclusion (module RW : RWLOCK) () =
-  let rw = RW.create () in
-  let readers = Atomic'.make 0 and writing = Atomic'.make 0 in
-  let reader () =
-    RW.acquire_read rw;
-    Atomic'.incr readers;
-    if Atomic'.peek writing <> 0 then failwith "reader overlaps writer";
-    Atomic'.decr readers;
-    RW.release_read rw
-  in
-  let writer () =
-    RW.acquire_write rw;
-    if Atomic'.fetch_and_add writing 1 <> 0 then failwith "two writers";
-    if Atomic'.peek readers <> 0 then failwith "writer overlaps readers";
-    Atomic'.decr writing;
-    RW.release_write rw
-  in
-  ( [ reader; reader; writer ],
-    fun () ->
-      if Atomic'.peek readers <> 0 || Atomic'.peek writing <> 0 then
-        failwith "lock not quiescent" )
-
-(* The anti-starvation batch wake: the write lock is taken in the
-   setup, so both readers must park (or arrive after release); its
-   release must admit the WHOLE batch.  The seeded release_write wakes
-   only the oldest parked reader — the straggler never gets a wake it
-   is owed, and the checker reports the stranded park as deadlock. *)
-let rwlock_release_batch (module RW : RWLOCK) () =
-  let rw = RW.create () in
-  RW.acquire_write rw;
-  let served = Atomic'.make 0 in
-  let reader () =
-    RW.acquire_read rw;
-    Atomic'.incr served;
-    RW.release_read rw
-  in
-  ( [ (fun () -> RW.release_write rw); reader; reader ],
-    fun () ->
-      let n = Atomic'.peek served in
-      if n <> 2 then failwith (Printf.sprintf "%d readers served, want 2" n) )
-
 module type CONDVAR = sig
   type mutex
   type t
@@ -908,47 +789,6 @@ let condition_mailbox (module C : CONDVAR) () =
         C.unlock m);
     ],
     fun () -> if not (Atomic'.peek full) then failwith "mailbox still empty" )
-
-module type BARRIER = sig
-  type t
-
-  val create : int -> t
-  val await : t -> unit
-  val phase : t -> int
-end
-
-module Good_bar : BARRIER = struct
-  type t = Sy.Barrier.t
-
-  let create = Sy.Barrier.create
-  let await = Sy.Barrier.await
-  let phase = Sy.Barrier.phase
-end
-
-module Bad_bar : BARRIER = struct
-  type t = Bsy.Barrier.t
-
-  let create = Bsy.Barrier.create
-  let await = Bsy.Barrier.await
-  let phase = Bsy.Barrier.phase
-end
-
-(* Two parties crossing the barrier twice back-to-back: the reuse case
-   that needs the generation bump and count reset in ONE atomic swing.
-   The seeded twin wakes before resetting (and counts arrivals apart
-   from the waiter list), so an early-woken party re-arriving for phase
-   two can be wiped by the stale reset — a deadlock, or a phase count
-   that never reaches 2. *)
-let barrier_two_phases (module B : BARRIER) () =
-  let b = B.create 2 in
-  let body () =
-    B.await b;
-    B.await b
-  in
-  ( [ body; body ],
-    fun () ->
-      let p = B.phase b in
-      if p <> 2 then failwith (Printf.sprintf "phase %d after 2 rounds" p) )
 
 module type SCOPE = sig
   type t
@@ -1669,46 +1509,18 @@ let test_couple_vs_steal_buggy () =
 
 let good_mutex : (module MUTEX) = (module Good_mutex)
 let bad_mutex : (module MUTEX) = (module Bad_mutex)
-let good_sem : (module SEMAPHORE) = (module Good_sem)
-let bad_sem : (module SEMAPHORE) = (module Bad_sem)
-let good_rw : (module RWLOCK) = (module Good_rw)
-let bad_rw : (module RWLOCK) = (module Bad_rw)
 let good_cond : (module CONDVAR) = (module Good_cond)
 let bad_cond : (module CONDVAR) = (module Bad_cond)
-let good_bar : (module BARRIER) = (module Good_bar)
-let bad_bar : (module BARRIER) = (module Bad_bar)
 
 let test_mutex_exclusion () =
   ignore
     (expect_pass "mutex-exclusion (park)"
        (Sched.check ~max_schedules:8_000 (mutex_exclusion good_mutex)))
 
-let test_semaphore_permits () =
-  ignore
-    (expect_pass "semaphore-permits"
-       (Sched.check ~max_schedules:8_000 (semaphore_permits good_sem)))
-
-let test_rwlock_exclusion () =
-  ignore
-    (expect_pass "rwlock-exclusion"
-       (Sched.check ~max_schedules:12_000 (rwlock_exclusion good_rw)))
-
-let test_rwlock_release_batch () =
-  let stats =
-    expect_pass "rwlock-release-batch"
-      (Sched.check ~max_schedules:8_000 (rwlock_release_batch good_rw))
-  in
-  ignore stats
-
 let test_condition_mailbox () =
   ignore
     (expect_pass "condition-mailbox"
        (Sched.check ~max_schedules:8_000 (condition_mailbox good_cond)))
-
-let test_barrier_two_phases () =
-  ignore
-    (expect_pass "barrier-two-phases"
-       (Sched.check ~max_schedules:8_000 (barrier_two_phases good_bar)))
 
 let test_scope_exit_race () =
   let stats =
@@ -1795,28 +1607,10 @@ let test_buggy_mutex_caught =
     ~faithful:(mutex_exclusion ~threads:2 good_mutex)
     ~expect_reason:"Deadlock"
 
-let test_buggy_semaphore_caught =
-  twin_caught "buggy-semaphore-release"
-    ~buggy:(semaphore_permits bad_sem)
-    ~faithful:(semaphore_permits good_sem)
-    ~expect_reason:"Deadlock"
-
-let test_buggy_rwlock_caught =
-  twin_caught "buggy-rwlock-batch"
-    ~buggy:(rwlock_release_batch bad_rw)
-    ~faithful:(rwlock_release_batch good_rw)
-    ~expect_reason:"Deadlock"
-
 let test_buggy_condition_caught =
   twin_caught "buggy-condition-wait"
     ~buggy:(condition_mailbox bad_cond)
     ~faithful:(condition_mailbox good_cond)
-    ~expect_reason:"Deadlock"
-
-let test_buggy_barrier_caught =
-  twin_caught "buggy-barrier-generation"
-    ~buggy:(barrier_two_phases bad_bar)
-    ~faithful:(barrier_two_phases good_bar)
     ~expect_reason:"Deadlock"
 
 let test_buggy_scope_caught =
@@ -1992,11 +1786,7 @@ let test_fuzz_real_structures_clean () =
       ("channel", channel_send_recv);
       ("couple-vs-steal", couple_vs_steal ~buggy:false);
       ("mutex-exclusion-park", mutex_exclusion good_mutex);
-      ("semaphore-permits", semaphore_permits good_sem);
-      ("rwlock-exclusion", rwlock_exclusion good_rw);
-      ("rwlock-release-batch", rwlock_release_batch good_rw);
       ("condition-mailbox", condition_mailbox good_cond);
-      ("barrier-two-phases", barrier_two_phases good_bar);
       ("scope-exit-race", scope_exit_race scope);
       ("scope-fail-race", scope_fail_race scope);
       ("fd-shared-close", fd_shared_close good_fd);
@@ -2038,11 +1828,7 @@ let test_interleaving_budget () =
         ("channel-two-receivers", 4_000, channel_two_receivers);
         ("couple-vs-steal", 4_000, couple_vs_steal ~buggy:false);
         ("mutex-exclusion-park", 8_000, mutex_exclusion good_mutex);
-        ("semaphore-permits", 8_000, semaphore_permits good_sem);
-        ("rwlock-exclusion", 12_000, rwlock_exclusion good_rw);
-        ("rwlock-release-batch", 8_000, rwlock_release_batch good_rw);
         ("condition-mailbox", 8_000, condition_mailbox good_cond);
-        ("barrier-two-phases", 8_000, barrier_two_phases good_bar);
         ("scope-exit-race", 4_000, scope_exit_race scope);
         ("scope-fail-race", 8_000, scope_fail_race scope);
         ("fd-shared-close", 4_000, fd_shared_close good_fd);
@@ -2164,26 +1950,12 @@ let () =
         [
           Alcotest.test_case "mutex exclusion + handoff (park)" `Quick
             test_mutex_exclusion;
-          Alcotest.test_case "semaphore permits conserved" `Quick
-            test_semaphore_permits;
-          Alcotest.test_case "rwlock readers/writer exclusion" `Quick
-            test_rwlock_exclusion;
-          Alcotest.test_case "rwlock write release admits the batch" `Quick
-            test_rwlock_release_batch;
           Alcotest.test_case "condition mailbox never loses the signal" `Quick
             test_condition_mailbox;
-          Alcotest.test_case "barrier reusable across generations" `Quick
-            test_barrier_two_phases;
           Alcotest.test_case "get-then-set unlock strands a locker" `Quick
             test_buggy_mutex_caught;
-          Alcotest.test_case "get-then-set release loses an acquirer" `Quick
-            test_buggy_semaphore_caught;
-          Alcotest.test_case "wake-one write release starves a reader" `Quick
-            test_buggy_rwlock_caught;
           Alcotest.test_case "unlock-before-publish wait loses the signal"
             `Quick test_buggy_condition_caught;
-          Alcotest.test_case "split-cell barrier wipes a re-arrival" `Quick
-            test_buggy_barrier_caught;
         ] );
       ( "scope",
         [

@@ -264,11 +264,10 @@ let test_redetect_seeded_bugs () =
   Alcotest.(check int) "buggy_completion lost wakeup" 1 (unwaived "buggy_completion.ml");
   (* Buggy_deque's downgraded pop CAS *)
   Alcotest.(check bool) "buggy_deque caught" true (unwaived "buggy_deque.ml" >= 1);
-  (* Buggy_sync: the get-then-set unlock/release twins (Mutex.unlock
-     and Semaphore.release, two store branches each); the Condition /
-     Barrier / Rwlock twins are protocol-order bugs only the dynamic
-     checker can see *)
-  Alcotest.(check int) "buggy_sync lost wakeups" 4 (unwaived "buggy_sync.ml");
+  (* Buggy_sync: the get-then-set Mutex.unlock twin, two store
+     branches; the Condition twin is a protocol-order bug only the
+     dynamic checker can see *)
+  Alcotest.(check int) "buggy_sync lost wakeups" 2 (unwaived "buggy_sync.ml");
   (* Buggy_scope.leave's non-atomic decrement *)
   Alcotest.(check int) "buggy_scope lost completion" 1
     (unwaived "buggy_scope.ml");

@@ -488,131 +488,6 @@ let prop_mutex_matches_model ops =
             | exception Invalid_argument _ -> true)
     ops
 
-(* ---------- Sync.Semaphore vs a counter ---------- *)
-
-type sem_op = Sacq | Stry | Srel
-
-let sem_op_gen =
-  QCheck.Gen.(
-    frequency [ (3, return Sacq); (3, return Stry); (4, return Srel) ])
-
-let show_sem_op = function
-  | Sacq -> "Acquire"
-  | Stry -> "Try_acquire"
-  | Srel -> "Release"
-
-let sem_ops_arb =
-  QCheck.make
-    ~print:QCheck.Print.(pair int (list show_sem_op))
-    ~shrink:QCheck.Shrink.(pair int list)
-    QCheck.Gen.(pair (int_bound 3) (list_size (int_bound 60) sem_op_gen))
-
-let prop_sem_matches_model (permits, ops) =
-  let s = Sync.Semaphore.create permits in
-  let avail = ref permits in
-  List.for_all
-    (fun op ->
-      let ok =
-        match op with
-        | Sacq ->
-            (* acquiring with no permit would park: skip *)
-            if !avail = 0 then true
-            else begin
-              Sync.Semaphore.acquire s;
-              decr avail;
-              true
-            end
-        | Stry ->
-            let got = Sync.Semaphore.try_acquire s in
-            let expected = !avail > 0 in
-            if got then decr avail;
-            got = expected
-        | Srel ->
-            Sync.Semaphore.release s;
-            incr avail;
-            true
-      in
-      ok && Sync.Semaphore.available s = !avail)
-    ops
-
-(* ---------- Sync.Rwlock vs {readers; writer} ---------- *)
-
-type rw_op = Rtry_r | Rtry_w | Rrel_r | Rrel_w
-
-let rw_op_gen =
-  QCheck.Gen.(
-    frequency
-      [
-        (3, return Rtry_r);
-        (3, return Rtry_w);
-        (3, return Rrel_r);
-        (2, return Rrel_w);
-      ])
-
-let show_rw_op = function
-  | Rtry_r -> "Try_read"
-  | Rtry_w -> "Try_write"
-  | Rrel_r -> "Release_read"
-  | Rrel_w -> "Release_write"
-
-let rw_ops_arb =
-  QCheck.make
-    ~print:QCheck.Print.(list show_rw_op)
-    ~shrink:QCheck.Shrink.list
-    QCheck.Gen.(list_size (int_bound 60) rw_op_gen)
-
-let prop_rw_matches_model ops =
-  let rw = Sync.Rwlock.create () in
-  let readers = ref 0 and writer = ref false in
-  List.for_all
-    (fun op ->
-      match op with
-      | Rtry_r ->
-          let got = Sync.Rwlock.try_acquire_read rw in
-          let expected = not !writer in
-          if got then incr readers;
-          got = expected
-      | Rtry_w ->
-          let got = Sync.Rwlock.try_acquire_write rw in
-          let expected = (not !writer) && !readers = 0 in
-          if got then writer := true;
-          got = expected
-      | Rrel_r ->
-          if !readers > 0 then begin
-            Sync.Rwlock.release_read rw;
-            decr readers;
-            true
-          end
-          else (
-            match Sync.Rwlock.release_read rw with
-            | () -> false
-            | exception Invalid_argument _ -> true)
-      | Rrel_w ->
-          if !writer then begin
-            Sync.Rwlock.release_write rw;
-            writer := false;
-            true
-          end
-          else (
-            match Sync.Rwlock.release_write rw with
-            | () -> false
-            | exception Invalid_argument _ -> true))
-    ops
-
-(* ---------- Sync.Barrier (parties=1) vs an await counter ---------- *)
-
-(* With a single party every [await] completes a generation inline, so
-   the generation arithmetic is observable sequentially. *)
-let barrier_awaits_arb =
-  QCheck.make ~print:string_of_int QCheck.Gen.(int_bound 50)
-
-let prop_barrier_counts_generations n =
-  let b = Sync.Barrier.create 1 in
-  for _ = 1 to n do
-    Sync.Barrier.await b
-  done;
-  Sync.Barrier.phase b = n && Sync.Barrier.parties b = 1
-
 (* ---------- Sync.Condition: FIFO wake order under Fiber.run -------- *)
 
 (* The reference model is the waiter queue itself: [signal] wakes the
@@ -998,11 +873,6 @@ let () =
             prop_elastic_matches_model;
           t "Sync.Mutex (park) = held/free bit" mutex_ops_arb
             prop_mutex_matches_model;
-          t "Sync.Semaphore = counter model" sem_ops_arb prop_sem_matches_model;
-          t "Sync.Rwlock = {readers;writer} model" rw_ops_arb
-            prop_rw_matches_model;
-          t "Sync.Barrier(1) = generation counter" barrier_awaits_arb
-            prop_barrier_counts_generations;
           t "Sync.Condition wakes FIFO" cond_ops_arb prop_condition_fifo;
           t "Scope = first-failure-wins" children_arb prop_scope_first_failure;
           t "Proc.Fd_core = slot-array + refcount model" fd_ops_arb

@@ -815,59 +815,6 @@ let test_tcp_no_fd_leak () =
       in
       Alcotest.(check int) "fd count back to baseline" baseline after
 
-let test_tenant_hook () =
-  (* per-tenant attribution: handlers note a tenant key per request;
-     stats counts distinct tenants, tenant_loads sums to the requests *)
-  let clients = 9 in
-  let next_tenant = Atomic.make 0 in
-  with_reactor (fun r ->
-      let srv_box = ref None in
-      Fiber.run_parallel ~domains:2 (fun () ->
-          let rec srv_of () =
-            match !srv_box with Some s -> s | None -> (Fiber.yield (); srv_of ())
-          in
-          let srv =
-            Tcp.start ~reactor:r
-              ~addr:(Unix.ADDR_INET (localhost, 0))
-              ~handler:(fun r c ->
-                (* three tenants, round-robin across connections *)
-                Tcp.note_tenant (srv_of ())
-                  (100 + (Atomic.fetch_and_add next_tenant 1 mod 3));
-                echo_handler r c)
-              ()
-          in
-          srv_box := Some srv;
-          let fibers =
-            List.init clients (fun _ ->
-                Fiber.spawn (fun () ->
-                    let fd = connect_local r (Tcp.port srv) in
-                    Fio.write_all r fd (Bytes.of_string "ping") 0 4;
-                    let b = Bytes.create 4 in
-                    Fio.read_exact r fd b 0 4;
-                    Unix.close fd))
-          in
-          List.iter Fiber.join fibers;
-          Tcp.stop srv;
-          let st = Tcp.stats srv in
-          if st.Tcp.tenants <> 3 then
-            failwith (Printf.sprintf "%d tenants, expected 3" st.Tcp.tenants);
-          if st.Tcp.tenant_overflow <> 0 then failwith "spurious overflow";
-          let loads = Tcp.tenant_loads srv in
-          if List.length loads <> 3 then
-            failwith (Printf.sprintf "%d load entries" (List.length loads));
-          let total = List.fold_left (fun a (_, n) -> a + n) 0 loads in
-          if total <> clients then
-            failwith (Printf.sprintf "loads sum to %d, expected %d" total clients);
-          List.iter
-            (fun (k, n) ->
-              if k < 100 || k > 102 then failwith "unexpected tenant key";
-              if n <> 3 then
-                failwith (Printf.sprintf "tenant %d: %d, expected 3" k n))
-            loads;
-          (match Tcp.note_tenant srv (-1) with
-          | () -> failwith "negative key accepted"
-          | exception Invalid_argument _ -> ())))
-
 (* ---------- backend / shard matrix ---------- *)
 
 (* one echo burst against a caller-supplied reactor; returns how many
@@ -1008,7 +955,6 @@ let () =
           Alcotest.test_case "graceful drain on stop" `Quick
             test_tcp_graceful_stop;
           Alcotest.test_case "no fd leak" `Quick test_tcp_no_fd_leak;
-          Alcotest.test_case "tenant attribution hook" `Quick test_tenant_hook;
         ] );
       ( "backend-matrix",
         [

@@ -91,165 +91,30 @@ let test_mutex_stress () =
     (!total = fibers * iters)
     "contended counter: expected %d, got %d" (fibers * iters) !total
 
-(* Handoff order, for Mutex and Semaphore alike.  Under [Fiber.run]
-   (one worker, so a failed acquire parks at once) [hold] closes the
-   primitive, three fibers park on it in spawn order, and one
-   [release] opens it.  Each release must hand it to the oldest
-   waiter, so the fibers acquire it as 0, 1, 2. *)
-let check_fifo_handoff what ~hold ~acquire ~release =
+(* Handoff order.  Under [Fiber.run] (one worker, so a failed lock
+   parks at once) the main fiber holds the mutex, three fibers park on
+   it in spawn order, and one unlock opens it.  Each unlock must hand
+   the mutex to the oldest waiter, so the fibers lock it as 0, 1, 2. *)
+let test_mutex_fifo_handoff () =
+  let m = Sync.Mutex.create () in
   let order = ref [] in
   Fiber.run (fun () ->
-      hold ();
+      Sync.Mutex.lock m;
       let fs =
         List.init 3 (fun i ->
             Fiber.spawn (fun () ->
-                acquire ();
+                Sync.Mutex.lock m;
                 order := i :: !order;
-                release ()))
+                Sync.Mutex.unlock m))
       in
       (* A lone worker runs spawns FIFO: one yield lets all three park. *)
       Fiber.yield ();
-      checkf (!order = []) "%s: a fiber acquired while it was held" what;
-      release ();
+      checkf (!order = []) "a fiber locked while the mutex was held";
+      Sync.Mutex.unlock m;
       List.iter Fiber.join fs);
   let got = List.rev !order in
-  checkf (got = [ 0; 1; 2 ]) "%s: acquire order %s, want 0,1,2" what
+  checkf (got = [ 0; 1; 2 ]) "lock order %s, want 0,1,2"
     (String.concat "," (List.map string_of_int got))
-
-let test_mutex_fifo_handoff () =
-  let m = Sync.Mutex.create () in
-  check_fifo_handoff "Mutex"
-    ~hold:(fun () -> Sync.Mutex.lock m)
-    ~acquire:(fun () -> Sync.Mutex.lock m)
-    ~release:(fun () -> Sync.Mutex.unlock m)
-
-(* ------------------------------------------------------------------ *)
-(* Semaphore                                                          *)
-(* ------------------------------------------------------------------ *)
-
-let test_semaphore_single () =
-  Fiber.run (fun () ->
-      let s = Sync.Semaphore.create 2 in
-      checkf (Sync.Semaphore.available s = 2) "fresh permits";
-      Sync.Semaphore.acquire s;
-      checkf (Sync.Semaphore.try_acquire s) "second permit";
-      checkf (not (Sync.Semaphore.try_acquire s)) "exhausted";
-      Sync.Semaphore.release s;
-      checkf (Sync.Semaphore.available s = 1) "released one";
-      Sync.Semaphore.release s;
-      (match Sync.Semaphore.create (-1) with
-      | _ -> failf "negative permits must raise"
-      | exception Invalid_argument _ -> ()))
-
-let test_semaphore_stress () =
-  let permits = 4 and fibers = 16 and iters = 150 in
-  let s = Sync.Semaphore.create permits in
-  let in_flight = Atomic.make 0 in
-  let high_water = Atomic.make 0 in
-  Fiber.run_parallel ~domains:stress_domains (fun () ->
-      let fs =
-        List.init fibers (fun i ->
-            Fiber.spawn (fun () ->
-                let rng = Test_seed.derived_state (100 + i) in
-                for _ = 1 to iters do
-                  Sync.Semaphore.with_acquire s (fun () ->
-                      let n = Atomic.fetch_and_add in_flight 1 + 1 in
-                      let rec bump () =
-                        let hw = Atomic.get high_water in
-                        if n > hw then
-                          if not (Atomic.compare_and_set high_water hw n)
-                          then bump ()
-                      in
-                      bump ();
-                      maybe_yield rng;
-                      ignore (Atomic.fetch_and_add in_flight (-1)))
-                done))
-      in
-      List.iter Fiber.join fs);
-  let hw = Atomic.get high_water in
-  checkf (hw <= permits) "semaphore admitted %d holders (permits=%d)" hw permits;
-  checkf
-    (Sync.Semaphore.available s = permits)
-    "permits restored: %d <> %d"
-    (Sync.Semaphore.available s)
-    permits
-
-let test_semaphore_fifo_handoff () =
-  let s = Sync.Semaphore.create 0 in
-  check_fifo_handoff "Semaphore" ~hold:ignore
-    ~acquire:(fun () -> Sync.Semaphore.acquire s)
-    ~release:(fun () -> Sync.Semaphore.release s)
-
-(* ------------------------------------------------------------------ *)
-(* Rwlock                                                             *)
-(* ------------------------------------------------------------------ *)
-
-let test_rwlock_single () =
-  Fiber.run (fun () ->
-      let rw = Sync.Rwlock.create () in
-      Sync.Rwlock.acquire_read rw;
-      checkf (Sync.Rwlock.try_acquire_read rw) "readers share";
-      checkf (not (Sync.Rwlock.try_acquire_write rw)) "writer excluded";
-      Sync.Rwlock.release_read rw;
-      Sync.Rwlock.release_read rw;
-      Sync.Rwlock.acquire_write rw;
-      checkf (not (Sync.Rwlock.try_acquire_read rw)) "reader excluded";
-      checkf (not (Sync.Rwlock.try_acquire_write rw)) "writers exclusive";
-      Sync.Rwlock.release_write rw;
-      (match Sync.Rwlock.release_read rw with
-      | () -> failf "release_read with no reader must raise"
-      | exception Invalid_argument _ -> ());
-      match Sync.Rwlock.release_write rw with
-      | () -> failf "release_write with no writer must raise"
-      | exception Invalid_argument _ -> ())
-
-(* Two cells that only writers touch, always keeping them equal with a
-   yield in between; readers assert equality.  A broken rwlock lets a
-   reader observe the torn middle state. *)
-let test_rwlock_stress () =
-  let writers = 4 and readers = 12 in
-  let w_iters = 120 and r_iters = 250 in
-  let rw = Sync.Rwlock.create () in
-  let a = ref 0 and b = ref 0 in
-  let torn = Atomic.make false in
-  let w_overlap = Atomic.make false in
-  let in_write = Atomic.make 0 in
-  Fiber.run_parallel ~domains:stress_domains (fun () ->
-      let ws =
-        List.init writers (fun i ->
-            Fiber.spawn (fun () ->
-                let rng = Test_seed.derived_state (200 + i) in
-                for _ = 1 to w_iters do
-                  maybe_yield rng;
-                  Sync.Rwlock.with_write rw (fun () ->
-                      if Atomic.fetch_and_add in_write 1 <> 0 then
-                        Atomic.set w_overlap true;
-                      incr a;
-                      maybe_yield rng;
-                      incr b;
-                      ignore (Atomic.fetch_and_add in_write (-1)))
-                done))
-      in
-      let rs =
-        List.init readers (fun i ->
-            Fiber.spawn (fun () ->
-                let rng = Test_seed.derived_state (300 + i) in
-                for _ = 1 to r_iters do
-                  maybe_yield rng;
-                  Sync.Rwlock.with_read rw (fun () ->
-                      let va = !a in
-                      maybe_yield rng;
-                      let vb = !b in
-                      if va <> vb then Atomic.set torn true)
-                done))
-      in
-      List.iter Fiber.join ws;
-      List.iter Fiber.join rs);
-  checkf (not (Atomic.get w_overlap)) "two writers held the rwlock at once";
-  checkf (not (Atomic.get torn)) "reader observed a torn write (a <> b)";
-  checkf
-    (!a = writers * w_iters && !b = writers * w_iters)
-    "write total: a=%d b=%d expected %d" !a !b (writers * w_iters)
 
 (* ------------------------------------------------------------------ *)
 (* Condition: a bounded buffer with produce/consume conservation.     *)
@@ -323,52 +188,6 @@ let test_condition_bounded_buffer () =
     (Atomic.get sum = expected_sum)
     "item sum %d <> expected %d (lost or duplicated items)"
     (Atomic.get sum) expected_sum
-
-(* ------------------------------------------------------------------ *)
-(* Barrier: lockstep phases.                                          *)
-(* ------------------------------------------------------------------ *)
-
-let test_barrier_single () =
-  Fiber.run (fun () ->
-      (match Sync.Barrier.create 0 with
-      | _ -> failf "0-party barrier must raise"
-      | exception Invalid_argument _ -> ());
-      let b = Sync.Barrier.create 1 in
-      checkf (Sync.Barrier.parties b = 1) "parties";
-      Sync.Barrier.await b;
-      Sync.Barrier.await b;
-      checkf (Sync.Barrier.phase b = 2) "a 1-party barrier never parks")
-
-let test_barrier_stress () =
-  let parties = 8 and phases = 25 in
-  let b = Sync.Barrier.create parties in
-  let arrivals = Array.init phases (fun _ -> Atomic.make 0) in
-  let bad_phase = Atomic.make (-1) in
-  Fiber.run_parallel ~domains:stress_domains (fun () ->
-      let fs =
-        List.init parties (fun i ->
-            Fiber.spawn (fun () ->
-                let rng = Test_seed.derived_state (600 + i) in
-                for p = 0 to phases - 1 do
-                  maybe_yield rng;
-                  ignore (Atomic.fetch_and_add arrivals.(p) 1);
-                  Sync.Barrier.await b;
-                  (* Every party arrived at phase [p] before anyone
-                     crossed the barrier out of it. *)
-                  if Atomic.get arrivals.(p) <> parties then
-                    Atomic.set bad_phase p
-                done))
-      in
-      List.iter Fiber.join fs);
-  checkf
-    (Atomic.get bad_phase = -1)
-    "crossed barrier phase %d with %d/%d arrivals"
-    (Atomic.get bad_phase)
-    (Atomic.get arrivals.(max 0 (Atomic.get bad_phase)))
-    parties;
-  checkf
-    (Sync.Barrier.phase b = phases)
-    "generations: %d <> %d" (Sync.Barrier.phase b) phases
 
 (* ------------------------------------------------------------------ *)
 (* Scope                                                              *)
@@ -499,19 +318,7 @@ let () =
           case "stress/park" test_mutex_stress;
           case "fifo-handoff" test_mutex_fifo_handoff;
         ] );
-      ( "semaphore",
-        [
-          case "single" test_semaphore_single;
-          case "stress" test_semaphore_stress;
-          case "fifo-handoff" test_semaphore_fifo_handoff;
-        ] );
-      ( "rwlock",
-        [ case "single" test_rwlock_single; case "stress" test_rwlock_stress ]
-      );
       ("condition", [ case "bounded-buffer" test_condition_bounded_buffer ]);
-      ( "barrier",
-        [ case "single" test_barrier_single; case "stress" test_barrier_stress ]
-      );
       ( "scope",
         [
           case "waits-for-children" test_scope_waits_for_children;
