@@ -753,8 +753,8 @@ let run_real () =
    validate checks in Report.Bench_file).  Speedup beyond 1.0 needs
    real cores: host_cores is recorded, and the "oversubscribed" flag is
    MEASURED -- true iff the run's median active-worker count exceeded
-   the host's cores -- so a domains=4 run the elastic scheduler
-   collapsed to one active worker is honestly not oversubscribed: it
+   the host's cores -- so a domains=4 run whose workers beyond the
+   host's cores were never launched is honestly not oversubscribed: it
    time-sliced nothing. *)
 
 module Stats = Sim.Stats
@@ -797,9 +797,7 @@ let measure ~warmup ~reps run : Bench_file.Parallel.result =
     steals = imed steals;
     steal_fail_rate = Stats.median (sched_of Ss.steal_fail_rate);
     parks = count (fun s -> s.Ss.parks);
-    deep_parks = count (fun s -> s.Ss.deep_parks);
     wakes = count (fun s -> s.Ss.wakes);
-    spins = count (fun s -> s.Ss.spins);
     inj_drains = count (fun s -> s.Ss.inj_drains);
     active_workers_p50;
     oversubscribed = active_workers_p50 > host_cores ();
@@ -904,8 +902,8 @@ let run_parallel_bench ~quick ~diff () =
     \   join, targeted one-worker wake-ups -- the Section VII M:N extension\n\
     \   on real cores.  Speedup > 1 requires a multicore host; the oversub\n\
     \   flag is measured -- active_workers_p50 > host_cores -- so a run\n\
-    \   that collapsed its excess domains into deep park reads '-' even\n\
-    \   when more domains were requested than cores exist)";
+    \   that never launched its excess domains reads '-' even when more\n\
+    \   domains were requested than cores exist)";
   write_bench Bench_file.Parallel.suite ~diff doc
 
 (* ---------------------------------------------------------------- *)

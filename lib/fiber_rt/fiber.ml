@@ -10,19 +10,18 @@
    private overflow FIFO for its own yields; cross-thread wake-ups
    arrive on a lock-free MPSC injection channel reserved for foreign
    threads; fiber completion is the lock-free [Completion] cell; and
-   idle workers park individually on a Treiber stack so one ready task
-   wakes exactly one worker (the spin-then-block idle-KC policy of the
-   paper's Table II, without the thundering herd).  Only *runnable*
-   continuations migrate between domains; a fiber's blocking jobs
-   still route to its home [Executor] (the original-KC analogue), so
-   system-call consistency is preserved under migration.
+   an idle worker parks at once on a Treiber stack ([Idle_waker]) so
+   one ready task wakes exactly one worker (the blocking idle-KC policy
+   of the paper's Table II, without the thundering herd).  Workers
+   beyond the host's cores start unlaunched: only a delivery aimed at
+   one of them ([spawn_on], a reactor inbox wake) spawns its domain.
+   Only *runnable* continuations migrate between domains; a fiber's
+   blocking jobs still route to its home [Executor] (the original-KC
+   analogue), so system-call consistency is preserved under migration.
 
-   A lone worker has no thief and no peer to produce work, so two
-   behaviours follow from the worker count alone: local spawns and
-   wakes go to the owner's FIFO instead of the LIFO deque (fibers run
-   in spawn and wake order, as a single run queue would), and the
-   idle worker never spins (its only producers are systhreads on its
-   own domain, which need the domain lock a spinner holds).
+   A lone worker has no thief, so its local spawns and wakes go to the
+   owner's FIFO instead of the LIFO deque: fibers run in spawn and wake
+   order, as a single run queue would.
 
    This is substrates S2 (one worker) and S3 (many) of DESIGN.md: it
    shows that the BLT control flow is real executable code and carries
@@ -131,13 +130,12 @@ type pworker = {
   park_cond : Condition.t;
   mutable park_wake : bool; (* a pending wake token; guarded by park_mutex *)
   w_launched : bool Atomic.t;
-      (* the worker's domain exists.  Workers beyond the elastic target
-         start UNLAUNCHED and preloaded into deep park: a domain that
-         is never woken is never spawned — it costs no spawn/join
-         milliseconds and, crucially, is no stop-the-world GC partner.
-         The first wake/claim that pops such a worker launches it
-         ([pspawn]); an explicit [~domains] is honored as capacity, not
-         as an eager fleet. *)
+      (* the worker's domain exists.  Workers beyond [min domains cores]
+         start UNLAUNCHED: a domain that is never needed is never
+         spawned -- it costs no spawn/join milliseconds and, crucially,
+         is no stop-the-world GC partner.  The first targeted delivery
+         to such a worker launches it ([notify_worker]); an explicit
+         [~domains] is honored as capacity, not as an eager fleet. *)
   (* -- scheduler telemetry: cheap monotonic counters.  All but
      [t_wakes] are owner-written plain fields (no contention, no
      atomics on the hot path); aggregation is racy-but-monotonic for
@@ -145,43 +143,17 @@ type pworker = {
      happens-before edge covering every worker's last write). *)
   mutable t_steal_attempts : int; (* try_steal sessions entered *)
   mutable t_steal_fails : int; (* sessions that came back empty *)
-  mutable t_parks : int; (* shallow (wake-eligible) parks slept *)
-  mutable t_deep_parks : int; (* deep (collapsed) parks slept *)
-  mutable t_spins : int; (* cpu_relax iterations before parking *)
+  mutable t_parks : int; (* parks slept *)
   mutable t_inj_drains : int; (* non-empty injection-channel drains *)
   t_wakes : int Atomic.t; (* tokens delivered to us, by any thread *)
   act_hist : int array;
-      (* samples of the pool's active-worker count (index = active, in
+      (* samples of the pool's launched-worker count (index = count, in
          [0, domains]), taken at fairness ticks and park entries: the
          distribution behind [Sched_stats.active_p50] *)
-  (* -- adaptive state, owned by the per-run loop (see [adapt]): *)
-  w_deep : bool Atomic.t; (* deep-parked; thieves skip us as victim *)
-  mutable spin_budget : int; (* current spin-before-park budget *)
-  mutable steal_rounds : int; (* current steal rounds per session *)
-  mutable ewma : float; (* steal-failure EWMA, the oversubscription signal *)
-  mutable idle_streak : int; (* consecutive woken-to-find-nothing parks *)
-}
-
-(* Per-run tuning, resolved in [make_psched] — NOT at module load.
-   (The old module-level [spin_budget]/[steal_rounds] were computed
-   once from [recommended_domain_count] when [Fiber] was first linked,
-   so a 1-core CI loader baked spin_budget = 0 into every subsequent
-   run regardless of the host it actually ran on, and a multicore
-   loader kept 4-domain runs spinning on a 1-core cgroup.)  These are
-   the BASE values; the adaptive loop owns the live per-worker copies
-   and moves them between 0 and [max_spin] as the steal-failure EWMA
-   swings. *)
-type tune = {
-  base_spin : int; (* initial spin-before-park budget *)
-  max_spin : int; (* adaptive re-expansion ceiling *)
-  base_rounds : int; (* initial steal rounds per session *)
-  deep_after : int; (* idle_streak threshold for chronic-idle collapse *)
-  host_cores : int; (* recommended_domain_count at run start *)
 }
 
 type psched = {
   ps_uid : int; (* distinguishes schedulers in Wake batch dedup keys *)
-  ptune : tune;
   workers : pworker array;
   pinject : (unit -> unit) Mpsc_queue.t;
       (* cross-thread wake-ups ONLY: executors, foreign domains.  A
@@ -192,24 +164,22 @@ type psched = {
   pnext_fid : int Atomic.t;
   stop : bool Atomic.t;
   failure : (exn * Printexc.raw_backtrace) option Atomic.t;
-  elastic : Elastic.t;
-      (* Elastic idle accounting: a shallow Treiber stack of parked
-         worker ids (a push of work pops and wakes exactly one, instead
-         of broadcasting to all) plus a deep-park set excluded from
-         routine wakes and victim probes, with an active-worker target
-         the adaptive loop moves.  Factored into [Elastic] (over
-         [Idle_waker]) so lib/check recompiles the exact code. *)
+  idle : Idle_waker.t;
+      (* parked worker ids: a push of work pops and wakes exactly one,
+         instead of broadcasting to all.  Factored into [Idle_waker] so
+         lib/check recompiles the exact code. *)
+  eager : int; (* min domains cores: the workers launched at start *)
+  launched : int Atomic.t; (* workers whose domain exists *)
   done_mutex : Mutex.t; (* run-exit accounting only (cold path) *)
   done_cond : Condition.t;
   mutable n_running : int; (* launched workers still in their loop; guarded above *)
   mutable pdomains : unit Domain.t list;
       (* spawned helper domains, for the final join; guarded by
          [done_mutex] (spawning is rare and cold) *)
-  mutable pspawn : int -> unit;
-      (* launch worker [wid]'s domain if not yet launched; installed by
-         [run_parallel] (it closes over [worker_loop], defined later)
-         and called by whoever pops an unlaunched worker off the deep
-         stack *)
+  mutable pspawn : pworker -> bool;
+      (* launch a worker's domain if not yet launched, [true] iff this
+         call did; installed by [run_parallel] (it closes over
+         [worker_loop], defined later) *)
   kcs : Executor.t Kc_pool.t; (* the run's original KCs, leased per fiber *)
 }
 
@@ -232,97 +202,49 @@ let worker_ctx () =
 let psched_uid = Atomic.make 0
 
 let fairness_interval = 64 (* drain injected + overflow at least this often *)
-let steal_backoff_base = 16 (* cpu_relax iterations; doubles per round *)
-let re_enlist_after = 64 (* eligible wake misses per deep re-enlist *)
-
-(* EWMA of steal-session failures, per worker: alpha weights the last
-   session a quarter; crossing [hi] is the oversubscribed signature
-   (spinning burns the timeslice of whoever holds the work) and
-   collapses the budgets to immediate parking; falling below [lo]
-   (steals succeeding again) re-expands them bounded-exponentially. *)
-let ewma_alpha = 0.25
-let ewma_hi = 0.75
-let ewma_lo = 0.25
-
-(* Spin-then-block: BUSYWAIT rounds before parking (the latency/power
-   knob of the paper's Table II).  Spinning only pays when another core
-   can produce work meanwhile: never on a 1-core host, and never for a
-   lone worker, whose only producers are systhreads on its own domain
-   (executors, reactor shards) -- spinning holds the domain lock they
-   need, delaying exactly the wake it waits for.  (A lone worker never
-   runs a steal session, so [adapt] never raises its budget.) *)
-let make_tune ~domains =
-  let host_cores = Domain.recommended_domain_count () in
-  let base_spin = if domains > 1 && host_cores > 1 then 256 else 0 in
-  {
-    base_spin;
-    max_spin = (if domains <= host_cores then 256 else 32);
-    base_rounds = (if base_spin > 0 then 3 else 1);
-    deep_after = 8;
-    host_cores;
-  }
 
 let make_psched ~domains =
-  let ptune = make_tune ~domains in
-  (* Target = the host's real parallelism (never above what we were
-     given): with domains > cores the pool converges to ~cores active
-     workers instead of thrashing; pressure re-enlists can still raise
-     it back toward [domains].  Workers [eager, domains) start
-     unlaunched AND preloaded into deep park, so on an oversubscribed
-     host the excess domains are never even spawned unless re-enlist
-     pressure (or a targeted [spawn_on]/inbox claim) demands them. *)
-  let eager = max 1 (min domains ptune.host_cores) in
-  let ps =
-    {
-      ps_uid = Atomic.fetch_and_add psched_uid 1;
-      ptune;
-      workers =
-        Array.init domains (fun wid ->
-            {
-              wid;
-              deque = Atomic_deque.create ~dummy:ignore;
-              overflow = Queue.create ();
-              inbox = Mpsc_queue.create ();
-              rng = (wid * 0x9e3779b9) lor 1;
-              steals = 0;
-              tick = 0;
-              park_mutex = Mutex.create ();
-              park_cond = Condition.create ();
-              park_wake = false;
-              w_launched = Atomic.make (wid = 0);
-              t_steal_attempts = 0;
-              t_steal_fails = 0;
-              t_parks = 0;
-              t_deep_parks = 0;
-              t_spins = 0;
-              t_inj_drains = 0;
-              t_wakes = Atomic.make 0;
-              act_hist = Array.make (domains + 1) 0;
-              w_deep = Atomic.make (wid >= eager);
-              spin_budget = ptune.base_spin;
-              steal_rounds = ptune.base_rounds;
-              ewma = 0.5;
-              idle_streak = 0;
-            });
-      pinject = Mpsc_queue.create ();
-      plive = Atomic.make 0;
-      pnext_fid = Atomic.make 1;
-      stop = Atomic.make false;
-      failure = Atomic.make None;
-      elastic =
-        Elastic.create ~total:domains ~target:eager ~re_enlist_after;
-      done_mutex = Mutex.create ();
-      done_cond = Condition.create ();
-      n_running = 1 (* worker 0 runs on the calling domain *);
-      pdomains = [];
-      pspawn = ignore (* installed by run_parallel *);
-      kcs = Kc_pool.create ();
-    }
-  in
-  for wid = eager to domains - 1 do
-    ignore (Elastic.enter_deep ps.elastic wid)
-  done;
-  ps
+  (* With domains > cores the excess workers would only take turns on
+     the same cores, so they start unlaunched (see [w_launched]). *)
+  let eager = max 1 (min domains (Domain.recommended_domain_count ())) in
+  {
+    ps_uid = Atomic.fetch_and_add psched_uid 1;
+    workers =
+      Array.init domains (fun wid ->
+          {
+            wid;
+            deque = Atomic_deque.create ~dummy:ignore;
+            overflow = Queue.create ();
+            inbox = Mpsc_queue.create ();
+            rng = (wid * 0x9e3779b9) lor 1;
+            steals = 0;
+            tick = 0;
+            park_mutex = Mutex.create ();
+            park_cond = Condition.create ();
+            park_wake = false;
+            w_launched = Atomic.make (wid = 0);
+            t_steal_attempts = 0;
+            t_steal_fails = 0;
+            t_parks = 0;
+            t_inj_drains = 0;
+            t_wakes = Atomic.make 0;
+            act_hist = Array.make (domains + 1) 0;
+          });
+    pinject = Mpsc_queue.create ();
+    plive = Atomic.make 0;
+    pnext_fid = Atomic.make 1;
+    stop = Atomic.make false;
+    failure = Atomic.make None;
+    idle = Idle_waker.create ();
+    eager;
+    launched = Atomic.make 1 (* worker 0 runs on the calling domain *);
+    done_mutex = Mutex.create ();
+    done_cond = Condition.create ();
+    n_running = 1;
+    pdomains = [];
+    pspawn = (fun _ -> false) (* installed by run_parallel *);
+    kcs = Kc_pool.create ();
+  }
 
 (* ---- targeted parking: the idle-worker Treiber stack ----
 
@@ -354,41 +276,27 @@ let await_token w =
   Mutex.unlock w.park_mutex
 
 (* Wake exactly one parked worker, if any.  The common nobody-idle path
-   is a single atomic read inside [Elastic.wake].  [foreign] marks
-   pushes from outside the worker pool (executors, reactor shards):
-   those — plus local misses while the pool is below its own target —
-   accumulate the re-enlist pressure that pulls deep-parked workers
-   back when the pool has genuinely shed too far. *)
-let wake_some ps ~foreign =
-  match Elastic.wake ~foreign ps.elastic with
-  | Some wid ->
-      ps.pspawn wid;
-      deliver_token ps.workers.(wid)
+   is a single atomic read inside [Idle_waker.pop]. *)
+let wake_one ps =
+  match Idle_waker.pop ps.idle with
+  | Some wid -> deliver_token ps.workers.(wid)
   | None -> ()
 
-let wake_one ps = wake_some ps ~foreign:false
-
-(* Stop: never launch a domain just to tell it to stop — unlaunched
-   workers popped off the deep stack are simply dropped. *)
+(* Stop: every parked worker gets a token.  Unlaunched workers are
+   never on the stack, so no domain is launched just to be stopped. *)
 let wake_all ps =
-  List.iter
-    (fun wid ->
-      let w = ps.workers.(wid) in
-      if Atomic.get w.w_launched then deliver_token w)
-    (Elastic.drain ps.elastic)
+  List.iter (fun wid -> deliver_token ps.workers.(wid)) (Idle_waker.drain ps.idle)
 
 (* Targeted wake: worker [wid] has (or is about to get) work in its
-   private inbox; un-park it iff it is parked — shallow or deep (an
-   affinity delivery is for this one worker; nobody else can run it).
-   If it is running it will find the inbox in [next_task]; if it is
-   between our inbox push and its own park publication, its
-   post-publication re-check of the inbox closes the Dekker
-   handshake. *)
+   private inbox, and nobody else can run it.  An unlaunched worker is
+   launched now and finds the inbox when its loop starts; a launched
+   one is un-parked iff it is parked.  If it is running it will find
+   the inbox in [next_task]; if it is between our inbox push and its
+   own park publication, its post-publication re-check of the inbox
+   closes the Dekker handshake. *)
 let notify_worker ps wid =
-  if Elastic.claim ps.elastic wid then begin
-    ps.pspawn wid;
-    deliver_token ps.workers.(wid)
-  end
+  let w = ps.workers.(wid) in
+  if (not (ps.pspawn w)) && Idle_waker.take ps.idle wid then deliver_token w
 
 (* Deliver a thunk to a specific worker's inbox from any thread.  With
    a [batch], the notification is deferred and deduped per (scheduler,
@@ -402,8 +310,8 @@ let push_targeted ps wid thunk (b : Wake.batch option) =
 let push_foreign ps thunk (b : Wake.batch option) =
   Mpsc_queue.push ps.pinject thunk;
   match b with
-  | None -> wake_some ps ~foreign:true
-  | Some b -> Wake.note b ~key:(ps.ps_uid, -1) (fun () -> wake_some ps ~foreign:true)
+  | None -> wake_one ps
+  | Some b -> Wake.note b ~key:(ps.ps_uid, -1) (fun () -> wake_one ps)
 
 (* Make a runnable continuation available to the calling worker: its
    private FIFO when it is the pool's only worker (nothing can steal, so
@@ -562,93 +470,43 @@ let take_inbox w =
       List.iter (fun t -> Queue.push t w.overflow) batch;
       Queue.take_opt w.overflow
 
-(* The adaptation step, run after every steal session: update the
-   steal-failure EWMA and move this worker's live budgets.  Crossing
-   [ewma_hi] is the oversubscribed signature — the victims we keep
-   probing empty-handed are not producing because they share our core —
-   so spinning collapses to immediate parking and stealing to one
-   round.  Falling under [ewma_lo] (steals succeeding again) re-expands
-   the spin budget bounded-exponentially toward the per-run ceiling and
-   restores the base steal rounds. *)
-let adapt ps w ~failed =
-  if failed then w.t_steal_fails <- w.t_steal_fails + 1;
-  w.ewma <-
-    (if failed then ewma_alpha else 0.0) +. ((1.0 -. ewma_alpha) *. w.ewma);
-  if w.ewma >= ewma_hi then begin
-    w.spin_budget <- 0;
-    w.steal_rounds <- 1
-  end
-  else if w.ewma <= ewma_lo then begin
-    if w.spin_budget < ps.ptune.max_spin then
-      w.spin_budget <- min ps.ptune.max_spin (max 16 (2 * w.spin_budget));
-    w.steal_rounds <- ps.ptune.base_rounds
-  end
-
-(* Randomized steal-half: up to [w.steal_rounds] rounds of n-1 unbiased
-   victim probes (self is never drawn, so no probe is burned skipping
-   it; deep-parked victims are skipped — their deques were empty when
-   they collapsed and nobody else fills them), with bounded-exponential
-   cpu_relax backoff between rounds so a herd of empty-handed thieves
-   does not hammer the victims' cache lines.  A successful probe takes
-   up to half the victim's deque in one visit; the first item runs now,
-   the rest become local stealable work, and one more parked worker is
-   woken to share it. *)
+(* Randomized steal-half: one pass of n-1 unbiased victim probes (self
+   is never drawn, so no probe is burned skipping it).  A successful
+   probe takes up to half the victim's deque in one visit; the first
+   item runs now, the rest become local stealable work, and one more
+   parked worker is woken to share it. *)
 let try_steal ps w =
   let n = Array.length ps.workers in
   if n = 1 then None
   else begin
     w.t_steal_attempts <- w.t_steal_attempts + 1;
     let rec probe tries =
-      if tries = 0 then None
+      if tries = 0 then begin
+        w.t_steal_fails <- w.t_steal_fails + 1;
+        None
+      end
       else begin
         let v = rand_below w (n - 1) in
         let v = if v >= w.wid then v + 1 else v in
-        if Atomic.get ps.workers.(v).w_deep then probe (tries - 1)
-        else
-          match Atomic_deque.steal_batch ps.workers.(v).deque with
-          | [] -> probe (tries - 1)
-          | x :: rest ->
-              w.steals <- w.steals + 1 + List.length rest;
-              List.iter (Atomic_deque.push w.deque) rest;
-              if rest <> [] then wake_one ps;
-              Some x
+        match Atomic_deque.steal_batch ps.workers.(v).deque with
+        | [] -> probe (tries - 1)
+        | x :: rest ->
+            w.steals <- w.steals + 1 + List.length rest;
+            List.iter (Atomic_deque.push w.deque) rest;
+            if rest <> [] then wake_one ps;
+            Some x
       end
     in
-    let rec round r =
-      match probe (n - 1) with
-      | Some _ as res -> res
-      | None ->
-          if r + 1 >= w.steal_rounds then None
-          else begin
-            for _ = 1 to steal_backoff_base lsl r do
-              Domain.cpu_relax ()
-            done;
-            round (r + 1)
-          end
-    in
-    let res = round 0 in
-    adapt ps w ~failed:(match res with None -> true | Some _ -> false);
-    res
+    probe (n - 1)
   end
 
-(* Sample the pool's active-worker count into this worker's private
+(* Sample the pool's launched-worker count into this worker's private
    histogram (fairness ticks + park entries): the raw distribution
    behind [Sched_stats.active_p50] and the bench's measured
    oversubscription flag. *)
 let sample_active ps w =
-  let a = Elastic.active ps.elastic in
-  let a = max 0 (min (Array.length ps.workers) a) in
+  let a = Atomic.get ps.launched in
   w.act_hist.(a) <- w.act_hist.(a) + 1
-
-(* The structural shed gate: when more workers are awake than the
-   elastic target wants, a worker with nothing local does NOT go
-   stealing — returning None sends it to [park], which collapses it
-   straight into deep park.  The test is count-based (active > target),
-   not wid-based, so whichever workers actually hold work keep running
-   and the excess sheds itself; with domains <= cores the target equals
-   the worker count and this gate never fires. *)
-let steal_or_shed ps w =
-  if Elastic.over_target ps.elastic then None else try_steal ps w
 
 let next_task ps w =
   w.tick <- w.tick + 1;
@@ -668,7 +526,7 @@ let next_task ps w =
             | None -> (
                 match Atomic_deque.pop w.deque with
                 | Some _ as r -> r
-                | None -> steal_or_shed ps w)))
+                | None -> try_steal ps w)))
   end
   else
     match Atomic_deque.pop w.deque with
@@ -682,7 +540,7 @@ let next_task ps w =
             | None -> (
                 match take_injected ps w with
                 | Some _ as r -> r
-                | None -> steal_or_shed ps w)))
+                | None -> try_steal ps w)))
 
 (* Work visible to OTHER workers: the injection channel and the deques.
    Private overflow FIFOs are excluded on purpose -- only the owner can
@@ -699,98 +557,40 @@ let parkable ps w =
   && (not (work_available ps))
   && Mpsc_queue.is_empty w.inbox
 
-(* The idle-KC policy (paper Table II), now three-tiered:
+(* The idle-KC policy (paper Table II), blocking: a worker with nothing
+   to run parks at once on its own condvar.  It does not spin first: a
+   spinner holds the core (or, for a lone worker, the domain lock) that
+   the producer it waits for needs, and a fixed spin measured slower on
+   a 2-core host (DESIGN.md section 5g).
 
-   1. STRUCTURAL SHED — the pool is over its active-worker target (only
-      possible when domains > cores): this worker found nothing local
-      and must not fight the workers that hold work for a shared core,
-      so it collapses into deep park without spinning or stealing.  Its
-      post-publication re-check is PRIVATE-ONLY (stop flag, own inbox):
-      work elsewhere is exactly what it is shedding away from, and the
-      enter_deep floor plus the shallow protocol below keep that work
-      reachable by a non-deep worker.
-
-   2. CHRONIC IDLE — woken [deep_after] consecutive times to find
-      nothing (the pool cannot feed this many workers): deep park with
-      the FULL parkable re-check, and the target decays one step so the
-      structural gate learns the thinner width.
-
-   3. SPIN-THEN-SHALLOW — the PR-3 protocol under the adaptive budget:
-      spin briefly (BUSYWAIT — lowest wake latency), then park on the
-      per-worker condvar (BLOCKING — no burn).
-
-   Producers store work before reading the idle stacks; parkers publish
-   themselves before re-checking — the Dekker handshake that makes a
+   Producers store work before reading the idle stack; parkers publish
+   themselves before re-checking -- the Dekker handshake that makes a
    lost wake-up impossible.  The same handshake covers targeted
    deliveries: [push_targeted] pushes the inbox first and reads the
-   stacks second, the parker publishes first and re-reads its inbox
+   stack second, the parker publishes first and re-reads its inbox
    second.  A failed cancel means a waker already popped us and its
-   token is in flight — consume it now instead of sleeping on it in a
+   token is in flight -- consume it now instead of sleeping on it in a
    later parking round. *)
 let park ps w =
   sample_active ps w;
-  let el = ps.elastic in
-  let deep_sleep () =
-    Atomic.set w.w_deep true;
-    w.t_deep_parks <- w.t_deep_parks + 1;
-    await_token w;
-    Atomic.set w.w_deep false;
-    w.idle_streak <- 0
-  in
-  let stopping () = Atomic.get ps.stop in
-  if (not (stopping ())) && Elastic.over_target el && Elastic.enter_deep el w.wid
-  then begin
-    if stopping () || not (Mpsc_queue.is_empty w.inbox) then begin
-      if not (Elastic.cancel_deep el w.wid) then await_token w
-    end
-    else deep_sleep ()
-  end
-  else if
-    (not (stopping ()))
-    && w.idle_streak >= ps.ptune.deep_after
-    && Elastic.enter_deep el w.wid
-  then begin
+  if parkable ps w then begin
+    Idle_waker.push ps.idle w.wid;
     if not (parkable ps w) then begin
-      if not (Elastic.cancel_deep el w.wid) then await_token w
+      if not (Idle_waker.take ps.idle w.wid) then await_token w
     end
     else begin
-      Elastic.decay_target el;
-      deep_sleep ()
-    end
-  end
-  else begin
-    let rec spin i =
-      if i > 0 && parkable ps w then begin
-        w.t_spins <- w.t_spins + 1;
-        Domain.cpu_relax ();
-        spin (i - 1)
-      end
-    in
-    spin w.spin_budget;
-    if parkable ps w then begin
-      Elastic.park el w.wid;
-      if not (parkable ps w) then begin
-        if not (Elastic.cancel el w.wid) then await_token w
-      end
-      else begin
-        w.t_parks <- w.t_parks + 1;
-        await_token w;
-        w.idle_streak <- w.idle_streak + 1
-      end
+      w.t_parks <- w.t_parks + 1;
+      await_token w
     end
   end
 
 let worker_loop ps w =
   Domain.DLS.set pctx_key (Some { ps; w; tid = Thread.id (Thread.self ()) });
-  (* a lazily-launched worker arrives here having just been popped off
-     the deep stack: it is live again, and a victim candidate *)
-  Atomic.set w.w_deep false;
   sample_active ps w;
   let rec go () =
     if not (Atomic.get ps.stop) then begin
       (match next_task ps w with
       | Some thunk -> (
-          w.idle_streak <- 0;
           try thunk ()
           with exn ->
             let bt = Printexc.get_raw_backtrace () in
@@ -831,9 +631,9 @@ module Sched_stats = struct
     if t.steal_attempts = 0 then 0.0
     else float_of_int t.steal_fails /. float_of_int t.steal_attempts
 
-  (* Weighted median of the active-worker samples: the pool width the
-     run actually converged to (requested [domains] is what the caller
-     asked for; this is what the host sustained). *)
+  (* Weighted median of the launched-worker samples: the pool width the
+     run actually used (requested [domains] is what the caller asked
+     for). *)
   let active_p50 t =
     let total = Array.fold_left ( + ) 0 t.active_hist in
     if total = 0 then t.active_now
@@ -864,9 +664,7 @@ let snapshot_sched ps =
   and attempts = ref 0
   and fails = ref 0
   and parks = ref 0
-  and deep = ref 0
   and wakes = ref 0
-  and spins = ref 0
   and drains = ref 0 in
   Array.iter
     (fun w ->
@@ -874,9 +672,7 @@ let snapshot_sched ps =
       attempts := !attempts + w.t_steal_attempts;
       fails := !fails + w.t_steal_fails;
       parks := !parks + w.t_parks;
-      deep := !deep + w.t_deep_parks;
       wakes := !wakes + Atomic.get w.t_wakes;
-      spins := !spins + w.t_spins;
       drains := !drains + w.t_inj_drains;
       Array.iteri (fun i c -> hist.(i) <- hist.(i) + c) w.act_hist)
     ps.workers;
@@ -886,12 +682,12 @@ let snapshot_sched ps =
     steal_attempts = !attempts;
     steal_fails = !fails;
     parks = !parks;
-    deep_parks = !deep;
+    deep_parks = 0;
     wakes = !wakes;
-    spins = !spins;
+    spins = 0;
     inj_drains = !drains;
-    active_now = Elastic.active ps.elastic;
-    target_now = Elastic.target ps.elastic;
+    active_now = Atomic.get ps.launched;
+    target_now = ps.eager;
     active_hist = hist;
   }
 
@@ -914,28 +710,29 @@ let run_parallel ?domains ?on_stats main =
      across the spawn keeps the [n_running] increment, the spawn and
      the [pdomains] registration one atomic step against the shutdown
      handshake (the child may block on the same mutex at ITS exit, but
-     never while we hold it waiting on the child). *)
+     never while we hold it waiting on the child).  Once [stop] is set
+     nothing is launched: a worker loop may already have exited, and
+     the final join must not miss a domain. *)
   ps.pspawn <-
-    (fun wid ->
-      let w = ps.workers.(wid) in
-      if
-        (not (Atomic.get w.w_launched))
-        && Atomic.compare_and_set w.w_launched false true
-      then begin
-        (* ulplint: allow raw-mutex-in-fiber -- run_parallel worker-domain launch accounting between raw domains, outside any fiber engine *)
-        Mutex.lock ps.done_mutex;
-        ps.n_running <- ps.n_running + 1;
-        ps.pdomains <- Domain.spawn (fun () -> worker_loop ps w) :: ps.pdomains;
-        Mutex.unlock ps.done_mutex
-      end);
+    (fun w ->
+      (not (Atomic.get w.w_launched))
+      && Atomic.compare_and_set w.w_launched false true
+      && begin
+           (* ulplint: allow raw-mutex-in-fiber -- run_parallel worker-domain launch accounting between raw domains, outside any fiber engine *)
+           Mutex.lock ps.done_mutex;
+           let go = not (Atomic.get ps.stop) in
+           if go then begin
+             Atomic.incr ps.launched;
+             ps.n_running <- ps.n_running + 1;
+             ps.pdomains <- Domain.spawn (fun () -> worker_loop ps w) :: ps.pdomains
+           end;
+           Mutex.unlock ps.done_mutex;
+           go
+         end);
   let fb = pnew_fiber ps in
   Mpsc_queue.push ps.pinject (fun () -> pexec fb (fun () -> phandle ps fb main));
-  (* Eager fleet = the elastic target (min domains cores): on a
-     well-provisioned host every requested domain starts now, exactly
-     as before; on an oversubscribed one the excess stays unlaunched
-     in deep park until pressure re-enlists it. *)
-  for wid = 1 to Elastic.target ps.elastic - 1 do
-    ps.pspawn wid
+  for wid = 1 to ps.eager - 1 do
+    ignore (ps.pspawn ps.workers.(wid))
   done;
   worker_loop ps ps.workers.(0);
   (* KCs may be created up to the very last thunk a helper runs, so

@@ -9,19 +9,16 @@
     a lock-free MPSC injection channel reserved for cross-thread
     wake-ups (so other OS threads, such as the executors of {!Blt_rt},
     can wake suspended fibers), lock-free fiber completion
-    ({!Completion}), and an elastic, self-measuring spin-then-park idle
-    policy: parked workers wait on a Treiber idle stack so new work
-    wakes exactly one of them (the paper's Table II idle-KC policies,
-    without the thundering herd), per-run spin and steal budgets adapt
-    to the measured steal-failure rate, and when [domains] exceeds the
-    host's cores the excess workers collapse into deep park (excluded
-    from victim probes and routine wakes, re-enlisted on injection
-    pressure) so the pool converges to roughly one active worker per
-    core instead of thrashing.  A lone worker runs local spawns and
-    wakes in FIFO order and never spins.  Only runnable continuations
-    migrate between domains; a fiber's blocking jobs still route to its
-    home executor, preserving system-call consistency under
-    migration. *)
+    ({!Completion}), and a blocking idle policy (the paper's Table II):
+    a worker with nothing to run parks at once on a Treiber idle stack
+    ({!Idle_waker}), so new work wakes exactly one of them, without the
+    thundering herd.  When [domains] exceeds the host's cores the
+    excess workers start unlaunched, and only a delivery aimed at one
+    of them ({!spawn_on}, a reactor wake routed to its inbox) spawns
+    its domain.  A lone worker runs local spawns and wakes in FIFO
+    order.  Only runnable continuations migrate between domains; a
+    fiber's blocking jobs still route to its home executor, preserving
+    system-call consistency under migration. *)
 
 type fiber = private {
   fid : int;
@@ -52,15 +49,19 @@ module Sched_stats : sig
     steals : int;  (** items obtained from other workers' deques *)
     steal_attempts : int;  (** steal sessions entered *)
     steal_fails : int;  (** sessions that came back empty *)
-    parks : int;  (** shallow (wake-eligible) parks slept *)
-    deep_parks : int;  (** deep (collapsed-worker) parks slept *)
+    parks : int;  (** parks slept *)
+    deep_parks : int;
+        (** always 0: the pool has one idle stack.  Kept only because
+            perfbench reads it. *)
     wakes : int;  (** wake tokens delivered to workers *)
-    spins : int;  (** cpu_relax iterations burned before parking *)
+    spins : int;
+        (** always 0: idle workers park without spinning.  Kept only
+            because perfbench reads it. *)
     inj_drains : int;  (** non-empty injection-channel drains *)
-    active_now : int;  (** workers not deep-parked, at snapshot time *)
-    target_now : int;  (** the elastic active-worker target *)
+    active_now : int;  (** launched workers, at snapshot time *)
+    target_now : int;  (** [min domains cores]: the workers launched at start *)
     active_hist : int array;
-        (** samples of the active-worker count (index = count, in
+        (** samples of the launched-worker count (index = count, in
             [0, domains]), taken at fairness ticks and park entries *)
   }
 
@@ -70,16 +71,18 @@ module Sched_stats : sig
 
   val active_p50 : t -> int
   (** Weighted median of [active_hist]: the pool width the run actually
-      converged to, as opposed to the [domains] it was asked for. *)
+      launched, as opposed to the [domains] it was asked for. *)
 end
 
 val run_parallel :
   ?domains:int -> ?on_stats:(Sched_stats.t -> unit) -> (unit -> unit) -> unit
 (** Run [main] plus everything it spawns to completion on [domains]
     worker domains (default [Domain.recommended_domain_count ()]; the
-    calling domain is worker 0).  An explicit [domains] above the
-    host's core count is honored — all domains are spawned — but the
-    adaptive idle policy may collapse the excess into deep park.
+    calling domain is worker 0).  Workers [0, min domains cores) start
+    at once; an explicit [domains] above the host's core count is
+    honored as capacity: each worker beyond it is launched on the first
+    delivery aimed at it ({!spawn_on}, a reactor wake routed to its
+    inbox), and never otherwise.
     A pool of one worker ([~domains:1], or the default on a one-core
     host) has no thief to take work from it, so it queues local spawns
     and wakes FIFO rather than on the LIFO deque: fork-join code runs

@@ -48,9 +48,7 @@ module Parallel : sig
     steals : int;
     steal_fail_rate : float;
     parks : int;
-    deep_parks : int;
     wakes : int;
-    spins : int;
     inj_drains : int;
     active_workers_p50 : int;
   }

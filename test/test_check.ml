@@ -387,101 +387,6 @@ let shard_wake_vs_park (module I : IDLE) () =
       if (not !cancelled) && not !woke then failwith "worker 0 claimed by nobody";
       if I.snapshot t <> [] then failwith "stack not drained" )
 
-(* ---------- scenario: elastic pool accounting (Elastic) ---------- *)
-
-(* Parameterized over the elastic-pool implementation so the same
-   scenarios drive the faithful copy (recompiled from
-   lib/fiber_rt/elastic.ml -- the state machine behind the
-   oversubscription-adaptive scheduler) and the seeded-bug copy. *)
-module type ELASTIC = sig
-  type t
-
-  val create : total:int -> target:int -> re_enlist_after:int -> t
-  val n_deep : t -> int
-  val enter_deep : t -> int -> bool
-  val cancel_deep : t -> int -> bool
-  val wake : ?foreign:bool -> t -> int option
-  val claim : t -> int -> bool
-  val snapshot_deep : t -> int list
-end
-
-(* The re-enlist path under concurrent injection pressure: worker 1 is
-   deep-parked (collapsed as chronically idle), two foreign producers
-   miss the shallow stack and accumulate pressure, and with
-   [re_enlist_after = 2] the second miss MUST pop worker 1 and owe it a
-   wake token -- which the worker models by sleeping until [tokens] is
-   bumped.  The faithful fetch-and-add hands the two misses distinct
-   counts, so in every interleaving exactly one producer crosses the
-   threshold.  The seeded get-then-set twin lets both producers read
-   pressure = 0 and both store 1: the miss evaporates, nobody
-   re-enlists, and worker 1 sleeps forever on the injection pressure
-   that should have revived it -- the explorer reports the deadlock. *)
-let elastic_lost_re_enlist (module E : ELASTIC) () =
-  let t = E.create ~total:2 ~target:1 ~re_enlist_after:2 in
-  if not (E.enter_deep t 1) then failwith "setup: enter_deep refused";
-  let tokens = Atomic'.make 0 in
-  let got = Array.make 2 None in
-  let producer i () =
-    match E.wake ~foreign:true t with
-    | Some wid ->
-        got.(i) <- Some wid;
-        Atomic'.incr tokens
-    | None -> ()
-  in
-  ( [
-      (fun () ->
-        (* worker 1, deep-parked: only a re-enlist token revives it *)
-        Sched.wait_until ~on:(Atomic'.id tokens) (fun () ->
-            Atomic'.peek tokens > 0));
-      producer 0;
-      producer 1;
-    ],
-    fun () ->
-      (match (got.(0), got.(1)) with
-      | Some 1, None | None, Some 1 -> ()
-      | Some _, Some _ -> failwith "worker 1 re-enlisted twice"
-      | Some w, None | None, Some w ->
-          failwith (Printf.sprintf "re-enlisted ghost worker %d" w)
-      | None, None -> failwith "pressure lost: worker 1 never re-enlisted");
-      if E.n_deep t <> 0 then failwith "deep slot not released" )
-
-(* The never-collapse-the-last-worker guard: with total = 2 both
-   workers racing into deep park, the CAS guard must admit at most one
-   -- otherwise published work could outlive every active worker. *)
-let elastic_enter_deep_guard (module E : ELASTIC) () =
-  let t = E.create ~total:2 ~target:1 ~re_enlist_after:4 in
-  let a = ref false and b = ref false in
-  ( [ (fun () -> a := E.enter_deep t 0); (fun () -> b := E.enter_deep t 1) ],
-    fun () ->
-      (match (!a, !b) with
-      | true, true -> failwith "both workers deep-parked: pool went dark"
-      | false, false -> failwith "guard refused both with a free slot"
-      | _ -> ());
-      if E.n_deep t <> 1 then
-        failwith (Printf.sprintf "n_deep = %d, want 1" (E.n_deep t)) )
-
-(* A deep-parked worker cancelling its own collapse (private work
-   arrived while publishing) vs a targeted [claim] aimed at its inbox:
-   exactly one side may win the id, and the deep-slot count must be
-   released exactly once -- a double release would let a second worker
-   collapse past the guard. *)
-let elastic_claim_vs_cancel (module E : ELASTIC) () =
-  let t = E.create ~total:3 ~target:1 ~re_enlist_after:4 in
-  if not (E.enter_deep t 1) then failwith "setup: enter_deep refused";
-  let claimed = ref false and cancelled = ref false in
-  ( [
-      (fun () -> claimed := E.claim t 1);
-      (fun () -> cancelled := E.cancel_deep t 1);
-    ],
-    fun () ->
-      (match (!claimed, !cancelled) with
-      | true, true -> failwith "worker 1 claimed twice: two wake tokens minted"
-      | false, false -> failwith "worker 1 claimed by nobody"
-      | _ -> ());
-      if E.n_deep t <> 0 then
-        failwith (Printf.sprintf "n_deep = %d after release, want 0" (E.n_deep t));
-      if E.snapshot_deep t <> [] then failwith "deep stack not drained" )
-
 (* ---------- scenario: Readiness rebound across shards ---------- *)
 
 (* The multi-reactor topology's rebind: a fiber awaits, is woken by
@@ -1222,8 +1127,6 @@ let rdy : (module READINESS) = (module Check.Readiness)
 let buggy_rdy : (module READINESS) = (module Check.Buggy_reactor)
 let idle : (module IDLE) = (module Check.Idle_waker)
 let buggy_idle : (module IDLE) = (module Check.Buggy_shard)
-let elastic : (module ELASTIC) = (module Check.Elastic)
-let buggy_elastic : (module ELASTIC) = (module Check.Buggy_elastic)
 let kc_pool : (module KC_POOL) = (module Check.Kc_pool)
 let buggy_kc_pool : (module KC_POOL) = (module Check.Buggy_kc_pool)
 let slots : (module CONN_SLOTS) = (module Check.Conn_slots)
@@ -1394,59 +1297,6 @@ let test_buggy_shard_wake_vs_park () =
   | Error f' ->
       Sched.print_failure f';
       Alcotest.fail "faithful Idle_waker failed the park-cancel schedule"
-
-let test_elastic_re_enlist () =
-  let stats =
-    expect_pass "elastic-re-enlist"
-      (Sched.check ~max_schedules:8_000 (elastic_lost_re_enlist elastic))
-  in
-  Alcotest.(check bool) "exhaustive" true stats.Sched.complete
-
-let test_elastic_enter_deep_guard () =
-  let stats =
-    expect_pass "elastic-enter-deep-guard"
-      (Sched.check (elastic_enter_deep_guard elastic))
-  in
-  Alcotest.(check bool) "exhaustive" true stats.Sched.complete
-
-let test_elastic_claim_vs_cancel () =
-  let stats =
-    expect_pass "elastic-claim-vs-cancel"
-      (Sched.check ~max_schedules:8_000 (elastic_claim_vs_cancel elastic))
-  in
-  Alcotest.(check bool) "exhaustive" true stats.Sched.complete
-
-let test_buggy_elastic_caught () =
-  (* two pressure bumps racing through the get-then-set: an increment
-     is lost, the re-enlist threshold is never crossed, and the
-     deep-parked worker's wait for its token can never be satisfied *)
-  let f, stats =
-    expect_bug "get-then-set pressure"
-      (Sched.check ~max_schedules:8_000 (elastic_lost_re_enlist buggy_elastic))
-  in
-  Printf.printf "elastic lost re-enlist caught after %d schedules: %s\n%!"
-    stats.Sched.schedules f.Sched.f_reason;
-  print_string (Sched.failure_to_string f);
-  Alcotest.(check bool)
-    "reported as deadlock" true
-    (contains ~sub:"Deadlock" f.Sched.f_reason);
-  (* the printed schedule replays to the same failure... *)
-  (match
-     Sched.replay ~schedule:f.Sched.f_schedule
-       (elastic_lost_re_enlist buggy_elastic)
-   with
-  | Error f' ->
-      Alcotest.(check string)
-        "replay reproduces the same failure" f.Sched.f_reason f'.Sched.f_reason
-  | Ok _ -> Alcotest.fail "replay of the failing schedule passed");
-  (* ...and the faithful pool survives the exact same schedule *)
-  match
-    Sched.replay ~schedule:f.Sched.f_schedule (elastic_lost_re_enlist elastic)
-  with
-  | Ok _ -> ()
-  | Error f' ->
-      Sched.print_failure f';
-      Alcotest.fail "faithful Elastic failed the buggy pressure's schedule"
 
 let test_buggy_rebind_caught () =
   let f, stats =
@@ -1904,17 +1754,6 @@ let () =
             test_buggy_shard_double_token;
           Alcotest.test_case "get-then-set take double-claims the park" `Quick
             test_buggy_shard_wake_vs_park;
-        ] );
-      ( "elastic",
-        [
-          Alcotest.test_case "injection pressure re-enlists exactly once"
-            `Quick test_elastic_re_enlist;
-          Alcotest.test_case "the last active worker never collapses" `Quick
-            test_elastic_enter_deep_guard;
-          Alcotest.test_case "claim vs cancel_deep releases the slot once"
-            `Quick test_elastic_claim_vs_cancel;
-          Alcotest.test_case "get-then-set pressure strands the deep worker"
-            `Quick test_buggy_elastic_caught;
         ] );
       ( "mpsc",
         [ Alcotest.test_case "enqueue vs drain" `Quick test_mpsc ] );

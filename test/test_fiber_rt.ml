@@ -814,14 +814,14 @@ let test_par_stress_exact_completions () =
        Test_seed.seed)
     (n + expected_children) (Atomic.get completions)
 
-(* Elastic-pool churn: an oversubscribed run (domains = 4, regardless
-   of host cores) alternating seeded parallel bursts, quiet sequential
-   stretches (chronic-idle collapse decays the pool), and waves of
-   foreign wakes from short-lived OS threads (injection pressure,
-   which re-enlists deep-parked workers -- on a small host this is
-   also the lazy launch path for domains that never started).  The
-   pool must keep every completion exactly once through the whole
-   collapse/re-expand cycle, and the run's telemetry must be sane. *)
+(* Pool churn: an oversubscribed run (domains = 4, regardless of host
+   cores) alternating seeded parallel bursts, quiet sequential
+   stretches (idle workers park), and waves of foreign wakes from
+   short-lived OS threads (each one goes through the injection channel
+   and pops at most one parked worker; on a small host the workers
+   beyond its cores are never launched).  The pool must keep every
+   completion exactly once through the whole park/wake cycle, and the
+   run's telemetry must be sane. *)
 let test_par_elastic_collapse_stress () =
   let domains = 4 and rounds = 5 in
   let rng = Test_seed.derived_state 7777 in
@@ -846,13 +846,13 @@ let test_par_elastic_collapse_stress () =
                     Atomic.incr completions))
           in
           List.iter Fiber.join fs;
-          (* quiet stretch: only this fiber runs; idle workers spin
-             down and chronically idle ones collapse into deep park *)
+          (* quiet stretch: only this fiber runs; idle workers park *)
           for _ = 1 to 200 do
             Fiber.yield ()
           done;
-          (* foreign pressure: 80 external wakes cross the re-enlist
-             threshold and pull a worker back out of deep park *)
+          (* foreign wakes: 80 external threads resume this fiber
+             through the injection channel, each waking a parked
+             worker if there is one *)
           let pending = ref [] in
           for _ = 1 to 80 do
             Fiber.suspend (fun wake ->
@@ -901,6 +901,30 @@ let test_par_elastic_collapse_stress () =
   Alcotest.(check bool)
     (msg (Printf.sprintf "bounded runtime (%.2fs)" dt))
     true (dt < 30.0)
+
+(* Lazy launch: workers beyond the host's cores start unlaunched, and
+   only a delivery aimed at one of them ([spawn_on]) spawns its domain.
+   [domains = cores + 2] keeps two workers unlaunched on any host. *)
+let test_par_lazy_launch () =
+  let cores = Domain.recommended_domain_count () in
+  let domains = cores + 2 in
+  let eager = min domains cores in
+  let active () =
+    match Fiber.sched_stats () with
+    | Some s -> s.Fiber.Sched_stats.active_now
+    | None -> -1
+  in
+  let before = ref (-1) and after = ref (-1) and ran_on = ref None in
+  Fiber.run_parallel ~domains (fun () ->
+      before := active ();
+      Fiber.join
+        (Fiber.spawn_on ~worker:(domains - 1) (fun () ->
+             ran_on := Fiber.worker_index ()));
+      after := active ());
+  Alcotest.(check int) "launched before any spawn_on" eager !before;
+  Alcotest.(check (option int))
+    "child ran on the targeted worker" (Some (domains - 1)) !ran_on;
+  Alcotest.(check int) "spawn_on launched one more worker" (eager + 1) !after
 
 let prop_par_spawn_tree_completes =
   QCheck.Test.make ~name:"parallel: n fibers of k yields all finish" ~count:10
@@ -1370,6 +1394,8 @@ let () =
             `Quick test_par_join_stress;
           Alcotest.test_case "stress: elastic collapse and re-expand" `Quick
             test_par_elastic_collapse_stress;
+          Alcotest.test_case "lazy launch: spawn_on starts an unlaunched worker"
+            `Quick test_par_lazy_launch;
           Alcotest.test_case "injected wake-ups keep FIFO order" `Quick
             test_par_injected_fifo_order;
           qcheck prop_par_spawn_tree_completes;

@@ -14,7 +14,6 @@ module Mpsc = Fiber_rt.Mpsc_queue
 module Compl = Fiber_rt.Completion
 module Heap = Ult.Prio_heap
 module Idle = Fiber_rt.Idle_waker
-module Elastic = Fiber_rt.Elastic
 module Sync = Fiber_rt.Sync
 module Scope = Fiber_rt.Scope
 module Fiber = Fiber_rt.Fiber
@@ -290,146 +289,82 @@ let prop_idle_matches_model ops =
       | Isnap -> Idle.snapshot t = !model)
     ops
 
-(* ---------- Elastic vs a two-stack pool model ---------- *)
+(* ---------- Idle_waker under the pool's park-once protocol ---------- *)
 
-(* The elastic worker-pool accounting behind the oversubscription-
-   adaptive scheduler, against an obviously-right sequential model:
-   two list stacks (shallow and deep), a pressure counter, and the
-   active-worker target.  Worker ids 0..3 on a total=4 pool; a park
-   or collapse of an id already parked somewhere is skipped (a real
-   worker parks itself at most once), so each id lives on at most one
-   stack and the deep count always equals the deep stack's length.
+(* The fiber engine's one idle structure as the engine drives it:
+   worker ids 0..3, and a worker parks itself at most once (a park of
+   an id already on the stack is skipped -- a real worker is asleep
+   there and cannot park again).  Every removal -- [pop] for wake_one,
+   [take] for a targeted wake or a parker's own cancel, [drain] on
+   stop -- must hand each parked id out exactly once: after every op
+   the return value, the full stack and the token count (parks =
+   removals + still parked) are checked against a list, and no id is
+   ever listed twice. *)
+type pool_op = Ppark of int | Ptake of int | Ppop | Pdrain
 
-   The property drives every transition -- shallow park/cancel, deep
-   collapse with its never-the-last-worker guard, wake with foreign
-   vs local pressure accounting and the re-enlist threshold, targeted
-   claim, chronic-idle target decay, stop-time drain -- and checks
-   each return value plus the full observable state after every op,
-   so the target's bounded evolution ([base, total], +1 per re-enlist,
-   -1 per decay) is pinned to the reference. *)
-type elastic_op =
-  | Epark of int
-  | Ecancel of int
-  | Eenter of int
-  | Ecancel_deep of int
-  | Ewake of bool (* foreign? *)
-  | Eclaim of int
-  | Edecay
-  | Edrain
-
-let elastic_op_gen =
+let pool_op_gen =
   QCheck.Gen.(
     frequency
       [
-        (4, map (fun w -> Epark w) (int_bound 3));
-        (2, map (fun w -> Ecancel w) (int_bound 3));
-        (3, map (fun w -> Eenter w) (int_bound 3));
-        (2, map (fun w -> Ecancel_deep w) (int_bound 3));
-        (5, map (fun b -> Ewake b) bool);
-        (2, map (fun w -> Eclaim w) (int_bound 3));
-        (1, return Edecay);
-        (1, return Edrain);
+        (4, map (fun w -> Ppark w) (int_bound 3));
+        (3, map (fun w -> Ptake w) (int_bound 3));
+        (3, return Ppop);
+        (1, return Pdrain);
       ])
 
-let show_elastic_op = function
-  | Epark w -> Printf.sprintf "Park %d" w
-  | Ecancel w -> Printf.sprintf "Cancel %d" w
-  | Eenter w -> Printf.sprintf "Enter_deep %d" w
-  | Ecancel_deep w -> Printf.sprintf "Cancel_deep %d" w
-  | Ewake f -> Printf.sprintf "Wake ~foreign:%b" f
-  | Eclaim w -> Printf.sprintf "Claim %d" w
-  | Edecay -> "Decay_target"
-  | Edrain -> "Drain"
+let show_pool_op = function
+  | Ppark w -> Printf.sprintf "Park %d" w
+  | Ptake w -> Printf.sprintf "Take %d" w
+  | Ppop -> "Pop"
+  | Pdrain -> "Drain"
 
-let elastic_ops_arb =
+let pool_ops_arb =
   QCheck.make
-    ~print:QCheck.Print.(list show_elastic_op)
+    ~print:QCheck.Print.(list show_pool_op)
     ~shrink:QCheck.Shrink.list
-    QCheck.Gen.(list_size (int_bound 80) elastic_op_gen)
+    QCheck.Gen.(list_size (int_bound 80) pool_op_gen)
 
-let prop_elastic_matches_model ops =
-  let total = 4 and base = 2 and re_enlist_after = 3 in
-  let t = Elastic.create ~total ~target:base ~re_enlist_after in
-  let shallow = ref [] (* newest first *) in
-  let deep = ref [] (* newest first *) in
-  let pressure = ref 0 and target = ref base in
-  let parked w = List.mem w !shallow || List.mem w !deep in
-  let state_ok () =
-    Elastic.n_deep t = List.length !deep
-    && Elastic.active t = total - List.length !deep
-    && Elastic.target t = !target
-    && Elastic.pressure t = !pressure
-    && Elastic.over_target t = (total - List.length !deep > !target)
-    && Elastic.snapshot_shallow t = !shallow
-    && Elastic.snapshot_deep t = !deep
-    && !target >= base && !target <= total
-    && List.length !deep < total
-  in
+let prop_idle_pool_matches_model ops =
+  let t = Idle.create () in
+  let model = ref [] (* newest first *) in
+  let parks = ref 0 and removed = ref 0 in
+  let remove n = removed := !removed + n in
   List.for_all
     (fun op ->
       let ret_ok =
         match op with
-        | Epark w ->
-            if parked w then true
-            else begin
-              Elastic.park t w;
-              shallow := w :: !shallow;
-              true
-            end
-        | Ecancel w ->
-            let expected = List.mem w !shallow in
-            shallow := List.filter (fun x -> x <> w) !shallow;
-            Elastic.cancel t w = expected
-        | Eenter w ->
-            if parked w then true
-            else
-              let expected = List.length !deep + 1 < total in
-              if expected then deep := w :: !deep;
-              Elastic.enter_deep t w = expected
-        | Ecancel_deep w ->
-            let expected = List.mem w !deep in
-            deep := List.filter (fun x -> x <> w) !deep;
-            Elastic.cancel_deep t w = expected
-        | Ewake foreign ->
-            let expected =
-              match !shallow with
-              | newest :: rest ->
-                  shallow := rest;
-                  Some newest
-              | [] ->
-                  let d = List.length !deep in
-                  if d > 0 && (foreign || total - d < !target) then begin
-                    incr pressure;
-                    if !pressure >= re_enlist_after then begin
-                      pressure := 0;
-                      match !deep with
-                      | newest :: rest ->
-                          deep := rest;
-                          target := min total (!target + 1);
-                          Some newest
-                      | [] -> None
-                    end
-                    else None
-                  end
-                  else None
-            in
-            Elastic.wake ~foreign t = expected
-        | Eclaim w ->
-            let expected = parked w in
-            shallow := List.filter (fun x -> x <> w) !shallow;
-            deep := List.filter (fun x -> x <> w) !deep;
-            Elastic.claim t w = expected
-        | Edecay ->
-            target := max base (!target - 1);
-            Elastic.decay_target t;
+        | Ppark w ->
+            if not (List.mem w !model) then begin
+              Idle.push t w;
+              model := w :: !model;
+              incr parks
+            end;
             true
-        | Edrain ->
-            let expected = !shallow @ !deep in
-            shallow := [];
-            deep := [];
-            Elastic.drain t = expected
+        | Ptake w ->
+            let expected = List.mem w !model in
+            model := List.filter (fun x -> x <> w) !model;
+            if expected then remove 1;
+            Idle.take t w = expected
+        | Ppop ->
+            let expected =
+              match !model with
+              | [] -> None
+              | newest :: rest ->
+                  model := rest;
+                  remove 1;
+                  Some newest
+            in
+            Idle.pop t = expected
+        | Pdrain ->
+            let expected = !model in
+            model := [];
+            remove (List.length expected);
+            Idle.drain t = expected
       in
-      ret_ok && state_ok ())
+      let snap = Idle.snapshot t in
+      ret_ok && snap = !model
+      && List.length (List.sort_uniq compare snap) = List.length snap
+      && !parks = !removed + List.length snap)
     ops
 
 (* ---------- Sync.Mutex vs a held/free bit ---------- *)
@@ -869,8 +804,8 @@ let () =
             prop_heap_matches_model;
           t "Idle_waker = list stack model" idle_ops_arb
             prop_idle_matches_model;
-          t "Elastic = two-stack pool model" elastic_ops_arb
-            prop_elastic_matches_model;
+          t "Idle_waker = list-stack model" pool_ops_arb
+            prop_idle_pool_matches_model;
           t "Sync.Mutex (park) = held/free bit" mutex_ops_arb
             prop_mutex_matches_model;
           t "Sync.Condition wakes FIFO" cond_ops_arb prop_condition_fifo;

@@ -378,8 +378,8 @@ let test_written_docs_valid () =
   let row name : Bf.Parallel.result =
     { name; domains = 1; oversubscribed = false; items = 1000; reps = 3;
       median_s = 0.01; p99_s = 0.012; median_throughput_per_s = 1e5;
-      steals = 0; steal_fail_rate = 0.0; parks = 0; deep_parks = 0; wakes = 0;
-      spins = 0; inj_drains = 1; active_workers_p50 = 1 }
+      steals = 0; steal_fail_rate = 0.0; parks = 0; wakes = 0; inj_drains = 1;
+      active_workers_p50 = 1 }
   in
   let rs =
     List.map row
