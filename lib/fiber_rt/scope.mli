@@ -7,9 +7,9 @@
     Cancellation is cooperative: {!cancel} (or any failure) sets a
     sticky flag that children poll with {!check}, raising {!Cancelled}
     — which the scope edge absorbs.  Only non-[Cancelled] exceptions
-    propagate out of {!run}.  [lib/net]'s reactor integrates this with
-    the timer wheel: [Reactor.cancel_scope_after] arms a timer that
-    cancels a scope, giving scoped timeouts. *)
+    propagate out of {!run}.  No timer cancels a scope: a deadline
+    bounds a single wait ([?deadline] on the [lib/net] reactor's
+    waits), and the waiting fiber decides whether to {!cancel}. *)
 
 exception Cancelled
 

@@ -92,11 +92,6 @@ let connect r ?deadline fd addr =
       | None -> ()
       | Some err -> raise (Unix.Unix_error (err, "connect", "")))
 
-(* ---- blocking calls with no non-blocking form: couple to the
-   fiber's original KC (system-call consistency under migration) ---- *)
-
-let coupled_blocking f = Blt_rt.coupled f
-
 let resolve ?(service = "") host =
   Blt_rt.coupled (fun () ->
       List.filter_map

@@ -42,11 +42,9 @@ val connect : Reactor.t -> ?deadline:float -> Unix.file_descr -> Unix.sockaddr -
 val wait : Reactor.t -> ?deadline:float -> Unix.file_descr -> Reactor.dir -> unit
 (** Bare readiness wait.  @raise Timeout when the deadline lapses. *)
 
-val coupled_blocking : (unit -> 'a) -> 'a
-(** Run a genuinely blocking call (no non-blocking form) coupled to the
-    calling fiber's original KC ({!Fiber_rt.Blt_rt.coupled}): always the
-    same OS thread, preserving the paper's system-call consistency even
-    after the fiber migrated between domains. *)
-
 val resolve : ?service:string -> string -> Unix.sockaddr list
-(** getaddrinfo (TCP results only), routed through {!coupled_blocking}. *)
+(** getaddrinfo (TCP results only).  It has no non-blocking form, so it
+    runs coupled to the calling fiber's original KC
+    ({!Fiber_rt.Blt_rt.coupled}): always the same OS thread, preserving
+    the paper's system-call consistency even after the fiber migrated
+    between domains. *)

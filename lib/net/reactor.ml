@@ -13,7 +13,7 @@
    shards]), and the wake is routed back to that worker's private
    inbox ([Fiber.Wake.fire_to ~worker]) instead of the global MPSC
    injection channel -- the continuation resumes on the domain whose
-   cache already holds the fiber.  Within one poll tick the shard
+   cache already holds the fiber.  Within one poll round the shard
    accumulates wakes in a [Fiber.Wake.batch] and flushes once: N ready
    fds cost one un-park notification per distinct worker, not N.
 
@@ -22,9 +22,10 @@
    byte per quiet period).  Readiness handshakes go through
    [Readiness] cells -- the CAS protocol that makes the
    register-vs-wake race safe (model-checked in lib/check, including
-   the cross-shard rebind of an fd).  Deadlines live in a per-shard
-   hierarchical [Timer_wheel]; cancellation races fire by CAS, so
-   [with_timeout] vs completing I/O resolves to exactly one verdict. *)
+   the cross-shard rebind of an fd).  Deadlines are absolute wall-clock
+   floats in a per-shard [Timers] heap; the poller waits until the
+   earliest one, and a timeout racing completing I/O resolves by CAS to
+   exactly one verdict. *)
 
 module Fiber = Fiber_rt.Fiber
 module Mpsc = Fiber_rt.Mpsc_queue
@@ -33,7 +34,7 @@ type dir = [ `R | `W ]
 
 type watch = { wfd : Unix.file_descr; wdir : dir; cell : Readiness.t }
 
-type cmd = Watch of watch | Unwatch of watch | Add_timer of Timer_wheel.timer
+type cmd = Watch of watch | Unwatch of watch | Add_timer of Timers.timer
 
 type stats = {
   polls : int;  (** poller wait rounds, summed over shards *)
@@ -52,8 +53,8 @@ type shard = {
   pipe_r : Unix.file_descr;
   pipe_w : Unix.file_descr;
   batch : Fiber.Wake.batch;
-      (* owned by the shard thread: waiters fired during a poll tick
-         defer their worker notifications here; flushed once per tick *)
+      (* owned by the shard thread: waiters fired during a poll round
+         defer their worker notifications here; flushed once per round *)
   mutable tid : int; (* the shard thread's id, written at loop start *)
   mutable thread : Thread.t option;
 }
@@ -62,8 +63,6 @@ type t = {
   shards : shard array;
   rr : int Atomic.t; (* round-robin for callers with no worker affinity *)
   stopping : bool Atomic.t;
-  tick_s : float;
-  epoch : float; (* wall clock of wheel tick 0 *)
   (* counters: written by shard threads, read by anyone *)
   n_polls : int Atomic.t;
   n_wakeups : int Atomic.t;
@@ -75,17 +74,6 @@ type t = {
 let now () = Fiber_rt.Clock.now ()
 
 let max_idle_ms = 250 (* poll ceiling: re-check stopping this often *)
-
-(* Absolute wall-clock time -> wheel tick, rounded up so a timer never
-   fires before its deadline. *)
-let tick_of t time =
-  let d = (time -. t.epoch) /. t.tick_s in
-  let up = ceil d in
-  max 1 (int_of_float up)
-
-(* The tick the wheel may advance to: rounded down, so [advance] never
-   claims a tick whose wall-clock window is still open. *)
-let current_tick t = int_of_float ((now () -. t.epoch) /. t.tick_s)
 
 let send sh cmd =
   Mpsc.push sh.cmds cmd;
@@ -109,7 +97,7 @@ let shard_for t =
     | None -> t.shards.(Atomic.fetch_and_add t.rr 1 mod n)
 
 (* Fire a wake token with routing: back to the awaiting fiber's home
-   worker, batched when we are on the shard's own thread (the poll-tick
+   worker, batched when we are on the shard's own thread (the poll-round
    dispatch path -- flushed before the next poller wait).  Off-thread
    invocations (the Was_ready fast path on a worker, shutdown stragglers
    after the shard joined) must not touch the single-owner batch. *)
@@ -123,7 +111,7 @@ let fire_routed sh home tok =
 type state = {
   r : t;
   sh : shard;
-  wheel : Timer_wheel.t;
+  timers : Timers.t;
   interest : (int, watch list) Hashtbl.t; (* raw fd -> live watches *)
 }
 
@@ -185,7 +173,7 @@ let run_commands st =
               sync_poller st key)
       | Add_timer tm ->
           (* during shutdown the post-loop [fire_all] sweep resolves it *)
-          Timer_wheel.add st.wheel tm)
+          Timers.add st.timers tm)
     (Mpsc.pop_all st.sh.cmds)
 
 let dispatch_event st (ev : Poller.event) =
@@ -219,12 +207,17 @@ let wake_everyone st =
     st.interest;
   Hashtbl.reset st.interest
 
+(* Wait until the earliest deadline, rounded up to whole milliseconds
+   so the wake never precedes it; clamped in floats first, so a far or
+   infinite deadline cannot overflow the int conversion. *)
 let poll_timeout_ms st =
-  match Timer_wheel.next_due st.wheel with
+  match Timers.next_due st.timers with
   | None -> max_idle_ms
-  | Some tick ->
-      let dt = float_of_int (tick - Timer_wheel.now st.wheel) *. st.r.tick_s in
-      min max_idle_ms (max 0 (int_of_float (ceil (dt *. 1000.))))
+  | Some at ->
+      let ms = ceil ((at -. now ()) *. 1000.) in
+      if ms >= float_of_int max_idle_ms then max_idle_ms
+      else if ms > 0. then int_of_float ms
+      else 0
 
 let shard_loop st =
   st.sh.tid <- Thread.id (Thread.self ());
@@ -241,7 +234,7 @@ let shard_loop st =
        drain_pipe st;
        Atomic.set st.sh.poked false;
        run_commands st;
-       let fired = Timer_wheel.advance st.wheel ~now:(current_tick st.r) in
+       let fired = Timers.advance st.timers ~now:(now ()) in
        if fired > 0 then ignore (Atomic.fetch_and_add st.r.n_timers fired);
        (* [shutdown] sets [stopping] before it pokes; when the drain
           above already ate that poke, nothing else would end the wait
@@ -252,7 +245,7 @@ let shard_loop st =
        Atomic.incr st.r.n_polls;
        let events = Poller.wait st.sh.poller ~timeout_ms in
        List.iter (dispatch_event st) events;
-       (* one flush per tick: deliver the batched worker notifications
+       (* one flush per round: deliver the batched worker notifications
           before blocking again *)
        Fiber.Wake.flush st.sh.batch
      with _ ->
@@ -265,14 +258,14 @@ let shard_loop st =
   run_commands st;
   Hashtbl.iter (fun _ ws -> List.iter (post_watch st) ws) st.interest;
   Hashtbl.reset st.interest;
-  let swept = Timer_wheel.fire_all st.wheel in
+  let swept = Timers.fire_all st.timers in
   if swept > 0 then ignore (Atomic.fetch_and_add st.r.n_timers swept);
   Fiber.Wake.flush st.sh.batch;
   Poller.close st.sh.poller
 
 (* ---------------- lifecycle ---------------- *)
 
-let create ?backend ?shards ?(tick_s = 0.001) () =
+let create ?backend ?shards () =
   (* default shard count follows the host's real parallelism, not a
      fixed 1: each shard is an OS thread, and like the fiber engine's
      worker pool there is nothing to gain from more pollers than
@@ -304,8 +297,6 @@ let create ?backend ?shards ?(tick_s = 0.001) () =
       shards = Array.init shards mk_shard;
       rr = Atomic.make 0;
       stopping = Atomic.make false;
-      tick_s;
-      epoch = now ();
       n_polls = Atomic.make 0;
       n_wakeups = Atomic.make 0;
       n_timers = Atomic.make 0;
@@ -316,7 +307,7 @@ let create ?backend ?shards ?(tick_s = 0.001) () =
   Array.iter
     (fun sh ->
       let st =
-        { r = t; sh; wheel = Timer_wheel.create (); interest = Hashtbl.create 64 }
+        { r = t; sh; timers = Timers.create (); interest = Hashtbl.create 64 }
       in
       sh.thread <- Some (Thread.create shard_loop st))
     t.shards;
@@ -358,7 +349,7 @@ let shutdown t =
             match cmd with
             | Watch w -> ignore (Readiness.post w.cell)
             | Unwatch _ -> ()
-            | Add_timer tm -> ignore (Timer_wheel.fire tm))
+            | Add_timer tm -> ignore (Timers.fire tm))
           (Mpsc.pop_all sh.cmds);
         Unix.close sh.pipe_r;
         Unix.close sh.pipe_w)
@@ -394,7 +385,7 @@ let await_fd t ?deadline fd dir =
       | None -> ()
       | Some d ->
           let tm =
-            Timer_wheel.make ~at:(tick_of t d) (fun () ->
+            Timers.make ~at:d (fun () ->
                 if Atomic.compare_and_set verdict `None `Timeout then
                   ignore (Fiber.Wake.fire tok))
           in
@@ -403,7 +394,7 @@ let await_fd t ?deadline fd dir =
       send sh (Watch { wfd = fd; wdir = dir; cell }));
   match Atomic.get verdict with
   | `Ready ->
-      (match !timer with Some tm -> ignore (Timer_wheel.cancel tm) | None -> ());
+      (match !timer with Some tm -> ignore (Timers.cancel tm) | None -> ());
       `Ready
   | `Timeout ->
       (* the registration is dead: reclaim it (the shard drops the
@@ -417,69 +408,7 @@ let sleep_until t time =
   check_live t;
   if time > now () then
     Fiber.suspend_token (fun tok ->
-        let tm =
-          Timer_wheel.make ~at:(tick_of t time) (fun () ->
-              ignore (Fiber.Wake.fire tok))
-        in
-        send (shard_for t) (Add_timer tm))
+        send (shard_for t)
+          (Add_timer (Timers.make ~at:time (fun () -> ignore (Fiber.Wake.fire tok)))))
 
 let sleep t seconds = sleep_until t (now () +. seconds)
-
-(* Race [f] (in a child fiber) against the deadline.  The verdict CAS
-   picks exactly one outcome even when I/O completion and the timer
-   fire in the same instant; the loser's wake attempt is absorbed by
-   the token.  On [`Timeout] the child is NOT cancelled -- it keeps
-   running to completion and its result is discarded (abandon-wait
-   semantics; pair with per-operation [?deadline]s in [Fiber_io] when
-   the I/O itself must stop). *)
-let with_timeout t ~seconds f =
-  check_live t;
-  let deadline = now () +. seconds in
-  let verdict = Atomic.make `None in
-  let result = ref None in
-  let tok_cell = Atomic.make None in
-  let try_wake () =
-    match Atomic.get tok_cell with
-    | Some tok -> ignore (Fiber.Wake.fire tok)
-    | None -> () (* not parked yet: the post-publish check self-fires *)
-  in
-  let _child : Fiber.fiber =
-    Fiber.spawn (fun () ->
-        let r = match f () with v -> Ok v | exception e -> Error e in
-        result := Some r;
-        if Atomic.compare_and_set verdict `None `Done then try_wake ())
-  in
-  let tm =
-    Timer_wheel.make ~at:(tick_of t deadline) (fun () ->
-        if Atomic.compare_and_set verdict `None `Timeout then try_wake ())
-  in
-  send (shard_for t) (Add_timer tm);
-  Fiber.suspend_token (fun tok ->
-      Atomic.set tok_cell (Some tok);
-      (* the race may already be decided: then nobody saw the token *)
-      if Atomic.get verdict <> `None then ignore (Fiber.Wake.fire tok));
-  match Atomic.get verdict with
-  | `Done -> (
-      ignore (Timer_wheel.cancel tm);
-      match !result with
-      | Some (Ok v) -> Ok v
-      | Some (Error e) -> raise e
-      | None -> assert false)
-  | `Timeout -> Error `Timeout
-  | `None -> assert false
-
-(* Scoped timeouts: arm a wheel timer that cancels the whole scope.
-   Cancellation is cooperative ([Scope.check] in the children), so this
-   composes with [Scope.run]: the timer fires, every child unwinds with
-   [Scope.Cancelled], the scope edge absorbs it.  The disarm thunk uses
-   the wheel's cancel CAS, so disarm-vs-fire resolves to exactly one
-   winner even when the deadline lands mid-disarm. *)
-let cancel_scope_after t ~seconds scope =
-  check_live t;
-  let deadline = now () +. seconds in
-  let tm =
-    Timer_wheel.make ~at:(tick_of t deadline) (fun () ->
-        Fiber_rt.Scope.cancel scope)
-  in
-  send (shard_for t) (Add_timer tm);
-  fun () -> Timer_wheel.cancel tm

@@ -9,11 +9,12 @@
     time ([worker mod n]) and the wake is routed to that worker's
     private inbox ({!Fiber_rt.Fiber.Wake.fire_to}) rather than the
     global injection channel, with the un-park notifications batched
-    and flushed once per poll tick.  Readiness handshakes use the
+    and flushed once per poll round.  Readiness handshakes use the
     {!Readiness} CAS cells (model-checked in [lib/check], including
-    cross-shard rebinding of an fd); deadlines live in per-shard
-    hierarchical {!Timer_wheel}s, and every timeout-vs-completion race
-    resolves by a verdict CAS to exactly one outcome.
+    cross-shard rebinding of an fd); deadlines are absolute wall-clock
+    seconds kept in a per-shard {!Timers} heap, the poller waits until
+    the earliest, and every timeout-vs-completion race resolves by a
+    verdict CAS to exactly one outcome.
 
     Lifecycle: {!create} before (or during) the fiber run; call the
     wait operations only from inside fibers; {!shutdown} only after the
@@ -40,16 +41,14 @@ exception Reactor_stopped
 val create :
   ?backend:[ `Select | `Poll | `Epoll | `Auto ] ->
   ?shards:int ->
-  ?tick_s:float ->
   unit ->
   t
 (** Spawn the reactor threads.  [shards] (default
     [Domain.recommended_domain_count ()], i.e. the host's real
     parallelism) is the number of reactor threads, each owning a
     poller — match it to the worker domain count for the
-    one-reactor-per-domain serving topology.
-    [tick_s] is the timer-wheel granularity (default 1 ms).  [backend]
-    as in {!Poller.create}. *)
+    one-reactor-per-domain serving topology.  [backend] as in
+    {!Poller.create}. *)
 
 val shutdown : t -> unit
 (** Stop and join every shard thread, close the self-pipes and pollers,
@@ -80,24 +79,5 @@ val sleep : t -> float -> unit
     fibers (and domains) keep running. *)
 
 val sleep_until : t -> float -> unit
-
-val with_timeout :
-  t -> seconds:float -> (unit -> 'a) -> ('a, [ `Timeout ]) result
-(** Run [f] in a child fiber, racing the deadline: [Ok] with its result
-    if it finishes first, [Error `Timeout] otherwise — exactly one
-    verdict, even when completion and deadline coincide.  On timeout
-    [f] is {e not} cancelled: it runs on and its result is discarded
-    (abandon-wait semantics); give the I/O inside a [?deadline] when it
-    must actually stop.  If [f] raised, its exception is re-raised
-    here. *)
-
-val cancel_scope_after :
-  t -> seconds:float -> Fiber_rt.Scope.t -> unit -> bool
-(** [cancel_scope_after t ~seconds scope] arms a timer that
-    {!Fiber_rt.Scope.cancel}s [scope] when the deadline passes, giving
-    scoped timeouts: children polling [Scope.check] unwind with
-    [Cancelled], which the scope edge absorbs.  Returns a disarm thunk:
-    [true] if it won the race against the deadline (the scope will not
-    be cancelled by this timer), [false] if the timer already fired.
-    Disarm it when the scope body finishes early, or the timer holds
-    the scope value until the deadline. *)
+(** Park the calling fiber until the absolute wall-clock time
+    ({!now}); a past time returns at once. *)

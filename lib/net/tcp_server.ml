@@ -1,7 +1,7 @@
 (* The TCP serving stack on the fiber runtime, with sharded accepting:
-   [listeners] accept-loop fibers instead of one, so new connections
-   stop funneling through a single fiber (and, under the sharded
-   reactor, through a single poller thread).
+   one accept-loop fiber per reactor shard instead of one, so new
+   connections stop funneling through a single fiber (and, under the
+   sharded reactor, through a single poller thread).
 
    Accept sharding has two modes, picked at [start]:
 
@@ -13,7 +13,7 @@
    - Fallback (option unsupported): one listening socket shared by all
      accept loops; every loop parks on the same fd and the reactor
      wakes them all on readiness -- the non-winners see EAGAIN and
-     re-park (a mild herd, bounded by [listeners]).
+     re-park (a mild herd, bounded by the shard count).
 
    In both modes a lock-free round-robin distributor (one
    fetch-and-add) spreads the accepted connections' handler fibers
@@ -220,14 +220,8 @@ let concrete_addr fd = function
       | a -> a)
   | a -> a
 
-let start ~reactor ?(backlog = 128) ?(max_conns = max_int) ?listeners ~addr
-    ~handler () =
-  let n_loops =
-    match listeners with
-    | Some n when n >= 1 -> n
-    | Some _ -> invalid_arg "Tcp_server.start: listeners must be >= 1"
-    | None -> Reactor.shard_count reactor
-  in
+let start ~reactor ?(backlog = 128) ?(max_conns = max_int) ~addr ~handler () =
+  let n_loops = Reactor.shard_count reactor in
   let fd0, rp = make_listener ~reuseport:(n_loops > 1) ~backlog addr in
   let listen_fds =
     if not rp then [| fd0 |] (* unsupported (or single loop): share fd0 *)

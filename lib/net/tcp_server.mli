@@ -1,5 +1,5 @@
-(** TCP serving on the fiber runtime with sharded accepting:
-    [listeners] accept-loop fibers (default: one per reactor shard) —
+(** TCP serving on the fiber runtime with sharded accepting: one
+    accept-loop fiber per reactor shard —
     one [SO_REUSEPORT] socket each where the platform supports it, one
     shared socket otherwise — spawning one fiber per connection, spread
     across the worker domains by a lock-free round-robin distributor
@@ -45,17 +45,16 @@ val start :
   reactor:Reactor.t ->
   ?backlog:int ->
   ?max_conns:int ->
-  ?listeners:int ->
   addr:Unix.sockaddr ->
   handler:(Reactor.t -> conn -> unit) ->
   unit ->
   t
 (** Bind, listen and spawn the accept loops (so: fiber context).
-    [backlog] defaults to 128, [max_conns] to unlimited; [listeners]
-    (default {!Reactor.shard_count}) is the accept-loop count — with
-    [SO_REUSEPORT] each loop gets its own socket and the kernel shards
-    incoming connections across them; without it they share one socket
-    (readiness wakes them all; non-winners re-park).  The handler runs
+    [backlog] defaults to 128, [max_conns] to unlimited.  There are
+    {!Reactor.shard_count} accept loops — with [SO_REUSEPORT] each loop
+    gets its own socket and the kernel shards incoming connections
+    across them; without it they share one socket (readiness wakes them
+    all; non-winners re-park).  The handler runs
     in the connection's own fiber — placed on a worker chosen
     round-robin — and may park freely ({!Fiber_io}); its exceptions are
     counted, never propagated. *)

@@ -125,5 +125,5 @@ val fds : t -> Unix.file_descr Fd_core.table
     it). *)
 
 val scope : t -> Fiber_rt.Scope.t
-(** The ULP's fiber-tree Scope (timer-driven cancellation via
-    {!Reactor.cancel_scope_after} composes with signal delivery). *)
+(** The ULP's fiber-tree Scope; a fatal signal fails it, cancelling
+    the tree. *)

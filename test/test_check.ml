@@ -295,7 +295,7 @@ let readiness_timeout_vs_ready (module R : READINESS) () =
             Sched.wait_until ~on:(Atomic'.id fired) (fun () ->
                 Atomic'.peek fired > 0));
       (fun () -> ignore (R.post cell) (* the fd went ready *));
-      (fun () -> claim 2 (* the timer-wheel deadline fired *));
+      (fun () -> claim 2 (* the deadline timer fired *));
     ],
     fun () ->
       let f = Atomic'.peek fired and v = Atomic'.peek verdict in

@@ -13,6 +13,7 @@ module Adq = Fiber_rt.Atomic_deque
 module Mpsc = Fiber_rt.Mpsc_queue
 module Compl = Fiber_rt.Completion
 module Heap = Ult.Prio_heap
+module Timers = Net.Timers
 module Idle = Fiber_rt.Idle_waker
 module Sync = Fiber_rt.Sync
 module Scope = Fiber_rt.Scope
@@ -226,6 +227,75 @@ let prop_heap_matches_model ops =
           | Some ((_, _, v) as best) ->
               model := List.filter (fun e -> e != best) !model;
               got = Some v && Heap.length h = List.length !model))
+    ops
+
+(* ---------- Net.Timers vs a sorted list ---------- *)
+
+(* Deadlines come from a tiny range so ties are common; [Tcancel k]
+   names the k-th timer added so far (mod the count), so it hits
+   pending, fired and already-cancelled timers alike. *)
+type timers_op = Tadd of int | Tcancel of int | Tadvance of int | Tnext
+
+let timers_op_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (4, map (fun at -> Tadd at) (int_range (-2) 9));
+        (2, map (fun k -> Tcancel k) (int_bound 20));
+        (2, map (fun now -> Tadvance now) (int_range (-2) 10));
+        (1, return Tnext);
+      ])
+
+let show_timers_op = function
+  | Tadd at -> Printf.sprintf "Add(at=%d)" at
+  | Tcancel k -> Printf.sprintf "Cancel(%d)" k
+  | Tadvance now -> Printf.sprintf "Advance(now=%d)" now
+  | Tnext -> "Next_due"
+
+let timers_ops_arb =
+  QCheck.make
+    ~print:QCheck.Print.(list show_timers_op)
+    ~shrink:QCheck.Shrink.list
+    QCheck.Gen.(list_size (int_bound 60) timers_op_gen)
+
+(* Reference: the pending timers as a list of (at, id), ids in
+   insertion order; advance fires the due ones sorted by (at, id). *)
+let prop_timers_match_model ops =
+  let t = Timers.create () in
+  let timers = ref [||] and fired = ref [] in
+  let model = ref [] in
+  List.for_all
+    (fun op ->
+      match op with
+      | Tadd at ->
+          let id = Array.length !timers in
+          let tm = Timers.make ~at:(float_of_int at) (fun () -> fired := id :: !fired) in
+          Timers.add t tm;
+          timers := Array.append !timers [| tm |];
+          model := !model @ [ (at, id) ];
+          true
+      | Tcancel k ->
+          let n = Array.length !timers in
+          n = 0
+          ||
+          let id = k mod n in
+          let pending = List.exists (fun (_, i) -> i = id) !model in
+          model := List.filter (fun (_, i) -> i <> id) !model;
+          Timers.cancel !timers.(id) = pending
+      | Tadvance now ->
+          let due, rest = List.partition (fun (at, _) -> at <= now) !model in
+          model := rest;
+          fired := [];
+          let n = Timers.advance t ~now:(float_of_int now) in
+          n = List.length due && List.rev !fired = List.map snd (List.sort compare due)
+      | Tnext ->
+          let expected =
+            List.fold_left
+              (fun acc (at, _) ->
+                match acc with Some b when b <= at -> acc | _ -> Some at)
+              None !model
+          in
+          Timers.next_due t = Option.map float_of_int expected)
     ops
 
 (* ---------- Idle_waker vs a plain list stack ---------- *)
@@ -802,6 +872,7 @@ let () =
             prop_completion_matches_model;
           t "Ult.Prio_heap = sorted assoc model" heap_ops_arb
             prop_heap_matches_model;
+          t "Timers = sorted-list model" timers_ops_arb prop_timers_match_model;
           t "Idle_waker = list stack model" idle_ops_arb
             prop_idle_matches_model;
           t "Idle_waker = list-stack model" pool_ops_arb

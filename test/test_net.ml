@@ -1,147 +1,123 @@
-(* Tier-1 tests for lib/net: the hierarchical timer wheel (pure,
+(* Tier-1 tests for lib/net: the Timers deadline heap (pure,
    single-threaded), the Readiness handshake cell (sequential API
    contract; the concurrent interleavings are model-checked in
-   test_check), and the live reactor stack -- sleep, await_fd,
-   with_timeout, Fiber_io on real pipes and sockets, and the TCP server
-   (echo, bounded backpressure, graceful drain, fd hygiene) -- all on
-   the multicore fiber runtime. *)
+   test_check), and the live reactor stack -- sleep, await_fd and
+   Fiber_io deadlines racing real pipe I/O, Fiber_io on real pipes and
+   sockets, and the TCP server (echo, bounded backpressure, graceful
+   drain, fd hygiene) -- all on the multicore fiber runtime. *)
 
 module Fiber = Fiber_rt.Fiber
-module Tw = Net.Timer_wheel
+module Tm = Net.Timers
 module Rd = Net.Readiness
 module Reactor = Net.Reactor
 module Fio = Net.Fiber_io
 module Tcp = Net.Tcp_server
 
-(* ---------- timer wheel ---------- *)
+(* ---------- timers (deadline heap) ---------- *)
 
-let test_wheel_order () =
-  let w = Tw.create () in
+let schedule t ~at action =
+  let tm = Tm.make ~at action in
+  Tm.add t tm;
+  tm
+
+let test_timers_order () =
+  let t = Tm.create () in
   let fired = ref [] in
   let note i () = fired := i :: !fired in
-  (* scattered deadlines, two sharing a tick: fire order must be by
-     deadline, insertion order within a tick *)
-  ignore (Tw.schedule w ~at:50 (note 3));
-  ignore (Tw.schedule w ~at:10 (note 0));
-  ignore (Tw.schedule w ~at:30 (note 2));
-  ignore (Tw.schedule w ~at:10 (note 1));
-  Alcotest.(check int) "nothing due before the first tick" 0 (Tw.advance w ~now:9);
+  (* scattered deadlines, two equal: fire order must be by deadline,
+     insertion order among equals *)
+  ignore (schedule t ~at:50. (note 3));
+  ignore (schedule t ~at:10. (note 0));
+  ignore (schedule t ~at:30.5 (note 2));
+  ignore (schedule t ~at:10. (note 1));
+  Alcotest.(check int) "nothing due before the first deadline" 0
+    (Tm.advance t ~now:9.999);
   Alcotest.(check (list int)) "not fired early" [] (List.rev !fired);
-  let n = Tw.advance w ~now:100 in
-  Alcotest.(check int) "all four fired" 4 n;
+  Alcotest.(check int) "a deadline equal to now is due" 2 (Tm.advance t ~now:10.);
+  let n = Tm.advance t ~now:100. in
+  Alcotest.(check int) "the rest fired" 2 n;
   Alcotest.(check (list int)) "deadline order" [ 0; 1; 2; 3 ] (List.rev !fired);
-  Alcotest.(check int) "wheel drained" 0 (Tw.pending w)
+  Alcotest.(check (option (float 0.))) "heap drained" None (Tm.next_due t)
 
-let test_wheel_cascade () =
-  let w = Tw.create () in
-  let fired = ref [] in
-  let note i () = fired := i :: !fired in
-  (* level 0 spans 256 ticks; 300 parks in level 1, 20_000 in level 2
-     (256 * 64 = 16_384): both must cascade down and still fire in
-     order, never early *)
-  ignore (Tw.schedule w ~at:300 (note 0));
-  ignore (Tw.schedule w ~at:20_000 (note 1));
-  ignore (Tw.advance w ~now:299);
-  Alcotest.(check (list int)) "coarse timers not fired early" [] (List.rev !fired);
-  ignore (Tw.advance w ~now:300);
-  Alcotest.(check (list int)) "level-1 timer cascaded and fired" [ 0 ]
-    (List.rev !fired);
-  ignore (Tw.advance w ~now:19_999);
-  Alcotest.(check (list int)) "level-2 timer still parked" [ 0 ] (List.rev !fired);
-  ignore (Tw.advance w ~now:20_001);
-  Alcotest.(check (list int)) "level-2 timer fired after two cascades"
-    [ 0; 1 ] (List.rev !fired);
-  (* a deadline already in the past fires on the next advance *)
-  ignore (Tw.schedule w ~at:5 (note 2));
-  ignore (Tw.advance w ~now:20_001);
-  Alcotest.(check (list int)) "overdue timer fires immediately" [ 0; 1; 2 ]
-    (List.rev !fired)
-
-let test_wheel_cancel () =
-  let w = Tw.create () in
+let test_timers_cancel () =
+  let t = Tm.create () in
   let ran = ref 0 in
-  let tm = Tw.schedule w ~at:10 (fun () -> incr ran) in
-  Alcotest.(check bool) "cancel while pending" true (Tw.cancel tm);
-  Alcotest.(check bool) "second cancel is false" false (Tw.cancel tm);
-  ignore (Tw.advance w ~now:100);
+  let tm = schedule t ~at:10. (fun () -> incr ran) in
+  Alcotest.(check bool) "cancel while pending" true (Tm.cancel tm);
+  Alcotest.(check bool) "second cancel is false" false (Tm.cancel tm);
+  Alcotest.(check int) "cancelled timer is not counted" 0 (Tm.advance t ~now:100.);
   Alcotest.(check int) "cancelled action never ran" 0 !ran;
-  (* cancel-after-fire: the race with_timeout resolves by this CAS *)
-  let tm2 = Tw.schedule w ~at:110 (fun () -> incr ran) in
-  ignore (Tw.advance w ~now:120);
+  (* cancel-after-fire: the race a deadline vs completing I/O resolves
+     by this CAS *)
+  let tm2 = schedule t ~at:110. (fun () -> incr ran) in
+  ignore (Tm.advance t ~now:120.);
   Alcotest.(check int) "fired" 1 !ran;
-  Alcotest.(check bool) "cancel after fire is false" false (Tw.cancel tm2);
-  Alcotest.(check bool) "fired timer is not pending" false (Tw.is_pending tm2)
+  Alcotest.(check bool) "cancel after fire is false" false (Tm.cancel tm2);
+  Alcotest.(check bool) "fire after fire is false" false (Tm.fire tm2)
 
-let test_wheel_next_due () =
-  let w = Tw.create () in
-  Alcotest.(check (option int)) "empty wheel has no hint" None (Tw.next_due w);
-  let _ = Tw.schedule w ~at:1_000 ignore in
-  (match Tw.next_due w with
-  | None -> Alcotest.fail "pending timer but no hint"
-  | Some h ->
-      Alcotest.(check bool)
-        (Printf.sprintf "hint %d never later than the deadline" h)
-        true (h <= 1_000));
-  (* advancing to the (possibly under-shot) hint converges on the timer *)
-  let fired = ref false in
-  let w2 = Tw.create () in
-  let _ = Tw.schedule w2 ~at:20_000 (fun () -> fired := true) in
-  let guard = ref 0 in
-  let rec chase () =
-    match Tw.next_due w2 with
-    | None -> ()
-    | Some h ->
-        incr guard;
-        if !guard > 10 then Alcotest.fail "next_due hint did not converge";
-        ignore (Tw.advance w2 ~now:(max h (Tw.now w2)));
-        if not !fired then chase ()
-  in
-  chase ();
-  Alcotest.(check bool) "chasing the hint fires the timer" true !fired
+let test_timers_next_due () =
+  let t = Tm.create () in
+  Alcotest.(check (option (float 0.))) "empty heap has no deadline" None
+    (Tm.next_due t);
+  let a = schedule t ~at:5. ignore in
+  ignore (schedule t ~at:1_000. ignore);
+  ignore (schedule t ~at:20. ignore);
+  Alcotest.(check (option (float 0.))) "earliest deadline" (Some 5.)
+    (Tm.next_due t);
+  (* a cancelled head must not cause an early wake: the next live
+     deadline surfaces instead *)
+  ignore (Tm.cancel a);
+  Alcotest.(check (option (float 0.))) "cancelled head skipped" (Some 20.)
+    (Tm.next_due t);
+  Alcotest.(check int) "nothing due at the cancelled deadline" 0
+    (Tm.advance t ~now:5.);
+  Alcotest.(check int) "live deadline fires" 1 (Tm.advance t ~now:20.);
+  Alcotest.(check (option (float 0.))) "last deadline" (Some 1_000.)
+    (Tm.next_due t)
 
-let test_wheel_fire_all () =
-  let w = Tw.create () in
+let test_timers_fire_all () =
+  let t = Tm.create () in
   let fired = ref [] in
   let note i () = fired := i :: !fired in
-  ignore (Tw.schedule w ~at:500 (note 1));
-  ignore (Tw.schedule w ~at:40_000 (note 2));
-  let tm = Tw.schedule w ~at:100 (note 0) in
-  ignore (Tw.cancel tm);
-  Alcotest.(check int) "shutdown sweep fires the pending two" 2 (Tw.fire_all w);
+  ignore (schedule t ~at:500. (note 1));
+  ignore (schedule t ~at:4e9 (note 2));
+  let tm = schedule t ~at:100. (note 0) in
+  ignore (Tm.cancel tm);
+  Alcotest.(check int) "shutdown sweep fires the pending two" 2 (Tm.fire_all t);
   Alcotest.(check (list int)) "in deadline order, cancelled skipped" [ 1; 2 ]
     (List.rev !fired);
-  Alcotest.(check int) "wheel empty" 0 (Tw.pending w);
-  (* fire without the wheel: the reactor's shutdown path for timers
+  Alcotest.(check (option (float 0.))) "heap empty" None (Tm.next_due t);
+  (* fire without the heap: the reactor's shutdown path for timers
      still in the command queue *)
   let ran = ref false in
-  let loose = Tw.make ~at:9 (fun () -> ran := true) in
-  Alcotest.(check bool) "loose fire runs the action" true (Tw.fire loose);
-  Alcotest.(check bool) "exactly once" false (Tw.fire loose);
+  let loose = Tm.make ~at:9. (fun () -> ran := true) in
+  Alcotest.(check bool) "loose fire runs the action" true (Tm.fire loose);
+  Alcotest.(check bool) "exactly once" false (Tm.fire loose);
   Alcotest.(check bool) "fired" true !ran
 
-let test_wheel_past_deadlines () =
-  (* deadlines at, before, or WAY before the current tick must all fire
-     on the very next advance, in deadline order, never be lost in a
-     wrapped slot, and never block the wheel's progress *)
-  let w = Tw.create ~start:1_000 () in
+let test_timers_past_deadlines () =
+  (* deadlines at, before, or WAY before now must all fire on the very
+     next advance, in deadline order *)
+  let t = Tm.create () in
+  let now = 1_000. in
   let fired = ref [] in
   let note i () = fired := i :: !fired in
-  ignore (Tw.schedule w ~at:1_000 (note 1)) (* exactly now *);
-  ignore (Tw.schedule w ~at:999 (note 0)) (* just past *);
-  ignore (Tw.schedule w ~at:(-50) (note 2)) (* negative tick *);
-  ignore (Tw.schedule w ~at:0 (note 3)) (* epoch *);
-  Alcotest.(check bool)
-    "overdue timers surface in next_due" true
-    (Tw.next_due w <> None);
-  let n = Tw.advance w ~now:1_001 in
+  ignore (schedule t ~at:now (note 1)) (* exactly now *);
+  ignore (schedule t ~at:(now -. 0.001) (note 0)) (* just past *);
+  ignore (schedule t ~at:(-50.) (note 2)) (* negative *);
+  ignore (schedule t ~at:0. (note 3)) (* the 1970 epoch *);
+  Alcotest.(check (option (float 0.))) "overdue timers surface in next_due"
+    (Some (-50.)) (Tm.next_due t);
+  let n = Tm.advance t ~now in
   Alcotest.(check int) "all overdue timers fired in one advance" 4 n;
   Alcotest.(check (list int))
     "fired in deadline order" [ 2; 3; 0; 1 ] (List.rev !fired);
-  Alcotest.(check int) "wheel drained" 0 (Tw.pending w);
   (* a cancelled overdue timer is skipped, not resurrected *)
-  let tm = Tw.schedule w ~at:5 (note 9) in
-  Alcotest.(check bool) "cancel overdue" true (Tw.cancel tm);
-  Alcotest.(check int) "cancelled overdue never fires" 0 (Tw.advance w ~now:1_002)
+  let tm = schedule t ~at:5. (note 9) in
+  Alcotest.(check bool) "cancel overdue" true (Tm.cancel tm);
+  Alcotest.(check int) "cancelled overdue never fires" 0
+    (Tm.advance t ~now:(now +. 1.));
+  Alcotest.(check (option (float 0.))) "heap drained" None (Tm.next_due t)
 
 (* ---------- readiness cell (sequential contract) ---------- *)
 
@@ -310,8 +286,8 @@ let test_set_reuseport () =
 
 (* ---------- live reactor ---------- *)
 
-let with_reactor f =
-  let r = Reactor.create () in
+let with_reactor ?shards f =
+  let r = Reactor.create ?shards () in
   Fun.protect ~finally:(fun () -> Reactor.shutdown r) (fun () -> f r)
 
 let test_sleep () =
@@ -368,63 +344,51 @@ let test_await_fd_deadline () =
       Alcotest.(check bool) "timed out" true (!verdict = `Timeout);
       Alcotest.(check bool) "after the deadline" true (dt >= 0.045))
 
-let test_with_timeout () =
-  with_reactor (fun r ->
-      let fast = ref (Error `Timeout) in
-      let slow = ref (Ok ()) in
-      let raised = ref false in
-      Fiber.run_parallel ~domains:2 (fun () ->
-          fast :=
-            Reactor.with_timeout r ~seconds:0.5 (fun () ->
-                Reactor.sleep r 0.01;
-                Ok 42);
-          slow := Reactor.with_timeout r ~seconds:0.02 (fun () -> Reactor.sleep r 0.2);
-          (match Reactor.with_timeout r ~seconds:0.5 (fun () -> failwith "boom") with
-          | exception Failure m when m = "boom" -> raised := true
-          | _ -> ()));
-      (match !fast with
-      | Ok (Ok 42) -> ()
-      | _ -> Alcotest.fail "fast body should win the race");
-      Alcotest.(check bool) "slow body times out" true (!slow = Error `Timeout);
-      Alcotest.(check bool) "body exceptions propagate" true !raised)
+(* A pipe whose writer lands at the read's deadline, give or take half a
+   millisecond: the poll round that sees the byte and the one that fires
+   the deadline race.  Run many rounds back to back; each must resolve
+   to exactly one verdict -- the byte or Timeout, never a torn read --
+   and neither the reader nor the writer may stay parked. *)
+let race_offset i = 0.0005 *. float_of_int ((i mod 3) - 1)
 
-let test_with_timeout_racing_io () =
-  (* with_timeout around I/O that completes right at the deadline: run
-     many back-to-back races; every one must resolve to exactly one
-     verdict and, on Ok, carry the read data (never a torn result). *)
+let race_pipe r i f =
+  let rd, wr = Unix.pipe ~cloexec:true () in
+  Unix.set_nonblock rd;
+  Unix.set_nonblock wr;
+  let at = Reactor.now () +. 0.005 in
+  let writer =
+    Fiber.spawn (fun () ->
+        Reactor.sleep_until r at;
+        ignore (Unix.write_substring wr "x" 0 1))
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.close rd;
+      Unix.close wr)
+    (fun () ->
+      let v = f rd ~deadline:(at +. race_offset i) in
+      Fiber.join writer;
+      v)
+
+let test_deadline_racing_io () =
   with_reactor (fun r ->
       let oks = ref 0 and timeouts = ref 0 in
       Fiber.run_parallel ~domains:2 (fun () ->
-          for _ = 1 to 20 do
-            let rd, wr = Unix.pipe ~cloexec:true () in
-            Unix.set_nonblock rd;
-            Unix.set_nonblock wr;
-            ignore
-              (Fiber.spawn (fun () ->
-                   Reactor.sleep r 0.01;
-                   ignore (Unix.write_substring wr "x" 0 1)));
-            (match
-               Reactor.with_timeout r ~seconds:0.0105 (fun () ->
-                   let buf = Bytes.create 1 in
-                   let n = Fio.read r rd buf 0 1 in
-                   Bytes.sub_string buf 0 n)
-             with
-            | Ok "x" -> incr oks
-            | Ok other -> Alcotest.failf "torn read %S" other
-            | Error `Timeout -> incr timeouts);
-            (* the abandoned body may still hold the fds for a moment;
-               give it the leftover byte then reap *)
-            Reactor.sleep r 0.02;
-            Unix.close rd;
-            Unix.close wr
+          for i = 1 to 30 do
+            race_pipe r i (fun rd ~deadline ->
+                let buf = Bytes.create 1 in
+                match Fio.read r ~deadline rd buf 0 1 with
+                | 1 when Bytes.get buf 0 = 'x' -> incr oks
+                | n -> Alcotest.failf "torn read %S" (Bytes.sub_string buf 0 n)
+                | exception Fio.Timeout -> incr timeouts)
           done);
-      Alcotest.(check int) "every race resolved" 20 (!oks + !timeouts);
-      Printf.printf "timeout-vs-io races: %d completed, %d timed out\n%!" !oks
+      Alcotest.(check int) "every race resolved" 30 (!oks + !timeouts);
+      Printf.printf "deadline-vs-io races: %d completed, %d timed out\n%!" !oks
         !timeouts)
 
 let test_sleep_edge_cases () =
   (* zero, negative and already-past deadlines must return promptly --
-     no park, or a park the overdue sweep releases on the next tick --
+     no park, or a park the next poll round releases --
      and never hang the engine *)
   with_reactor (fun r ->
       let t0 = Unix.gettimeofday () in
@@ -438,95 +402,31 @@ let test_sleep_edge_cases () =
         (Printf.sprintf "degenerate sleeps returned promptly (%.3fs)" dt)
         true (dt < 1.0))
 
-let test_with_timeout_edge_cases () =
+let test_deadline_during_cancel () =
+  (* [`Ready] wins the verdict CAS, then cancels the armed timer; with
+     the deadline on the byte's arrival the cancel often races the
+     shard's concurrent fire.  [`Ready] must mean the byte is there; a
+     [`Timeout] must leave no stale registration, so a second,
+     deadline-free await still sees the byte. *)
   with_reactor (fun r ->
-      let zero = ref (Ok 0) in
-      let neg = ref (Ok 0) in
-      let instant = ref (Error `Timeout) in
-      Fiber.run_parallel ~domains:2 (fun () ->
-          (* a deadline at (or before) "now" races a body that parks:
-             the timer must win, promptly *)
-          zero := Reactor.with_timeout r ~seconds:0. (fun () ->
-              Reactor.sleep r 0.5;
-              1);
-          neg := Reactor.with_timeout r ~seconds:(-3.) (fun () ->
-              Reactor.sleep r 0.5;
-              2);
-          (* a body that never parks may beat even an expired deadline:
-             either verdict is legal, but it must resolve *)
-          instant := Reactor.with_timeout r ~seconds:0. (fun () -> 3));
-      Alcotest.(check bool) "zero deadline times out" true (!zero = Error `Timeout);
-      Alcotest.(check bool) "negative deadline times out" true (!neg = Error `Timeout);
-      (match !instant with
-      | Ok 3 | Error `Timeout -> ()
-      | Ok n -> Alcotest.failf "torn instant body: %d" n))
-
-let test_with_timeout_deadline_during_cancel () =
-  (* the Done path cancels the armed timer AFTER winning the verdict
-     CAS; drive body completion and deadline onto the same tick many
-     times so the cancel frequently races the concurrent fire.  Every
-     iteration must resolve to exactly one verdict and Ok always
-     carries the body's value (the loser's wake is absorbed). *)
-  with_reactor (fun r ->
-      let oks = ref 0 and timeouts = ref 0 in
+      let ready = ref 0 and timeouts = ref 0 in
       Fiber.run_parallel ~domains:2 (fun () ->
           for i = 1 to 30 do
-            match
-              Reactor.with_timeout r ~seconds:0.005 (fun () ->
-                  Reactor.sleep r 0.005;
-                  i)
-            with
-            | Ok j when j = i -> incr oks
-            | Ok j -> Alcotest.failf "iteration %d returned %d" i j
-            | Error `Timeout -> incr timeouts
+            race_pipe r i (fun rd ~deadline ->
+                (match Reactor.await_fd r ~deadline rd `R with
+                | `Ready -> incr ready
+                | `Timeout ->
+                    incr timeouts;
+                    if Reactor.await_fd r rd `R <> `Ready then
+                      Alcotest.fail "re-await after Timeout");
+                let buf = Bytes.create 1 in
+                match Unix.read rd buf 0 1 with
+                | 1 when Bytes.get buf 0 = 'x' -> ()
+                | n -> Alcotest.failf "torn read %S" (Bytes.sub_string buf 0 n))
           done);
-      Alcotest.(check int) "every race resolved" 30 (!oks + !timeouts);
-      Printf.printf "deadline-vs-cancel races: %d Ok, %d Timeout\n%!" !oks
+      Alcotest.(check int) "every race resolved" 30 (!ready + !timeouts);
+      Printf.printf "deadline-vs-cancel races: %d Ready, %d Timeout\n%!" !ready
         !timeouts)
-
-(* ---------- scoped timeouts (reactor x Scope) ---------- *)
-
-module Scope = Fiber_rt.Scope
-
-let test_cancel_scope_after_fires () =
-  with_reactor (fun r ->
-      let cancelled_children = Atomic.make 0 in
-      let t0 = Unix.gettimeofday () in
-      Fiber.run_parallel ~domains:2 (fun () ->
-          let v =
-            Scope.run (fun sc ->
-                let _disarm = Reactor.cancel_scope_after r ~seconds:0.03 sc in
-                for _ = 1 to 3 do
-                  Scope.spawn sc (fun () ->
-                      try
-                        while true do
-                          Scope.check sc;
-                          Reactor.sleep r 0.005
-                        done
-                      with Scope.Cancelled ->
-                        ignore (Atomic.fetch_and_add cancelled_children 1);
-                        raise Scope.Cancelled)
-                done;
-                "deadline-bounded")
-          in
-          Alcotest.(check string)
-            "cancelled scope still returns the body value" "deadline-bounded" v);
-      let dt = Unix.gettimeofday () -. t0 in
-      Alcotest.(check int) "every child unwound via Cancelled" 3
-        (Atomic.get cancelled_children);
-      Alcotest.(check bool) "released by the deadline, not a hang" true
-        (dt >= 0.025 && dt < 5.0))
-
-let test_cancel_scope_after_disarm () =
-  with_reactor (fun r ->
-      Fiber.run_parallel ~domains:2 (fun () ->
-          Scope.run (fun sc ->
-              let disarm = Reactor.cancel_scope_after r ~seconds:5.0 sc in
-              Scope.spawn sc (fun () -> Reactor.sleep r 0.01);
-              Alcotest.(check bool)
-                "disarm beats a far deadline" true (disarm ());
-              Alcotest.(check bool) "second disarm is false" false (disarm ()));
-          Alcotest.(check bool) "scope never cancelled" true true))
 
 let test_fiber_io_pipe () =
   with_reactor (fun r ->
@@ -656,12 +556,12 @@ let test_tcp_backpressure () =
    accepted.  Clients run one at a time; sixteen of them land on both
    sockets except with probability 2^-15. *)
 let test_tcp_one_slot_two_listeners () =
-  with_reactor (fun r ->
+  with_reactor ~shards:2 (fun r ->
       let clients = 16 in
       let served = Atomic.make 0 in
       Fiber.run_parallel ~domains:2 (fun () ->
           let srv =
-            Tcp.start ~reactor:r ~max_conns:1 ~listeners:2
+            Tcp.start ~reactor:r ~max_conns:1
               ~addr:(Unix.ADDR_INET (localhost, 0))
               ~handler:echo_handler ()
           in
@@ -893,15 +793,15 @@ let () =
   Test_seed.announce "test_net";
   Alcotest.run "net"
     [
-      ( "timer-wheel",
+      ( "timers",
         [
-          Alcotest.test_case "fires in deadline order" `Quick test_wheel_order;
-          Alcotest.test_case "cascades across levels" `Quick test_wheel_cascade;
-          Alcotest.test_case "cancel, incl. after fire" `Quick test_wheel_cancel;
-          Alcotest.test_case "next_due hint converges" `Quick test_wheel_next_due;
-          Alcotest.test_case "fire_all shutdown sweep" `Quick test_wheel_fire_all;
+          Alcotest.test_case "fires in deadline order" `Quick test_timers_order;
+          Alcotest.test_case "cancel, incl. after fire" `Quick test_timers_cancel;
+          Alcotest.test_case "next_due skips a cancelled head" `Quick
+            test_timers_next_due;
+          Alcotest.test_case "fire_all shutdown sweep" `Quick test_timers_fire_all;
           Alcotest.test_case "past and negative deadlines" `Quick
-            test_wheel_past_deadlines;
+            test_timers_past_deadlines;
         ] );
       ( "readiness",
         [ Alcotest.test_case "memo / wake / clear contract" `Quick test_readiness_memo ] );
@@ -922,23 +822,12 @@ let () =
           Alcotest.test_case "sleep parks only the fiber" `Quick test_sleep;
           Alcotest.test_case "await_fd sees the write" `Quick test_await_fd_pipe;
           Alcotest.test_case "await_fd deadline" `Quick test_await_fd_deadline;
-          Alcotest.test_case "with_timeout, both verdicts" `Quick
-            test_with_timeout;
-          Alcotest.test_case "with_timeout racing completing I/O" `Quick
-            test_with_timeout_racing_io;
+          Alcotest.test_case "deadline racing completing I/O" `Quick
+            test_deadline_racing_io;
+          Alcotest.test_case "deadline fires during the cancel path" `Quick
+            test_deadline_during_cancel;
           Alcotest.test_case "sleep 0 / negative / past" `Quick
             test_sleep_edge_cases;
-          Alcotest.test_case "with_timeout expired deadlines" `Quick
-            test_with_timeout_edge_cases;
-          Alcotest.test_case "deadline fires during the cancel path" `Quick
-            test_with_timeout_deadline_during_cancel;
-        ] );
-      ( "scope-timeout",
-        [
-          Alcotest.test_case "cancel_scope_after fires" `Quick
-            test_cancel_scope_after_fires;
-          Alcotest.test_case "cancel_scope_after disarm" `Quick
-            test_cancel_scope_after_disarm;
         ] );
       ( "fiber-io",
         [ Alcotest.test_case "pipe roundtrip with parking writer" `Quick
