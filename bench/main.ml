@@ -997,7 +997,7 @@ let net_run_clients r ~port ~conns ~reqs =
             Net_io.write_all r fd msg 0 net_msg_bytes;
             Net_io.read_exact r fd echo 0 net_msg_bytes;
             if Atomic.fetch_and_add connected 1 + 1 = conns then
-              Completion.finish all_connected;
+              Completion.finish all_connected ();
             await go;
             let rtts = Array.make reqs 0.0 in
             for k = 0 to reqs - 1 do
@@ -1017,7 +1017,7 @@ let net_run_clients r ~port ~conns ~reqs =
   await all_connected;
   (* every connection is live: start the clock and release the herd *)
   let t0 = Fiber_rt.Clock.now () in
-  Completion.finish go;
+  Completion.finish go ();
   List.iter Fiber.join clients;
   let elapsed = Fiber_rt.Clock.now () -. t0 in
   ( Atomic.get done_reqs,

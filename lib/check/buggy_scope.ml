@@ -13,7 +13,7 @@ type t = {
   live : int Atomic.t;
   failure : exn option Atomic.t;
   cancelled : bool Atomic.t;
-  done_ : Completion.t;
+  done_ : unit Completion.t;
 }
 
 let create () =
@@ -50,7 +50,7 @@ let leave t =
      concurrent leavers both compute from the same stale read. *)
   let v = Atomic.get t.live in
   Atomic.set t.live (v - 1);
-  if v - 1 = 0 then Completion.finish t.done_
+  if v - 1 = 0 then Completion.finish t.done_ ()
 
 let await t =
   leave t;

@@ -39,7 +39,6 @@ module Wake = struct
   (* The checker is engine-less: routing hints degrade to a plain
      fire, exactly like an out-of-range worker hint in production. *)
   let fire_to ?worker:_ ?batch:_ t = fire t
-  let is_fired t = Atomic.get t.fired
 end
 
 let suspend_token register =

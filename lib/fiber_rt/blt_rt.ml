@@ -15,14 +15,12 @@
 
 exception Coupled_raised of exn
 
-(* The executor (original KC) of the calling fiber, leased from the
-   run's pool on first use and held until the fiber finishes. *)
-let my_executor = Fiber.lease_kc
-
-(* Run [f] coupled to this fiber's original KC; other fibers keep
-   running meanwhile.  Exceptions from [f] re-raise in the fiber. *)
+(* Run [f] coupled to this fiber's original KC (leased from the run's
+   pool on first use and held until the fiber finishes); other fibers
+   keep running meanwhile.  Exceptions from [f] re-raise in the fiber,
+   so the job itself never raises. *)
 let coupled f =
-  let e = my_executor () in
+  let e = Fiber.lease_kc () in
   let slot = ref None in
   Fiber.suspend (fun wake ->
       Executor.submit e (fun () ->
@@ -35,13 +33,7 @@ let coupled f =
 
 (* The OS thread id of this fiber's original KC (stable across coupled
    calls -- the consistency property). *)
-let original_kc_thread_id () = Executor.thread_id (my_executor ())
-
-(* Failure telemetry of this fiber's original KC: jobs submitted raw
-   via [Executor.submit] that raised.  ([coupled] itself converts the
-   exception to [Coupled_raised] before the executor can see it.) *)
-let kc_failures () = Executor.failures (my_executor ())
-let kc_last_error () = Executor.last_error (my_executor ())
+let original_kc_thread_id () = Executor.thread_id (Fiber.lease_kc ())
 
 (* Convenience: run a blocking Unix syscall consistently. *)
 let coupled_syscall f = coupled f

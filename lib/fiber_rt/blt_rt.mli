@@ -12,23 +12,19 @@
 
     Original KCs are recycled, not created per fiber: the first
     {!coupled} leases a KC from the run's pool ({!Fiber.lease_kc}), the
-    fiber holds it for the rest of its life, and after the fiber
-    finishes the KC returns to the pool once every job the fiber queued
-    on it has run.  A run therefore keeps about as many KC threads as it
-    has coupling fibers alive at once, not one per fiber it ever ran.
+    fiber holds it for the rest of its life, and the KC goes back to
+    the pool when the fiber finishes.  A run therefore keeps about as
+    many KC threads as it has coupling fibers alive at once, not one per
+    fiber it ever ran.  {!coupled} is the only way to run code on a KC.
 
-    Caveat: the pool resets a recycled KC's failure record, nothing
-    else.  Thread-keyed OS state a previous owner set inside a coupled
-    section — a signal mask set with [Thread.sigmask], say — is still in
-    force for the next owner.  A section that changes such state must
-    restore it before it returns.  Nothing in this library sets any. *)
+    Caveat: the pool resets nothing on a recycled KC.  Thread-keyed OS
+    state a previous owner set inside a coupled section — a signal mask
+    set with [Thread.sigmask], say — is still in force for the next
+    owner.  A section that changes such state must restore it before it
+    returns.  Nothing in this library sets any. *)
 
 exception Coupled_raised of exn
 (** Wraps an exception raised inside a coupled section. *)
-
-val my_executor : unit -> Executor.t
-(** The calling fiber's original KC: {!Fiber.lease_kc}.  Leased on first
-    use, held until the fiber finishes. *)
 
 val coupled : (unit -> 'a) -> 'a
 (** Run [f] coupled to this fiber's original KC; other fibers keep
@@ -38,15 +34,6 @@ val original_kc_thread_id : unit -> int
 (** The OS thread id of this fiber's original KC (stable across
     {!coupled} calls — the consistency property, preserved even when
     the runnable half of the fiber migrates between domains). *)
-
-val kc_failures : unit -> int
-(** Raising jobs recorded on this fiber's original KC since it leased
-    it (raw {!Executor.submit} uses; {!coupled} reports its own failures
-    via {!Coupled_raised} instead).  A fiber never sees the failures of
-    the KC's previous owners. *)
-
-val kc_last_error : unit -> exn option
-(** The most recent exception recorded on this fiber's original KC. *)
 
 val coupled_syscall : (unit -> 'a) -> 'a
 (** Alias of {!coupled}, named for its intended use. *)

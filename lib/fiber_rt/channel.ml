@@ -45,13 +45,6 @@ let length t =
   Mutex.unlock t.mutex;
   n
 
-let is_closed t =
-  (* ulplint: allow raw-mutex-in-fiber -- held only for O(1) queue ops, never across a park (wait_on drops it); shared with senders on other domains and traced as Check.Mutex in lib/check *)
-  Mutex.lock t.mutex;
-  let c = t.closed in
-  Mutex.unlock t.mutex;
-  c
-
 (* Park on [waiters]; called with the lock held, resumes with it
    re-taken. *)
 let wait_on t waiters =
@@ -103,19 +96,6 @@ let recv t =
         end
   in
   go ()
-
-let try_recv t =
-  (* ulplint: allow raw-mutex-in-fiber -- held only for O(1) queue ops, never across a park (wait_on drops it); shared with senders on other domains and traced as Check.Mutex in lib/check *)
-  Mutex.lock t.mutex;
-  match Queue.take_opt t.items with
-  | Some v ->
-      let waiter = Queue.take_opt t.send_waiters in
-      Mutex.unlock t.mutex;
-      (match waiter with Some wake -> wake () | None -> ());
-      Some v
-  | None ->
-      Mutex.unlock t.mutex;
-      None
 
 (* Close: senders raise, receivers drain then see [None]. *)
 let close t =

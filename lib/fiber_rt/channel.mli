@@ -12,7 +12,6 @@ val create : ?capacity:int -> unit -> 'a t
     @raise Invalid_argument on capacity < 1. *)
 
 val length : 'a t -> int
-val is_closed : 'a t -> bool
 
 val send : 'a t -> 'a -> unit
 (** Suspends while full.  @raise Closed if the channel is closed. *)
@@ -20,7 +19,6 @@ val send : 'a t -> 'a -> unit
 val recv : 'a t -> 'a option
 (** Suspends while empty; [None] once closed and drained. *)
 
-val try_recv : 'a t -> 'a option
 val close : 'a t -> unit
 
 val fold : 'a t -> init:'b -> f:('b -> 'a -> 'b) -> 'b

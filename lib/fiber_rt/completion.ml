@@ -1,47 +1,51 @@
-(* Lock-free fiber-completion protocol: one atomic cell per fiber
-   instead of a Mutex.t per spawn.
+(* Lock-free one-shot completion cell with a payload: one atomic cell
+   per fiber (unit), per Scope (unit) and per ULP (its exit status),
+   instead of a Mutex.t each.
 
    The cell walks a tiny CAS-driven state machine:
 
-     Running --------------------------> Done        (finish, no joiners)
+     Running --------------------------> Done v      (finish v, no joiners)
         |  \
         |   +-- CAS --> Joiners [w]                  (first join arrives)
         |                  |  CAS --> Joiners [w';w] (more joiners pile on)
-        +-----------------+---- exchange Done ------ (finish wakes them all)
+        +-----------------+---- exchange Done v ---- (finish wakes them all)
 
-   [finish] publishes Done with a single [Atomic.exchange], which
+   [finish] publishes [Done v] with a single [Atomic.exchange], which
    atomically snatches whatever joiner list accumulated: a joiner's CAS
    either lands before the exchange (the finisher sees it and calls its
    wake) or loses to it (the CAS fails against Done, the joiner re-reads
    and wakes itself).  Either way every wake function runs exactly once,
-   and no path locks or allocates beyond the consed list.
+   and no path locks or allocates beyond the consed list and the
+   [Done v] block.  A get-then-set finish publishes over a stale list
+   and strands the joiner that registered in the window (the seeded
+   lib/check/buggy_completion.ml twin).
 
    OCaml [Atomic] is sequentially consistent, so a joiner that observes
-   Done also observes every write the finished fiber made -- the same
-   visibility the old Mutex.lock/unlock pair provided, without the
-   per-fiber mutex or the serialized critical section.
+   Done also observes every write the finisher made before it -- the
+   payload included.
 
    Instrumentation seam (see Atomic_intf): this file is compiled a
    second time inside lib/check against a traced [Atomic] model, so it
    must confine its synchronization to the TRACED_ATOMIC primitives --
    no Mutex, Domain or raw spin loops here. *)
 
-type state =
+type 'a state =
   | Running
-  | Done
+  | Done of 'a
   | Joiners of (unit -> unit) list (* newest first *)
 
-type t = state Atomic.t
+type 'a t = 'a state Atomic.t
 
 let create () = Atomic.make Running
 
-let is_done t = match Atomic.get t with Done -> true | _ -> false
+let is_done t = match Atomic.get t with Done _ -> true | _ -> false
+let status t = match Atomic.get t with Done v -> Some v | _ -> None
 
 (* Register [wake] to run when [finish] fires; runs it immediately if
-   the fiber already finished.  Callable from any domain. *)
+   the cell already finished.  Callable from any domain. *)
 let rec add_joiner t wake =
   match Atomic.get t with
-  | Done -> wake ()
+  | Done _ -> wake ()
   | Running as cur ->
       if not (Atomic.compare_and_set t cur (Joiners [ wake ])) then
         add_joiner t wake
@@ -49,9 +53,9 @@ let rec add_joiner t wake =
       if not (Atomic.compare_and_set t cur (Joiners (wake :: ws))) then
         add_joiner t wake
 
-(* Publish completion and wake every registered joiner exactly once.
-   Must be called at most once (the runtime finishes a fiber once). *)
-let finish t =
-  match Atomic.exchange t Done with
+(* Publish [v] and wake every registered joiner exactly once.  Call
+   once per cell: a fiber, a scope and a ULP each finish once. *)
+let finish t v =
+  match Atomic.exchange t (Done v) with
   | Joiners ws -> List.iter (fun wake -> wake ()) ws
-  | Running | Done -> ()
+  | Running | Done _ -> ()

@@ -30,7 +30,7 @@
 type fiber = {
   fid : int;
   mutable state : [ `Runnable | `Running | `Suspended | `Done ];
-  completion : Completion.t; (* lock-free Done/joiners protocol *)
+  completion : unit Completion.t; (* lock-free Done/joiners protocol *)
   mutable executor : Executor.t option;
       (* original KC, leased on first use and recycled at finish *)
 }
@@ -78,7 +78,6 @@ module Wake = struct
       true
     end
 
-  let is_fired t = Atomic.get t.fired
   let batch () = { notes = [] }
 
   (* engine-internal: record one deferred notification per [key] *)
@@ -108,7 +107,7 @@ exception Not_in_scheduler
    one atomic step, then wakes outside any lock. *)
 let finish_fiber fb =
   fb.state <- `Done;
-  Completion.finish fb.completion
+  Completion.finish fb.completion ()
 
 type pworker = {
   wid : int;
@@ -368,14 +367,12 @@ and phandle ps fb body =
     {
       retc =
         (fun () ->
-          (* the KC goes back to the pool only after every job this
-             fiber queued on it *)
+          (* every coupled section of this fiber has woken it, so its
+             KC can go straight back to the pool *)
           (match fb.executor with
           | Some e ->
               fb.executor <- None;
               Kc_pool.recycle ps.kcs e
-                ~reset_if_idle:Executor.clear_failures_if_idle
-                ~submit:Executor.submit ~reset:Executor.clear_failures
           | None -> ());
           finish_fiber fb;
           if Atomic.fetch_and_add ps.plive (-1) = 1 then pstop ps);
@@ -739,8 +736,7 @@ let run_parallel ?domains ?on_stats main =
      only reap them once every worker loop has exited; they must be
      shut down BEFORE joining the helper domains -- a domain does not
      terminate while OS threads it created (the KCs first leased
-     there) are still alive.  Shutdown drains each KC's queue, pending
-     recycle jobs included. *)
+     there) are still alive.  Shutdown drains each KC's queue. *)
   (* ulplint: allow raw-mutex-in-fiber -- run_parallel shutdown handshake between raw domains, outside any fiber engine *)
   Mutex.lock ps.done_mutex;
   while ps.n_running > 0 do

@@ -23,7 +23,7 @@
 type fiber = private {
   fid : int;
   mutable state : [ `Runnable | `Running | `Suspended | `Done ];
-  completion : Completion.t;
+  completion : unit Completion.t;
       (** lock-free Done/joiners protocol; {!join} never locks *)
   mutable executor : Executor.t option;
       (** the original KC ({!Blt_rt}) this fiber holds, if it coupled:
@@ -151,8 +151,6 @@ module Wake : sig
   val flush : batch -> unit
   (** Deliver the deferred notifications recorded since the last flush.
       Owner thread only. *)
-
-  val is_fired : token -> bool
 end
 
 val suspend : ((unit -> unit) -> unit) -> unit
@@ -190,9 +188,9 @@ val lease_kc : unit -> Executor.t
     run's pool ({!Kc_pool}): a KC some finished fiber gave back, or a
     new executor thread when none is free.  The fiber keeps it, across
     migrations, until it finishes; two live fibers never share a KC.
-    When the fiber finishes, the KC's failure record is cleared and it
-    returns to the pool: at once if no job is queued or running on it,
-    else as one last job behind them, so the KC is reused only after
-    every job its owner queued has run.  The pool has no size knob: it
-    grows to the most coupling fibers alive at once.
+    When the fiber finishes, the KC goes straight back to the pool:
+    every coupled section the fiber made has woken it by then, and the
+    KC's FIFO mailbox runs the next owner's sections behind the tail of
+    the last one.  The pool has no size knob: it grows to the most
+    coupling fibers alive at once.
     @raise Not_in_scheduler outside any engine. *)

@@ -3,14 +3,12 @@
    A fiber's first coupled section leases a KC: a free one if the free
    list has any, else a fresh one, registered in [all] so the run can
    shut it down at the end.  The fiber keeps it until it finishes; then
-   [recycle] hands it back, never while a job the old owner queued is
-   still pending: putting a busy KC back at fiber exit would let the
-   dead owner's job run under the next lease.  A KC with work queued
-   or running gets one last job that resets it and pushes it on the
-   free list, so FIFO order puts it back behind every earlier job.  An
-   idle KC -- the common case: the owner's last coupled section has
-   returned -- is reset and pushed at once, which spares the KC thread
-   a wake-up and lets the very next lease reuse it.
+   [recycle] pushes it straight back on the free list.  That is safe
+   without asking the KC whether it is idle: [Blt_rt.coupled] is the
+   only submitter, a fiber finishes only after every coupled section
+   it made has woken it, and the KC's FIFO mailbox queues the next
+   owner's first section behind the tail of the job that did the
+   waking.
 
    Both lists are Treiber stacks of immutable cells: a CAS compares the
    physical cell, and a cell is never reused, so a pop cannot suffer
@@ -38,11 +36,6 @@ let lease t ~create =
       push t.all kc;
       kc
 
-let recycle t ~reset_if_idle ~submit ~reset kc =
-  if reset_if_idle kc then push t.free kc
-  else
-    submit kc (fun () ->
-        reset kc;
-        push t.free kc)
+let recycle t kc = push t.free kc
 
 let all t = Atomic.get t.all

@@ -1,5 +1,5 @@
 (** The pool of a run's original KCs: lease on a fiber's first coupled
-    section, recycle as the fiber's last job on its KC.
+    section, push back when the fiber finishes.
 
     There is no size knob: the pool grows to the largest number of
     coupling fibers alive at once.  Lock-free (two Treiber stacks), and
@@ -13,19 +13,11 @@ val lease : 'kc t -> create:(unit -> 'kc) -> 'kc
 (** A free KC, or [create ()] (registered in {!all}) when none is free.
     A KC is never handed to two callers without a {!recycle} between. *)
 
-val recycle :
-  'kc t ->
-  reset_if_idle:('kc -> bool) ->
-  submit:('kc -> (unit -> unit) -> unit) ->
-  reset:('kc -> unit) ->
-  'kc ->
-  unit
-(** Give [kc] back once its owner has finished.  If [reset_if_idle kc]
-    (no job queued or running; the reset done atomically with that
-    check) it returns to the free list at once.  Otherwise [submit]
-    queues one last job on [kc] that runs [reset kc] and then returns
-    it.  Either way, because the KC runs its jobs in FIFO order, every
-    job the old owner queued has run before the next lease takes it. *)
+val recycle : 'kc t -> 'kc -> unit
+(** Put [kc] back on the free list.  Call it once its owner has
+    finished, i.e. after every coupled section the owner queued on
+    [kc] has woken it: the KC's FIFO mailbox then runs whatever the
+    next owner queues behind the tail of that last section. *)
 
 val all : 'kc t -> 'kc list
 (** Every KC {!lease} ever created, free or leased (for shutdown). *)

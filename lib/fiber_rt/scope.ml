@@ -26,7 +26,7 @@ type t = {
   live : int Atomic.t;
   failure : exn option Atomic.t;
   cancelled : bool Atomic.t;
-  done_ : Completion.t;
+  done_ : unit Completion.t;
 }
 
 let create () =
@@ -59,7 +59,7 @@ let enter t =
   Atomic.incr t.live
 
 let leave t =
-  if Atomic.fetch_and_add t.live (-1) = 1 then Completion.finish t.done_
+  if Atomic.fetch_and_add t.live (-1) = 1 then Completion.finish t.done_ ()
 
 let await t =
   leave t;

@@ -4,7 +4,6 @@
    for the tests, models and the interleaving checker's scenarios. *)
 
 module Fd_core = Fd_core
-module Wait_cell = Wait_cell
 module Table = Proc_table
 module Io = Proc_io
 include Process

@@ -12,8 +12,8 @@
      double-closes;
    - a vpid in a lock-free process table (Proc_table), with
      parent/child links for wait semantics;
-   - an exit-status cell (Wait_cell) that parked waitpid fibers hang
-     their wakes on;
+   - an exit-status cell (a [status Completion.t]) that parked waitpid
+     fibers hang their wakes on;
    - a pending-signal mask plus per-signal handlers, delivered at
      cancellation points ([check]); the default disposition terminates
      the whole fiber tree through the Scope's first-failure-wins
@@ -25,7 +25,7 @@
      spawn:   vpid = fetch_and_add; table.add; parent.children CAS-cons;
               fiber runs body inside a fresh Scope
      exit:    close_all fds; re-parent live children to the root ULP
-              (adopted := true); Wait_cell.finish publishes the status
+              (adopted := true); Completion.finish publishes the status
               and wakes waiters; an adopted (orphan) zombie reaps
               itself -- the root is init, it never waits
      waitpid: find the child among our children; park on its wait cell;
@@ -42,6 +42,7 @@
 
 module Fiber = Fiber_rt.Fiber
 module Scope = Fiber_rt.Scope
+module Completion = Fiber_rt.Completion
 
 exception Proc_exit of int
 (** Raised by {!exit}; absorbed by the ULP's root fiber. *)
@@ -66,7 +67,7 @@ type t = {
   claimed : bool Atomic.t; (* zombie reaped exactly once *)
   fds : Unix.file_descr Fd_core.table;
   scope : Scope.t; (* the ULP's fiber tree *)
-  waitc : status Wait_cell.t;
+  waitc : status Completion.t;
   pending : int Atomic.t; (* signal bitmask, bit (1 lsl signum) *)
   handlers : (int -> unit) option Atomic.t array;
   children : t list Atomic.t; (* CAS-cons; dead entries filtered lazily *)
@@ -88,7 +89,7 @@ let make_proc w ~vpid ~parent_vpid ~fd_capacity =
     claimed = Atomic.make false;
     fds = Fd_core.create ~capacity:fd_capacity;
     scope = Scope.create ();
-    waitc = Wait_cell.create ();
+    waitc = Completion.create ();
     pending = Atomic.make 0;
     handlers = Array.init (max_signal + 1) (fun _ -> Atomic.make None);
     children = Atomic.make [];
@@ -119,7 +120,7 @@ let fds u = u.fds
 let scope u = u.scope
 let getpid u = u.vpid
 let getppid u = Atomic.get u.parent
-let status_of u = Wait_cell.status u.waitc
+let status_of u = Completion.status u.waitc
 let live_procs w = Proc_table.length w.table
 let find w vpid = Proc_table.find w.table vpid
 
@@ -208,10 +209,10 @@ let do_exit u st =
         Atomic.set c.parent rt.vpid;
         Atomic.set c.adopted true;
         add_child rt c;
-        if Wait_cell.is_done c.waitc then ignore (try_reap c)
+        if Completion.is_done c.waitc then ignore (try_reap c)
       end)
     (Atomic.get u.children);
-  ignore (Wait_cell.finish u.waitc st);
+  Completion.finish u.waitc st;
   if Atomic.get u.adopted then ignore (try_reap u)
 
 let spawn ?worker ?fd_capacity ~parent body =
@@ -262,7 +263,7 @@ let try_waitpid ~parent ~vpid =
   match find_child parent vpid with
   | None -> Error `Echild
   | Some c -> (
-      match Wait_cell.status c.waitc with
+      match Completion.status c.waitc with
       | None -> Ok None
       | Some st -> if try_reap c then Ok (Some st) else Error `Echild)
 
@@ -271,13 +272,13 @@ let waitpid ~parent ~vpid =
   | None -> Error `Echild
   | Some c -> (
       (* park the calling FIBER (never the domain) until the child
-         exits; the wake rides the Wait_cell waiter list and is routed
-         back to the worker that parked us *)
-      if not (Wait_cell.is_done c.waitc) then
+         exits; the wake rides the status cell's joiner list and is
+         routed back to the worker that parked us *)
+      if not (Completion.is_done c.waitc) then
         Fiber.suspend_token (fun tok ->
             let home = Fiber.worker_index () in
-            Wait_cell.add_waiter c.waitc (fun () ->
+            Completion.add_joiner c.waitc (fun () ->
                 ignore (Fiber.Wake.fire_to ?worker:home tok)));
-      match Wait_cell.status c.waitc with
+      match Completion.status c.waitc with
       | Some st -> if try_reap c then Ok st else Error `Echild
       | None -> assert false (* the cell finishes before waiters run *))

@@ -185,12 +185,13 @@ let steal_batch_vs_pop (module D : DEQUE) () =
 (* Parameterized over the completion implementation so the same
    scenario drives both the faithful copy and the seeded-bug copy. *)
 module type COMPLETION = sig
-  type t
+  type 'a t
 
-  val create : unit -> t
-  val is_done : t -> bool
-  val add_joiner : t -> (unit -> unit) -> unit
-  val finish : t -> unit
+  val create : unit -> 'a t
+  val is_done : 'a t -> bool
+  val status : 'a t -> 'a option
+  val add_joiner : 'a t -> (unit -> unit) -> unit
+  val finish : 'a t -> 'a -> unit
 end
 
 (* Two joiners race the finisher.  Every interleaving must wake each
@@ -203,7 +204,7 @@ let completion_race (module C : COMPLETION) () =
   let c = C.create () in
   let w0 = Atomic'.make 0 and w1 = Atomic'.make 0 in
   ( [
-      (fun () -> C.finish c);
+      (fun () -> C.finish c ());
       (fun () ->
         C.add_joiner c (fun () -> Atomic'.incr w0);
         Sched.wait_until ~on:(Atomic'.id w0) (fun () -> Atomic'.peek w0 > 0));
@@ -842,48 +843,37 @@ let fd_alloc_race (module F : FD) () =
       if not (min !s0 !s1 = 0 && max !s0 !s1 = 1) then
         failwith (Printf.sprintf "fd-slots: got %d and %d" !s0 !s1) )
 
-module type WAIT = sig
-  type 'a t
-
-  val create : unit -> 'a t
-  val status : 'a t -> 'a option
-  val add_waiter : 'a t -> (unit -> unit) -> unit
-  val finish : 'a t -> 'a -> bool
-end
-
-let good_wait : (module WAIT) = (module Check.Wait_cell)
-let bad_wait : (module WAIT) = (module Check.Buggy_wait)
-
-(* waitpid parking vs the child's exit: the waiter registers its wake
-   and parks (a guarded step on the token); the finish CAS must either
-   see the registration or force the registration's retry to see
-   Exited.  The seeded get-then-set finish publishes the status over
-   the stale waiter list -- the parent sleeps forever (Deadlock). *)
-let wait_exit_vs_waiter (module W : WAIT) () =
-  let c = W.create () in
+(* waitpid parking vs the child's exit, on the ULP's exit-status cell
+   (a Completion): the waiter registers its wake and parks (a guarded
+   step on the token); the finish exchange must either snatch the
+   registration or make the registration's CAS fail and see Done.  The
+   seeded get-then-set finish publishes the status over the stale
+   joiner list -- the parent sleeps forever (Deadlock). *)
+let wait_exit_vs_waiter (module C : COMPLETION) () =
+  let c = C.create () in
   ( [
       (fun () ->
         Cfiber.suspend_token (fun tok ->
-            W.add_waiter c (fun () -> ignore (Cfiber.Wake.fire tok))));
-      (fun () -> ignore (W.finish c 7));
+            C.add_joiner c (fun () -> ignore (Cfiber.Wake.fire tok))));
+      (fun () -> C.finish c 7);
     ],
     fun () ->
-      match W.status c with
+      match C.status c with
       | Some 7 -> ()
       | _ -> failwith "wait-cell: status not published" )
 
 (* Racing waiters for one child: both register, both must be woken by
    the single finish (claiming the zombie is the process table's CAS,
    not the cell's concern). *)
-let wait_two_waiters (module W : WAIT) () =
-  let c = W.create () in
+let wait_two_waiters (module C : COMPLETION) () =
+  let c = C.create () in
   let woken = ref 0 in
   let waiter () =
     Cfiber.suspend_token (fun tok ->
-        W.add_waiter c (fun () -> ignore (Cfiber.Wake.fire tok)));
+        C.add_joiner c (fun () -> ignore (Cfiber.Wake.fire tok)));
     incr woken
   in
-  ( [ waiter; waiter; (fun () -> ignore (W.finish c 1)) ],
+  ( [ waiter; waiter; (fun () -> C.finish c 1) ],
     fun () ->
       if !woken <> 2 then
         failwith (Printf.sprintf "wait-cell: woke %d of 2" !woken) )
@@ -903,24 +893,16 @@ let table_add_remove_race () =
       if Ptab.length t <> 1 then
         failwith (Printf.sprintf "proc-table: size %d" (Ptab.length t)) )
 
-(* ---------- the KC pool: lease on first couple, recycle at finish ---- *)
+(* ---------- the KC pool: lease on first couple, push back at finish - *)
 
 (* Parameterized over the pool so the same scenario drives the faithful
-   Kc_pool copy and the seeded exit-time-push twin. *)
+   Kc_pool copy and the seeded get-then-set pop twin. *)
 module type KC_POOL = sig
   type 'kc t
 
   val create : unit -> 'kc t
   val lease : 'kc t -> create:(unit -> 'kc) -> 'kc
-
-  val recycle :
-    'kc t ->
-    reset_if_idle:('kc -> bool) ->
-    submit:('kc -> (unit -> unit) -> unit) ->
-    reset:('kc -> unit) ->
-    'kc ->
-    unit
-
+  val recycle : 'kc t -> 'kc -> unit
   val all : 'kc t -> 'kc list
 end
 
@@ -932,24 +914,11 @@ type sim_kc = {
   kid : int;
   kobj : int;
   mutable jobs : (unit -> unit) list; (* oldest first *)
-  mutable running : bool;
   mutable closed : bool;
-  mutable failures : int;
   mutable owner : string option;
 }
 
 let kc_step kc note kind f = Sched.atomic_step ~kind ~obj:kc.kobj ~note f
-
-let kc_submit kc job =
-  kc_step kc "submit" Sched.Set (fun () -> kc.jobs <- kc.jobs @ [ job ])
-
-let kc_reset kc = kc_step kc "reset" Sched.Set (fun () -> kc.failures <- 0)
-
-let kc_reset_if_idle kc =
-  kc_step kc "reset_if_idle" Sched.Cas (fun () ->
-      let idle = kc.jobs = [] && not kc.running in
-      if idle then kc.failures <- 0;
-      idle)
 
 (* The KC thread: run jobs in FIFO order until closed and drained. *)
 let rec kc_serve kc =
@@ -959,38 +928,52 @@ let rec kc_serve kc =
         match kc.jobs with
         | job :: rest ->
             kc.jobs <- rest;
-            kc.running <- true;
             Some job
         | [] -> None)
   with
   | None -> ()
   | Some job ->
       job ();
-      kc_step kc "idle" Sched.Set (fun () -> kc.running <- false);
       kc_serve kc
 
-(* Two owners exit while two fibers lease.  A exits with a raw job (one
-   that raises) still queued on its KC; B's KC is idle.  C and D each
-   lease a KC -- a recycled one or a new one -- and queue one coupled
-   section on it.  Invariants: a KC is never leased to two live fibers,
-   a job runs only while its own fiber holds the lease (or nobody
-   does), a new lease starts with a clean failure record, and at
-   quiescence every KC the pool made is leased or free, exactly once
-   (the KC threads have drained every recycle job by then).  The
-   seeded twin pushes A's KC at A's exit, so A's job can run under C's
-   or D's lease. *)
+(* [Blt_rt.coupled]: queue a section on the fiber's KC and park until
+   the section wakes it.  The section checks, before and after its
+   syscall, that its own fiber holds the KC's lease. *)
+let kc_coupled kc who =
+  let check () =
+    if kc.owner <> Some who then
+      failwith
+        (Printf.sprintf "kc-pool: %s's section ran on KC %d, leased to %s"
+           who kc.kid
+           (Option.value kc.owner ~default:"nobody"))
+  in
+  Cfiber.suspend (fun wake ->
+      kc_step kc "submit" Sched.Set (fun () ->
+          kc.jobs <-
+            kc.jobs
+            @ [
+                (fun () ->
+                  check ();
+                  (* the syscall: other threads may run while it is in
+                     flight *)
+                  kc_step kc "syscall" Sched.Get ignore;
+                  check ();
+                  wake ());
+              ]))
+
+(* An owner exits while two fibers lease.  A exits right after its
+   coupled section has woken it, while its KC thread may still be in
+   that section's tail.  C and D each lease a KC -- A's recycled one or
+   a new one; C also runs one coupled section on it (a section by D
+   would only add schedules of the same shape).  Invariants: a KC is
+   never leased to two live fibers, a section runs only while its own
+   fiber holds the lease, and at quiescence every KC the pool made is
+   leased or free, exactly once.  The seeded twin's get-then-set pop
+   lets C and D both take A's KC. *)
 let kc_pool_lease_vs_exit (module P : KC_POOL) () =
   let kcs =
-    Array.init 4 (fun kid ->
-        {
-          kid;
-          kobj = Sched.fresh_obj ();
-          jobs = [];
-          running = false;
-          closed = false;
-          failures = 0;
-          owner = None;
-        })
+    Array.init 3 (fun kid ->
+        { kid; kobj = Sched.fresh_obj (); jobs = []; closed = false; owner = None })
   in
   let made = ref 0 in
   let make () =
@@ -999,21 +982,6 @@ let kc_pool_lease_vs_exit (module P : KC_POOL) () =
     kc
   in
   let pool = P.create () in
-  let owned_job kc who f () =
-    let check () =
-      match kc.owner with
-      | Some o when o <> who ->
-          failwith
-            (Printf.sprintf "kc-pool: %s's job ran on KC %d under %s's lease"
-               who kc.kid o)
-      | _ -> ()
-    in
-    check ();
-    (* the job's syscall: other threads may run while it is in flight *)
-    kc_step kc "job" Sched.Get ignore;
-    check ();
-    f ()
-  in
   let lease who =
     let kc = P.lease pool ~create:make in
     (match kc.owner with
@@ -1022,35 +990,36 @@ let kc_pool_lease_vs_exit (module P : KC_POOL) () =
           (Printf.sprintf "kc-pool: KC %d leased to both %s and %s" kc.kid o
              who)
     | None -> ());
-    if kc.failures <> 0 then
-      failwith
-        (Printf.sprintf "kc-pool: %s inherits %d failure(s) on KC %d" who
-           kc.failures kc.kid);
     kc.owner <- Some who;
     kc
   in
-  let a = lease "A" and b = lease "B" in
-  kc_submit a (owned_job a "A" (fun () -> a.failures <- a.failures + 1));
+  let a = lease "A" in
   let finished = Atomic'.make 0 in
   let done_one () =
-    if Atomic'.fetch_and_add finished 1 = 3 then
+    if Atomic'.fetch_and_add finished 1 = 2 then
       Array.iter
         (fun kc -> kc_step kc "close" Sched.Set (fun () -> kc.closed <- true))
         kcs
   in
-  let exit kc () =
+  let couple_then_exit who kc () =
+    kc_coupled kc who;
     kc.owner <- None;
-    P.recycle pool ~reset_if_idle:kc_reset_if_idle ~submit:kc_submit
-      ~reset:kc_reset kc;
+    P.recycle pool kc;
     done_one ()
   in
   let couple who () =
-    let kc = lease who in
-    kc_submit kc (owned_job kc who ignore);
+    kc_coupled (lease who) who;
     done_one ()
   in
-  ( [ exit a; exit b; couple "C"; couple "D" ]
-    @ Array.to_list (Array.map (fun kc () -> kc_serve kc) kcs),
+  let hold who () =
+    ignore (lease who);
+    done_one ()
+  in
+  (* KC threads first: the explorer's default schedule serves each
+     section at once, so the leases race at the deep end of the trace,
+     where the DFS branches first. *)
+  ( Array.to_list (Array.map (fun kc () -> kc_serve kc) kcs)
+    @ [ couple_then_exit "A" a; couple "C"; hold "D" ],
     fun () ->
       let rec drain acc =
         match P.lease pool ~create:(fun () -> raise Exit) with
@@ -1410,14 +1379,14 @@ let test_fd_alloc_race () =
 let test_wait_exit_vs_waiter () =
   let stats =
     expect_pass "wait-exit-vs-waiter"
-      (Sched.check (wait_exit_vs_waiter good_wait))
+      (Sched.check (wait_exit_vs_waiter compl))
   in
   Alcotest.(check bool) "exhaustive" true stats.Sched.complete
 
 let test_wait_two_waiters () =
   ignore
     (expect_pass "wait-two-waiters"
-       (Sched.check ~max_schedules:8_000 (wait_two_waiters good_wait)))
+       (Sched.check ~max_schedules:8_000 (wait_two_waiters compl)))
 
 let test_table_add_remove () =
   let stats =
@@ -1489,8 +1458,8 @@ let test_buggy_fd_resurrect_caught =
    waiter list: the parked waitpid fiber is never woken. *)
 let test_buggy_wait_caught =
   twin_caught "buggy-wait-finish"
-    ~buggy:(wait_exit_vs_waiter bad_wait)
-    ~faithful:(wait_exit_vs_waiter good_wait)
+    ~buggy:(wait_exit_vs_waiter buggy_compl)
+    ~faithful:(wait_exit_vs_waiter compl)
     ~expect_reason:"Deadlock"
 
 (* ---------- the KC pool and the max_conns slot ---------- *)
@@ -1508,10 +1477,9 @@ let test_kc_pool_lease_vs_exit () =
       Sched.print_failure f;
       Alcotest.failf "kc-pool: fuzzed schedule failed (dumped to %s)" trace_file
 
-(* Pushing a busy KC at its owner's exit runs the dead owner's queued
-   job under the next lease. *)
+(* The get-then-set pop hands one free KC to two racing leases. *)
 let test_buggy_kc_pool_caught =
-  twin_caught "buggy-kc-pool-recycle"
+  twin_caught "buggy-kc-pool-pop"
     ~buggy:(kc_pool_lease_vs_exit buggy_kc_pool)
     ~faithful:(kc_pool_lease_vs_exit kc_pool)
     ~expect_reason:"kc-pool"
@@ -1643,8 +1611,8 @@ let test_fuzz_real_structures_clean () =
       ("fd-dup-vs-close", fd_dup_vs_close good_fd);
       ("fd-dup2-vs-close", fd_dup2_vs_close good_fd);
       ("fd-alloc-race", fd_alloc_race good_fd);
-      ("wait-exit-vs-waiter", wait_exit_vs_waiter good_wait);
-      ("wait-two-waiters", wait_two_waiters good_wait);
+      ("wait-exit-vs-waiter", wait_exit_vs_waiter compl);
+      ("wait-two-waiters", wait_two_waiters compl);
       ("proc-table-add-remove", table_add_remove_race);
     ]
 
@@ -1685,8 +1653,8 @@ let test_interleaving_budget () =
         ("fd-dup-vs-close", 8_000, fd_dup_vs_close good_fd);
         ("fd-dup2-vs-close", 8_000, fd_dup2_vs_close good_fd);
         ("fd-alloc-race", 4_000, fd_alloc_race good_fd);
-        ("wait-exit-vs-waiter", 4_000, wait_exit_vs_waiter good_wait);
-        ("wait-two-waiters", 8_000, wait_two_waiters good_wait);
+        ("wait-exit-vs-waiter", 4_000, wait_exit_vs_waiter compl);
+        ("wait-two-waiters", 8_000, wait_two_waiters compl);
         ("proc-table-add-remove", 4_000, table_add_remove_race);
       ]
   in
@@ -1768,7 +1736,7 @@ let () =
         [
           Alcotest.test_case "owners exit while fibers lease" `Quick
             test_kc_pool_lease_vs_exit;
-          Alcotest.test_case "exit-time push runs a dead owner's job" `Quick
+          Alcotest.test_case "get-then-set pop double-leases a KC" `Quick
             test_buggy_kc_pool_caught;
         ] );
       ( "conn-slots",

@@ -32,8 +32,7 @@ let test_executor_runs_jobs_in_order () =
   done;
   Mutex.unlock m;
   Executor.shutdown e;
-  Alcotest.(check (list int)) "fifo" [ 1; 2; 3; 4; 5 ] (List.rev !log);
-  Alcotest.(check int) "executed count" 5 (Executor.executed e)
+  Alcotest.(check (list int)) "fifo" [ 1; 2; 3; 4; 5 ] (List.rev !log)
 
 let test_executor_single_thread () =
   let e = Executor.create () in
@@ -64,28 +63,28 @@ let test_executor_submit_after_shutdown_rejected () =
   | exception Invalid_argument _ -> ()
   | () -> Alcotest.fail "submit after shutdown accepted"
 
-let test_executor_records_failures () =
+(* A job that raises is dropped: the KC thread lives on and runs the
+   next job. *)
+let test_executor_survives_raising_job () =
   let e = Executor.create () in
   Executor.submit e (fun () -> failwith "job blew up");
-  (* a second job orders us after the first one *)
   let m = Mutex.create () and c = Condition.create () in
-  let settled = ref false in
+  let tid = ref None in
   Executor.submit e (fun () ->
       Mutex.lock m;
-      settled := true;
+      tid := Some (Thread.id (Thread.self ()));
       Condition.signal c;
       Mutex.unlock m);
   Mutex.lock m;
-  while not !settled do
+  while !tid = None do
     Condition.wait c m
   done;
   Mutex.unlock m;
-  Alcotest.(check int) "one failure" 1 (Executor.failures e);
-  (match Executor.last_error e with
-  | Some (Failure msg) -> Alcotest.(check string) "kept exn" "job blew up" msg
-  | _ -> Alcotest.fail "no recorded error");
-  Executor.shutdown e;
-  Alcotest.(check int) "both jobs ran" 2 (Executor.executed e)
+  Alcotest.(check (option int))
+    "next job ran on the same thread"
+    (Some (Executor.thread_id e))
+    !tid;
+  Executor.shutdown e
 
 (* ---------- Chase-Lev atomic deque ---------- *)
 
@@ -666,24 +665,6 @@ let test_par_coupled_runs_off_worker_domains () =
       in
       Fiber.join f)
 
-let test_par_kc_failures_surface () =
-  Fiber.run_parallel ~domains:2 (fun () ->
-      let f =
-        Fiber.spawn (fun () ->
-            Alcotest.(check int) "clean KC" 0 (Blt_rt.kc_failures ());
-            (* a raw (non-coupled) job that raises on the home KC *)
-            Executor.submit (Blt_rt.my_executor ()) (fun () ->
-                failwith "raw job failed");
-            (* a coupled round trip orders us after the raw job *)
-            ignore (Blt_rt.coupled (fun () -> ()));
-            Alcotest.(check int) "failure recorded" 1 (Blt_rt.kc_failures ());
-            match Blt_rt.kc_last_error () with
-            | Some (Failure msg) ->
-                Alcotest.(check string) "message kept" "raw job failed" msg
-            | _ -> Alcotest.fail "no last_error")
-      in
-      Fiber.join f)
-
 let test_par_channel_pipeline_across_domains () =
   let n = 500 in
   let got = ref [] in
@@ -710,8 +691,8 @@ let test_par_channel_pipeline_across_domains () =
 (* The big one: N fibers x M domains, each fiber doing a seeded random
    mix of yield / nested spawn+join / channel traffic / coupled
    sections.  Whatever the interleaving: every fiber completes exactly
-   once, every channel message is accounted for, no KC ever records a
-   failure, and the whole thing finishes in bounded time.  The per-fiber
+   once, every channel message is accounted for, and the whole thing
+   finishes in bounded time.  The per-fiber
    RNG streams derive from [Test_seed.seed], so a red run reproduces
    with TEST_SEED=<printed seed>. *)
 let test_par_mixed_traffic_stress () =
@@ -721,7 +702,6 @@ let test_par_mixed_traffic_stress () =
   let children = Atomic.make 0 in
   let received = Atomic.make 0 in
   let sent = Atomic.make 0 in
-  let kc_bad = Atomic.make 0 in
   Fiber.run_parallel ~domains (fun () ->
       let ch = Fiber_rt.Channel.create ~capacity:8 () in
       let consumer =
@@ -748,7 +728,6 @@ let test_par_mixed_traffic_stress () =
                       Fiber_rt.Channel.send ch i
                   | _ -> ignore (Blt_rt.coupled (fun () -> ()))
                 done;
-                if Blt_rt.kc_failures () > 0 then Atomic.incr kc_bad;
                 Atomic.incr completions))
       in
       List.iter Fiber.join fs;
@@ -765,7 +744,6 @@ let test_par_mixed_traffic_stress () =
   Alcotest.(check int)
     (msg "no lost or duplicated channel messages")
     (Atomic.get sent) (Atomic.get received);
-  Alcotest.(check int) (msg "no KC failures") 0 (Atomic.get kc_bad);
   Alcotest.(check bool)
     (msg (Printf.sprintf "bounded runtime (%.2fs)" dt))
     true (dt < 30.0)
@@ -968,7 +946,7 @@ let test_completion_cross_domain_stress () =
               done;
               Atomic.get mine))
     in
-    Completion.finish c;
+    Completion.finish c ();
     let per_joiner = Array.map Domain.join doms in
     Alcotest.(check int) "all joiners woken" joiners (Atomic.get woken);
     Array.iter
@@ -1141,14 +1119,6 @@ let test_channel_pipeline () =
     [ 1; 4; 9; 16; 25; 36; 49; 64 ]
     (List.rev !out)
 
-let test_channel_try_recv () =
-  Fiber.run (fun () ->
-      let ch = Channel.create ~capacity:2 () in
-      Alcotest.(check (option int)) "empty" None (Channel.try_recv ch);
-      Channel.send ch 9;
-      Alcotest.(check (option int)) "value" (Some 9) (Channel.try_recv ch);
-      Alcotest.(check int) "drained" 0 (Channel.length ch))
-
 let test_channel_fold () =
   let total = ref 0 in
   Fiber.run (fun () ->
@@ -1214,20 +1184,13 @@ let prop_yield_count_independent_of_interleaving =
    counterexample reproduces with TEST_SEED=<n>. *)
 let qcheck t = QCheck_alcotest.to_alcotest ~rand:(Test_seed.rand_state ()) t
 
-(* ---------- the KC pool: lease on first couple, recycle at finish ---------- *)
+(* ---------- the KC pool: lease on first couple, push back at finish ---------- *)
 
 let kc_tid () = Blt_rt.coupled (fun () -> Thread.id (Thread.self ()))
 
-(* Park the calling fiber until [e] has run every job queued on it so
-   far: a finished owner's recycle job included, so the KC is back in
-   the pool when this returns. *)
-let drain_kc e = Fiber.suspend (fun wake -> Executor.submit e wake)
-
-(* Fibers that couple one after another reuse the same few KCs instead
-   of each leaving an OS thread behind.  Two, not one: on two domains a
-   fiber can finish before its KC thread has left its last coupled
-   section, and then the KC comes back through a recycle job that the
-   next lease may beat. *)
+(* Fibers that couple one after another reuse one KC instead of each
+   leaving an OS thread behind: a finished fiber's KC is back in the
+   pool before the next fiber is spawned. *)
 let test_pool_sequential_reuse () =
   let tids = ref [] in
   Fiber.run_parallel ~domains:2 (fun () ->
@@ -1236,8 +1199,8 @@ let test_pool_sequential_reuse () =
       done);
   Alcotest.(check int) "200 coupled sections" 200 (List.length !tids);
   let distinct = List.length (List.sort_uniq compare !tids) in
-  if distinct > 2 then
-    Alcotest.failf "200 sequential fibers used %d KC threads, want <= 2" distinct
+  if distinct <> 1 then
+    Alcotest.failf "200 sequential fibers used %d KC threads, want 1" distinct
 
 (* Live fibers never share a KC, and each keeps its own across
    suspensions and migrations.  Every fiber stays alive until all of
@@ -1264,70 +1227,6 @@ let test_pool_live_isolation () =
     (fun i tid -> Alcotest.(check int) "same KC both times" tid second.(i))
     first
 
-(* A recycled KC carries no failure record into its next lease. *)
-let test_pool_clean_failure_record () =
-  Fiber.run (fun () ->
-      let prev = ref None in
-      Fiber.join
-        (Fiber.spawn (fun () ->
-             let e = Blt_rt.my_executor () in
-             Executor.submit e (fun () -> failwith "previous owner's job");
-             ignore (Blt_rt.coupled (fun () -> ()));
-             Alcotest.(check int) "owner sees its failure" 1
-               (Blt_rt.kc_failures ());
-             prev := Some e));
-      let e = Option.get !prev in
-      drain_kc e;
-      Fiber.join
-        (Fiber.spawn (fun () ->
-             Alcotest.(check int) "reused the only KC"
-               (Executor.thread_id e) (Blt_rt.original_kc_thread_id ());
-             Alcotest.(check int) "clean failure count" 0
-               (Blt_rt.kc_failures ());
-             Alcotest.(check bool) "no last error" true
-               (Blt_rt.kc_last_error () = None))))
-
-(* A raw job a fiber queued just before exiting runs before the next
-   owner of that KC gets its first coupled section.  Each probe fiber
-   holds its KC until the end, so the probes cannot keep reusing one
-   KC among themselves: the dead owner's KC is the only one that can
-   come back, and the probes keep leasing until it does. *)
-let test_pool_fifo_drain () =
-  let ran = Atomic.make false in
-  let reports = ref [] in
-  Fiber.run (fun () ->
-      let owner_tid = ref (-1) in
-      Fiber.join
-        (Fiber.spawn (fun () ->
-             owner_tid := Blt_rt.original_kc_thread_id ();
-             Executor.submit (Blt_rt.my_executor ()) (fun () ->
-                 Thread.delay 0.02;
-                 Atomic.set ran true)));
-      let ch = Fiber_rt.Channel.create ~capacity:1 () in
-      let release = ref [] in
-      let rec probe n =
-        if n = 0 then Alcotest.fail "the dead owner's KC never came back";
-        ignore
-          (Fiber.spawn (fun () ->
-               Fiber_rt.Channel.send ch
-                 (Blt_rt.coupled (fun () ->
-                      Thread.delay 0.002;
-                      (Thread.id (Thread.self ()), Atomic.get ran)));
-               Fiber.suspend (fun wake -> release := wake :: !release)));
-        match Fiber_rt.Channel.recv ch with
-        | Some ((tid, _) as r) ->
-            reports := r :: !reports;
-            if tid <> !owner_tid then probe (n - 1)
-        | None -> assert false
-      in
-      probe 200;
-      List.iter (fun wake -> wake ()) !release);
-  match !reports with
-  | (_, ran_first) :: _ ->
-      Alcotest.(check bool) "raw job ran before the next owner's section"
-        true ran_first
-  | [] -> Alcotest.fail "no probe reported"
-
 let () =
   Test_seed.announce "test_fiber_rt";
   Alcotest.run "fiber_rt"
@@ -1338,8 +1237,8 @@ let () =
           Alcotest.test_case "single thread" `Quick test_executor_single_thread;
           Alcotest.test_case "shutdown rejects" `Quick
             test_executor_submit_after_shutdown_rejected;
-          Alcotest.test_case "records failures" `Quick
-            test_executor_records_failures;
+          Alcotest.test_case "a raising job does not kill the KC" `Quick
+            test_executor_survives_raising_job;
         ] );
       ( "atomic_deque",
         [
@@ -1382,8 +1281,6 @@ let () =
             test_par_executor_affinity_under_migration;
           Alcotest.test_case "coupled off workers" `Quick
             test_par_coupled_runs_off_worker_domains;
-          Alcotest.test_case "KC failures surface" `Quick
-            test_par_kc_failures_surface;
           Alcotest.test_case "channel pipeline across domains" `Quick
             test_par_channel_pipeline_across_domains;
           Alcotest.test_case "mixed-traffic stress" `Quick
@@ -1435,9 +1332,6 @@ let () =
           Alcotest.test_case "sequential reuse" `Quick
             test_pool_sequential_reuse;
           Alcotest.test_case "live isolation" `Quick test_pool_live_isolation;
-          Alcotest.test_case "clean failure record" `Quick
-            test_pool_clean_failure_record;
-          Alcotest.test_case "FIFO drain" `Quick test_pool_fifo_drain;
         ] );
       ( "channels",
         [
@@ -1449,7 +1343,6 @@ let () =
           Alcotest.test_case "close semantics" `Quick
             test_channel_close_semantics;
           Alcotest.test_case "pipeline" `Quick test_channel_pipeline;
-          Alcotest.test_case "try_recv" `Quick test_channel_try_recv;
           Alcotest.test_case "fold" `Quick test_channel_fold;
           Alcotest.test_case "bad capacity" `Quick test_channel_bad_capacity;
         ] );

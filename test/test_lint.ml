@@ -277,8 +277,8 @@ let test_redetect_seeded_bugs () =
   Alcotest.(check int) "buggy_conn_slots check-then-act" 1
     (List.length
        (hits r ~file:"lib/check/buggy_conn_slots.ml" ~rule:"atomic-check-then-faa"));
-  (* Buggy_wait.finish publishes over a stale waiter list *)
-  Alcotest.(check int) "buggy_wait lost wakeup" 1 (unwaived "buggy_wait.ml");
+  (* Buggy_kc_pool.pop: a racing pop takes the same free KC *)
+  Alcotest.(check int) "buggy_kc_pool double lease" 1 (unwaived "buggy_kc_pool.ml");
   (* Buggy_lockorder: credit takes A->B, debit takes B->A; both edges
      of the cycle are reported, on definition-site lock identities *)
   let lo file =

@@ -122,17 +122,23 @@ let prop_mpsc_matches_model ops =
 
 (* ---------- Completion vs the Joiners state machine ---------- *)
 
-type compl_op = Add_joiner | Finish | Query_done
+type compl_op = Add_joiner | Finish of int | Query_done | Query_status
 
 let compl_op_gen =
   QCheck.Gen.(
     frequency
-      [ (4, return Add_joiner); (1, return Finish); (2, return Query_done) ])
+      [
+        (4, return Add_joiner);
+        (1, map (fun v -> Finish v) (int_bound 99));
+        (2, return Query_done);
+        (2, return Query_status);
+      ])
 
 let show_compl_op = function
   | Add_joiner -> "Add_joiner"
-  | Finish -> "Finish"
+  | Finish v -> Printf.sprintf "Finish %d" v
   | Query_done -> "Query_done"
+  | Query_status -> "Query_status"
 
 let compl_ops_arb =
   QCheck.make
@@ -140,33 +146,45 @@ let compl_ops_arb =
     ~shrink:QCheck.Shrink.list
     QCheck.Gen.(list_size (int_bound 40) compl_op_gen)
 
-(* Reference semantics of the Running -> Joiners -> Done machine, applied
-   sequentially: a joiner added before [finish] fires exactly when
-   [finish] runs; a joiner added after fires immediately; [is_done]
-   tracks whether [finish] happened; a redundant [finish] is a no-op
-   (wakes nobody twice).  Every joiner must end the run woken exactly
-   once. *)
+(* Reference semantics of the Running -> Joiners -> Done v machine,
+   applied sequentially: [status] is [None] until [finish v], then
+   [Some v], and [is_done] agrees with it; a joiner added before
+   [finish] fires exactly when [finish] runs, one added after fires
+   immediately; a woken joiner already sees [Some v] (waitpid reads the
+   status right after its wake).  A cell is finished once, so only the
+   first [Finish] reaches it.  Every joiner must end the run woken
+   exactly once. *)
 let prop_completion_matches_model ops =
   let c = Compl.create () in
-  let wakes = ref [] (* one counter per added joiner *) in
-  let finished = ref false in
-  let all_once () = List.for_all (fun n -> !n = 1) !wakes in
+  let wakes = ref [] (* one (count, status seen at wake) per joiner *) in
+  let finished = ref None in
+  let all_once () =
+    List.for_all
+      (fun (n, seen) -> !n = 1 && !seen = !finished)
+      !wakes
+  in
+  let finish v =
+    Compl.finish c v;
+    finished := Some v
+  in
   let step_ok op =
     match op with
     | Add_joiner ->
-        let n = ref 0 in
-        wakes := n :: !wakes;
-        Compl.add_joiner c (fun () -> incr n);
-        !n = if !finished then 1 else 0
-    | Finish ->
-        Compl.finish c;
-        finished := true;
+        let n = ref 0 and seen = ref None in
+        wakes := (n, seen) :: !wakes;
+        Compl.add_joiner c (fun () ->
+            incr n;
+            seen := Compl.status c);
+        !n = if !finished = None then 0 else 1
+    | Finish v ->
+        if !finished = None then finish v;
         all_once ()
-    | Query_done -> Compl.is_done c = !finished
+    | Query_done -> Compl.is_done c = (!finished <> None)
+    | Query_status -> Compl.status c = !finished
   in
   let steps = List.for_all step_ok ops in
-  Compl.finish c;
-  steps && all_once () && Compl.is_done c
+  if !finished = None then finish 0;
+  steps && all_once () && Compl.status c = !finished
 
 (* ---------- Ult.Prio_heap vs a sorted association list ---------- *)
 

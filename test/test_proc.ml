@@ -5,8 +5,8 @@
    dispositions, handlers at check points, uncatchable SIGKILL), the
    fd-leak gate across 1000 spawn/exit cycles, and a multi-domain
    spawn/kill/wait stress under TEST_SEED.  The concurrent
-   interleavings of the underlying Fd_core / Wait_cell / Proc_table are
-   model-checked in test_check; qcheck models live in test_model. *)
+   interleavings of the underlying Fd_core / Completion / Proc_table
+   are model-checked in test_check; qcheck models live in test_model. *)
 
 module Fiber = Fiber_rt.Fiber
 module Reactor = Net.Reactor
