@@ -803,6 +803,26 @@ let measure ~warmup ~reps run : Bench_file.Parallel.result =
     oversubscribed = active_workers_p50 > host_cores ();
   }
 
+(* A coupled_busy row: an untimed warm-up run, then [calls] round
+   trips alone and [calls] beside one busy fiber. *)
+let measure_coupled ~domains ~calls : Bench_file.Parallel.coupled =
+  let stats ~busy =
+    let s = Stats.create () in
+    Array.iter (Stats.add s)
+      (Par_workload.coupled_latencies ~domains ~busy ~calls);
+    s
+  in
+  ignore (stats ~busy:1);
+  let idle = stats ~busy:0 and busy = stats ~busy:1 in
+  {
+    domains;
+    calls;
+    idle_p50_s = Stats.median idle;
+    p50_s = Stats.median busy;
+    p99_s = Stats.percentile busy 99.0;
+    max_s = Stats.max_value busy;
+  }
+
 (* Diff BEFORE writing -- the old file is usually this same path, and
    reading it after the write would compare the run to itself -- and
    gate AFTER, so a regressed run still leaves a fresh file to inspect. *)
@@ -888,8 +908,15 @@ let run_parallel_bench ~quick ~diff () =
           Proc_workload.fd_direct ~domains ~ulps ~writes:fd_writes);
       ]
   in
+  (* the coupled round trip beside a busy fiber, at one and two
+     workers: the KC must not wait for its worker's runtime lock *)
+  let coupled =
+    let calls = Bench_file.Parallel.coupled_calls * if quick then 1 else 2 in
+    List.map (fun domains -> measure_coupled ~domains ~calls) [ 1; 2 ]
+  in
   let doc =
     Bench_file.Parallel.doc ~host_cores:(host_cores ()) ~quick ~warmup stats
+      coupled
   in
   Printf.printf "Parallel fiber runtime: host has %d core%s; %d warmup + %d \
                  reps per config\n"

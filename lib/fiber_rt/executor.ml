@@ -56,8 +56,8 @@ let submit t job =
   end
   else begin
     Queue.push job t.jobs;
-    Condition.signal t.cond;
-    Mutex.unlock t.mutex
+    Mutex.unlock t.mutex;
+    Condition.signal t.cond
   end
 
 (* The OS thread id jobs run on (for consistency assertions). *)

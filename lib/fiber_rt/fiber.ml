@@ -261,8 +261,10 @@ let deliver_token w =
   (* ulplint: allow raw-mutex-in-fiber -- worker-domain parking: an idle domain must really sleep in the OS, which is exactly what Sync must never do *)
   Mutex.lock w.park_mutex;
   w.park_wake <- true;
-  Condition.signal w.park_cond;
-  Mutex.unlock w.park_mutex
+  Mutex.unlock w.park_mutex;
+  (* signalled after the unlock: the woken worker does not wake only to
+     block on a mutex we still hold *)
+  Condition.signal w.park_cond
 
 let await_token w =
   (* ulplint: allow raw-mutex-in-fiber -- worker-domain parking: an idle domain must really sleep in the OS, which is exactly what Sync must never do *)
@@ -529,13 +531,17 @@ let next_task ps w =
     match Atomic_deque.pop w.deque with
     | Some _ as r -> r
     | None -> (
-        match Queue.take_opt w.overflow with
+        (* A non-empty injection channel is drained before the overflow
+           FIFO is served: its batch still queues behind the FIFO, so
+           order holds, but a KC's completion joins the round of the
+           yielders instead of waiting for the fairness tick. *)
+        match take_injected ps w with
         | Some _ as r -> r
         | None -> (
-            match take_inbox w with
+            match Queue.take_opt w.overflow with
             | Some _ as r -> r
             | None -> (
-                match take_injected ps w with
+                match take_inbox w with
                 | Some _ as r -> r
                 | None -> try_steal ps w)))
 
@@ -587,12 +593,18 @@ let worker_loop ps w =
   let rec go () =
     if not (Atomic.get ps.stop) then begin
       (match next_task ps w with
-      | Some thunk -> (
-          try thunk ()
-          with exn ->
-            let bt = Printexc.get_raw_backtrace () in
-            ignore (Atomic.compare_and_set ps.failure None (Some (exn, bt)));
-            pstop ps)
+      | Some thunk ->
+          (try thunk ()
+           with exn ->
+             let bt = Printexc.get_raw_backtrace () in
+             ignore (Atomic.compare_and_set ps.failure None (Some (exn, bt)));
+             pstop ps);
+          (* The KCs and reactor shards created on this domain are its
+             systhreads: they run only while the worker lets go of the
+             domain's runtime lock.  Hand it over at every fiber switch,
+             not only at park or at the 50 ms tick; with nobody waiting
+             this returns at once. *)
+          Thread.yield ()
       | None -> park ps w);
       go ()
     end

@@ -22,15 +22,16 @@
    Lifecycle protocol (all lock-free, all exercised by lib/check and
    the qcheck models):
 
-     spawn:   vpid = fetch_and_add; table.add; parent.children CAS-cons;
-              fiber runs body inside a fresh Scope
+     spawn:   vpid = fetch_and_add; table.add; parent.children CAS-cons
+              (rebuilt without reaped entries once those outnumber the
+              live ones); fiber runs body inside a fresh Scope
      exit:    close_all fds; re-parent live children to the root ULP
               (adopted := true); Completion.finish publishes the status
               and wakes waiters; an adopted (orphan) zombie reaps
               itself -- the root is init, it never waits
-     waitpid: find the child among our children; park on its wait cell;
-              claim the zombie by CAS (claimed: exactly one reaper) and
-              drop it from the table
+     waitpid: find the child in the vpid table and check its parent;
+              park on its wait cell; claim the zombie by CAS (claimed:
+              exactly one reaper) and drop it from the table
      kill:    set the pending bit; no handler installed -> Scope.fail
               with Killed (first failure wins, tree cancels); handler
               installed -> delivered at the target's next [check]
@@ -70,7 +71,16 @@ type t = {
   waitc : status Completion.t;
   pending : int Atomic.t; (* signal bitmask, bit (1 lsl signum) *)
   handlers : (int -> unit) option Atomic.t array;
-  children : t list Atomic.t; (* CAS-cons; dead entries filtered lazily *)
+  children : brood Atomic.t;
+  reaps : int Atomic.t; (* children claimed so far, by any reaper *)
+}
+
+(* The children list and its bookkeeping, replaced by one CAS.  The
+   reaped entries still listed number about [reaps - reaps_at]. *)
+and brood = {
+  kids : t list;
+  listed : int; (* List.length kids *)
+  reaps_at : int; (* [reaps] when [kids] was last rebuilt *)
 }
 
 and world = {
@@ -92,7 +102,8 @@ let make_proc w ~vpid ~parent_vpid ~fd_capacity =
     waitc = Completion.create ();
     pending = Atomic.make 0;
     handlers = Array.init (max_signal + 1) (fun _ -> Atomic.make None);
-    children = Atomic.make [];
+    children = Atomic.make { kids = []; listed = 0; reaps_at = 0 };
+    reaps = Atomic.make 0;
   }
 
 let boot ?(fd_capacity = 256) () =
@@ -173,28 +184,51 @@ let kill w ~vpid signum =
 
 (* ---------- the child/zombie bookkeeping ---------- *)
 
+(* Cons [c] onto [parent]'s children.  A reaped child stays listed
+   until an [add_child] finds the reaped entries outnumbering the live
+   ones and rebuilds the list without them: a rebuild walks fewer than
+   twice the entries reaped since the last one, so a reap costs O(1)
+   amortized and a reaped ULP becomes garbage at the next rebuild.
+   A reaper bumps [reaps] just after its claim, so the estimate may be
+   off by the reaps racing a rebuild; the rebuild after resets it. *)
 let rec add_child parent c =
-  let cur = Atomic.get parent.children in
-  if not (Atomic.compare_and_set parent.children cur (c :: cur)) then
+  let b = Atomic.get parent.children in
+  let reaps = Atomic.get parent.reaps in
+  let next =
+    if 2 * (reaps - b.reaps_at) <= b.listed then
+      { b with kids = c :: b.kids; listed = b.listed + 1 }
+    else
+      let live = List.filter (fun c -> not (Atomic.get c.claimed)) b.kids in
+      { kids = c :: live; listed = List.length live + 1; reaps_at = reaps }
+  in
+  if not (Atomic.compare_and_set parent.children b next) then
     add_child parent c
 
-(* Claim the zombie: exactly one reaper drops it from the table. *)
+(* Claim the zombie: exactly one reaper drops it from the table and
+   counts it against its parent's list. *)
 let try_reap c =
   if Atomic.compare_and_set c.claimed false true then begin
-    ignore (Proc_table.remove c.world.table c.vpid);
+    let table = c.world.table in
+    ignore (Proc_table.remove table c.vpid);
+    (match Proc_table.find table (Atomic.get c.parent) with
+    | Some p -> Atomic.incr p.reaps
+    | None -> ());
     true
   end
   else false
 
+(* O(1): the vpid table, not the parent's list, finds the child. *)
 let find_child parent vpid =
-  List.find_opt
-    (fun c -> c.vpid = vpid && not (Atomic.get c.claimed))
-    (Atomic.get parent.children)
+  match Proc_table.find parent.world.table vpid with
+  | Some c when Atomic.get c.parent = parent.vpid && not (Atomic.get c.claimed)
+    ->
+      Some c
+  | _ -> None
 
 let children parent =
   List.filter_map
     (fun c -> if Atomic.get c.claimed then None else Some c.vpid)
-    (Atomic.get parent.children)
+    (Atomic.get parent.children).kids
 
 let do_exit u st =
   ignore (Fd_core.close_all u.fds);
@@ -211,7 +245,7 @@ let do_exit u st =
         add_child rt c;
         if Completion.is_done c.waitc then ignore (try_reap c)
       end)
-    (Atomic.get u.children);
+    (Atomic.get u.children).kids;
   Completion.finish u.waitc st;
   if Atomic.get u.adopted then ignore (try_reap u)
 

@@ -233,6 +233,15 @@ let validate suite doc =
 (* ---------- the parallel fiber sweep ---------- *)
 
 module Parallel = struct
+  type coupled = {
+    domains : int;
+    calls : int;
+    idle_p50_s : float;
+    p50_s : float;
+    p99_s : float;
+    max_s : float;
+  }
+
   type result = {
     name : string;
     domains : int;
@@ -289,6 +298,23 @@ module Parallel = struct
     section "results" ~keys:[ "name"; "domains" ] result_fields
       ~title:"Parallel fiber runtime (work stealing on OCaml domains)"
 
+  let coupled_fields =
+    [
+      c Int "domains" ~head:"domains" (fun (r : coupled) -> int r.domains);
+      c Int "calls" ~head:"calls" (fun (r : coupled) -> int r.calls);
+      c secs "idle_p50_s" ~head:"idle p50 [s]" (fun (r : coupled) ->
+          J.Num r.idle_p50_s);
+      c secs "p50_s" ~head:"busy p50 [s]" ~better:`Lower (fun (r : coupled) ->
+          J.Num r.p50_s);
+      c secs "p99_s" ~head:"busy p99 [s]" ~better:`Lower (fun (r : coupled) ->
+          J.Num r.p99_s);
+      c secs "max_s" (fun (r : coupled) -> J.Num r.max_s);
+    ]
+
+  let coupled_busy =
+    section "coupled_busy" ~keys:[ "domains" ] coupled_fields
+      ~title:"Coupled getpid round trip, idle and beside a busy fiber"
+
   let speedups =
     section "speedups" ~keys:[ "name"; "domains" ] speedup_fields
       ~title:"Speedup vs 1 domain (median wall clock)"
@@ -306,6 +332,14 @@ module Parallel = struct
      structures raise GC pressure that 10k bare fibers don't.  An
      O(live-ULPs) lookup or a leaked pin would land 10x+. *)
   let proc_fd_overhead = 3.5
+
+  (* A KC runs only while its worker lets go of the domain's runtime
+     lock.  The worker hands it over at every fiber switch, so a coupled
+     section beside a busy fiber waits for one task, not for the 50 ms
+     systhread tick; the bound sits far below the tick.  [coupled_calls]
+     leaves ten samples beyond the p99. *)
+  let coupled_p99_max_s = 0.001
+  let coupled_calls = 1_000
 
   let checks doc =
     let cores =
@@ -355,13 +389,31 @@ module Parallel = struct
       (List.filter (fun r -> str "name" r = "proc_fd_table") rs)
       ~peer:(fun r -> find "proc_fd_direct" (int_at "domains" r))
       ~metric:"median_s" ~max:proc_fd_overhead
-      ~why:"fd-table indirection blew up"
+      ~why:"fd-table indirection blew up";
+    let cs = rows doc coupled_busy in
+    List.iter
+      (fun d ->
+        if not (List.exists (fun r -> int_at "domains" r = d) cs) then
+          fail "missing coupled_busy@%d" d)
+      [ 1; 2 ];
+    List.iter
+      (fun r ->
+        let where = label coupled_busy r in
+        if int_at "calls" r < coupled_calls then
+          fail "%s: %d calls leave fewer than 10 beyond the p99" where
+            (int_at "calls" r);
+        if not (num "p50_s" r <= num "p99_s" r && num "p99_s" r <= num "max_s" r)
+        then fail "%s: percentiles not monotone" where;
+        if num "p99_s" r > coupled_p99_max_s then
+          fail "%s: busy p99 %.6f s > %.6f s -- a KC waited for its worker's \
+                runtime lock" where (num "p99_s" r) coupled_p99_max_s)
+      cs
 
   let suite =
     {
       schema = "ulp-pip/parallel-bench/v4";
       file = "BENCH_parallel.json";
-      sections = [ results; speedups ];
+      sections = [ results; speedups; coupled_busy ];
       checks;
     }
 
@@ -376,12 +428,13 @@ module Parallel = struct
                (r, if r.median_s > 0.0 then b.median_s /. r.median_s else 0.0)))
       rs
 
-  let doc ~host_cores ~quick ~warmup rs =
+  let doc ~host_cores ~quick ~warmup rs cs =
     doc suite
       [ ("host_cores", int host_cores); ("quick", J.Bool quick);
         ("warmup", int warmup) ]
       [ rows_of results result_fields rs;
-        rows_of speedups speedup_fields (speedups_of rs) ]
+        rows_of speedups speedup_fields (speedups_of rs);
+        rows_of coupled_busy coupled_fields cs ]
 end
 
 (* ---------- the net echo sweep ---------- *)

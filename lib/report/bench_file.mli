@@ -34,8 +34,22 @@ val validate : suite -> Json.t -> (string, string) result
 
 (** [ulp-pip/parallel-bench/v4]: [results] and [speedups] keyed by
     [name] and [domains]; [median_s] is report-only and [speedup_vs_1]
-    fails [diff] below 0.8x old. *)
+    fails [diff] below 0.8x old.  [coupled_busy] is keyed by [domains]
+    (1 and 2 required); its [p50_s] and [p99_s] are report-only in
+    [diff], and [validate] bounds [p99_s] at 1 ms. *)
 module Parallel : sig
+  type coupled = {
+    domains : int;
+    calls : int;  (** timed round trips per run, >= {!coupled_calls} *)
+    idle_p50_s : float;  (** with no other fiber *)
+    p50_s : float;  (** beside one fiber that computes and yields *)
+    p99_s : float;
+    max_s : float;
+  }
+
+  val coupled_calls : int
+  (** Fewest calls a row may time: ten samples beyond its p99. *)
+
   type result = {
     name : string;
     domains : int;
@@ -55,7 +69,9 @@ module Parallel : sig
 
   val suite : suite
 
-  val doc : host_cores:int -> quick:bool -> warmup:int -> result list -> Json.t
+  val doc :
+    host_cores:int -> quick:bool -> warmup:int -> result list ->
+    coupled list -> Json.t
   (** [speedups] are derived: the domains=1 median over each row's. *)
 end
 

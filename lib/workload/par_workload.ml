@@ -122,6 +122,33 @@ let ping_pong ~domains ~msgs =
       Fiber.join pinger;
       Fiber.join ponger)
 
+(* [calls] timed [Blt_rt.coupled] getpid round trips from one fiber,
+   beside [busy] fibers that each loop on a 20k-addition sum and a
+   yield until the caller is done.  The KC is a systhread of the
+   leasing worker's domain, so this prices how soon a busy worker lets
+   it run -- the paper's couple() with a KC that must wait for a core.
+   Returns the per-call wall clock in seconds. *)
+let coupled_latencies ~domains ~busy ~calls =
+  let lat = Array.make calls 0.0 in
+  let finished = Atomic.make false in
+  Fiber.run_parallel ~domains (fun () ->
+      let spinners =
+        List.init busy (fun _ ->
+            Fiber.spawn (fun () ->
+                while not (Atomic.get finished) do
+                  spin 20_000;
+                  Fiber.yield ()
+                done))
+      in
+      for i = 0 to calls - 1 do
+        let t0 = now () in
+        ignore (Fiber_rt.Blt_rt.coupled (fun () -> Unix.getpid ()));
+        lat.(i) <- now () -. t0
+      done;
+      Atomic.set finished true;
+      List.iter Fiber.join spinners);
+  lat
+
 (* ---------- synchronization workloads (lib/fiber_rt/sync.ml) ---------- *)
 
 module Sync = Fiber_rt.Sync

@@ -48,6 +48,12 @@ val sync_mutex : domains:int -> fibers:int -> iters:int -> result
     handoff throughput under maximal contention.  The row keeps its
     historical name [sync_mutex_park]. *)
 
+val coupled_latencies : domains:int -> busy:int -> calls:int -> float array
+(** [calls] timed {!Fiber_rt.Blt_rt.coupled} [getpid] round trips from
+    one fiber while [busy] sibling fibers loop on a 20k-addition sum
+    and {!Fiber_rt.Fiber.yield}: the coupled cost when the worker that
+    leased the KC is busy ([busy = 0]: idle).  Per-call seconds. *)
+
 val speedup_curve :
   domain_counts:int list -> fibers:int -> work:int -> (result * float) list
 (** [spawn_join] at each domain count paired with its speedup relative

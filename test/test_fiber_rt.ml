@@ -1227,6 +1227,27 @@ let test_pool_live_isolation () =
     (fun i tid -> Alcotest.(check int) "same KC both times" tid second.(i))
     first
 
+(* A KC is a systhread of the leasing worker's domain.  Beside a fiber
+   that computes and yields, a coupled section used to wait for the
+   50 ms systhread tick; the worker now hands its runtime lock over at
+   every fiber switch. *)
+let test_pool_coupled_beside_busy_fiber () =
+  let domain_counts =
+    if Domain.recommended_domain_count () >= 2 then [ 1; 2 ] else [ 1 ]
+  in
+  List.iter
+    (fun domains ->
+      let lat =
+        Workload.Par_workload.coupled_latencies ~domains ~busy:1 ~calls:200
+      in
+      Array.sort compare lat;
+      let median = lat.(Array.length lat / 2) in
+      if median >= 0.005 then
+        Alcotest.failf "coupled getpid beside a busy fiber at domains=%d: \
+                        median %.1f us, want < 5 ms"
+          domains (median *. 1e6))
+    domain_counts
+
 let () =
   Test_seed.announce "test_fiber_rt";
   Alcotest.run "fiber_rt"
@@ -1332,6 +1353,8 @@ let () =
           Alcotest.test_case "sequential reuse" `Quick
             test_pool_sequential_reuse;
           Alcotest.test_case "live isolation" `Quick test_pool_live_isolation;
+          Alcotest.test_case "coupled beside a busy fiber" `Quick
+            test_pool_coupled_beside_busy_fiber;
         ] );
       ( "channels",
         [

@@ -305,6 +305,88 @@ let test_orphan_reparents_to_root () =
       Alcotest.(check bool) "orphan exited cleanly" true
         (Proc.status_of leaf = Some (Proc.Exited 0)))
 
+(* A reaped ULP is garbage: the parent's children list drops reaped
+   entries as it grows, so 20k spawn/reap cycles leave the heap where
+   they found it (each ULP kept reachable is ~900 words). *)
+let test_reaped_ulps_are_garbage () =
+  run2 (fun () ->
+      let w = Proc.boot () in
+      let u0 = Proc.root w in
+      Gc.full_major ();
+      let before = (Gc.stat ()).Gc.live_words in
+      for _ = 1 to 20_000 do
+        let c = Proc.spawn ~parent:u0 (fun _ -> ()) in
+        ignore (wait_ok ~parent:u0 ~vpid:(Proc.getpid c))
+      done;
+      Gc.full_major ();
+      let grown = (Gc.stat ()).Gc.live_words - before in
+      Alcotest.(check int) "all reaped" 1 (Proc.live_procs w);
+      if grown > 1_000_000 then
+        Alcotest.failf "20k reaped ULPs left %d live words behind" grown)
+
+let await c =
+  if not (Fiber_rt.Completion.is_done c) then
+    Fiber.suspend (fun wake -> Fiber_rt.Completion.add_joiner c wake)
+
+(* 2000 children reaped in a seeded random order: [children] is exact
+   after every reap, including while the list is rebuilt under it (a
+   short-lived child is spawned every 250 reaps), and the orphan that
+   one middle child leaves behind is adopted by the root and reaps
+   itself. *)
+let test_many_children_random_reaps () =
+  run2 (fun () ->
+      let w = Proc.boot () in
+      let u0 = Proc.root w in
+      let n = 2000 in
+      let gate = Fiber_rt.Completion.create () in
+      let leaf_gate = Fiber_rt.Completion.create () in
+      let leaf_box = Atomic.make None in
+      let mid = n / 2 in
+      let kids =
+        Array.init n (fun i ->
+            Proc.spawn ~parent:u0 (fun u ->
+                if i = mid then
+                  Atomic.set leaf_box
+                    (Some (Proc.spawn ~parent:u (fun _ -> await leaf_gate)));
+                await gate))
+      in
+      spin_until "leaf spawn" (fun () -> Atomic.get leaf_box <> None);
+      let leaf = Proc.getpid (Option.get (Atomic.get leaf_box)) in
+      Alcotest.(check bool) "a grandchild is not the root's to wait" true
+        (Proc.try_waitpid ~parent:u0 ~vpid:leaf = Error `Echild);
+      Fiber_rt.Completion.finish gate ();
+      Array.iter
+        (fun c -> spin_until "child exit" (fun () -> Proc.status_of c <> None))
+        kids;
+      let order = Array.map Proc.getpid kids in
+      let rng = Test_seed.rand_state () in
+      for i = n - 1 downto 1 do
+        let j = Random.State.int rng (i + 1) in
+        let t = order.(i) in
+        order.(i) <- order.(j);
+        order.(j) <- t
+      done;
+      let sorted l = List.sort compare l in
+      let where = Printf.sprintf "(TEST_SEED=%d)" Test_seed.seed in
+      Array.iteri
+        (fun k vpid ->
+          ignore (wait_ok ~parent:u0 ~vpid);
+          if k mod 250 = 0 then begin
+            let c = Proc.spawn ~parent:u0 (fun _ -> ()) in
+            Alcotest.(check bool) ("a new child is listed " ^ where) true
+              (List.mem (Proc.getpid c) (Proc.children u0));
+            ignore (wait_ok ~parent:u0 ~vpid:(Proc.getpid c))
+          end;
+          let rest = Array.to_list (Array.sub order (k + 1) (n - k - 1)) in
+          Alcotest.(check (list int))
+            (Printf.sprintf "children after %d reaps %s" (k + 1) where)
+            (sorted (leaf :: rest))
+            (sorted (Proc.children u0)))
+        order;
+      Fiber_rt.Completion.finish leaf_gate ();
+      spin_until "orphan self-reap" (fun () -> Proc.live_procs w = 1);
+      Alcotest.(check (list int)) "no children left" [] (Proc.children u0))
+
 (* ---------- signals ---------- *)
 
 let looper u =
@@ -546,6 +628,10 @@ let () =
             test_zombie_holds_status_until_reaped;
           Alcotest.test_case "orphans re-parent to root and self-reap"
             `Quick test_orphan_reparents_to_root;
+          Alcotest.test_case "reaped ULPs are garbage" `Quick
+            test_reaped_ulps_are_garbage;
+          Alcotest.test_case "2000 children reaped in random order" `Quick
+            test_many_children_random_reaps;
         ] );
       ( "signals",
         [

@@ -282,6 +282,15 @@ let parallel_fixtures =
     ("needs >= 1000", set (pp "proc_spawn" 1.) "items" (n 999.0));
     (* 3.5 x 106 ms = 371 ms *)
     ("fd-table indirection", set (pp "proc_fd_table" 1.) "median_s" (n 0.372));
+    ("missing coupled_busy@2", drop "coupled_busy" [ ("domains", n 2.) ]);
+    ( "fewer than 10 beyond the p99",
+      set ~sec:"coupled_busy" [ ("domains", n 1.) ] "calls" (n 999.) );
+    ( "percentiles not monotone",
+      set ~sec:"coupled_busy" [ ("domains", n 1.) ] "max_s" (n 0.0) );
+    ( "waited for its worker's runtime lock",
+      fun d ->
+        let cb k = set ~sec:"coupled_busy" [ ("domains", n 2.) ] k (n 0.0011) in
+        cb "p99_s" (cb "max_s" d) );
   ]
 
 let nc bk c = [ ("backend", str bk); ("connections", n c) ]
@@ -331,6 +340,9 @@ let test_validate_fixtures () =
       | Error m -> Alcotest.failf "near miss rejected: %s" m)
     [ (Bf.Parallel.suite,
        set (pp "ping_pong" 4.) "median_s" (n 0.0119) (parallel ()));
+      (Bf.Parallel.suite,
+       let cb k = set ~sec:"coupled_busy" [ ("domains", n 2.) ] k (n 0.001) in
+       cb "p99_s" (cb "max_s" (parallel ())));
       (Bf.Net.suite,
        set (nc "epoll" 1000.) "p99_s" (n 0.0549)
          (set (nc "epoll" 1000.) "max_s" (n 0.0549) (net ()))) ];
@@ -386,7 +398,14 @@ let test_written_docs_valid () =
       [ "proc_spawn"; "proc_spawn_fiber_base"; "proc_fd_table";
         "proc_fd_direct" ]
   in
-  let pdoc = Bf.Parallel.doc ~host_cores:2 ~quick:true ~warmup:1 rs in
+  let coupled domains : Bf.Parallel.coupled =
+    { domains; calls = Bf.Parallel.coupled_calls; idle_p50_s = 20e-6;
+      p50_s = 40e-6; p99_s = 80e-6; max_s = 0.0002 }
+  in
+  let pdoc =
+    Bf.Parallel.doc ~host_cores:2 ~quick:true ~warmup:1 rs
+      [ coupled 1; coupled 2 ]
+  in
   let point c : Bf.Net.result =
     { backend = "epoll"; shards = 1; connections = c; reqs_per_conn = 5;
       requests = 5 * c; elapsed_s = 0.5; p50_s = 0.001; p99_s = 0.002;
