@@ -1,4 +1,4 @@
-(* The fd-table core: refcounted handles in fixed slot tables, the
+(* The fd-table core: refcounted handles in lazily grown slot tables, the
    lock-free heart of the S3 process layer's private descriptor
    namespaces (DESIGN.md section 5h).
 
@@ -19,11 +19,24 @@
      twin is seeded in lib/check/buggy_fd.ml and caught by the
      explorer.
 
-   A [table] is one ULP's descriptor namespace: a fixed array of slots,
-   each an atomic [res option].  Allocation scans from slot 0 and
-   claims the first empty by CAS -- POSIX's lowest-free-descriptor rule
-   -- and [dup2] displaces the target slot by [exchange], so a racing
-   close of the same slot sees the old occupant exactly once.
+   A [table] is one ULP's descriptor namespace: an array of slots, each
+   an atomic [res option], published through one atomic and grown on
+   demand up to [cap].  A fresh table holds [initial_slots] slots, so a
+   ULP that opens a handful of descriptors never pays for the 256 it
+   could open.  Allocation scans from slot 0 and claims the first empty
+   by CAS -- POSIX's lowest-free-descriptor rule -- and [dup2] displaces
+   the target slot by [exchange], so a racing close of the same slot
+   sees the old occupant exactly once.
+
+   Growth doubles the array and copies the SAME slot atomics into the
+   larger one before publishing it by CAS: a claim, close or exchange
+   that lands on a slot through the old array is seen through every
+   later array, because both name one atomic.  Copying slot CONTENTS
+   into fresh atomics instead would drop any write that lands on the
+   old slot after the copy read it (a close resurrected, an alloc lost)
+   -- that twin is seeded in lib/check/buggy_fd_grow.ml.  A slot beyond
+   the grown array is free: [get] and [close] see EBADF there, and
+   [close_all] / [count] walk only the grown array.
 
    This file is recompiled into lib/check against the traced shims
    (copy_files# in lib/check/dune), so it sticks to the Atomic + Array
@@ -43,54 +56,77 @@ let rec retain r =
 
 let release r = if Atomic.fetch_and_add r.rc (-1) = 1 then r.destroy r.v
 
-type 'a table = { slots : 'a res option Atomic.t array }
+type 'a table = { cap : int; slots : 'a res option Atomic.t array Atomic.t }
+
+let initial_slots = 8
 
 let create ~capacity =
   if capacity < 1 then invalid_arg "Fd_core.create: capacity must be >= 1";
-  { slots = Array.init capacity (fun _ -> Atomic.make None) }
+  let n = min capacity initial_slots in
+  let slots = Array.init n (fun _ -> Atomic.make None) in
+  { cap = capacity; slots = Atomic.make slots }
 
-let capacity t = Array.length t.slots
+let capacity t = t.cap
 
-let in_range t i = i >= 0 && i < Array.length t.slots
+(* The grown array covering slot [i] (< cap): double until it does,
+   reusing every existing slot atomic, and publish by CAS.  A losing
+   CAS retries against the winner's array, which is a prefix-extension
+   of the one this attempt copied. *)
+let rec grow t i =
+  let a = Atomic.get t.slots in
+  let n = Array.length a in
+  if i < n then a
+  else
+    let rec size m = if m > i then m else size (2 * m) in
+    let m = min t.cap (size (2 * n)) in
+    let b = Array.init m (fun j -> if j < n then a.(j) else Atomic.make None) in
+    if Atomic.compare_and_set t.slots a b then b else grow t i
 
 (* Lowest free slot, by CAS from index 0 up: a failed claim means the
    slot just filled, so move on; a slot freed behind the scan is the
    same transient POSIX allows (the "lowest" is evaluated at claim
-   time). *)
+   time).  Scanning past the grown array grows it. *)
 let alloc t r =
-  let n = Array.length t.slots in
-  let rec go i =
-    if i >= n then None
-    else
-      let s = t.slots.(i) in
+  let rec go a i =
+    if i < Array.length a then
+      let s = a.(i) in
       match Atomic.get s with
-      | None -> if Atomic.compare_and_set s None (Some r) then Some i else go i
-      | Some _ -> go (i + 1)
+      | None ->
+          if Atomic.compare_and_set s None (Some r) then Some i else go a i
+      | Some _ -> go a (i + 1)
+    else if i >= t.cap then None
+    else go (grow t i) i
   in
-  go 0
+  go (Atomic.get t.slots) 0
 
-let get t i = if in_range t i then Atomic.get t.slots.(i) else None
+let get t i =
+  let a = Atomic.get t.slots in
+  if i >= 0 && i < Array.length a then Atomic.get a.(i) else None
 
 let close t i =
-  if not (in_range t i) then false
+  let a = Atomic.get t.slots in
+  if i < 0 || i >= Array.length a then false
   else
-    match Atomic.exchange t.slots.(i) None with
+    match Atomic.exchange a.(i) None with
     | None -> false
     | Some r ->
         release r;
         true
 
 let close_all t =
+  let a = Atomic.get t.slots in
   let n = ref 0 in
-  (* ulplint: allow missed-cancellation-point -- bounded sweep of the fixed-size slot array at table teardown, when the owning ULP is already exiting; close is the table's own refcounted entry point and never parks *)
-  for i = 0 to Array.length t.slots - 1 do
+  (* ulplint: allow missed-cancellation-point -- bounded sweep of the grown slot array (at most the table's capacity) at table teardown, when the owning ULP is already exiting; close is the table's own refcounted entry point and never parks *)
+  for i = 0 to Array.length a - 1 do
     if close t i then incr n
   done;
   !n
 
 let count t =
   let n = ref 0 in
-  Array.iter (fun s -> if Atomic.get s <> None then incr n) t.slots;
+  Array.iter
+    (fun s -> if Atomic.get s <> None then incr n)
+    (Atomic.get t.slots);
   !n
 
 let dup t i =
@@ -107,10 +143,11 @@ let dup t i =
 
 (* POSIX dup2: [dst] names the same resource as [src]; an open [dst] is
    closed first -- here in one [exchange], so a concurrent close of the
-   same slot sees the displaced occupant exactly once.  [src] = [dst]
-   on an open descriptor is a no-op that succeeds. *)
+   same slot sees the displaced occupant exactly once.  A [dst] beyond
+   the grown array grows it first; only [dst >= cap] is EBADF.  [src] =
+   [dst] on an open descriptor is a no-op that succeeds. *)
 let dup2 t ~src ~dst =
-  if not (in_range t dst) then Error `Badf
+  if dst < 0 || dst >= t.cap then Error `Badf
   else
     match get t src with
     | None -> Error `Badf
@@ -118,7 +155,7 @@ let dup2 t ~src ~dst =
         if src = dst then Ok ()
         else if not (retain r) then Error `Badf
         else begin
-          (match Atomic.exchange t.slots.(dst) (Some r) with
+          (match Atomic.exchange (grow t dst).(dst) (Some r) with
           | None -> ()
           | Some old -> release old);
           Ok ()

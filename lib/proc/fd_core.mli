@@ -1,6 +1,6 @@
-(** The fd-table core: refcounted handles in fixed slot tables — the
-    lock-free machinery behind each ULP's private descriptor namespace
-    (DESIGN.md §5h).  Generic over the resource ([Unix.file_descr] in
+(** The fd-table core: refcounted handles in lazily grown slot tables
+    — the lock-free machinery behind each ULP's private descriptor
+    namespace (DESIGN.md §5h).  Generic over the resource ([Unix.file_descr] in
     production; an instrumented token under lib/check, where this file
     is recompiled against the traced shims and its refcount protocol is
     model-checked against the seeded [Buggy_fd] twin). *)
@@ -32,31 +32,37 @@ val release : 'a res -> unit
 (** {1 Slot tables} *)
 
 type 'a table
-(** One descriptor namespace: a fixed array of slots (descriptor =
-    index), each holding at most one resource reference. *)
+(** One descriptor namespace: slots (descriptor = index), each holding
+    at most one resource reference.  A fresh table holds a few slots
+    and doubles on demand up to its capacity; growth reuses the slot
+    atomics, so an operation racing it through the old array is seen
+    through the new one.  A slot not grown yet is free. *)
 
 val create : capacity:int -> 'a table
 (** @raise Invalid_argument when [capacity < 1].  Slots beyond
-    [capacity] behave as EMFILE ({!alloc} returns [None]). *)
+    [capacity] behave as EMFILE ({!alloc} returns [None]); slots below
+    it are allocated when first needed, not here. *)
 
 val capacity : 'a table -> int
 
 val alloc : 'a table -> 'a res -> int option
-(** Claim the lowest free slot (POSIX allocation order), taking
-    ownership of the caller's reference; [None] when the table is full
-    (the caller still owns the reference and must {!release} it). *)
+(** Claim the lowest free slot (POSIX allocation order), growing the
+    table when every grown slot is taken, and take ownership of the
+    caller's reference; [None] when all [capacity] slots are full (the
+    caller still owns the reference and must {!release} it). *)
 
 val get : 'a table -> int -> 'a res option
-(** The current occupant; [None] for a free or out-of-range slot.  The
-    returned reference is NOT retained — {!retain} before using it
-    across a suspension point. *)
+(** The current occupant; [None] for a free, not yet grown or
+    out-of-range slot.  The returned reference is NOT retained —
+    {!retain} before using it across a suspension point. *)
 
 val close : 'a table -> int -> bool
-(** Empty the slot and release its reference; [false] on EBADF (free or
-    out-of-range). *)
+(** Empty the slot and release its reference; [false] on EBADF (free,
+    not yet grown or out-of-range). *)
 
 val close_all : 'a table -> int
-(** Close every open slot (ULP exit); returns the number released. *)
+(** Close every open slot of the grown array (ULP exit); returns the
+    number released. *)
 
 val count : 'a table -> int
 (** Open slots (racy snapshot). *)
@@ -68,5 +74,7 @@ val dup : 'a table -> int -> (int, [ `Badf | `Mfile ]) result
 val dup2 : 'a table -> src:int -> dst:int -> (unit, [ `Badf ]) result
 (** POSIX [dup2]: make [dst] name [src]'s resource, closing an open
     [dst] first — displaced and released exactly once even against a
-    racing {!close} of the same slot.  [src = dst] on an open
-    descriptor succeeds without closing anything. *)
+    racing {!close} of the same slot.  A [dst] not grown yet grows the
+    table to cover it; EBADF only when [dst] is outside [0, capacity).
+    [src = dst] on an open descriptor succeeds without closing
+    anything. *)

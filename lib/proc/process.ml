@@ -17,7 +17,11 @@
    - a pending-signal mask plus per-signal handlers, delivered at
      cancellation points ([check]); the default disposition terminates
      the whole fiber tree through the Scope's first-failure-wins
-     cancellation, exactly like a process-directed fatal signal.
+     cancellation, exactly like a process-directed fatal signal.  The
+     handlers are one immutable array behind one atomic, shared and
+     empty until the first [on_signal], so a ULP that installs none
+     pays one atomic for them, like its fd table pays only for the
+     slots it has grown.
 
    Lifecycle protocol (all lock-free, all exercised by lib/check and
    the qcheck models):
@@ -70,7 +74,7 @@ type t = {
   scope : Scope.t; (* the ULP's fiber tree *)
   waitc : status Completion.t;
   pending : int Atomic.t; (* signal bitmask, bit (1 lsl signum) *)
-  handlers : (int -> unit) option Atomic.t array;
+  handlers : (int -> unit) option array Atomic.t; (* copy-on-write *)
   children : brood Atomic.t;
   reaps : int Atomic.t; (* children claimed so far, by any reaper *)
 }
@@ -90,6 +94,9 @@ and world = {
   mutable root_ulp : t option; (* set once by boot, before publication *)
 }
 
+(* Every ULP starts out sharing this one; [on_signal] replaces it. *)
+let no_handlers : (int -> unit) option array = [||]
+
 let make_proc w ~vpid ~parent_vpid ~fd_capacity =
   {
     vpid;
@@ -101,7 +108,7 @@ let make_proc w ~vpid ~parent_vpid ~fd_capacity =
     scope = Scope.create ();
     waitc = Completion.create ();
     pending = Atomic.make 0;
-    handlers = Array.init (max_signal + 1) (fun _ -> Atomic.make None);
+    handlers = Atomic.make no_handlers;
     children = Atomic.make { kids = []; listed = 0; reaps_at = 0 };
     reaps = Atomic.make 0;
   }
@@ -137,13 +144,16 @@ let find w vpid = Proc_table.find w.table vpid
 
 let exit (_ : t) code = raise (Proc_exit code)
 
+let handler hs s = if s < Array.length hs then hs.(s) else None
+
 let check_signals u =
   let bits = Atomic.exchange u.pending 0 in
   if bits <> 0 then
+    let hs = Atomic.get u.handlers in
     (* ulplint: allow missed-cancellation-point -- this loop IS the delivery step Proc.check runs at a cancellation point: it drains one exchanged max_signal-bit mask (bounded) and must not recursively re-enter check *)
     for s = 1 to max_signal do
       if bits land (1 lsl s) <> 0 then
-        match Atomic.get u.handlers.(s) with
+        match handler hs s with
         | Some h when s <> sigkill -> h s
         | _ ->
             (* default disposition: terminate the tree.  [fail] is
@@ -162,7 +172,15 @@ let on_signal u ~signum h =
   if signum < 1 || signum > max_signal then
     invalid_arg "Proc.on_signal: bad signal number";
   if signum = sigkill then invalid_arg "Proc.on_signal: SIGKILL is uncatchable";
-  Atomic.set u.handlers.(signum) h
+  (* sigaction is rare: copy, update, publish; retry on a racing one *)
+  let rec install () =
+    let hs = Atomic.get u.handlers in
+    let next = Array.make (max_signal + 1) None in
+    Array.blit hs 0 next 0 (Array.length hs);
+    next.(signum) <- h;
+    if not (Atomic.compare_and_set u.handlers hs next) then install ()
+  in
+  install ()
 
 let rec set_pending u signum =
   let cur = Atomic.get u.pending in
@@ -177,7 +195,7 @@ let kill w ~vpid signum =
   | None -> Error `Esrch
   | Some p ->
       set_pending p signum;
-      (match Atomic.get p.handlers.(signum) with
+      (match handler (Atomic.get p.handlers) signum with
       | Some _ when signum <> sigkill -> () (* delivered at p's next check *)
       | _ -> Scope.fail p.scope (Killed signum));
       Ok ()
@@ -225,9 +243,13 @@ let find_child parent vpid =
       Some c
   | _ -> None
 
+(* An exited parent's list still names the children it handed to the
+   root: those now answer to the root, not to it. *)
 let children parent =
   List.filter_map
-    (fun c -> if Atomic.get c.claimed then None else Some c.vpid)
+    (fun c ->
+      if Atomic.get c.claimed || Atomic.get c.parent <> parent.vpid then None
+      else Some c.vpid)
     (Atomic.get parent.children).kids
 
 let do_exit u st =

@@ -32,11 +32,6 @@ let with_reactor f =
   let r = Reactor.create ~shards:1 () in
   Fun.protect ~finally:(fun () -> Reactor.shutdown r) (fun () -> f r)
 
-(* Small private tables keep the measurement about the mechanism
-   (vpid + table insert + Scope + slot scan), not about zeroing the
-   default 256-slot array 10k times. *)
-let bench_fd_capacity = 16
-
 (* [rounds] passes of spawn-everything-then-reap: concurrency per pass
    stays [ulps] (the 1k/10k-concurrent-ULPs claim), while the measured
    region grows past timer noise -- the bare-fiber baseline finishes
@@ -44,7 +39,7 @@ let bench_fd_capacity = 16
 let ulp_spawn ~domains ~ulps ~rounds =
   Par_workload.with_stats ~name:"proc_spawn" ~domains ~items:(ulps * rounds)
     (fun () ->
-      let w = Proc.boot ~fd_capacity:bench_fd_capacity () in
+      let w = Proc.boot () in
       let root = Proc.root w in
       for _ = 1 to rounds do
         let kids =
@@ -72,7 +67,7 @@ let fd_indirection ~domains ~ulps ~writes =
   with_reactor (fun r ->
       Par_workload.with_stats ~name:"proc_fd_table" ~domains
         ~items:(ulps * writes) (fun () ->
-          let w = Proc.boot ~fd_capacity:bench_fd_capacity () in
+          let w = Proc.boot () in
           let root = Proc.root w in
           let null = Proc.Io.openfile root "/dev/null" [ Unix.O_WRONLY ] 0 in
           let kids =

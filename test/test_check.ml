@@ -769,6 +769,7 @@ end
 
 let good_fd : (module FD) = (module Check.Fd_core)
 let bad_fd : (module FD) = (module Check.Buggy_fd)
+let bad_fd_grow : (module FD) = (module Check.Buggy_fd_grow)
 
 (* Two ULPs sharing one host fd (rc = 2 via retain) both close their
    slot: exactly one release must observe the 1 -> 0 crossing and run
@@ -842,6 +843,130 @@ let fd_alloc_race (module F : FD) () =
     fun () ->
       if not (min !s0 !s1 = 0 && max !s0 !s1 = 1) then
         failwith (Printf.sprintf "fd-slots: got %d and %d" !s0 !s1) )
+
+(* ---------- fd-table growth ---------- *)
+
+(* A fresh table grows on demand from 8 slots, so each growth scenario
+   fills those 8 before its threads start.  Every resource carries its
+   own destroy counter; the post-condition closes what is left and
+   demands one destroy and zero references per resource. *)
+let fd_initial_slots = Check.Fd_core.initial_slots
+
+module Fd_growth (F : FD) = struct
+  let full_table () =
+    let t = F.create ~capacity:(2 * fd_initial_slots) in
+    let rs =
+      Array.init fd_initial_slots (fun i ->
+          let d = ref 0 in
+          let r = F.resource ~destroy:(fun _ -> incr d) i in
+          (match F.alloc t r with Some j when j = i -> () | _ -> assert false);
+          (r, d))
+    in
+    (t, rs)
+
+  let fresh () =
+    let d = ref 0 in
+    (F.resource ~destroy:(fun _ -> incr d) 99, d)
+
+  let destroyed_once t rs =
+    ignore (F.close_all t);
+    Array.iteri
+      (fun i (r, d) ->
+        if !d <> 1 then
+          failwith
+            (Printf.sprintf "fd-refcount: resource %d destroyed %d times" i !d);
+        if F.refs r <> 0 then
+          failwith
+            (Printf.sprintf "fd-refcount: resource %d has %d refs left" i
+               (F.refs r)))
+      rs
+
+  (* An alloc past the full initial array grows the table while a close
+     of slot 0 runs through the array it loaded before the growth.  The
+     close must stay closed in the grown array: a grow that copies slot
+     contents resurrects slot 0, and the final close_all releases its
+     destroyed resource a second time. *)
+  let vs_close () =
+    let t, rs = full_table () in
+    let x, dx = fresh () in
+    let got = ref (-1) in
+    ( [
+        (fun () -> got := Option.value (F.alloc t x) ~default:(-1));
+        (fun () -> ignore (F.close t 0));
+      ],
+      fun () ->
+        if !got <> 0 && !got <> fd_initial_slots then
+          failwith (Printf.sprintf "fd-slots: alloc got %d" !got);
+        destroyed_once t (Array.append rs [| (x, dx) |]) )
+
+  (* A dup2 onto a slot beyond the initial array grows the table while
+     an alloc claims the one free slot below it through the old array.
+     The claim must survive the growth: a grow that copies slot contents
+     publishes the slot as still free, and the claimed resource is never
+     destroyed. *)
+  let vs_alloc () =
+    let t, rs = full_table () in
+    assert (F.close t 3);
+    let x, dx = fresh () in
+    let got = ref (-1) in
+    ( [
+        (fun () -> ignore (F.dup2 t ~src:0 ~dst:(fd_initial_slots + 1)));
+        (fun () -> got := Option.value (F.alloc t x) ~default:(-1));
+      ],
+      fun () ->
+        if !got <> 3 then
+          failwith (Printf.sprintf "fd-slots: alloc got %d, not 3" !got);
+        destroyed_once t (Array.append rs [| (x, dx) |]) )
+
+  (* An alloc grows the table while a dup2 displaces the open slot 0
+     through the array it loaded before the growth.  The displacement
+     must show in the grown array: a grow that copies slot contents
+     keeps the displaced (already destroyed) occupant there and drops
+     the new one's reference -- one resource released twice, one
+     leaked. *)
+  let vs_dup2 () =
+    let t, rs = full_table () in
+    let x, dx = fresh () in
+    ( [
+        (fun () -> ignore (F.alloc t x));
+        (fun () -> ignore (F.dup2 t ~src:1 ~dst:0));
+      ],
+      fun () -> destroyed_once t (Array.append rs [| (x, dx) |]) )
+
+  (* Two allocs past the full initial array both grow it: one CAS
+     publishes, the loser retries against the winner's array, and the
+     two claims land in the first two grown slots. *)
+  let two_growers () =
+    let t, rs = full_table () in
+    let (x, dx), (y, dy) = (fresh (), fresh ()) in
+    let gx = ref (-1) and gy = ref (-1) in
+    ( [
+        (fun () -> gx := Option.value (F.alloc t x) ~default:(-1));
+        (fun () -> gy := Option.value (F.alloc t y) ~default:(-1));
+      ],
+      fun () ->
+        if min !gx !gy <> fd_initial_slots
+           || max !gx !gy <> fd_initial_slots + 1
+        then
+          failwith (Printf.sprintf "fd-slots: got %d and %d" !gx !gy);
+        destroyed_once t (Array.append rs [| (x, dx); (y, dy) |]) )
+end
+
+let fd_grow_two_growers (module F : FD) =
+  let module G = Fd_growth (F) in
+  G.two_growers
+
+let fd_grow_vs_close (module F : FD) =
+  let module G = Fd_growth (F) in
+  G.vs_close
+
+let fd_grow_vs_alloc (module F : FD) =
+  let module G = Fd_growth (F) in
+  G.vs_alloc
+
+let fd_grow_vs_dup2 (module F : FD) =
+  let module G = Fd_growth (F) in
+  G.vs_dup2
 
 (* waitpid parking vs the child's exit, on the ULP's exit-status cell
    (a Completion): the waiter registers its wake and parks (a guarded
@@ -1376,6 +1501,31 @@ let test_fd_alloc_race () =
   in
   Alcotest.(check bool) "exhaustive" true stats.Sched.complete
 
+let test_fd_grow_vs_close () =
+  let stats =
+    expect_pass "fd-grow-vs-close" (Sched.check (fd_grow_vs_close good_fd))
+  in
+  Alcotest.(check bool) "exhaustive" true stats.Sched.complete
+
+let test_fd_grow_vs_alloc () =
+  let stats =
+    expect_pass "fd-grow-vs-alloc" (Sched.check (fd_grow_vs_alloc good_fd))
+  in
+  Alcotest.(check bool) "exhaustive" true stats.Sched.complete
+
+let test_fd_grow_vs_dup2 () =
+  let stats =
+    expect_pass "fd-grow-vs-dup2" (Sched.check (fd_grow_vs_dup2 good_fd))
+  in
+  Alcotest.(check bool) "exhaustive" true stats.Sched.complete
+
+let test_fd_grow_two_growers () =
+  let stats =
+    expect_pass "fd-grow-two-growers"
+      (Sched.check (fd_grow_two_growers good_fd))
+  in
+  Alcotest.(check bool) "exhaustive" true stats.Sched.complete
+
 let test_wait_exit_vs_waiter () =
   let stats =
     expect_pass "wait-exit-vs-waiter"
@@ -1452,6 +1602,27 @@ let test_buggy_fd_resurrect_caught =
   twin_caught "buggy-fd-resurrect"
     ~buggy:(fd_dup_vs_close bad_fd)
     ~faithful:(fd_dup_vs_close good_fd)
+    ~expect_reason:"fd-refcount"
+
+(* A grow that copies slot contents loses every write that lands on
+   the old array after the copy: a close comes back to life, a claim
+   vanishes, a dup2's displacement is undone. *)
+let test_buggy_fd_grow_close_caught =
+  twin_caught "buggy-fd-grow-close"
+    ~buggy:(fd_grow_vs_close bad_fd_grow)
+    ~faithful:(fd_grow_vs_close good_fd)
+    ~expect_reason:"fd-refcount"
+
+let test_buggy_fd_grow_alloc_caught =
+  twin_caught "buggy-fd-grow-alloc"
+    ~buggy:(fd_grow_vs_alloc bad_fd_grow)
+    ~faithful:(fd_grow_vs_alloc good_fd)
+    ~expect_reason:"fd-refcount"
+
+let test_buggy_fd_grow_dup2_caught =
+  twin_caught "buggy-fd-grow-dup2"
+    ~buggy:(fd_grow_vs_dup2 bad_fd_grow)
+    ~faithful:(fd_grow_vs_dup2 good_fd)
     ~expect_reason:"fd-refcount"
 
 (* The get-then-set finish publishes the exit status over a stale
@@ -1611,6 +1782,10 @@ let test_fuzz_real_structures_clean () =
       ("fd-dup-vs-close", fd_dup_vs_close good_fd);
       ("fd-dup2-vs-close", fd_dup2_vs_close good_fd);
       ("fd-alloc-race", fd_alloc_race good_fd);
+      ("fd-grow-vs-close", fd_grow_vs_close good_fd);
+      ("fd-grow-vs-alloc", fd_grow_vs_alloc good_fd);
+      ("fd-grow-vs-dup2", fd_grow_vs_dup2 good_fd);
+      ("fd-grow-two-growers", fd_grow_two_growers good_fd);
       ("wait-exit-vs-waiter", wait_exit_vs_waiter compl);
       ("wait-two-waiters", wait_two_waiters compl);
       ("proc-table-add-remove", table_add_remove_race);
@@ -1653,6 +1828,10 @@ let test_interleaving_budget () =
         ("fd-dup-vs-close", 8_000, fd_dup_vs_close good_fd);
         ("fd-dup2-vs-close", 8_000, fd_dup2_vs_close good_fd);
         ("fd-alloc-race", 4_000, fd_alloc_race good_fd);
+        ("fd-grow-vs-close", 4_000, fd_grow_vs_close good_fd);
+        ("fd-grow-vs-alloc", 4_000, fd_grow_vs_alloc good_fd);
+        ("fd-grow-vs-dup2", 4_000, fd_grow_vs_dup2 good_fd);
+        ("fd-grow-two-growers", 4_000, fd_grow_two_growers good_fd);
         ("wait-exit-vs-waiter", 4_000, wait_exit_vs_waiter compl);
         ("wait-two-waiters", 8_000, wait_two_waiters compl);
         ("proc-table-add-remove", 4_000, table_add_remove_race);
@@ -1783,6 +1962,14 @@ let () =
             test_fd_dup2_vs_close;
           Alcotest.test_case "racing allocs take the lowest free slots"
             `Quick test_fd_alloc_race;
+          Alcotest.test_case "grow vs close keeps the slot closed" `Quick
+            test_fd_grow_vs_close;
+          Alcotest.test_case "grow vs alloc keeps the claim" `Quick
+            test_fd_grow_vs_alloc;
+          Alcotest.test_case "grow vs dup2 keeps the displacement" `Quick
+            test_fd_grow_vs_dup2;
+          Alcotest.test_case "two growers publish one array" `Quick
+            test_fd_grow_two_growers;
           Alcotest.test_case "waitpid park vs exit never loses the wake"
             `Quick test_wait_exit_vs_waiter;
           Alcotest.test_case "one finish wakes every waiter" `Quick
@@ -1793,6 +1980,12 @@ let () =
             test_buggy_fd_caught;
           Alcotest.test_case "unguarded retain double-closes" `Quick
             test_buggy_fd_resurrect_caught;
+          Alcotest.test_case "content-copying grow resurrects a close"
+            `Quick test_buggy_fd_grow_close_caught;
+          Alcotest.test_case "content-copying grow loses a claim" `Quick
+            test_buggy_fd_grow_alloc_caught;
+          Alcotest.test_case "content-copying grow undoes a dup2" `Quick
+            test_buggy_fd_grow_dup2_caught;
           Alcotest.test_case "get-then-set finish strands waitpid" `Quick
             test_buggy_wait_caught;
         ] );

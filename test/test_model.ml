@@ -651,11 +651,14 @@ module Fd = Proc.Fd_core
 
 type fd_op = FAlloc | FClose of int | FDup of int | FDup2 of int * int | FCloseAll
 
-let fd_cap = 6
+(* Above the table's 8 initial slots, so op streams cross two growths
+   (8 -> 16 -> 20); slots are drawn up to [fd_cap + 1] so every
+   operation also meets out-of-range descriptors. *)
+let fd_cap = 20
 
 let fd_op_gen =
   QCheck.Gen.(
-    let slot = int_bound (fd_cap - 1) in
+    let slot = int_bound (fd_cap + 1) in
     frequency
       [
         (4, return FAlloc);
@@ -676,7 +679,7 @@ let fd_ops_arb =
   QCheck.make
     ~print:QCheck.Print.(list show_fd_op)
     ~shrink:QCheck.Shrink.list
-    QCheck.Gen.(list_size (int_bound 60) fd_op_gen)
+    QCheck.Gen.(list_size (int_bound 80) fd_op_gen)
 
 (* The reference: a plain slot array of resource ids plus a per-id
    refcount table and a destroy log, updated by the POSIX rules spelled
@@ -692,6 +695,7 @@ let prop_fd_matches_model ops =
     r
   in
   let slots = Array.make fd_cap None in
+  let slot i = if i < fd_cap then slots.(i) else None in
   let refs = Hashtbl.create 16 in
   let ref_destroyed = ref [] in
   let ref_decr id =
@@ -745,7 +749,7 @@ let prop_fd_matches_model ops =
       | FClose i ->
           let real = string_of_bool (Fd.close t i) in
           let model =
-            match slots.(i) with
+            match slot i with
             | None -> "false"
             | Some id ->
                 slots.(i) <- None;
@@ -761,7 +765,7 @@ let prop_fd_matches_model ops =
             | Error `Mfile -> "mfile"
           in
           let model =
-            match slots.(i) with
+            match slot i with
             | None -> "badf"
             | Some id -> (
                 match ref_lowest_free () with
@@ -779,7 +783,8 @@ let prop_fd_matches_model ops =
             | Error `Badf -> "badf"
           in
           let model =
-            match slots.(src) with
+            match slot src with
+            | _ when dst >= fd_cap -> "badf"
             | None -> "badf"
             | Some id ->
                 if src <> dst then begin
@@ -807,12 +812,83 @@ let prop_fd_matches_model ops =
     ops;
   (* final state: occupancy, destroy log (order included), live refs *)
   !ok
+  && Fd.capacity t = fd_cap
   && Fd.count t
      = Array.fold_left (fun a s -> if s = None then a else a + 1) 0 slots
   && !real_destroyed = !ref_destroyed
   && Hashtbl.fold
        (fun id n acc -> acc && Fd.refs (Hashtbl.find resources id) = n)
        refs true
+
+(* ---------- Fd_core growth edges, deterministic ---------- *)
+
+let mk_res () = Fd.resource ~destroy:(fun _ -> ()) 0
+
+(* dup2 onto a slot the table has not grown to yet: it grows far enough
+   to cover the slot, and only a slot at or past the capacity is EBADF. *)
+let test_fd_dup2_ungrown () =
+  let t = Fd.create ~capacity:fd_cap in
+  let r = mk_res () in
+  Alcotest.(check (option int)) "first alloc" (Some 0) (Fd.alloc t r);
+  Alcotest.(check bool) "ungrown slot reads free" true (Fd.get t 13 = None);
+  Alcotest.(check bool) "ungrown slot closes as EBADF" false (Fd.close t 13);
+  Alcotest.(check bool) "dup2 onto ungrown slot" true
+    (Fd.dup2 t ~src:0 ~dst:13 = Ok ());
+  Alcotest.(check bool) "slot 13 names the source" true
+    (match Fd.get t 13 with Some r' -> r' == r | None -> false);
+  Alcotest.(check int) "two references" 2 (Fd.refs r);
+  Alcotest.(check (option int)) "lowest free below the dup2" (Some 1)
+    (Fd.alloc t (mk_res ()));
+  Alcotest.(check bool) "dst = capacity is EBADF" true
+    (Fd.dup2 t ~src:0 ~dst:fd_cap = Error `Badf);
+  Alcotest.(check bool) "last slot is in range" true
+    (Fd.dup2 t ~src:0 ~dst:(fd_cap - 1) = Ok ());
+  Alcotest.(check int) "count" 4 (Fd.count t);
+  Alcotest.(check int) "close_all sees the grown slots" 4 (Fd.close_all t);
+  Alcotest.(check int) "source destroyed" 0 (Fd.refs r)
+
+(* POSIX lowest-free order holds across each growth, and EMFILE comes
+   exactly at the capacity. *)
+let test_fd_lowest_free_across_growth () =
+  let t = Fd.create ~capacity:fd_cap in
+  for i = 0 to 9 do
+    Alcotest.(check (option int)) "sequential" (Some i) (Fd.alloc t (mk_res ()))
+  done;
+  ignore (Fd.close t 3);
+  ignore (Fd.close t 8);
+  Alcotest.(check (option int)) "hole below the growth" (Some 3)
+    (Fd.alloc t (mk_res ()));
+  Alcotest.(check (option int)) "hole in the grown part" (Some 8)
+    (Fd.alloc t (mk_res ()));
+  for i = 10 to fd_cap - 1 do
+    Alcotest.(check (option int)) "past the second growth" (Some i)
+      (Fd.alloc t (mk_res ()))
+  done;
+  Alcotest.(check (option int)) "EMFILE at capacity" None
+    (Fd.alloc t (mk_res ()));
+  Alcotest.(check bool) "dup is EMFILE too" true (Fd.dup t 0 = Error `Mfile);
+  Alcotest.(check int) "full" fd_cap (Fd.count t)
+
+(* [capacity] is the bound the table was created with, before and after
+   growth, and also when it is below the initial slot count. *)
+let test_fd_capacity_unchanged () =
+  let t = Fd.create ~capacity:fd_cap in
+  Alcotest.(check int) "fresh" fd_cap (Fd.capacity t);
+  for _ = 1 to 12 do
+    ignore (Fd.alloc t (mk_res ()))
+  done;
+  Alcotest.(check int) "grown" fd_cap (Fd.capacity t);
+  let small = Fd.create ~capacity:3 in
+  Alcotest.(check int) "small" 3 (Fd.capacity small);
+  for i = 0 to 2 do
+    Alcotest.(check (option int)) "small alloc" (Some i)
+      (Fd.alloc small (mk_res ()))
+  done;
+  Alcotest.(check (option int)) "small EMFILE" None
+    (Fd.alloc small (mk_res ()));
+  Alcotest.(check bool) "small dup2 past capacity" true
+    (Fd.dup2 small ~src:0 ~dst:3 = Error `Badf);
+  Alcotest.(check int) "still small" 3 (Fd.capacity small)
 
 (* ---------- Proc.Table vs a Hashtbl (unique vpids) ---------- *)
 
@@ -902,5 +978,14 @@ let () =
           t "Proc.Fd_core = slot-array + refcount model" fd_ops_arb
             prop_fd_matches_model;
           t "Proc.Table = Hashtbl model" pt_ops_arb prop_ptab_matches_model;
+        ] );
+      ( "fd-growth",
+        [
+          Alcotest.test_case "dup2 onto an ungrown slot" `Quick
+            test_fd_dup2_ungrown;
+          Alcotest.test_case "lowest free across growth" `Quick
+            test_fd_lowest_free_across_growth;
+          Alcotest.test_case "capacity unchanged by growth" `Quick
+            test_fd_capacity_unchanged;
         ] );
     ]

@@ -3,8 +3,9 @@
    and wait semantics (WNOHANG polling, fiber-parking waitpid, zombie
    reaping, orphan re-parenting to the root), signal delivery (default
    dispositions, handlers at check points, uncatchable SIGKILL), the
-   fd-leak gate across 1000 spawn/exit cycles, and a multi-domain
-   spawn/kill/wait stress under TEST_SEED.  The concurrent
+   fd-leak gate across 1000 spawn/exit cycles, a minor-words gate on an
+   empty spawn + waitpid, and multi-domain spawn/kill/wait and fd-table
+   growth stresses under TEST_SEED.  The concurrent
    interleavings of the underlying Fd_core / Completion / Proc_table
    are model-checked in test_check; qcheck models live in test_model. *)
 
@@ -305,6 +306,38 @@ let test_orphan_reparents_to_root () =
       Alcotest.(check bool) "orphan exited cleanly" true
         (Proc.status_of leaf = Some (Proc.Exited 0)))
 
+(* An exited but unreaped parent still holds its old children list;
+   the live children it handed to the root answer to the root now, so
+   they are listed there, once, and no longer under the zombie. *)
+let test_zombie_lists_no_orphans () =
+  run2 (fun () ->
+      let w = Proc.boot () in
+      let u0 = Proc.root w in
+      let gate = Atomic.make false in
+      let leaf_box = Atomic.make None in
+      let mid =
+        Proc.spawn ~parent:u0 (fun u_mid ->
+            let leaf =
+              Proc.spawn ~parent:u_mid (fun u_leaf ->
+                  while not (Atomic.get gate) do
+                    Proc.check u_leaf;
+                    Fiber.yield ()
+                  done)
+            in
+            Atomic.set leaf_box (Some (Proc.getpid leaf)))
+      in
+      spin_until "mid exit" (fun () -> Proc.status_of mid <> None);
+      let leaf = Option.get (Atomic.get leaf_box) in
+      Alcotest.(check (list int)) "the zombie lists no children" []
+        (Proc.children mid);
+      Alcotest.(check int) "the root lists the orphan once" 1
+        (List.length (List.filter (( = ) leaf) (Proc.children u0)));
+      Alcotest.(check bool) "the zombie is still the root's child" true
+        (List.mem (Proc.getpid mid) (Proc.children u0));
+      Atomic.set gate true;
+      ignore (wait_ok ~parent:u0 ~vpid:(Proc.getpid mid));
+      spin_until "orphan self-reap" (fun () -> Proc.live_procs w = 1))
+
 (* A reaped ULP is garbage: the parent's children list drops reaped
    entries as it grows, so 20k spawn/reap cycles leave the heap where
    they found it (each ULP kept reachable is ~900 words). *)
@@ -323,6 +356,33 @@ let test_reaped_ulps_are_garbage () =
       Alcotest.(check int) "all reaped" 1 (Proc.live_procs w);
       if grown > 1_000_000 then
         Alcotest.failf "20k reaped ULPs left %d live words behind" grown)
+
+(* The cost of a process over the fiber it wraps, in allocation: the
+   fd table and the signal handlers are built on first use, so an
+   empty ULP at the default 256-slot capacity allocates a bounded few
+   hundred minor words per spawn + waitpid (a bare fiber spawn + join is
+   about 130; a table of 256 slot atomics alone is over 750). *)
+let test_spawn_cost_gate () =
+  Fiber.run (fun () ->
+      let w = Proc.boot () in
+      let u0 = Proc.root w in
+      let cycle () =
+        let c = Proc.spawn ~parent:u0 (fun _ -> ()) in
+        ignore (wait_ok ~parent:u0 ~vpid:(Proc.getpid c))
+      in
+      for _ = 1 to 500 do
+        cycle ()
+      done;
+      let n = 5_000 in
+      let m0 = Gc.minor_words () in
+      for _ = 1 to n do
+        cycle ()
+      done;
+      let per_op = (Gc.minor_words () -. m0) /. float n in
+      Printf.printf "spawn + waitpid: %.0f minor words per op\n" per_op;
+      if per_op > 400. then
+        Alcotest.failf "an empty ULP allocates %.0f minor words per op (> 400)"
+          per_op)
 
 let await c =
   if not (Fiber_rt.Completion.is_done c) then
@@ -435,6 +495,35 @@ let test_handler_runs_at_check () =
         (Proc.Exited 0)
         (wait_ok ~parent:u0 ~vpid);
       Alcotest.(check int) "handler ran exactly once" 1 (Atomic.get got))
+
+(* Installing one handler keeps the others, and resetting one to [None]
+   restores its default disposition. *)
+let test_handler_reset () =
+  run2 (fun () ->
+      let w = Proc.boot () in
+      let u0 = Proc.root w in
+      let ready = Atomic.make false in
+      let c =
+        Proc.spawn ~parent:u0 (fun u ->
+            Proc.on_signal u ~signum:Proc.sigusr1 (Some ignore);
+            Proc.on_signal u ~signum:Proc.sigterm (Some ignore);
+            Proc.on_signal u ~signum:Proc.sigusr1 None;
+            Atomic.set ready true;
+            while true do
+              Proc.check u;
+              Fiber.yield ()
+            done)
+      in
+      let vpid = Proc.getpid c in
+      spin_until "handlers set" (fun () -> Atomic.get ready);
+      ignore (Proc.kill w ~vpid Proc.sigterm);
+      spin_until "sigterm handled" (fun () -> Proc.pending c = 0);
+      Alcotest.(check bool) "handled sigterm does not terminate" true
+        (Proc.status_of c = None);
+      ignore (Proc.kill w ~vpid Proc.sigusr1);
+      Alcotest.(check status) "reset sigusr1 terminates"
+        (Proc.Signaled Proc.sigusr1)
+        (wait_ok ~parent:u0 ~vpid))
 
 let test_sigkill_uncatchable () =
   run2 (fun () ->
@@ -560,6 +649,89 @@ let test_multidomain_stress () =
         kids;
       Alcotest.(check int) "table drained to the root" 1 (Proc.live_procs w))
 
+(* A ULP's table grown from four domains at once: each worker adopts
+   host fds, dups and closes the descriptors it holds, in a mix drawn
+   from TEST_SEED, holding up to 40 at a time so the table grows past
+   its initial slots while the other workers claim and close through
+   it.  Fresh ULPs, so fresh tables, repeat the growths.  Every
+   resource must be destroyed exactly once, each table must end empty
+   and the host fds back at their baseline. *)
+let test_fd_growth_stress () =
+  let workers = 4 and ulps = 100 and per = 60 in
+  let destroyed = Array.init (ulps * workers * per) (fun _ -> Atomic.make 0) in
+  let baseline = count_fds () in
+  let stress_ulp u round =
+    let t = Proc.fds u in
+    let started = Atomic.make 0 and finished = Atomic.make 0 in
+    for k = 0 to workers - 1 do
+      Proc.spawn_fiber ~worker:k u (fun () ->
+          let st = Test_seed.derived_state ((round * workers) + k) in
+          let held = ref [] in
+          let close_one () =
+            match !held with
+            | [] -> ()
+            | l ->
+                let v = List.nth l (Random.State.int st (List.length l)) in
+                if not (Fd.close t v) then Alcotest.failf "close %d: EBADF" v;
+                held := List.filter (( <> ) v) l
+          in
+          (* start together, so the growths race the other workers *)
+          Atomic.incr started;
+          while Atomic.get started < workers do
+            Fiber.yield ()
+          done;
+          for j = 0 to per - 1 do
+            let id = (((round * workers) + k) * per) + j in
+            let fd = Unix.openfile "/dev/null" [ Unix.O_RDONLY ] 0 in
+            let r =
+              Fd.resource fd ~destroy:(fun fd ->
+                  Atomic.incr destroyed.(id);
+                  Unix.close fd)
+            in
+            (match Fd.alloc t r with
+            | Some v -> held := v :: !held
+            | None -> Fd.release r);
+            (match Random.State.int st 4 with
+            | 0 -> (
+                match !held with
+                | v :: _ -> (
+                    match Fd.dup t v with
+                    | Ok v' -> held := v' :: !held
+                    | Error _ -> Alcotest.failf "dup %d failed" v)
+                | [] -> ())
+            | 1 -> close_one ()
+            | _ -> ());
+            while List.length !held > 40 do
+              close_one ()
+            done
+          done;
+          List.iter (fun v -> ignore (Fd.close t v)) !held;
+          Atomic.incr finished)
+    done;
+    while Atomic.get finished < workers do
+      Proc.check u;
+      Fiber.yield ()
+    done;
+    Alcotest.(check int) "table empty" 0 (Fd.count t)
+  in
+  Fiber.run_parallel ~domains:workers (fun () ->
+      let w = Proc.boot () in
+      let u0 = Proc.root w in
+      for round = 0 to ulps - 1 do
+        let c = Proc.spawn ~parent:u0 (fun u -> stress_ulp u round) in
+        Alcotest.(check status) "stress ULP exited" (Proc.Exited 0)
+          (wait_ok ~parent:u0 ~vpid:(Proc.getpid c))
+      done);
+  Array.iteri
+    (fun id n ->
+      if Atomic.get n <> 1 then
+        Alcotest.failf "resource %d destroyed %d times (TEST_SEED=%d)" id
+          (Atomic.get n) Test_seed.seed)
+    destroyed;
+  match (baseline, count_fds ()) with
+  | Some b, Some a -> Alcotest.(check int) "host fds back to baseline" b a
+  | _ -> ()
+
 (* ---------- ULPs and the KC pool ---------- *)
 
 let count_tasks () =
@@ -632,6 +804,10 @@ let () =
             test_reaped_ulps_are_garbage;
           Alcotest.test_case "2000 children reaped in random order" `Quick
             test_many_children_random_reaps;
+          Alcotest.test_case "an exited parent lists no orphans" `Quick
+            test_zombie_lists_no_orphans;
+          Alcotest.test_case "an empty ULP allocates <= 400 words" `Quick
+            test_spawn_cost_gate;
         ] );
       ( "signals",
         [
@@ -639,6 +815,8 @@ let () =
             test_kill_default_disposition;
           Alcotest.test_case "handlers run at check points" `Quick
             test_handler_runs_at_check;
+          Alcotest.test_case "a reset handler restores the default" `Quick
+            test_handler_reset;
           Alcotest.test_case "SIGKILL is uncatchable" `Quick
             test_sigkill_uncatchable;
           Alcotest.test_case "pending mask accumulates and drains" `Quick
@@ -650,5 +828,7 @@ let () =
             test_spawn_fiber_failure_kills_ulp;
           Alcotest.test_case "300 ULPs across 4 domains (TEST_SEED)" `Slow
             test_multidomain_stress;
+          Alcotest.test_case "fd table grows under 4 domains (TEST_SEED)"
+            `Slow test_fd_growth_stress;
         ] );
     ]
