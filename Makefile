@@ -15,9 +15,6 @@ bench:
 
 examples:
 	dune exec examples/quickstart.exe
-	dune exec examples/in_situ.exe
-	dune exec examples/mpi_overlap.exe
-	dune exec examples/mpi_stencil.exe
 	dune exec examples/fiber_demo.exe
 
 check:

@@ -1,15 +1,15 @@
 (* The benchmark harness: regenerates every table and figure of the
    paper's evaluation (Section VI) on the simulated machines, runs the
-   ablation studies of DESIGN.md, and measures the real effects-based
-   fiber runtime with Bechamel.
+   ablation studies of DESIGN.md, and measures the real fiber runtime
+   and the lib/net serving stack on wall clock.
 
    Usage:
      dune exec bench/main.exe                 -- everything
      dune exec bench/main.exe -- table3       -- one experiment
-     (targets: table3 table4 table5 figure7 figure8 figure9
+     (targets: table3 table4 table5 figure7 figure8
       ablation-tls ablation-idle ablation-faults ablation-mn
       ablation-sigmask ablation-blocking ablation-oversub
-      ablation-nonblock ablation-policy ablation-scale mpi real
+      ablation-nonblock ablation-policy
       parallel net [--quick] [--diff old.json] [--backend B]
       validate validate-net)
 
@@ -502,65 +502,6 @@ let run_ablation_nonblock () =
     \   the ULT scheduler live, but burns an EAGAIN syscall per poll round\n\
     \   -- the \"more programming effort\" comes with a syscall tax too)"
 
-let run_ablation_scale () =
-  let t =
-    Table.create
-      ~title:"Ablation A8: per-yield cost and kernel footprint vs ULP count"
-      ~headers:[ "machine"; "ULPs"; "yield [s]"; "kernel tasks" ]
-      ~aligns:[ Table.Left; Table.Right; Table.Right; Table.Right ]
-      ()
-  in
-  List.iter
-    (fun m ->
-      List.iter
-        (fun (p : Scale.point) ->
-          Table.add_row t
-            [
-              m.Cm.name;
-              string_of_int p.Scale.ulps;
-              sci p.Scale.yield_cost;
-              string_of_int p.Scale.kernel_tasks;
-            ])
-        (Scale.sweep m))
-    machines;
-  Table.print t;
-  print_endline
-    "  (O(1) user-level dispatch: the per-yield cost is flat in the number\n\
-    \   of ULPs, while kernel tasks grow linearly -- the N:N resource cost\n\
-    \   the paper's M:N extension addresses)"
-
-let run_figure9 () =
-  let t =
-    Table.create
-      ~title:
-        "Figure 9 (extension): couple/decouple round trip vs concurrent ULPs"
-      ~headers:[ "machine"; "policy"; "K=1"; "K=2"; "K=4"; "K=8" ]
-      ~aligns:
-        [ Table.Left; Table.Left; Table.Right; Table.Right; Table.Right;
-          Table.Right ]
-      ()
-  in
-  List.iter
-    (fun m ->
-      List.iter
-        (fun policy ->
-          let points = Contention.sweep ~policy m in
-          Table.add_row t
-            (m.Cm.name
-            :: Oskernel.Sync.Waitcell.policy_to_string policy
-            :: List.map
-                 (fun (p : Contention.point) -> sci p.Contention.roundtrip)
-                 points))
-        [ Oskernel.Sync.Waitcell.Busywait; Oskernel.Sync.Waitcell.Blocking ])
-    machines;
-  Table.print t;
-  print_endline
-    "  (one scheduling KC serializes the decoupled halves of all K round\n\
-    \   trips.  Note the dip at moderate K: a scheduler that never goes\n\
-    \   idle skips the wake handoff on every decouple, so light pipelining\n\
-    \   BEATS the solo round trip before queueing dominates at larger K --\n\
-    \   the Figure 6 scheduler bottleneck, quantified)"
-
 let run_ablation_policy () =
   let t =
     Table.create
@@ -592,151 +533,6 @@ let run_ablation_policy () =
     "  (the Introduction's claim, quantified: only the application knows\n\
     \   the job sizes, so only a user-level scheduler can run\n\
     \   shortest-job-first; the kernel's fair slicing cannot be customized)"
-
-(* ---------------------------------------------------------------- *)
-(* MPI ping-pong: the in-node advantage of address-space sharing     *)
-(* ---------------------------------------------------------------- *)
-
-let mpi_pingpong ~mode ~bytes ~iters m =
-  Harness.run ~cost:m ~cores:4 (fun env ->
-      let sys =
-        Core.Ulp.init ~policy:Oskernel.Sync.Waitcell.Blocking
-          env.Harness.kernel ~root_task:env.Harness.root ~vfs:env.Harness.vfs
-      in
-      let _sk = Core.Ulp.add_scheduler sys ~cpu:0 in
-      let elapsed = ref nan in
-      let world =
-        Mpi.init sys ~ranks:2 ~kc_cpus:[ 1 ] (fun ctx ->
-            let peer = 1 - Mpi.rank ctx in
-            if Mpi.rank ctx = 0 then begin
-              (* warmup *)
-              for _ = 1 to 8 do
-                Mpi.send ctx ~dst:peer ~mode ~bytes Addrspace.Memval.Unit;
-                ignore (Mpi.recv ctx ~src:peer ~mode ())
-              done;
-              let t0 = Oskernel.Kernel.now env.Harness.kernel in
-              for _ = 1 to iters do
-                Mpi.send ctx ~dst:peer ~mode ~bytes Addrspace.Memval.Unit;
-                ignore (Mpi.recv ctx ~src:peer ~mode ())
-              done;
-              elapsed :=
-                (Oskernel.Kernel.now env.Harness.kernel -. t0)
-                /. float_of_int iters
-                /. 2.0 (* one-way *)
-            end
-            else
-              for _ = 1 to iters + 8 do
-                ignore (Mpi.recv ctx ~src:peer ~mode ());
-                Mpi.send ctx ~dst:peer ~mode ~bytes Addrspace.Memval.Unit
-              done)
-      in
-      Mpi.wait_all world ~waiter:env.Harness.root;
-      Core.Ulp.shutdown sys ~by:env.Harness.root;
-      !elapsed)
-
-let run_mpi () =
-  List.iter
-    (fun m ->
-      let t =
-        Table.create
-          ~title:
-            (Printf.sprintf
-               "MPI ping-pong (%s): one-way latency, ULP ranks in one address \
-                space"
-               m.Cm.name)
-          ~headers:
-            [ "size"; "zero-copy [s]"; "copy [s]"; "zc bandwidth"; "copy bw" ]
-          ~aligns:
-            [ Table.Left; Table.Right; Table.Right; Table.Right; Table.Right ]
-          ()
-      in
-      List.iter
-        (fun bytes ->
-          let zc = mpi_pingpong ~mode:Mpi.Zero_copy ~bytes ~iters:60 m in
-          let cp = mpi_pingpong ~mode:Mpi.Copy ~bytes ~iters:60 m in
-          let bw v =
-            if bytes < 4096 then "-"
-            else Printf.sprintf "%.1f GB/s" (float_of_int bytes /. v /. 1e9)
-          in
-          Table.add_row t
-            [ Harness.size_label bytes; sci zc; sci cp; bw zc; bw cp ])
-        [ 8; 1024; 65536; 1048576 ];
-      Table.print t)
-    machines;
-  print_endline
-    "  (zero-copy: the message is a pointer into the shared address space,\n\
-    \   so latency is size-independent; copy mode pays the per-side memcpy\n\
-    \   a shared-memory mailbox would -- the Section IV contrast)"
-
-(* ---------------------------------------------------------------- *)
-(* Real-runtime micro-benchmarks (Bechamel)                          *)
-(* ---------------------------------------------------------------- *)
-
-let bechamel_tests () =
-  let open Bechamel in
-  let fiber_spawn_join =
-    Test.make ~name:"fiber: spawn+join"
-      (Staged.stage (fun () ->
-           Fiber_rt.Fiber.run (fun () ->
-               let f = Fiber_rt.Fiber.spawn (fun () -> ()) in
-               Fiber_rt.Fiber.join f)))
-  in
-  let fiber_yield_pair =
-    Test.make ~name:"fiber: 2 fibers x 100 yields"
-      (Staged.stage (fun () ->
-           Fiber_rt.Fiber.run (fun () ->
-               let mk () =
-                 Fiber_rt.Fiber.spawn (fun () ->
-                     for _ = 1 to 100 do
-                       Fiber_rt.Fiber.yield ()
-                     done)
-               in
-               let a = mk () and b = mk () in
-               Fiber_rt.Fiber.join a;
-               Fiber_rt.Fiber.join b)))
-  in
-  let coupled_roundtrip =
-    Test.make ~name:"fiber: coupled() roundtrip"
-      (Staged.stage (fun () ->
-           Fiber_rt.Fiber.run (fun () ->
-               let f =
-                 Fiber_rt.Fiber.spawn (fun () ->
-                     for _ = 1 to 10 do
-                       ignore (Fiber_rt.Blt_rt.coupled (fun () -> ()))
-                     done)
-               in
-               Fiber_rt.Fiber.join f)))
-  in
-  let sim_table5 =
-    Test.make ~name:"sim: Table V busywait run (wall clock)"
-      (Staged.stage (fun () ->
-           ignore
-             (Microbench.getpid_ulp_time ~iters:64
-                ~policy:Oskernel.Sync.Waitcell.Busywait Arch.Machines.wallaby)))
-  in
-  [ fiber_spawn_join; fiber_yield_pair; coupled_roundtrip; sim_table5 ]
-
-let run_real () =
-  let open Bechamel in
-  print_endline "== Real-runtime micro-benchmarks (wall clock, Bechamel) ==";
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-  in
-  let instance = Toolkit.Instance.monotonic_clock in
-  let cfg =
-    Benchmark.cfg ~limit:500 ~quota:(Time.second 0.25) ~kde:None ()
-  in
-  List.iter
-    (fun test ->
-      let results = Benchmark.all cfg [ instance ] test in
-      let analyzed = Analyze.all ols instance results in
-      Hashtbl.iter
-        (fun name ols_result ->
-          match Analyze.OLS.estimates ols_result with
-          | Some (est :: _) -> Printf.printf "  %-40s %12.1f ns/run\n%!" name est
-          | Some [] | None -> Printf.printf "  %-40s (no estimate)\n%!" name)
-        analyzed)
-    (bechamel_tests ())
 
 (* ---------------------------------------------------------------- *)
 (* Parallel fiber runtime: scaling micro-benchmarks (wall clock)     *)
@@ -1235,7 +1031,6 @@ let experiments =
     ("table5", run_table5);
     ("figure7", run_figure7);
     ("figure8", run_figure8);
-    ("figure9", run_figure9);
     ("ablation-tls", run_ablation_tls);
     ("ablation-idle", run_ablation_idle);
     ("ablation-faults", run_ablation_faults);
@@ -1245,9 +1040,6 @@ let experiments =
     ("ablation-oversub", run_ablation_oversub);
     ("ablation-nonblock", run_ablation_nonblock);
     ("ablation-policy", run_ablation_policy);
-    ("ablation-scale", run_ablation_scale);
-    ("mpi", run_mpi);
-    ("real", run_real);
   ]
 
 let () =

@@ -51,7 +51,7 @@ let fiber_scope segs =
   || has_seg "examples" segs
   || has_seg "bench" segs
 
-let sim_stack = [ "sim"; "arch"; "oskernel"; "addrspace"; "ult"; "core"; "aio"; "mpi"; "report" ]
+let sim_stack = [ "sim"; "arch"; "oskernel"; "addrspace"; "ult"; "core"; "aio"; "report" ]
 
 let sim_scope segs = List.exists (fun d -> has_pair "lib" d segs) sim_stack
 

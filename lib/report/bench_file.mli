@@ -23,8 +23,11 @@ val diff :
   suite -> cores:int -> old:Json.t -> Json.t -> (verdict, string) result
 (** Prints one table per section with metrics: each new row that [old]
     also has (matched on the section's keys), old and new values, and
-    a ratio oriented so > 1 is better now.  [cores] is the host's core
-    count.  [Error] when [old] is not a file of this suite's schema. *)
+    a ratio oriented so > 1 is better now.  A gated metric under its
+    floor is a drop, unless its column excuses the row (a speedup whose
+    own row got faster at the same size).  [cores] is the host's core
+    count.  [Error] when [old] is not a file of this suite's
+    schema. *)
 
 val validate : suite -> Json.t -> (string, string) result
 (** The schema tag, every section non-empty, every declared column

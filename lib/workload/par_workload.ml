@@ -1,8 +1,8 @@
 (* Scaling workloads for the parallel fiber runtime (substrate S3):
    wall-clock micro-benchmarks of the work-stealing scheduler in
    [Fiber_rt.Fiber.run_parallel].  Unlike the rest of lib/workload these
-   run on the real machine, not the simulated one -- they are the
-   multicore counterpart of the Bechamel benches in bench/main.ml.
+   run on the real machine, not the simulated one -- bench/main.exe's
+   [parallel] target times them for 1, 2 and 4 domains.
 
    Three shapes:
    - [spawn_join]: embarrassingly parallel fan-out/fan-in -- the

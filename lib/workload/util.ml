@@ -8,15 +8,3 @@ let barrier sys ~parties counter =
   while !counter < parties do
     Core.Ulp.yield sys
   done
-
-(* Same discipline for plain BLTs. *)
-let blt_barrier sys ~parties counter =
-  incr counter;
-  while !counter < parties do
-    Core.Blt.yield sys
-  done
-
-(* A small program image so dlmopen charges stay negligible next to the
-   measured loops. *)
-let small_prog name =
-  Addrspace.Loader.program ~name ~globals:[] ~text_size:4096 ()

@@ -3,9 +3,3 @@
 val barrier : Core.Ulp.t -> parties:int -> int ref -> unit
 (** Spin barrier for decoupled ULPs sharing a scheduler: arrive, then
     yield until everyone has. *)
-
-val blt_barrier : Core.Blt.system -> parties:int -> int ref -> unit
-
-val small_prog : string -> Addrspace.Loader.program
-(** A 4 KiB program image: dlmopen charges stay negligible next to the
-    measured loops. *)

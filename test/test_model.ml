@@ -943,6 +943,208 @@ let prop_ptab_matches_model ops =
     ops
   && Ptab.fold t ~init:true ~f:(fun acc k v -> acc && Hashtbl.find_opt h k = Some v)
 
+(* ---------- Proc process tree vs a POSIX tree model ---------- *)
+
+(* Each ULP idles in a yield loop, calling [Proc.check], until the
+   test fiber tells it to exit, so every spawn, exit and kill happens
+   at an op boundary.  [Fiber.run] has one worker: a ULP's exit runs to
+   the end (re-parenting, status, self-reap) before the test fiber
+   resumes. *)
+
+type tree_op =
+  | TSpawn of int (* spawner: root or a running ULP *)
+  | TExit of int * int (* a running ULP, its exit code *)
+  | TWait of int * int (* waiter, target vpid *)
+  | TTry_wait of int * int
+  | TKill of int * int (* target vpid, signal *)
+  | TLook of int (* getppid and children of any ULP *)
+
+let tree_op_gen =
+  QCheck.Gen.(
+    let i = int_bound 7 in
+    frequency
+      [
+        (4, map (fun a -> TSpawn a) i);
+        (2, map2 (fun a b -> TExit (a, b)) i (int_bound 3));
+        (2, map2 (fun a b -> TWait (a, b)) i i);
+        (2, map2 (fun a b -> TTry_wait (a, b)) i i);
+        (1, map2 (fun a b -> TKill (a, b)) i (int_bound 2));
+        (3, map (fun a -> TLook a) i);
+      ])
+
+let show_tree_op = function
+  | TSpawn a -> Printf.sprintf "Spawn %d" a
+  | TExit (a, b) -> Printf.sprintf "Exit (%d, %d)" a b
+  | TWait (a, b) -> Printf.sprintf "Wait (%d, %d)" a b
+  | TTry_wait (a, b) -> Printf.sprintf "Try_wait (%d, %d)" a b
+  | TKill (a, b) -> Printf.sprintf "Kill (%d, %d)" a b
+  | TLook a -> Printf.sprintf "Look %d" a
+
+let tree_ops_arb =
+  QCheck.make
+    ~print:QCheck.Print.(list show_tree_op)
+    ~shrink:QCheck.Shrink.list
+    QCheck.Gen.(list_size (int_bound 40) tree_op_gen)
+
+(* The model: every vpid ever spawned, never removed.  Init (vpid 1)
+   adopts the children of an exiting process and reaps adopted
+   zombies itself, so only a process's own children are waitable and a
+   grandchild is ECHILD until its parent exits. *)
+type mstate = Running | Zombie of Proc.status | Reaped
+
+type mproc = {
+  mutable mparent : int;
+  mutable mstate : mstate;
+  mutable madopted : bool;
+}
+
+let m_exit m vpid st =
+  Hashtbl.iter
+    (fun _ c ->
+      if c.mparent = vpid && c.mstate <> Reaped then begin
+        c.mparent <- 1;
+        c.madopted <- true;
+        match c.mstate with Zombie _ -> c.mstate <- Reaped | _ -> ()
+      end)
+    m;
+  let u = Hashtbl.find m vpid in
+  u.mstate <- (if u.madopted then Reaped else Zombie st)
+
+let tree_signals = [| Proc.sigterm; Proc.sigkill; Proc.sigusr1 |]
+
+let prop_tree_matches_model ops =
+  let ok = ref true in
+  Fiber.run (fun () ->
+      let expect b = if not b then ok := false in
+      let w = Proc.boot () in
+      let m = Hashtbl.create 16 and real = Hashtbl.create 16 in
+      Hashtbl.replace m 1 { mparent = 0; mstate = Running; madopted = false };
+      Hashtbl.replace real 1 (Proc.root w, ref None);
+      let vpids () = List.sort compare (Hashtbl.fold (fun v _ a -> v :: a) m []) in
+      let running () =
+        List.filter (fun v -> (Hashtbl.find m v).mstate = Running) (vpids ())
+      in
+      let nth l i = List.nth l (i mod List.length l) in
+      let handle v = fst (Hashtbl.find real v) in
+      let settle cond =
+        let n = ref 0 in
+        while (not (cond ())) && !n < 10_000 do
+          Fiber.yield ();
+          incr n
+        done;
+        expect (cond ())
+      in
+      (* tell a running ULP to exit with [code] and let it *)
+      let finish v code =
+        snd (Hashtbl.find real v) := Some code;
+        settle (fun () -> Proc.status_of (handle v) = Some (Proc.Exited code));
+        m_exit m v (Proc.Exited code)
+      in
+      let waitable p v =
+        match Hashtbl.find_opt m v with
+        | Some c when c.mparent = p && c.mstate <> Reaped -> Some c
+        | _ -> None
+      in
+      let body stop u =
+        let rec loop () =
+          match !stop with
+          | Some code -> Proc.exit u code
+          | None ->
+              Proc.check u;
+              Fiber.yield ();
+              loop ()
+        in
+        loop ()
+      in
+      let step = function
+        | TSpawn i ->
+            let p = nth (running ()) i in
+            let stop = ref None in
+            let u = Proc.spawn ~parent:(handle p) (body stop) in
+            let v = Hashtbl.length m + 1 in
+            expect (Proc.getpid u = v);
+            Hashtbl.replace m v { mparent = p; mstate = Running; madopted = false };
+            Hashtbl.replace real v (u, stop)
+        | TExit (i, code) -> (
+            match List.filter (( <> ) 1) (running ()) with
+            | [] -> ()
+            | l -> finish (nth l i) code)
+        | TTry_wait (i, j) ->
+            let p = nth (running ()) i and v = nth (vpids () @ [ 999 ]) j in
+            let got = Proc.try_waitpid ~parent:(handle p) ~vpid:v in
+            let model =
+              match waitable p v with
+              | None -> Error `Echild
+              | Some ({ mstate = Zombie st; _ } as c) ->
+                  c.mstate <- Reaped;
+                  Ok (Some st)
+              | Some _ -> Ok None
+            in
+            expect (got = model)
+        | TWait (i, j) ->
+            (* not on the root, which never exits; and in a fiber of its
+               own, so a wrongly parked waiter fails the check below and
+               the final exits wake it instead of hanging the run *)
+            let p = nth (running ()) i
+            and v = nth (List.tl (vpids ()) @ [ 999 ]) j in
+            let got = ref None in
+            ignore
+              (Fiber.spawn (fun () ->
+                   got := Some (Proc.waitpid ~parent:(handle p) ~vpid:v)));
+            for _ = 1 to 3 do
+              Fiber.yield ()
+            done;
+            (match waitable p v with
+            | Some ({ mstate = Running; _ } as c) ->
+                (* parked until the child exits *)
+                expect (!got = None);
+                let adopted = c.madopted and code = (i + j) mod 4 in
+                finish v code;
+                settle (fun () -> !got <> None);
+                (* init reaps an adopted zombie itself: a waiter on one
+                   may lose that race *)
+                expect
+                  (match !got with
+                  | Some (Ok st) -> st = Proc.Exited code
+                  | Some (Error `Echild) -> adopted
+                  | None -> false);
+                c.mstate <- Reaped
+            | Some ({ mstate = Zombie st; _ } as c) ->
+                expect (!got = Some (Ok st));
+                c.mstate <- Reaped
+            | Some { mstate = Reaped; _ } | None ->
+                expect (!got = Some (Error `Echild)))
+        | TKill (j, s) -> (
+            let v = nth (List.tl (vpids ()) @ [ 999 ]) j in
+            let signum = tree_signals.(s) in
+            let got = Proc.kill w ~vpid:v signum in
+            match Hashtbl.find_opt m v with
+            | Some { mstate = Running; _ } ->
+                expect (got = Ok ());
+                settle (fun () ->
+                    Proc.status_of (handle v) = Some (Proc.Signaled signum));
+                m_exit m v (Proc.Signaled signum)
+            | Some { mstate = Zombie _; _ } -> expect (got = Ok ())
+            | Some { mstate = Reaped; _ } | None -> expect (got = Error `Esrch))
+        | TLook j ->
+            let v = nth (vpids ()) j in
+            let model = List.filter (fun c -> waitable v c <> None) (vpids ()) in
+            expect (Proc.getppid (handle v) = (Hashtbl.find m v).mparent);
+            expect (List.sort compare (Proc.children (handle v)) = model)
+      in
+      List.iter
+        (fun op ->
+          if !ok then begin
+            step op;
+            expect
+              (Proc.live_procs w
+              = Hashtbl.fold (fun _ c n -> if c.mstate = Reaped then n else n + 1) m 0)
+          end)
+        ops;
+      (* no ULP outlives the run *)
+      List.iter (fun v -> if v <> 1 then finish v 0) (running ()));
+  !ok
+
 (* ---------- runner ---------- *)
 
 let () =
@@ -978,6 +1180,8 @@ let () =
           t "Proc.Fd_core = slot-array + refcount model" fd_ops_arb
             prop_fd_matches_model;
           t "Proc.Table = Hashtbl model" pt_ops_arb prop_ptab_matches_model;
+          t "Proc tree = POSIX process-tree model" tree_ops_arb
+            prop_tree_matches_model;
         ] );
       ( "fd-growth",
         [

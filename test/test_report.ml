@@ -376,6 +376,43 @@ let test_diff_speedup_gate () =
   | Ok (Bf.Warn [ _ ]) -> ()
   | _ -> Alcotest.fail "a 1-core host only warns"
 
+(* proc_fd_table's domains=1 and domains=2 medians, and the @2 speedup
+   the file derives from them *)
+let fd_pair m1 m2 doc =
+  let median d m = set (pp "proc_fd_table" d) "median_s" (n m) in
+  median 1. m1
+    (median 2. m2
+       (set ~sec:"speedups" (pp "proc_fd_table" 2.) "speedup_vs_1"
+          (n (m1 /. m2)) doc))
+
+let test_diff_speedup_own_median () =
+  let old = fd_pair 0.504 0.280 (parallel ()) in
+  let diff doc = Bf.diff Bf.Parallel.suite ~cores:2 ~old (doc (parallel ())) in
+  (* @1 504 -> 271 ms and @2 280 -> 232 ms: the speedup falls 1.80x ->
+     1.17x because domains=1 got faster, yet every row is faster *)
+  (match diff (fd_pair 0.271 0.232) with
+  | Ok Bf.Pass -> ()
+  | _ -> Alcotest.fail "a domains=1 gain read as an @2 regression");
+  (* the same medians from a smaller run (--quick against a full file)
+     say nothing about speed: the gate holds *)
+  (match
+     diff (fun d ->
+         set (pp "proc_fd_table" 2.) "items" (n 1000.) (fd_pair 0.271 0.232 d))
+   with
+  | Ok (Bf.Regressed [ m ]) when contains m "proc_fd_table@2" -> ()
+  | _ -> Alcotest.fail "a faster row of another size excused a drop");
+  List.iter
+    (fun (why, m1, m2) ->
+      match diff (fd_pair m1 m2) with
+      | Ok (Bf.Regressed [ m ]) when contains m "proc_fd_table@2" -> ()
+      | _ -> Alcotest.failf "%s must regress" why)
+    [ (* 1.80x -> 1.33x, @2 slower in absolute time *)
+      ("a slower @2 row", 0.400, 0.300);
+      (* 1.80x -> 1.26x with @1 flat *)
+      ("a scaling loss with a flat @1", 0.504, 0.400);
+      (* 1.80x -> 1.40x, @2 exactly as fast as before *)
+      ("an @2 row that got no faster", 0.392, 0.280) ]
+
 let test_diff_schema () =
   let wrong suite ~old doc =
     match Bf.diff suite ~cores:2 ~old doc with
@@ -503,6 +540,8 @@ let () =
             test_committed_files_valid;
           Alcotest.test_case "validate fixtures" `Quick test_validate_fixtures;
           Alcotest.test_case "diff speedup gate" `Quick test_diff_speedup_gate;
+          Alcotest.test_case "diff speedup gate reads the row's median" `Quick
+            test_diff_speedup_own_median;
           Alcotest.test_case "diff schema check" `Quick test_diff_schema;
           Alcotest.test_case "written docs valid" `Quick
             test_written_docs_valid;

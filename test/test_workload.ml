@@ -349,29 +349,6 @@ let test_policy_sjf_order_is_by_size () =
     (sjf.Workload.Policy_demo.mean_completion
     < 0.8 *. fifo.Workload.Policy_demo.mean_completion)
 
-(* ---------- contention (figure 9 extension) ---------- *)
-
-let test_contention_k1_matches_table5 () =
-  let solo =
-    Workload.Contention.roundtrip_time ~iters:64
-      ~policy:Sync.Waitcell.Busywait ~concurrency:1 wallaby
-  in
-  check_within "K=1 is the Table V busywait roundtrip" 10.0 1.33e-6 solo
-
-let test_contention_queueing_dominates_eventually () =
-  List.iter
-    (fun policy ->
-      let at k =
-        Workload.Contention.roundtrip_time ~iters:48 ~policy ~concurrency:k
-          wallaby
-      in
-      Alcotest.(check bool)
-        (Printf.sprintf "K=8 slower than K=1 (%s)"
-           (Sync.Waitcell.policy_to_string policy))
-        true
-        (at 8 > at 1))
-    [ Sync.Waitcell.Busywait; Sync.Waitcell.Blocking ]
-
 (* ---------- determinism ---------- *)
 
 let test_experiments_are_deterministic () =
@@ -462,13 +439,6 @@ let () =
             test_policy_sjf_minimizes_mean_completion;
           Alcotest.test_case "SJF orders by size" `Quick
             test_policy_sjf_order_is_by_size;
-        ] );
-      ( "contention",
-        [
-          Alcotest.test_case "K=1 matches Table V" `Quick
-            test_contention_k1_matches_table5;
-          Alcotest.test_case "queueing dominates at K=8" `Slow
-            test_contention_queueing_dominates_eventually;
         ] );
       ( "determinism",
         [
