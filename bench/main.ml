@@ -734,8 +734,8 @@ let run_parallel_bench ~quick ~diff () =
 (* ---------------------------------------------------------------- *)
 
 (* An in-process echo benchmark on lib/net: one Tcp_server and N client
-   fibers per sweep point, all on [Fiber.run_parallel] with the reactor
-   shard thread multiplexing every socket.  Each client connects and
+   fibers per sweep point, all on [Fiber.run_parallel] with the one
+   reactor thread multiplexing every socket.  Each client connects and
    does one untimed echo -- so the server has accepted it and its
    handler is live -- then rendezvous on a Completion latch, so the
    request phase measures steady-state RTTs, not connection setup or
@@ -761,9 +761,6 @@ module Net_io = Net.Fiber_io
 module Net_tcp = Net.Tcp_server
 
 let net_msg_bytes = 64
-
-(* one reactor shard: the sweep measures the backend, not the sharding *)
-let net_shards = 1
 
 let count_fds () =
   match Sys.readdir "/proc/self/fd" with
@@ -926,7 +923,7 @@ let net_sweep_point r ~mode ~conns ~reqs =
          st.Net_tcp.accepted conns);
   {
     Bench_file.Net.backend = net_backend_name (Net_reactor.backend r);
-    shards = Net_reactor.shard_count r;
+    shards = 1 (* the v2 schema keeps the key; one reactor thread *);
     connections = conns;
     reqs_per_conn = reqs;
     requests;
@@ -969,11 +966,11 @@ let run_net_bench ~quick ~diff ~net_backend () =
     else sweep
   in
   let fd_baseline = count_fds () in
-  (* One reactor (own shard threads + poller backend) per backend run;
+  (* One reactor (its own thread + poller backend) per backend run;
      [run_parallel] twice in sequence is fine -- each run spins its
      worker domains up and down. *)
   let run_backend backend ~sweep =
-    let r = Net_reactor.create ~backend ~shards:net_shards () in
+    let r = Net_reactor.create ~backend () in
     let resolved = Net_reactor.backend r in
     let sweep =
       if resolved = `Select then
@@ -1009,14 +1006,14 @@ let run_net_bench ~quick ~diff ~net_backend () =
   let fd_after = count_fds () in
   let doc =
     Bench_file.Net.doc ~host_cores:(host_cores ()) ~quick
-      ~backend:(net_backend_name resolved) ~shards:net_shards
+      ~backend:(net_backend_name resolved) ~shards:1
       ~msg_bytes:net_msg_bytes ~fd_baseline ~fd_after points
   in
   Printf.printf "Net echo bench: %d-byte messages, %s backend, %d reqs/conn\n"
     net_msg_bytes (net_backend_name resolved) reqs;
   Bench_file.print_rows Bench_file.Net.suite doc;
   print_endline
-    "  (every socket is multiplexed by the reactor shard threads; worker\n\
+    "  (every socket is multiplexed by the one reactor thread; worker\n\
     \   domains never block in the kernel -- DESIGN.md sections 5c, 5e)";
   write_bench Bench_file.Net.suite ~diff doc
 

@@ -1,11 +1,11 @@
 (* Multi-tenant TCP serving: one user-level process per connection.
 
-   The serving stack below Tcp_server is shared -- reactor shards,
-   accept loops, worker domains -- but each accepted connection is
-   served inside its OWN ULP (lib/proc): the handler detaches the
-   socket from the server, spawns a child ULP that adopts it into its
-   private descriptor table, and waitpid-reaps the child when the
-   conversation ends.  What that buys over a bare handler fiber:
+   The serving stack below Tcp_server is shared -- the reactor
+   thread, the accept loop, worker domains -- but each accepted
+   connection is served inside its OWN ULP (lib/proc): the handler
+   detaches the socket from the server, spawns a child ULP that adopts
+   it into its private descriptor table, and waitpid-reaps the child
+   when the conversation ends.  What that buys over a bare handler fiber:
 
    - isolation: the tenant's descriptors live in the ULP's table; when
      the ULP exits -- normally, by Proc.exit, or killed -- close_all

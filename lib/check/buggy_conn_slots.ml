@@ -3,7 +3,7 @@
    bounded CAS.  It reads [active < cap], then takes the slot with a
    separate fetch-and-add.
 
-   Two accept loops (one per reactor shard) that both read the count
+   Two reservers that both read the count
    after a retire freed the last slot both pass the check, and both add
    one: at [max_conns = 1] two connections are live at once.  The
    faithful [reserve] moves the count from n to n+1 in one CAS, so the

@@ -1,19 +1,20 @@
 (* TEST-ONLY copy of Idle_waker -- the idle-worker stack behind the
-   sharded reactor's batched wake flush -- with a deliberately seeded
+   reactor's batched wake flush -- with a deliberately seeded
    bug: [take] is a get-then-set instead of a CAS retry loop.  It reads
    the list, computes the removal, then unconditionally stores it.
 
-   Two interleavings go wrong, both the lost-wakeup shape the sharded
+   Two interleavings go wrong, both the lost-wakeup shape the routed
    wake path must never exhibit:
 
-   - A reactor shard's batch flush ([take wid] aimed at one worker)
+   - The reactor's batch flush ([take wid] aimed at one worker)
      racing a generic [pop]: both read the same list, both believe they
      removed an id, and the loser's plain store RESURRECTS the id the
      winner removed -- that worker is now "idle" twice, and a later
      waker spends a wake token on a ghost while a genuinely parked
      worker sleeps on.
 
-   - Two flushes racing: both see [wid] present, both return [true],
+   - Two targeted wakes racing (the reactor's flush and a worker's
+     [spawn_on]): both see [wid] present, both return [true],
      and two wake tokens are owed where the protocol promises exactly
      one.
 

@@ -54,8 +54,14 @@ let rec add_joiner t wake =
         add_joiner t wake
 
 (* Publish [v] and wake every registered joiner exactly once.  Call
-   once per cell: a fiber, a scope and a ULP each finish once. *)
-let finish t v =
+   once per cell: a fiber, a scope and a ULP each finish once.  The
+   result says whether any joiner had registered: the same exchange
+   that wakes them decides it, so no joiner can slip in between. *)
+let finish_woke t v =
   match Atomic.exchange t (Done v) with
-  | Joiners ws -> List.iter (fun wake -> wake ()) ws
-  | Running | Done _ -> ()
+  | Joiners ws ->
+      List.iter (fun wake -> wake ()) ws;
+      true
+  | Running | Done _ -> false
+
+let finish t v = ignore (finish_woke t v)

@@ -26,3 +26,7 @@ val add_joiner : 'a t -> (unit -> unit) -> unit
 
 val finish : 'a t -> 'a -> unit
 (** Publish [Done v] and wake every registered joiner.  Call once. *)
+
+val finish_woke : 'a t -> 'a -> bool
+(** {!finish}, returning whether any joiner had registered before the
+    cell turned [Done] — decided by the same atomic exchange. *)

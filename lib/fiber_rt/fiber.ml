@@ -53,7 +53,7 @@ module Wake = struct
   type note = { bkey : int * int; bnotify : unit -> unit }
 
   (* A batch is single-owner by contract: only the thread that created
-     it may fire into it or flush it (the reactor shard's loop), so the
+     it may fire into it or flush it (the reactor thread's loop), so the
      note list needs no synchronization. *)
   type batch = { mutable notes : note list }
 
@@ -185,7 +185,7 @@ type psched = {
 (* The worker executing on this domain, if any.  [tid] pins the context
    to the worker's own OS thread: Domain.DLS is shared by every
    systhread of a domain, so a thread the program creates on a worker
-   domain (a reactor shard, an executor) would otherwise read this
+   domain (the reactor thread, an executor) would otherwise read this
    worker's context and push to its Chase-Lev deque from a foreign
    thread -- breaking the deque's single-owner invariant.  Always go
    through [worker_ctx], never read [pctx_key] directly. *)
@@ -599,7 +599,7 @@ let worker_loop ps w =
              let bt = Printexc.get_raw_backtrace () in
              ignore (Atomic.compare_and_set ps.failure None (Some (exn, bt)));
              pstop ps);
-          (* The KCs and reactor shards created on this domain are its
+          (* The KCs and the reactor thread created on this domain are its
              systhreads: they run only while the worker lets go of the
              domain's runtime lock.  Hand it over at every fiber switch,
              not only at park or at the 50 ms tick; with nobody waiting

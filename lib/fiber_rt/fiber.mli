@@ -174,7 +174,7 @@ val worker_index : unit -> int option
 (** Inside a run, the index of the worker domain currently executing
     the caller ([Some 0 .. domains-1]; [Some 0] under {!run}); [None]
     outside any engine — including on OS threads merely sharing a
-    worker's domain (a reactor shard, an executor): the context is
+    worker's domain (the reactor thread, an executor): the context is
     keyed by thread identity, not just [Domain.DLS].  A fiber that
     observes two different indices across a suspension has migrated. *)
 

@@ -1,6 +1,6 @@
 (* The idle-worker Treiber stack, factored out of [Fiber] so the exact
    production code can be recompiled against lib/check's traced atomics
-   and model-checked (the sharded-reactor wake path of lib/net rides on
+   and model-checked (the reactor's routed wake path of lib/net rides on
    [take]).
 
    A parked worker pushes its id; whoever removes an id -- [pop] for

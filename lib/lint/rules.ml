@@ -103,11 +103,11 @@ let blocking_in_fiber =
                  blocking as Unix.select to a worker domain *)
               | [ "poll_stub" ] | [ "Poller"; "poll_stub" ] ->
                   add ~loc "blocking call poll_stub (poll(2))"
-                    "only a reactor-shard thread may wait in the poller; \
+                    "only the reactor thread may wait in the poller; \
                      fibers go through Fiber_io/Reactor"
               | [ "epoll_wait_stub" ] | [ "Poller"; "epoll_wait_stub" ] ->
                   add ~loc "blocking call epoll_wait_stub (epoll_wait(2))"
-                    "only a reactor-shard thread may wait in the poller; \
+                    "only the reactor thread may wait in the poller; \
                      fibers go through Fiber_io/Reactor"
               | _ -> ());
         List.rev !acc);

@@ -1,10 +1,10 @@
 (* The [max_conns] cap of [Tcp_server]: a counter of taken connection
-   slots that only ever moves from n to n+1 while n < cap.  Each shard
-   has its own accept loop, so two loops can race for the last slot;
-   the bounded CAS lets exactly one of them have it.  Reading the count,
-   comparing, and then adding one (check-then-act) would let both pass
-   the check and breach the cap.  lib/check recompiles this file and
-   model-checks two accept loops racing a retire. *)
+   slots that only ever moves from n to n+1 while n < cap.  The one
+   accept loop reserves while retiring connections release from any
+   worker; the bounded CAS keeps the cap whatever races it, where
+   reading the count, comparing, and then adding one (check-then-act)
+   holds only while there is a single reserver.  lib/check recompiles
+   this file and model-checks two reservers racing a retire. *)
 
 let rec reserve active ~cap =
   let n = Atomic.get active in

@@ -1,10 +1,9 @@
 /* C stubs for lib/net: a poll(2) binding (Unix.select caps file
  * descriptors at FD_SETSIZE=1024, far below the serving targets), an
  * edge-triggered epoll binding with persistent kernel registration
- * (the Linux serving backend -- no per-round interest walk at all), a
- * SO_REUSEPORT setter for sharded accepting, and a RLIMIT_NOFILE
- * raiser so the echo bench can open thousands of sockets without
- * asking the user to fiddle with ulimit.
+ * (the Linux serving backend -- no per-round interest walk at all),
+ * and a RLIMIT_NOFILE raiser so the echo bench can open thousands of
+ * sockets without asking the user to fiddle with ulimit.
  *
  * The poll stub copies the interest arrays out of the OCaml heap,
  * releases the runtime lock for the syscall (the reactor thread must
@@ -23,7 +22,6 @@
 #include <stdlib.h>
 #include <string.h>
 #include <sys/resource.h>
-#include <sys/socket.h>
 
 #ifdef __linux__
 #include <sys/epoll.h>
@@ -212,22 +210,6 @@ CAMLprim value ulp_net_epoll_wait(value v_epfd, value v_fds, value v_revents,
 #else
   (void)v_epfd; (void)v_fds; (void)v_revents; (void)v_max; (void)v_timeout_ms;
   caml_invalid_argument("ulp_net_epoll_wait: epoll unsupported on this OS");
-#endif
-}
-
-/* ulp_net_set_reuseport fd -> whether SO_REUSEPORT was applied (false
- * where the platform lacks it: the caller falls back to a single
- * listener shared by every accept fiber). */
-CAMLprim value ulp_net_set_reuseport(value v_fd)
-{
-#ifdef SO_REUSEPORT
-  int one = 1;
-  if (setsockopt(Int_val(v_fd), SOL_SOCKET, SO_REUSEPORT, &one, sizeof(one)) == 0)
-    return Val_true;
-  return Val_false;
-#else
-  (void)v_fd;
-  return Val_false;
 #endif
 }
 

@@ -57,8 +57,6 @@ external epoll_ctl_stub : int -> int -> int -> int -> int = "ulp_net_epoll_ctl"
 external epoll_wait_stub :
   int -> int array -> int array -> int -> int -> int = "ulp_net_epoll_wait"
 
-external set_reuseport_stub : int -> bool = "ulp_net_set_reuseport"
-
 (* Unix.file_descr is the raw fd int on Unix systems. *)
 external fd_int : Unix.file_descr -> int = "%identity"
 external fd_of_int : int -> Unix.file_descr = "%identity"
@@ -69,7 +67,6 @@ let ev_err = 4
 
 let epoll_available = has_epoll_stub ()
 let raise_nofile want = raise_nofile_stub want
-let set_reuseport fd = set_reuseport_stub (fd_int fd)
 
 (* ---------------- per-backend state ---------------- *)
 
@@ -254,7 +251,7 @@ let wait_select st ~timeout_ms =
       evs
 
 let wait_poll st ~timeout_ms =
-  (* ulplint: allow blocking-in-fiber -- the poller IS the blocking point: it runs on a dedicated reactor-shard thread, never on a worker domain *)
+  (* ulplint: allow blocking-in-fiber -- the poller IS the blocking point: it runs on the dedicated reactor thread, never on a worker domain *)
   match poll_stub st.pfds st.pevents st.previents st.pn (max timeout_ms (-1)) with
   | -1 (* EINTR *) | 0 -> []
   | _ ->
@@ -276,7 +273,7 @@ let wait_poll st ~timeout_ms =
 
 let wait_epoll st ~timeout_ms =
   let cap = Array.length st.efds in
-  (* ulplint: allow blocking-in-fiber -- the poller IS the blocking point: each reactor shard's thread waits here; worker domains never enter epoll_wait *)
+  (* ulplint: allow blocking-in-fiber -- the poller IS the blocking point: the reactor thread waits here; worker domains never enter epoll_wait *)
   match epoll_wait_stub st.epfd st.efds st.erevents cap (max timeout_ms (-1)) with
   | -1 (* EINTR *) -> []
   | n ->

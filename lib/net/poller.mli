@@ -17,8 +17,8 @@
 
     All backends agree: events are reported only for currently-set
     interest, and error/hang-up counts as both-ready (the waiter's next
-    syscall surfaces the real errno).  One poller belongs to one
-    reactor-shard thread; none of the calls are thread-safe. *)
+    syscall surfaces the real errno).  A poller belongs to the reactor
+    thread; none of the calls are thread-safe. *)
 
 type backend = [ `Select | `Poll | `Epoll ]
 
@@ -60,8 +60,3 @@ val raise_nofile : int -> int
     processes raise the hard limit too, everyone else clamps to it;
     returns the resulting soft limit, [-1] if unreadable.  Lets the
     bench open tens of thousands of sockets without ulimit fiddling. *)
-
-val set_reuseport : Unix.file_descr -> bool
-(** Set [SO_REUSEPORT] on a not-yet-bound socket; [false] where the
-    platform lacks it ({!Tcp_server} then falls back to one listener
-    shared by all accept fibers). *)

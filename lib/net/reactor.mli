@@ -1,18 +1,16 @@
-(** The reactor: dedicated OS threads — one per shard — multiplexing
-    kernel fds and deadlines for every fiber of the ambient runtime.
+(** The reactor: one dedicated OS thread multiplexing kernel fds and
+    deadlines for every fiber of the ambient runtime.
 
     Worker domains never sit in epoll/poll/select — they keep running
     fibers (the paper's decoupled UCs).  A fiber that would block parks
-    on a {!Fiber_rt.Fiber.Wake} token; a reactor shard waits in its
-    {!Poller} and, on readiness or deadline, fires the token.  With
-    [~shards:n] the fd watches are assigned by worker affinity at await
-    time ([worker mod n]) and the wake is routed to that worker's
-    private inbox ({!Fiber_rt.Fiber.Wake.fire_to}) rather than the
-    global injection channel, with the un-park notifications batched
-    and flushed once per poll round.  Readiness handshakes use the
-    {!Readiness} CAS cells (model-checked in [lib/check], including
-    cross-shard rebinding of an fd); deadlines are absolute wall-clock
-    seconds kept in a per-shard {!Timers} heap, the poller waits until
+    on a {!Fiber_rt.Fiber.Wake} token; the reactor thread waits in its
+    {!Poller} and, on readiness or deadline, fires the token.  The wake
+    is routed to the awaiting fiber's home worker's private inbox
+    ({!Fiber_rt.Fiber.Wake.fire_to}) rather than the global injection
+    channel, with the un-park notifications batched and flushed once
+    per poll round.  Readiness handshakes use the {!Readiness} CAS
+    cells (model-checked in [lib/check]); deadlines are absolute
+    wall-clock seconds kept in a {!Timers} heap, the poller waits until
     the earliest, and every timeout-vs-completion race resolves by a
     verdict CAS to exactly one outcome.
 
@@ -27,36 +25,31 @@ type t
 type dir = [ `R | `W ]
 
 type stats = {
-  polls : int;  (** poller wait rounds, summed over shards *)
+  polls : int;  (** poller wait rounds *)
   wakeups : int;  (** readiness posts that woke a waiter *)
   timers_fired : int;
   commands : int;
   errors : int;  (** reactor rounds rescued by the wake-everyone fallback *)
-  shards : int;
 }
 
 exception Reactor_stopped
 (** Raised by the wait operations once {!shutdown} has begun. *)
 
-val create :
-  ?backend:[ `Select | `Poll | `Epoll | `Auto ] ->
-  ?shards:int ->
-  unit ->
-  t
-(** Spawn the reactor threads.  [shards] (default
-    [Domain.recommended_domain_count ()], i.e. the host's real
-    parallelism) is the number of reactor threads, each owning a
-    poller — match it to the worker domain count for the
-    one-reactor-per-domain serving topology.  [backend] as in
+val create : ?backend:[ `Select | `Poll | `Epoll | `Auto ] -> unit -> t
+(** Spawn the reactor thread, which owns one poller.  [backend] as in
     {!Poller.create}. *)
 
 val shutdown : t -> unit
-(** Stop and join every shard thread, close the self-pipes and pollers,
+(** Stop and join the reactor thread, close the self-pipe and poller,
     and resolve any in-flight registrations (spurious wake).
     Idempotent. *)
 
 val backend : t -> Poller.backend
+
 val shard_count : t -> int
+(** Always 1: there is one reactor thread.  Kept only because
+    perfbench reads it. *)
+
 val stats : t -> stats
 
 val now : unit -> float

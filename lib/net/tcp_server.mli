@@ -1,10 +1,8 @@
-(** TCP serving on the fiber runtime with sharded accepting: one
-    accept-loop fiber per reactor shard —
-    one [SO_REUSEPORT] socket each where the platform supports it, one
-    shared socket otherwise — spawning one fiber per connection, spread
+(** TCP serving on the fiber runtime: one listening socket served by
+    one accept-loop fiber, spawning one fiber per connection, spread
     across the worker domains by a lock-free round-robin distributor
     ({!Fiber_rt.Fiber.spawn_on}).  Bounded concurrency with real
-    backpressure (at [max_conns] the accept loops park until a
+    backpressure (at [max_conns] the accept loop parks until a
     connection retires, letting the kernel backlog throttle clients),
     graceful drain on {!stop}, and built-in counters.
 
@@ -37,8 +35,6 @@ type stats = {
   completed : int;
   failed : int;  (** handlers that raised *)
   accept_retries : int;  (** accept-loop parks waiting for a free slot *)
-  listeners : int;  (** accept loops *)
-  reuseport : bool;  (** one [SO_REUSEPORT] socket per loop *)
 }
 
 val start :
@@ -49,12 +45,9 @@ val start :
   handler:(Reactor.t -> conn -> unit) ->
   unit ->
   t
-(** Bind, listen and spawn the accept loops (so: fiber context).
-    [backlog] defaults to 128, [max_conns] to unlimited.  There are
-    {!Reactor.shard_count} accept loops — with [SO_REUSEPORT] each loop
-    gets its own socket and the kernel shards incoming connections
-    across them; without it they share one socket (readiness wakes them
-    all; non-winners re-park).  The handler runs
+(** Bind, listen and spawn the accept loop (so: fiber context).
+    [backlog] defaults to 128, [max_conns] to unlimited.  The handler
+    runs
     in the connection's own fiber — placed on a worker chosen
     round-robin — and may park freely ({!Fiber_io}); its exceptions are
     counted, never propagated. *)

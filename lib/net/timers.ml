@@ -1,10 +1,10 @@
 (* The reactor's deadlines on [Sim.Event_heap]: a binary min-heap keyed
    by (absolute deadline, insertion number), so due timers pop in
-   deadline order with FIFO ties.  A shard holds one to three timers in
+   deadline order with FIFO ties.  The reactor holds a few timers in
    practice, so the heap's O(log n) insert costs nothing and its O(1)
    head read is what the poll loop pays per round.
 
-   Concurrency: the heap is owned by one reactor shard; only a timer's
+   Concurrency: the heap is owned by the reactor thread; only a timer's
    [state] is atomic, so any thread can cancel (or fire) it, racing the
    owner's fire -- the CAS decides.  Cancel never touches the heap: the
    dead entry is popped when it reaches the head. *)

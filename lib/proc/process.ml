@@ -31,8 +31,10 @@
               live ones); fiber runs body inside a fresh Scope
      exit:    close_all fds; re-parent live children to the root ULP
               (adopted := true); Completion.finish publishes the status
-              and wakes waiters; an adopted (orphan) zombie reaps
-              itself -- the root is init, it never waits
+              and wakes waiters; an adopted (orphan) zombie with no
+              waiter parked at that moment reaps itself -- init does
+              not wait for it, but a waiter that did park gets the
+              status
      waitpid: find the child in the vpid table and check its parent;
               park on its wait cell; claim the zombie by CAS (claimed:
               exactly one reaper) and drop it from the table
@@ -268,8 +270,10 @@ let do_exit u st =
         if Completion.is_done c.waitc then ignore (try_reap c)
       end)
     (Atomic.get u.children).kids;
-  Completion.finish u.waitc st;
-  if Atomic.get u.adopted then ignore (try_reap u)
+  (* a waiter parked on the status cell reaps the zombie itself; only
+     an adopted ULP nobody waits for reaps itself *)
+  let waited = Completion.finish_woke u.waitc st in
+  if (not waited) && Atomic.get u.adopted then ignore (try_reap u)
 
 let spawn ?worker ?fd_capacity ~parent body =
   let w = parent.world in

@@ -29,7 +29,7 @@ module Reactor = Net.Reactor
 module Fiber_io = Net.Fiber_io
 
 let with_reactor f =
-  let r = Reactor.create ~shards:1 () in
+  let r = Reactor.create () in
   Fun.protect ~finally:(fun () -> Reactor.shutdown r) (fun () -> f r)
 
 (* [rounds] passes of spawn-everything-then-reap: concurrency per pass

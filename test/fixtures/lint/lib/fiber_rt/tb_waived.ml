@@ -3,5 +3,5 @@
    clear every caller at once). *)
 
 let pump fd buf =
-  (* ulplint: allow transitive-blocking-in-fiber -- fixture: runs on the reactor shard, never on a worker domain *)
+  (* ulplint: allow transitive-blocking-in-fiber -- fixture: runs on the reactor thread, never on a worker domain *)
   Io_helper.copy_all fd buf

@@ -303,11 +303,11 @@ let readiness_timeout_vs_ready (module R : READINESS) () =
       if f <> 1 then failwith (Printf.sprintf "token fired %d times" f);
       if v <> 1 && v <> 2 then failwith "no verdict claimed" )
 
-(* ---------- scenario: the sharded wake path (Idle_waker) ---------- *)
+(* ---------- scenario: the routed wake path (Idle_waker) ---------- *)
 
 (* Parameterized over the idle-stack implementation so the same
    scenarios drive the faithful copy (recompiled from
-   lib/fiber_rt/idle_waker.ml -- the structure behind the sharded
+   lib/fiber_rt/idle_waker.ml -- the structure behind the
    reactor's batched wake flush) and the seeded-bug copy. *)
 module type IDLE = sig
   type t
@@ -319,7 +319,7 @@ module type IDLE = sig
   val snapshot : t -> int list
 end
 
-(* A shard's batch flush issuing a targeted [take] of worker 0 while
+(* The reactor's batch flush issuing a targeted [take] of worker 0 while
    another waker [pop]s "any one idle", workers 0 and 1 both parked.
    Conservation: every id is removed by exactly one caller or still on
    the stack.  The seeded get-then-set [take] publishes a successor
@@ -343,7 +343,8 @@ let shard_take_vs_pop (module I : IDLE) () =
           (Printf.sprintf "ids not conserved: {%s}"
              (String.concat ";" (List.map string_of_int final))) )
 
-(* Two shards flushing wake batches aimed at the same parked worker:
+(* Two targeted wakes (the reactor's batch flush and a worker's
+   [spawn_on]) aimed at the same parked worker:
    [take] must have exactly one winner, or two wake tokens are minted
    where the inbox-delivery protocol promises one. *)
 let shard_two_flushes (module I : IDLE) () =
@@ -388,17 +389,17 @@ let shard_wake_vs_park (module I : IDLE) () =
       if (not !cancelled) && not !woke then failwith "worker 0 claimed by nobody";
       if I.snapshot t <> [] then failwith "stack not drained" )
 
-(* ---------- scenario: Readiness rebound across shards ---------- *)
+(* ---------- scenario: Readiness rebound by a second poster ---------- *)
 
-(* The multi-reactor topology's rebind: a fiber awaits, is woken by
-   shard A's dispatch, re-arms the same cell, and is woken again by
-   shard B (the fd's watch moved shards when the fiber migrated
-   workers).  Shard B's post races the re-registration: the CAS cell
+(* A re-armed cell: a fiber awaits, is woken by poster A, re-arms the
+   same cell, and is woken again by poster B -- the shape of
+   Tcp_server's backpressure gate, which the accept loop re-arms and
+   retiring connections post from any worker.  B's post races the
+   re-registration: the CAS cell
    must deliver exactly one wake per registration -- post either finds
    the registration or leaves the Ready memo the re-await consumes.
    The seeded get-then-set post can overwrite the re-registration and
-   strand the fiber.  (B waits for the first wake to be consumed, as
-   the real rebound watch only fires after re-polling.) *)
+   strand the fiber.  (B waits for the first wake to be consumed.) *)
 let readiness_rebind_across_shards (module R : READINESS) () =
   let cell = R.create () in
   let woken = Atomic'.make 0 in
@@ -415,9 +416,9 @@ let readiness_rebind_across_shards (module R : READINESS) () =
             Sched.wait_until ~on:(Atomic'.id woken) (fun () ->
                 Atomic'.peek woken >= 2)
         | `Was_ready -> ());
-      (fun () -> ignore (R.post cell) (* shard A: the first edge *));
+      (fun () -> ignore (R.post cell) (* poster A: the first edge *));
       (fun () ->
-        (* shard B: the rebound watch's edge, after the first wake *)
+        (* poster B: the second edge, after the first wake *)
         Sched.wait_until ~on:(Atomic'.id woken) (fun () ->
             Atomic'.peek woken >= 1);
         ignore (R.post cell));
@@ -1174,8 +1175,8 @@ module type CONN_SLOTS = sig
 end
 
 (* At max_conns = 1 with one connection live, that connection retires
-   while two accept loops (one per reactor shard) each try twice for a
-   slot; a loop that gets one holds a connection, then retires it.  The
+   while two reservers each try twice for a slot; one that gets a slot
+   holds a connection, then retires it.  The
    cap must never be exceeded and every slot must come back.  The
    seeded check-then-act twin lets both loops read 0 < 1 after the
    retire and both add one. *)

@@ -988,7 +988,7 @@ let tree_ops_arb =
 
 (* The model: every vpid ever spawned, never removed.  Init (vpid 1)
    adopts the children of an exiting process and reaps adopted
-   zombies itself, so only a process's own children are waitable and a
+   zombies itself (unless a waiter is parked on one), so only a process's own children are waitable and a
    grandchild is ECHILD until its parent exits. *)
 type mstate = Running | Zombie of Proc.status | Reaped
 
@@ -1098,16 +1098,11 @@ let prop_tree_matches_model ops =
             | Some ({ mstate = Running; _ } as c) ->
                 (* parked until the child exits *)
                 expect (!got = None);
-                let adopted = c.madopted and code = (i + j) mod 4 in
+                let code = (i + j) mod 4 in
                 finish v code;
                 settle (fun () -> !got <> None);
-                (* init reaps an adopted zombie itself: a waiter on one
-                   may lose that race *)
-                expect
-                  (match !got with
-                  | Some (Ok st) -> st = Proc.Exited code
-                  | Some (Error `Echild) -> adopted
-                  | None -> false);
+                (* a parked waiter gets the status, adopted child or not *)
+                expect (!got = Some (Ok (Proc.Exited code)));
                 c.mstate <- Reaped
             | Some ({ mstate = Zombie st; _ } as c) ->
                 expect (!got = Some (Ok st));

@@ -259,35 +259,10 @@ let test_poller_epoll_recheck () =
           (readable ()))
   end
 
-let test_set_reuseport () =
-  let s1 = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
-  if not (Poller.set_reuseport s1) then
-    (* platform without SO_REUSEPORT: Tcp_server falls back to a shared
-       listener; nothing further to assert *)
-    Unix.close s1
-  else begin
-    Unix.bind s1 (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
-    let port =
-      match Unix.getsockname s1 with
-      | Unix.ADDR_INET (_, p) -> p
-      | _ -> assert false
-    in
-    let s2 = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
-    Alcotest.(check bool) "second socket takes the flag" true
-      (Poller.set_reuseport s2);
-    (match Unix.bind s2 (Unix.ADDR_INET (Unix.inet_addr_loopback, port)) with
-    | () -> ()
-    | exception Unix.Unix_error (e, _, _) ->
-        Alcotest.failf "SO_REUSEPORT rebind refused: %s"
-          (Unix.error_message e));
-    Unix.close s1;
-    Unix.close s2
-  end
-
 (* ---------- live reactor ---------- *)
 
-let with_reactor ?shards f =
-  let r = Reactor.create ?shards () in
+let with_reactor f =
+  let r = Reactor.create () in
   Fun.protect ~finally:(fun () -> Reactor.shutdown r) (fun () -> f r)
 
 let test_sleep () =
@@ -328,6 +303,39 @@ let test_await_fd_pipe () =
       Unix.close rd;
       Unix.close wr;
       Alcotest.(check string) "readiness delivered the write" "ping" !got)
+
+(* The wake of a parked fiber is routed back to the worker that parked
+   it, whatever worker the writer runs on.  Worker 1 is launched by the
+   [spawn_on] delivery even on a one-core host. *)
+let test_wake_returns_home () =
+  with_reactor (fun r ->
+      let rd, wr = Unix.pipe ~cloexec:true () in
+      Unix.set_nonblock rd;
+      Unix.set_nonblock wr;
+      let before = ref None and after = ref None in
+      Fiber.run_parallel ~domains:2 (fun () ->
+          let waiter =
+            Fiber.spawn_on ~worker:1 (fun () ->
+                before := Fiber.worker_index ();
+                (match Reactor.await_fd r rd `R with
+                | `Ready -> ()
+                | `Timeout -> Alcotest.fail "no deadline given, yet Timeout");
+                after := Fiber.worker_index ())
+          in
+          ignore
+            (Fiber.spawn_on ~worker:0 (fun () ->
+                 let give_up = Reactor.now () +. 2.0 in
+                 while
+                   Fiber.state waiter <> `Suspended && Reactor.now () < give_up
+                 do
+                   Reactor.sleep r 0.001
+                 done;
+                 ignore (Unix.write_substring wr "x" 0 1)));
+          Fiber.join waiter);
+      Unix.close rd;
+      Unix.close wr;
+      Alcotest.(check (option int)) "parked on worker 1" (Some 1) !before;
+      Alcotest.(check (option int)) "resumed on worker 1" (Some 1) !after)
 
 let test_await_fd_deadline () =
   with_reactor (fun r ->
@@ -550,40 +558,6 @@ let test_tcp_backpressure () =
             "backpressure: %d clients through %d slots, %d accept parks\n%!"
             clients cap st.Tcp.accept_retries))
 
-(* One slot, two listening sockets (SO_REUSEPORT where available): the
-   loop whose socket is idle must not sit on the only slot while it
-   waits, or a client the kernel hashes to the other socket is never
-   accepted.  Clients run one at a time; sixteen of them land on both
-   sockets except with probability 2^-15. *)
-let test_tcp_one_slot_two_listeners () =
-  with_reactor ~shards:2 (fun r ->
-      let clients = 16 in
-      let served = Atomic.make 0 in
-      Fiber.run_parallel ~domains:2 (fun () ->
-          let srv =
-            Tcp.start ~reactor:r ~max_conns:1
-              ~addr:(Unix.ADDR_INET (localhost, 0))
-              ~handler:echo_handler ()
-          in
-          let port = Tcp.port srv in
-          for _ = 1 to clients do
-            let fd = connect_local r port in
-            let deadline = Reactor.now () +. 2.0 in
-            Fio.write_all r ~deadline fd (Bytes.of_string "hi") 0 2;
-            let buf = Bytes.create 2 in
-            (match Fio.read_exact r ~deadline fd buf 0 2 with
-            | () -> Atomic.incr served
-            | exception Fio.Timeout -> ());
-            Unix.close fd
-          done;
-          Tcp.stop srv;
-          let st = Tcp.stats srv in
-          if st.Tcp.max_active > 1 then
-            failwith
-              (Printf.sprintf "max_conns=1 breached: %d concurrent"
-                 st.Tcp.max_active));
-      Alcotest.(check int) "every client served" clients (Atomic.get served))
-
 (* fd exhaustion on accept: with every fd taken, the accept of a
    pending client fails with EMFILE.  The server must back off and
    retry rather than let the error abort the run, so once the hoarded
@@ -715,13 +689,12 @@ let test_tcp_no_fd_leak () =
       in
       Alcotest.(check int) "fd count back to baseline" baseline after
 
-(* ---------- backend / shard matrix ---------- *)
+(* ---------- backend matrix ---------- *)
 
 (* one echo burst against a caller-supplied reactor; returns how many
-   clients round-tripped cleanly plus the server's final stats *)
+   clients round-tripped cleanly *)
 let echo_burst r ~clients =
   let ok = Atomic.make 0 in
-  let final = ref None in
   Fiber.run_parallel ~domains:2 (fun () ->
       let srv =
         Tcp.start ~reactor:r
@@ -749,9 +722,8 @@ let echo_burst r ~clients =
       let st = Tcp.stats srv in
       if st.Tcp.accepted <> clients then
         failwith (Printf.sprintf "accepted %d of %d" st.Tcp.accepted clients);
-      if st.Tcp.active <> 0 then failwith "connections leaked past stop";
-      final := Some st);
-  (Atomic.get ok, Option.get !final)
+      if st.Tcp.active <> 0 then failwith "connections leaked past stop");
+  Atomic.get ok
 
 let test_echo_every_backend () =
   (* the same echo workload through each compiled-in poller backend:
@@ -768,26 +740,9 @@ let test_echo_every_backend () =
           Alcotest.(check bool)
             (backend_name b ^ ": reactor picked it") true
             (Reactor.backend r = b);
-          let ok, _ = echo_burst r ~clients:8 in
+          let ok = echo_burst r ~clients:8 in
           Alcotest.(check int) (backend_name b ^ ": all clients echoed") 8 ok))
     (available_backends ())
-
-let test_echo_sharded () =
-  (* two reactor shards: watches land on both shard threads (worker
-     affinity), and Tcp.start defaults to one accept loop per shard —
-     SO_REUSEPORT listeners where the platform has them, a shared
-     socket otherwise.  Either way every client must be served. *)
-  let r = Reactor.create ~shards:2 () in
-  Fun.protect
-    ~finally:(fun () -> Reactor.shutdown r)
-    (fun () ->
-      Alcotest.(check int) "reactor reports two shards" 2
-        (Reactor.shard_count r);
-      let ok, st = echo_burst r ~clients:16 in
-      Alcotest.(check int) "all clients echoed across shards" 16 ok;
-      Alcotest.(check int) "one accept loop per shard" 2 st.Tcp.listeners;
-      Printf.printf "sharded accept: %d listeners (%s)\n%!" st.Tcp.listeners
-        (if st.Tcp.reuseport then "SO_REUSEPORT" else "shared-socket fallback"))
 
 let () =
   Test_seed.announce "test_net";
@@ -814,8 +769,6 @@ let () =
             test_poller_epoll_gate;
           Alcotest.test_case "epoll MOD re-check closes lost edges" `Quick
             test_poller_epoll_recheck;
-          Alcotest.test_case "SO_REUSEPORT double bind" `Quick
-            test_set_reuseport;
         ] );
       ( "reactor",
         [
@@ -828,6 +781,8 @@ let () =
             test_deadline_during_cancel;
           Alcotest.test_case "sleep 0 / negative / past" `Quick
             test_sleep_edge_cases;
+          Alcotest.test_case "wake returns to the parking worker" `Quick
+            test_wake_returns_home;
         ] );
       ( "fiber-io",
         [ Alcotest.test_case "pipe roundtrip with parking writer" `Quick
@@ -837,8 +792,6 @@ let () =
           Alcotest.test_case "echo, 16 clients" `Quick test_tcp_echo;
           Alcotest.test_case "max_conns backpressure" `Quick
             test_tcp_backpressure;
-          Alcotest.test_case "max_conns 1 over two listeners" `Quick
-            test_tcp_one_slot_two_listeners;
           Alcotest.test_case "accept survives EMFILE" `Quick
             test_tcp_accept_emfile;
           Alcotest.test_case "graceful drain on stop" `Quick
@@ -849,7 +802,5 @@ let () =
         [
           Alcotest.test_case "echo on every backend" `Quick
             test_echo_every_backend;
-          Alcotest.test_case "echo across two reactor shards" `Quick
-            test_echo_sharded;
         ] );
     ]

@@ -306,6 +306,46 @@ let test_orphan_reparents_to_root () =
       Alcotest.(check bool) "orphan exited cleanly" true
         (Proc.status_of leaf = Some (Proc.Exited 0)))
 
+(* The root parks in waitpid on an orphan it adopted; the orphan then
+   exits.  The parked waiter gets the exit status: the orphan does not
+   reap itself while a waiter is parked on it.  One worker, so the
+   order below is the only order. *)
+let test_parked_root_reaps_adopted () =
+  Fiber.run (fun () ->
+      let w = Proc.boot () in
+      let u0 = Proc.root w in
+      let gate = Atomic.make false in
+      let leaf_box = Atomic.make None in
+      let mid =
+        Proc.spawn ~parent:u0 (fun u_mid ->
+            let leaf =
+              Proc.spawn ~parent:u_mid (fun u_leaf ->
+                  while not (Atomic.get gate) do
+                    Proc.check u_leaf;
+                    Fiber.yield ()
+                  done;
+                  Proc.exit u_leaf 7)
+            in
+            Atomic.set leaf_box (Some leaf))
+      in
+      ignore (wait_ok ~parent:u0 ~vpid:(Proc.getpid mid));
+      let leaf = Option.get (Atomic.get leaf_box) in
+      Alcotest.(check int) "orphan's ppid is the root" 1 (Proc.getppid leaf);
+      let got = ref None in
+      let waiter =
+        Fiber.spawn (fun () ->
+            got := Some (Proc.waitpid ~parent:u0 ~vpid:(Proc.getpid leaf)))
+      in
+      spin_until "root parked in waitpid" (fun () ->
+          Fiber.state waiter = `Suspended);
+      Atomic.set gate true;
+      Fiber.join waiter;
+      (match !got with
+      | Some (Ok st) -> Alcotest.(check status) "waiter gets the status" (Proc.Exited 7) st
+      | Some (Error `Echild) -> Alcotest.fail "parked waiter got ECHILD"
+      | None -> Alcotest.fail "waiter never returned");
+      Alcotest.(check int) "reaped once, table drained" 1 (Proc.live_procs w))
+
 (* An exited but unreaped parent still holds its old children list;
    the live children it handed to the root answer to the root now, so
    they are listed there, once, and no longer under the zombie. *)
@@ -808,6 +848,8 @@ let () =
             test_zombie_lists_no_orphans;
           Alcotest.test_case "an empty ULP allocates <= 400 words" `Quick
             test_spawn_cost_gate;
+          Alcotest.test_case "a parked root reaps its adopted orphan" `Quick
+            test_parked_root_reaps_adopted;
         ] );
       ( "signals",
         [

@@ -300,59 +300,6 @@ let test_scheduler_stuck_when_parked_elsewhere () =
       in
       ignore (Kernel.waitpid k env.H.root t))
 
-(* ---------- stack pool ---------- *)
-
-module Sp = Ult.Stack_pool
-module Space = Addrspace.Addr_space
-
-let test_stack_pool_acquire_release_recycles () =
-  let space = Space.create () in
-  let pool = Sp.create ~stack_size:8192 space in
-  let s1 = Sp.acquire pool ~owner_tid:1 in
-  let s2 = Sp.acquire pool ~owner_tid:2 in
-  Alcotest.(check int) "two fresh" 2 (Sp.allocated pool);
-  Alcotest.(check int) "peak 2" 2 (Sp.peak_live pool);
-  Sp.release pool s1;
-  let s3 = Sp.acquire pool ~owner_tid:3 in
-  Alcotest.(check int) "recycled, not carved" 2 (Sp.allocated pool);
-  Alcotest.(check int) "one reuse" 1 (Sp.reused pool);
-  Alcotest.(check int) "generation bumped" 2 s3.Sp.generation;
-  Sp.release pool s2;
-  Sp.release pool s3;
-  Alcotest.(check int) "all parked" 2 (Sp.free_count pool)
-
-let test_stack_pool_stacks_disjoint () =
-  let space = Space.create () in
-  let pool = Sp.create ~stack_size:4096 space in
-  let a = Sp.acquire pool ~owner_tid:1 and b = Sp.acquire pool ~owner_tid:2 in
-  Alcotest.(check bool) "regions disjoint" false
-    (Addrspace.Vma.overlap a.Sp.vma b.Sp.vma)
-
-let test_stack_pool_populated_no_faults () =
-  let space = Space.create () in
-  let pool = Sp.create ~stack_size:8192 ~populated:true space in
-  let s = Sp.acquire pool ~owner_tid:1 in
-  let pt = Space.page_table space in
-  Alcotest.(check bool) "resident at first touch" true
-    (Addrspace.Page_table.touch pt s.Sp.base = `Hit)
-
-let test_stack_pool_trim () =
-  let space = Space.create () in
-  let pool = Sp.create space in
-  let s = Sp.acquire pool ~owner_tid:1 in
-  Sp.release pool s;
-  Alcotest.(check int) "trimmed one" 1 (Sp.trim pool);
-  Alcotest.(check int) "free list empty" 0 (Sp.free_count pool)
-
-let test_stack_pool_release_underflow () =
-  let space = Space.create () in
-  let pool = Sp.create space in
-  let s = Sp.acquire pool ~owner_tid:1 in
-  Sp.release pool s;
-  match Sp.release pool s with
-  | exception Invalid_argument _ -> ()
-  | () -> Alcotest.fail "double release accepted"
-
 (* ---------- prio_heap ---------- *)
 
 module Ph = Ult.Prio_heap
@@ -563,18 +510,6 @@ let () =
           Alcotest.test_case "peek and clear" `Quick
             test_prio_heap_peek_and_clear;
           QCheck_alcotest.to_alcotest prop_prio_heap_matches_stable_sort;
-        ] );
-      ( "stack_pool",
-        [
-          Alcotest.test_case "recycles" `Quick
-            test_stack_pool_acquire_release_recycles;
-          Alcotest.test_case "disjoint stacks" `Quick
-            test_stack_pool_stacks_disjoint;
-          Alcotest.test_case "populated" `Quick
-            test_stack_pool_populated_no_faults;
-          Alcotest.test_case "trim" `Quick test_stack_pool_trim;
-          Alcotest.test_case "double release" `Quick
-            test_stack_pool_release_underflow;
         ] );
       ( "properties",
         [
