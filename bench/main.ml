@@ -600,7 +600,8 @@ let measure ~warmup ~reps run : Bench_file.Parallel.result =
   }
 
 (* A coupled_busy row: an untimed warm-up run, then [calls] round
-   trips alone and [calls] beside one busy fiber. *)
+   trips alone and [calls] beside one busy fiber, then the host-stall
+   probe, so a p99 over the bound reads as host or runtime. *)
 let measure_coupled ~domains ~calls : Bench_file.Parallel.coupled =
   let stats ~busy =
     let s = Stats.create () in
@@ -610,6 +611,10 @@ let measure_coupled ~domains ~calls : Bench_file.Parallel.coupled =
   in
   ignore (stats ~busy:1);
   let idle = stats ~busy:0 and busy = stats ~busy:1 in
+  let stalls =
+    Par_workload.host_stalls ~seconds:Bench_file.Parallel.stall_probe_s
+      ~min_gap:Bench_file.Parallel.stall_min_s
+  in
   {
     domains;
     calls;
@@ -617,6 +622,9 @@ let measure_coupled ~domains ~calls : Bench_file.Parallel.coupled =
     p50_s = Stats.median busy;
     p99_s = Stats.percentile busy 99.0;
     max_s = Stats.max_value busy;
+    host_stalls_per_s =
+      float_of_int (Array.length stalls) /. Bench_file.Parallel.stall_probe_s;
+    host_stall_max_s = Array.fold_left Float.max 0.0 stalls;
   }
 
 (* Diff BEFORE writing -- the old file is usually this same path, and

@@ -1,9 +1,15 @@
 /* C stubs for lib/net: a poll(2) binding (Unix.select caps file
- * descriptors at FD_SETSIZE=1024, far below the serving targets), an
- * edge-triggered epoll binding with persistent kernel registration
- * (the Linux serving backend -- no per-round interest walk at all),
- * and a RLIMIT_NOFILE raiser so the echo bench can open thousands of
- * sockets without asking the user to fiddle with ulimit.
+ * descriptors at FD_SETSIZE=1024, far below the serving targets), a
+ * level-triggered epoll binding (the Linux serving backend -- no
+ * per-round interest walk at all), and a RLIMIT_NOFILE raiser so the
+ * echo bench can open thousands of sockets without asking the user to
+ * fiddle with ulimit.
+ *
+ * An epoll registration is either persistent (the reactor's self-pipe)
+ * or EPOLLONESHOT (every fiber's watch): the kernel disarms a one-shot
+ * registration when it reports it, so a fire needs no disarm call, and
+ * the parked fiber re-arms it itself on its next wait -- epoll_ctl is
+ * thread-safe, so that call runs on the worker, not the reactor thread.
  *
  * The poll stub copies the interest arrays out of the OCaml heap,
  * releases the runtime lock for the syscall (the reactor thread must
@@ -31,6 +37,7 @@
 #define ULP_NET_IN 1
 #define ULP_NET_OUT 2
 #define ULP_NET_ERR 4
+#define ULP_NET_ONESHOT 8
 
 /* ulp_net_poll fds events revents n timeout_ms
  *   fds, events, revents : int array, length >= n; only the first n
@@ -92,13 +99,10 @@ CAMLprim value ulp_net_poll(value v_fds, value v_events, value v_revents,
 
 /* ---------------- epoll (Linux only) ----------------
  *
- * The OCaml side keeps an interest-mask mirror; registrations are
- * persistent and edge-triggered (EPOLLET).  The linchpin making ET
- * safe for the reactor's one-shot watches: every watch (re)arm issues
- * EPOLL_CTL_MOD even when the mask is unchanged, and ep_modify
- * re-polls the file -- so an edge consumed between a fiber's EAGAIN
- * and its registration reaching the reactor is re-delivered as a
- * catch-up event instead of being lost. */
+ * Registrations are level-triggered.  A one-shot watch armed (by MOD or
+ * ADD) while its fd is already ready is reported by the next
+ * epoll_wait: the arm itself re-checks readiness, so a readiness change
+ * that lands between a fiber's EAGAIN and its arm is never lost. */
 
 /* Does this build have epoll at all?  (Compile-time property surfaced
  * at run time so `Auto` backend selection stays a plain OCaml if.) */
@@ -127,12 +131,12 @@ CAMLprim value ulp_net_epoll_create(value v_unit)
 
 /* ulp_net_epoll_ctl epfd op fd bits
  *   op: 0 = ADD, 1 = MOD, 2 = DEL
- *   bits: ULP_NET_IN / ULP_NET_OUT; EPOLLET + EPOLLRDHUP are always
- *   added (the backend is edge-triggered by construction)
+ *   bits: ULP_NET_IN / ULP_NET_OUT, plus ULP_NET_ONESHOT for a watch the
+ *   kernel disarms when it reports it
  * Returns 0 on success, 1 on ENOENT, 2 on EEXIST (both are the
- * fd-closed-and-reused races the OCaml mirror self-heals from), 3 on
- * any other per-fd error (EBADF, EPERM: registration is gone/never
- * possible -- the caller drops its mirror entry). */
+ * fd-closed-and-reused races the caller retries from), 3 on any other
+ * per-fd error (EBADF, EPERM: registration is gone/never possible).
+ * Callable from any thread: it neither allocates nor raises. */
 CAMLprim value ulp_net_epoll_ctl(value v_epfd, value v_op, value v_fd,
                                  value v_bits)
 {
@@ -142,9 +146,9 @@ CAMLprim value ulp_net_epoll_ctl(value v_epfd, value v_op, value v_fd,
   long bits = Long_val(v_bits);
 
   memset(&ev, 0, sizeof(ev));
-  ev.events = EPOLLET | EPOLLRDHUP;
   if (bits & ULP_NET_IN) ev.events |= EPOLLIN;
   if (bits & ULP_NET_OUT) ev.events |= EPOLLOUT;
+  if (bits & ULP_NET_ONESHOT) ev.events |= EPOLLONESHOT;
   ev.data.fd = (int)Long_val(v_fd);
 
   switch (Int_val(v_op)) {
@@ -161,30 +165,39 @@ CAMLprim value ulp_net_epoll_ctl(value v_epfd, value v_op, value v_fd,
   default: return Val_int(3);
   }
 #else
+  /* declared [@@noalloc] on the OCaml side: report, never raise */
   (void)v_epfd; (void)v_op; (void)v_fd; (void)v_bits;
-  caml_invalid_argument("ulp_net_epoll_ctl: epoll unsupported on this OS");
+  return Val_int(3);
 #endif
 }
 
 /* ulp_net_epoll_wait epfd out_fds out_revents maxevents timeout_ms
  *   out_fds / out_revents: int arrays, length >= maxevents; the first
  *   n entries are written (fd, ULP_NET bits).
- * Returns n ready entries; -1 on EINTR (caller retries). */
+ * Returns n ready entries; -1 on EINTR (caller retries).  Up to
+ * ULP_NET_STACK_EVENTS the kernel writes into a stack buffer: the
+ * reactor calls this every round, and a malloc/free pair per call buys
+ * nothing at the default output size. */
+#define ULP_NET_STACK_EVENTS 256
+
 CAMLprim value ulp_net_epoll_wait(value v_epfd, value v_fds, value v_revents,
                                   value v_max, value v_timeout_ms)
 {
 #ifdef __linux__
   CAMLparam5(v_epfd, v_fds, v_revents, v_max, v_timeout_ms);
   mlsize_t max = (mlsize_t)Long_val(v_max);
-  struct epoll_event *evs;
+  struct epoll_event stack_evs[ULP_NET_STACK_EVENTS];
+  struct epoll_event *evs = stack_evs;
   int n;
   mlsize_t i;
 
   if (max == 0 || Wosize_val(v_fds) < max || Wosize_val(v_revents) < max)
     caml_invalid_argument("ulp_net_epoll_wait: maxevents exceeds array length");
 
-  evs = (struct epoll_event *)malloc(max * sizeof(struct epoll_event));
-  if (evs == NULL) caml_raise_out_of_memory();
+  if (max > ULP_NET_STACK_EVENTS) {
+    evs = (struct epoll_event *)malloc(max * sizeof(struct epoll_event));
+    if (evs == NULL) caml_raise_out_of_memory();
+  }
 
   caml_release_runtime_system();
   n = epoll_wait(Int_val(v_epfd), evs, (int)max, Int_val(v_timeout_ms));
@@ -192,20 +205,20 @@ CAMLprim value ulp_net_epoll_wait(value v_epfd, value v_fds, value v_revents,
 
   if (n < 0) {
     int err = errno;
-    free(evs);
+    if (evs != stack_evs) free(evs);
     if (err == EINTR) CAMLreturn(Val_int(-1));
     caml_invalid_argument("ulp_net_epoll_wait: epoll_wait failed");
   }
 
   for (i = 0; i < (mlsize_t)n; i++) {
     long rev = 0;
-    if (evs[i].events & (EPOLLIN | EPOLLHUP | EPOLLRDHUP)) rev |= ULP_NET_IN;
+    if (evs[i].events & (EPOLLIN | EPOLLHUP)) rev |= ULP_NET_IN;
     if (evs[i].events & EPOLLOUT) rev |= ULP_NET_OUT;
     if (evs[i].events & EPOLLERR) rev |= ULP_NET_ERR;
     Store_field(v_fds, i, Val_long(evs[i].data.fd));
     Store_field(v_revents, i, Val_long(rev));
   }
-  free(evs);
+  if (evs != stack_evs) free(evs);
   CAMLreturn(Val_int(n));
 #else
   (void)v_epfd; (void)v_fds; (void)v_revents; (void)v_max; (void)v_timeout_ms;

@@ -6,16 +6,17 @@
 
    Three backends behind one [set]/[wait] pair:
 
-   - [`Epoll] (Linux, the [`Auto] choice there): persistent
-     edge-triggered kernel registration; [wait] costs O(ready), not
-     O(interest).  The lost-edge race -- data arriving between a
-     fiber's EAGAIN and its watch reaching the reactor, with the edge
-     already consumed -- is closed by issuing EPOLL_CTL_MOD on every
-     (re)arm even when the mask is unchanged: ep_modify re-polls the
-     file and queues a catch-up event if the condition currently
-     holds.  A closed fd leaves the kernel set automatically; the mask
-     mirror self-heals on the next [set] for a reused fd number
-     (EEXIST -> retry as MOD, ENOENT -> retry as ADD).
+   - [`Epoll] (Linux, the [`Auto] choice there): level-triggered kernel
+     registration; [wait] costs O(ready), not O(interest).  Besides
+     [set]'s persistent interest it offers [arm]: a one-shot watch
+     (EPOLLONESHOT) the kernel disarms when it reports it.  [arm] is
+     stateless and thread-safe -- epoll_ctl is -- so a parked fiber arms
+     its own watch from its worker and the reactor thread only waits.
+     Arming re-checks readiness: a watch armed on an already-ready fd is
+     reported by the next [wait], so no readiness change between a
+     fiber's EAGAIN and its arm is lost.  A closed fd leaves the kernel
+     set on its own; MOD on a reused fd number falls back to ADD on
+     ENOENT, and ADD falls back to MOD on EEXIST.
 
    - [`Poll]: the poll(2) C stub -- no FD_SETSIZE ceiling; compact
      interest arrays maintained incrementally (index table +
@@ -28,12 +29,11 @@
      coalescing reuses one scratch table instead of allocating a fresh
      Hashtbl every wait (the fallback is allocation-light too).
 
-   Semantics shared by all three: [wait] reports events only for
-   currently-set interest; error/hang-up conditions count as
-   both-ready so the waiter's next syscall surfaces the real errno;
-   [set ~read:false ~write:false] drops interest (epoll keeps the
-   registration with an empty mask -- cheap MOD on rearm beats
-   DEL/ADD churn). *)
+   Semantics shared by all three: [set] interest is level-triggered and
+   persistent; [wait] reports events only for current interest;
+   error/hang-up conditions count as both-ready so the waiter's next
+   syscall surfaces the real errno; [set ~read:false ~write:false]
+   drops interest. *)
 
 type backend = [ `Select | `Poll | `Epoll ]
 
@@ -50,8 +50,9 @@ external has_epoll_stub : unit -> bool = "ulp_net_has_epoll"
 external epoll_create_stub : unit -> int = "ulp_net_epoll_create"
 
 (* epfd op fd bits; op 0=ADD 1=MOD 2=DEL; returns 0 ok / 1 ENOENT /
-   2 EEXIST / 3 other *)
+   2 EEXIST / 3 other.  It neither allocates nor raises. *)
 external epoll_ctl_stub : int -> int -> int -> int -> int = "ulp_net_epoll_ctl"
+  [@@noalloc]
 
 (* epfd out_fds out_revents maxevents timeout_ms -> n ready (-1 EINTR) *)
 external epoll_wait_stub :
@@ -64,6 +65,9 @@ external fd_of_int : int -> Unix.file_descr = "%identity"
 let ev_in = 1
 let ev_out = 2
 let ev_err = 4
+let ev_oneshot = 8
+let mask ~read ~write =
+  (if read then ev_in else 0) lor if write then ev_out else 0
 
 let epoll_available = has_epoll_stub ()
 let raise_nofile want = raise_nofile_stub want
@@ -86,7 +90,7 @@ type poll_state = {
 
 type epoll_state = {
   epfd : int;
-  masks : (int, int) Hashtbl.t; (* mirror: registered fd -> mask *)
+  masks : (int, int) Hashtbl.t; (* mirror of [set]: fd -> non-zero mask *)
   mutable efds : int array; (* wait output scratch, grown on saturation *)
   mutable erevents : int array;
 }
@@ -162,7 +166,7 @@ let grow_poll st need =
 
 let set_poll st fd ~read ~write =
   let key = fd_int fd in
-  let mask = (if read then ev_in else 0) lor if write then ev_out else 0 in
+  let mask = mask ~read ~write in
   match Hashtbl.find_opt st.pindex key with
   | Some i ->
       if mask = 0 then begin
@@ -187,31 +191,52 @@ let set_poll st fd ~read ~write =
         st.pn <- st.pn + 1
       end
 
+(* One epoll_ctl, healed against the fd-reuse races: a MOD that finds
+   nothing registered becomes an ADD, an ADD that finds a registration
+   becomes a MOD.  [false] when the fd is gone (EBADF and friends). *)
+let epoll_ctl epfd ~registered key bits =
+  let rec ctl op tries =
+    match epoll_ctl_stub epfd op key bits with
+    | 0 -> true
+    | 1 (* ENOENT *) when op = 1 && tries > 0 -> ctl 0 (tries - 1)
+    | 2 (* EEXIST *) when op = 0 && tries > 0 -> ctl 1 (tries - 1)
+    | _ -> false
+  in
+  ctl (if registered then 1 else 0) 2
+
 let set_epoll st fd ~read ~write =
   let key = fd_int fd in
-  let mask = (if read then ev_in else 0) lor if write then ev_out else 0 in
+  let mask = mask ~read ~write in
   let registered = Hashtbl.mem st.masks key in
-  (* Always issue the ctl, even when the mirror says the mask is
-     unchanged: under EPOLLET the MOD's readiness re-check is what
-     redelivers an edge consumed before this watch registered. *)
-  let rec ctl op =
-    match epoll_ctl_stub st.epfd op key mask with
-    | 0 -> Hashtbl.replace st.masks key mask
-    | 1 (* ENOENT *) ->
-        if op = 1 then ctl 0 (* mirror was stale: fd closed + reused *)
-        else Hashtbl.remove st.masks key
-    | 2 (* EEXIST *) -> ctl 1
-    | _ ->
-        (* EBADF and friends: the fd is gone; nothing is registered *)
-        Hashtbl.remove st.masks key
-  in
-  ctl (if registered then 1 else 0)
+  if mask = 0 then begin
+    (* DEL, not MOD to an empty mask: the kernel reports hang-up and
+       error on any live registration whatever its mask *)
+    if registered then ignore (epoll_ctl_stub st.epfd 2 key 0);
+    Hashtbl.remove st.masks key
+  end
+  else if epoll_ctl st.epfd ~registered key mask then
+    Hashtbl.replace st.masks key mask
+  else Hashtbl.remove st.masks key
 
 let set t fd ~read ~write =
   match t.repr with
   | Sel st -> set_select st fd ~read ~write
   | Pol st -> set_poll st fd ~read ~write
   | Epl st -> set_epoll st fd ~read ~write
+
+(* ---------------- arm: one-shot watches ---------------- *)
+
+let oneshot t = match t.repr with Epl _ -> true | Sel _ | Pol _ -> false
+
+(* Stateless, so any thread may call it: MOD first -- the fd was
+   usually armed before and its registration outlives the report --
+   and ADD when the kernel has none. *)
+let arm t fd ~read ~write =
+  match t.repr with
+  | Epl st ->
+      epoll_ctl st.epfd ~registered:true (fd_int fd)
+        (mask ~read ~write lor ev_oneshot)
+  | Sel _ | Pol _ -> invalid_arg "Poller.arm: one-shot watches need epoll"
 
 (* ---------------- wait ---------------- *)
 
@@ -289,8 +314,7 @@ let wait_epoll st ~timeout_ms =
           :: !acc
       done;
       (* saturated output: give the next round more room (events left
-         behind are redelivered -- the ready list persists until the
-         edge is consumed by a level change or MOD) *)
+         behind stay on the kernel's ready list for the next round) *)
       if n = cap then begin
         st.efds <- Array.make (2 * cap) 0;
         st.erevents <- Array.make (2 * cap) 0
@@ -303,10 +327,10 @@ let wait t ~timeout_ms =
   | Pol st -> wait_poll st ~timeout_ms
   | Epl st -> wait_epoll st ~timeout_ms
 
-(* Test/diagnostic hook: the number of fds currently under interest
-   (epoll counts registered fds with a non-empty mask). *)
+(* Test/diagnostic hook: the number of fds under [set] interest
+   (one-shot [arm]s are not counted). *)
 let interest_count t =
   match t.repr with
   | Sel st -> Hashtbl.length st.sel_interest
   | Pol st -> st.pn
-  | Epl st -> Hashtbl.fold (fun _ m acc -> if m <> 0 then acc + 1 else acc) st.masks 0
+  | Epl st -> Hashtbl.length st.masks

@@ -2,12 +2,11 @@
     persistent interest table — {!set} mutates interest, {!wait} blocks
     on it — behind one interface and three backends.
 
-    - [`Epoll] (Linux; the [`Auto] choice there): edge-triggered
-      persistent kernel registration, [wait] costs O(ready).  Every
-      {!set} issues an [EPOLL_CTL_MOD] even for an unchanged mask: the
-      kernel's readiness re-check on MOD redelivers an edge consumed
-      before the watch registered — what makes edge-triggering safe for
-      the reactor's try-syscall-first discipline.
+    - [`Epoll] (Linux; the [`Auto] choice there): level-triggered
+      kernel registration, [wait] costs O(ready).  It also offers
+      {!arm}, a one-shot watch the kernel disarms when it reports it;
+      {!arm} is thread-safe, so a fiber arms its own watch from its
+      worker and the reactor thread never runs a per-wait command.
     - [`Poll]: poll(2) via a local C stub; no FD_SETSIZE ceiling;
       compact interest arrays maintained incrementally (O(1) {!set}).
       The portable Unix backend and epoll's independent cross-check.
@@ -15,10 +14,11 @@
       anywhere; per-round event coalescing reuses one scratch table so
       even the fallback allocates nothing per wait.
 
-    All backends agree: events are reported only for currently-set
-    interest, and error/hang-up counts as both-ready (the waiter's next
-    syscall surfaces the real errno).  A poller belongs to the reactor
-    thread; none of the calls are thread-safe. *)
+    All backends agree: {!set} interest is level-triggered and
+    persistent, events are reported only for current interest, and
+    error/hang-up counts as both-ready (the waiter's next syscall
+    surfaces the real errno).  {!set}, {!wait} and {!close} belong to
+    the reactor thread; only {!arm} may be called from any thread. *)
 
 type backend = [ `Select | `Poll | `Epoll ]
 
@@ -38,11 +38,19 @@ val epoll_available : bool
 (** Whether this build can create [`Epoll] pollers (Linux). *)
 
 val set : t -> Unix.file_descr -> read:bool -> write:bool -> unit
-(** Declare interest in [fd].  [~read:false ~write:false] drops it
-    (epoll keeps the kernel registration with an empty mask — rearming
-    is a cheap MOD).  Idempotent; call it again on every watch arm even
-    when the mask is unchanged, so the epoll backend can re-check
-    readiness. *)
+(** Declare persistent interest in [fd]; [~read:false ~write:false]
+    drops it.  Idempotent.  Reactor thread only. *)
+
+val oneshot : t -> bool
+(** Whether {!arm} is available: the epoll backend. *)
+
+val arm : t -> Unix.file_descr -> read:bool -> write:bool -> bool
+(** Arm a one-shot watch on [fd] (epoll only): the next {!wait} that
+    finds [fd] ready in an armed direction reports it once and disarms
+    it; a later {!arm} re-arms it, and one already ready is reported
+    at once.  Replaces [fd]'s previous one-shot mask.  Callable from
+    any thread.  [false] when the fd is gone (e.g. closed).
+    @raise Invalid_argument on the poll and select backends. *)
 
 val wait : t -> timeout_ms:int -> event list
 (** Block until some fd under interest is ready or the timeout lapses
@@ -53,7 +61,8 @@ val close : t -> unit
 (** Release kernel resources (the epoll fd).  Idempotent. *)
 
 val interest_count : t -> int
-(** Fds currently under (non-empty) interest — a test/diagnostic hook. *)
+(** Fds under {!set} interest (one-shot {!arm}s are not counted) — a
+    test/diagnostic hook. *)
 
 val raise_nofile : int -> int
 (** Raise the soft RLIMIT_NOFILE toward the argument — privileged

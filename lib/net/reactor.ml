@@ -14,21 +14,27 @@
    once: N ready fds cost one un-park notification per distinct worker,
    not N.
 
-   Communication into the reactor is lock-free: an MPSC command queue
+   On epoll a parked fiber arms its own watch: [await_fd] publishes it in
+   the [Interest] table and issues the one-shot epoll_ctl from the
+   worker, so a wait costs the reactor thread nothing until the fd is
+   ready.  The kernel disarms a watch when it reports it.  poll and
+   select cannot be armed from another thread, so there the fiber
+   sends a [Watch] command instead.  Commands go through an MPSC queue
    plus a self-pipe poke (a coalescing atomic flag keeps it to one
-   written byte per quiet period).  Readiness handshakes go through
-   [Readiness] cells -- the CAS protocol that makes the
-   register-vs-wake race safe (model-checked in lib/check).  Deadlines
-   are absolute wall-clock floats in a [Timers] heap; the poller waits
-   until the earliest one, and a timeout racing completing I/O resolves
-   by CAS to exactly one verdict. *)
+   written byte per quiet period); on epoll only timers use them.
+   Readiness handshakes go through [Readiness] cells -- the CAS
+   protocol that makes the register-vs-wake race safe (model-checked in
+   lib/check, as is the interest table).  Deadlines are absolute
+   wall-clock floats in a [Timers] heap; the poller waits until the
+   earliest one, and a timeout racing completing I/O resolves by CAS to
+   exactly one verdict. *)
 
 module Fiber = Fiber_rt.Fiber
 module Mpsc = Fiber_rt.Mpsc_queue
 
 type dir = [ `R | `W ]
 
-type watch = { wfd : Unix.file_descr; wdir : dir; cell : Readiness.t }
+type watch = { wfd : int; wdir : dir; cell : Readiness.t }
 
 type cmd = Watch of watch | Unwatch of watch | Add_timer of Timers.timer
 
@@ -47,13 +53,16 @@ type t = {
   pipe_w : Unix.file_descr;
   stopping : bool Atomic.t;
   mutable thread : Thread.t option; (* set by [create], joined by [shutdown] *)
-  (* owned by the reactor thread *)
   poller : Poller.t;
+  inline : bool; (* waiters arm their own watches (epoll) *)
+  interest : Interest.t; (* fd -> parked watches; its own lock *)
+  (* owned by the reactor thread *)
   timers : Timers.t;
-  interest : (int, watch list) Hashtbl.t; (* raw fd -> live watches *)
   batch : Fiber.Wake.batch;
       (* waiters fired during a poll round defer their worker
          notifications here; flushed once per round *)
+  drain_buf : Bytes.t;
+  mutable piped : bool; (* the self-pipe was reported readable *)
   mutable tid : int; (* the reactor thread's id, written at loop start *)
   (* counters: written by the reactor thread, read by anyone *)
   n_polls : int Atomic.t;
@@ -78,9 +87,9 @@ let send t cmd =
 (* Fire a wake token with routing: back to the awaiting fiber's home
    worker, batched when we are on the reactor's own thread (the
    poll-round dispatch path -- flushed before the next poller wait).
-   Off-thread invocations (the Was_ready fast path on a worker,
-   shutdown stragglers after the thread joined) must not touch the
-   single-owner batch. *)
+   Off-thread invocations (the Was_ready fast path on a worker, an arm
+   that finds its fd gone or the table closed, shutdown stragglers
+   after the thread joined) must not touch the single-owner batch. *)
 let fire_routed t home tok =
   if Thread.id (Thread.self ()) = t.tid then
     ignore (Fiber.Wake.fire_to ?worker:home ~batch:t.batch tok)
@@ -92,10 +101,9 @@ external fd_int : Unix.file_descr -> int = "%identity"
 external fd_of_int : int -> Unix.file_descr = "%identity"
 
 let drain_pipe t =
-  let buf = Bytes.create 64 in
   let rec go () =
     (* ulplint: allow blocking-in-fiber -- draining the O_NONBLOCK self-pipe on the reactor thread; EAGAIN ends the loop *)
-    match Unix.read t.pipe_r buf 0 64 with
+    match Unix.read t.pipe_r t.drain_buf 0 64 with
     | 64 -> go ()
     | _ -> ()
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
@@ -103,82 +111,34 @@ let drain_pipe t =
   in
   go ()
 
-let post_watch t w =
-  match Readiness.post w.cell with
-  | `Woke -> Atomic.incr t.n_wakeups
-  | `Memo | `Already -> ()
-
-(* Push the union mask of [key]'s live watches into the poller.  Called
-   on EVERY watch arm -- even an unchanged mask -- because the epoll
-   backend's MOD re-checks readiness, which is what redelivers an edge
-   consumed before this watch registered. *)
-let sync_poller t key =
-  match Hashtbl.find_opt t.interest key with
-  | None | Some [] ->
-      Hashtbl.remove t.interest key;
-      Poller.set t.poller (fd_of_int key) ~read:false ~write:false
-  | Some ws ->
-      let r = List.exists (fun w -> w.wdir = `R) ws in
-      let wr = List.exists (fun w -> w.wdir = `W) ws in
-      Poller.set t.poller (fd_of_int key) ~read:r ~write:wr
+let count_wakeups t n =
+  if n > 0 then ignore (Atomic.fetch_and_add t.n_wakeups n)
 
 let run_commands t =
   List.iter
     (fun cmd ->
       Atomic.incr t.n_cmds;
       match cmd with
-      | Watch w ->
-          if Atomic.get t.stopping then post_watch t w
-          else begin
-            let key = fd_int w.wfd in
-            let cur = Option.value ~default:[] (Hashtbl.find_opt t.interest key) in
-            Hashtbl.replace t.interest key (w :: cur);
-            sync_poller t key
-          end
-      | Unwatch w -> (
-          let key = fd_int w.wfd in
-          match Hashtbl.find_opt t.interest key with
-          | None -> ()
-          | Some ws ->
-              (match List.filter (fun w' -> w'.cell != w.cell) ws with
-              | [] -> Hashtbl.remove t.interest key
-              | ws' -> Hashtbl.replace t.interest key ws');
-              sync_poller t key)
+      | Watch w -> Interest.arm t.interest w.wfd w.wdir w.cell
+      | Unwatch w -> Interest.unwatch t.interest w.wfd w.cell
       | Add_timer tm ->
           (* during shutdown the post-loop [fire_all] sweep resolves it *)
           Timers.add t.timers tm)
     (Mpsc.pop_all t.cmds)
 
 let dispatch_event t (ev : Poller.event) =
-  if fd_int ev.fd = fd_int t.pipe_r then drain_pipe t
+  if fd_int ev.fd = fd_int t.pipe_r then t.piped <- true
   else
-    let key = fd_int ev.fd in
-    match Hashtbl.find_opt t.interest key with
-    | None -> ()
-    | Some ws ->
-        let fires w =
-          match w.wdir with `R -> ev.readable | `W -> ev.writable
-        in
-        let woken, kept = List.partition fires ws in
-        List.iter (post_watch t) woken;
-        if woken <> [] then begin
-          (match kept with
-          | [] -> Hashtbl.remove t.interest key
-          | ws' -> Hashtbl.replace t.interest key ws');
-          sync_poller t key
-        end
+    count_wakeups t
+      (Interest.fire t.interest (fd_int ev.fd) ~readable:ev.readable
+         ~writable:ev.writable)
 
 (* Last resort when a poller round dies (e.g. a watched fd was closed
    under select): wake every waiter spuriously; each retries its
    syscall and surfaces its own errno. *)
 let wake_everyone t =
   Atomic.incr t.n_errors;
-  Hashtbl.iter
-    (fun key ws ->
-      List.iter (post_watch t) ws;
-      Poller.set t.poller (fd_of_int key) ~read:false ~write:false)
-    t.interest;
-  Hashtbl.reset t.interest
+  count_wakeups t (Interest.reset t.interest)
 
 (* Wait until the earliest deadline, rounded up to whole milliseconds
    so the wake never precedes it; clamped in floats first, so a far or
@@ -194,6 +154,7 @@ let poll_timeout_ms t =
 
 let reactor_loop t =
   t.tid <- Thread.id (Thread.self ());
+  (* persistent, not one-shot: every poke must wake the wait *)
   Poller.set t.poller t.pipe_r ~read:true ~write:false;
   while not (Atomic.get t.stopping) do
     (try
@@ -203,10 +164,15 @@ let reactor_loop t =
           skip its write and wait out [max_idle_ms].  In this order a
           send racing the clear either skipped its write with its
           command already queued (run below) or writes a fresh byte for
-          the next round. *)
-       drain_pipe t;
-       Atomic.set t.poked false;
-       run_commands t;
+          the next round.  A round with neither a poke nor a readable
+          pipe has nothing to drain. *)
+       if t.piped || Atomic.get t.poked then begin
+         t.piped <- false;
+         drain_pipe t;
+         (* ulplint: allow atomic-get-then-set -- the get above only decides whether to drain: a send whose exchange lands before this store saw true and skipped its byte, and its command, queued before that exchange, runs just below *)
+         Atomic.set t.poked false;
+         run_commands t
+       end;
        let fired = Timers.advance t.timers ~now:(now ()) in
        if fired > 0 then ignore (Atomic.fetch_and_add t.n_timers fired);
        (* [shutdown] sets [stopping] before it pokes; when the drain
@@ -225,12 +191,11 @@ let reactor_loop t =
        wake_everyone t;
        Fiber.Wake.flush t.batch)
   done;
-  (* shutdown: nothing may stay parked on us.  Post every cell and run
-     every still-pending timer action (each action re-checks its own
-     verdict CAS, so late firing is safe). *)
+  (* shutdown: nothing may stay parked on us.  Post every cell, refuse
+     later arms, and run every still-pending timer action (each action
+     re-checks its own verdict CAS, so late firing is safe). *)
   run_commands t;
-  Hashtbl.iter (fun _ ws -> List.iter (post_watch t) ws) t.interest;
-  Hashtbl.reset t.interest;
+  count_wakeups t (Interest.close t.interest);
   let swept = Timers.fire_all t.timers in
   if swept > 0 then ignore (Atomic.fetch_and_add t.n_timers swept);
   Fiber.Wake.flush t.batch;
@@ -242,6 +207,19 @@ let create ?backend () =
   let pipe_r, pipe_w = Unix.pipe () in
   Unix.set_nonblock pipe_r;
   Unix.set_nonblock pipe_w;
+  let poller = Poller.create ?backend () in
+  let inline = Poller.oneshot poller in
+  let sync key mask =
+    let fd = fd_of_int key in
+    let read = mask land 1 <> 0 and write = mask land 2 <> 0 in
+    if inline then
+      (* mask 0: the one-shot registration disarms itself *)
+      mask = 0 || Poller.arm poller fd ~read ~write
+    else begin
+      Poller.set poller fd ~read ~write;
+      true
+    end
+  in
   let t =
     {
       cmds = Mpsc.create ();
@@ -250,10 +228,13 @@ let create ?backend () =
       pipe_w;
       stopping = Atomic.make false;
       thread = None;
-      poller = Poller.create ?backend ();
+      poller;
+      inline;
+      interest = Interest.create ~sync;
       timers = Timers.create ();
-      interest = Hashtbl.create 64;
       batch = Fiber.Wake.batch ();
+      drain_buf = Bytes.create 64;
+      piped = true (* drain once before the first wait *);
       tid = -1;
       n_polls = Atomic.make 0;
       n_wakeups = Atomic.make 0;
@@ -314,6 +295,7 @@ let await_fd t ?deadline fd dir =
   let verdict = Atomic.make `None in
   let cell = Readiness.create () in
   let timer = ref None in
+  let key = fd_int fd in
   Fiber.suspend_token (fun tok ->
       let waiter () =
         if Atomic.compare_and_set verdict `None `Ready then
@@ -331,15 +313,17 @@ let await_fd t ?deadline fd dir =
           in
           timer := Some tm;
           send t (Add_timer tm));
-      send t (Watch { wfd = fd; wdir = dir; cell }));
+      if t.inline then Interest.arm t.interest key dir cell
+      else send t (Watch { wfd = key; wdir = dir; cell }));
   match Atomic.get verdict with
   | `Ready ->
       (match !timer with Some tm -> ignore (Timers.cancel tm) | None -> ());
       `Ready
   | `Timeout ->
-      (* the registration is dead: reclaim it (the reactor drops the
-         table entry; clear covers a post that raced the timeout) *)
-      send t (Unwatch { wfd = fd; wdir = dir; cell });
+      (* the registration is dead: reclaim it (clear covers a post that
+         raced the timeout) *)
+      if t.inline then Interest.unwatch t.interest key cell
+      else send t (Unwatch { wfd = key; wdir = dir; cell });
       Readiness.clear cell;
       `Timeout
   | `None -> assert false

@@ -4,7 +4,11 @@
     Worker domains never sit in epoll/poll/select — they keep running
     fibers (the paper's decoupled UCs).  A fiber that would block parks
     on a {!Fiber_rt.Fiber.Wake} token; the reactor thread waits in its
-    {!Poller} and, on readiness or deadline, fires the token.  The wake
+    {!Poller} and, on readiness or deadline, fires the token.  On epoll
+    the parked fiber arms its own one-shot watch from its worker
+    ({!Interest}), so the reactor thread wakes only for readiness,
+    deadlines and shutdown; on poll and select the watch is a command
+    the reactor thread runs.  The wake
     is routed to the awaiting fiber's home worker's private inbox
     ({!Fiber_rt.Fiber.Wake.fire_to}) rather than the global injection
     channel, with the un-park notifications batched and flushed once
@@ -29,6 +33,8 @@ type stats = {
   wakeups : int;  (** readiness posts that woke a waiter *)
   timers_fired : int;
   commands : int;
+      (** commands the reactor thread ran: timers, plus watches on the
+          poll and select backends (an epoll wait sends none) *)
   errors : int;  (** reactor rounds rescued by the wake-everyone fallback *)
 }
 

@@ -20,6 +20,7 @@ type col = {
   gate : float option; (* --diff fails below this better-is-up ratio *)
   unless : (old:J.t -> J.t -> J.t -> bool) option;
       (* [Some f]: [f ~old doc row] excuses a drop under the gate *)
+  optional : bool; (* absent from rows written before it existed *)
 }
 
 type section = {
@@ -41,7 +42,7 @@ let file s = s.file
 (* ---------- declaring sections ---------- *)
 
 (* [c kind key get]: a column, and how a row of the suite fills it *)
-let c ?(head = "") ?better ?gate ?unless kind key get =
+let c ?(head = "") ?better ?gate ?unless ?(optional = false) kind key get =
   let get =
     match kind with
     | Dec (d, _) -> (
@@ -52,7 +53,7 @@ let c ?(head = "") ?better ?gate ?unless kind key get =
           | v -> v)
     | _ -> get
   in
-  ({ key; kind; head; better; gate; unless }, get)
+  ({ key; kind; head; better; gate; unless; optional }, get)
 
 let int n = J.Num (float_of_int n)
 let secs = Dec (9, Table.sci)
@@ -93,6 +94,7 @@ let cell c r =
   | Dec (_, show), Some (J.Num f) -> show f
   | Text, Some (J.Str s) -> s
   | Flag, Some (J.Bool b) -> if b then "YES" else "-"
+  | _, None when c.optional -> "-"
   | _ -> "?"
 
 (* "ping_pong@4", "epoll@1000": a row named by its key columns *)
@@ -215,6 +217,7 @@ let validate suite doc =
         | (Int | Dec _), Some (J.Num f) when Float.is_finite f && f >= 0.0 ->
             ()
         | Text, Some (J.Str _) | Flag, Some (J.Bool _) -> ()
+        | _, None when c.optional -> ()
         | _ -> fail "%s row with missing/bad %S" sec.name c.key)
       sec.cols
   in
@@ -246,6 +249,8 @@ module Parallel = struct
     p50_s : float;
     p99_s : float;
     max_s : float;
+    host_stalls_per_s : float;
+    host_stall_max_s : float;
   }
 
   type result = {
@@ -326,6 +331,12 @@ module Parallel = struct
           J.Num r.p50_s);
       c secs "p99_s" ~head:"busy p99 [s]" ~better:`Lower (fun (r : coupled) ->
           J.Num r.p99_s);
+      (* the host's own stalls in the same run, next to the busy p99:
+         optional because files written before the probe lack them *)
+      c (dec 3 1) "host_stalls_per_s" ~head:"host stalls/s" ~optional:true
+        (fun (r : coupled) -> J.Num r.host_stalls_per_s);
+      c secs "host_stall_max_s" ~head:"host max stall [s]" ~optional:true
+        (fun (r : coupled) -> J.Num r.host_stall_max_s);
       c secs "max_s" (fun (r : coupled) -> J.Num r.max_s);
     ]
 
@@ -358,6 +369,23 @@ module Parallel = struct
      leaves ten samples beyond the p99. *)
   let coupled_p99_max_s = 0.001
   let coupled_calls = 1_000
+
+  (* The host-stall probe: a thread that never blocks spins on the clock
+     and counts every gap between two reads longer than [stall_min_s],
+     half the p99 bound.  It runs right after each coupled_busy row's
+     timed calls, in the same run. *)
+  let stall_min_s = coupled_p99_max_s /. 2.0
+  let stall_probe_s = 0.5
+
+  (* A p99 over the bound reads as the host's when the probe saw the
+     host take at least that long from a spinning thread. *)
+  let whose_p99 r =
+    match J.member "host_stall_max_s" r with
+    | Some (J.Num m) ->
+        Printf.sprintf "; host probe: %.1f stalls/s, longest %.6f s -- %s"
+          (num "host_stalls_per_s" r) m
+          (if m >= num "p99_s" r then "reads as host" else "reads as runtime")
+    | _ -> "; no host probe in this file"
 
   let checks doc =
     let cores =
@@ -424,7 +452,8 @@ module Parallel = struct
         then fail "%s: percentiles not monotone" where;
         if num "p99_s" r > coupled_p99_max_s then
           fail "%s: busy p99 %.6f s > %.6f s -- a KC waited for its worker's \
-                runtime lock" where (num "p99_s" r) coupled_p99_max_s)
+                runtime lock%s" where (num "p99_s" r) coupled_p99_max_s
+            (whose_p99 r))
       cs
 
   let suite =

@@ -39,7 +39,10 @@ val validate : suite -> Json.t -> (string, string) result
     [name] and [domains]; [median_s] is report-only and [speedup_vs_1]
     fails [diff] below 0.8x old.  [coupled_busy] is keyed by [domains]
     (1 and 2 required); its [p50_s] and [p99_s] are report-only in
-    [diff], and [validate] bounds [p99_s] at 1 ms. *)
+    [diff], and [validate] bounds [p99_s] at 1 ms.  Each row also
+    carries the host-stall probe of the same run, so a p99 over the
+    bound reads as the host's or the runtime's; files written before
+    the probe may lack those two columns. *)
 module Parallel : sig
   type coupled = {
     domains : int;
@@ -48,10 +51,20 @@ module Parallel : sig
     p50_s : float;  (** beside one fiber that computes and yields *)
     p99_s : float;
     max_s : float;
+    host_stalls_per_s : float;
+        (** host stalls longer than {!stall_min_s} per second of the
+            probe: time the host took from a thread that never blocks *)
+    host_stall_max_s : float;  (** the probe's longest stall *)
   }
 
   val coupled_calls : int
   (** Fewest calls a row may time: ten samples beyond its p99. *)
+
+  val stall_min_s : float
+  (** Shortest gap the host-stall probe counts: half the p99 bound. *)
+
+  val stall_probe_s : float
+  (** How long the probe spins beside each coupled row, in seconds. *)
 
   type result = {
     name : string;

@@ -149,6 +149,19 @@ let coupled_latencies ~domains ~busy ~calls =
       List.iter Fiber.join spinners);
   lat
 
+(* The host's own stalls, for reading a coupled latency: spin on the
+   clock for [seconds], outside any fiber run, and return every gap
+   between two consecutive reads longer than [min_gap] -- time the host
+   took from a thread that never blocks or yields. *)
+let host_stalls ~seconds ~min_gap =
+  let stop = now () +. seconds in
+  let rec go prev acc =
+    let t = now () in
+    if t >= stop then acc
+    else go t (if t -. prev > min_gap then (t -. prev) :: acc else acc)
+  in
+  Array.of_list (go (now ()) [])
+
 (* ---------- synchronization workloads (lib/fiber_rt/sync.ml) ---------- *)
 
 module Sync = Fiber_rt.Sync

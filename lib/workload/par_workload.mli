@@ -54,6 +54,12 @@ val coupled_latencies : domains:int -> busy:int -> calls:int -> float array
     and {!Fiber_rt.Fiber.yield}: the coupled cost when the worker that
     leased the KC is busy ([busy = 0]: idle).  Per-call seconds. *)
 
+val host_stalls : seconds:float -> min_gap:float -> float array
+(** Spin on the clock for [seconds] (call it outside any fiber run) and
+    return each gap longer than [min_gap] between two consecutive
+    reads, in seconds: the time the host took from a thread that never
+    blocks. *)
+
 val speedup_curve :
   domain_counts:int list -> fibers:int -> work:int -> (result * float) list
 (** [spawn_join] at each domain count paired with its speedup relative

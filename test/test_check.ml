@@ -1212,6 +1212,166 @@ let slots_accept_vs_retire (module S : CONN_SLOTS) () =
           (Printf.sprintf "max_conns: %d slot(s) never came back"
              (Atomic'.peek active)) )
 
+(* ---------- scenario: the interest table, arm vs fire ---------- *)
+
+(* Parameterized over the table so the same scenarios drive the
+   faithful copy (recompiled from lib/net/interest.ml) and the seeded
+   twins in [Check.Buggy_interest]. *)
+module type INTEREST = sig
+  type t
+
+  val create : sync:(int -> int -> bool) -> t
+  val arm : t -> int -> [ `R | `W ] -> Check.Readiness.t -> unit
+  val fire : t -> int -> readable:bool -> writable:bool -> int
+  val unwatch : t -> int -> Check.Readiness.t -> unit
+  val close : t -> int
+  val watched : t -> int
+end
+
+(* The kernel's side of one fd under EPOLLONESHOT: the armed mask and
+   the fd's readiness (bit 1 read, bit 2 write).  One object, changed in
+   single steps, so each kernel call is one scheduling point.  [left]
+   counts the waiters not yet served; only the reactor thread's wakes
+   lower it, so it needs no step of its own. *)
+type kfd = {
+  kid : int;
+  mutable armed : int;
+  mutable ready : int;
+  mutable left : int;
+}
+
+let k_make ~ready ~left = { kid = Sched.fresh_obj (); armed = 0; ready; left }
+
+let k_step k f =
+  Sched.atomic_step ~kind:Sched.Exchange ~obj:k.kid ~note:"kernel" (fun () ->
+      f k)
+
+(* epoll_ctl(MOD, ONESHOT): replace the armed mask; the table passes
+   mask 0 only where the registration disarms itself *)
+let k_sync k _fd mask =
+  if mask <> 0 then k_step k (fun k -> k.armed <- mask);
+  true
+
+(* The reactor thread.  epoll_wait blocks until an armed direction is
+   ready, reports it and disarms it, all in one step; then the table
+   fires.  It returns once every waiter was served. *)
+let k_reactor fire k () =
+  let rec loop () =
+    let ev =
+      Sched.guarded_step ~kind:Sched.Exchange ~obj:k.kid ~note:"epoll_wait"
+        ~enabled:(fun () -> k.left = 0 || k.armed land k.ready <> 0)
+        (fun () ->
+          let ev = k.armed land k.ready in
+          if ev <> 0 then k.armed <- 0;
+          ev)
+    in
+    if ev <> 0 then begin
+      ignore (fire ~readable:(ev land 1 <> 0) ~writable:(ev land 2 <> 0));
+      loop ()
+    end
+  in
+  loop ()
+
+(* A cell as await_fd leaves it just before the arm: waiter registered.
+   The wake serves one waiter. *)
+let k_cell k =
+  let cell = Check.Readiness.create () in
+  (match Check.Readiness.await cell (fun () -> k.left <- k.left - 1) with
+  | `Registered | `Was_ready -> ());
+  cell
+
+let k_parked cell =
+  Sched.wait_until ~on:(Atomic'.id cell) (fun () ->
+      match Atomic'.peek cell with Check.Readiness.Idle -> true | _ -> false)
+
+(* A reader and a writer parked on one socket whose send buffer is
+   full; a byte has arrived, and the peer drains.  The read's report
+   spends the one-shot registration, so the table must re-arm the
+   writer's direction.  [Drops_entry] forgets the writer with the
+   entry: a lost wakeup. *)
+let interest_two_directions (module I : INTEREST) () =
+  let k = k_make ~ready:1 ~left:2 in
+  let it = I.create ~sync:(k_sync k) in
+  let rc = k_cell k and wc = k_cell k in
+  ( [
+      (fun () ->
+        I.arm it 0 `R rc;
+        k_parked rc);
+      (fun () ->
+        I.arm it 0 `W wc;
+        k_parked wc);
+      (fun () -> k_step k (fun k -> k.ready <- 3) (* the peer drains *));
+      k_reactor (I.fire it 0) k;
+    ],
+    fun () -> if I.watched it <> 0 then failwith "a watch outlived its wait" )
+
+(* One waiter arming while the fd turns readable: the report may land
+   right after the arm's ctl.  [Mod_first] issues the ctl before
+   publishing the watch, so a report in that window wakes nobody and
+   spends the registration. *)
+let interest_arm_vs_fire (module I : INTEREST) () =
+  let k = k_make ~ready:0 ~left:1 in
+  let it = I.create ~sync:(k_sync k) in
+  let rc = k_cell k in
+  ( [
+      (fun () ->
+        I.arm it 0 `R rc;
+        k_parked rc);
+      (fun () -> k_step k (fun k -> k.ready <- 1));
+      k_reactor (I.fire it 0) k;
+    ],
+    fun () -> if I.watched it <> 0 then failwith "a watch outlived its wait" )
+
+(* await_fd with a deadline on a readable fd: readiness and the timer
+   race to claim one verdict.  On a timeout the waiter unwatches, and a
+   deadline-free re-await must still be served, while the spent watch's
+   report may still be in flight. *)
+let interest_timeout_unwatch (module I : INTEREST) () =
+  let k = k_make ~ready:1 ~left:1 in
+  let it = I.create ~sync:(k_sync k) in
+  let verdict = Atomic'.make 0 (* 0 none / 1 ready / 2 timeout *) in
+  let claim v = Atomic'.compare_and_set verdict 0 v in
+  let cell = Check.Readiness.create () in
+  (match
+     Check.Readiness.await cell (fun () -> if claim 1 then k.left <- k.left - 1)
+   with
+  | `Registered | `Was_ready -> ());
+  ( [
+      (fun () ->
+        I.arm it 0 `R cell;
+        Sched.wait_until ~on:(Atomic'.id verdict) (fun () ->
+            Atomic'.peek verdict <> 0);
+        if Atomic'.get verdict = 2 then begin
+          I.unwatch it 0 cell;
+          Check.Readiness.clear cell;
+          let again = k_cell k in
+          I.arm it 0 `R again;
+          k_parked again
+        end);
+      (fun () -> ignore (claim 2) (* the deadline *));
+      k_reactor (I.fire it 0) k;
+    ],
+    fun () -> if I.watched it <> 0 then failwith "a watch outlived its wait" )
+
+(* A waiter arming while the reactor shuts down: either the shutdown
+   sweep posts the watch or the arm finds the table closed and posts
+   its own cell.  Nothing may stay parked on a dead reactor. *)
+let interest_arm_vs_close (module I : INTEREST) () =
+  let it = I.create ~sync:(fun _ _ -> true) in
+  let woke = Atomic'.make 0 in
+  ( [
+      (fun () ->
+        let cell = Check.Readiness.create () in
+        (match Check.Readiness.await cell (fun () -> Atomic'.incr woke) with
+        | `Registered | `Was_ready -> ());
+        I.arm it 0 `R cell;
+        Sched.wait_until ~on:(Atomic'.id woke) (fun () -> Atomic'.peek woke > 0));
+      (fun () -> ignore (I.close it));
+    ],
+    fun () ->
+      if Atomic'.peek woke <> 1 then failwith "waiter woken more than once";
+      if I.watched it <> 0 then failwith "a watch outlived the reactor" )
+
 (* ---------- the model-checked assertions ---------- *)
 
 let adq : (module DEQUE) = (module Adq)
@@ -1224,6 +1384,12 @@ let idle : (module IDLE) = (module Check.Idle_waker)
 let buggy_idle : (module IDLE) = (module Check.Buggy_shard)
 let kc_pool : (module KC_POOL) = (module Check.Kc_pool)
 let buggy_kc_pool : (module KC_POOL) = (module Check.Buggy_kc_pool)
+let interest : (module INTEREST) = (module Check.Interest)
+let drops_entry : (module INTEREST) = (module Check.Buggy_interest.Drops_entry)
+let mod_first : (module INTEREST) = (module Check.Buggy_interest.Mod_first)
+
+let close_unlocked : (module INTEREST) =
+  (module Check.Buggy_interest.Close_unlocked)
 let slots : (module CONN_SLOTS) = (module Check.Conn_slots)
 let buggy_slots : (module CONN_SLOTS) = (module Check.Buggy_conn_slots)
 
@@ -1670,6 +1836,43 @@ let test_buggy_slots_caught =
     ~faithful:(slots_accept_vs_retire slots)
     ~expect_reason:"max_conns=1 breached"
 
+let exhaustive ?(max_schedules = 20_000) name scenario () =
+  let stats = expect_pass name (Sched.check ~max_schedules scenario) in
+  Printf.printf "%s: %d schedules\n%!" name stats.Sched.schedules;
+  Alcotest.(check bool) "exhaustive" true stats.Sched.complete
+
+let test_interest_two_directions =
+  exhaustive ~max_schedules:2_000_000 "interest-two-directions"
+    (interest_two_directions interest)
+
+let test_interest_arm_vs_fire =
+  exhaustive "interest-arm-vs-fire" (interest_arm_vs_fire interest)
+
+let test_interest_timeout_unwatch =
+  exhaustive ~max_schedules:2_000_000 "interest-timeout-unwatch"
+    (interest_timeout_unwatch interest)
+
+let test_interest_arm_vs_close =
+  exhaustive "interest-arm-vs-close" (interest_arm_vs_close interest)
+
+let test_buggy_interest_drops_entry =
+  twin_caught "buggy-interest-drops-entry"
+    ~buggy:(interest_two_directions drops_entry)
+    ~faithful:(interest_two_directions interest)
+    ~expect_reason:"Deadlock"
+
+let test_buggy_interest_mod_first =
+  twin_caught "buggy-interest-mod-first"
+    ~buggy:(interest_arm_vs_fire mod_first)
+    ~faithful:(interest_arm_vs_fire interest)
+    ~expect_reason:"Deadlock"
+
+let test_buggy_interest_close_unlocked =
+  twin_caught "buggy-interest-close-unlocked"
+    ~buggy:(interest_arm_vs_close close_unlocked)
+    ~faithful:(interest_arm_vs_close interest)
+    ~expect_reason:"Deadlock"
+
 (* ---------- the checker catches the seeded bug ---------- *)
 
 let test_buggy_deque_caught () =
@@ -1918,6 +2121,23 @@ let () =
             test_kc_pool_lease_vs_exit;
           Alcotest.test_case "get-then-set pop double-leases a KC" `Quick
             test_buggy_kc_pool_caught;
+        ] );
+      ( "interest",
+        [
+          Alcotest.test_case "reader and writer on one fd both wake" `Quick
+            test_interest_two_directions;
+          Alcotest.test_case "arm vs fire never loses the report" `Quick
+            test_interest_arm_vs_fire;
+          Alcotest.test_case "timeout unwatch leaves no stale watch" `Quick
+            test_interest_timeout_unwatch;
+          Alcotest.test_case "arm vs shutdown never strands the waiter" `Quick
+            test_interest_arm_vs_close;
+          Alcotest.test_case "dropping the entry on fire strands the writer"
+            `Quick test_buggy_interest_drops_entry;
+          Alcotest.test_case "ctl before publish loses the report" `Quick
+            test_buggy_interest_mod_first;
+          Alcotest.test_case "closed read outside the lock strands the arm"
+            `Quick test_buggy_interest_close_unlocked;
         ] );
       ( "conn-slots",
         [

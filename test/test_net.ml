@@ -229,11 +229,10 @@ let test_poller_epoll_gate () =
         Alcotest.fail "`Epoll created on a platform without epoll"
 
 let test_poller_epoll_recheck () =
-  (* the lost-edge race, closed by set's unconditional EPOLL_CTL_MOD:
-     (a) the edge fires BEFORE the watch registers, and (b) the
-     notification is consumed without draining the data and the same
-     mask is re-armed.  A naive edge-triggered registration reports
-     neither; the MOD readiness re-check must redeliver both. *)
+  (* the lost-edge race, closed because arming re-checks readiness:
+     (a) the fd turns ready BEFORE the watch arms, and (b) the one-shot
+     report is consumed without draining the data and the watch is
+     re-armed.  Between the two, the spent watch must stay silent. *)
   if not Poller.epoll_available then ()
   else begin
     let p = Poller.create ~backend:`Epoll () in
@@ -245,18 +244,30 @@ let test_poller_epoll_recheck () =
         Unix.close wr)
       (fun () ->
         ignore (Unix.write_substring wr "x" 0 1);
-        Poller.set p rd ~read:true ~write:false;
-        let readable () =
+        let arm () =
+          Alcotest.(check bool) "arm succeeds" true
+            (Poller.arm p rd ~read:true ~write:false)
+        in
+        let readable ~timeout_ms =
           List.exists
             (fun e -> e.Poller.fd = rd && e.Poller.readable)
-            (Poller.wait p ~timeout_ms:500)
+            (Poller.wait p ~timeout_ms)
         in
-        Alcotest.(check bool) "edge before the watch still delivered" true
-          (readable ());
+        arm ();
+        Alcotest.(check bool) "ready before the watch still delivered" true
+          (readable ~timeout_ms:500);
+        Alcotest.(check bool) "a reported one-shot watch is disarmed" false
+          (readable ~timeout_ms:0);
         (* data not drained; re-arm with the identical mask *)
-        Poller.set p rd ~read:true ~write:false;
+        arm ();
         Alcotest.(check bool) "re-armed watch redelivers pending data" true
-          (readable ()))
+          (readable ~timeout_ms:500);
+        (* a closed fd: the arm reports it gone instead of raising *)
+        let gone, other = Unix.pipe ~cloexec:true () in
+        Unix.close gone;
+        Unix.close other;
+        Alcotest.(check bool) "arm on a closed fd" false
+          (Poller.arm p gone ~read:true ~write:false))
   end
 
 (* ---------- live reactor ---------- *)
@@ -456,6 +467,126 @@ let test_fiber_io_pipe () =
           Fiber.join w);
       Unix.close rd;
       Alcotest.(check bool) "roundtrip intact" true (Bytes.equal src dst))
+
+(* Every timer reaches the reactor as a command and a self-pipe poke.
+   A self-pipe watch that disarmed after its first report would leave
+   each later sleep to the 250 ms idle ceiling. *)
+let test_sleeps_stay_prompt () =
+  with_reactor (fun r ->
+      let t0 = Unix.gettimeofday () in
+      Fiber.run_parallel ~domains:1 (fun () ->
+          for _ = 1 to 20 do
+            Reactor.sleep r 0.001
+          done);
+      let dt = Unix.gettimeofday () -. t0 in
+      Alcotest.(check bool)
+        (Printf.sprintf "20 sleeps of 1 ms took %.3f s" dt)
+        true (dt < 1.0))
+
+(* Both directions of one socket parked at once.  The send buffer is
+   full, so the writer parks; nothing has arrived, so the reader parks.
+   The peer writes one byte: the reader's report spends the fd's
+   one-shot registration, which must be re-armed for the writer still
+   queued.  Then the peer drains and the writer must wake. *)
+let test_reader_and_writer_one_fd () =
+  with_reactor (fun r ->
+      let a, b = Unix.socketpair ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      Unix.set_nonblock a;
+      Unix.set_nonblock b;
+      let chunk = Bytes.create 4096 in
+      let rec fill n =
+        match Unix.write a chunk 0 4096 with
+        | k -> fill (n + k)
+        | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> n
+      in
+      let queued = fill 0 in
+      let got = ref "" and wrote = ref 0 in
+      Fiber.run_parallel ~domains:2 (fun () ->
+          let deadline = Reactor.now () +. 5.0 in
+          let reader =
+            Fiber.spawn (fun () ->
+                let buf = Bytes.create 1 in
+                let n = Fio.read r ~deadline a buf 0 1 in
+                got := Bytes.sub_string buf 0 n)
+          in
+          let writer =
+            Fiber.spawn (fun () ->
+                Fio.write_all r ~deadline a (Bytes.of_string "w") 0 1;
+                wrote := 1)
+          in
+          let until p =
+            while (not (p ())) && Reactor.now () < deadline do
+              Reactor.sleep r 0.001
+            done
+          in
+          let parked f = Fiber.state f = `Suspended in
+          until (fun () -> parked reader && parked writer);
+          ignore (Unix.write_substring b "x" 0 1);
+          until (fun () -> Fiber.state reader = `Done);
+          Alcotest.(check bool) "the writer is still parked" true (parked writer);
+          (* drain everything the filled buffer holds, plus the writer's
+             byte once it lands *)
+          let sink = Bytes.create 65536 in
+          let drained = ref 0 in
+          while !drained < queued + 1 && Reactor.now () < deadline do
+            match Unix.read b sink 0 65536 with
+            | n -> drained := !drained + n
+            | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+                Reactor.sleep r 0.001
+          done;
+          Fiber.join reader;
+          Fiber.join writer);
+      Unix.close a;
+      Unix.close b;
+      Alcotest.(check string) "the reader got the byte" "x" !got;
+      Alcotest.(check int) "the writer's byte went out" 1 !wrote)
+
+(* On epoll a parked fiber arms its own watch: a park/wake cycle sends
+   the reactor thread no command, and the thread polls once per
+   readiness report, not once per arm.  A ping-pong over a socketpair
+   parks a reader on every hop. *)
+let test_park_costs_no_command () =
+  with_reactor (fun r ->
+      if Reactor.backend r = `Epoll then begin
+        let a, b =
+          Unix.socketpair ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0
+        in
+        Unix.set_nonblock a;
+        Unix.set_nonblock b;
+        let hops = 1000 in
+        let before = ref (Reactor.stats r) and after = ref (Reactor.stats r) in
+        Fiber.run_parallel ~domains:1 (fun () ->
+            (* let the reactor's first round settle before measuring *)
+            Reactor.sleep r 0.01;
+            before := Reactor.stats r;
+            let bounce fd ~serve =
+              let buf = Bytes.create 1 in
+              for _ = 1 to hops do
+                if serve then Fio.write_all r fd buf 0 1;
+                Fio.read_exact r fd buf 0 1;
+                if not serve then Fio.write_all r fd buf 0 1
+              done
+            in
+            let pong = Fiber.spawn (fun () -> bounce b ~serve:false) in
+            bounce a ~serve:true;
+            Fiber.join pong;
+            after := Reactor.stats r);
+        Unix.close a;
+        Unix.close b;
+        let d f = f !after - f !before in
+        let commands = d (fun s -> s.Reactor.commands)
+        and polls = d (fun s -> s.Reactor.polls)
+        and wakeups = d (fun s -> s.Reactor.wakeups) in
+        Printf.printf "%d hops: %d wakeups, %d polls, %d commands\n%!" hops
+          wakeups polls commands;
+        Alcotest.(check int) "no command per park" 0 commands;
+        Alcotest.(check bool)
+          (Printf.sprintf "every hop parked (%d wakeups)" wakeups)
+          true (wakeups >= hops);
+        Alcotest.(check bool)
+          (Printf.sprintf "polls %d <= wakeups %d + 5" polls wakeups)
+          true (polls <= wakeups + 5)
+      end)
 
 (* ---------- TCP server ---------- *)
 
@@ -783,6 +914,12 @@ let () =
             test_sleep_edge_cases;
           Alcotest.test_case "wake returns to the parking worker" `Quick
             test_wake_returns_home;
+          Alcotest.test_case "each poke wakes the reactor" `Quick
+            test_sleeps_stay_prompt;
+          Alcotest.test_case "reader and writer parked on one socket" `Quick
+            test_reader_and_writer_one_fd;
+          Alcotest.test_case "a park costs no command (epoll)" `Quick
+            test_park_costs_no_command;
         ] );
       ( "fiber-io",
         [ Alcotest.test_case "pipe roundtrip with parking writer" `Quick

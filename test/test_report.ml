@@ -262,6 +262,17 @@ let test_committed_files_valid () =
 
 let pp name d = [ ("name", str name); ("domains", n d) ]
 
+(* the committed file predates the host-stall probe: add its columns *)
+let with_probe =
+  rows "coupled_busy"
+    (List.map (fun r ->
+         match r with
+         | Json.Obj kvs ->
+             Json.Obj
+               (kvs @ [ ("host_stalls_per_s", n 0.0);
+                        ("host_stall_max_s", n 0.0) ])
+         | v -> v))
+
 (* each fixture breaks one check of the committed parallel file *)
 let parallel_fixtures =
   [
@@ -291,6 +302,21 @@ let parallel_fixtures =
       fun d ->
         let cb k = set ~sec:"coupled_busy" [ ("domains", n 2.) ] k (n 0.0011) in
         cb "p99_s" (cb "max_s" d) );
+    (* with the host probe in the row, the failure names whose it is *)
+    ( "longest 0.003000 s -- reads as host",
+      fun d ->
+        let cb k v = set ~sec:"coupled_busy" [ ("domains", n 2.) ] k (n v) in
+        cb "p99_s" 0.0011 (cb "max_s" 0.004 (cb "host_stalls_per_s" 7.0
+          (cb "host_stall_max_s" 0.003 (with_probe d)))) );
+    ( "longest 0.000600 s -- reads as runtime",
+      fun d ->
+        let cb k v = set ~sec:"coupled_busy" [ ("domains", n 2.) ] k (n v) in
+        cb "p99_s" 0.0011 (cb "max_s" 0.004 (cb "host_stalls_per_s" 1.0
+          (cb "host_stall_max_s" 0.0006 (with_probe d)))) );
+    ( "coupled_busy row with missing/bad \"host_stall_max_s\"",
+      fun d ->
+        set ~sec:"coupled_busy" [ ("domains", n 1.) ] "host_stall_max_s"
+          (n (-1.0)) (with_probe d) );
   ]
 
 let nc bk c = [ ("backend", str bk); ("connections", n c) ]
@@ -437,7 +463,8 @@ let test_written_docs_valid () =
   in
   let coupled domains : Bf.Parallel.coupled =
     { domains; calls = Bf.Parallel.coupled_calls; idle_p50_s = 20e-6;
-      p50_s = 40e-6; p99_s = 80e-6; max_s = 0.0002 }
+      p50_s = 40e-6; p99_s = 80e-6; max_s = 0.0002; host_stalls_per_s = 6.0;
+      host_stall_max_s = 0.0021 }
   in
   let pdoc =
     Bf.Parallel.doc ~host_cores:2 ~quick:true ~warmup:1 rs
