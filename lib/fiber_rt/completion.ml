@@ -1,6 +1,5 @@
 (* Lock-free one-shot completion cell with a payload: one atomic cell
-   per fiber (unit), per Scope (unit) and per ULP (its exit status),
-   instead of a Mutex.t each.
+   per fiber (unit) and per Scope (unit), instead of a Mutex.t each.
 
    The cell walks a tiny CAS-driven state machine:
 
@@ -54,14 +53,8 @@ let rec add_joiner t wake =
         add_joiner t wake
 
 (* Publish [v] and wake every registered joiner exactly once.  Call
-   once per cell: a fiber, a scope and a ULP each finish once.  The
-   result says whether any joiner had registered: the same exchange
-   that wakes them decides it, so no joiner can slip in between. *)
-let finish_woke t v =
+   once per cell: a fiber and a scope each finish once. *)
+let finish t v =
   match Atomic.exchange t (Done v) with
-  | Joiners ws ->
-      List.iter (fun wake -> wake ()) ws;
-      true
-  | Running | Done _ -> false
-
-let finish t v = ignore (finish_woke t v)
+  | Joiners ws -> List.iter (fun wake -> wake ()) ws
+  | Running | Done _ -> ()

@@ -1,7 +1,7 @@
 (** Lock-free one-shot completion cell with a payload: a single
     [Atomic.t] walking [Running -> Joiners ws -> Done v] by CAS.
-    Fibers and {!Scope} use [unit t]; a ULP ([Proc]) uses one for its
-    exit status, which parked [waitpid] fibers hang their wakes on.
+    Fibers and {!Scope} use [unit t]; the payload is for callers that
+    publish a result with the wake.
     [finish] snatches the joiner list with one exchange, so every
     registered wake runs exactly once, from the finisher or (on a lost
     CAS against [Done]) from the joiner itself.  Recompiled inside
@@ -26,7 +26,3 @@ val add_joiner : 'a t -> (unit -> unit) -> unit
 
 val finish : 'a t -> 'a -> unit
 (** Publish [Done v] and wake every registered joiner.  Call once. *)
-
-val finish_woke : 'a t -> 'a -> bool
-(** {!finish}, returning whether any joiner had registered before the
-    cell turned [Done] — decided by the same atomic exchange. *)

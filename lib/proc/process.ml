@@ -10,10 +10,9 @@
    - a private fd table (Fd_core): descriptors resolve through the
      owning ULP's slots, host fds are refcounted so sharing never
      double-closes;
-   - a vpid in a lock-free process table (Proc_table), with
-     parent/child links for wait semantics;
-   - an exit-status cell (a [status Completion.t]) that parked waitpid
-     fibers hang their wakes on;
+   - a place in its world's process tree: a vpid, a parent, its
+     children, an exit status and the wakes of the waitpid fibers
+     parked on it;
    - a pending-signal mask plus per-signal handlers, delivered at
      cancellation points ([check]); the default disposition terminates
      the whole fiber tree through the Scope's first-failure-wins
@@ -23,33 +22,34 @@
      pays one atomic for them, like its fd table pays only for the
      slots it has grown.
 
-   Lifecycle protocol (all lock-free, all exercised by lib/check and
-   the qcheck models):
+   The process tree -- the vpid table, and every ULP's parent, adopted
+   flag, status, waiters and children -- sits under one lock per world, as Linux keeps fork, exit and wait under one
+   tasklist_lock.  Spawn, exit and reap happen once per ULP, so each is
+   one short critical section: no syscall, no spawn, no wake and no
+   park inside it.  Fds are closed before the lock is taken, and the
+   parked waiters are woken after it is released.
 
-     spawn:   vpid = fetch_and_add; table.add; parent.children CAS-cons
-              (rebuilt without reaped entries once those outnumber the
-              live ones); fiber runs body inside a fresh Scope
-     exit:    close_all fds; re-parent live children to the root ULP
-              (adopted := true); Completion.finish publishes the status
-              and wakes waiters; an adopted (orphan) zombie with no
-              waiter parked at that moment reaps itself -- init does
-              not wait for it, but a waiter that did park gets the
-              status
-     waitpid: find the child in the vpid table and check its parent;
-              park on its wait cell; claim the zombie by CAS (claimed:
-              exactly one reaper) and drop it from the table
-     kill:    set the pending bit; no handler installed -> Scope.fail
-              with Killed (first failure wins, tree cancels); handler
-              installed -> delivered at the target's next [check]
-
-   The orphan handshake is the usual store/load pairing: the exiting
-   child publishes its status THEN reads [adopted]; the exiting parent
-   stores [adopted] THEN reads the status -- at least one side observes
-   both and the zombie is reaped by exactly one (the [claimed] CAS). *)
+     spawn:   take the next vpid and build the ULP; under the lock,
+              refuse an exited parent, enter the table and the
+              parent's children; then the fiber runs the body inside
+              a fresh Scope
+     exit:    close_all fds; under the lock, hand the live children to
+              the root ULP (adopted := true), reap the zombie ones,
+              publish the status and take the waiters; an adopted ULP
+              nobody waits for reaps itself -- init does not wait for
+              it, but a waiter that did park gets the status; wake the
+              waiters
+     waitpid: under the lock, find the child in the table and check its
+              parent; reap a zombie at once, else queue a wake on the
+              child and park; once woken, reap it unless another
+              waiter already did
+     kill:    look the target up under the lock; set the pending bit;
+              no handler installed -> Scope.fail with Killed (first
+              failure wins, tree cancels); handler installed ->
+              delivered at the target's next [check] *)
 
 module Fiber = Fiber_rt.Fiber
 module Scope = Fiber_rt.Scope
-module Completion = Fiber_rt.Completion
 
 exception Proc_exit of int
 (** Raised by {!exit}; absorbed by the ULP's root fiber. *)
@@ -66,67 +66,94 @@ let sigusr2 = 12
 let sigterm = 15
 let max_signal = 31
 
+(* The most descriptors a ULP may hold; its table grows up to it. *)
+let fd_capacity = 256
+
+(* vpids are consecutive ints: they spread over the buckets as they
+   are, and an int key needs neither the generic hash nor compare *)
+module Vtbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash v = v
+end)
+
 type t = {
   vpid : int;
   world : world;
-  parent : int Atomic.t; (* re-written once if orphaned to the root *)
-  adopted : bool Atomic.t; (* re-parented: root auto-reaps it *)
-  claimed : bool Atomic.t; (* zombie reaped exactly once *)
   fds : Unix.file_descr Fd_core.table;
   scope : Scope.t; (* the ULP's fiber tree *)
-  waitc : status Completion.t;
   pending : int Atomic.t; (* signal bitmask, bit (1 lsl signum) *)
   handlers : (int -> unit) option array Atomic.t; (* copy-on-write *)
-  children : brood Atomic.t;
-  reaps : int Atomic.t; (* children claimed so far, by any reaper *)
-}
-
-(* The children list and its bookkeeping, replaced by one CAS.  The
-   reaped entries still listed number about [reaps - reaps_at]. *)
-and brood = {
-  kids : t list;
-  listed : int; (* List.length kids *)
-  reaps_at : int; (* [reaps] when [kids] was last rebuilt *)
+  (* the rest is the process tree, guarded by [world.lock] *)
+  mutable parent : int; (* re-written once if orphaned to the root *)
+  mutable adopted : bool; (* re-parented: reaps itself if nobody waits *)
+  mutable status : status option;
+  mutable waiters : (unit -> unit) list; (* wakes of parked waitpids *)
+  mutable kids : t Vtbl.t option; (* made by the first spawn *)
 }
 
 and world = {
-  table : t Proc_table.t;
+  lock : Mutex.t; (* the process-tree lock *)
+  procs : t Vtbl.t; (* live and zombie ULPs by vpid *)
+  (* taken before the lock, so a spawn builds its ULP outside it *)
   next_vpid : int Atomic.t;
-  fd_capacity : int;
   mutable root_ulp : t option; (* set once by boot, before publication *)
 }
 
 (* Every ULP starts out sharing this one; [on_signal] replaces it. *)
 let no_handlers : (int -> unit) option array = [||]
 
-let make_proc w ~vpid ~parent_vpid ~fd_capacity =
+let make_proc w ~vpid ~parent =
   {
     vpid;
     world = w;
-    parent = Atomic.make parent_vpid;
-    adopted = Atomic.make false;
-    claimed = Atomic.make false;
     fds = Fd_core.create ~capacity:fd_capacity;
     scope = Scope.create ();
-    waitc = Completion.create ();
     pending = Atomic.make 0;
     handlers = Atomic.make no_handlers;
-    children = Atomic.make { kids = []; listed = 0; reaps_at = 0 };
-    reaps = Atomic.make 0;
+    parent;
+    adopted = false;
+    status = None;
+    waiters = [];
+    kids = None;
   }
 
-let boot ?(fd_capacity = 256) () =
+(* A holder only updates a few tables, so a locker on another domain
+   retries a little before it blocks in the OS: blocking costs both
+   sides a futex round trip, longer than the holder takes. *)
+(* ulplint: allow missed-cancellation-point -- bounded spin: at most n + 1 try_locks (32 from [locked]), then Mutex.lock blocks; a cancellation check here would let a signal interrupt a lock acquisition *)
+let rec try_lock m n =
+  Mutex.try_lock m
+  || n > 0
+     && begin
+          Domain.cpu_relax ();
+          try_lock m (n - 1)
+        end
+
+let locked w f =
+  if not (try_lock w.lock 32) then
+    (* ulplint: allow raw-mutex-in-fiber -- the process-tree lock, shared by spawns, exits and waits on every worker domain; held for a few table updates, never across a syscall, a wake or a park *)
+    Mutex.lock w.lock;
+  match f () with
+  | v ->
+      Mutex.unlock w.lock;
+      v
+  | exception e ->
+      Mutex.unlock w.lock;
+      raise e
+
+let boot () =
   let w =
     {
-      table = Proc_table.create ();
-      next_vpid = Atomic.make 1;
-      fd_capacity;
+      lock = Mutex.create ();
+      procs = Vtbl.create 64;
+      next_vpid = Atomic.make 2;
       root_ulp = None;
     }
   in
-  let vpid = Atomic.fetch_and_add w.next_vpid 1 in
-  let r = make_proc w ~vpid ~parent_vpid:0 ~fd_capacity in
-  Proc_table.add w.table vpid r;
+  let r = make_proc w ~vpid:1 ~parent:0 in
+  Vtbl.replace w.procs 1 r;
   w.root_ulp <- Some r;
   w
 
@@ -139,10 +166,10 @@ let world u = u.world
 let fds u = u.fds
 let scope u = u.scope
 let getpid u = u.vpid
-let getppid u = Atomic.get u.parent
-let status_of u = Completion.status u.waitc
-let live_procs w = Proc_table.length w.table
-let find w vpid = Proc_table.find w.table vpid
+let getppid u = locked u.world (fun () -> u.parent)
+let status_of u = locked u.world (fun () -> u.status)
+let live_procs w = locked w (fun () -> Vtbl.length w.procs)
+let find w vpid = locked w (fun () -> Vtbl.find_opt w.procs vpid)
 
 let exit (_ : t) code = raise (Proc_exit code)
 
@@ -193,7 +220,7 @@ let rec set_pending u signum =
 let kill w ~vpid signum =
   if signum < 1 || signum > max_signal then
     invalid_arg "Proc.kill: bad signal number";
-  match Proc_table.find w.table vpid with
+  match find w vpid with
   | None -> Error `Esrch
   | Some p ->
       set_pending p signum;
@@ -202,86 +229,86 @@ let kill w ~vpid signum =
       | _ -> Scope.fail p.scope (Killed signum));
       Ok ()
 
-(* ---------- the child/zombie bookkeeping ---------- *)
+(* ---------- the process tree: every function here runs locked ---------- *)
 
-(* Cons [c] onto [parent]'s children.  A reaped child stays listed
-   until an [add_child] finds the reaped entries outnumbering the live
-   ones and rebuilds the list without them: a rebuild walks fewer than
-   twice the entries reaped since the last one, so a reap costs O(1)
-   amortized and a reaped ULP becomes garbage at the next rebuild.
-   A reaper bumps [reaps] just after its claim, so the estimate may be
-   off by the reaps racing a rebuild; the rebuild after resets it. *)
-let rec add_child parent c =
-  let b = Atomic.get parent.children in
-  let reaps = Atomic.get parent.reaps in
-  let next =
-    if 2 * (reaps - b.reaps_at) <= b.listed then
-      { b with kids = c :: b.kids; listed = b.listed + 1 }
-    else
-      let live = List.filter (fun c -> not (Atomic.get c.claimed)) b.kids in
-      { kids = c :: live; listed = List.length live + 1; reaps_at = reaps }
+let add_child parent c =
+  let kids =
+    match parent.kids with
+    | Some kids -> kids
+    | None ->
+        let kids = Vtbl.create 8 in
+        parent.kids <- Some kids;
+        kids
   in
-  if not (Atomic.compare_and_set parent.children b next) then
-    add_child parent c
+  Vtbl.replace kids c.vpid c
 
-(* Claim the zombie: exactly one reaper drops it from the table and
-   counts it against its parent's list. *)
-let try_reap c =
-  if Atomic.compare_and_set c.claimed false true then begin
-    let table = c.world.table in
-    ignore (Proc_table.remove table c.vpid);
-    (match Proc_table.find table (Atomic.get c.parent) with
-    | Some p -> Atomic.incr p.reaps
-    | None -> ());
-    true
-  end
-  else false
+(* Drop the zombie [c] from the table and from its parent's children:
+   it is garbage once its last handle goes. *)
+let reap c =
+  let procs = c.world.procs in
+  Vtbl.remove procs c.vpid;
+  match Vtbl.find_opt procs c.parent with
+  | Some { kids = Some kids; _ } -> Vtbl.remove kids c.vpid
+  | _ -> ()
 
-(* O(1): the vpid table, not the parent's list, finds the child. *)
-let find_child parent vpid =
-  match Proc_table.find parent.world.table vpid with
-  | Some c when Atomic.get c.parent = parent.vpid && not (Atomic.get c.claimed)
-    ->
-      Some c
-  | _ -> None
+(* [parent]'s unreaped child [vpid], reaped here if it is a zombie. *)
+let reap_child parent vpid =
+  match Vtbl.find_opt parent.world.procs vpid with
+  | Some c when c.parent = parent.vpid -> (
+      match c.status with
+      | Some st ->
+          reap c;
+          `Reaped st
+      | None -> `Running c)
+  | _ -> `Echild
 
-(* An exited parent's list still names the children it handed to the
-   root: those now answer to the root, not to it. *)
 let children parent =
-  List.filter_map
-    (fun c ->
-      if Atomic.get c.claimed || Atomic.get c.parent <> parent.vpid then None
-      else Some c.vpid)
-    (Atomic.get parent.children).kids
+  locked parent.world (fun () ->
+      match parent.kids with
+      | None -> []
+      | Some kids -> Vtbl.fold (fun vpid _ l -> vpid :: l) kids [])
 
 let do_exit u st =
   ignore (Fd_core.close_all u.fds);
-  (* Orphan the children to the root ULP (init): live ones will
-     self-reap when they exit; already-dead ones are reaped here.  The
-     adopted/zombie handshake guarantees at least one side sees both
-     flags, and the [claimed] CAS that exactly one acts. *)
-  let rt = root u.world in
-  List.iter
-    (fun c ->
-      if not (Atomic.get c.claimed) then begin
-        Atomic.set c.parent rt.vpid;
-        Atomic.set c.adopted true;
-        add_child rt c;
-        if Completion.is_done c.waitc then ignore (try_reap c)
-      end)
-    (Atomic.get u.children).kids;
-  (* a waiter parked on the status cell reaps the zombie itself; only
-     an adopted ULP nobody waits for reaps itself *)
-  let waited = Completion.finish_woke u.waitc st in
-  if (not waited) && Atomic.get u.adopted then ignore (try_reap u)
+  let w = u.world in
+  let rt = root w in
+  let waiters =
+    locked w (fun () ->
+        (* Orphan the children to the root ULP (init): the live ones
+           reap themselves when they exit; the dead ones are reaped
+           here. *)
+        (match u.kids with
+        | None -> ()
+        | Some kids ->
+            Vtbl.iter
+              (fun _ c ->
+                c.parent <- rt.vpid;
+                c.adopted <- true;
+                if c.status = None then add_child rt c
+                else Vtbl.remove w.procs c.vpid)
+              kids;
+            u.kids <- None);
+        u.status <- Some st;
+        let waiters = u.waiters in
+        u.waiters <- [];
+        (* a parked waiter reaps the zombie itself; only an adopted ULP
+           nobody waits for reaps itself *)
+        if u.adopted && waiters = [] then reap u;
+        waiters)
+  in
+  List.iter (fun wake -> wake ()) waiters
 
-let spawn ?worker ?fd_capacity ~parent body =
+let spawn ~parent body =
   let w = parent.world in
   let vpid = Atomic.fetch_and_add w.next_vpid 1 in
-  let fd_capacity = Option.value fd_capacity ~default:w.fd_capacity in
-  let u = make_proc w ~vpid ~parent_vpid:parent.vpid ~fd_capacity in
-  Proc_table.add w.table vpid u;
-  add_child parent u;
+  let u = make_proc w ~vpid ~parent:parent.vpid in
+  locked w (fun () ->
+      (* an exited parent handed its children on: a new one would
+         have nobody to reap it *)
+      if parent.status <> None then
+        invalid_arg "Proc.spawn: the parent has exited";
+      Vtbl.replace w.procs vpid u;
+      add_child parent u);
   let run () =
     let normal =
       match body u with
@@ -310,9 +337,7 @@ let spawn ?worker ?fd_capacity ~parent body =
     in
     do_exit u st
   in
-  (match worker with
-  | Some wk -> ignore (Fiber.spawn_on ~worker:wk run)
-  | None -> ignore (Fiber.spawn run));
+  ignore (Fiber.spawn run);
   u
 
 let spawn_fiber ?worker u body = Scope.spawn ?worker u.scope body
@@ -320,25 +345,37 @@ let spawn_fiber ?worker u body = Scope.spawn ?worker u.scope body
 (* ---------- wait semantics ---------- *)
 
 let try_waitpid ~parent ~vpid =
-  match find_child parent vpid with
-  | None -> Error `Echild
-  | Some c -> (
-      match Completion.status c.waitc with
-      | None -> Ok None
-      | Some st -> if try_reap c then Ok (Some st) else Error `Echild)
+  match locked parent.world (fun () -> reap_child parent vpid) with
+  | `Echild -> Error `Echild
+  | `Reaped st -> Ok (Some st)
+  | `Running _ -> Ok None
 
 let waitpid ~parent ~vpid =
-  match find_child parent vpid with
-  | None -> Error `Echild
-  | Some c -> (
+  let w = parent.world in
+  match locked w (fun () -> reap_child parent vpid) with
+  | `Echild -> Error `Echild
+  | `Reaped st -> Ok st
+  | `Running c -> (
       (* park the calling FIBER (never the domain) until the child
-         exits; the wake rides the status cell's joiner list and is
-         routed back to the worker that parked us *)
-      if not (Completion.is_done c.waitc) then
-        Fiber.suspend_token (fun tok ->
-            let home = Fiber.worker_index () in
-            Completion.add_joiner c.waitc (fun () ->
-                ignore (Fiber.Wake.fire_to ?worker:home tok)));
-      match Completion.status c.waitc with
-      | Some st -> if try_reap c then Ok st else Error `Echild
-      | None -> assert false (* the cell finishes before waiters run *))
+         exits; its exit fires the wake after unlocking, routed back to
+         the worker that parked us *)
+      Fiber.suspend_token (fun tok ->
+          let home = Fiber.worker_index () in
+          let wake () = ignore (Fiber.Wake.fire_to ?worker:home tok) in
+          let parked =
+            locked w (fun () ->
+                match c.status with
+                | None ->
+                    c.waiters <- wake :: c.waiters;
+                    true
+                | Some _ -> false)
+          in
+          if not parked then wake ());
+      (* the child may have been handed to the root meanwhile: the
+         waiter that parked on it still reaps it *)
+      locked w (fun () ->
+          match c.status with
+          | Some st when Vtbl.mem w.procs c.vpid ->
+              reap c;
+              Ok st
+          | _ -> Error `Echild))

@@ -25,7 +25,9 @@ type t
 (** One user-level process (ULP). *)
 
 type world
-(** One shared address space: the vpid table and the root ULP. *)
+(** One shared address space: the process tree (the vpid table, every
+    ULP's parent, children and exit status, under one lock) and the
+    root ULP. *)
 
 (** {1 Conventional signal numbers} *)
 
@@ -41,21 +43,23 @@ val max_signal : int
 
 (** {1 Lifecycle} *)
 
-val boot : ?fd_capacity:int -> unit -> world
+val boot : unit -> world
 (** A fresh world whose only inhabitant is the root ULP (vpid 1) —
     the init process: orphans are re-parented to it and auto-reaped.
-    [fd_capacity] (default 256) sizes each ULP's fd table. *)
+    Each ULP's fd table holds up to 256 descriptors. *)
 
 val root : world -> t
 
-val spawn :
-  ?worker:int -> ?fd_capacity:int -> parent:t -> (t -> unit) -> t
-(** Create a ULP as [parent]'s child and start its root fiber ([worker]
-    as in {!Fiber_rt.Fiber.spawn_on}).  The body's fiber tree (grow it
-    with {!spawn_fiber}) runs inside the ULP's own Scope; when every
-    fiber of the tree has exited the ULP closes its fd table, publishes
-    its {!status} and becomes a zombie until the parent {!waitpid}s it
-    (or, if orphaned, reaps itself).  Fiber context. *)
+val spawn : parent:t -> (t -> unit) -> t
+(** Create a ULP as [parent]'s child and start its root fiber.  The
+    body's fiber tree (grow it with {!spawn_fiber}) runs inside the
+    ULP's own Scope; when every fiber of the tree has exited the ULP
+    closes its fd table, publishes its {!status} and becomes a zombie
+    until the parent {!waitpid}s it (or, if orphaned, reaps itself).
+    Fiber context.
+    @raise Invalid_argument when [parent] has exited: it already handed
+    its children to the root, and a child linked under it now could
+    never be reaped. *)
 
 val spawn_fiber : ?worker:int -> t -> (unit -> unit) -> unit
 (** Spawn a fiber into the ULP's tree: its uncaught exceptions (and
@@ -71,7 +75,8 @@ val getppid : t -> int
 (** 0 for the root; re-written to the root's vpid when orphaned. *)
 
 val children : t -> int list
-(** vpids of live + zombie (unreaped) children; racy snapshot. *)
+(** vpids of live + zombie (unreaped) children, in no particular
+    order; a snapshot taken under the tree lock. *)
 
 val status_of : t -> status option
 (** [None] while running, the exit status once the tree exited —

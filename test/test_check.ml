@@ -326,7 +326,7 @@ end
    computed from a stale read, silently undoing the concurrent pop --
    the popped worker is resurrected, and a later waker will spend a
    token on the ghost while a genuinely parked worker sleeps on. *)
-let shard_take_vs_pop (module I : IDLE) () =
+let idle_take_vs_pop (module I : IDLE) () =
   let t = I.create () in
   I.push t 0;
   I.push t 1;
@@ -347,7 +347,7 @@ let shard_take_vs_pop (module I : IDLE) () =
    [spawn_on]) aimed at the same parked worker:
    [take] must have exactly one winner, or two wake tokens are minted
    where the inbox-delivery protocol promises one. *)
-let shard_two_flushes (module I : IDLE) () =
+let idle_two_flushes (module I : IDLE) () =
   let t = I.create () in
   I.push t 0;
   let a = ref false and b = ref false in
@@ -363,7 +363,7 @@ let shard_two_flushes (module I : IDLE) () =
    park/wake handshake) vs a reactor waker popping it: exactly one side
    may claim the id.  When the waker wins, its wake token is in flight
    and the worker must consume it (wait_until), not leak it. *)
-let shard_wake_vs_park (module I : IDLE) () =
+let idle_wake_vs_park (module I : IDLE) () =
   let t = I.create () in
   let tokens = Atomic'.make 0 in
   let cancelled = ref false and woke = ref false in
@@ -400,7 +400,7 @@ let shard_wake_vs_park (module I : IDLE) () =
    the registration or leaves the Ready memo the re-await consumes.
    The seeded get-then-set post can overwrite the re-registration and
    strand the fiber.  (B waits for the first wake to be consumed.) *)
-let readiness_rebind_across_shards (module R : READINESS) () =
+let readiness_rebind (module R : READINESS) () =
   let cell = R.create () in
   let woken = Atomic'.make 0 in
   ( [
@@ -746,10 +746,9 @@ let scope_fail_race (module S : SCOPE) () =
       | None -> failwith "no failure recorded");
       if not (S.is_cancelled t) then failwith "failure did not cancel" )
 
-(* ---------- proc: fd refcounts, wait cells, the vpid table ---------- *)
+(* ---------- proc: fd refcounts and wait cells ---------- *)
 
 module Cfiber = Check.Fiber
-module Ptab = Check.Proc_table
 
 (* Parameterized over the fd-table implementation so the same scenarios
    drive the faithful Fd_core copy and the seeded get-then-set twin. *)
@@ -969,12 +968,14 @@ let fd_grow_vs_dup2 (module F : FD) =
   let module G = Fd_growth (F) in
   G.vs_dup2
 
-(* waitpid parking vs the child's exit, on the ULP's exit-status cell
-   (a Completion): the waiter registers its wake and parks (a guarded
-   step on the token); the finish exchange must either snatch the
-   registration or make the registration's CAS fail and see Done.  The
-   seeded get-then-set finish publishes the status over the stale
-   joiner list -- the parent sleeps forever (Deadlock). *)
+(* A waiter parking vs the finish that publishes a status, on a
+   Completion carrying a payload (the shape of waitpid against an exit,
+   and of Fiber.join and Scope.await): the waiter registers its wake
+   and parks (a guarded step on the token); the finish exchange must
+   either snatch the registration or make the registration's CAS fail
+   and see Done.  The seeded get-then-set finish publishes the status
+   over the stale joiner list -- the waiter sleeps forever
+   (Deadlock). *)
 let wait_exit_vs_waiter (module C : COMPLETION) () =
   let c = C.create () in
   ( [
@@ -988,9 +989,8 @@ let wait_exit_vs_waiter (module C : COMPLETION) () =
       | Some 7 -> ()
       | _ -> failwith "wait-cell: status not published" )
 
-(* Racing waiters for one child: both register, both must be woken by
-   the single finish (claiming the zombie is the process table's CAS,
-   not the cell's concern). *)
+(* Racing waiters on one cell: both register, both must be woken by
+   the single finish. *)
 let wait_two_waiters (module C : COMPLETION) () =
   let c = C.create () in
   let woken = ref 0 in
@@ -1003,21 +1003,6 @@ let wait_two_waiters (module C : COMPLETION) () =
     fun () ->
       if !woken <> 2 then
         failwith (Printf.sprintf "wait-cell: woke %d of 2" !woken) )
-
-(* Spawn racing an exit in the SAME bucket (buckets = 2, keys 1 and 3):
-   the CAS-cons insert and the CAS-filter remove must both land. *)
-let table_add_remove_race () =
-  let t = Ptab.create ~buckets:2 () in
-  Ptab.add t 1 "one";
-  ( [
-      (fun () -> Ptab.add t 3 "three");
-      (fun () -> ignore (Ptab.remove t 1));
-    ],
-    fun () ->
-      if Ptab.find t 3 <> Some "three" then failwith "proc-table: add lost";
-      if Ptab.find t 1 <> None then failwith "proc-table: remove lost";
-      if Ptab.length t <> 1 then
-        failwith (Printf.sprintf "proc-table: size %d" (Ptab.length t)) )
 
 (* ---------- the KC pool: lease on first couple, push back at finish - *)
 
@@ -1381,7 +1366,7 @@ let buggy_compl : (module COMPLETION) = (module Buggy_compl)
 let rdy : (module READINESS) = (module Check.Readiness)
 let buggy_rdy : (module READINESS) = (module Check.Buggy_reactor)
 let idle : (module IDLE) = (module Check.Idle_waker)
-let buggy_idle : (module IDLE) = (module Check.Buggy_shard)
+let buggy_idle : (module IDLE) = (module Check.Buggy_idle_waker)
 let kc_pool : (module KC_POOL) = (module Check.Kc_pool)
 let buggy_kc_pool : (module KC_POOL) = (module Check.Buggy_kc_pool)
 let interest : (module INTEREST) = (module Check.Interest)
@@ -1482,37 +1467,37 @@ let test_buggy_reactor_double_wake () =
       Sched.print_failure f';
       Alcotest.fail "faithful Readiness failed the double-wake schedule"
 
-let test_shard_take_vs_pop () =
+let test_idle_take_vs_pop () =
   let stats =
-    expect_pass "idle-take-vs-pop" (Sched.check (shard_take_vs_pop idle))
+    expect_pass "idle-take-vs-pop" (Sched.check (idle_take_vs_pop idle))
   in
   Alcotest.(check bool) "exhaustive" true stats.Sched.complete
 
-let test_shard_two_flushes () =
+let test_idle_two_flushes () =
   let stats =
-    expect_pass "idle-two-flushes" (Sched.check (shard_two_flushes idle))
+    expect_pass "idle-two-flushes" (Sched.check (idle_two_flushes idle))
   in
   Alcotest.(check bool) "exhaustive" true stats.Sched.complete
 
-let test_shard_wake_vs_park () =
+let test_idle_wake_vs_park () =
   let stats =
-    expect_pass "idle-wake-vs-park" (Sched.check (shard_wake_vs_park idle))
+    expect_pass "idle-wake-vs-park" (Sched.check (idle_wake_vs_park idle))
   in
   Alcotest.(check bool) "exhaustive" true stats.Sched.complete
 
 let test_readiness_rebind () =
   ignore
-    (expect_pass "readiness-rebind-across-shards"
-       (Sched.check ~max_schedules:8_000 (readiness_rebind_across_shards rdy)))
+    (expect_pass "readiness-rebind"
+       (Sched.check ~max_schedules:8_000 (readiness_rebind rdy)))
 
-let test_buggy_shard_caught () =
+let test_buggy_idle_caught () =
   (* the targeted flush racing a pop: the stale-read store resurrects
      the popped worker *)
   let f, stats =
     expect_bug "get-then-set take"
-      (Sched.check (shard_take_vs_pop buggy_idle))
+      (Sched.check (idle_take_vs_pop buggy_idle))
   in
-  Printf.printf "shard-flush lost removal caught after %d schedules: %s\n%!"
+  Printf.printf "idle-flush lost removal caught after %d schedules: %s\n%!"
     stats.Sched.schedules f.Sched.f_reason;
   print_string (Sched.failure_to_string f);
   Alcotest.(check bool)
@@ -1520,40 +1505,40 @@ let test_buggy_shard_caught () =
     (contains ~sub:"not conserved" f.Sched.f_reason);
   (* the printed schedule replays to the same failure... *)
   (match
-     Sched.replay ~schedule:f.Sched.f_schedule (shard_take_vs_pop buggy_idle)
+     Sched.replay ~schedule:f.Sched.f_schedule (idle_take_vs_pop buggy_idle)
    with
   | Error f' ->
       Alcotest.(check string)
         "replay reproduces the same failure" f.Sched.f_reason f'.Sched.f_reason
   | Ok _ -> Alcotest.fail "replay of the failing schedule passed");
   (* ...and the faithful stack survives the exact same schedule *)
-  match Sched.replay ~schedule:f.Sched.f_schedule (shard_take_vs_pop idle) with
+  match Sched.replay ~schedule:f.Sched.f_schedule (idle_take_vs_pop idle) with
   | Ok _ -> ()
   | Error f' ->
       Sched.print_failure f';
       Alcotest.fail "faithful Idle_waker failed the buggy take's schedule"
 
-let test_buggy_shard_double_token () =
+let test_buggy_idle_double_token () =
   let f, stats =
     expect_bug "two flushes double-take"
-      (Sched.check (shard_two_flushes buggy_idle))
+      (Sched.check (idle_two_flushes buggy_idle))
   in
   Printf.printf "double wake token caught after %d schedules: %s\n%!"
     stats.Sched.schedules f.Sched.f_reason;
-  match Sched.replay ~schedule:f.Sched.f_schedule (shard_two_flushes idle) with
+  match Sched.replay ~schedule:f.Sched.f_schedule (idle_two_flushes idle) with
   | Ok _ -> ()
   | Error f' ->
       Sched.print_failure f';
       Alcotest.fail "faithful Idle_waker failed the double-take schedule"
 
-let test_buggy_shard_wake_vs_park () =
+let test_buggy_idle_wake_vs_park () =
   let f, stats =
     expect_bug "park-cancel vs waker"
-      (Sched.check (shard_wake_vs_park buggy_idle))
+      (Sched.check (idle_wake_vs_park buggy_idle))
   in
   Printf.printf "park-cancel double-claim caught after %d schedules: %s\n%!"
     stats.Sched.schedules f.Sched.f_reason;
-  match Sched.replay ~schedule:f.Sched.f_schedule (shard_wake_vs_park idle) with
+  match Sched.replay ~schedule:f.Sched.f_schedule (idle_wake_vs_park idle) with
   | Ok _ -> ()
   | Error f' ->
       Sched.print_failure f';
@@ -1563,13 +1548,13 @@ let test_buggy_rebind_caught () =
   let f, stats =
     expect_bug "rebind lost registration"
       (Sched.check ~max_schedules:8_000
-         (readiness_rebind_across_shards buggy_rdy))
+         (readiness_rebind buggy_rdy))
   in
   Printf.printf "rebind lost wake-up caught after %d schedules: %s\n%!"
     stats.Sched.schedules f.Sched.f_reason;
   match
     Sched.replay ~schedule:f.Sched.f_schedule
-      (readiness_rebind_across_shards rdy)
+      (readiness_rebind rdy)
   with
   | Ok _ -> ()
   | Error f' ->
@@ -1704,12 +1689,6 @@ let test_wait_two_waiters () =
   ignore
     (expect_pass "wait-two-waiters"
        (Sched.check ~max_schedules:8_000 (wait_two_waiters compl)))
-
-let test_table_add_remove () =
-  let stats =
-    expect_pass "proc-table-add-remove" (Sched.check table_add_remove_race)
-  in
-  Alcotest.(check bool) "exhaustive" true stats.Sched.complete
 
 (* ---------- sync/scope: seeded twins caught, faithful replays ------- *)
 
@@ -1972,9 +1951,9 @@ let test_fuzz_real_structures_clean () =
       ("readiness-register-vs-post", readiness_register_vs_post rdy);
       ("readiness-two-posters", readiness_two_posters rdy);
       ("readiness-timeout-vs-ready", readiness_timeout_vs_ready rdy);
-      ("readiness-rebind-across-shards", readiness_rebind_across_shards rdy);
-      ("idle-take-vs-pop", shard_take_vs_pop idle);
-      ("idle-wake-vs-park", shard_wake_vs_park idle);
+      ("readiness-rebind", readiness_rebind rdy);
+      ("idle-take-vs-pop", idle_take_vs_pop idle);
+      ("idle-wake-vs-park", idle_wake_vs_park idle);
       ("mpsc", mpsc_enqueue_drain);
       ("channel", channel_send_recv);
       ("couple-vs-steal", couple_vs_steal ~buggy:false);
@@ -1992,7 +1971,6 @@ let test_fuzz_real_structures_clean () =
       ("fd-grow-two-growers", fd_grow_two_growers good_fd);
       ("wait-exit-vs-waiter", wait_exit_vs_waiter compl);
       ("wait-two-waiters", wait_two_waiters compl);
-      ("proc-table-add-remove", table_add_remove_race);
     ]
 
 (* ---------- the acceptance gate: >= 10k interleavings, bounded time -- *)
@@ -2016,10 +1994,10 @@ let test_interleaving_budget () =
         ("readiness-register-vs-post", 4_000, readiness_register_vs_post rdy);
         ("readiness-two-posters", 4_000, readiness_two_posters rdy);
         ("readiness-timeout-vs-ready", 4_000, readiness_timeout_vs_ready rdy);
-        ("readiness-rebind", 8_000, readiness_rebind_across_shards rdy);
-        ("idle-take-vs-pop", 4_000, shard_take_vs_pop idle);
-        ("idle-two-flushes", 4_000, shard_two_flushes idle);
-        ("idle-wake-vs-park", 4_000, shard_wake_vs_park idle);
+        ("readiness-rebind", 8_000, readiness_rebind rdy);
+        ("idle-take-vs-pop", 4_000, idle_take_vs_pop idle);
+        ("idle-two-flushes", 4_000, idle_two_flushes idle);
+        ("idle-wake-vs-park", 4_000, idle_wake_vs_park idle);
         ("mpsc-enqueue-drain", 4_000, mpsc_enqueue_drain);
         ("channel-send-recv", 4_000, channel_send_recv);
         ("channel-two-receivers", 4_000, channel_two_receivers);
@@ -2038,7 +2016,6 @@ let test_interleaving_budget () =
         ("fd-grow-two-growers", 4_000, fd_grow_two_growers good_fd);
         ("wait-exit-vs-waiter", 4_000, wait_exit_vs_waiter compl);
         ("wait-two-waiters", 8_000, wait_two_waiters compl);
-        ("proc-table-add-remove", 4_000, table_add_remove_race);
       ]
   in
   let dt = Unix.gettimeofday () -. t0 in
@@ -2086,7 +2063,7 @@ let () =
             test_buggy_reactor_caught;
           Alcotest.test_case "get-then-set post double-wakes" `Quick
             test_buggy_reactor_double_wake;
-          Alcotest.test_case "rebind across shards wakes per registration"
+          Alcotest.test_case "rebind wakes once per registration"
             `Quick test_readiness_rebind;
           Alcotest.test_case "get-then-set post strands the rebind" `Quick
             test_buggy_rebind_caught;
@@ -2094,17 +2071,17 @@ let () =
       ( "idle-waker",
         [
           Alcotest.test_case "targeted take vs pop conserves ids" `Quick
-            test_shard_take_vs_pop;
+            test_idle_take_vs_pop;
           Alcotest.test_case "two flushes, one winner" `Quick
-            test_shard_two_flushes;
+            test_idle_two_flushes;
           Alcotest.test_case "park-cancel vs waker claims once" `Quick
-            test_shard_wake_vs_park;
+            test_idle_wake_vs_park;
           Alcotest.test_case "get-then-set take resurrects a worker" `Quick
-            test_buggy_shard_caught;
+            test_buggy_idle_caught;
           Alcotest.test_case "get-then-set take double-takes" `Quick
-            test_buggy_shard_double_token;
+            test_buggy_idle_double_token;
           Alcotest.test_case "get-then-set take double-claims the park" `Quick
-            test_buggy_shard_wake_vs_park;
+            test_buggy_idle_wake_vs_park;
         ] );
       ( "mpsc",
         [ Alcotest.test_case "enqueue vs drain" `Quick test_mpsc ] );
@@ -2195,8 +2172,6 @@ let () =
             `Quick test_wait_exit_vs_waiter;
           Alcotest.test_case "one finish wakes every waiter" `Quick
             test_wait_two_waiters;
-          Alcotest.test_case "vpid add vs remove in one bucket" `Quick
-            test_table_add_remove;
           Alcotest.test_case "get-then-set release leaks the host fd" `Quick
             test_buggy_fd_caught;
           Alcotest.test_case "unguarded retain double-closes" `Quick

@@ -890,59 +890,6 @@ let test_fd_capacity_unchanged () =
     (Fd.dup2 small ~src:0 ~dst:3 = Error `Badf);
   Alcotest.(check int) "still small" 3 (Fd.capacity small)
 
-(* ---------- Proc.Table vs a Hashtbl (unique vpids) ---------- *)
-
-module Ptab = Proc.Table
-
-type pt_op = PAdd of int | PRemove of int | PFind of int
-
-let pt_op_gen =
-  QCheck.Gen.(
-    let key = int_bound 7 in
-    frequency
-      [
-        (3, map (fun k -> PAdd k) key);
-        (2, map (fun k -> PRemove k) key);
-        (3, map (fun k -> PFind k) key);
-      ])
-
-let show_pt_op = function
-  | PAdd k -> Printf.sprintf "Add %d" k
-  | PRemove k -> Printf.sprintf "Remove %d" k
-  | PFind k -> Printf.sprintf "Find %d" k
-
-let pt_ops_arb =
-  QCheck.make
-    ~print:QCheck.Print.(list show_pt_op)
-    ~shrink:QCheck.Shrink.list
-    QCheck.Gen.(list_size (int_bound 60) pt_op_gen)
-
-(* Keys 0..7 over 2 buckets force long shared chains.  vpids are unique
-   by construction in the process layer (one fetch-and-add counter), so
-   an Add of a live key is skipped on both sides. *)
-let prop_ptab_matches_model ops =
-  let t = Ptab.create ~buckets:2 () in
-  let h = Hashtbl.create 16 in
-  let tick = ref 0 in
-  List.for_all
-    (fun op ->
-      incr tick;
-      match op with
-      | PAdd k ->
-          if not (Ptab.mem t k) then begin
-            Ptab.add t k !tick;
-            Hashtbl.replace h k !tick
-          end;
-          Ptab.length t = Hashtbl.length h
-      | PRemove k ->
-          let real = Ptab.remove t k in
-          let model = Hashtbl.mem h k in
-          Hashtbl.remove h k;
-          real = model && Ptab.length t = Hashtbl.length h
-      | PFind k -> Ptab.find t k = Hashtbl.find_opt h k)
-    ops
-  && Ptab.fold t ~init:true ~f:(fun acc k v -> acc && Hashtbl.find_opt h k = Some v)
-
 (* ---------- Proc process tree vs a POSIX tree model ---------- *)
 
 (* Each ULP idles in a yield loop, calling [Proc.check], until the
@@ -1174,7 +1121,6 @@ let () =
           t "Scope = first-failure-wins" children_arb prop_scope_first_failure;
           t "Proc.Fd_core = slot-array + refcount model" fd_ops_arb
             prop_fd_matches_model;
-          t "Proc.Table = Hashtbl model" pt_ops_arb prop_ptab_matches_model;
           t "Proc tree = POSIX process-tree model" tree_ops_arb
             prop_tree_matches_model;
         ] );

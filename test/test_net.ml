@@ -424,7 +424,7 @@ let test_sleep_edge_cases () =
 let test_deadline_during_cancel () =
   (* [`Ready] wins the verdict CAS, then cancels the armed timer; with
      the deadline on the byte's arrival the cancel often races the
-     shard's concurrent fire.  [`Ready] must mean the byte is there; a
+     reactor thread's concurrent fire.  [`Ready] must mean the byte is there; a
      [`Timeout] must leave no stale registration, so a second,
      deadline-free await still sees the byte. *)
   with_reactor (fun r ->

@@ -1,13 +1,16 @@
 (* Tier-1 tests for lib/proc: private fd tables (POSIX slot order, dup2
    displacement, refcounted sharing, exit-time close_all), virtual PIDs
    and wait semantics (WNOHANG polling, fiber-parking waitpid, zombie
-   reaping, orphan re-parenting to the root), signal delivery (default
-   dispositions, handlers at check points, uncatchable SIGKILL), the
-   fd-leak gate across 1000 spawn/exit cycles, a minor-words gate on an
-   empty spawn + waitpid, and multi-domain spawn/kill/wait and fd-table
-   growth stresses under TEST_SEED.  The concurrent
-   interleavings of the underlying Fd_core / Completion / Proc_table
-   are model-checked in test_check; qcheck models live in test_model. *)
+   reaping, orphan re-parenting to the root, no spawn under an exited
+   parent), signal delivery (default dispositions, handlers at check
+   points, uncatchable SIGKILL), the fd-leak gate across 1000
+   spawn/exit cycles, a minor-words gate on an empty spawn + waitpid,
+   and multi-domain stresses under TEST_SEED: spawn/kill/wait, fd-table
+   growth, and a three-level tree whose parents' exits race their
+   children's.  The concurrent interleavings of the underlying Fd_core
+   are model-checked in test_check; the process tree, which changes
+   only under its world's lock, is checked against a POSIX model in
+   test_model. *)
 
 module Fiber = Fiber_rt.Fiber
 module Reactor = Net.Reactor
@@ -487,6 +490,25 @@ let test_many_children_random_reaps () =
       spin_until "orphan self-reap" (fun () -> Proc.live_procs w = 1);
       Alcotest.(check (list int)) "no children left" [] (Proc.children u0))
 
+(* A ULP that has exited but is not yet reaped has handed its children
+   to the root; a child spawned under it now would have no parent left
+   to reap it and keep the population above 1 for good, so the spawn is
+   refused. *)
+let test_spawn_under_exited_parent () =
+  run2 (fun () ->
+      let w = Proc.boot () in
+      let u0 = Proc.root w in
+      let mid = Proc.spawn ~parent:u0 (fun _ -> ()) in
+      spin_until "mid exit" (fun () -> Proc.status_of mid <> None);
+      (match Proc.spawn ~parent:mid (fun _ -> ()) with
+      | _ -> Alcotest.fail "spawned a child under an exited parent"
+      | exception Invalid_argument _ -> ());
+      Alcotest.(check int) "only the root and the zombie" 2
+        (Proc.live_procs w);
+      ignore (wait_ok ~parent:u0 ~vpid:(Proc.getpid mid));
+      Alcotest.(check int) "population back to 1" 1 (Proc.live_procs w);
+      Alcotest.(check (list int)) "no children left" [] (Proc.children u0))
+
 (* ---------- signals ---------- *)
 
 let looper u =
@@ -689,6 +711,113 @@ let test_multidomain_stress () =
         kids;
       Alcotest.(check int) "table drained to the root" 1 (Proc.live_procs w))
 
+(* A three-level tree on four domains: the root spawns middle ULPs,
+   each middle spawns grandchildren and exits at a point drawn from
+   TEST_SEED -- before its children exit, between their exits, after
+   them, or racing them -- so a parent's exit meets its children's
+   exits on real domains.  Two root fibers race for each middle's
+   status (a blocking waitpid and a WNOHANG poll): it arrives exactly
+   once, with the middle's code.  The orphans reap themselves, so the
+   tree drains to the root; the run returning shows no waiter was left
+   parked. *)
+let test_three_level_stress () =
+  let middles = 120 in
+  Fiber.run_parallel ~domains:4 (fun () ->
+      let w = Proc.boot () in
+      let u0 = Proc.root w in
+      let where = Printf.sprintf "(TEST_SEED=%d)" Test_seed.seed in
+      (* Alcotest's checks print through one Format state: fibers on
+         four domains record the first mismatch instead *)
+      let wrong = Atomic.make None in
+      let expect what want st =
+        if st <> want then
+          ignore (Atomic.compare_and_set wrong None (Some what))
+      in
+      let exited u = Proc.status_of u <> None in
+      let idle u cond =
+        while not (cond ()) do
+          Proc.check u;
+          Fiber.yield ()
+        done
+      in
+      let middle i u =
+        let st = Test_seed.derived_state i in
+        let k = 1 + Random.State.int st 4 in
+        let go = Atomic.make false in
+        let kid j ~now =
+          Proc.spawn ~parent:u (fun g ->
+              (* [now]: exit at once; otherwise once the middle has
+                 exited, or (racing) once it lets go *)
+              if not now then idle g (fun () -> Atomic.get go || exited u);
+              Proc.exit g j)
+        in
+        (match Random.State.int st 4 with
+        | 0 -> (* before: every child outlives the middle *)
+            ignore (List.init k (fun j -> kid j ~now:false))
+        | 1 ->
+            (* between: the first half exit, the rest outlive it *)
+            let early = List.init ((k + 1) / 2) (fun j -> kid j ~now:true) in
+            ignore (List.init (k / 2) (fun j -> kid j ~now:false));
+            idle u (fun () -> List.for_all exited early)
+        | 2 ->
+            (* after: every child exits first; reap some, leave the
+               rest as zombies for the exit to reap *)
+            let kids = List.init k (fun j -> kid j ~now:true) in
+            idle u (fun () -> List.for_all exited kids);
+            List.iteri
+              (fun j c ->
+                if j mod 2 = 0 then
+                  expect "a grandchild's status" (Ok (Proc.Exited j))
+                    (Proc.waitpid ~parent:u ~vpid:(Proc.getpid c)))
+              kids
+        | _ ->
+            (* racing: let the children go and exit at once *)
+            ignore (List.init k (fun j -> kid j ~now:false));
+            Atomic.set go true);
+        Proc.exit u (i mod 7)
+      in
+      let mids = List.init middles (fun i -> Proc.spawn ~parent:u0 (middle i)) in
+      let arrivals = Array.init middles (fun _ -> Atomic.make 0) in
+      let got i st =
+        expect "a middle's status" (Proc.Exited (i mod 7)) st;
+        Atomic.incr arrivals.(i)
+      in
+      let reapers =
+        List.concat
+          (List.mapi
+             (fun i m ->
+               let vpid = Proc.getpid m in
+               [
+                 Fiber.spawn (fun () ->
+                     match Proc.waitpid ~parent:u0 ~vpid with
+                     | Ok st -> got i st
+                     | Error `Echild -> ());
+                 Fiber.spawn (fun () ->
+                     let rec poll () =
+                       match Proc.try_waitpid ~parent:u0 ~vpid with
+                       | Ok (Some st) -> got i st
+                       | Ok None ->
+                           Fiber.yield ();
+                           poll ()
+                       | Error `Echild -> ()
+                     in
+                     poll ());
+               ])
+             mids)
+      in
+      List.iter Fiber.join reapers;
+      Option.iter (fun what -> Alcotest.failf "wrong %s %s" what where)
+        (Atomic.get wrong);
+      Array.iteri
+        (fun i n ->
+          if Atomic.get n <> 1 then
+            Alcotest.failf "middle %d's status arrived %d times %s" i
+              (Atomic.get n) where)
+        arrivals;
+      spin_until "the orphans' self-reap" (fun () -> Proc.live_procs w = 1);
+      Alcotest.(check (list int)) ("no children left " ^ where) []
+        (Proc.children u0))
+
 (* A ULP's table grown from four domains at once: each worker adopts
    host fds, dups and closes the descriptors it holds, in a mix drawn
    from TEST_SEED, holding up to 40 at a time so the table grows past
@@ -850,6 +979,8 @@ let () =
             test_spawn_cost_gate;
           Alcotest.test_case "a parked root reaps its adopted orphan" `Quick
             test_parked_root_reaps_adopted;
+          Alcotest.test_case "spawn under an exited parent is refused" `Quick
+            test_spawn_under_exited_parent;
         ] );
       ( "signals",
         [
@@ -872,5 +1003,7 @@ let () =
             test_multidomain_stress;
           Alcotest.test_case "fd table grows under 4 domains (TEST_SEED)"
             `Slow test_fd_growth_stress;
+          Alcotest.test_case "three-level tree on 4 domains (TEST_SEED)" `Slow
+            test_three_level_stress;
         ] );
     ]
