@@ -742,8 +742,9 @@ let run_parallel_bench ~quick ~diff () =
 (* ---------------------------------------------------------------- *)
 
 (* An in-process echo benchmark on lib/net: one Tcp_server and N client
-   fibers per sweep point, all on [Fiber.run_parallel] with the one
-   reactor thread multiplexing every socket.  Each client connects and
+   fibers per sweep point, all on [Fiber.run_parallel] with one
+   reactor multiplexing every socket (an idle worker waits in its
+   poller).  Each client connects and
    does one untimed echo -- so the server has accepted it and its
    handler is live -- then rendezvous on a Completion latch, so the
    request phase measures steady-state RTTs, not connection setup or
@@ -931,7 +932,7 @@ let net_sweep_point r ~mode ~conns ~reqs =
          st.Net_tcp.accepted conns);
   {
     Bench_file.Net.backend = net_backend_name (Net_reactor.backend r);
-    shards = 1 (* the v2 schema keeps the key; one reactor thread *);
+    shards = 1 (* the v2 schema keeps the key; one poller *);
     connections = conns;
     reqs_per_conn = reqs;
     requests;
@@ -1021,8 +1022,9 @@ let run_net_bench ~quick ~diff ~net_backend () =
     net_msg_bytes (net_backend_name resolved) reqs;
   Bench_file.print_rows Bench_file.Net.suite doc;
   print_endline
-    "  (every socket is multiplexed by the one reactor thread; worker\n\
-    \   domains never block in the kernel -- DESIGN.md sections 5c, 5e)";
+    "  (every socket is multiplexed by one poller, which an idle worker\n\
+    \   waits in; a worker with fibers to run never blocks in the kernel\n\
+    \   -- DESIGN.md sections 5c, 5e)";
   write_bench Bench_file.Net.suite ~diff doc
 
 (* ---------------------------------------------------------------- *)

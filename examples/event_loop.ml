@@ -4,9 +4,9 @@
    loop on the simulated kernel: one thread multiplexing non-blocking
    descriptors, the programming model whose "more programming effort"
    the paper's Background section complains about.  lib/net makes that
-   loop disappear: the reactor thread owns poll(), and each consumer is
-   a plain sequential read loop in its own fiber — blocking-style code,
-   non-blocking execution.  Only the fiber that would block parks; the
+   loop disappear: an idle worker waits in poll() for everyone, and
+   each consumer is a plain sequential read loop in its own fiber —
+   blocking-style code, non-blocking execution.  Only the fiber that would block parks; the
    worker domains keep running everything else.
 
    Three producer fibers write bursts into real Unix pipes at different

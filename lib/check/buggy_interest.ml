@@ -38,10 +38,7 @@ module Drops_entry = struct
               in
               (* THE SEEDED BUG: the faithful code keeps the unsatisfied
                  watches and re-arms their directions *)
-              if woken <> [] then begin
-                e.watches <- [];
-                e.mask <- 0
-              end;
+              if woken <> [] then store t e [];
               woken)
         ()
     in
@@ -67,10 +64,11 @@ module Mod_first = struct
     locked t
       (fun () ->
         match Hashtbl.find_opt t.entries key with
-        | Some e ->
-            e.watches <- w :: e.watches;
-            e.mask <- e.mask lor bit dir
-        | None -> Hashtbl.add t.entries key { watches = [ w ]; mask = bit dir })
+        | Some e -> store t e (w :: e.watches)
+        | None ->
+            let e = { watches = []; mask = 0 } in
+            Hashtbl.add t.entries key e;
+            store t e [ w ])
       ()
 end
 

@@ -47,14 +47,14 @@ type fiber = {
    hint routes the continuation to that worker's private inbox (the
    PR-3 fast path -- no global MPSC contention, and the fiber resumes
    where its cache already is), and an optional [batch] defers the
-   wake-one notification so a poll tick that fires N tokens pays one
+   wake-one notification so a reactor turn that fires N tokens pays one
    deduped notification per distinct target instead of N. *)
 module Wake = struct
   type note = { bkey : int * int; bnotify : unit -> unit }
 
-  (* A batch is single-owner by contract: only the thread that created
-     it may fire into it or flush it (the reactor thread's loop), so the
-     note list needs no synchronization. *)
+  (* A batch is single-owner by contract: one thread at a time may fire
+     into it or flush it (the reactor's turn holder), so the note list
+     needs no synchronization. *)
   type batch = { mutable notes : note list }
 
   type token = {
@@ -127,7 +127,10 @@ type pworker = {
   mutable tick : int; (* tasks run; paces the fairness drain *)
   park_mutex : Mutex.t; (* per-worker parking: targeted wake-ups *)
   park_cond : Condition.t;
-  mutable park_wake : bool; (* a pending wake token; guarded by park_mutex *)
+  slot : Poll_park.slot;
+      (* the owed wake token, and whether this worker waits in the
+         poller rather than on [park_cond] *)
+  mutable turn_seen : int; (* the driver's turn count at the last fairness tick *)
   w_launched : bool Atomic.t;
       (* the worker's domain exists.  Workers beyond [min domains cores]
          start UNLAUNCHED: a domain that is never needed is never
@@ -180,14 +183,29 @@ type psched = {
          call did; installed by [run_parallel] (it closes over
          [worker_loop], defined later) *)
   kcs : Executor.t Kc_pool.t; (* the run's original KCs, leased per fiber *)
+  driver : driver option Atomic.t;
+      (* the reactor this run waits in, bound by its first fiber wait on
+         it ([Driver.bind]); [None] until then *)
+}
+
+(* A reactor as the engine sees it: an idle worker that holds [turn]
+   waits in its poller ([run]) instead of on its condvar. *)
+and driver = {
+  turn : Poll_park.turn;
+  owner : int Atomic.t; (* [ps_uid] of the run bound to it, -1 when none *)
+  run : block:(unit -> bool) -> unit;
+      (* one reactor turn: commands, poller wait, dispatch, timers *)
+  flush : unit -> unit; (* deliver the turn's batched wake notifications *)
+  poke : unit -> unit; (* interrupt the poller wait *)
+  pending : unit -> bool; (* watches, timers or commands remain *)
 }
 
 (* The worker executing on this domain, if any.  [tid] pins the context
    to the worker's own OS thread: Domain.DLS is shared by every
    systhread of a domain, so a thread the program creates on a worker
-   domain (the reactor thread, an executor) would otherwise read this
-   worker's context and push to its Chase-Lev deque from a foreign
-   thread -- breaking the deque's single-owner invariant.  Always go
+   domain (an executor) would otherwise read this worker's context and
+   push to its Chase-Lev deque from a foreign thread -- breaking the
+   deque's single-owner invariant.  Always go
    through [worker_ctx], never read [pctx_key] directly. *)
 type pctx = { ps : psched; w : pworker; tid : int }
 
@@ -220,7 +238,8 @@ let make_psched ~domains =
             tick = 0;
             park_mutex = Mutex.create ();
             park_cond = Condition.create ();
-            park_wake = false;
+            slot = Poll_park.slot ();
+            turn_seen = -1;
             w_launched = Atomic.make (wid = 0);
             t_steal_attempts = 0;
             t_steal_fails = 0;
@@ -243,50 +262,56 @@ let make_psched ~domains =
     pdomains = [];
     pspawn = (fun _ -> false) (* installed by run_parallel *);
     kcs = Kc_pool.create ();
+    driver = Atomic.make None;
   }
 
 (* ---- targeted parking: the idle-worker Treiber stack ----
 
    Protocol: a parking worker pushes its wid, then re-checks for work
    (Dekker: producers store work first and read the stack second, so
-   both sides cannot miss each other), then sleeps on its OWN condvar.
+   both sides cannot miss each other), then sleeps -- in its run's
+   poller when it holds the driver's turn, else on its OWN condvar.
    Whoever pops a wid -- wake_one on a push of work, wake_all on stop
    -- owes that worker exactly one token; a worker that cancels its
    parking either removes itself (no token coming) or, having lost the
    pop race, consumes the token without sleeping.  One token per pop,
    one consume per push: no token leaks across parking rounds. *)
 
-let deliver_token w =
+let poke_driver ps =
+  match Atomic.get ps.driver with Some d -> d.poke () | None -> ()
+
+(* The token goes in first ([Poll_park.post] pokes a worker waiting in
+   the poller); the lock round trip then orders it against a condvar
+   sleeper's check, and the signal follows the unlock so the woken
+   worker does not wake only to block on a mutex we still hold. *)
+let deliver_token ps w =
   Atomic.incr w.t_wakes;
+  Poll_park.post w.slot ~poke:(fun () -> poke_driver ps);
   (* ulplint: allow raw-mutex-in-fiber -- worker-domain parking: an idle domain must really sleep in the OS, which is exactly what Sync must never do *)
   Mutex.lock w.park_mutex;
-  w.park_wake <- true;
   Mutex.unlock w.park_mutex;
-  (* signalled after the unlock: the woken worker does not wake only to
-     block on a mutex we still hold *)
   Condition.signal w.park_cond
 
 let await_token w =
   (* ulplint: allow raw-mutex-in-fiber -- worker-domain parking: an idle domain must really sleep in the OS, which is exactly what Sync must never do *)
   Mutex.lock w.park_mutex;
-  while not w.park_wake do
+  while not (Poll_park.take_token w.slot) do
     (* ulplint: allow raw-mutex-in-fiber -- worker-domain parking: an idle domain must really sleep in the OS, which is exactly what Sync must never do *)
     Condition.wait w.park_cond w.park_mutex
   done;
-  w.park_wake <- false;
   Mutex.unlock w.park_mutex
 
 (* Wake exactly one parked worker, if any.  The common nobody-idle path
    is a single atomic read inside [Idle_waker.pop]. *)
 let wake_one ps =
   match Idle_waker.pop ps.idle with
-  | Some wid -> deliver_token ps.workers.(wid)
+  | Some wid -> deliver_token ps ps.workers.(wid)
   | None -> ()
 
 (* Stop: every parked worker gets a token.  Unlaunched workers are
    never on the stack, so no domain is launched just to be stopped. *)
 let wake_all ps =
-  List.iter (fun wid -> deliver_token ps.workers.(wid)) (Idle_waker.drain ps.idle)
+  List.iter (fun wid -> deliver_token ps ps.workers.(wid)) (Idle_waker.drain ps.idle)
 
 (* Targeted wake: worker [wid] has (or is about to get) work in its
    private inbox, and nobody else can run it.  An unlaunched worker is
@@ -297,7 +322,7 @@ let wake_all ps =
    closes the Dekker handshake. *)
 let notify_worker ps wid =
   let w = ps.workers.(wid) in
-  if (not (ps.pspawn w)) && Idle_waker.take ps.idle wid then deliver_token w
+  if (not (ps.pspawn w)) && Idle_waker.take ps.idle wid then deliver_token ps w
 
 (* Deliver a thunk to a specific worker's inbox from any thread.  With
    a [batch], the notification is deferred and deduped per (scheduler,
@@ -507,13 +532,35 @@ let sample_active ps w =
   let a = Atomic.get ps.launched in
   w.act_hist.(a) <- w.act_hist.(a) + 1
 
+(* Leave the driver's turn.  When watches or timers remain, wake one
+   parked peer: it takes the turn when it parks again, so they are
+   never left with nobody polling. *)
+let leave_turn ps d =
+  Poll_park.leave d.turn ~pending:d.pending ~hand_off:(fun () -> wake_one ps)
+
+(* A busy worker's turn: when nobody has held the turn since this
+   worker's last fairness tick, poll once without blocking, so
+   readiness and deadlines reach parked fibers while every worker
+   runs. *)
+let tick_turn ps w =
+  match Atomic.get ps.driver with
+  | None -> ()
+  | Some d ->
+      if Poll_park.quiet d.turn w.turn_seen && Poll_park.try_hold d.turn then begin
+        d.run ~block:(fun () -> false);
+        d.flush ();
+        leave_turn ps d
+      end;
+      w.turn_seen <- Poll_park.seen d.turn
+
 let next_task ps w =
   w.tick <- w.tick + 1;
   if w.tick mod fairness_interval = 0 then begin
-    (* fairness tick: under a steady local load, give the injection
-       channel, the private inbox and the overflow FIFO a turn so
-       external wake-ups and parked yielders make progress *)
+    (* fairness tick: under a steady local load, give the poller, the
+       injection channel, the private inbox and the overflow FIFO a turn
+       so external wake-ups and parked yielders make progress *)
     sample_active ps w;
+    tick_turn ps w;
     match take_injected ps w with
     | Some _ as r -> r
     | None -> (
@@ -560,11 +607,25 @@ let parkable ps w =
   && (not (work_available ps))
   && Mpsc_queue.is_empty w.inbox
 
+(* A worker holding the turn waits in the poller.  It leaves the idle
+   stack before it flushes the turn's wakes, so those aimed at its own
+   fibers land in its own inbox with no notify and no poke.  A token
+   some waker owes it (the poke that ended the wait, say) is consumed
+   after the hand-off. *)
+let park_in_poller ps w d =
+  Poll_park.poll w.slot d.run;
+  let owed = not (Idle_waker.take ps.idle w.wid) in
+  d.flush ();
+  leave_turn ps d;
+  if owed then await_token w
+
 (* The idle-KC policy (paper Table II), blocking: a worker with nothing
-   to run parks at once on its own condvar.  It does not spin first: a
-   spinner holds the core (or, for a lone worker, the domain lock) that
-   the producer it waits for needs, and a fixed spin measured slower on
-   a 2-core host (DESIGN.md section 5g).
+   to run parks at once, in its run's poller when the run is bound to a
+   reactor and nobody else holds the turn, otherwise on its own
+   condvar.  It does not spin first: a spinner holds the core (or, for
+   a lone worker, the domain lock) that the producer it waits for
+   needs, and a fixed spin measured slower on a 2-core host (DESIGN.md
+   section 5g).
 
    Producers store work before reading the idle stack; parkers publish
    themselves before re-checking -- the Dekker handshake that makes a
@@ -583,7 +644,9 @@ let park ps w =
     end
     else begin
       w.t_parks <- w.t_parks + 1;
-      await_token w
+      match Atomic.get ps.driver with
+      | Some d when Poll_park.try_hold d.turn -> park_in_poller ps w d
+      | _ -> await_token w
     end
   end
 
@@ -599,11 +662,10 @@ let worker_loop ps w =
              let bt = Printexc.get_raw_backtrace () in
              ignore (Atomic.compare_and_set ps.failure None (Some (exn, bt)));
              pstop ps);
-          (* The KCs and the reactor thread created on this domain are its
-             systhreads: they run only while the worker lets go of the
-             domain's runtime lock.  Hand it over at every fiber switch,
-             not only at park or at the 50 ms tick; with nobody waiting
-             this returns at once. *)
+          (* The KCs leased on this domain are its systhreads: they run
+             only while the worker lets go of the domain's runtime lock.
+             Hand it over at every fiber switch, not only at park or at
+             the 50 ms tick; with nobody waiting this returns at once. *)
           Thread.yield ()
       | None -> park ps w);
       go ()
@@ -760,6 +822,10 @@ let run_parallel ?domains ?on_stats main =
   Mutex.unlock ps.done_mutex;
   List.iter Executor.shutdown (Kc_pool.all ps.kcs);
   List.iter Domain.join helpers;
+  (* the reactor may serve the next run *)
+  (match Atomic.get ps.driver with
+  | Some d -> ignore (Atomic.compare_and_set d.owner ps.ps_uid (-1))
+  | None -> ());
   (match on_stats with Some f -> f (snapshot_sched ps) | None -> ());
   match Atomic.get ps.failure with
   | Some (exn, bt) -> Printexc.raise_with_backtrace exn bt
@@ -818,6 +884,39 @@ let num_workers () =
    while workers run). *)
 let sched_stats () =
   match worker_ctx () with Some c -> Some (snapshot_sched c.ps) | None -> None
+
+module Driver = struct
+  type t = driver
+
+  let make ~run ~flush ~poke ~pending =
+    { turn = Poll_park.turn (); owner = Atomic.make (-1); run; flush; poke; pending }
+
+  (* Bind the ambient run to [d]: once per run, from its first wait on
+     the reactor.  Sequential runs may share a reactor; concurrent ones
+     may not, and one run waits on one reactor. *)
+  let bind d =
+    match worker_ctx () with
+    | None -> raise Not_in_scheduler
+    | Some c -> (
+        let ps = c.ps in
+        match Atomic.get ps.driver with
+        | Some d' when d' == d -> ()
+        | Some _ -> invalid_arg "Fiber.Driver.bind: this run waits on another reactor"
+        | None ->
+            if
+              not
+                (Atomic.compare_and_set d.owner (-1) ps.ps_uid
+                || Atomic.get d.owner = ps.ps_uid)
+            then invalid_arg "Fiber.Driver.bind: the reactor serves another run";
+            if not (Atomic.compare_and_set ps.driver None (Some d)) then
+              match Atomic.get ps.driver with
+              | Some d' when d' == d -> ()
+              | _ ->
+                  ignore (Atomic.compare_and_set d.owner ps.ps_uid (-1));
+                  invalid_arg "Fiber.Driver.bind: this run waits on another reactor")
+
+  let close d = Poll_park.close d.turn ~poke:d.poke
+end
 
 (* The calling fiber's original KC, leased from its run's pool on first
    use.  Only the fiber itself touches its [executor] field and a fiber

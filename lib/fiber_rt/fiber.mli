@@ -128,13 +128,13 @@ module Wake : sig
       [true]). *)
 
   type batch
-  (** A single-owner accumulator of deferred wake notifications: only
-      the thread that created a batch may pass it to {!fire_to} or
-      {!flush} it.  The fired continuations are enqueued immediately;
-      the worker *notifications* (un-parking) are deduped per target
-      and delivered by {!flush} — the reactor flushes once per poll
-      tick, so N ready fds cost one notification per distinct worker
-      instead of N. *)
+  (** A single-owner accumulator of deferred wake notifications: one
+      thread at a time (the reactor's turn holder) may pass it to
+      {!fire_to} or {!flush} it.  The fired continuations are enqueued
+      immediately; the worker *notifications* (un-parking) are deduped
+      per target and delivered by {!flush} — the reactor flushes once
+      per turn, so N ready fds cost one notification per distinct
+      worker instead of N. *)
 
   val batch : unit -> batch
 
@@ -145,12 +145,53 @@ module Wake : sig
       fast path the reactor uses to resume a fiber on the domain that
       parked it — instead of the global injection channel.  Out-of-range
       or absent hints fall back to {!fire}'s routing.  The owner must
-      {!flush} the batch before blocking, or the notification — though
-      never the continuation — is delayed until the next flush. *)
+      {!flush} the batch before it gives the batch up, or the
+      notification — though never the continuation — is delayed until
+      the next flush. *)
 
   val flush : batch -> unit
   (** Deliver the deferred notifications recorded since the last flush.
-      Owner thread only. *)
+      Owner only. *)
+end
+
+(** A reactor as the engine sees it.  A run binds the reactor its fibers
+    wait on; from then on a worker with nothing to run waits in that
+    reactor's poller instead of on its condvar, when no other worker
+    holds the reactor's turn (one worker at a time).  A wake aimed at
+    that worker pokes the poller.  A worker that leaves the turn while
+    watches or timers remain wakes a parked peer to take it, and a busy
+    worker takes a non-blocking turn at its fairness tick when nobody
+    has polled since its last one.  A run that never binds parks on its
+    condvars alone. *)
+module Driver : sig
+  type t
+
+  val make :
+    run:(block:(unit -> bool) -> unit) ->
+    flush:(unit -> unit) ->
+    poke:(unit -> unit) ->
+    pending:(unit -> bool) ->
+    t
+  (** [run ~block] is one turn: run queued commands, wait in the poller
+      (for no longer than the next deadline, and only when [block ()],
+      evaluated after earlier pokes are drained, returns [true]),
+      dispatch readiness and fire due timers, batching the wakes.
+      [flush] delivers that batch.  [poke] ends a wait in progress, or
+      the next one if none is.  [pending ()]: watches, timers or
+      commands remain. *)
+
+  val bind : t -> unit
+  (** Bind the ambient run to the driver; a no-op once bound.  Call
+      from a fiber, before its first wait on the reactor.
+      @raise Invalid_argument if the run is bound to another driver, or
+      the driver to another run still going (sequential runs may share
+      one).
+      @raise Not_in_scheduler outside any run. *)
+
+  val close : t -> unit
+  (** Take the turn for good, poking its holder out of the poller until
+      it leaves.  Later parks use the condvars; the caller owns the
+      poller from then on. *)
 end
 
 val suspend : ((unit -> unit) -> unit) -> unit
@@ -174,7 +215,7 @@ val worker_index : unit -> int option
 (** Inside a run, the index of the worker domain currently executing
     the caller ([Some 0 .. domains-1]; [Some 0] under {!run}); [None]
     outside any engine — including on OS threads merely sharing a
-    worker's domain (the reactor thread, an executor): the context is
+    worker's domain (an executor): the context is
     keyed by thread identity, not just [Domain.DLS].  A fiber that
     observes two different indices across a suspension has migrated. *)
 

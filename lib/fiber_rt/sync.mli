@@ -19,7 +19,7 @@
 
     All operations must run inside the fiber engine ({!Fiber.run} or
     {!Fiber.run_parallel}); they perform effects and cannot be used
-    from plain OS threads (the reactor thread, an executor) — those keep
+    from plain OS threads (an executor, a foreign thread) — those keep
     using [Stdlib.Mutex], with a [raw-mutex-in-fiber] lint waiver. *)
 
 module Mutex : sig

@@ -103,12 +103,14 @@ let blocking_in_fiber =
                  blocking as Unix.select to a worker domain *)
               | [ "poll_stub" ] | [ "Poller"; "poll_stub" ] ->
                   add ~loc "blocking call poll_stub (poll(2))"
-                    "only the reactor thread may wait in the poller; \
-                     fibers go through Fiber_io/Reactor"
+                    "only a parked worker holding the reactor's turn may \
+                     wait in the poller, never a fiber; fibers go through \
+                     Fiber_io/Reactor"
               | [ "epoll_wait_stub" ] | [ "Poller"; "epoll_wait_stub" ] ->
                   add ~loc "blocking call epoll_wait_stub (epoll_wait(2))"
-                    "only the reactor thread may wait in the poller; \
-                     fibers go through Fiber_io/Reactor"
+                    "only a parked worker holding the reactor's turn may \
+                     wait in the poller, never a fiber; fibers go through \
+                     Fiber_io/Reactor"
               | _ -> ());
         List.rev !acc);
   }

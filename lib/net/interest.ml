@@ -1,11 +1,12 @@
 (* The reactor's interest table: for each fd, the watches parked on it
    and the union of their directions.  One lock guards the table; the
-   parked fiber's worker and the reactor thread both take it.
+   parked fiber's worker and the worker holding the reactor's turn both
+   take it.
 
    On epoll a waiter arms its own watch.  Under the lock it publishes
    the watch in its fd's entry and hands the entry's union mask to
-   [sync], which is one EPOLLONESHOT epoll_ctl.  The reactor thread
-   only reports: the kernel disarmed the registration when it reported
+   [sync], which is one EPOLLONESHOT epoll_ctl.  The turn holder only
+   reports: the kernel disarmed the registration when it reported
    it, so [fire] takes the lock, posts the watches the event satisfies,
    and re-arms only when a watch for the other direction is still
    queued on the fd.  Both steps sit under the lock for a reason:
@@ -17,7 +18,7 @@
      union masks out of order, or the later ctl can narrow the earlier
      one's mask.
 
-   On poll and select the reactor thread makes every call itself (their
+   On poll and select the turn holder makes every call itself (their
    interest arrays are not thread-safe) and [sync] is a plain
    [Poller.set]; the same code then keeps those arrays equal to the
    table.  [sync fd 0] drops interest there and is a no-op on epoll,
@@ -26,9 +27,10 @@
 
    A timed-out waiter [unwatch]es its watch.  After [close] (reactor
    shutdown) an [arm] posts its own cell instead of registering it, so
-   no fiber parks on a dead reactor.  Cells are posted after the lock
-   is released: a post runs the waiter's wake, which must not run
-   under the table lock.
+   no fiber parks on a dead reactor.  [busy] counts the fds with a
+   watch: a worker leaving the turn reads it to decide whether to hand
+   the turn on.  Cells are posted after the lock is released: a post
+   runs the waiter's wake, which must not run under the table lock.
 
    This module depends only on [Mutex], [Hashtbl] and [Readiness]:
    lib/check recompiles it against the traced Mutex and Atomic, with
@@ -47,16 +49,23 @@ type t = {
   entries : (int, entry) Hashtbl.t; (* raw fd -> entry; kept once made *)
   sync : int -> int -> bool; (* fd mask: arm or set; false = fd gone *)
   mutable closed : bool;
+  mutable busy : int; (* entries with at least one watch *)
 }
 
 let bit = function `R -> 1 | `W -> 2
 let mask_of ws = List.fold_left (fun m w -> m lor bit w.dir) 0 ws
 
 let create ~sync =
-  { lock = Mutex.create (); entries = Hashtbl.create 64; sync; closed = false }
+  {
+    lock = Mutex.create ();
+    entries = Hashtbl.create 64;
+    sync;
+    closed = false;
+    busy = 0;
+  }
 
 let locked t f x =
-  (* ulplint: allow raw-mutex-in-fiber -- reactor handshake: the table is shared with the reactor OS thread; held for a list update and at most one epoll_ctl, never across a park *)
+  (* ulplint: allow raw-mutex-in-fiber -- reactor handshake: the table is shared with the worker holding the reactor's turn; held for a list update and at most one epoll_ctl, never across a park *)
   Mutex.lock t.lock;
   match f x with
   | v ->
@@ -73,13 +82,17 @@ let post_all ws =
 
 (* Store [ws] as [key]'s watches and sync its mask.  Returns the watches
    to post: none, or all of them when the fd is gone. *)
-let settle t key e ws =
+let store t e ws =
+  if e.watches = [] then (if ws <> [] then t.busy <- t.busy + 1)
+  else if ws = [] then t.busy <- t.busy - 1;
   e.watches <- ws;
-  e.mask <- mask_of ws;
+  e.mask <- mask_of ws
+
+let settle t key e ws =
+  store t e ws;
   if t.sync key e.mask then []
   else begin
-    e.watches <- [];
-    e.mask <- 0;
+    store t e [];
     ws
   end
 
@@ -138,8 +151,7 @@ let take_all t =
   Hashtbl.fold
     (fun key e acc ->
       let ws = e.watches in
-      e.watches <- [];
-      e.mask <- 0;
+      store t e [];
       if ws <> [] then ignore (t.sync key 0);
       List.rev_append ws acc)
     t.entries []
@@ -157,10 +169,4 @@ let close t =
          take_all t)
        ())
 
-let watched t =
-  locked t
-    (fun () ->
-      Hashtbl.fold
-        (fun _ e n -> if e.watches = [] then n else n + 1)
-        t.entries 0)
-    ()
+let watched t = locked t (fun () -> t.busy) ()

@@ -1,14 +1,14 @@
 (** The reactor's interest table: per fd, the watches parked on it and
     the union of their directions, under one lock shared by the parked
-    fibers' workers and the reactor thread.
+    fibers' workers and the worker holding the reactor's turn.
 
     On epoll a waiter {!arm}s its own watch: it publishes the watch and
     issues the fd's one-shot epoll_ctl ([sync]) under the lock.  The
-    reactor thread only {!fire}s reported fds; the kernel disarmed the
+    turn holder only {!fire}s reported fds; the kernel disarmed the
     registration when it reported it, and [fire] re-arms only when a
     watch for the other direction is still queued.  On poll and select
-    the reactor thread makes every call and [sync] maintains the
-    poller's persistent interest.
+    the turn holder makes every call and [sync] maintains the poller's
+    persistent interest.
 
     Depends only on [Mutex], [Hashtbl] and {!Readiness}: [lib/check]
     recompiles it against traced shims and model-checks arm vs fire
@@ -43,4 +43,5 @@ val close : t -> int
 (** Post every watch and make later {!arm}s post their own cell. *)
 
 val watched : t -> int
-(** Fds with at least one watch — a test/diagnostic hook. *)
+(** Fds with at least one watch, kept as a count: the reactor's
+    hand-off check reads it whenever a worker leaves the turn. *)

@@ -9,11 +9,13 @@
  * or EPOLLONESHOT (every fiber's watch): the kernel disarms a one-shot
  * registration when it reports it, so a fire needs no disarm call, and
  * the parked fiber re-arms it itself on its next wait -- epoll_ctl is
- * thread-safe, so that call runs on the worker, not the reactor thread.
+ * thread-safe, so that call runs on the fiber's worker while another
+ * worker may be waiting in epoll_wait.
  *
  * The poll stub copies the interest arrays out of the OCaml heap,
- * releases the runtime lock for the syscall (the reactor thread must
- * not stall the domains), and writes revents back after reacquiring.
+ * releases the runtime lock for the syscall (the worker waiting there
+ * must not stall its domain's KC threads), and writes revents back
+ * after reacquiring.
  * The epoll_wait stub does the same with its output arrays.
  */
 

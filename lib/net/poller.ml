@@ -11,7 +11,7 @@
      [set]'s persistent interest it offers [arm]: a one-shot watch
      (EPOLLONESHOT) the kernel disarms when it reports it.  [arm] is
      stateless and thread-safe -- epoll_ctl is -- so a parked fiber arms
-     its own watch from its worker and the reactor thread only waits.
+     its own watch from its worker while another worker waits.
      Arming re-checks readiness: a watch armed on an already-ready fd is
      reported by the next [wait], so no readiness change between a
      fiber's EAGAIN and its arm is lost.  A closed fd leaves the kernel
@@ -248,7 +248,7 @@ let wait_select st ~timeout_ms =
       st.sel_interest ([], [])
   in
   let timeout = if timeout_ms < 0 then -1.0 else float_of_int timeout_ms /. 1000.0 in
-  (* ulplint: allow blocking-in-fiber -- the poller IS the blocking point: it runs on the dedicated reactor thread, never on a worker domain *)
+  (* ulplint: allow blocking-in-fiber -- the poller IS the blocking point: only a parked worker holding the reactor's turn waits here, never a fiber *)
   match Unix.select rd wr [] timeout with
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> []
   | ready_r, ready_w, _ ->
@@ -276,7 +276,7 @@ let wait_select st ~timeout_ms =
       evs
 
 let wait_poll st ~timeout_ms =
-  (* ulplint: allow blocking-in-fiber -- the poller IS the blocking point: it runs on the dedicated reactor thread, never on a worker domain *)
+  (* ulplint: allow blocking-in-fiber -- the poller IS the blocking point: only a parked worker holding the reactor's turn waits here, never a fiber *)
   match poll_stub st.pfds st.pevents st.previents st.pn (max timeout_ms (-1)) with
   | -1 (* EINTR *) | 0 -> []
   | _ ->
@@ -298,7 +298,7 @@ let wait_poll st ~timeout_ms =
 
 let wait_epoll st ~timeout_ms =
   let cap = Array.length st.efds in
-  (* ulplint: allow blocking-in-fiber -- the poller IS the blocking point: the reactor thread waits here; worker domains never enter epoll_wait *)
+  (* ulplint: allow blocking-in-fiber -- the poller IS the blocking point: only a parked worker holding the reactor's turn waits here, never a fiber *)
   match epoll_wait_stub st.epfd st.efds st.erevents cap (max timeout_ms (-1)) with
   | -1 (* EINTR *) -> []
   | n ->

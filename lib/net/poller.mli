@@ -6,7 +6,7 @@
       kernel registration, [wait] costs O(ready).  It also offers
       {!arm}, a one-shot watch the kernel disarms when it reports it;
       {!arm} is thread-safe, so a fiber arms its own watch from its
-      worker and the reactor thread never runs a per-wait command.
+      worker and a wait costs the reactor no command.
     - [`Poll]: poll(2) via a local C stub; no FD_SETSIZE ceiling;
       compact interest arrays maintained incrementally (O(1) {!set}).
       The portable Unix backend and epoll's independent cross-check.
@@ -18,7 +18,8 @@
     persistent, events are reported only for current interest, and
     error/hang-up counts as both-ready (the waiter's next syscall
     surfaces the real errno).  {!set}, {!wait} and {!close} belong to
-    the reactor thread; only {!arm} may be called from any thread. *)
+    the worker holding the reactor's turn; only {!arm} may be called
+    from any thread. *)
 
 type backend = [ `Select | `Poll | `Epoll ]
 

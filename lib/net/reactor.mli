@@ -1,60 +1,68 @@
-(** The reactor: one dedicated OS thread multiplexing kernel fds and
-    deadlines for every fiber of the ambient runtime.
+(** The reactor: kernel fds and deadlines for every fiber of the runs
+    that wait on it.  It starts no thread.
 
-    Worker domains never sit in epoll/poll/select — they keep running
-    fibers (the paper's decoupled UCs).  A fiber that would block parks
-    on a {!Fiber_rt.Fiber.Wake} token; the reactor thread waits in its
-    {!Poller} and, on readiness or deadline, fires the token.  On epoll
-    the parked fiber arms its own one-shot watch from its worker
-    ({!Interest}), so the reactor thread wakes only for readiness,
-    deadlines and shutdown; on poll and select the watch is a command
-    the reactor thread runs.  The wake
-    is routed to the awaiting fiber's home worker's private inbox
+    A worker domain with fibers to run never sits in epoll/poll/select
+    (the paper's decoupled UCs).  A fiber that would block parks on a
+    {!Fiber_rt.Fiber.Wake} token; a worker with nothing left to run
+    waits in the {!Poller} itself, one worker at a time (the
+    {!Fiber_rt.Fiber.Driver} turn), and on readiness or deadline fires
+    the token; a wake owed to that worker pokes it out of the wait.  On
+    epoll the parked fiber arms its own one-shot watch from its worker
+    ({!Interest}), so a wait costs no command; on poll and select the
+    watch is a command the turn holder runs.  The wake is routed to the
+    awaiting fiber's home worker's private inbox
     ({!Fiber_rt.Fiber.Wake.fire_to}) rather than the global injection
     channel, with the un-park notifications batched and flushed once
-    per poll round.  Readiness handshakes use the {!Readiness} CAS
-    cells (model-checked in [lib/check]); deadlines are absolute
-    wall-clock seconds kept in a {!Timers} heap, the poller waits until
-    the earliest, and every timeout-vs-completion race resolves by a
+    per turn.  Readiness handshakes use the {!Readiness} CAS cells
+    (model-checked in [lib/check]); deadlines are absolute wall-clock
+    seconds kept in a {!Timers} heap, the poller waits until the
+    earliest, and every timeout-vs-completion race resolves by a
     verdict CAS to exactly one outcome.
 
     Lifecycle: {!create} before (or during) the fiber run; call the
-    wait operations only from inside fibers; {!shutdown} only after the
-    fiber run has drained its net waits (any stragglers are woken
-    spuriously rather than leaked, but that is a recovery path, not the
-    contract). *)
+    wait operations only from inside fibers.  A run binds the reactor
+    at its first {!await_fd} or {!sleep_until}; until then (and for a
+    run that never waits here) its idle workers park on their condvars.
+    One run waits on one reactor: a wait on a second one raises
+    [Invalid_argument], and so does a wait from a second run while the
+    first still goes; runs one after another may share a reactor.
+    {!shutdown} only after the fiber run has drained its net waits (any
+    stragglers are woken spuriously rather than leaked, but that is a
+    recovery path, not the contract). *)
 
 type t
 
 type dir = [ `R | `W ]
 
 type stats = {
-  polls : int;  (** poller wait rounds *)
+  polls : int;  (** poller waits: one per turn *)
   wakeups : int;  (** readiness posts that woke a waiter *)
   timers_fired : int;
   commands : int;
-      (** commands the reactor thread ran: timers, plus watches on the
+      (** commands the turn holders ran: timers, plus watches on the
           poll and select backends (an epoll wait sends none) *)
-  errors : int;  (** reactor rounds rescued by the wake-everyone fallback *)
+  errors : int;  (** turns rescued by the wake-everyone fallback *)
 }
 
 exception Reactor_stopped
 (** Raised by the wait operations once {!shutdown} has begun. *)
 
 val create : ?backend:[ `Select | `Poll | `Epoll | `Auto ] -> unit -> t
-(** Spawn the reactor thread, which owns one poller.  [backend] as in
+(** One poller and its self-pipe; no thread.  [backend] as in
     {!Poller.create}. *)
 
 val shutdown : t -> unit
-(** Stop and join the reactor thread, close the self-pipe and poller,
-    and resolve any in-flight registrations (spurious wake).
+(** Take the turn for good (poking a worker out of the poller if one
+    waits there), resolve any in-flight registrations (spurious wake),
+    and close the self-pipe and poller.  A run still bound to the
+    reactor parks its workers on their condvars from then on.
     Idempotent. *)
 
 val backend : t -> Poller.backend
 
 val shard_count : t -> int
-(** Always 1: there is one reactor thread.  Kept only because
-    perfbench reads it. *)
+(** Always 1: there is one poller.  Kept only because perfbench reads
+    it. *)
 
 val stats : t -> stats
 

@@ -1,6 +1,6 @@
 (* The per-fd wait cell of the reactor: the lock-free handshake between
-   a fiber registering interest in readiness and the reactor thread
-   posting it.  One CAS-driven state machine
+   a fiber registering interest in readiness and the reactor's turn
+   holder posting it.  One CAS-driven state machine
 
        Idle --await--> Waiting w --post--> Idle   (w runs: the wake)
        Idle --post--> Ready --await--> Idle       (memo consumed: no park)

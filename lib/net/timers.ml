@@ -4,7 +4,8 @@
    practice, so the heap's O(log n) insert costs nothing and its O(1)
    head read is what the poll loop pays per round.
 
-   Concurrency: the heap is owned by the reactor thread; only a timer's
+   Concurrency: the heap is owned by the worker holding the reactor's
+   turn (one at a time); only a timer's
    [state] is atomic, so any thread can cancel (or fire) it, racing the
    owner's fire -- the CAS decides.  Cancel never touches the heap: the
    dead entry is popped when it reaches the head. *)

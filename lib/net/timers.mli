@@ -1,9 +1,9 @@
 (** The reactor's deadlines: a binary min-heap ({!Sim.Event_heap})
     keyed by (absolute wall-clock deadline, insertion number).
 
-    The heap is single-threaded (the reactor thread owns it); only a
-    timer's state cell is atomic, so {!cancel} and {!fire} may race the
-    reactor's own fire from any thread — the [Pending -> Fired |
+    The heap is single-threaded (the worker holding the reactor's turn
+    owns it); only a timer's state cell is atomic, so {!cancel} and
+    {!fire} may race the reactor's own fire from any thread — the [Pending -> Fired |
     Cancelled] CAS guarantees exactly one of \{advance, fire, cancel\}
     wins, which is what makes a timeout racing completing I/O resolve
     to one verdict.  Cancelled timers stay in the heap until they reach

@@ -3,8 +3,8 @@
    calling ULP's Fd_core table) and resolves it to the host fd at call
    time; the syscall itself is Fiber_io's try-then-park on the reactor,
    so Section IV consistency is inherited -- the await is registered
-   with the reactor thread, the wake routed back to the calling
-   worker, and only the fiber ever parks.
+   with the reactor, whose turn some idle worker holds, the wake routed
+   back to the calling worker, and only the fiber ever parks.
 
    The resolve protocol takes a reference for the duration of the call
    ([with_fd]: get -> retain -> op -> release), so a concurrent close

@@ -235,7 +235,7 @@ module type READINESS = sig
 end
 
 (* The reactor's fundamental race: a fiber registering interest in fd
-   readiness vs the reactor thread posting the edge.  Every interleaving
+   readiness vs the reactor's turn holder posting the edge.  Every interleaving
    must run the waiter EXACTLY once -- either the post finds the
    registration (`Woke), or the registration consumes the Ready memo
    (`Was_ready) and the fiber never parks.  The seeded get-then-set
@@ -258,7 +258,7 @@ let readiness_register_vs_post (module R : READINESS) () =
       let n = Atomic'.peek woken in
       if n <> 1 then failwith (Printf.sprintf "waiter woken %d times" n) )
 
-(* Two racing posters (reactor thread + a shutdown/unwatch path) against
+(* Two racing posters (the turn holder + a shutdown/unwatch path) against
    one registration: at most one of them may claim the waiter.  The
    faithful CAS Waiting->Idle has exactly one winner; the seeded
    get-then-set lets both read Waiting and both run the wake. *)
@@ -1216,7 +1216,7 @@ end
 (* The kernel's side of one fd under EPOLLONESHOT: the armed mask and
    the fd's readiness (bit 1 read, bit 2 write).  One object, changed in
    single steps, so each kernel call is one scheduling point.  [left]
-   counts the waiters not yet served; only the reactor thread's wakes
+   counts the waiters not yet served; only the turn holder's wakes
    lower it, so it needs no step of its own. *)
 type kfd = {
   kid : int;
@@ -1237,7 +1237,7 @@ let k_sync k _fd mask =
   if mask <> 0 then k_step k (fun k -> k.armed <- mask);
   true
 
-(* The reactor thread.  epoll_wait blocks until an armed direction is
+(* The turn holder.  epoll_wait blocks until an armed direction is
    ready, reports it and disarms it, all in one step; then the table
    fires.  It returns once every waiter was served. *)
 let k_reactor fire k () =
@@ -1357,6 +1357,108 @@ let interest_arm_vs_close (module I : INTEREST) () =
       if Atomic'.peek woke <> 1 then failwith "waiter woken more than once";
       if I.watched it <> 0 then failwith "a watch outlived the reactor" )
 
+(* ---------- scenario: a worker waiting in the poller ---------- *)
+
+(* Parameterized over the handshake so the same scenarios drive the
+   faithful copy (recompiled from lib/fiber_rt/poll_park.ml) and the
+   seeded twins in [Check.Buggy_poll_park]. *)
+module type POLL_PARK = sig
+  type turn
+
+  val post : Check.Poll_park.slot -> poke:(unit -> unit) -> unit
+  val take_token : Check.Poll_park.slot -> bool
+  val poll : Check.Poll_park.slot -> (block:(unit -> bool) -> unit) -> unit
+  val turn : unit -> turn
+  val try_hold : turn -> bool
+  val leave : turn -> pending:(unit -> bool) -> hand_off:(unit -> unit) -> unit
+end
+
+(* The poller of one reactor: a poke byte in the self-pipe and one
+   watched fd's readiness, one object changed in single steps. *)
+type kpoll = { pid : int; mutable pipe : bool; mutable ready : bool }
+
+let kp_make () = { pid = Sched.fresh_obj (); pipe = false; ready = false }
+
+let kp_step k f =
+  Sched.atomic_step ~kind:Sched.Exchange ~obj:k.pid ~note:"kernel" (fun () ->
+      f k)
+
+let kp_poke k () = kp_step k (fun k -> k.pipe <- true)
+
+(* The reported readiness, disarming the fd's one-shot watch. *)
+let kp_report k =
+  let r = k.ready in
+  k.ready <- false;
+  r
+
+(* One reactor turn: drain the pipe, then wait until a poke or the fd
+   when [block ()] holds (else probe once), and dispatch a report. *)
+let kp_turn k ~on_ready ~block =
+  kp_step k (fun k -> k.pipe <- false);
+  let reported =
+    if block () then
+      Sched.guarded_step ~kind:Sched.Exchange ~obj:k.pid ~note:"epoll_wait"
+        ~enabled:(fun () -> k.pipe || k.ready)
+        (fun () -> kp_report k)
+    else kp_step k kp_report
+  in
+  if reported then on_ready ()
+
+(* A worker's condvar sleep: until its token is posted, then take it. *)
+let kp_consume (module P : POLL_PARK) (s : Check.Poll_park.slot) =
+  Sched.wait_until ~on:(Atomic'.id s.Check.Poll_park.token) (fun () ->
+      Atomic'.peek s.Check.Poll_park.token);
+  if not (P.take_token s) then failwith "an owed token vanished"
+
+(* A worker holding the turn waits in the poller while a waker owes it
+   a wake.  Either the parker's last check sees the token, or the
+   waker sees the flag and pokes.  [Late_flag] publishes the flag after
+   that check: the poke is skipped and the parker blocks for good. *)
+let park_flag_vs_post (module P : POLL_PARK) () =
+  let k = kp_make () in
+  let s = Check.Poll_park.slot () in
+  ( [
+      (fun () ->
+        P.poll s (kp_turn k ~on_ready:ignore);
+        if not (P.take_token s) then
+          failwith "left the poller with no wake owed");
+      (fun () -> P.post s ~poke:(kp_poke k));
+    ],
+    fun () -> () )
+
+(* Worker 0 holds the turn while a watch stays armed; worker 1 parks
+   and finds the turn held, so it sleeps on its condvar.  Worker 0's
+   [leave] frees the turn, then wakes a parked peer; worker 1 either
+   takes the free turn itself or is woken to take it.  A failed
+   [try_hold] comes after worker 1's push on the idle stack, and the
+   release before the holder's pop, so one of them always sees the
+   other.  [No_hand_off] leaves worker 1 asleep with nobody polling. *)
+let park_hand_off (module P : POLL_PARK) () =
+  let module Idle = Check.Idle_waker in
+  let idle = Idle.create () in
+  let slot = Check.Poll_park.slot () in
+  let turn = P.turn () in
+  ignore (P.try_hold turn);
+  ( [
+      (fun () ->
+        P.leave turn
+          ~pending:(fun () -> true)
+          ~hand_off:(fun () ->
+            match Idle.pop idle with
+            | Some _ -> P.post slot ~poke:ignore
+            | None -> ()));
+      (fun () ->
+        Idle.push idle 1;
+        if P.try_hold turn then begin
+          if not (Idle.take idle 1) then kp_consume (module P) slot
+        end
+        else begin
+          kp_consume (module P) slot;
+          if not (P.try_hold turn) then failwith "woken with the turn held"
+        end);
+    ],
+    fun () -> () )
+
 (* ---------- the model-checked assertions ---------- *)
 
 let adq : (module DEQUE) = (module Adq)
@@ -1375,6 +1477,9 @@ let mod_first : (module INTEREST) = (module Check.Buggy_interest.Mod_first)
 
 let close_unlocked : (module INTEREST) =
   (module Check.Buggy_interest.Close_unlocked)
+let poll_park : (module POLL_PARK) = (module Check.Poll_park)
+let late_flag : (module POLL_PARK) = (module Check.Buggy_poll_park.Late_flag)
+let no_hand_off : (module POLL_PARK) = (module Check.Buggy_poll_park.No_hand_off)
 let slots : (module CONN_SLOTS) = (module Check.Conn_slots)
 let buggy_slots : (module CONN_SLOTS) = (module Check.Buggy_conn_slots)
 
@@ -1834,6 +1939,24 @@ let test_interest_timeout_unwatch =
 let test_interest_arm_vs_close =
   exhaustive "interest-arm-vs-close" (interest_arm_vs_close interest)
 
+let test_park_flag_vs_post =
+  exhaustive "park-flag-vs-post" (park_flag_vs_post poll_park)
+
+let test_park_hand_off =
+  exhaustive "park-hand-off" (park_hand_off poll_park)
+
+let test_buggy_park_late_flag =
+  twin_caught "buggy-park-late-flag"
+    ~buggy:(park_flag_vs_post late_flag)
+    ~faithful:(park_flag_vs_post poll_park)
+    ~expect_reason:"Deadlock"
+
+let test_buggy_park_no_hand_off =
+  twin_caught "buggy-park-no-hand-off"
+    ~buggy:(park_hand_off no_hand_off)
+    ~faithful:(park_hand_off poll_park)
+    ~expect_reason:"Deadlock"
+
 let test_buggy_interest_drops_entry =
   twin_caught "buggy-interest-drops-entry"
     ~buggy:(interest_two_directions drops_entry)
@@ -2115,6 +2238,17 @@ let () =
             test_buggy_interest_mod_first;
           Alcotest.test_case "closed read outside the lock strands the arm"
             `Quick test_buggy_interest_close_unlocked;
+        ] );
+      ( "poll-park",
+        [
+          Alcotest.test_case "a wake owed in the poller ends the wait" `Quick
+            test_park_flag_vs_post;
+          Alcotest.test_case "a leaving turn holder hands the turn on" `Quick
+            test_park_hand_off;
+          Alcotest.test_case "flag after the re-check loses the wake" `Quick
+            test_buggy_park_late_flag;
+          Alcotest.test_case "no hand-off strands a parked peer" `Quick
+            test_buggy_park_no_hand_off;
         ] );
       ( "conn-slots",
         [

@@ -424,8 +424,8 @@ let test_sleep_edge_cases () =
 let test_deadline_during_cancel () =
   (* [`Ready] wins the verdict CAS, then cancels the armed timer; with
      the deadline on the byte's arrival the cancel often races the
-     reactor thread's concurrent fire.  [`Ready] must mean the byte is there; a
-     [`Timeout] must leave no stale registration, so a second,
+     turn holder's concurrent fire.  [`Ready] must mean the byte is
+     there; a [`Timeout] must leave no stale registration, so a second,
      deadline-free await still sees the byte. *)
   with_reactor (fun r ->
       let ready = ref 0 and timeouts = ref 0 in
@@ -587,6 +587,149 @@ let test_park_costs_no_command () =
           (Printf.sprintf "polls %d <= wakeups %d + 5" polls wakeups)
           true (polls <= wakeups + 5)
       end)
+
+(* ---------- the reactor has no thread: workers take turns ---------- *)
+
+let count_tasks () =
+  match Sys.readdir "/proc/self/task" with
+  | entries -> Some (Array.length entries)
+  | exception Sys_error _ -> None
+
+(* A worker with nothing to run waits in the poller itself, so the
+   reactor needs no OS thread of its own. *)
+let test_create_starts_no_thread () =
+  match count_tasks () with
+  | None -> ()
+  | Some before ->
+      with_reactor (fun r ->
+          Alcotest.(check (option int)) "no thread after create" (Some before)
+            (count_tasks ());
+          Fiber.run_parallel ~domains:1 (fun () -> Reactor.sleep r 0.001));
+      Alcotest.(check (option int)) "none left after shutdown" (Some before)
+        (count_tasks ())
+
+(* A fiber parked on a socket read binds the run to the reactor, so the
+   idle worker waits in the poller.  A coupled getpid's completion comes
+   from the KC thread and must poke the worker out of that wait rather
+   than leave the wake to the poller's 250 ms ceiling. *)
+let kc_beside_parked_read r ~domains =
+  let a, b = Unix.socketpair ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.set_nonblock a;
+  let lat = ref [||] and got = ref "" in
+  let fails = Domain_check.create () in
+  Fiber.run_parallel ~domains (fun () ->
+      let reader =
+        Fiber.spawn (fun () ->
+            let buf = Bytes.create 1 in
+            let n = Fio.read r a buf 0 1 in
+            got := Bytes.sub_string buf 0 n)
+      in
+      let give_up = Reactor.now () +. 2.0 in
+      while Fiber.state reader <> `Suspended && Reactor.now () < give_up do
+        Fiber.yield ()
+      done;
+      lat :=
+        Array.init 30 (fun _ ->
+            let t0 = Unix.gettimeofday () in
+            let pid = Fiber_rt.Blt_rt.coupled (fun () -> Unix.getpid ()) in
+            Domain_check.check fails Alcotest.int "coupled getpid" (Unix.getpid ())
+              pid;
+            Unix.gettimeofday () -. t0);
+      ignore (Unix.write_substring b "x" 0 1);
+      Fiber.join reader);
+  Unix.close a;
+  Unix.close b;
+  Domain_check.report fails;
+  Alcotest.(check string) "the parked read completed" "x" !got;
+  Array.sort compare !lat;
+  let median = !lat.(Array.length !lat / 2) in
+  Printf.printf "domains=%d: coupled getpid beside a parked read, median %.1f us\n%!"
+    domains (median *. 1e6);
+  Alcotest.(check bool)
+    (Printf.sprintf "median %.2f ms < 5 ms at domains=%d" (median *. 1e3) domains)
+    true (median < 0.005)
+
+let test_kc_wakes_poller () =
+  with_reactor (fun r ->
+      kc_beside_parked_read r ~domains:1;
+      kc_beside_parked_read r ~domains:2)
+
+(* Both workers spin on [Fiber.yield], so neither parks and nobody waits
+   in the poller; a busy worker's fairness tick takes a non-blocking
+   turn, and readiness must still reach the parked reader. *)
+let test_busy_workers_poll () =
+  with_reactor (fun r ->
+      let a, b = Unix.socketpair ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      Unix.set_nonblock a;
+      let fails = Domain_check.create () in
+      let woke_at = ref infinity and deadline = ref 0. in
+      Fiber.run_parallel ~domains:2 (fun () ->
+          let stop = Atomic.make false in
+          deadline := Reactor.now () +. 2.0;
+          let reader =
+            Fiber.spawn (fun () ->
+                let buf = Bytes.create 1 in
+                let n = Fio.read r a buf 0 1 in
+                Domain_check.check fails Alcotest.string "byte read" "x"
+                  (Bytes.sub_string buf 0 n);
+                woke_at := Reactor.now ();
+                Atomic.set stop true)
+          in
+          while Fiber.state reader <> `Suspended && Reactor.now () < !deadline do
+            Fiber.yield ()
+          done;
+          let spin () =
+            while (not (Atomic.get stop)) && Reactor.now () < !deadline do
+              Fiber.yield ()
+            done
+          in
+          let s0 = Fiber.spawn_on ~worker:0 spin
+          and s1 = Fiber.spawn_on ~worker:1 spin in
+          ignore (Unix.write_substring b "x" 0 1);
+          Fiber.join reader;
+          Fiber.join s0;
+          Fiber.join s1);
+      Unix.close a;
+      Unix.close b;
+      Domain_check.report fails;
+      Alcotest.(check bool) "the reader woke while the workers spun" true
+        (!woke_at < !deadline))
+
+(* One run waits on one reactor, and one reactor serves one run at a
+   time. *)
+let test_second_reactor_raises () =
+  with_reactor (fun r1 ->
+      with_reactor (fun r2 ->
+          let second = ref false in
+          Fiber.run_parallel ~domains:1 (fun () ->
+              Reactor.sleep r1 0.001;
+              match Reactor.sleep r2 0.001 with
+              | () -> ()
+              | exception Invalid_argument _ -> second := true);
+          Alcotest.(check bool) "a second reactor in one run raises" true !second;
+          (* sequential runs share a reactor *)
+          Fiber.run_parallel ~domains:1 (fun () -> Reactor.sleep r2 0.001);
+          let bound = Atomic.make false and release = Atomic.make false in
+          let other =
+            Domain.spawn (fun () ->
+                Fiber.run_parallel ~domains:1 (fun () ->
+                    Reactor.sleep r1 0.001;
+                    Atomic.set bound true;
+                    while not (Atomic.get release) do
+                      Reactor.sleep r1 0.001
+                    done))
+          in
+          while not (Atomic.get bound) do
+            Domain.cpu_relax ()
+          done;
+          let concurrent = ref false in
+          Fiber.run_parallel ~domains:1 (fun () ->
+              match Reactor.sleep r1 0.001 with
+              | () -> ()
+              | exception Invalid_argument _ -> concurrent := true);
+          Atomic.set release true;
+          Domain.join other;
+          Alcotest.(check bool) "a second concurrent run raises" true !concurrent))
 
 (* ---------- TCP server ---------- *)
 
@@ -920,6 +1063,14 @@ let () =
             test_reader_and_writer_one_fd;
           Alcotest.test_case "a park costs no command (epoll)" `Quick
             test_park_costs_no_command;
+          Alcotest.test_case "create starts no OS thread" `Quick
+            test_create_starts_no_thread;
+          Alcotest.test_case "a KC completion pokes the poller" `Quick
+            test_kc_wakes_poller;
+          Alcotest.test_case "busy workers poll at the fairness tick" `Quick
+            test_busy_workers_poll;
+          Alcotest.test_case "a second reactor in one run raises" `Quick
+            test_second_reactor_raises;
         ] );
       ( "fiber-io",
         [ Alcotest.test_case "pipe roundtrip with parking writer" `Quick
