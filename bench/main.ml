@@ -654,13 +654,13 @@ let write_bench suite ~diff doc =
       List.iter (Printf.eprintf "  regression: %s\n") l;
       exit 3
 
-(* the CI gates: exit 1 on the first violation *)
+(* the CI gates: print every violation, exit 1 if there is one *)
 let validate suite () =
   let file = Bench_file.file suite in
   match Result.bind (Json.parse_file file) (Bench_file.validate suite) with
   | Ok summary -> print_endline summary
   | Error msg ->
-      Printf.eprintf "%s: %s\n" file msg;
+      List.iter (Printf.eprintf "%s: %s\n" file) (String.split_on_char '\n' msg);
       exit 1
 
 let run_parallel_bench ~quick ~diff () =

@@ -8,7 +8,7 @@
      blocks in the poller with a wake owed and nobody to end the wait.
 
    - [No_hand_off.leave]: a turn holder leaves without handing the turn
-     on.  A peer that parked on its condvar while the turn was held
+     on.  A peer that parked on its parker while the turn was held
      sleeps on with its fiber's watch armed and nobody polling it.
 
    test_check asserts that the checker catches each twin while the

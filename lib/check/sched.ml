@@ -84,6 +84,8 @@ type engine = {
   mutable next_obj : int; (* per-run object ids: deterministic traces *)
   mutable in_thread : bool; (* are we executing simulated-thread code? *)
   mutable trace : step list; (* executed steps, newest first *)
+  run : int; (* tells runs apart, for per-thread shim state *)
+  mutable current : int; (* the thread whose code is executing *)
 }
 
 let engine : engine option ref = ref None
@@ -125,6 +127,11 @@ let guarded_step ~kind ~obj ~note ~enabled action =
 let wait_until ~on pred =
   perform_op { kind = Wait; obj = on; note = "wait" } pred (fun () -> ())
 
+let thread_key () =
+  match !engine with
+  | Some e when e.in_thread -> Some (e.run, e.current)
+  | _ -> None
+
 (* Run a thread body until its first traced operation.  The body is
    prefixed with an explicit Start op so no user code executes before
    the scheduler makes its first choice. *)
@@ -163,6 +170,7 @@ let start_thread e t body =
                         p_resume =
                           (fun () ->
                             e.in_thread <- true;
+                            e.current <- t.tid;
                             continue k (action ()));
                       };
                   e.in_thread <- false)
@@ -204,12 +212,25 @@ exception Nondeterministic of string
 
 type run_end = Completed | Crashed of exn * Printexc.raw_backtrace
 
+(* Runs started so far: numbers each run's engine. *)
+let runs = ref 0
+
 (* Execute one full schedule.  Choices below [replay_depth] follow the
    recorded frames; beyond it [choose] picks among enabled threads and
    a fresh frame is pushed.  Returns the executed trace (oldest first)
    and how the run ended. *)
 let run_once ~frames ~replay_depth ~max_steps ~choose setup =
-  let e = { threads = [||]; next_obj = 0; in_thread = false; trace = [] } in
+  incr runs;
+  let e =
+    {
+      threads = [||];
+      next_obj = 0;
+      in_thread = false;
+      trace = [];
+      run = !runs;
+      current = -1;
+    }
+  in
   engine := Some e;
   Fun.protect ~finally:(fun () -> engine := None) @@ fun () ->
   frames.len <- replay_depth;

@@ -57,6 +57,11 @@ val wait_until : on:int -> (unit -> bool) -> unit
     object id the predicate reads (so wakeup writes conflict with the
     wait and the explorer branches around them). *)
 
+val thread_key : unit -> (int * int) option
+(** The running simulated thread, as (run, thread id): a key for state a
+    shim keeps per OS thread (the owed wake of {!Parker}).  [None]
+    outside a checked thread. *)
+
 (** {1 Scenarios and results} *)
 
 exception Deadlock of string

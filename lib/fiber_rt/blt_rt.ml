@@ -22,10 +22,15 @@ exception Coupled_raised of exn
 let coupled f =
   let e = Fiber.lease_kc () in
   let slot = ref None in
+  (* Both wakes are deferred (Parker): the KC is woken when this worker
+     parks (or before its next task), the worker when the KC parks (or
+     before its next job).  A woken thread then finds the runtime lock
+     free instead of blocking on it again. *)
   Fiber.suspend (fun wake ->
-      Executor.submit e (fun () ->
-          (slot := try Some (Ok (f ())) with exn -> Some (Error exn));
-          wake ()));
+      Parker.deferring (fun () ->
+          Executor.submit e (fun () ->
+              (slot := try Some (Ok (f ())) with exn -> Some (Error exn));
+              Parker.deferring wake)));
   match !slot with
   | Some (Ok v) -> v
   | Some (Error exn) -> raise (Coupled_raised exn)

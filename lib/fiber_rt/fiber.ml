@@ -125,11 +125,10 @@ type pworker = {
   mutable rng : int; (* xorshift state for victim selection *)
   mutable steals : int; (* items obtained from other workers' deques *)
   mutable tick : int; (* tasks run; paces the fairness drain *)
-  park_mutex : Mutex.t; (* per-worker parking: targeted wake-ups *)
-  park_cond : Condition.t;
+  parker : Parker.t; (* per-worker parking: targeted wake-ups *)
   slot : Poll_park.slot;
       (* the owed wake token, and whether this worker waits in the
-         poller rather than on [park_cond] *)
+         poller rather than on [parker] *)
   mutable turn_seen : int; (* the driver's turn count at the last fairness tick *)
   w_launched : bool Atomic.t;
       (* the worker's domain exists.  Workers beyond [min domains cores]
@@ -189,7 +188,7 @@ type psched = {
 }
 
 (* A reactor as the engine sees it: an idle worker that holds [turn]
-   waits in its poller ([run]) instead of on its condvar. *)
+   waits in its poller ([run]) instead of on its parker. *)
 and driver = {
   turn : Poll_park.turn;
   owner : int Atomic.t; (* [ps_uid] of the run bound to it, -1 when none *)
@@ -236,8 +235,7 @@ let make_psched ~domains =
             rng = (wid * 0x9e3779b9) lor 1;
             steals = 0;
             tick = 0;
-            park_mutex = Mutex.create ();
-            park_cond = Condition.create ();
+            parker = Parker.create ();
             slot = Poll_park.slot ();
             turn_seen = -1;
             w_launched = Atomic.make (wid = 0);
@@ -270,7 +268,7 @@ let make_psched ~domains =
    Protocol: a parking worker pushes its wid, then re-checks for work
    (Dekker: producers store work first and read the stack second, so
    both sides cannot miss each other), then sleeps -- in its run's
-   poller when it holds the driver's turn, else on its OWN condvar.
+   poller when it holds the driver's turn, else on its OWN parker.
    Whoever pops a wid -- wake_one on a push of work, wake_all on stop
    -- owes that worker exactly one token; a worker that cancels its
    parking either removes itself (no token coming) or, having lost the
@@ -281,25 +279,22 @@ let poke_driver ps =
   match Atomic.get ps.driver with Some d -> d.poke () | None -> ()
 
 (* The token goes in first ([Poll_park.post] pokes a worker waiting in
-   the poller); the lock round trip then orders it against a condvar
-   sleeper's check, and the signal follows the unlock so the woken
-   worker does not wake only to block on a mutex we still hold. *)
+   the poller), then the permit: a worker on its parker re-checks the
+   token after every park.  A KC delivering its section's completion
+   does so inside [Parker.deferring], so a worker of its own domain is
+   woken only once the KC has let go of the runtime lock. *)
 let deliver_token ps w =
   Atomic.incr w.t_wakes;
   Poll_park.post w.slot ~poke:(fun () -> poke_driver ps);
-  (* ulplint: allow raw-mutex-in-fiber -- worker-domain parking: an idle domain must really sleep in the OS, which is exactly what Sync must never do *)
-  Mutex.lock w.park_mutex;
-  Mutex.unlock w.park_mutex;
-  Condition.signal w.park_cond
+  Parker.unpark w.parker
 
+(* A permit left by a wake the worker took in the poller only costs one
+   more turn of the loop. *)
 let await_token w =
-  (* ulplint: allow raw-mutex-in-fiber -- worker-domain parking: an idle domain must really sleep in the OS, which is exactly what Sync must never do *)
-  Mutex.lock w.park_mutex;
   while not (Poll_park.take_token w.slot) do
-    (* ulplint: allow raw-mutex-in-fiber -- worker-domain parking: an idle domain must really sleep in the OS, which is exactly what Sync must never do *)
-    Condition.wait w.park_cond w.park_mutex
-  done;
-  Mutex.unlock w.park_mutex
+    (* ulplint: allow blocking-in-fiber -- worker-domain parking: an idle domain must really sleep in the OS, which is exactly what a fiber must never do *)
+    Parker.park w.parker
+  done
 
 (* Wake exactly one parked worker, if any.  The common nobody-idle path
    is a single atomic read inside [Idle_waker.pop]. *)
@@ -613,6 +608,7 @@ let parkable ps w =
    some waker owes it (the poke that ended the wait, say) is consumed
    after the hand-off. *)
 let park_in_poller ps w d =
+  Parker.flush ();
   Poll_park.poll w.slot d.run;
   let owed = not (Idle_waker.take ps.idle w.wid) in
   d.flush ();
@@ -622,7 +618,7 @@ let park_in_poller ps w d =
 (* The idle-KC policy (paper Table II), blocking: a worker with nothing
    to run parks at once, in its run's poller when the run is bound to a
    reactor and nobody else holds the turn, otherwise on its own
-   condvar.  It does not spin first: a spinner holds the core (or, for
+   parker.  It does not spin first: a spinner holds the core (or, for
    a lone worker, the domain lock) that the producer it waits for
    needs, and a fixed spin measured slower on a 2-core host (DESIGN.md
    section 5g).
@@ -657,6 +653,10 @@ let worker_loop ps w =
     if not (Atomic.get ps.stop) then begin
       (match next_task ps w with
       | Some thunk ->
+          (* A KC this worker owes a wake (its fiber's coupled section)
+             runs at the yield below; an idle worker sends it from its
+             park instead, once the runtime lock is free. *)
+          Parker.flush ();
           (try thunk ()
            with exn ->
              let bt = Printexc.get_raw_backtrace () in
@@ -672,6 +672,7 @@ let worker_loop ps w =
     end
   in
   go ();
+  Parker.flush ();
   Domain.DLS.set pctx_key None;
   (* last worker out lets [run_parallel] reap the KCs *)
   (* ulplint: allow raw-mutex-in-fiber -- run_parallel shutdown handshake between raw domains, outside any fiber engine *)

@@ -156,13 +156,13 @@ end
 
 (** A reactor as the engine sees it.  A run binds the reactor its fibers
     wait on; from then on a worker with nothing to run waits in that
-    reactor's poller instead of on its condvar, when no other worker
+    reactor's poller instead of on its parker, when no other worker
     holds the reactor's turn (one worker at a time).  A wake aimed at
     that worker pokes the poller.  A worker that leaves the turn while
     watches or timers remain wakes a parked peer to take it, and a busy
     worker takes a non-blocking turn at its fairness tick when nobody
     has polled since its last one.  A run that never binds parks on its
-    condvars alone. *)
+    parkers alone. *)
 module Driver : sig
   type t
 
@@ -190,7 +190,7 @@ module Driver : sig
 
   val close : t -> unit
   (** Take the turn for good, poking its holder out of the poller until
-      it leaves.  Later parks use the condvars; the caller owns the
+      it leaves.  Later parks use the parkers; the caller owns the
       poller from then on. *)
 end
 

@@ -5,7 +5,7 @@
    A worker with nothing to run parks.  When its run is bound to a
    reactor and nobody else is polling, it takes the reactor's [turn] and
    waits in the poller itself (Go's netpoller, Tokio's driver park)
-   instead of on its condvar, so a readiness report wakes the fiber's
+   instead of on its parker, so a readiness report wakes the fiber's
    worker directly, with no second thread in between.
 
    Two races must not lose a wakeup:
@@ -20,7 +20,7 @@
      re-check could block with a token pending and nobody poking.
 
    - A turn holder leaving while watches or timers remain, with a peer
-     parked on its condvar: nobody would poll them.  [leave] frees the
+     parked on its parker: nobody would poll them.  [leave] frees the
      turn, then reads [pending]; a peer's failed [try_hold] comes after
      the watch it armed, so whichever frees the turn last sees that
      watch and hands the turn on by waking a parked peer, which takes it

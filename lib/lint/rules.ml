@@ -64,11 +64,12 @@ let blocking_in_fiber =
     name = "blocking-in-fiber";
     severity = Finding.Error;
     doc =
-      "no direct Unix.read/write/select/sleep/sleepf/gettimeofday or \
-       Thread.delay in fiber code (lib/fiber_rt, lib/net, lib/workload, \
-       examples, bench): a worker domain that blocks stalls every fiber \
-       scheduled on it.  Go through Fiber_io/Reactor (Clock.now for \
-       time), or run the call coupled to the fiber's original KC.";
+      "no direct Unix.read/write/select/sleep/sleepf/gettimeofday, \
+       Thread.delay or Parker.park in fiber code (lib/fiber_rt, lib/net, \
+       lib/workload, examples, bench): a worker domain that blocks stalls \
+       every fiber scheduled on it.  Go through Fiber_io/Reactor \
+       (Clock.now for time), or run the call coupled to the fiber's \
+       original KC.";
     in_scope = fiber_scope;
     check =
       (fun ~file ast ->
@@ -98,6 +99,12 @@ let blocking_in_fiber =
                   add ~loc "blocking call Thread.delay"
                     "use Reactor.sleep / Blt_rt.sleep, or run it coupled to \
                      the fiber's original KC"
+              (* parks the calling OS thread until its permit is set:
+                 only an idle worker or a KC may sleep there *)
+              | [ "Parker"; "park" ] | [ "Fiber_rt"; "Parker"; "park" ] ->
+                  add ~loc "blocking call Parker.park"
+                    "park the fiber instead (Fiber.suspend, Sync); only an \
+                     idle worker or a KC sleeps on its parker"
               (* the poller's C stubs release the OCaml runtime lock and
                  park the calling THREAD in poll(2)/epoll_wait(2) -- as
                  blocking as Unix.select to a worker domain *)

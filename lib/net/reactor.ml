@@ -18,7 +18,7 @@
    fds cost one un-park notification per distinct worker, not N.
 
    A run binds the reactor at its first wait on it; a run that never
-   waits here parks its workers on their condvars alone.
+   waits here parks its workers on their parkers alone.
 
    On epoll a parked fiber arms its own watch: [await_fd] publishes it in
    the [Interest] table and issues the one-shot epoll_ctl from the

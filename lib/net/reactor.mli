@@ -22,7 +22,7 @@
     Lifecycle: {!create} before (or during) the fiber run; call the
     wait operations only from inside fibers.  A run binds the reactor
     at its first {!await_fd} or {!sleep_until}; until then (and for a
-    run that never waits here) its idle workers park on their condvars.
+    run that never waits here) its idle workers park on their parkers.
     One run waits on one reactor: a wait on a second one raises
     [Invalid_argument], and so does a wait from a second run while the
     first still goes; runs one after another may share a reactor.
@@ -55,7 +55,7 @@ val shutdown : t -> unit
 (** Take the turn for good (poking a worker out of the poller if one
     waits there), resolve any in-flight registrations (spurious wake),
     and close the self-pipe and poller.  A run still bound to the
-    reactor parks its workers on their condvars from then on.
+    reactor parks its workers on their parkers from then on.
     Idempotent. *)
 
 val backend : t -> Poller.backend

@@ -34,7 +34,7 @@ type suite = {
   schema : string;
   file : string;
   sections : section list;
-  checks : J.t -> unit; (* raises [Invalid] *)
+  checks : J.t -> string list; (* every violation found *)
 }
 
 let file s = s.file
@@ -107,11 +107,18 @@ let label sec r =
 let same_keys sec a b =
   List.for_all (fun k -> J.member k a = J.member k b) sec.keys
 
+(* Run a check on every item and keep each [Invalid] it raises, so one
+   failing row hides none after it. *)
+let each f items =
+  List.filter_map
+    (fun x -> match f x with () -> None | exception Invalid m -> Some m)
+    items
+
 (* Each row in [subjects] may cost at most [max] times (plus [slack])
    its peer's [metric]; a missing peer fails unless [optional]. *)
 let bounded ?(optional = false) ?(slack = 0.0) sec subjects ~peer ~metric
     ~max ~why =
-  List.iter
+  each
     (fun r ->
       match peer r with
       | None -> if not optional then fail "%s has no peer row" (label sec r)
@@ -207,8 +214,9 @@ let diff suite ~cores ~old doc =
   | exception Invalid msg -> Error msg
 
 (* Structure first -- the schema tag, every section non-empty, every
-   declared column present with its kind in every row -- then the
-   suite's own checks. *)
+   declared column present with its kind in every row -- then, on a
+   well-formed file, the suite's own checks.  Each stage reports every
+   violation it finds, one per line. *)
 let validate suite doc =
   let structure sec r =
     List.iter
@@ -224,20 +232,24 @@ let validate suite doc =
   let count sec =
     Printf.sprintf "%d %s" (List.length (rows doc sec)) sec.name
   in
-  match
-    schema suite doc;
-    List.iter
-      (fun sec ->
-        if rows doc sec = [] then fail "missing/empty %s" sec.name;
-        List.iter (structure sec) (rows doc sec))
-      suite.sections;
-    suite.checks doc
-  with
-  | () ->
+  let well_formed sec =
+    if rows doc sec = [] then [ Printf.sprintf "missing/empty %s" sec.name ]
+    else each (structure sec) (rows doc sec)
+  in
+  let violations =
+    match schema suite doc with
+    | exception Invalid msg -> [ msg ]
+    | () -> (
+        match List.concat_map well_formed suite.sections with
+        | [] -> ( try suite.checks doc with Invalid msg -> [ msg ])
+        | broken -> broken)
+  in
+  match violations with
+  | [] ->
       Ok
         (Printf.sprintf "%s: valid (%s)" suite.file
            (String.concat ", " (List.map count suite.sections)))
-  | exception Invalid msg -> Error msg
+  | vs -> Error (String.concat "\n" vs)
 
 (* ---------- the parallel fiber sweep ---------- *)
 
@@ -397,7 +409,8 @@ module Parallel = struct
     let find name d =
       List.find_opt (fun r -> str "name" r = name && int_at "domains" r = d) rs
     in
-    List.iter
+    let cs = rows doc coupled_busy in
+    each
       (fun r ->
         let where = label results r and domains = int_at "domains" r in
         if num "steal_fail_rate" r > 1.0 then
@@ -409,19 +422,19 @@ module Parallel = struct
         if bool "oversubscribed" r <> (active > cores) then
           fail "%s: oversubscribed flag disagrees with active_workers_p50=%d, \
                 host_cores=%d" where active cores)
-      rs;
-    bounded results
+      rs
+    @ bounded results
       (List.filter (fun r -> int_at "domains" r > cores) rs)
       ~peer:(fun r -> find (str "name" r) 1)
       ~metric:"median_s" ~max:oversub_slowdown ~slack:oversub_noise_s
-      ~why:"workers beyond the host's cores slowed the run";
-    List.iter
+      ~why:"workers beyond the host's cores slowed the run"
+    @ each
       (fun r ->
         if not (List.exists (same_keys speedups r) (rows doc speedups)) then
           fail "speedups missing %s -- must cover the full sweep"
             (label results r))
-      rs;
-    List.iter
+      rs
+    @ each
       (fun name ->
         match find name 1 with
         | None -> fail "missing proc row %s@1" name
@@ -430,19 +443,18 @@ module Parallel = struct
               fail "proc_spawn measured %d ULPs; the claim needs >= 1000"
                 (int_at "items" r))
       [ "proc_spawn"; "proc_spawn_fiber_base"; "proc_fd_table";
-        "proc_fd_direct" ];
-    bounded results
+        "proc_fd_direct" ]
+    @ bounded results
       (List.filter (fun r -> str "name" r = "proc_fd_table") rs)
       ~peer:(fun r -> find "proc_fd_direct" (int_at "domains" r))
       ~metric:"median_s" ~max:proc_fd_overhead
-      ~why:"fd-table indirection blew up";
-    let cs = rows doc coupled_busy in
-    List.iter
+      ~why:"fd-table indirection blew up"
+    @ each
       (fun d ->
         if not (List.exists (fun r -> int_at "domains" r = d) cs) then
           fail "missing coupled_busy@%d" d)
-      [ 1; 2 ];
-    List.iter
+      [ 1; 2 ]
+    @ each
       (fun r ->
         let where = label coupled_busy r in
         if int_at "calls" r < coupled_calls then
@@ -536,7 +548,12 @@ module Net = struct
 
   let checks doc =
     let rs = rows doc results in
-    List.iter
+    let at bk c =
+      List.find_opt
+        (fun r -> str "backend" r = bk && int_at "connections" r = c)
+        rs
+    in
+    each
       (fun r ->
         let where = label results r and conns = int_at "connections" r in
         (match str "backend" r with
@@ -557,34 +574,32 @@ module Net = struct
         if int_at "max_active" r <> conns then
           fail "%s: max_active %d -- not every connection was live" where
             (int_at "max_active" r))
-      rs;
-    let floor =
-      if List.for_all (fun r -> str "backend" r = "select") rs then
-        select_conn_cap
-      else 1000
-    in
-    if not (List.exists (fun r -> int_at "connections" r >= floor) rs) then
-      fail "no sweep point with >= %d concurrent connections" floor;
-    let at bk c =
-      List.find_opt
-        (fun r -> str "backend" r = bk && int_at "connections" r = c)
-        rs
-    in
-    List.iter
+      rs
+    @ (let floor =
+         if List.for_all (fun r -> str "backend" r = "select") rs then
+           select_conn_cap
+         else 1000
+       in
+       if List.exists (fun r -> int_at "connections" r >= floor) rs then []
+       else
+         [ Printf.sprintf "no sweep point with >= %d concurrent connections"
+             floor ])
+    @ List.concat_map
       (fun bk ->
         bounded ~optional:true results
           (Option.to_list (at bk 10000))
           ~peer:(fun _ -> at bk 1000)
           ~metric:"p99_s" ~max:tail_ratio_max ~why:"the tail is not scaling")
-      [ "epoll"; "poll" ];
-    bounded ~optional:true results
+      [ "epoll"; "poll" ]
+    @ bounded ~optional:true results
       (List.filter (fun r -> str "backend" r = "epoll") rs)
       ~peer:(fun r -> at "poll" (int_at "connections" r))
-      ~metric:"p99_s" ~max:cross_backend_margin ~why:"epoll slower than poll";
+      ~metric:"p99_s" ~max:cross_backend_margin ~why:"epoll slower than poll"
+    @
     match (J.member "fd_baseline" doc, J.member "fd_after" doc) with
     | Some (J.Num b), Some (J.Num a) when a <> b ->
-        fail "fd leak: %.0f before, %.0f after" b a
-    | _ -> ()
+        [ Printf.sprintf "fd leak: %.0f before, %.0f after" b a ]
+    | _ -> []
 
   let suite =
     {

@@ -32,8 +32,8 @@ val diff :
 val validate : suite -> Json.t -> (string, string) result
 (** The schema tag, every section non-empty, every declared column
     present with its kind (numbers finite and >= 0) in every row, then
-    the suite's checks.  [Ok] carries a one-line summary, [Error] the
-    first violation. *)
+    the suite's checks on a well-formed file.  [Ok] carries a one-line
+    summary, [Error] every violation found, one per line. *)
 
 (** [ulp-pip/parallel-bench/v4]: [results] and [speedups] keyed by
     [name] and [domains]; [median_s] is report-only and [speedup_vs_1]

@@ -7,3 +7,6 @@ let slurp fd buf =
   let t = Unix.gettimeofday () in
   ignore t;
   n
+
+(* an OS-thread sleep, not a fiber park *)
+let idle p = Fiber_rt.Parker.park p

@@ -1404,7 +1404,7 @@ let kp_turn k ~on_ready ~block =
   in
   if reported then on_ready ()
 
-(* A worker's condvar sleep: until its token is posted, then take it. *)
+(* A worker's sleep on its parker: until its token is posted, then take it. *)
 let kp_consume (module P : POLL_PARK) (s : Check.Poll_park.slot) =
   Sched.wait_until ~on:(Atomic'.id s.Check.Poll_park.token) (fun () ->
       Atomic'.peek s.Check.Poll_park.token);
@@ -1427,7 +1427,7 @@ let park_flag_vs_post (module P : POLL_PARK) () =
     fun () -> () )
 
 (* Worker 0 holds the turn while a watch stays armed; worker 1 parks
-   and finds the turn held, so it sleeps on its condvar.  Worker 0's
+   and finds the turn held, so it sleeps on its parker.  Worker 0's
    [leave] frees the turn, then wakes a parked peer; worker 1 either
    takes the free turn itself or is woken to take it.  A failed
    [try_hold] comes after worker 1's push on the idle stack, and the
@@ -1459,6 +1459,78 @@ let park_hand_off (module P : POLL_PARK) () =
     ],
     fun () -> () )
 
+(* ---------- scenario: the KC mailbox and its parker ---------- *)
+
+(* Parameterized over the mailbox so the same scenarios drive the
+   faithful copy (recompiled from lib/fiber_rt/kc_mailbox.ml over the
+   modelled parker, Check.Parker) and the seeded twins in
+   [Check.Buggy_kc_mailbox]. *)
+module type KC_MAILBOX = sig
+  type 'job t
+
+  val create : unit -> 'job t
+  val submit : 'job t -> 'job -> bool
+  val shutdown : 'job t -> unit
+  val serve : 'job t -> run:('job -> unit) -> unit
+end
+
+(* A fiber submits while the KC goes to sleep, then waits for its job
+   before shutting the KC down.  The submit either finds the queue
+   taken first (the KC re-checks under the lock) or the flag set (it
+   unparks).  [Late_sleeping] sets the flag after the unlock: the submit
+   lands in between, skips the unpark, and the KC sleeps on its job. *)
+let mailbox_submit_vs_sleep (module M : KC_MAILBOX) () =
+  let mb = M.create () in
+  let ran = Atomic'.make 0 in
+  ( [
+      (fun () -> M.serve mb ~run:(fun job -> job ()));
+      (fun () ->
+        if not (M.submit mb (fun () -> Atomic'.incr ran)) then
+          failwith "submit refused before shutdown";
+        Sched.wait_until ~on:(Atomic'.id ran) (fun () -> Atomic'.peek ran = 1);
+        M.shutdown mb);
+    ],
+    fun () -> if Atomic'.peek ran <> 1 then failwith "job ran more than once" )
+
+(* Shutdown races the KC going to sleep: the KC must return either
+   way, and a submit after the shutdown is refused. *)
+let mailbox_shutdown_vs_sleep (module M : KC_MAILBOX) () =
+  let mb = M.create () in
+  ( [
+      (fun () -> M.serve mb ~run:(fun job -> job ()));
+      (fun () ->
+        M.shutdown mb;
+        if M.submit mb ignore then failwith "submit accepted after shutdown");
+    ],
+    fun () -> () )
+
+(* One coupled section end to end.  The worker submits inside
+   [deferring], so it owes the KC its wake and issues it at its own
+   park; the section sets the result and wakes the worker inside
+   [deferring], so the KC owes the worker its wake across its park.
+   [Drops_owed] forgets that wake at the park: the worker sleeps on a
+   finished section. *)
+let mailbox_owed_across_park (module M : KC_MAILBOX) () =
+  let module P = Check.Parker in
+  let mb = M.create () in
+  let worker = P.create () in
+  let result = Atomic'.make 0 in
+  let section () =
+    Atomic'.set result 42;
+    P.deferring (fun () -> P.unpark worker)
+  in
+  ( [
+      (fun () -> M.serve mb ~run:(fun job -> job ()));
+      (fun () ->
+        if not (P.deferring (fun () -> M.submit mb section)) then
+          failwith "submit refused before shutdown";
+        while Atomic'.get result = 0 do
+          P.park worker
+        done;
+        M.shutdown mb);
+    ],
+    fun () -> if Atomic'.peek result <> 42 then failwith "section lost" )
+
 (* ---------- the model-checked assertions ---------- *)
 
 let adq : (module DEQUE) = (module Adq)
@@ -1480,6 +1552,12 @@ let close_unlocked : (module INTEREST) =
 let poll_park : (module POLL_PARK) = (module Check.Poll_park)
 let late_flag : (module POLL_PARK) = (module Check.Buggy_poll_park.Late_flag)
 let no_hand_off : (module POLL_PARK) = (module Check.Buggy_poll_park.No_hand_off)
+let kc_mailbox : (module KC_MAILBOX) = (module Check.Kc_mailbox)
+
+let late_sleeping : (module KC_MAILBOX) =
+  (module Check.Buggy_kc_mailbox.Late_sleeping)
+
+let drops_owed : (module KC_MAILBOX) = (module Check.Buggy_kc_mailbox.Drops_owed)
 let slots : (module CONN_SLOTS) = (module Check.Conn_slots)
 let buggy_slots : (module CONN_SLOTS) = (module Check.Buggy_conn_slots)
 
@@ -1957,6 +2035,27 @@ let test_buggy_park_no_hand_off =
     ~faithful:(park_hand_off poll_park)
     ~expect_reason:"Deadlock"
 
+let test_mailbox_submit_vs_sleep =
+  exhaustive "mailbox-submit-vs-sleep" (mailbox_submit_vs_sleep kc_mailbox)
+
+let test_mailbox_shutdown_vs_sleep =
+  exhaustive "mailbox-shutdown-vs-sleep" (mailbox_shutdown_vs_sleep kc_mailbox)
+
+let test_mailbox_owed_across_park =
+  exhaustive "mailbox-owed-across-park" (mailbox_owed_across_park kc_mailbox)
+
+let test_buggy_mailbox_late_sleeping =
+  twin_caught "buggy-mailbox-late-sleeping"
+    ~buggy:(mailbox_submit_vs_sleep late_sleeping)
+    ~faithful:(mailbox_submit_vs_sleep kc_mailbox)
+    ~expect_reason:"Deadlock"
+
+let test_buggy_mailbox_drops_owed =
+  twin_caught "buggy-mailbox-drops-owed"
+    ~buggy:(mailbox_owed_across_park drops_owed)
+    ~faithful:(mailbox_owed_across_park kc_mailbox)
+    ~expect_reason:"Deadlock"
+
 let test_buggy_interest_drops_entry =
   twin_caught "buggy-interest-drops-entry"
     ~buggy:(interest_two_directions drops_entry)
@@ -2249,6 +2348,19 @@ let () =
             test_buggy_park_late_flag;
           Alcotest.test_case "no hand-off strands a parked peer" `Quick
             test_buggy_park_no_hand_off;
+        ] );
+      ( "kc-mailbox",
+        [
+          Alcotest.test_case "a submit racing the KC's sleep wakes it" `Quick
+            test_mailbox_submit_vs_sleep;
+          Alcotest.test_case "shutdown racing the KC's sleep ends it" `Quick
+            test_mailbox_shutdown_vs_sleep;
+          Alcotest.test_case "a completion wake owed across park arrives"
+            `Quick test_mailbox_owed_across_park;
+          Alcotest.test_case "flag after the unlock loses the submit" `Quick
+            test_buggy_mailbox_late_sleeping;
+          Alcotest.test_case "dropping the owed wake strands the worker"
+            `Quick test_buggy_mailbox_drops_owed;
         ] );
       ( "conn-slots",
         [

@@ -1248,6 +1248,46 @@ let test_pool_coupled_beside_busy_fiber () =
           domains (median *. 1e6))
     domain_counts
 
+(* OS context switches this process has made so far: voluntary plus
+   nonvoluntary, summed over its live threads. *)
+let ctx_switches () =
+  let count acc line =
+    match Scanf.sscanf_opt line "%s@: %d" (fun k v -> (k, v)) with
+    | Some (("voluntary_ctxt_switches" | "nonvoluntary_ctxt_switches"), v) ->
+        acc + v
+    | _ -> acc
+  in
+  let of_task acc tid =
+    let status = Printf.sprintf "/proc/self/task/%s/status" tid in
+    match In_channel.with_open_text status In_channel.input_all with
+    | exception Sys_error _ -> acc (* the thread exited meanwhile *)
+    | text -> List.fold_left count acc (String.split_on_char '\n' text)
+  in
+  Array.fold_left of_task 0 (Sys.readdir "/proc/self/task")
+
+(* A coupled round trip on a lone worker is two handoffs, as the
+   paper's BLOCKING policy has it: the worker parks and wakes its KC,
+   the KC parks and wakes the worker.  Each wake is issued only after
+   the waker has released the domain's runtime lock, so neither woken
+   thread blocks on that lock again.  Asserted where the host gives the
+   run one CPU (a pinned run); elsewhere the two threads may sit on
+   different CPUs and the count is only printed. *)
+let test_pool_switches_per_coupled_call () =
+  let calls = 2000 in
+  let per_call = ref 0.0 in
+  Fiber.run (fun () ->
+      (* lease the KC first, so its creation is not counted *)
+      ignore (Blt_rt.coupled Unix.getpid);
+      let s0 = ctx_switches () in
+      for _ = 1 to calls do
+        Fiber.join (Fiber.spawn (fun () -> ignore (Blt_rt.coupled Unix.getpid)))
+      done;
+      per_call := float_of_int (ctx_switches () - s0) /. float_of_int calls);
+  Printf.printf "coupled getpid: %.2f OS context switches per call\n%!" !per_call;
+  if Domain.recommended_domain_count () = 1 && !per_call > 3.0 then
+    Alcotest.failf "coupled getpid on one CPU: %.2f context switches per call, want <= 3"
+      !per_call
+
 let () =
   Test_seed.announce "test_fiber_rt";
   Alcotest.run "fiber_rt"
@@ -1355,6 +1395,8 @@ let () =
           Alcotest.test_case "live isolation" `Quick test_pool_live_isolation;
           Alcotest.test_case "coupled beside a busy fiber" `Quick
             test_pool_coupled_beside_busy_fiber;
+          Alcotest.test_case "two context switches per coupled call" `Quick
+            test_pool_switches_per_coupled_call;
         ] );
       ( "channels",
         [

@@ -49,8 +49,8 @@ let check_n ?waived report ~file ~rule n =
 let test_blocking () =
   let r = Driver.run ~roots:[ fx "lib/fiber_rt" ] () in
   let rule = "blocking-in-fiber" in
-  (* read, Thread.delay, select, gettimeofday *)
-  check_n r ~file:(fx "lib/fiber_rt/bf_bad.ml") ~rule 4;
+  (* read, Thread.delay, select, gettimeofday, Parker.park *)
+  check_n r ~file:(fx "lib/fiber_rt/bf_bad.ml") ~rule 5;
   check_n r ~file:(fx "lib/fiber_rt/bf_good.ml") ~rule 0;
   check_n r ~file:(fx "lib/fiber_rt/bf_waived.ml") ~rule 0;
   check_n ~waived:true r ~file:(fx "lib/fiber_rt/bf_waived.ml") ~rule 1

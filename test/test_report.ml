@@ -386,6 +386,24 @@ let test_validate_fixtures () =
     [ (Bf.Parallel.suite, parallel (), parallel_fixtures);
       (Bf.Net.suite, net (), net_fixtures) ]
 
+(* One failing row hides no other: two oversubscribed rows over their
+   bound are both named, one line each. *)
+let test_validate_every_violation () =
+  (* 1.35 x 8.52 ms + 0.5 ms = 12.0 ms; 1.35 x 1.28 ms + 0.5 ms = 2.2 ms *)
+  let doc =
+    set (pp "ping_pong" 4.) "median_s" (n 0.0121)
+      (set (pp "sync_mutex_park" 4.) "median_s" (n 0.0023) (parallel ()))
+  in
+  match Bf.validate Bf.Parallel.suite doc with
+  | Ok s -> Alcotest.failf "accepted two rows over their bound: %s" s
+  | Error m ->
+      List.iter
+        (fun row ->
+          if not (contains m row) then Alcotest.failf "%S does not name %s" m row)
+        [ "ping_pong@4: median_s"; "sync_mutex_park@4: median_s" ];
+      Alcotest.(check int) "one line per violation" 2
+        (List.length (String.split_on_char '\n' m))
+
 let test_diff_speedup_gate () =
   let old = parallel () in
   let speedup v =
@@ -572,6 +590,8 @@ let () =
           Alcotest.test_case "committed files valid" `Quick
             test_committed_files_valid;
           Alcotest.test_case "validate fixtures" `Quick test_validate_fixtures;
+          Alcotest.test_case "validate reports every violation" `Quick
+            test_validate_every_violation;
           Alcotest.test_case "diff speedup gate" `Quick test_diff_speedup_gate;
           Alcotest.test_case "diff speedup gate reads the row's median" `Quick
             test_diff_speedup_own_median;
