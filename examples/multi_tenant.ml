@@ -8,8 +8,8 @@
    when the conversation ends.  What that buys over a bare handler fiber:
 
    - isolation: the tenant's descriptors live in the ULP's table; when
-     the ULP exits -- normally, by Proc.exit, or killed -- close_all
-     releases them exactly once, whatever fibers it grew;
+     the ULP exits -- normally, by Proc.exit, or killed -- the exit
+     sweep releases them exactly once, whatever fibers it grew;
    - identity: the vpid names the tenant, and its exit status reports
      what it did -- each tenant exits with its request count, which
      the reaping handler collects from waitpid (plain exit/wait: no
@@ -44,7 +44,7 @@ let serve_tenant r u vfd =
     Proc.check u;
     (* cancellation point: a killed tenant stops here *)
     match Proc.Io.read r u vfd buf 0 msg_bytes with
-    | 0 -> served (* peer closed; close_all releases vfd on exit *)
+    | 0 -> served (* peer closed; the exit sweep releases vfd *)
     | n ->
         Proc.Io.write_all r u vfd buf 0 n;
         loop (served + 1)

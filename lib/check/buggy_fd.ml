@@ -1,21 +1,24 @@
-(* TEST-ONLY copy of Fd_core -- the refcounted fd-table heart of the
-   process layer -- with a deliberately seeded bug pair: BOTH refcount
-   walks are get-then-set instead of CAS / fetch-and-add.
+(* TEST-ONLY copy of Fd_core's refcount -- the part of the fd table
+   that lookups walk without the table lock -- with a deliberately
+   seeded bug pair: BOTH refcount walks are get-then-set instead of
+   CAS / fetch-and-add.
 
    [release]: two ULPs sharing a host fd (rc = 2) both close their
    descriptor; both read 2, both store 1 -- nobody observes the 1 -> 0
    crossing and the host fd leaks (destroy never runs).  [retain]: the
-   guard that refuses to resurrect a dead handle is gone, so a dup
-   racing the last close can read rc = 0, store 1 and hand out a
-   descriptor whose host fd was already destroyed -- the later close
-   destroys it a second time (the classic double-close, by then
-   possibly someone else's recycled fd).
+   guard that refuses to resurrect a dead handle is gone, so a lookup
+   racing the last release can read rc = 0, store 1 and pin a handle
+   whose host fd was already destroyed -- its own release destroys it a
+   second time (the classic double-close, by then possibly someone
+   else's recycled fd).
 
    The faithful Fd_core uses a CAS loop that refuses n <= 0 for retain
    and a fetch-and-add for release, so exactly one caller sees the
    crossing.  test_check asserts the checker reports a bug on THIS
-   module under those schedules while the faithful copy survives the
-   exact failing schedules.  Never use outside tests. *)
+   module for two racing releases and for a retain racing the last
+   release, while the faithful copy survives the exact failing
+   schedules; ulplint's atomic-get-then-set flags both walks.  Never
+   use outside tests. *)
 
 type 'a res = { v : 'a; rc : int Atomic.t; destroy : 'a -> unit }
 
@@ -35,74 +38,3 @@ let release r =
   let n = Atomic.get r.rc in
   Atomic.set r.rc (n - 1);
   if n = 1 then r.destroy r.v
-
-type 'a table = { slots : 'a res option Atomic.t array }
-
-let create ~capacity =
-  if capacity < 1 then invalid_arg "Buggy_fd.create: capacity must be >= 1";
-  { slots = Array.init capacity (fun _ -> Atomic.make None) }
-
-let capacity t = Array.length t.slots
-let in_range t i = i >= 0 && i < Array.length t.slots
-
-let alloc t r =
-  let n = Array.length t.slots in
-  let rec go i =
-    if i >= n then None
-    else
-      let s = t.slots.(i) in
-      match Atomic.get s with
-      | None -> if Atomic.compare_and_set s None (Some r) then Some i else go i
-      | Some _ -> go (i + 1)
-  in
-  go 0
-
-let get t i = if in_range t i then Atomic.get t.slots.(i) else None
-
-let close t i =
-  if not (in_range t i) then false
-  else
-    match Atomic.exchange t.slots.(i) None with
-    | None -> false
-    | Some r ->
-        release r;
-        true
-
-let close_all t =
-  let n = ref 0 in
-  for i = 0 to Array.length t.slots - 1 do
-    if close t i then incr n
-  done;
-  !n
-
-let count t =
-  let n = ref 0 in
-  Array.iter (fun s -> if Atomic.get s <> None then incr n) t.slots;
-  !n
-
-let dup t i =
-  match get t i with
-  | None -> Error `Badf
-  | Some r -> (
-      if not (retain r) then Error `Badf
-      else
-        match alloc t r with
-        | Some j -> Ok j
-        | None ->
-            release r;
-            Error `Mfile)
-
-let dup2 t ~src ~dst =
-  if not (in_range t dst) then Error `Badf
-  else
-    match get t src with
-    | None -> Error `Badf
-    | Some r ->
-        if src = dst then Ok ()
-        else if not (retain r) then Error `Badf
-        else begin
-          (match Atomic.exchange t.slots.(dst) (Some r) with
-          | None -> ()
-          | Some old -> release old);
-          Ok ()
-        end

@@ -1,46 +1,39 @@
-(* The fd-table core: refcounted handles in lazily grown slot tables, the
-   lock-free heart of the S3 process layer's private descriptor
-   namespaces (DESIGN.md section 5h).
+(* The fd-table core: refcounted handles in lazily grown slot tables,
+   the heart of the S3 process layer's private descriptor namespaces
+   (DESIGN.md section 5h).
 
    A [res] is one host resource (in production a [Unix.file_descr])
-   plus a reference count: one reference per table slot that names it,
-   so two ULPs sharing an accepted socket hold rc = 2 and the host fd
-   is destroyed exactly once, when the LAST slot drops.  The count is
-   walked by CAS only:
+   plus a reference count, one per table slot that names it: two ULPs
+   sharing a socket hold rc = 2, and the host fd is destroyed once,
+   when the LAST slot drops.  Lookups take references without a lock,
+   so the count is walked by CAS: [retain] refuses to resurrect from
+   zero (a plain increment is the classic use-after-close), and
+   [release] is a fetch-and-add whose 1 -> 0 crossing runs [destroy]
+   exactly once (a get-then-set loses that crossing; the twin is seeded
+   in lib/check/buggy_fd.ml).
 
-   - [retain] is a CAS loop that REFUSES to resurrect from zero: a dup
-     racing the last close either lands before it (rc 1 -> 2) or
-     observes the death and reports the descriptor stale.  A plain
-     increment here is the classic use-after-close.
-   - [release] is a fetch-and-add; exactly one caller observes the
-     1 -> 0 crossing and runs [destroy].  A get-then-set here lets two
-     racing closers both read 2 and both store 1 -- the host fd leaks
-     (or, paired with a resurrecting retain, double-closes); that exact
-     twin is seeded in lib/check/buggy_fd.ml and caught by the
-     explorer.
+   A [table] is one ULP's namespace: an array of atomic slots that
+   starts empty, grows to [initial_slots] at the first alloc and
+   doubles on demand up to [cap], so a ULP pays for the descriptors it
+   opens.  Every write -- alloc, close, dup, dup2, growth, the sweeps --
+   takes the table's one mutex, as Linux's files_struct takes
+   file_lock; only the ULP's own fibers and the odd share into it
+   contend, so it is taken plainly.  A critical section does no
+   syscall, park or wake: a dropped reference is released, and its
+   host fd closed, after the unlock.  Under the lock "lowest free" is
+   exact.  [shut], the exit sweep, also closes the table for good, so a
+   late share or adopt into an exited ULP fails instead of binding a
+   reference nobody will release.
 
-   A [table] is one ULP's descriptor namespace: an array of slots, each
-   an atomic [res option], published through one atomic and grown on
-   demand up to [cap].  A fresh table holds [initial_slots] slots, so a
-   ULP that opens a handful of descriptors never pays for the 256 it
-   could open.  Allocation scans from slot 0 and claims the first empty
-   by CAS -- POSIX's lowest-free-descriptor rule -- and [dup2] displaces
-   the target slot by [exchange], so a racing close of the same slot
-   sees the old occupant exactly once.
+   Lookups take no lock: [get] loads the array and the slot, and the
+   caller [retain]s what it read.  Growth copies the SAME slot atomics
+   into the larger array, so a lookup through the old array reads the
+   slots later writes land on.  No re-check follows the [retain]: a
+   [res] is never reused, so a lookup racing a close pins a live
+   handle or gets EBADF.
 
-   Growth doubles the array and copies the SAME slot atomics into the
-   larger one before publishing it by CAS: a claim, close or exchange
-   that lands on a slot through the old array is seen through every
-   later array, because both name one atomic.  Copying slot CONTENTS
-   into fresh atomics instead would drop any write that lands on the
-   old slot after the copy read it (a close resurrected, an alloc lost)
-   -- that twin is seeded in lib/check/buggy_fd_grow.ml.  A slot beyond
-   the grown array is free: [get] and [close] see EBADF there, and
-   [close_all] / [count] walk only the grown array.
-
-   This file is recompiled into lib/check against the traced shims
-   (copy_files# in lib/check/dune), so it sticks to the Atomic + Array
-   vocabulary: no Unix, no Fiber, no clocks. *)
+   Recompiled into lib/check against the traced Atomic and Mutex
+   (copy_files# in lib/check/dune): no Unix, no Fiber, no clocks. *)
 
 type 'a res = { v : 'a; rc : int Atomic.t; destroy : 'a -> unit }
 
@@ -56,71 +49,99 @@ let rec retain r =
 
 let release r = if Atomic.fetch_and_add r.rc (-1) = 1 then r.destroy r.v
 
-type 'a table = { cap : int; slots : 'a res option Atomic.t array Atomic.t }
+type 'a table = {
+  cap : int;
+  lock : Mutex.t; (* every write to [slots] and [shut] *)
+  slots : 'a res option Atomic.t array Atomic.t; (* read lock-free by [get] *)
+  mutable shut : bool; (* the owner exited: no alloc ever again *)
+}
 
 let initial_slots = 8
 
 let create ~capacity =
   if capacity < 1 then invalid_arg "Fd_core.create: capacity must be >= 1";
-  let n = min capacity initial_slots in
-  let slots = Array.init n (fun _ -> Atomic.make None) in
-  { cap = capacity; slots = Atomic.make slots }
+  { cap = capacity; lock = Mutex.create (); slots = Atomic.make [||]; shut = false }
 
 let capacity t = t.cap
 
-(* The grown array covering slot [i] (< cap): double until it does,
-   reusing every existing slot atomic, and publish by CAS.  A losing
-   CAS retries against the winner's array, which is a prefix-extension
-   of the one this attempt copied. *)
-let rec grow t i =
+let locked t f =
+  (* ulplint: allow raw-mutex-in-fiber -- the fd table's lock, taken by the owning ULP's fibers and by a share into it, on any worker domain; held for a scan of at most [cap] slots and at most one array copy, never across a syscall, a wake or a park *)
+  Mutex.lock t.lock;
+  match f () with
+  | v ->
+      Mutex.unlock t.lock;
+      v
+  | exception e ->
+      Mutex.unlock t.lock;
+      raise e
+
+(* ---------- the next two run locked ---------- *)
+
+(* The grown array covering slot [i] (< cap): start at
+   [initial_slots], double until it covers [i], reuse every existing
+   slot atomic, and publish it. *)
+let grow t i =
   let a = Atomic.get t.slots in
   let n = Array.length a in
   if i < n then a
   else
     let rec size m = if m > i then m else size (2 * m) in
-    let m = min t.cap (size (2 * n)) in
+    let m = min t.cap (size (max initial_slots (2 * n))) in
     let b = Array.init m (fun j -> if j < n then a.(j) else Atomic.make None) in
-    if Atomic.compare_and_set t.slots a b then b else grow t i
+    (* ulplint: allow atomic-get-then-set -- growth runs under the table lock, which every writer of [slots] holds; the lock-free readers only load it *)
+    Atomic.set t.slots b;
+    b
 
-(* Lowest free slot, by CAS from index 0 up: a failed claim means the
-   slot just filled, so move on; a slot freed behind the scan is the
-   same transient POSIX allows (the "lowest" is evaluated at claim
-   time).  Scanning past the grown array grows it. *)
-let alloc t r =
-  let rec go a i =
-    if i < Array.length a then
-      let s = a.(i) in
-      match Atomic.get s with
-      | None ->
-          if Atomic.compare_and_set s None (Some r) then Some i else go a i
-      | Some _ -> go a (i + 1)
-    else if i >= t.cap then None
-    else go (grow t i) i
+(* Bind [r] to the lowest free slot (a slot past the grown array is
+   free), growing the table to cover it. *)
+let claim t r =
+  let a = Atomic.get t.slots in
+  (* ulplint: allow missed-cancellation-point -- a scan of at most [cap] slots under the table lock; a cancellation check here would park while the lock is held *)
+  let rec free i =
+    if i < Array.length a && Atomic.get a.(i) <> None then free (i + 1) else i
   in
-  go (Atomic.get t.slots) 0
+  let i = free 0 in
+  if i >= t.cap then None
+  else begin
+    Atomic.set (grow t i).(i) (Some r);
+    Some i
+  end
+
+(* ---------- the entry points ---------- *)
 
 let get t i =
   let a = Atomic.get t.slots in
   if i >= 0 && i < Array.length a then Atomic.get a.(i) else None
 
-let close t i =
-  let a = Atomic.get t.slots in
-  if i < 0 || i >= Array.length a then false
-  else
-    match Atomic.exchange a.(i) None with
-    | None -> false
-    | Some r ->
-        release r;
-        true
+let alloc t r = locked t (fun () -> if t.shut then None else claim t r)
 
-let close_all t =
-  let a = Atomic.get t.slots in
-  let n = ref 0 in
-  (* ulplint: allow missed-cancellation-point -- bounded sweep of the grown slot array (at most the table's capacity) at table teardown, when the owning ULP is already exiting; close is the table's own refcounted entry point and never parks *)
-  for i = 0 to Array.length a - 1 do
-    if close t i then incr n
-  done;
-  !n
+let close t i =
+  let old =
+    locked t (fun () ->
+        let a = Atomic.get t.slots in
+        if i >= 0 && i < Array.length a then Atomic.exchange a.(i) None
+        else None)
+  in
+  Option.iter release old;
+  Option.is_some old
+
+(* Empty every grown slot, and with [shut] close the table for good, in
+   one critical section; release after it, in slot order. *)
+let sweep ~shut t =
+  let rs =
+    locked t (fun () ->
+        if shut then t.shut <- true;
+        Array.fold_right
+          (fun s rs ->
+            match Atomic.exchange s None with None -> rs | Some r -> r :: rs)
+          (Atomic.get t.slots) [])
+  in
+  List.iter release rs;
+  List.length rs
+
+let close_all t = sweep ~shut:false t
+let shut t = sweep ~shut:true t
+let is_shut t = locked t (fun () -> t.shut)
 
 let count t =
   let n = ref 0 in
@@ -129,34 +150,31 @@ let count t =
     (Atomic.get t.slots);
   !n
 
+(* Under the lock the source slot's own reference keeps its count at 1
+   or more, so the extra reference is a plain increment. *)
 let dup t i =
-  match get t i with
-  | None -> Error `Badf
-  | Some r -> (
-      if not (retain r) then Error `Badf
-      else
-        match alloc t r with
-        | Some j -> Ok j
-        | None ->
-            release r;
-            Error `Mfile)
+  locked t (fun () ->
+      match get t i with
+      | None -> Error `Badf
+      | Some r -> (
+          match claim t r with
+          | Some j ->
+              Atomic.incr r.rc;
+              Ok j
+          | None -> Error `Mfile))
 
 (* POSIX dup2: [dst] names the same resource as [src]; an open [dst] is
-   closed first -- here in one [exchange], so a concurrent close of the
-   same slot sees the displaced occupant exactly once.  A [dst] beyond
-   the grown array grows it first; only [dst >= cap] is EBADF.  [src] =
-   [dst] on an open descriptor is a no-op that succeeds. *)
+   closed first, its reference released after the unlock.  A [dst]
+   beyond the grown array grows it first; only [dst >= cap] is EBADF.
+   [src] = [dst] on an open descriptor is a no-op that succeeds. *)
 let dup2 t ~src ~dst =
   if dst < 0 || dst >= t.cap then Error `Badf
   else
-    match get t src with
-    | None -> Error `Badf
-    | Some r ->
-        if src = dst then Ok ()
-        else if not (retain r) then Error `Badf
-        else begin
-          (match Atomic.exchange (grow t dst).(dst) (Some r) with
-          | None -> ()
-          | Some old -> release old);
-          Ok ()
-        end
+    locked t (fun () ->
+        match get t src with
+        | None -> Error `Badf
+        | Some _ when src = dst -> Ok None
+        | Some r ->
+            Atomic.incr r.rc;
+            Ok (Atomic.exchange (grow t dst).(dst) (Some r)))
+    |> Result.map (Option.iter release)

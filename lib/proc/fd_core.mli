@@ -1,9 +1,9 @@
 (** The fd-table core: refcounted handles in lazily grown slot tables
-    — the lock-free machinery behind each ULP's private descriptor
-    namespace (DESIGN.md §5h).  Generic over the resource ([Unix.file_descr] in
+    — the machinery behind each ULP's private descriptor namespace
+    (DESIGN.md §5h).  Generic over the resource ([Unix.file_descr] in
     production; an instrumented token under lib/check, where this file
-    is recompiled against the traced shims and its refcount protocol is
-    model-checked against the seeded [Buggy_fd] twin). *)
+    is recompiled against the traced shims and model-checked, its
+    refcount against the seeded [Buggy_fd] twin). *)
 
 (** {1 Refcounted resources} *)
 
@@ -33,10 +33,10 @@ val release : 'a res -> unit
 
 type 'a table
 (** One descriptor namespace: slots (descriptor = index), each holding
-    at most one resource reference.  A fresh table holds a few slots
-    and doubles on demand up to its capacity; growth reuses the slot
-    atomics, so an operation racing it through the old array is seen
-    through the new one.  A slot not grown yet is free. *)
+    at most one resource reference.  A fresh table holds no slot and
+    grows on demand up to its capacity; a slot not grown yet is free.
+    Every write takes the table's lock and releases a dropped reference
+    after the unlock; {!get} takes no lock. *)
 
 val create : capacity:int -> 'a table
 (** @raise Invalid_argument when [capacity < 1].  Slots beyond
@@ -48,8 +48,9 @@ val capacity : 'a table -> int
 val alloc : 'a table -> 'a res -> int option
 (** Claim the lowest free slot (POSIX allocation order), growing the
     table when every grown slot is taken, and take ownership of the
-    caller's reference; [None] when all [capacity] slots are full (the
-    caller still owns the reference and must {!release} it). *)
+    caller's reference; [None] when all [capacity] slots are full or
+    the table is {!shut} (the caller still owns the reference and must
+    {!release} it). *)
 
 val get : 'a table -> int -> 'a res option
 (** The current occupant; [None] for a free, not yet grown or
@@ -61,8 +62,13 @@ val close : 'a table -> int -> bool
     not yet grown or out-of-range). *)
 
 val close_all : 'a table -> int
-(** Close every open slot of the grown array (ULP exit); returns the
-    number released. *)
+(** Close every open slot; returns the number released. *)
+
+val shut : 'a table -> int
+(** {!close_all} at a ULP's exit, which also closes the table for good:
+    every later {!alloc} returns [None]. *)
+
+val is_shut : 'a table -> bool
 
 val count : 'a table -> int
 (** Open slots (racy snapshot). *)
@@ -73,8 +79,8 @@ val dup : 'a table -> int -> (int, [ `Badf | `Mfile ]) result
 
 val dup2 : 'a table -> src:int -> dst:int -> (unit, [ `Badf ]) result
 (** POSIX [dup2]: make [dst] name [src]'s resource, closing an open
-    [dst] first — displaced and released exactly once even against a
-    racing {!close} of the same slot.  A [dst] not grown yet grows the
-    table to cover it; EBADF only when [dst] is outside [0, capacity).
+    [dst] first — displaced and released exactly once.  A [dst] not
+    grown yet grows the table to cover it; EBADF only when [dst] is
+    outside [0, capacity).
     [src = dst] on an open descriptor succeeds without closing
     anything. *)

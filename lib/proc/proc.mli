@@ -3,7 +3,8 @@
     each ULP a {!Fiber_rt.Scope}-rooted fiber tree in the shared
     address space.  The API of {!Process} is included here —
     [Proc.spawn], [Proc.waitpid], [Proc.kill] — with the descriptor
-    I/O as {!Io} and the lock-free fd table re-exported below.  The
+    I/O as {!Io} and the fd table ({!Fd_core}: writes under one lock
+    per table, lookups lock-free) re-exported below.  The
     process tree (vpids, parents, children, exit statuses and parked
     waiters) sits under one lock per world.
 

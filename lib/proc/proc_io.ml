@@ -22,6 +22,7 @@ module Fiber_io = Net.Fiber_io
 
 let ebadf name = raise (Unix.Unix_error (Unix.EBADF, name, ""))
 let emfile name = raise (Unix.Unix_error (Unix.EMFILE, name, ""))
+let esrch name = raise (Unix.Unix_error (Unix.ESRCH, name, ""))
 
 (* The destroy callback of every handle: the single authorized close
    site.  Errors are swallowed -- the kernel releases the descriptor
@@ -33,16 +34,21 @@ let host_close fd =
 
 let handle fd = Fd_core.resource ~destroy:host_close fd
 
-(* Import a host fd the caller owns into [u]'s table; the table takes
-   ownership (on EMFILE the fd is closed -- it must not leak). *)
-let adopt ?(nonblock = true) u fd =
-  if nonblock then Fiber_io.set_nonblock fd;
-  let r = handle fd in
-  match Fd_core.alloc (Process.fds u) r with
+(* Bind the reference [r] into [u]'s table, or release it: EMFILE on a
+   full table, ESRCH once [u] has exited (its table is shut). *)
+let bind name u r =
+  let t = Process.fds u in
+  match Fd_core.alloc t r with
   | Some vfd -> vfd
   | None ->
       Fd_core.release r;
-      emfile "adopt"
+      if Fd_core.is_shut t then esrch name else emfile name
+
+(* Import a host fd the caller owns into [u]'s table; the table takes
+   ownership (on failure the fd is closed -- it must not leak). *)
+let adopt ?(nonblock = true) u fd =
+  if nonblock then Fiber_io.set_nonblock fd;
+  bind "adopt" u (handle fd)
 
 let openfile u path flags perm =
   (* ulplint: allow raw-fd-in-proc -- the table's openfile entry point itself: the fd goes straight into a slot *)
@@ -57,7 +63,12 @@ let socket u dom ty proto =
 let pipe u =
   (* ulplint: allow raw-fd-in-proc -- the table's pipe entry point itself: both ends go straight into slots *)
   let rd, wr = Unix.pipe ~cloexec:true () in
-  let vrd = adopt u rd in
+  let vrd =
+    try adopt u rd
+    with e ->
+      host_close wr;
+      raise e
+  in
   let vwr =
     try adopt u wr
     with e ->
@@ -85,14 +96,7 @@ let dup2 u ~src ~dst =
 let share u src_vfd ~into =
   match Fd_core.get (Process.fds u) src_vfd with
   | None -> ebadf "share"
-  | Some r -> (
-      if not (Fd_core.retain r) then ebadf "share"
-      else
-        match Fd_core.alloc (Process.fds into) r with
-        | Some vfd -> vfd
-        | None ->
-            Fd_core.release r;
-            emfile "share")
+  | Some r -> if Fd_core.retain r then bind "share" into r else ebadf "share"
 
 (* Resolve for the duration of one operation: the retained reference
    pins the host fd across the (possibly parking) syscall. *)

@@ -4,7 +4,8 @@
     the duration of the syscall — a concurrent close never yanks the fd
     mid-operation.  The syscalls themselves are {!Fiber_io}'s
     try-then-park on the reactor; bad descriptors surface as
-    [Unix.Unix_error (EBADF, ...)], full tables as [EMFILE].
+    [Unix.Unix_error (EBADF, ...)], full tables as [EMFILE], and a
+    descriptor bound into a ULP that has exited as [ESRCH].
 
     Creation/destruction of host fds lives HERE and in the table's
     destroy callback only — the [raw-fd-in-proc] lint rule enforces
@@ -12,7 +13,8 @@
 
 val adopt : ?nonblock:bool -> Process.t -> Unix.file_descr -> int
 (** Import a host fd the caller owns into the ULP's table (ownership
-    transfers; on EMFILE the fd is closed, then the error raised).
+    transfers; on EMFILE, or ESRCH when the ULP has exited, the fd is
+    closed, then the error raised).
     [nonblock] (default true) marks it O_NONBLOCK — required for the
     parking I/O below; pass [false] for regular files. *)
 
@@ -33,7 +35,9 @@ val dup2 : Process.t -> src:int -> dst:int -> unit
 val share : Process.t -> int -> into:Process.t -> int
 (** Bind the SAME host fd into another ULP's namespace (refcount +1):
     the returned descriptor is [into]'s name for it; each ULP closes
-    its own name and the host fd dies with the last one. *)
+    its own name and the host fd dies with the last one.  ESRCH when
+    [into] has exited: its table is closed for good and the reference
+    is dropped again. *)
 
 (** {1 Parking I/O} ([deadline] as in {!Fiber_io}; fiber context) *)
 

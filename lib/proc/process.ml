@@ -33,8 +33,8 @@
               refuse an exited parent, enter the table and the
               parent's children; then the fiber runs the body inside
               a fresh Scope
-     exit:    close_all fds; under the lock, hand the live children to
-              the root ULP (adopted := true), reap the zombie ones,
+     exit:    shut the fd table; under the lock, hand the live children
+              to the root ULP (adopted := true), reap the zombie ones,
               publish the status and take the waiters; an adopted ULP
               nobody waits for reaps itself -- init does not wait for
               it, but a waiter that did park gets the status; wake the
@@ -269,7 +269,7 @@ let children parent =
       | Some kids -> Vtbl.fold (fun vpid _ l -> vpid :: l) kids [])
 
 let do_exit u st =
-  ignore (Fd_core.close_all u.fds);
+  ignore (Fd_core.shut u.fds);
   let w = u.world in
   let rt = root w in
   let waiters =

@@ -746,36 +746,58 @@ let scope_fail_race (module S : SCOPE) () =
       | None -> failwith "no failure recorded");
       if not (S.is_cancelled t) then failwith "failure did not cancel" )
 
-(* ---------- proc: fd refcounts and wait cells ---------- *)
+(* ---------- proc: the fd table, its refcount and wait cells ---------- *)
 
 module Cfiber = Check.Fiber
+module F = Check.Fd_core
 
-(* Parameterized over the fd-table implementation so the same scenarios
-   drive the faithful Fd_core copy and the seeded get-then-set twin. *)
-module type FD = sig
+(* The refcount walks a lookup runs without the table lock, as a
+   signature so the same scenarios drive the faithful Fd_core and the
+   seeded get-then-set twin. *)
+module type RC = sig
   type 'a res
-  type 'a table
 
   val resource : destroy:('a -> unit) -> 'a -> 'a res
   val refs : 'a res -> int
   val retain : 'a res -> bool
-  val create : capacity:int -> 'a table
-  val alloc : 'a table -> 'a res -> int option
-  val dup : 'a table -> int -> (int, [ `Badf | `Mfile ]) result
-  val dup2 : 'a table -> src:int -> dst:int -> (unit, [ `Badf ]) result
-  val close : 'a table -> int -> bool
-  val close_all : 'a table -> int
+  val release : 'a res -> unit
 end
 
-let good_fd : (module FD) = (module Check.Fd_core)
-let bad_fd : (module FD) = (module Check.Buggy_fd)
-let bad_fd_grow : (module FD) = (module Check.Buggy_fd_grow)
+let good_rc : (module RC) = (module Check.Fd_core)
+let bad_rc : (module RC) = (module Check.Buggy_fd)
+
+let destroyed_exactly_once destroyed refs =
+  if destroyed <> 1 then
+    failwith (Printf.sprintf "fd-refcount: destroyed %d times" destroyed);
+  if refs <> 0 then failwith (Printf.sprintf "fd-refcount: %d refs left" refs)
+
+(* Two sharers drop their references at once (rc = 2): exactly one
+   release must observe the 1 -> 0 crossing and run destroy.  The
+   seeded get-then-set release lets both read 2 and both store 1 -- the
+   host fd leaks (destroy count 0, a dangling ref). *)
+let rc_two_releases (module R : RC) () =
+  let destroyed = ref 0 in
+  let r = R.resource ~destroy:(fun _ -> incr destroyed) 7 in
+  assert (R.retain r);
+  ( [ (fun () -> R.release r); (fun () -> R.release r) ],
+    fun () -> destroyed_exactly_once !destroyed (R.refs r) )
+
+(* A lookup's retain-then-release races the last release: the faithful
+   retain refuses to resurrect a dead handle (rc 0), so the lookup
+   either pins the live handle or backs off.  The seeded twin's
+   unguarded retain resurrects the destroyed handle, and the lookup's
+   release destroys the host fd a second time (by then possibly someone
+   else's). *)
+let rc_retain_vs_last_release (module R : RC) () =
+  let destroyed = ref 0 in
+  let r = R.resource ~destroy:(fun _ -> incr destroyed) 7 in
+  ( [ (fun () -> if R.retain r then R.release r); (fun () -> R.release r) ],
+    fun () -> destroyed_exactly_once !destroyed (R.refs r) )
 
 (* Two ULPs sharing one host fd (rc = 2 via retain) both close their
    slot: exactly one release must observe the 1 -> 0 crossing and run
-   destroy.  The seeded get-then-set release lets both read 2 and both
-   store 1 -- the host fd leaks (destroy count 0, a dangling ref). *)
-let fd_shared_close (module F : FD) () =
+   destroy. *)
+let fd_shared_close () =
   let destroyed = ref 0 in
   let t = F.create ~capacity:2 in
   let r = F.resource ~destroy:(fun _ -> incr destroyed) 7 in
@@ -783,18 +805,12 @@ let fd_shared_close (module F : FD) () =
   assert (F.retain r);
   (match F.alloc t r with Some 1 -> () | _ -> assert false);
   ( [ (fun () -> ignore (F.close t 0)); (fun () -> ignore (F.close t 1)) ],
-    fun () ->
-      if !destroyed <> 1 then
-        failwith (Printf.sprintf "fd-refcount: destroyed %d times" !destroyed);
-      if F.refs r <> 0 then
-        failwith (Printf.sprintf "fd-refcount: %d refs left" (F.refs r)) )
+    fun () -> destroyed_exactly_once !destroyed (F.refs r) )
 
-(* dup racing the last close: the faithful retain refuses to resurrect
-   a dead handle (rc 0), so the dup either lands before the death or
-   reports EBADF.  The seeded twin's unguarded retain resurrects the
-   destroyed fd into a fresh slot -- whose later close destroys the
-   host fd a second time (by then possibly someone else's). *)
-let fd_dup_vs_close (module F : FD) () =
+(* dup racing the last close: both take the table lock, so the dup
+   either copies the live slot (and its close_all drops the copy) or
+   finds it closed and reports EBADF. *)
+let fd_dup_vs_close () =
   let destroyed = ref 0 in
   let t = F.create ~capacity:2 in
   let r = F.resource ~destroy:(fun _ -> incr destroyed) 7 in
@@ -802,15 +818,31 @@ let fd_dup_vs_close (module F : FD) () =
   ( [ (fun () -> ignore (F.close t 0)); (fun () -> ignore (F.dup t 0)) ],
     fun () ->
       ignore (F.close_all t);
-      if !destroyed <> 1 then
-        failwith (Printf.sprintf "fd-refcount: destroyed %d times" !destroyed);
-      if F.refs r <> 0 then
-        failwith (Printf.sprintf "fd-refcount: %d refs left" (F.refs r)) )
+      destroyed_exactly_once !destroyed (F.refs r) )
+
+(* A lookup ([get], [retain], use, [release]: Proc.Io's per-syscall
+   path, which takes no lock) races a close of the same slot.  With no
+   re-check of the slot after [retain], the lookup either pins the live
+   handle -- the close's destroy then waits for its release -- or finds
+   the slot empty or the count at zero and reports EBADF. *)
+let fd_lookup_vs_close () =
+  let destroyed = ref 0 in
+  let t = F.create ~capacity:2 in
+  let r = F.resource ~destroy:(fun _ -> incr destroyed) 7 in
+  (match F.alloc t r with Some 0 -> () | _ -> assert false);
+  ( [
+      (fun () ->
+        match F.get t 0 with
+        | Some r' -> if F.retain r' then F.release r'
+        | None -> ());
+      (fun () -> ignore (F.close t 0));
+    ],
+    fun () -> destroyed_exactly_once !destroyed (F.refs r) )
 
 (* POSIX dup2 onto an open slot races a close of the same slot: the
    displaced occupant must be released exactly once, whichever of the
-   [exchange]s wins the slot. *)
-let fd_dup2_vs_close (module F : FD) () =
+   two takes the slot first. *)
+let fd_dup2_vs_close () =
   let da = ref 0 and db = ref 0 in
   let t = F.create ~capacity:2 in
   let a = F.resource ~destroy:(fun _ -> incr da) 1 in
@@ -829,10 +861,9 @@ let fd_dup2_vs_close (module F : FD) () =
         failwith (Printf.sprintf "fd-refcount: src destroyed %d times" !da);
       if F.refs a <> 0 || F.refs b <> 0 then failwith "fd-refcount: refs left" )
 
-(* Two concurrent allocations in an empty table: the lowest-free-slot
-   CAS scan must hand out exactly slots 0 and 1 (POSIX's lowest-free
-   rule, evaluated at claim time). *)
-let fd_alloc_race (module F : FD) () =
+(* Two concurrent allocations in an empty table must hand out exactly
+   slots 0 and 1 (POSIX's lowest-free rule). *)
+let fd_alloc_race () =
   let t = F.create ~capacity:4 in
   let mk () = F.resource ~destroy:(fun _ -> ()) 0 in
   let s0 = ref (-1) and s1 = ref (-1) in
@@ -844,15 +875,38 @@ let fd_alloc_race (module F : FD) () =
       if not (min !s0 !s1 = 0 && max !s0 !s1 = 1) then
         failwith (Printf.sprintf "fd-slots: got %d and %d" !s0 !s1) )
 
+(* Slots 0-2 are full; one thread closes 0 and then 1 while another
+   allocates.  Lowest-free is linearizable only if the alloc returns 0
+   (after the first close) or 3 (before it).  A scan that claims slots
+   one by one without the lock can pass slot 0 while it is still full,
+   find slot 1 freed behind it and return 1 -- a slot no point in time
+   makes the lowest free one. *)
+let fd_alloc_vs_ordered_closes () =
+  let t = F.create ~capacity:4 in
+  let mk () = F.resource ~destroy:(fun _ -> ()) 0 in
+  for i = 0 to 2 do
+    match F.alloc t (mk ()) with Some j when j = i -> () | _ -> assert false
+  done;
+  let got = ref (-1) in
+  ( [
+      (fun () ->
+        ignore (F.close t 0);
+        ignore (F.close t 1));
+      (fun () -> got := Option.value (F.alloc t (mk ())) ~default:(-1));
+    ],
+    fun () ->
+      if !got <> 0 && !got <> 3 then
+        failwith (Printf.sprintf "fd-slots: alloc got %d, not 0 or 3" !got) )
+
 (* ---------- fd-table growth ---------- *)
 
 (* A fresh table grows on demand from 8 slots, so each growth scenario
    fills those 8 before its threads start.  Every resource carries its
    own destroy counter; the post-condition closes what is left and
    demands one destroy and zero references per resource. *)
-let fd_initial_slots = Check.Fd_core.initial_slots
+let fd_initial_slots = F.initial_slots
 
-module Fd_growth (F : FD) = struct
+module Fd_growth = struct
   let full_table () =
     let t = F.create ~capacity:(2 * fd_initial_slots) in
     let rs =
@@ -952,21 +1006,10 @@ module Fd_growth (F : FD) = struct
         destroyed_once t (Array.append rs [| (x, dx); (y, dy) |]) )
 end
 
-let fd_grow_two_growers (module F : FD) =
-  let module G = Fd_growth (F) in
-  G.two_growers
-
-let fd_grow_vs_close (module F : FD) =
-  let module G = Fd_growth (F) in
-  G.vs_close
-
-let fd_grow_vs_alloc (module F : FD) =
-  let module G = Fd_growth (F) in
-  G.vs_alloc
-
-let fd_grow_vs_dup2 (module F : FD) =
-  let module G = Fd_growth (F) in
-  G.vs_dup2
+let fd_grow_two_growers = Fd_growth.two_growers
+let fd_grow_vs_close = Fd_growth.vs_close
+let fd_grow_vs_alloc = Fd_growth.vs_alloc
+let fd_grow_vs_dup2 = Fd_growth.vs_dup2
 
 (* A waiter parking vs the finish that publishes a status, on a
    Completion carrying a payload (the shape of waitpid against an exit,
@@ -1814,50 +1857,63 @@ let test_scope_fail_race () =
 
 let test_fd_shared_close () =
   let stats =
-    expect_pass "fd-shared-close" (Sched.check (fd_shared_close good_fd))
+    expect_pass "fd-shared-close" (Sched.check fd_shared_close)
   in
   Alcotest.(check bool) "exhaustive" true stats.Sched.complete
 
 let test_fd_dup_vs_close () =
   let stats =
     expect_pass "fd-dup-vs-close"
-      (Sched.check ~max_schedules:8_000 (fd_dup_vs_close good_fd))
+      (Sched.check ~max_schedules:8_000 fd_dup_vs_close)
   in
   Alcotest.(check bool) "exhaustive" true stats.Sched.complete
 
 let test_fd_dup2_vs_close () =
   ignore
     (expect_pass "fd-dup2-vs-close"
-       (Sched.check ~max_schedules:8_000 (fd_dup2_vs_close good_fd)))
+       (Sched.check ~max_schedules:8_000 fd_dup2_vs_close))
 
 let test_fd_alloc_race () =
   let stats =
-    expect_pass "fd-alloc-race" (Sched.check (fd_alloc_race good_fd))
+    expect_pass "fd-alloc-race" (Sched.check fd_alloc_race)
+  in
+  Alcotest.(check bool) "exhaustive" true stats.Sched.complete
+
+let test_fd_alloc_vs_ordered_closes () =
+  let stats =
+    expect_pass "fd-alloc-vs-ordered-closes"
+      (Sched.check fd_alloc_vs_ordered_closes)
+  in
+  Alcotest.(check bool) "exhaustive" true stats.Sched.complete
+
+let test_fd_lookup_vs_close () =
+  let stats =
+    expect_pass "fd-lookup-vs-close" (Sched.check fd_lookup_vs_close)
   in
   Alcotest.(check bool) "exhaustive" true stats.Sched.complete
 
 let test_fd_grow_vs_close () =
   let stats =
-    expect_pass "fd-grow-vs-close" (Sched.check (fd_grow_vs_close good_fd))
+    expect_pass "fd-grow-vs-close" (Sched.check fd_grow_vs_close)
   in
   Alcotest.(check bool) "exhaustive" true stats.Sched.complete
 
 let test_fd_grow_vs_alloc () =
   let stats =
-    expect_pass "fd-grow-vs-alloc" (Sched.check (fd_grow_vs_alloc good_fd))
+    expect_pass "fd-grow-vs-alloc" (Sched.check fd_grow_vs_alloc)
   in
   Alcotest.(check bool) "exhaustive" true stats.Sched.complete
 
 let test_fd_grow_vs_dup2 () =
   let stats =
-    expect_pass "fd-grow-vs-dup2" (Sched.check (fd_grow_vs_dup2 good_fd))
+    expect_pass "fd-grow-vs-dup2" (Sched.check fd_grow_vs_dup2)
   in
   Alcotest.(check bool) "exhaustive" true stats.Sched.complete
 
 let test_fd_grow_two_growers () =
   let stats =
     expect_pass "fd-grow-two-growers"
-      (Sched.check (fd_grow_two_growers good_fd))
+      (Sched.check fd_grow_two_growers)
   in
   Alcotest.(check bool) "exhaustive" true stats.Sched.complete
 
@@ -1921,37 +1977,16 @@ let test_buggy_scope_caught =
    close, nobody destroys -- the host fd leaks. *)
 let test_buggy_fd_caught =
   twin_caught "buggy-fd-refcount"
-    ~buggy:(fd_shared_close bad_fd)
-    ~faithful:(fd_shared_close good_fd)
+    ~buggy:(rc_two_releases bad_rc)
+    ~faithful:(rc_two_releases good_rc)
     ~expect_reason:"fd-refcount"
 
-(* The unguarded retain resurrects a destroyed handle: dup racing the
-   last close hands out a dead fd, whose close destroys it again. *)
+(* The unguarded retain resurrects a destroyed handle: a lookup racing
+   the last release pins a dead fd, whose release destroys it again. *)
 let test_buggy_fd_resurrect_caught =
   twin_caught "buggy-fd-resurrect"
-    ~buggy:(fd_dup_vs_close bad_fd)
-    ~faithful:(fd_dup_vs_close good_fd)
-    ~expect_reason:"fd-refcount"
-
-(* A grow that copies slot contents loses every write that lands on
-   the old array after the copy: a close comes back to life, a claim
-   vanishes, a dup2's displacement is undone. *)
-let test_buggy_fd_grow_close_caught =
-  twin_caught "buggy-fd-grow-close"
-    ~buggy:(fd_grow_vs_close bad_fd_grow)
-    ~faithful:(fd_grow_vs_close good_fd)
-    ~expect_reason:"fd-refcount"
-
-let test_buggy_fd_grow_alloc_caught =
-  twin_caught "buggy-fd-grow-alloc"
-    ~buggy:(fd_grow_vs_alloc bad_fd_grow)
-    ~faithful:(fd_grow_vs_alloc good_fd)
-    ~expect_reason:"fd-refcount"
-
-let test_buggy_fd_grow_dup2_caught =
-  twin_caught "buggy-fd-grow-dup2"
-    ~buggy:(fd_grow_vs_dup2 bad_fd_grow)
-    ~faithful:(fd_grow_vs_dup2 good_fd)
+    ~buggy:(rc_retain_vs_last_release bad_rc)
+    ~faithful:(rc_retain_vs_last_release good_rc)
     ~expect_reason:"fd-refcount"
 
 (* The get-then-set finish publishes the exit status over a stale
@@ -2183,14 +2218,16 @@ let test_fuzz_real_structures_clean () =
       ("condition-mailbox", condition_mailbox good_cond);
       ("scope-exit-race", scope_exit_race scope);
       ("scope-fail-race", scope_fail_race scope);
-      ("fd-shared-close", fd_shared_close good_fd);
-      ("fd-dup-vs-close", fd_dup_vs_close good_fd);
-      ("fd-dup2-vs-close", fd_dup2_vs_close good_fd);
-      ("fd-alloc-race", fd_alloc_race good_fd);
-      ("fd-grow-vs-close", fd_grow_vs_close good_fd);
-      ("fd-grow-vs-alloc", fd_grow_vs_alloc good_fd);
-      ("fd-grow-vs-dup2", fd_grow_vs_dup2 good_fd);
-      ("fd-grow-two-growers", fd_grow_two_growers good_fd);
+      ("fd-shared-close", fd_shared_close);
+      ("fd-dup-vs-close", fd_dup_vs_close);
+      ("fd-dup2-vs-close", fd_dup2_vs_close);
+      ("fd-alloc-race", fd_alloc_race);
+      ("fd-alloc-vs-ordered-closes", fd_alloc_vs_ordered_closes);
+      ("fd-lookup-vs-close", fd_lookup_vs_close);
+      ("fd-grow-vs-close", fd_grow_vs_close);
+      ("fd-grow-vs-alloc", fd_grow_vs_alloc);
+      ("fd-grow-vs-dup2", fd_grow_vs_dup2);
+      ("fd-grow-two-growers", fd_grow_two_growers);
       ("wait-exit-vs-waiter", wait_exit_vs_waiter compl);
       ("wait-two-waiters", wait_two_waiters compl);
     ]
@@ -2228,14 +2265,16 @@ let test_interleaving_budget () =
         ("condition-mailbox", 8_000, condition_mailbox good_cond);
         ("scope-exit-race", 4_000, scope_exit_race scope);
         ("scope-fail-race", 8_000, scope_fail_race scope);
-        ("fd-shared-close", 4_000, fd_shared_close good_fd);
-        ("fd-dup-vs-close", 8_000, fd_dup_vs_close good_fd);
-        ("fd-dup2-vs-close", 8_000, fd_dup2_vs_close good_fd);
-        ("fd-alloc-race", 4_000, fd_alloc_race good_fd);
-        ("fd-grow-vs-close", 4_000, fd_grow_vs_close good_fd);
-        ("fd-grow-vs-alloc", 4_000, fd_grow_vs_alloc good_fd);
-        ("fd-grow-vs-dup2", 4_000, fd_grow_vs_dup2 good_fd);
-        ("fd-grow-two-growers", 4_000, fd_grow_two_growers good_fd);
+        ("fd-shared-close", 4_000, fd_shared_close);
+        ("fd-dup-vs-close", 8_000, fd_dup_vs_close);
+        ("fd-dup2-vs-close", 8_000, fd_dup2_vs_close);
+        ("fd-alloc-race", 4_000, fd_alloc_race);
+        ("fd-alloc-vs-ordered-closes", 4_000, fd_alloc_vs_ordered_closes);
+        ("fd-lookup-vs-close", 4_000, fd_lookup_vs_close);
+        ("fd-grow-vs-close", 4_000, fd_grow_vs_close);
+        ("fd-grow-vs-alloc", 4_000, fd_grow_vs_alloc);
+        ("fd-grow-vs-dup2", 4_000, fd_grow_vs_dup2);
+        ("fd-grow-two-growers", 4_000, fd_grow_two_growers);
         ("wait-exit-vs-waiter", 4_000, wait_exit_vs_waiter compl);
         ("wait-two-waiters", 8_000, wait_two_waiters compl);
       ]
@@ -2422,14 +2461,12 @@ let () =
             test_buggy_fd_caught;
           Alcotest.test_case "unguarded retain double-closes" `Quick
             test_buggy_fd_resurrect_caught;
-          Alcotest.test_case "content-copying grow resurrects a close"
-            `Quick test_buggy_fd_grow_close_caught;
-          Alcotest.test_case "content-copying grow loses a claim" `Quick
-            test_buggy_fd_grow_alloc_caught;
-          Alcotest.test_case "content-copying grow undoes a dup2" `Quick
-            test_buggy_fd_grow_dup2_caught;
           Alcotest.test_case "get-then-set finish strands waitpid" `Quick
             test_buggy_wait_caught;
+          Alcotest.test_case "an alloc racing ordered closes is lowest-free"
+            `Quick test_fd_alloc_vs_ordered_closes;
+          Alcotest.test_case "a lookup racing a close pins or fails" `Quick
+            test_fd_lookup_vs_close;
         ] );
       ( "checker",
         [

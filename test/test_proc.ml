@@ -1,11 +1,13 @@
 (* Tier-1 tests for lib/proc: private fd tables (POSIX slot order, dup2
-   displacement, refcounted sharing, exit-time close_all), virtual PIDs
+   displacement, refcounted sharing, the exit-time sweep and no share
+   or adopt into an exited ULP), virtual PIDs
    and wait semantics (WNOHANG polling, fiber-parking waitpid, zombie
    reaping, orphan re-parenting to the root, no spawn under an exited
    parent), signal delivery (default dispositions, handlers at check
    points, uncatchable SIGKILL), the fd-leak gate across 1000
    spawn/exit cycles, a minor-words gate on an empty spawn + waitpid,
-   and multi-domain stresses under TEST_SEED: spawn/kill/wait, fd-table
+   and multi-domain stresses under TEST_SEED, each on as many domains as
+   the host has cores and on one more: spawn/kill/wait, fd-table
    growth, and a three-level tree whose parents' exits race their
    children's.  The concurrent interleavings of the underlying Fd_core
    are model-checked in test_check; the process tree, which changes
@@ -208,6 +210,36 @@ let test_io_fd_leak_gate_1000_spawns () =
       let after = match count_fds () with Some n -> n | None -> baseline in
       Alcotest.(check int) "fd count back to baseline after 1000 ULPs"
         baseline after
+
+(* An exited ULP that is not reaped yet keeps its place in the tree,
+   but its fd table is shut: a share or an adopt into it fails with
+   ESRCH and drops the reference it would have bound.  Bound into the
+   dead table instead, the reference was never released, and the
+   host fd outlived every holder's close. *)
+let test_io_no_bind_into_exited () =
+  match count_fds () with
+  | None -> ()
+  | Some baseline ->
+      run2 (fun () ->
+          let w = Proc.boot () in
+          let u0 = Proc.root w in
+          let rd, wr = Proc.Io.pipe u0 in
+          let child = Proc.spawn ~parent:u0 (fun _ -> ()) in
+          spin_until "the child's exit" (fun () -> Proc.status_of child <> None);
+          let esrch what f =
+            match f () with
+            | _ -> Alcotest.failf "%s into an exited ULP succeeded" what
+            | exception Unix.Unix_error (Unix.ESRCH, _, _) -> ()
+          in
+          esrch "share" (fun () -> Proc.Io.share u0 wr ~into:child);
+          let fd = Unix.openfile "/dev/null" [ Unix.O_RDONLY ] 0 in
+          esrch "adopt" (fun () -> Proc.Io.adopt ~nonblock:false child fd);
+          Alcotest.(check status) "the zombie's status" (Proc.Exited 0)
+            (wait_ok ~parent:u0 ~vpid:(Proc.getpid child));
+          Proc.Io.close u0 rd;
+          Proc.Io.close u0 wr);
+      let after = match count_fds () with Some n -> n | None -> baseline in
+      Alcotest.(check int) "host fds back to baseline" baseline after
 
 (* ---------- vpids, exit codes, wait semantics ---------- *)
 
@@ -654,8 +686,17 @@ let test_spawn_fiber_failure_kills_ulp () =
 
 (* ---------- multi-domain stress under TEST_SEED ---------- *)
 
-let test_multidomain_stress () =
-  Fiber.run_parallel ~domains:4 (fun () ->
+(* Each stress runs on as many domains as the host has cores, then on
+   one more, so every host runs both the parallel and the
+   oversubscribed schedule.  The bound keeps a many-core host's run
+   small.  Their test names keep "4 domains", the count they used to
+   fix, so their ids stay stable. *)
+let stress_domains =
+  let n = min 32 (Domain.recommended_domain_count ()) in
+  [ n; n + 1 ]
+
+let multidomain_stress domains =
+  Fiber.run_parallel ~domains (fun () ->
       let w = Proc.boot () in
       let u0 = Proc.root w in
       let n = 300 in
@@ -706,12 +747,15 @@ let test_multidomain_stress () =
             | `Return -> Proc.Exited 0
           in
           Alcotest.(check status)
-            (Printf.sprintf "vpid %d (TEST_SEED=%d)" vpid Test_seed.seed)
+            (Printf.sprintf "vpid %d (TEST_SEED=%d, %d domains)" vpid
+               Test_seed.seed domains)
             expected st)
         kids;
       Alcotest.(check int) "table drained to the root" 1 (Proc.live_procs w))
 
-(* A three-level tree on four domains: the root spawns middle ULPs,
+let test_multidomain_stress () = List.iter multidomain_stress stress_domains
+
+(* A three-level tree on several domains: the root spawns middle ULPs,
    each middle spawns grandchildren and exits at a point drawn from
    TEST_SEED -- before its children exit, between their exits, after
    them, or racing them -- so a parent's exit meets its children's
@@ -720,14 +764,16 @@ let test_multidomain_stress () =
    once, with the middle's code.  The orphans reap themselves, so the
    tree drains to the root; the run returning shows no waiter was left
    parked. *)
-let test_three_level_stress () =
+let three_level_stress domains =
   let middles = 120 in
-  Fiber.run_parallel ~domains:4 (fun () ->
+  Fiber.run_parallel ~domains (fun () ->
       let w = Proc.boot () in
       let u0 = Proc.root w in
-      let where = Printf.sprintf "(TEST_SEED=%d)" Test_seed.seed in
+      let where =
+        Printf.sprintf "(TEST_SEED=%d, %d domains)" Test_seed.seed domains
+      in
       (* Alcotest's checks print through one Format state: fibers on
-         four domains record the first mismatch instead *)
+         several domains record the first mismatch instead *)
       let wrong = Atomic.make None in
       let expect what want st =
         if st <> want then
@@ -818,19 +864,30 @@ let test_three_level_stress () =
       Alcotest.(check (list int)) ("no children left " ^ where) []
         (Proc.children u0))
 
-(* A ULP's table grown from four domains at once: each worker adopts
+let test_three_level_stress () = List.iter three_level_stress stress_domains
+
+(* A ULP's table grown from every domain at once: each worker adopts
    host fds, dups and closes the descriptors it holds, in a mix drawn
-   from TEST_SEED, holding up to 40 at a time so the table grows past
-   its initial slots while the other workers claim and close through
-   it.  Fresh ULPs, so fresh tables, repeat the growths.  Every
-   resource must be destroyed exactly once, each table must end empty
-   and the host fds back at their baseline. *)
-let test_fd_growth_stress () =
-  let workers = 4 and ulps = 100 and per = 60 in
+   from TEST_SEED, holding up to 40 at a time (fewer when that many
+   workers would fill the table) so the table grows past its initial
+   slots while the other workers claim and close through it.  Fresh
+   ULPs, so fresh tables, repeat the growths.  Every resource must be
+   destroyed exactly once, each table must end empty and the host fds
+   back at their baseline.  The workers' fibers run on several domains
+   at once, so they record mismatches in a [Domain_check] and the test
+   reports them after the run. *)
+let fd_growth_stress workers =
+  let ulps = 100 and per = 60 in
+  let fails = Domain_check.create () in
+  let where =
+    Printf.sprintf "(TEST_SEED=%d, %d domains)" Test_seed.seed workers
+  in
   let destroyed = Array.init (ulps * workers * per) (fun _ -> Atomic.make 0) in
   let baseline = count_fds () in
   let stress_ulp u round =
     let t = Proc.fds u in
+    (* an alloc and a dup above [hold] each: never EMFILE *)
+    let hold = min 40 ((Fd.capacity t / workers) - 2) in
     let started = Atomic.make 0 and finished = Atomic.make 0 in
     for k = 0 to workers - 1 do
       Proc.spawn_fiber ~worker:k u (fun () ->
@@ -841,7 +898,9 @@ let test_fd_growth_stress () =
             | [] -> ()
             | l ->
                 let v = List.nth l (Random.State.int st (List.length l)) in
-                if not (Fd.close t v) then Alcotest.failf "close %d: EBADF" v;
+                if not (Fd.close t v) then
+                  Domain_check.note fails
+                    (Printf.sprintf "close %d: EBADF %s" v where);
                 held := List.filter (( <> ) v) l
           in
           (* start together, so the growths race the other workers *)
@@ -866,11 +925,13 @@ let test_fd_growth_stress () =
                 | v :: _ -> (
                     match Fd.dup t v with
                     | Ok v' -> held := v' :: !held
-                    | Error _ -> Alcotest.failf "dup %d failed" v)
+                    | Error _ ->
+                        Domain_check.note fails
+                          (Printf.sprintf "dup %d failed %s" v where))
                 | [] -> ())
             | 1 -> close_one ()
             | _ -> ());
-            while List.length !held > 40 do
+            while List.length !held > hold do
               close_one ()
             done
           done;
@@ -881,25 +942,30 @@ let test_fd_growth_stress () =
       Proc.check u;
       Fiber.yield ()
     done;
-    Alcotest.(check int) "table empty" 0 (Fd.count t)
+    Domain_check.check fails Alcotest.int ("table empty " ^ where) 0
+      (Fd.count t)
   in
   Fiber.run_parallel ~domains:workers (fun () ->
       let w = Proc.boot () in
       let u0 = Proc.root w in
       for round = 0 to ulps - 1 do
         let c = Proc.spawn ~parent:u0 (fun u -> stress_ulp u round) in
-        Alcotest.(check status) "stress ULP exited" (Proc.Exited 0)
+        Domain_check.check fails status ("stress ULP exited " ^ where)
+          (Proc.Exited 0)
           (wait_ok ~parent:u0 ~vpid:(Proc.getpid c))
       done);
+  Domain_check.report fails;
   Array.iteri
     (fun id n ->
       if Atomic.get n <> 1 then
-        Alcotest.failf "resource %d destroyed %d times (TEST_SEED=%d)" id
-          (Atomic.get n) Test_seed.seed)
+        Alcotest.failf "resource %d destroyed %d times %s" id (Atomic.get n)
+          where)
     destroyed;
   match (baseline, count_fds ()) with
   | Some b, Some a -> Alcotest.(check int) "host fds back to baseline" b a
   | _ -> ()
+
+let test_fd_growth_stress () = List.iter fd_growth_stress stress_domains
 
 (* ---------- ULPs and the KC pool ---------- *)
 
@@ -958,6 +1024,8 @@ let () =
             `Slow test_io_fd_leak_gate_1000_spawns;
           Alcotest.test_case "coupled ULPs recycle KC threads" `Quick
             test_coupled_ulps_recycle_kcs;
+          Alcotest.test_case "no share or adopt into an exited ULP" `Quick
+            test_io_no_bind_into_exited;
         ] );
       ( "wait",
         [
