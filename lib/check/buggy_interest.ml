@@ -15,7 +15,7 @@
 
    - [Close_unlocked.arm]: the waiter reads [closed] before it takes the
      lock.  A shutdown sweep landing between the two misses the watch
-     published afterwards, and nothing will ever post it.
+     published afterwards, and nothing will ever wake it.
 
    test_check asserts that the checker catches each twin while the
    faithful [Interest] passes the same scenarios exhaustively.  Never
@@ -42,14 +42,13 @@ module Drops_entry = struct
               woken)
         ()
     in
-    post_all woken
+    wake_all woken
 end
 
 module Mod_first = struct
   include Interest
 
-  let arm t key dir cell =
-    let w = { dir; cell } in
+  let arm t key w =
     let cur =
       locked t
         (fun () ->
@@ -60,7 +59,7 @@ module Mod_first = struct
     in
     (* THE SEEDED BUG: the ctl runs before the watch is published, and
        outside the lock *)
-    ignore (t.sync key (cur lor bit dir));
+    ignore (t.sync key (cur lor bit w.dir));
     locked t
       (fun () ->
         match Hashtbl.find_opt t.entries key with
@@ -75,12 +74,11 @@ end
 module Close_unlocked = struct
   include Interest
 
-  let arm t key dir cell =
-    let w = { dir; cell } in
+  let arm t key w =
     (* THE SEEDED BUG: the faithful code checks [closed] under the same
        lock as the publication *)
     let closed = locked t (fun () -> t.closed) () in
-    if closed then ignore (post_all [ w ])
+    if closed then w.wake ()
     else
       locked t
         (fun () ->

@@ -19,8 +19,8 @@
    - atomic-check-then-faa: the check-then-act sibling -- a compared
      Atomic.get, then a fetch_and_add on the same atomic with no CAS
      between: two threads both pass the check, and the bound it
-     enforces is breached (Buggy_conn_slots.reserve, the old
-     Tcp_server max_conns race).
+     enforces is breached (the pre-CAS Tcp_server max_conns race,
+     kept as the ctf_bad fixture).
    - syscall-consistency: the paper's Section IV guarantee.  The
      simulation stack must stay host-syscall-free (its syscalls are
      simulated in lib/oskernel), and thread-keyed syscalls in real
@@ -225,9 +225,9 @@ let atomic_check_then_faa =
        compare_and_set/exchange on it: two threads can both pass the \
        check before either adds, so a bound the check enforces is \
        breached (the pre-CAS Tcp_server accept loop's max_conns race, \
-       seeded as Buggy_conn_slots.reserve).  Make the check and the \
-       update one CAS loop that moves n to n+1 only while the check \
-       holds.";
+       kept as the ctf_bad fixture).  Make the check and the update one \
+       CAS loop that moves n to n+1 only while the check holds, or put \
+       both under one lock.";
     in_scope = (fun _ -> true);
     check =
       (fun ~file ast ->

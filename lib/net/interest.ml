@@ -7,7 +7,7 @@
    the watch in its fd's entry and hands the entry's union mask to
    [sync], which is one EPOLLONESHOT epoll_ctl.  The turn holder only
    reports: the kernel disarmed the registration when it reported
-   it, so [fire] takes the lock, posts the watches the event satisfies,
+   it, so [fire] takes the lock, wakes the watches the event satisfies,
    and re-arms only when a watch for the other direction is still
    queued on the fd.  Both steps sit under the lock for a reason:
 
@@ -25,19 +25,23 @@
    whose one-shot registration is already disarmed or will disarm
    itself on its next report.
 
-   A timed-out waiter [unwatch]es its watch.  After [close] (reactor
-   shutdown) an [arm] posts its own cell instead of registering it, so
-   no fiber parks on a dead reactor.  [busy] counts the fds with a
-   watch: a worker leaving the turn reads it to decide whether to hand
-   the turn on.  Cells are posted after the lock is released: a post
-   runs the waiter's wake, which must not run under the table lock.
+   A watch holds its waiter's [wake]: the table calls it at most once,
+   since a watch leaves the table when it is woken, and the waiter's
+   own verdict CAS absorbs any other contender (a deadline).  A
+   timed-out waiter [unwatch]es its watch, found by physical identity.
+   After [close] (reactor shutdown) an [arm] wakes its own watch
+   instead of registering it, so no fiber parks on a dead reactor.
+   [busy] counts the fds with a watch: a worker leaving the turn reads
+   it to decide whether to hand the turn on.  Wakes run after the lock
+   is released: a wake fires the waiter's token, which must not run
+   under the table lock.
 
-   This module depends only on [Mutex], [Hashtbl] and [Readiness]:
-   lib/check recompiles it against the traced Mutex and Atomic, with
-   [sync] modelling the kernel's one-shot registration. *)
+   This module depends only on [Mutex] and [Hashtbl]: lib/check
+   recompiles it against the traced Mutex, with [sync] modelling the
+   kernel's one-shot registration. *)
 
 type dir = [ `R | `W ]
-type watch = { dir : dir; cell : Readiness.t }
+type watch = { dir : dir; wake : unit -> unit }
 
 type entry = {
   mutable watches : watch list;
@@ -75,13 +79,12 @@ let locked t f x =
       Mutex.unlock t.lock;
       raise e
 
-let post_all ws =
-  List.fold_left
-    (fun n w -> match Readiness.post w.cell with `Woke -> n + 1 | _ -> n)
-    0 ws
+let wake_all ws =
+  List.iter (fun w -> w.wake ()) ws;
+  List.length ws
 
 (* Store [ws] as [key]'s watches and sync its mask.  Returns the watches
-   to post: none, or all of them when the fd is gone. *)
+   to wake: none, or all of them when the fd is gone. *)
 let store t e ws =
   if e.watches = [] then (if ws <> [] then t.busy <- t.busy + 1)
   else if ws = [] then t.busy <- t.busy - 1;
@@ -97,8 +100,7 @@ let settle t key e ws =
   end
 
 (* Waiter side: publish, then arm, under one lock. *)
-let arm t key dir cell =
-  let w = { dir; cell } in
+let arm t key w =
   let stranded =
     locked t
       (fun () ->
@@ -112,9 +114,9 @@ let arm t key dir cell =
           | Some e -> settle t key e (w :: e.watches))
       ()
   in
-  ignore (post_all stranded)
+  ignore (wake_all stranded)
 
-(* Reactor side: the kernel reported [key].  Posts the watches the event
+(* Reactor side: the kernel reported [key].  Wakes the watches the event
    satisfies and re-syncs the rest; returns how many waiters woke. *)
 let fire t key ~readable ~writable =
   let woken =
@@ -131,20 +133,20 @@ let fire t key ~readable ~writable =
             woken @ settle t key e kept)
       ()
   in
-  post_all woken
+  wake_all woken
 
 (* A waiter that lost its verdict to a timeout drops its watch. *)
-let unwatch t key cell =
+let unwatch t key w =
   let stranded =
     locked t
       (fun () ->
         match Hashtbl.find_opt t.entries key with
-        | Some e when List.exists (fun w -> w.cell == cell) e.watches ->
-            settle t key e (List.filter (fun w -> w.cell != cell) e.watches)
+        | Some e when List.memq w e.watches ->
+            settle t key e (List.filter (fun w' -> w' != w) e.watches)
         | _ -> [])
       ()
   in
-  ignore (post_all stranded)
+  ignore (wake_all stranded)
 
 (* Empty the table, dropping every fd's interest; returns every watch. *)
 let take_all t =
@@ -158,11 +160,11 @@ let take_all t =
 
 (* The reactor round failed: wake every waiter; each retries its
    syscall, which surfaces its own errno. *)
-let reset t = post_all (locked t take_all t)
+let reset t = wake_all (locked t take_all t)
 
 (* Reactor shutdown: wake every waiter and refuse later arms. *)
 let close t =
-  post_all
+  wake_all
     (locked t
        (fun () ->
          t.closed <- true;

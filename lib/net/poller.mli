@@ -1,4 +1,4 @@
-(** Readiness multiplexing for the reactor: a stateful poller with a
+(** Multiplexing of fd readiness for the reactor: a stateful poller with a
     persistent interest table — {!set} mutates interest, {!wait} blocks
     on it — behind one interface and three backends.
 

@@ -28,26 +28,29 @@
    Commands go through an MPSC queue plus a self-pipe poke (a coalescing
    atomic flag keeps it to one written byte per quiet period); on epoll
    only timers use them.  The same poke interrupts a worker waiting in
-   the poller when a wake is owed to it.  Readiness handshakes go
-   through [Readiness] cells -- the CAS protocol that makes the
-   register-vs-wake race safe (model-checked in lib/check, as are the
-   interest table and the turn).  Deadlines are absolute wall-clock
-   floats in a [Timers] heap; the poller waits until the earliest one,
-   and a timeout racing completing I/O resolves by CAS to exactly one
-   verdict. *)
+   the poller when a wake is owed to it.  A wait is one [Interest]
+   watch holding its waiter's wake: the table's lock makes the
+   register-vs-report race safe (model-checked in lib/check, as is the
+   turn), and a watch is woken at most once.  Deadlines are absolute
+   wall-clock floats in a [Timers] heap; the poller waits until the
+   earliest one.  A wait's watch and its deadline timer are its only
+   contenders, and one verdict CAS between them picks exactly one
+   outcome. *)
 
 module Fiber = Fiber_rt.Fiber
 module Mpsc = Fiber_rt.Mpsc_queue
 
 type dir = [ `R | `W ]
 
-type watch = { wfd : int; wdir : dir; cell : Readiness.t }
-
-type cmd = Watch of watch | Unwatch of watch | Add_timer of Timers.timer
+(* on poll and select the turn holder runs a wait's arm and unwatch *)
+type cmd =
+  | Watch of int * Interest.watch
+  | Unwatch of int * Interest.watch
+  | Add_timer of Timers.timer
 
 type stats = {
   polls : int;  (** poller waits: one per turn *)
-  wakeups : int;  (** readiness posts that woke a waiter *)
+  wakeups : int;  (** watches woken by readiness, reset or shutdown *)
   timers_fired : int;
   commands : int;
   errors : int;  (** turns rescued by the fallback wake *)
@@ -97,9 +100,9 @@ let send t cmd =
 
 (* Fire a wake token with routing: back to the awaiting fiber's home
    worker, batched when we hold the turn (the dispatch and timer path,
-   flushed when the turn ends).  Calls outside a turn (the Was_ready
-   fast path on a worker, an arm that finds its fd gone or the table
-   closed) must not touch the single-owner batch. *)
+   flushed when the turn ends).  Calls outside a turn (an arm that
+   finds its fd gone or the table closed, the shutdown sweep) must not
+   touch the single-owner batch. *)
 let fire_routed t home tok =
   if Thread.id (Thread.self ()) = t.tid then
     ignore (Fiber.Wake.fire_to ?worker:home ~batch:t.batch tok)
@@ -129,8 +132,8 @@ let run_commands t =
     (fun cmd ->
       Atomic.incr t.n_cmds;
       match cmd with
-      | Watch w -> Interest.arm t.interest w.wfd w.wdir w.cell
-      | Unwatch w -> Interest.unwatch t.interest w.wfd w.cell
+      | Watch (key, w) -> Interest.arm t.interest key w
+      | Unwatch (key, w) -> Interest.unwatch t.interest key w
       | Add_timer tm ->
           (* during shutdown the final [fire_all] sweep resolves it *)
           Timers.add t.timers tm)
@@ -276,7 +279,7 @@ let stats t =
 
 (* The final sweep, by the caller: it takes the turn for good, so no
    worker waits in the poller again, and nothing may stay parked on us.
-   Post every cell, refuse later arms, and run every still-pending
+   Wake every watch, refuse later arms, and run every still-pending
    timer action (each action re-checks its own verdict CAS, so late
    firing is safe). *)
 let shutdown t =
@@ -290,7 +293,7 @@ let shutdown t =
     List.iter
       (fun cmd ->
         match cmd with
-        | Watch w -> ignore (Readiness.post w.cell)
+        | Watch (_, w) -> w.Interest.wake ()
         | Unwatch _ -> ()
         | Add_timer tm -> ignore (Timers.fire tm))
       (Mpsc.pop_all t.cmds);
@@ -308,46 +311,41 @@ exception Reactor_stopped
 let check_live t = if Atomic.get t.stopping then raise Reactor_stopped
 
 (* Wait until [fd] is ready in direction [dir], or [deadline] (absolute
-   wall-clock seconds) passes.  The two wakers race on [verdict]; the
-   CAS winner fires the fiber's wake token, the loser's effect is
-   dropped.  The wake is routed back to this worker's inbox. *)
+   wall-clock seconds) passes.  The watch and the timer race on
+   [verdict]; the CAS winner fires the fiber's wake token, routed back
+   to this worker's inbox, and the loser does nothing. *)
 let await_fd t ?deadline fd dir =
   check_live t;
   Fiber.Driver.bind t.driver;
   let home = Fiber.worker_index () in
   let verdict = Atomic.make `None in
-  let cell = Readiness.create () in
-  let timer = ref None in
+  let watch = ref None and timer = ref None in
   let key = fd_int fd in
   Fiber.suspend_token (fun tok ->
-      let waiter () =
-        if Atomic.compare_and_set verdict `None `Ready then
-          fire_routed t home tok
+      let claim v () =
+        if Atomic.compare_and_set verdict `None v then fire_routed t home tok
       in
-      (match Readiness.await cell waiter with
-      | `Registered | `Was_ready -> ());
       (match deadline with
       | None -> ()
       | Some d ->
-          let tm =
-            Timers.make ~at:d (fun () ->
-                if Atomic.compare_and_set verdict `None `Timeout then
-                  fire_routed t home tok)
-          in
+          let tm = Timers.make ~at:d (claim `Timeout) in
           timer := Some tm;
           send t (Add_timer tm));
-      if t.inline then Interest.arm t.interest key dir cell
-      else send t (Watch { wfd = key; wdir = dir; cell }));
+      let w = { Interest.dir; wake = claim `Ready } in
+      watch := Some w;
+      if t.inline then Interest.arm t.interest key w
+      else send t (Watch (key, w)));
   match Atomic.get verdict with
   | `Ready ->
-      (match !timer with Some tm -> ignore (Timers.cancel tm) | None -> ());
+      Option.iter (fun tm -> ignore (Timers.cancel tm)) !timer;
       `Ready
   | `Timeout ->
-      (* the registration is dead: reclaim it (clear covers a post that
-         raced the timeout) *)
-      if t.inline then Interest.unwatch t.interest key cell
-      else send t (Unwatch { wfd = key; wdir = dir; cell });
-      Readiness.clear cell;
+      (* the watch is dead: reclaim it *)
+      Option.iter
+        (fun w ->
+          if t.inline then Interest.unwatch t.interest key w
+          else send t (Unwatch (key, w)))
+        !watch;
       `Timeout
   | `None -> assert false
 

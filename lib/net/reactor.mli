@@ -13,11 +13,11 @@
     awaiting fiber's home worker's private inbox
     ({!Fiber_rt.Fiber.Wake.fire_to}) rather than the global injection
     channel, with the un-park notifications batched and flushed once
-    per turn.  Readiness handshakes use the {!Readiness} CAS cells
-    (model-checked in [lib/check]); deadlines are absolute wall-clock
-    seconds kept in a {!Timers} heap, the poller waits until the
-    earliest, and every timeout-vs-completion race resolves by a
-    verdict CAS to exactly one outcome.
+    per turn.  A wait is one {!Interest} watch holding its waiter's
+    wake (the table is model-checked in [lib/check]); deadlines are
+    absolute wall-clock seconds kept in a {!Timers} heap, the poller
+    waits until the earliest, and the watch and the deadline timer
+    race on one verdict CAS, so each wait has exactly one outcome.
 
     Lifecycle: {!create} before (or during) the fiber run; call the
     wait operations only from inside fibers.  A run binds the reactor
@@ -36,7 +36,7 @@ type dir = [ `R | `W ]
 
 type stats = {
   polls : int;  (** poller waits: one per turn *)
-  wakeups : int;  (** readiness posts that woke a waiter *)
+  wakeups : int;  (** watches woken by readiness, reset or shutdown *)
   timers_fired : int;
   commands : int;
       (** commands the turn holders ran: timers, plus watches on the

@@ -1,6 +1,7 @@
-(* The per-fd wait cell of the reactor: the lock-free handshake between
-   a fiber registering interest in readiness and the reactor's turn
-   holder posting it.  One CAS-driven state machine
+(* A one-waiter wake cell, kept only for perfbench's ulp_jobs arrival
+   clock (lib/net does not use it): the lock-free
+   handshake between a fiber registering for an edge and a poster on
+   any thread.  One CAS-driven state machine
 
        Idle --await--> Waiting w --post--> Idle   (w runs: the wake)
        Idle --post--> Ready --await--> Idle       (memo consumed: no park)

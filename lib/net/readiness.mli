@@ -1,9 +1,12 @@
-(** The per-fd wait cell of the reactor: a lock-free CAS state machine
-    ([Idle] / [Ready] / [Waiting]) that makes the
-    register-readiness-vs-wake race safe — whichever of the fiber's
-    {!await} and the reactor's {!post} lands first, the waiter runs
-    exactly once, and a readiness edge with nobody waiting is
+(** A one-waiter wake cell: a lock-free CAS state machine ([Idle] /
+    [Ready] / [Waiting]) that makes the register-vs-post race safe —
+    whichever of a fiber's {!await} and a poster's {!post} lands first,
+    the waiter runs exactly once, and a post with nobody waiting is
     remembered rather than lost.
+
+    [lib/net] does not use it.  It is kept only for perfbench, whose
+    [ulp_jobs] arrival clock posts a cell from a domain of its own; it
+    goes once that clock stops calling it.
 
     Depends only on [Atomic]: recompiled inside [lib/check] against the
     traced shims and model-checked there (the seeded get-then-set

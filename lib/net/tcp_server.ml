@@ -5,15 +5,21 @@
    connection state is born on the worker that will serve it.
 
    One fiber per connection, bounded by [max_conns] with real
-   backpressure: at capacity the accept loop parks on a [Readiness]
-   gate until a connection retires -- the kernel backlog then throttles
-   clients.  [stop] drains gracefully: stop accepting, wake the accept
-   loop, wait for active connections to retire.
+   backpressure.  One fiber lock ([Sync.Mutex]) guards the slot count
+   and one condition ([Sync.Condition]) carries its changes: the accept
+   loop takes a slot under the lock and waits on the condition at
+   capacity -- the kernel backlog then throttles clients -- and a
+   retiring connection gives its slot back and broadcasts.  [stop]
+   drains gracefully: stop accepting, broadcast to free a gated accept
+   loop, then wait on the same condition for the count to reach 0.
+   Nothing but [Condition.wait] parks inside the lock, and no syscall
+   or spawn runs there.
 
-   Counters are atomics: any thread may read [stats] while workers
-   serve. *)
+   The count stays an atomic, and so do the other counters: any thread
+   may read [stats] while workers serve. *)
 
 module Fiber = Fiber_rt.Fiber
+module Sync = Fiber_rt.Sync
 
 type conn = {
   fd : Unix.file_descr;
@@ -31,7 +37,7 @@ type stats = {
   max_active : int;
   completed : int;
   failed : int;  (** handlers that raised *)
-  accept_retries : int;  (** accept-loop parks waiting for a free slot *)
+  accept_retries : int;  (** times the accept loop waited at capacity *)
 }
 
 type t = {
@@ -41,21 +47,20 @@ type t = {
   max_conns : int;
   handler : Reactor.t -> conn -> unit;
   stopping : bool Atomic.t;
+  (* the slots: [active] and [max_active] are written under [lock];
+     [freed] is broadcast whenever [active] falls, and by [stop] *)
+  lock : Sync.Mutex.t;
+  freed : Sync.Condition.t;
+  active : int Atomic.t;
+  mutable max_active : int;
   (* counters *)
   accepted : int Atomic.t;
-  active : int Atomic.t;
-  max_active : int Atomic.t;
   completed : int Atomic.t;
   failed : int Atomic.t;
   accept_retries : int Atomic.t;
   (* the round-robin distributor: accepted connections' handlers are
      spawned on worker [fetch_and_add next_worker 1 mod domains] *)
   next_worker : int Atomic.t;
-  (* backpressure gate: a retiring connection posts it; the accept loop
-     awaits it at capacity *)
-  gate : Readiness.t;
-  (* drain gate: the last retiring connection posts it during stop *)
-  drained : Readiness.t;
   mutable accept_done : Fiber.fiber option;
 }
 
@@ -63,7 +68,7 @@ let stats t =
   {
     accepted = Atomic.get t.accepted;
     active = Atomic.get t.active;
-    max_active = Atomic.get t.max_active;
+    max_active = t.max_active;
     completed = Atomic.get t.completed;
     failed = Atomic.get t.failed;
     accept_retries = Atomic.get t.accept_retries;
@@ -72,20 +77,37 @@ let stats t =
 let port t = t.port
 let active t = Atomic.get t.active
 
-let gate_wait cell =
-  Fiber.suspend (fun wake -> ignore (Readiness.await cell wake))
+(* Wait at capacity until a slot is free, then take it.  [false]: stop
+   began, and no slot was taken. *)
+let take_slot t =
+  Sync.Mutex.lock t.lock;
+  while Atomic.get t.active >= t.max_conns && not (Atomic.get t.stopping) do
+    Atomic.incr t.accept_retries;
+    Sync.Condition.wait t.freed t.lock
+  done;
+  let taken = not (Atomic.get t.stopping) in
+  (* ulplint: allow atomic-check-then-faa -- every write to active holds t.lock, so the capacity check above and this add are one critical section *)
+  if taken then Atomic.incr t.active;
+  Sync.Mutex.unlock t.lock;
+  taken
 
-let rec bump_max a v =
-  let m = Atomic.get a in
-  if v > m && not (Atomic.compare_and_set a m v) then bump_max a v
+(* The slot just taken holds a connection now, and so does every other:
+   raise the high-water mark.  A slot whose accept failed never counts. *)
+let note_accepted t =
+  Atomic.incr t.accepted;
+  Sync.Mutex.lock t.lock;
+  let n = Atomic.get t.active in
+  if n > t.max_active then t.max_active <- n;
+  Sync.Mutex.unlock t.lock
 
 (* Give a slot back: its connection retired, or [accept_loop] found no
    connection to spend it on.  Either way a gated accept loop may now
-   fit. *)
+   fit, and a draining [stop] may be done. *)
 let retire t =
-  let left = Conn_slots.release t.active in
-  ignore (Readiness.post t.gate);
-  if left = 0 && Atomic.get t.stopping then ignore (Readiness.post t.drained)
+  Sync.Mutex.lock t.lock;
+  Atomic.decr t.active;
+  Sync.Mutex.unlock t.lock;
+  Sync.Condition.broadcast t.freed
 
 let serve_conn t fd peer =
   let c = { fd; peer; detached = false } in
@@ -112,56 +134,45 @@ let spawn_handler t conn_fd peer =
 let accept_backoff_s = 0.01
 
 (* Backpressure: the loop waits for a pending connection first and only
-   then takes a slot, for the one non-blocking accept.  At capacity it
-   parks on the gate until [retire] frees a slot. *)
+   then takes a slot, for the one non-blocking accept, so it never holds
+   a slot while idle. *)
 let accept_loop t =
   let rec go () =
     if not (Atomic.get t.stopping) then
       match Fiber_io.wait t.reactor t.listen_fd `R with
-      | () -> take ()
+      | () -> if take_slot t then accept ()
       | exception Reactor.Reactor_stopped -> ()
-  and take () =
-    if not (Atomic.get t.stopping) then
-      match Conn_slots.reserve t.active ~cap:t.max_conns with
-      | 0 ->
-          Atomic.incr t.accept_retries;
-          if Atomic.get t.active >= t.max_conns && not (Atomic.get t.stopping)
-          then gate_wait t.gate;
-          take ()
-      | n -> (
-          match Unix.accept ~cloexec:true t.listen_fd with
-          | conn_fd, peer ->
-              Unix.set_nonblock conn_fd;
-              Atomic.incr t.accepted;
-              bump_max t.max_active n;
-              spawn_handler t conn_fd peer;
-              go ()
-          | exception
-              Unix.Unix_error
-                ( ( Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR
-                  | Unix.ECONNABORTED ),
-                  _,
-                  _ ) ->
-              (* a spurious wake, or the peer gave up: no connection
-                 for this slot *)
-              retire t;
-              go ()
-          | exception
-              Unix.Unix_error
-                ((Unix.EMFILE | Unix.ENFILE | Unix.ENOBUFS | Unix.ENOMEM), _, _)
-            ->
-              (* out of fds or kernel memory: the connection stays in the
-                 backlog.  Give the slot back, back off, then retry. *)
-              retire t;
-              (match Reactor.sleep t.reactor accept_backoff_s with
-              | () -> go ()
-              | exception Reactor.Reactor_stopped -> ())
-          | exception Unix.Unix_error ((Unix.EBADF | Unix.EINVAL), _, _) ->
-              (* listener shut down under us: stop requested *)
-              retire t
-          | exception e ->
-              retire t;
-              raise e)
+  and accept () =
+    match Unix.accept ~cloexec:true t.listen_fd with
+    | conn_fd, peer ->
+        Unix.set_nonblock conn_fd;
+        note_accepted t;
+        spawn_handler t conn_fd peer;
+        go ()
+    | exception
+        Unix.Unix_error
+          ( (Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR | Unix.ECONNABORTED),
+            _,
+            _ ) ->
+        (* a spurious wake, or the peer gave up: no connection for this
+           slot *)
+        retire t;
+        go ()
+    | exception
+        Unix.Unix_error
+          ((Unix.EMFILE | Unix.ENFILE | Unix.ENOBUFS | Unix.ENOMEM), _, _) -> (
+        (* out of fds or kernel memory: the connection stays in the
+           backlog.  Give the slot back, back off, then retry. *)
+        retire t;
+        match Reactor.sleep t.reactor accept_backoff_s with
+        | () -> go ()
+        | exception Reactor.Reactor_stopped -> ())
+    | exception Unix.Unix_error ((Unix.EBADF | Unix.EINVAL), _, _) ->
+        (* listener shut down under us: stop requested *)
+        retire t
+    | exception e ->
+        retire t;
+        raise e
   in
   go ()
 
@@ -190,15 +201,15 @@ let start ~reactor ?(backlog = 128) ?(max_conns = max_int) ~addr ~handler () =
       max_conns;
       handler;
       stopping = Atomic.make false;
-      accepted = Atomic.make 0;
+      lock = Sync.Mutex.create ();
+      freed = Sync.Condition.create ();
       active = Atomic.make 0;
-      max_active = Atomic.make 0;
+      max_active = 0;
+      accepted = Atomic.make 0;
       completed = Atomic.make 0;
       failed = Atomic.make 0;
       accept_retries = Atomic.make 0;
       next_worker = Atomic.make 0;
-      gate = Readiness.create ();
-      drained = Readiness.create ();
       accept_done = None;
     }
   in
@@ -206,17 +217,20 @@ let start ~reactor ?(backlog = 128) ?(max_conns = max_int) ~addr ~handler () =
   t
 
 (* Graceful drain: stop accepting (shutdown() makes the parked accept
-   observe readiness and fail with EINVAL/EBADF), wake the gate-parked
-   accept loop, then wait until every active connection retires. *)
+   observe readiness and fail with EINVAL/EBADF), free an accept loop
+   waiting at capacity, then wait until every active connection
+   retires.  The broadcast holds the lock: a loop that read [stopping]
+   as false under it is on the condition before the lock is free. *)
 let stop t =
   if not (Atomic.exchange t.stopping true) then begin
     (try Unix.shutdown t.listen_fd Unix.SHUTDOWN_ALL
      with Unix.Unix_error _ -> ());
-    ignore (Readiness.post t.gate);
+    Sync.Mutex.with_lock t.lock (fun () -> Sync.Condition.broadcast t.freed);
     Option.iter Fiber.join t.accept_done;
     (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
-    (* connections still in flight: wait for the last to retire *)
+    Sync.Mutex.lock t.lock;
     while Atomic.get t.active > 0 do
-      gate_wait t.drained
-    done
+      Sync.Condition.wait t.freed t.lock
+    done;
+    Sync.Mutex.unlock t.lock
   end

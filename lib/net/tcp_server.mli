@@ -2,9 +2,11 @@
     one accept-loop fiber, spawning one fiber per connection, spread
     across the worker domains by a lock-free round-robin distributor
     ({!Fiber_rt.Fiber.spawn_on}).  Bounded concurrency with real
-    backpressure (at [max_conns] the accept loop parks until a
-    connection retires, letting the kernel backlog throttle clients),
-    graceful drain on {!stop}, and built-in counters.
+    backpressure (at [max_conns] the accept loop waits on a
+    {!Fiber_rt.Sync.Condition} until a connection retires, letting the
+    kernel backlog throttle clients), graceful drain on {!stop}, and
+    built-in counters.  One {!Fiber_rt.Sync.Mutex} guards the slot
+    count; the counters are atomics any thread may read.
 
     All entry points except {!stats}/{!port}/{!active} must run inside
     the fiber runtime ({!start} spawns fibers; {!stop} joins and
@@ -34,7 +36,7 @@ type stats = {
   max_active : int;  (** high-water concurrent connections *)
   completed : int;
   failed : int;  (** handlers that raised *)
-  accept_retries : int;  (** accept-loop parks waiting for a free slot *)
+  accept_retries : int;  (** times the accept loop waited at capacity *)
 }
 
 val start :
@@ -53,8 +55,9 @@ val start :
     counted, never propagated. *)
 
 val stop : t -> unit
-(** Graceful drain: stop accepting, then park until every active
-    connection retires.  Idempotent; fiber context. *)
+(** Graceful drain: stop accepting, free an accept loop waiting at
+    capacity, then park until every active connection retires.
+    Idempotent; fiber context. *)
 
 val port : t -> int
 (** The bound port — useful after binding port 0. *)

@@ -369,9 +369,14 @@ module Parallel = struct
   let oversub_noise_s = 0.0005
 
   (* fd-table indirection: ~1.9x bare Fiber_io at 1k concurrent ULPs
-     (--quick) and ~3.2x at 10k (full size), where 10k live process
-     structures raise GC pressure that 10k bare fibers don't.  An
-     O(live-ULPs) lookup or a leaked pin would land 10x+. *)
+     (--quick).  At 10k (full size) the committed BENCH_parallel.json
+     reads 3.16x / 2.94x / 2.99x at 1 / 2 / 4 domains, but the code
+     measures far less since the fd table's lock: two full runs on a
+     2-vCPU x86-64 VM read 1.51x / 1.39x / 1.15x and 1.25x / 1.22x /
+     1.27x.  The ceiling stays at 3.5x until the file is re-baselined
+     (ROADMAP item 11): a tighter bound would fail the committed file's
+     own validation.  An O(live-ULPs) lookup or a leaked pin would land
+     10x+. *)
   let proc_fd_overhead = 3.5
 
   (* A KC runs only while its worker lets go of the domain's runtime

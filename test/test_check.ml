@@ -393,8 +393,8 @@ let idle_wake_vs_park (module I : IDLE) () =
 
 (* A re-armed cell: a fiber awaits, is woken by poster A, re-arms the
    same cell, and is woken again by poster B -- the shape of
-   Tcp_server's backpressure gate, which the accept loop re-arms and
-   retiring connections post from any worker.  B's post races the
+   perfbench's arrival clock, whose consumer re-arms one cell that a
+   clock domain posts.  B's post races the
    re-registration: the CAS cell
    must deliver exactly one wake per registration -- post either finds
    the registration or leaves the Ready memo the re-await consumes.
@@ -1195,51 +1195,6 @@ let kc_pool_lease_vs_exit (module P : KC_POOL) () =
       if List.length free + 2 <> List.length (P.all pool) then
         failwith "kc-pool: the free list holds a KC the pool never made" )
 
-(* ---------- Tcp_server's max_conns slot: accept loops vs retire ----- *)
-
-module type CONN_SLOTS = sig
-  val reserve : int Atomic'.t -> cap:int -> int
-  val release : int Atomic'.t -> int
-end
-
-(* At max_conns = 1 with one connection live, that connection retires
-   while two reservers each try twice for a slot; one that gets a slot
-   holds a connection, then retires it.  The
-   cap must never be exceeded and every slot must come back.  The
-   seeded check-then-act twin lets both loops read 0 < 1 after the
-   retire and both add one. *)
-let slots_accept_vs_retire (module S : CONN_SLOTS) () =
-  let cap = 1 in
-  let active = Atomic'.make 1 in
-  let live = ref 1 and served = Atomic'.make 0 in
-  let accept_loop () =
-    for _ = 1 to 2 do
-      match S.reserve active ~cap with
-      | 0 -> ()
-      | _ ->
-          incr live;
-          if !live > cap then
-            failwith
-              (Printf.sprintf "max_conns=%d breached: %d live" cap !live);
-          (* the connection is served: the other loop may run meanwhile *)
-          Atomic'.incr served;
-          decr live;
-          ignore (S.release active)
-    done
-  in
-  ( [
-      accept_loop;
-      accept_loop;
-      (fun () ->
-        decr live;
-        ignore (S.release active));
-    ],
-    fun () ->
-      if Atomic'.peek active <> 0 then
-        failwith
-          (Printf.sprintf "max_conns: %d slot(s) never came back"
-             (Atomic'.peek active)) )
-
 (* ---------- scenario: the interest table, arm vs fire ---------- *)
 
 (* Parameterized over the table so the same scenarios drive the
@@ -1249,9 +1204,9 @@ module type INTEREST = sig
   type t
 
   val create : sync:(int -> int -> bool) -> t
-  val arm : t -> int -> [ `R | `W ] -> Check.Readiness.t -> unit
+  val arm : t -> int -> Check.Interest.watch -> unit
   val fire : t -> int -> readable:bool -> writable:bool -> int
-  val unwatch : t -> int -> Check.Readiness.t -> unit
+  val unwatch : t -> int -> Check.Interest.watch -> unit
   val close : t -> int
   val watched : t -> int
 end
@@ -1300,17 +1255,19 @@ let k_reactor fire k () =
   in
   loop ()
 
-(* A cell as await_fd leaves it just before the arm: waiter registered.
-   The wake serves one waiter. *)
-let k_cell k =
-  let cell = Check.Readiness.create () in
-  (match Check.Readiness.await cell (fun () -> k.left <- k.left - 1) with
-  | `Registered | `Was_ready -> ());
-  cell
+(* A watch as await_fd arms it.  Its wake serves one waiter and sets a
+   traced flag (a second wake is a bug of its own); [k_parked] waits on
+   that flag. *)
+let k_watch k dir =
+  let woke = Atomic'.make false in
+  let wake () =
+    if Atomic'.exchange woke true then failwith "a watch woken twice";
+    k.left <- k.left - 1
+  in
+  ({ Check.Interest.dir; wake }, woke)
 
-let k_parked cell =
-  Sched.wait_until ~on:(Atomic'.id cell) (fun () ->
-      match Atomic'.peek cell with Check.Readiness.Idle -> true | _ -> false)
+let k_parked woke =
+  Sched.wait_until ~on:(Atomic'.id woke) (fun () -> Atomic'.peek woke)
 
 (* A reader and a writer parked on one socket whose send buffer is
    full; a byte has arrived, and the peer drains.  The read's report
@@ -1320,14 +1277,14 @@ let k_parked cell =
 let interest_two_directions (module I : INTEREST) () =
   let k = k_make ~ready:1 ~left:2 in
   let it = I.create ~sync:(k_sync k) in
-  let rc = k_cell k and wc = k_cell k in
+  let rw, rwoke = k_watch k `R and ww, wwoke = k_watch k `W in
   ( [
       (fun () ->
-        I.arm it 0 `R rc;
-        k_parked rc);
+        I.arm it 0 rw;
+        k_parked rwoke);
       (fun () ->
-        I.arm it 0 `W wc;
-        k_parked wc);
+        I.arm it 0 ww;
+        k_parked wwoke);
       (fun () -> k_step k (fun k -> k.ready <- 3) (* the peer drains *));
       k_reactor (I.fire it 0) k;
     ],
@@ -1340,11 +1297,11 @@ let interest_two_directions (module I : INTEREST) () =
 let interest_arm_vs_fire (module I : INTEREST) () =
   let k = k_make ~ready:0 ~left:1 in
   let it = I.create ~sync:(k_sync k) in
-  let rc = k_cell k in
+  let rw, rwoke = k_watch k `R in
   ( [
       (fun () ->
-        I.arm it 0 `R rc;
-        k_parked rc);
+        I.arm it 0 rw;
+        k_parked rwoke);
       (fun () -> k_step k (fun k -> k.ready <- 1));
       k_reactor (I.fire it 0) k;
     ],
@@ -1359,22 +1316,22 @@ let interest_timeout_unwatch (module I : INTEREST) () =
   let it = I.create ~sync:(k_sync k) in
   let verdict = Atomic'.make 0 (* 0 none / 1 ready / 2 timeout *) in
   let claim v = Atomic'.compare_and_set verdict 0 v in
-  let cell = Check.Readiness.create () in
-  (match
-     Check.Readiness.await cell (fun () -> if claim 1 then k.left <- k.left - 1)
-   with
-  | `Registered | `Was_ready -> ());
+  let w =
+    {
+      Check.Interest.dir = `R;
+      wake = (fun () -> if claim 1 then k.left <- k.left - 1);
+    }
+  in
   ( [
       (fun () ->
-        I.arm it 0 `R cell;
+        I.arm it 0 w;
         Sched.wait_until ~on:(Atomic'.id verdict) (fun () ->
             Atomic'.peek verdict <> 0);
         if Atomic'.get verdict = 2 then begin
-          I.unwatch it 0 cell;
-          Check.Readiness.clear cell;
-          let again = k_cell k in
-          I.arm it 0 `R again;
-          k_parked again
+          I.unwatch it 0 w;
+          let again, woke = k_watch k `R in
+          I.arm it 0 again;
+          k_parked woke
         end);
       (fun () -> ignore (claim 2) (* the deadline *));
       k_reactor (I.fire it 0) k;
@@ -1389,10 +1346,8 @@ let interest_arm_vs_close (module I : INTEREST) () =
   let woke = Atomic'.make 0 in
   ( [
       (fun () ->
-        let cell = Check.Readiness.create () in
-        (match Check.Readiness.await cell (fun () -> Atomic'.incr woke) with
-        | `Registered | `Was_ready -> ());
-        I.arm it 0 `R cell;
+        I.arm it 0
+          { Check.Interest.dir = `R; wake = (fun () -> Atomic'.incr woke) };
         Sched.wait_until ~on:(Atomic'.id woke) (fun () -> Atomic'.peek woke > 0));
       (fun () -> ignore (I.close it));
     ],
@@ -1601,8 +1556,6 @@ let late_sleeping : (module KC_MAILBOX) =
   (module Check.Buggy_kc_mailbox.Late_sleeping)
 
 let drops_owed : (module KC_MAILBOX) = (module Check.Buggy_kc_mailbox.Drops_owed)
-let slots : (module CONN_SLOTS) = (module Check.Conn_slots)
-let buggy_slots : (module CONN_SLOTS) = (module Check.Buggy_conn_slots)
 
 let test_pop_steal_race () =
   let stats = expect_pass "pop-vs-steal" (Sched.check (pop_steal_race adq)) in
@@ -1997,7 +1950,7 @@ let test_buggy_wait_caught =
     ~faithful:(wait_exit_vs_waiter compl)
     ~expect_reason:"Deadlock"
 
-(* ---------- the KC pool and the max_conns slot ---------- *)
+(* ---------- the KC pool ---------- *)
 
 let test_kc_pool_lease_vs_exit () =
   ignore
@@ -2018,20 +1971,6 @@ let test_buggy_kc_pool_caught =
     ~buggy:(kc_pool_lease_vs_exit buggy_kc_pool)
     ~faithful:(kc_pool_lease_vs_exit kc_pool)
     ~expect_reason:"kc-pool"
-
-let test_slots_accept_vs_retire () =
-  let stats =
-    expect_pass "slots-accept-vs-retire"
-      (Sched.check (slots_accept_vs_retire slots))
-  in
-  Alcotest.(check bool) "exhaustive" true stats.Sched.complete
-
-(* The check-then-act reserve lets both accept loops past the cap. *)
-let test_buggy_slots_caught =
-  twin_caught "buggy-conn-slots-reserve"
-    ~buggy:(slots_accept_vs_retire buggy_slots)
-    ~faithful:(slots_accept_vs_retire slots)
-    ~expect_reason:"max_conns=1 breached"
 
 let exhaustive ?(max_schedules = 20_000) name scenario () =
   let stats = expect_pass name (Sched.check ~max_schedules scenario) in
@@ -2400,13 +2339,6 @@ let () =
             test_buggy_mailbox_late_sleeping;
           Alcotest.test_case "dropping the owed wake strands the worker"
             `Quick test_buggy_mailbox_drops_owed;
-        ] );
-      ( "conn-slots",
-        [
-          Alcotest.test_case "accept loops racing retire keep max_conns" `Quick
-            test_slots_accept_vs_retire;
-          Alcotest.test_case "check-then-act reserve breaches max_conns"
-            `Quick test_buggy_slots_caught;
         ] );
       ( "couple",
         [

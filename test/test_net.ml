@@ -796,41 +796,115 @@ let test_tcp_echo () =
               (Printf.sprintf "completed %d of %d" st.Tcp.completed clients));
       Alcotest.(check int) "every client echoed" clients (Atomic.get ok))
 
+(* The backpressure case runs on as many domains as the host has cores,
+   then on one more, so every host runs both the parallel and the
+   oversubscribed schedule; the bound keeps a many-core host's run
+   small. *)
+let stress_domains =
+  let n = min 32 (Domain.recommended_domain_count ()) in
+  [ n; n + 1 ]
+
+let tcp_backpressure r ~domains =
+  let clients = 8 and cap = 2 in
+  let fails = Domain_check.create () in
+  let st = ref None in
+  Fiber.run_parallel ~domains (fun () ->
+      let srv =
+        Tcp.start ~reactor:r ~max_conns:cap
+          ~addr:(Unix.ADDR_INET (localhost, 0))
+          ~handler:(fun r c ->
+            (* hold the slot so the cap actually binds *)
+            Reactor.sleep r 0.02;
+            echo_handler r c)
+          ()
+      in
+      let port = Tcp.port srv in
+      let fibers =
+        List.init clients (fun _ ->
+            Fiber.spawn (fun () ->
+                let fd = connect_local r port in
+                Fio.write_all r fd (Bytes.of_string "hi") 0 2;
+                let buf = Bytes.create 2 in
+                Fio.read_exact r fd buf 0 2;
+                Domain_check.check fails Alcotest.string "echo" "hi"
+                  (Bytes.to_string buf);
+                Unix.close fd))
+      in
+      List.iter Fiber.join fibers;
+      Tcp.stop srv;
+      st := Some (Tcp.stats srv));
+  Domain_check.report fails;
+  let st = Option.get !st in
+  Alcotest.(check int)
+    (Printf.sprintf "accepted at domains=%d" domains)
+    clients st.Tcp.accepted;
+  Alcotest.(check int) "drained" 0 st.Tcp.active;
+  if st.Tcp.max_active > cap then
+    Alcotest.failf "max_conns=%d breached at domains=%d: %d concurrent" cap
+      domains st.Tcp.max_active;
+  Printf.printf
+    "backpressure at domains=%d: %d clients through %d slots, %d accept \
+     waits\n%!"
+    domains clients cap st.Tcp.accept_retries
+
 let test_tcp_backpressure () =
   with_reactor (fun r ->
-      let clients = 8 and cap = 2 in
-      Fiber.run_parallel ~domains:2 (fun () ->
-          let srv =
-            Tcp.start ~reactor:r ~max_conns:cap
-              ~addr:(Unix.ADDR_INET (localhost, 0))
-              ~handler:(fun r c ->
-                (* hold the slot so the cap actually binds *)
-                Reactor.sleep r 0.02;
-                echo_handler r c)
-              ()
-          in
-          let port = Tcp.port srv in
-          let fibers =
-            List.init clients (fun _ ->
-                Fiber.spawn (fun () ->
-                    let fd = connect_local r port in
-                    Fio.write_all r fd (Bytes.of_string "hi") 0 2;
-                    let buf = Bytes.create 2 in
-                    Fio.read_exact r fd buf 0 2;
-                    Unix.close fd))
-          in
-          List.iter Fiber.join fibers;
-          Tcp.stop srv;
-          let st = Tcp.stats srv in
-          if st.Tcp.accepted <> clients then
-            failwith (Printf.sprintf "accepted %d" st.Tcp.accepted);
-          if st.Tcp.max_active > cap then
-            failwith
-              (Printf.sprintf "max_conns=%d breached: %d concurrent" cap
-                 st.Tcp.max_active);
-          Printf.printf
-            "backpressure: %d clients through %d slots, %d accept parks\n%!"
-            clients cap st.Tcp.accept_retries))
+      List.iter (fun domains -> tcp_backpressure r ~domains) stress_domains)
+
+(* At max_conns = 1, one connection holds the slot while a second waits
+   in the backlog, so the accept loop waits at capacity.  [stop] must
+   release that loop itself: the handler holds its slot until the server
+   has closed its listening socket, which [stop] does only once the loop
+   is gone, and then takes 50 ms more.  A [stop] that left the loop for
+   a retiring connection to free would wait forever here.  [stop]
+   returns after the handler, with every fd back. *)
+let test_tcp_stop_gated_loop () =
+  match count_fds () with
+  | None -> () (* no /proc: skip silently, the CI runner has it *)
+  | Some baseline ->
+      let served = Atomic.make false and st = ref None in
+      with_reactor (fun r ->
+          Fiber.run_parallel ~domains:2 (fun () ->
+              (* fds open before [stop]; the listener's close lowers it *)
+              let open_fds = Atomic.make 0 in
+              let srv =
+                Tcp.start ~reactor:r ~max_conns:1
+                  ~addr:(Unix.ADDR_INET (localhost, 0))
+                  ~handler:(fun r _ ->
+                    while Atomic.get open_fds = 0 do
+                      Reactor.sleep r 0.001
+                    done;
+                    while Option.get (count_fds ()) >= Atomic.get open_fds do
+                      Reactor.sleep r 0.001
+                    done;
+                    Reactor.sleep r 0.05;
+                    Atomic.set served true)
+                  ()
+              in
+              let port = Tcp.port srv in
+              let a = connect_local r port in
+              let b = connect_local r port in
+              let give_up = Reactor.now () +. 5.0 in
+              while
+                (Tcp.stats srv).Tcp.accept_retries = 0
+                && Reactor.now () < give_up
+              do
+                Reactor.sleep r 0.001
+              done;
+              Atomic.set open_fds (Option.get (count_fds ()));
+              Tcp.stop srv;
+              st := Some (Tcp.stats srv);
+              Unix.close a;
+              Unix.close b));
+      let st = Option.get !st in
+      Alcotest.(check bool) "the loop waited at capacity" true
+        (st.Tcp.accept_retries > 0);
+      Alcotest.(check bool) "stop returned after the handler" true
+        (Atomic.get served);
+      Alcotest.(check int) "one connection accepted" 1 st.Tcp.accepted;
+      Alcotest.(check int) "drained" 0 st.Tcp.active;
+      Alcotest.(check (option int)) "fd count back to baseline" (Some baseline)
+        (count_fds ())
 
 (* fd exhaustion on accept: with every fd taken, the accept of a
    pending client fails with EMFILE.  The server must back off and
@@ -1085,6 +1159,8 @@ let () =
           Alcotest.test_case "graceful drain on stop" `Quick
             test_tcp_graceful_stop;
           Alcotest.test_case "no fd leak" `Quick test_tcp_no_fd_leak;
+          Alcotest.test_case "stop releases an accept loop parked at capacity"
+            `Quick test_tcp_stop_gated_loop;
         ] );
       ( "backend-matrix",
         [
