@@ -975,9 +975,10 @@ let run_net_bench ~quick ~diff ~net_backend () =
     else sweep
   in
   let fd_baseline = count_fds () in
-  (* One reactor (its own thread + poller backend) per backend run;
-     [run_parallel] twice in sequence is fine -- each run spins its
-     worker domains up and down. *)
+  (* One reactor (a poller backend, no thread: the run's idle workers
+     take turns waiting in it) per backend run; [run_parallel] twice in
+     sequence is fine -- each run spins its worker domains up and
+     down. *)
   let run_backend backend ~sweep =
     let r = Net_reactor.create ~backend () in
     let resolved = Net_reactor.backend r in

@@ -1,19 +1,19 @@
-(* TEST-ONLY copy of Idle_waker -- the idle-worker stack behind the
-   reactor's batched wake flush -- with a deliberately seeded
+(* TEST-ONLY copy of Idle_waker -- the idle-worker stack behind a
+   reactor turn's end-of-turn notifications -- with a deliberately seeded
    bug: [take] is a get-then-set instead of a CAS retry loop.  It reads
    the list, computes the removal, then unconditionally stores it.
 
    Two interleavings go wrong, both the lost-wakeup shape the routed
    wake path must never exhibit:
 
-   - The reactor's batch flush ([take wid] aimed at one worker)
+   - A turn's end-of-turn notify ([take wid] aimed at one worker)
      racing a generic [pop]: both read the same list, both believe they
      removed an id, and the loser's plain store RESURRECTS the id the
      winner removed -- that worker is now "idle" twice, and a later
      waker spends a wake token on a ghost while a genuinely parked
      worker sleeps on.
 
-   - Two targeted wakes racing (the reactor's flush and a worker's
+   - Two targeted wakes racing (a turn's notify and a worker's
      [spawn_on]): both see [wid] present, both return [true],
      and two wake tokens are owed where the protocol promises exactly
      one.

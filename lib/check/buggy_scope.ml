@@ -56,6 +56,4 @@ let await t =
   leave t;
   if not (Completion.is_done t.done_) then
     Fiber.suspend_token (fun tok ->
-        let home = Fiber.worker_index () in
-        Completion.add_joiner t.done_ (fun () ->
-            ignore (Fiber.Wake.fire_to ?worker:home tok)))
+        Completion.add_joiner t.done_ (fun () -> ignore (Fiber.Wake.fire_home tok)))

@@ -17,9 +17,9 @@
      the gap finds no waiter, so the signal is dropped and the waiter
      parks forever even though the predicate it waits for is true. *)
 
-type waiter = { wtok : Fiber.Wake.token; whome : int option }
+type waiter = Fiber.Wake.token
 
-let wake_waiter w = ignore (Fiber.Wake.fire_to ?worker:w.whome w.wtok)
+let wake_waiter w = ignore (Fiber.Wake.fire_home w)
 
 let split_last ws =
   let rec go acc = function
@@ -44,13 +44,12 @@ module Mutex = struct
   (* Faithful copy of [Sync.Mutex.lock]. *)
   let lock m =
     if not (try_lock m || Sync.retry (fun () -> try_lock m)) then
-      Fiber.suspend_token (fun tok ->
-          let w = { wtok = tok; whome = Fiber.worker_index () } in
+      Fiber.suspend_token (fun w ->
           let rec register () =
             match Atomic.get m with
             | Unlocked ->
                 if Atomic.compare_and_set m Unlocked (Locked []) then
-                  ignore (Fiber.Wake.fire tok)
+                  ignore (Fiber.Wake.fire w)
                 else register ()
             | Locked ws as cur ->
                 if not (Atomic.compare_and_set m cur (Locked (w :: ws))) then
@@ -84,8 +83,7 @@ module Condition = struct
        registration and only then unlocks, so a signaller can never run
        in a gap where the waiter is invisible. *)
     Sync.Mutex.unlock m;
-    Fiber.suspend_token (fun tok ->
-        let w = { wtok = tok; whome = Fiber.worker_index () } in
+    Fiber.suspend_token (fun w ->
         let rec register () =
           let cur = Atomic.get t in
           if not (Atomic.compare_and_set t cur (w :: cur)) then register ()

@@ -1,7 +1,7 @@
 (* Park/wake shim standing in for [Fiber_rt.Fiber] inside lib/check:
    the copies of channel.ml, sync.ml and scope.ml compiled here need
-   [suspend], [suspend_token] + [Wake], [worker_index] and
-   [num_workers] (for Sync), and [spawn] (for Scope).
+   [suspend], [suspend_token] + [Wake], [num_workers] (for Sync), and
+   [spawn] (for Scope).
 
    The real runtime's contract: [register] receives a wake function
    callable exactly once from any OS thread; the fiber stays parked
@@ -36,9 +36,8 @@ module Wake = struct
       true
     end
 
-  (* The checker is engine-less: routing hints degrade to a plain
-     fire, exactly like an out-of-range worker hint in production. *)
-  let fire_to ?worker:_ ?batch:_ t = fire t
+  (* The checker is engine-less: there is no home to route to. *)
+  let fire_home = fire
 end
 
 let suspend_token register =
@@ -49,9 +48,6 @@ let suspend_token register =
     ~note:"parked(token)"
     ~enabled:(fun () -> Atomic.peek tok.Wake.woken)
     (fun () -> ())
-
-(* No worker domains in the model; [fire_to] hints fall back. *)
-let worker_index () = None
 
 (* No pool either, so Sync's pre-park retry never runs: every failed
    first try parks at once, the smallest state space with the same

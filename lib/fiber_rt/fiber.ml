@@ -14,7 +14,7 @@
    one ready task wakes exactly one worker (the blocking idle-KC policy
    of the paper's Table II, without the thundering herd).  Workers
    beyond the host's cores start unlaunched: only a delivery aimed at
-   one of them ([spawn_on], a reactor inbox wake) spawns its domain.
+   one of them ([spawn_on], a routed wake) spawns its domain.
    Only *runnable* continuations migrate between domains; a fiber's
    blocking jobs still route to its home [Executor] (the original-KC
    analogue), so system-call consistency is preserved under migration.
@@ -41,56 +41,23 @@ type fiber = {
    schedules the continuation, so several racing wakers -- I/O
    readiness vs a timer, say -- resolve to exactly one resume and the
    losers learn they lost.  The closure inside routes through the
-   engine that parked the fiber ([presume]).
-
-   [fire_to] is the reactor's targeted entry point: an optional worker
-   hint routes the continuation to that worker's private inbox (the
-   PR-3 fast path -- no global MPSC contention, and the fiber resumes
-   where its cache already is), and an optional [batch] defers the
-   wake-one notification so a reactor turn that fires N tokens pays one
-   deduped notification per distinct target instead of N. *)
+   engine that parked the fiber ([presume]), and remembers the worker
+   that parked it: [fire_home] routes the continuation back there,
+   [fire] takes the engine's ordinary path. *)
 module Wake = struct
-  type note = { bkey : int * int; bnotify : unit -> unit }
+  type token = { fired : bool Atomic.t; resume : bool -> unit }
 
-  (* A batch is single-owner by contract: one thread at a time may fire
-     into it or flush it (the reactor's turn holder), so the note list
-     needs no synchronization. *)
-  type batch = { mutable notes : note list }
+  let make resume = { fired = Atomic.make false; resume }
 
-  type token = {
-    fired : bool Atomic.t;
-    resume : int option -> batch option -> unit;
-  }
-
-  let make_routed resume = { fired = Atomic.make false; resume }
-
-  let fire t =
+  let claim t ~routed =
     if Atomic.exchange t.fired true then false
     else begin
-      t.resume None None;
+      t.resume routed;
       true
     end
 
-  let fire_to ?worker ?batch t =
-    if Atomic.exchange t.fired true then false
-    else begin
-      t.resume worker batch;
-      true
-    end
-
-  let batch () = { notes = [] }
-
-  (* engine-internal: record one deferred notification per [key] *)
-  let note b ~key notify =
-    if not (List.exists (fun n -> n.bkey = key) b.notes) then
-      b.notes <- { bkey = key; bnotify = notify } :: b.notes
-
-  let flush b =
-    match b.notes with
-    | [] -> ()
-    | ns ->
-        b.notes <- [];
-        List.iter (fun n -> n.bnotify ()) ns
+  let fire t = claim t ~routed:false
+  let fire_home t = claim t ~routed:true
 end
 
 type _ Effect.t +=
@@ -118,10 +85,10 @@ type pworker = {
          domain touches it, so no synchronization; the owner never
          parks while it is non-empty. *)
   inbox : (unit -> unit) Mpsc_queue.t;
-      (* targeted cross-thread deliveries (the reactor routing a wake
-         back to the fiber's home worker, [spawn_on]).  Only the owner
-         pops; producers push from any thread.  Not stealable -- that
-         is the point: the continuation resumes on the chosen worker. *)
+      (* targeted cross-thread deliveries (a wake routed back to the
+         fiber's home worker, [spawn_on]).  Only the owner pops;
+         producers push from any thread.  Not stealable -- that is the
+         point: the continuation resumes on the chosen worker. *)
   mutable rng : int; (* xorshift state for victim selection *)
   mutable steals : int; (* items obtained from other workers' deques *)
   mutable tick : int; (* tasks run; paces the fairness drain *)
@@ -130,6 +97,11 @@ type pworker = {
       (* the owed wake token, and whether this worker waits in the
          poller rather than on [parker] *)
   mutable turn_seen : int; (* the driver's turn count at the last fairness tick *)
+  mutable turn_peers : int list option;
+      (* [Some peers] while this worker runs a driver turn: the routed
+         wakes of its own fibers go straight to [overflow], and [peers]
+         are the other workers whose inbox got one, notified once when
+         the turn ends.  Owner only. *)
   w_launched : bool Atomic.t;
       (* the worker's domain exists.  Workers beyond [min domains cores]
          start UNLAUNCHED: a domain that is never needed is never
@@ -154,7 +126,7 @@ type pworker = {
 }
 
 type psched = {
-  ps_uid : int; (* distinguishes schedulers in Wake batch dedup keys *)
+  ps_uid : int; (* names the run a driver is bound to *)
   workers : pworker array;
   pinject : (unit -> unit) Mpsc_queue.t;
       (* cross-thread wake-ups ONLY: executors, foreign domains.  A
@@ -194,7 +166,6 @@ and driver = {
   owner : int Atomic.t; (* [ps_uid] of the run bound to it, -1 when none *)
   run : block:(unit -> bool) -> unit;
       (* one reactor turn: commands, poller wait, dispatch, timers *)
-  flush : unit -> unit; (* deliver the turn's batched wake notifications *)
   poke : unit -> unit; (* interrupt the poller wait *)
   pending : unit -> bool; (* watches, timers or commands remain *)
 }
@@ -238,6 +209,7 @@ let make_psched ~domains =
             parker = Parker.create ();
             slot = Poll_park.slot ();
             turn_seen = -1;
+            turn_peers = None;
             w_launched = Atomic.make (wid = 0);
             t_steal_attempts = 0;
             t_steal_fails = 0;
@@ -319,20 +291,14 @@ let notify_worker ps wid =
   let w = ps.workers.(wid) in
   if (not (ps.pspawn w)) && Idle_waker.take ps.idle wid then deliver_token ps w
 
-(* Deliver a thunk to a specific worker's inbox from any thread.  With
-   a [batch], the notification is deferred and deduped per (scheduler,
-   worker) -- the reactor flushes once per poll tick. *)
-let push_targeted ps wid thunk (b : Wake.batch option) =
+(* Deliver a thunk to a specific worker's inbox from any thread. *)
+let push_targeted ps wid thunk =
   Mpsc_queue.push ps.workers.(wid).inbox thunk;
-  match b with
-  | None -> notify_worker ps wid
-  | Some b -> Wake.note b ~key:(ps.ps_uid, wid) (fun () -> notify_worker ps wid)
+  notify_worker ps wid
 
-let push_foreign ps thunk (b : Wake.batch option) =
+let push_foreign ps thunk =
   Mpsc_queue.push ps.pinject thunk;
-  match b with
-  | None -> wake_one ps
-  | Some b -> Wake.note b ~key:(ps.ps_uid, -1) (fun () -> wake_one ps)
+  wake_one ps
 
 (* Make a runnable continuation available to the calling worker: its
    private FIFO when it is the pool's only worker (nothing can steal, so
@@ -351,20 +317,40 @@ let push_local ps w thunk =
 let pschedule ps thunk =
   match worker_ctx () with
   | Some c when c.ps == ps -> push_local ps c.w thunk
-  | _ -> push_foreign ps thunk None
+  | _ -> push_foreign ps thunk
 
-(* Routed resume for parked fibers: a worker of this scheduler takes
-   the local path; any other thread honours the [worker] hint -- the
-   reactor passing the fiber's home worker -- falling back to the
-   global injection channel. *)
-let presume ps thunk worker (b : Wake.batch option) =
+(* Resume a parked fiber.  The routing is decided here, by where the
+   waker runs and whether it fired the token [routed] ([Wake.fire_home])
+   to the fiber's [home] worker:
+   - a worker running a driver turn puts a routed wake of its own
+     fiber straight on its private FIFO, and one of a peer's fiber in
+     that peer's inbox, noting the peer once for [end_turn]: k ready
+     fds cost at most one notification per worker, none for its own;
+   - any other worker of this scheduler takes the local path;
+   - any other thread delivers a routed wake to [home]'s inbox, and an
+     unrouted one to the injection channel. *)
+let presume ps thunk ~home routed =
   match worker_ctx () with
-  | Some c when c.ps == ps && b = None -> push_local ps c.w thunk
-  | _ -> (
-      match worker with
-      | Some wid when wid >= 0 && wid < Array.length ps.workers ->
-          push_targeted ps wid thunk b
-      | _ -> push_foreign ps thunk b)
+  | Some c when c.ps == ps -> (
+      match c.w.turn_peers with
+      | Some peers when routed ->
+          if home = c.w.wid then Queue.push thunk c.w.overflow
+          else begin
+            Mpsc_queue.push ps.workers.(home).inbox thunk;
+            if not (List.mem home peers) then c.w.turn_peers <- Some (home :: peers)
+          end
+      | _ -> push_local ps c.w thunk)
+  | _ -> if routed then push_targeted ps home thunk else push_foreign ps thunk
+
+(* Bracket a driver turn run by worker [w] (see [presume]). *)
+let begin_turn w = w.turn_peers <- Some []
+
+let end_turn ps w =
+  match w.turn_peers with
+  | Some peers ->
+      w.turn_peers <- None;
+      List.iter (notify_worker ps) peers
+  | None -> ()
 
 let pstop ps =
   Atomic.set ps.stop true;
@@ -417,18 +403,18 @@ and phandle ps fb body =
                          global MPSC -- the old hot path -- is no
                          longer touched by yields at all. *)
                       Queue.push thunk c.w.overflow
-                  | _ -> push_foreign ps thunk None)
+                  | _ -> push_foreign ps thunk)
           | Suspend register ->
               Some
                 (fun (k : (b, unit) continuation) ->
                   fb.state <- `Suspended;
-                  let tok =
-                    Wake.make_routed (fun worker batch ->
-                        presume ps
-                          (fun () -> pexec fb (fun () -> continue k ()))
-                          worker batch)
+                  (* the parking worker: the home a routed wake returns to *)
+                  let home =
+                    match worker_ctx () with Some c when c.ps == ps -> c.w.wid | _ -> 0
                   in
-                  register tok)
+                  register
+                    (Wake.make
+                       (presume ps (fun () -> pexec fb (fun () -> continue k ())) ~home)))
           | Spawn body' ->
               Some
                 (fun (k : (b, unit) continuation) ->
@@ -441,9 +427,7 @@ and phandle ps fb body =
                   let n = Array.length ps.workers in
                   let wid = ((wid mod n) + n) mod n in
                   let child = pnew_fiber ps in
-                  push_targeted ps wid
-                    (fun () -> pexec child (fun () -> phandle ps child body'))
-                    None;
+                  push_targeted ps wid (fun () -> pexec child (fun () -> phandle ps child body'));
                   continue k child)
           | Self -> Some (fun (k : (b, unit) continuation) -> continue k fb)
           | _ -> None);
@@ -542,8 +526,9 @@ let tick_turn ps w =
   | None -> ()
   | Some d ->
       if Poll_park.quiet d.turn w.turn_seen && Poll_park.try_hold d.turn then begin
+        begin_turn w;
         d.run ~block:(fun () -> false);
-        d.flush ();
+        end_turn ps w;
         leave_turn ps d
       end;
       w.turn_seen <- Poll_park.seen d.turn
@@ -602,16 +587,17 @@ let parkable ps w =
   && (not (work_available ps))
   && Mpsc_queue.is_empty w.inbox
 
-(* A worker holding the turn waits in the poller.  It leaves the idle
-   stack before it flushes the turn's wakes, so those aimed at its own
-   fibers land in its own inbox with no notify and no poke.  A token
-   some waker owes it (the poke that ended the wait, say) is consumed
-   after the hand-off. *)
+(* A worker holding the turn waits in the poller.  The wakes of its
+   own fibers go straight to its FIFO, with no notify and no poke; it
+   notifies its peers once the turn ends.  A token some waker owes it
+   (the poke that ended the wait, say) is consumed after the
+   hand-off. *)
 let park_in_poller ps w d =
   Parker.flush ();
+  begin_turn w;
   Poll_park.poll w.slot d.run;
+  end_turn ps w;
   let owed = not (Idle_waker.take ps.idle w.wid) in
-  d.flush ();
   leave_turn ps d;
   if owed then await_token w
 
@@ -626,9 +612,9 @@ let park_in_poller ps w d =
    Producers store work before reading the idle stack; parkers publish
    themselves before re-checking -- the Dekker handshake that makes a
    lost wake-up impossible.  The same handshake covers targeted
-   deliveries: [push_targeted] pushes the inbox first and reads the
-   stack second, the parker publishes first and re-reads its inbox
-   second.  A failed cancel means a waker already popped us and its
+   deliveries: [push_targeted] and a turn's [presume] + [end_turn] push
+   the inbox first and read the stack second, the parker publishes
+   first and re-reads its inbox second.  A failed cancel means a waker already popped us and its
    token is in flight -- consume it now instead of sleeping on it in a
    later parking round. *)
 let park ps w =
@@ -889,8 +875,8 @@ let sched_stats () =
 module Driver = struct
   type t = driver
 
-  let make ~run ~flush ~poke ~pending =
-    { turn = Poll_park.turn (); owner = Atomic.make (-1); run; flush; poke; pending }
+  let make ~run ~poke ~pending =
+    { turn = Poll_park.turn (); owner = Atomic.make (-1); run; poke; pending }
 
   (* Bind the ambient run to [d]: once per run, from its first wait on
      the reactor.  Sequential runs may share a reactor; concurrent ones

@@ -14,7 +14,7 @@
     ({!Idle_waker}), so new work wakes exactly one of them, without the
     thundering herd.  When [domains] exceeds the host's cores the
     excess workers start unlaunched, and only a delivery aimed at one
-    of them ({!spawn_on}, a reactor wake routed to its inbox) spawns
+    of them ({!spawn_on}, a wake routed to its inbox) spawns
     its domain.  A lone worker runs local spawns and wakes in FIFO
     order.  Only runnable continuations migrate between domains; a
     fiber's blocking jobs still route to its home executor, preserving
@@ -81,8 +81,8 @@ val run_parallel :
     calling domain is worker 0).  Workers [0, min domains cores) start
     at once; an explicit [domains] above the host's core count is
     honored as capacity: each worker beyond it is launched on the first
-    delivery aimed at it ({!spawn_on}, a reactor wake routed to its
-    inbox), and never otherwise.
+    delivery aimed at it ({!spawn_on}, a wake routed to its inbox), and
+    never otherwise.
     A pool of one worker ([~domains:1], or the default on a one-core
     host) has no thief to take work from it, so it queues local spawns
     and wakes FIFO rather than on the LIFO deque: fork-join code runs
@@ -116,7 +116,9 @@ val state : fiber -> [ `Runnable | `Running | `Suspended | `Done ]
 
 (** One-shot wake tokens: the resumption right for a suspended fiber,
     safe to duplicate across racing wakers (I/O readiness vs a timer,
-    an executor vs a canceller).  Exactly one {!Wake.fire} wins. *)
+    an executor vs a canceller).  Exactly one {!Wake.fire} or
+    {!Wake.fire_home} wins.  A token remembers the worker that parked
+    its fiber, its home. *)
 module Wake : sig
   type token
 
@@ -127,38 +129,22 @@ module Wake : sig
       (e.g. report [`Timeout] only if the timer's fire returned
       [true]). *)
 
-  type batch
-  (** A single-owner accumulator of deferred wake notifications: one
-      thread at a time (the reactor's turn holder) may pass it to
-      {!fire_to} or {!flush} it.  The fired continuations are enqueued
-      immediately; the worker *notifications* (un-parking) are deduped
-      per target and delivered by {!flush} — the reactor flushes once
-      per turn, so N ready fds cost one notification per distinct
-      worker instead of N. *)
-
-  val batch : unit -> batch
-
-  val fire_to : ?worker:int -> ?batch:batch -> token -> bool
-  (** Like {!fire}, with routing: [worker] (when the token belongs to a
-      {!run_parallel} engine and the index is in range) delivers the
-      continuation to that worker's private inbox — the targeted-wake
-      fast path the reactor uses to resume a fiber on the domain that
-      parked it — instead of the global injection channel.  Out-of-range
-      or absent hints fall back to {!fire}'s routing.  The owner must
-      {!flush} the batch before it gives the batch up, or the
-      notification — though never the continuation — is delayed until
-      the next flush. *)
-
-  val flush : batch -> unit
-  (** Deliver the deferred notifications recorded since the last flush.
-      Owner only. *)
+  val fire_home : token -> bool
+  (** Like {!fire}, routed back to the fiber's home: from any thread
+      but a worker of its run, the continuation goes to the home
+      worker's private inbox (never stolen) rather than the global
+      injection channel.  A worker running a reactor turn ({!Driver})
+      puts its own fibers straight on its private queue and notifies
+      each other worker it woke once, when the turn ends; any other
+      worker of the run schedules the fiber as {!fire} does. *)
 end
 
 (** A reactor as the engine sees it.  A run binds the reactor its fibers
     wait on; from then on a worker with nothing to run waits in that
     reactor's poller instead of on its parker, when no other worker
     holds the reactor's turn (one worker at a time).  A wake aimed at
-    that worker pokes the poller.  A worker that leaves the turn while
+    that worker pokes the poller; the wakes a turn fires route as
+    {!Wake.fire_home} says.  A worker that leaves the turn while
     watches or timers remain wakes a parked peer to take it, and a busy
     worker takes a non-blocking turn at its fairness tick when nobody
     has polled since its last one.  A run that never binds parks on its
@@ -168,17 +154,15 @@ module Driver : sig
 
   val make :
     run:(block:(unit -> bool) -> unit) ->
-    flush:(unit -> unit) ->
     poke:(unit -> unit) ->
     pending:(unit -> bool) ->
     t
   (** [run ~block] is one turn: run queued commands, wait in the poller
       (for no longer than the next deadline, and only when [block ()],
       evaluated after earlier pokes are drained, returns [true]),
-      dispatch readiness and fire due timers, batching the wakes.
-      [flush] delivers that batch.  [poke] ends a wait in progress, or
-      the next one if none is.  [pending ()]: watches, timers or
-      commands remain. *)
+      dispatch readiness and fire due timers.  [poke] ends a wait in
+      progress, or the next one if none is.  [pending ()]: watches,
+      timers or commands remain. *)
 
   val bind : t -> unit
   (** Bind the ambient run to the driver; a no-op once bound.  Call

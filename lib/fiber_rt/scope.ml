@@ -15,8 +15,8 @@
      so cancellation is quiet and only real errors propagate.
 
    Waiting rides on [Completion] — the same joiner cell fibers use —
-   with the wake routed through [Fiber.Wake.fire_to] back to the worker
-   that parked the awaiting fiber.  Like [Sync], this file is
+   with the wake fired home ([Fiber.Wake.fire_home]), back to the
+   worker that parked the awaiting fiber.  Like [Sync], this file is
    recompiled inside lib/check against the traced shims, so it sticks
    to the Atomic/Fiber/Completion vocabulary. *)
 
@@ -65,9 +65,7 @@ let await t =
   leave t;
   if not (Completion.is_done t.done_) then
     Fiber.suspend_token (fun tok ->
-        let home = Fiber.worker_index () in
-        Completion.add_joiner t.done_ (fun () ->
-            ignore (Fiber.Wake.fire_to ?worker:home tok)))
+        Completion.add_joiner t.done_ (fun () -> ignore (Fiber.Wake.fire_home tok)))
 
 let spawn ?worker t body =
   enter t;

@@ -5,9 +5,9 @@
    holding an immutable list/variant, walked only by CAS (read the
    current value, build the successor, [compare_and_set], retry on
    conflict) — the same discipline as [Completion] and [Idle_waker].
-   Waiters park through [Fiber.suspend_token] and are woken through
-   [Fiber.Wake.fire_to] with the worker index recorded at park time, so
-   a wake goes to the parking worker's private inbox when possible.
+   A waiter is the bare token its fiber parked with
+   ([Fiber.suspend_token]); a wake fires it home ([Fiber.Wake.fire_home])
+   and the engine decides where the fiber resumes.
 
    Wake-ups are *handoffs*: an unlock that finds a waiter transfers
    ownership (the lock stays [Locked]) and fires exactly that waiter,
@@ -22,12 +22,10 @@
    Atomic/Fiber shims, so it must confine itself to that vocabulary:
    no [Unix], no [Domain], no Stdlib.Mutex, no unbounded spinning. *)
 
-(* A parked fiber: its one-shot wake token plus the worker that parked
-   it, captured at suspend time so the waker can route the resumption
-   back to the same domain's private inbox. *)
-type waiter = { wtok : Fiber.Wake.token; whome : int option }
+(* A parked fiber is its one-shot wake token. *)
+type waiter = Fiber.Wake.token
 
-let wake_waiter w = ignore (Fiber.Wake.fire_to ?worker:w.whome w.wtok)
+let wake_waiter w = ignore (Fiber.Wake.fire_home w)
 
 (* [split_last ws] on a newest-first waiter list: the oldest waiter and
    the rest, preserving order.  O(length), and waiter lists only hold
@@ -76,13 +74,12 @@ module Mutex = struct
          ourselves while the mutex is held, or we grab it and consume
          our own token.  Both paths end with us owning the mutex when
          [suspend_token] returns. *)
-      Fiber.suspend_token (fun tok ->
-          let w = { wtok = tok; whome = Fiber.worker_index () } in
+      Fiber.suspend_token (fun w ->
           let rec register () =
             match Atomic.get m with
             | Unlocked ->
                 if Atomic.compare_and_set m Unlocked (Locked []) then
-                  ignore (Fiber.Wake.fire tok)
+                  ignore (Fiber.Wake.fire w)
                 else register ()
             | Locked ws as cur ->
                 if not (Atomic.compare_and_set m cur (Locked (w :: ws))) then
@@ -126,8 +123,7 @@ module Condition = struct
   let create () = Atomic.make []
 
   let wait t m =
-    Fiber.suspend_token (fun tok ->
-        let w = { wtok = tok; whome = Fiber.worker_index () } in
+    Fiber.suspend_token (fun w ->
         let rec register () =
           let cur = Atomic.get t in
           if not (Atomic.compare_and_set t cur (w :: cur)) then register ()

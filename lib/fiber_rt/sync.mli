@@ -5,8 +5,8 @@
     [park-while-locked] and [lock-order-inversion] lint rules send
     fiber code to.  Blocking here parks the {e fiber}
     ({!Fiber.suspend_token}), never the worker domain; wake-ups are
-    ownership handoffs routed through {!Fiber.Wake.fire_to} to the
-    worker that parked the waiter.  Both keep their state in one
+    ownership handoffs that fire the waiter's token home
+    ({!Fiber.Wake.fire_home}), to the worker that parked it.  Both keep their state in one
     [Atomic.t] walked by CAS and are recompiled inside [lib/check]
     against the traced shims, where a seeded-bug twin proves the
     checker can see the races this code avoids.

@@ -10,12 +10,11 @@
    the fiber next, as Go's netpoller and Tokio's driver park do.  Each
    turn is one round: run queued commands, wait in the poller until
    readiness, the next deadline or a poke, dispatch, fire due timers.
-   The wake is routed back to the awaiting fiber's home worker's
-   private inbox ([Fiber.Wake.fire_to ~worker]) instead of the global
-   MPSC injection channel -- the continuation resumes on the domain
-   whose cache already holds the fiber.  Within one turn the wakes
-   accumulate in a [Fiber.Wake.batch] the holder flushes once: N ready
-   fds cost one un-park notification per distinct worker, not N.
+   A wake is [Fiber.Wake.fire_home]: the engine routes the
+   continuation back to the worker that parked the fiber, onto the
+   turn holder's own queue or into a peer's private inbox, and the
+   holder notifies each woken peer once when its turn ends -- N ready
+   fds cost at most one un-park notification per worker, not N.
 
    A run binds the reactor at its first wait on it; a run that never
    waits here parks its workers on their parkers alone.
@@ -68,13 +67,9 @@ type t = {
   mutable driver : Fiber.Driver.t; (* the turn; set once by [create] *)
   (* owned by the turn holder *)
   timers : Timers.t;
-  batch : Fiber.Wake.batch;
-      (* waiters fired during a turn defer their worker notifications
-         here; the holder flushes them once per turn *)
   drain_buf : Bytes.t;
   mutable piped : bool; (* the self-pipe was reported readable *)
   mutable timed : bool; (* timers remained at the end of the last turn *)
-  mutable tid : int; (* the holder's thread id during a turn, else -1 *)
   (* counters: written by the turn holder, read by anyone *)
   n_polls : int Atomic.t;
   n_wakeups : int Atomic.t;
@@ -97,16 +92,6 @@ let poke t =
 let send t cmd =
   Mpsc.push t.cmds cmd;
   poke t
-
-(* Fire a wake token with routing: back to the awaiting fiber's home
-   worker, batched when we hold the turn (the dispatch and timer path,
-   flushed when the turn ends).  Calls outside a turn (an arm that
-   finds its fd gone or the table closed, the shutdown sweep) must not
-   touch the single-owner batch. *)
-let fire_routed t home tok =
-  if Thread.id (Thread.self ()) = t.tid then
-    ignore (Fiber.Wake.fire_to ?worker:home ~batch:t.batch tok)
-  else ignore (Fiber.Wake.fire_to ?worker:home tok)
 
 (* ---------------- the turn ---------------- *)
 
@@ -172,36 +157,34 @@ let count_timers t n =
    evaluated after the pipe is drained: the worker's last check for an
    owed wake before it may sleep (Poll_park.poll). *)
 let turn t ~block =
-  t.tid <- Thread.id (Thread.self ());
-  (try
-     (* drain the pipe BEFORE clearing [poked]: a poke that writes its
-        byte between a clear and a drain would have that byte drained
-        while [poked] stayed true, and every later poke would skip its
-        write and wait out [max_idle_ms].  In this order a poke racing
-        the clear either skipped its write with its command already
-        queued (run below) or writes a fresh byte for the next turn.  A
-        turn with neither a poke nor a readable pipe has nothing to
-        drain. *)
-     if t.piped || Atomic.get t.poked then begin
-       t.piped <- false;
-       drain_pipe t;
-       (* ulplint: allow atomic-get-then-set -- the get above only decides whether to drain: a poke whose exchange lands before this store saw true and skipped its byte, and its command, queued before that exchange, runs just below, while its owed wake is re-read by [block] *)
-       Atomic.set t.poked false;
-       run_commands t
-     end;
-     (* [shutdown] sets [stopping] before it pokes; when the drain above
-        already ate that poke, nothing else would end the wait before
-        [max_idle_ms] *)
-     let timeout_ms =
-       if Atomic.get t.stopping || not (block ()) then 0 else poll_timeout_ms t
-     in
-     Atomic.incr t.n_polls;
-     let events = Poller.wait t.poller ~timeout_ms in
-     List.iter (dispatch_event t) events;
-     count_timers t (Timers.advance t.timers ~now:(now ()));
-     t.timed <- Timers.next_due t.timers <> None
-   with _ -> wake_everyone t);
-  t.tid <- -1
+  try
+    (* drain the pipe BEFORE clearing [poked]: a poke that writes its
+       byte between a clear and a drain would have that byte drained
+       while [poked] stayed true, and every later poke would skip its
+       write and wait out [max_idle_ms].  In this order a poke racing
+       the clear either skipped its write with its command already
+       queued (run below) or writes a fresh byte for the next turn.  A
+       turn with neither a poke nor a readable pipe has nothing to
+       drain. *)
+    if t.piped || Atomic.get t.poked then begin
+      t.piped <- false;
+      drain_pipe t;
+      (* ulplint: allow atomic-get-then-set -- the get above only decides whether to drain: a poke whose exchange lands before this store saw true and skipped its byte, and its command, queued before that exchange, runs just below, while its owed wake is re-read by [block] *)
+      Atomic.set t.poked false;
+      run_commands t
+    end;
+    (* [shutdown] sets [stopping] before it pokes; when the drain above
+       already ate that poke, nothing else would end the wait before
+       [max_idle_ms] *)
+    let timeout_ms =
+      if Atomic.get t.stopping || not (block ()) then 0 else poll_timeout_ms t
+    in
+    Atomic.incr t.n_polls;
+    let events = Poller.wait t.poller ~timeout_ms in
+    List.iter (dispatch_event t) events;
+    count_timers t (Timers.advance t.timers ~now:(now ()));
+    t.timed <- Timers.next_due t.timers <> None
+  with _ -> wake_everyone t
 
 (* Watches, timers or commands remain: a worker leaving the turn must
    hand it on.  [timed] was written by the last holder before it left. *)
@@ -212,8 +195,7 @@ let pending t =
 
 (* [create]'s placeholder until the real driver closes over [t] *)
 let idle_driver =
-  Fiber.Driver.make ~run:(fun ~block:_ -> ()) ~flush:ignore ~poke:ignore
-    ~pending:(fun () -> false)
+  Fiber.Driver.make ~run:(fun ~block:_ -> ()) ~poke:ignore ~pending:(fun () -> false)
 
 let create ?backend () =
   let pipe_r, pipe_w = Unix.pipe () in
@@ -244,11 +226,9 @@ let create ?backend () =
       interest = Interest.create ~sync;
       driver = idle_driver;
       timers = Timers.create ();
-      batch = Fiber.Wake.batch ();
       drain_buf = Bytes.create 64;
       piped = false;
       timed = false;
-      tid = -1;
       n_polls = Atomic.make 0;
       n_wakeups = Atomic.make 0;
       n_timers = Atomic.make 0;
@@ -257,10 +237,7 @@ let create ?backend () =
     }
   in
   t.driver <-
-    Fiber.Driver.make ~run:(turn t)
-      ~flush:(fun () -> Fiber.Wake.flush t.batch)
-      ~poke:(fun () -> poke t)
-      ~pending:(fun () -> pending t);
+    Fiber.Driver.make ~run:(turn t) ~poke:(fun () -> poke t) ~pending:(fun () -> pending t);
   (* persistent, not one-shot: every poke must wake the wait *)
   Poller.set poller pipe_r ~read:true ~write:false;
   t
@@ -285,7 +262,6 @@ let stats t =
 let shutdown t =
   if not (Atomic.exchange t.stopping true) then begin
     Fiber.Driver.close t.driver;
-    t.tid <- Thread.id (Thread.self ());
     run_commands t;
     count_wakeups t (Interest.close t.interest);
     count_timers t (Timers.fire_all t.timers);
@@ -297,8 +273,6 @@ let shutdown t =
         | Unwatch _ -> ()
         | Add_timer tm -> ignore (Timers.fire tm))
       (Mpsc.pop_all t.cmds);
-    t.tid <- -1;
-    Fiber.Wake.flush t.batch;
     Poller.close t.poller;
     Unix.close t.pipe_r;
     Unix.close t.pipe_w
@@ -312,18 +286,17 @@ let check_live t = if Atomic.get t.stopping then raise Reactor_stopped
 
 (* Wait until [fd] is ready in direction [dir], or [deadline] (absolute
    wall-clock seconds) passes.  The watch and the timer race on
-   [verdict]; the CAS winner fires the fiber's wake token, routed back
-   to this worker's inbox, and the loser does nothing. *)
+   [verdict]; the CAS winner fires the fiber's wake token home, and
+   the loser does nothing. *)
 let await_fd t ?deadline fd dir =
   check_live t;
   Fiber.Driver.bind t.driver;
-  let home = Fiber.worker_index () in
   let verdict = Atomic.make `None in
   let watch = ref None and timer = ref None in
   let key = fd_int fd in
   Fiber.suspend_token (fun tok ->
       let claim v () =
-        if Atomic.compare_and_set verdict `None v then fire_routed t home tok
+        if Atomic.compare_and_set verdict `None v then ignore (Fiber.Wake.fire_home tok)
       in
       (match deadline with
       | None -> ()
@@ -353,9 +326,8 @@ let sleep_until t time =
   check_live t;
   if time > now () then begin
     Fiber.Driver.bind t.driver;
-    let home = Fiber.worker_index () in
     Fiber.suspend_token (fun tok ->
-        send t (Add_timer (Timers.make ~at:time (fun () -> fire_routed t home tok))))
+        send t (Add_timer (Timers.make ~at:time (fun () -> ignore (Fiber.Wake.fire_home tok)))))
   end
 
 let sleep t seconds = sleep_until t (now () +. seconds)

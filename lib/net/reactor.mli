@@ -9,11 +9,10 @@
     the token; a wake owed to that worker pokes it out of the wait.  On
     epoll the parked fiber arms its own one-shot watch from its worker
     ({!Interest}), so a wait costs no command; on poll and select the
-    watch is a command the turn holder runs.  The wake is routed to the
-    awaiting fiber's home worker's private inbox
-    ({!Fiber_rt.Fiber.Wake.fire_to}) rather than the global injection
-    channel, with the un-park notifications batched and flushed once
-    per turn.  A wait is one {!Interest} watch holding its waiter's
+    watch is a command the turn holder runs.  The wake is
+    {!Fiber_rt.Fiber.Wake.fire_home}: the engine routes the fiber back
+    to the worker that parked it, and a turn notifies each woken peer
+    worker once.  A wait is one {!Interest} watch holding its waiter's
     wake (the table is model-checked in [lib/check]); deadlines are
     absolute wall-clock seconds kept in a {!Timers} heap, the poller
     waits until the earliest, and the watch and the deadline timer

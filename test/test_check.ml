@@ -307,8 +307,8 @@ let readiness_timeout_vs_ready (module R : READINESS) () =
 
 (* Parameterized over the idle-stack implementation so the same
    scenarios drive the faithful copy (recompiled from
-   lib/fiber_rt/idle_waker.ml -- the structure behind the
-   reactor's batched wake flush) and the seeded-bug copy. *)
+   lib/fiber_rt/idle_waker.ml -- the structure behind a reactor
+   turn's end-of-turn notifications) and the seeded-bug copy. *)
 module type IDLE = sig
   type t
 
@@ -319,7 +319,7 @@ module type IDLE = sig
   val snapshot : t -> int list
 end
 
-(* The reactor's batch flush issuing a targeted [take] of worker 0 while
+(* A turn's end-of-turn notify issuing a targeted [take] of worker 0 while
    another waker [pop]s "any one idle", workers 0 and 1 both parked.
    Conservation: every id is removed by exactly one caller or still on
    the stack.  The seeded get-then-set [take] publishes a successor
@@ -343,7 +343,7 @@ let idle_take_vs_pop (module I : IDLE) () =
           (Printf.sprintf "ids not conserved: {%s}"
              (String.concat ";" (List.map string_of_int final))) )
 
-(* Two targeted wakes (the reactor's batch flush and a worker's
+(* Two targeted wakes (a turn's end-of-turn notify and a worker's
    [spawn_on]) aimed at the same parked worker:
    [take] must have exactly one winner, or two wake tokens are minted
    where the inbox-delivery protocol promises one. *)
@@ -1670,7 +1670,7 @@ let test_readiness_rebind () =
        (Sched.check ~max_schedules:8_000 (readiness_rebind rdy)))
 
 let test_buggy_idle_caught () =
-  (* the targeted flush racing a pop: the stale-read store resurrects
+  (* the targeted notify racing a pop: the stale-read store resurrects
      the popped worker *)
   let f, stats =
     expect_bug "get-then-set take"

@@ -592,6 +592,59 @@ let test_par_spawn_on_placement () =
   Alcotest.(check (option int))
     "num_workers outside run_parallel" None (Fiber.num_workers ())
 
+(* A token remembers the worker that parked its fiber: fired home from a
+   foreign systhread, the wake goes to that worker's private inbox, so
+   the fiber resumes where it parked.  Each round the child parks on
+   worker 1, then the main fiber parks worker 0 on top of the idle
+   stack, so an unrouted wake (the injection channel plus wake-one)
+   would resume the child on worker 0.  Worker 1 is launched by the
+   [spawn_on] delivery even on a one-core host. *)
+let test_par_foreign_wake_returns_home () =
+  let rounds = 5 in
+  let seen = Array.make rounds (None, None) in
+  let parked = Atomic.make None and threads = ref [] in
+  Fiber.run_parallel ~domains:2 (fun () ->
+      let child =
+        Fiber.spawn_on ~worker:1 (fun () ->
+            for i = 0 to rounds - 1 do
+              let before = Fiber.worker_index () in
+              Fiber.suspend_token (fun tok -> Atomic.set parked (Some tok));
+              seen.(i) <- (before, Fiber.worker_index ())
+            done)
+      in
+      for _ = 1 to rounds do
+        let rec await_parked () =
+          match Atomic.exchange parked None with
+          | Some tok -> tok
+          | None ->
+              Fiber.yield ();
+              await_parked ()
+        in
+        let tok = await_parked () in
+        (* let worker 1 reach its parker before this worker parks *)
+        Unix.sleepf 0.002;
+        Fiber.suspend (fun wake_main ->
+            threads :=
+              Thread.create
+                (fun () ->
+                  Thread.delay 0.005;
+                  ignore (Fiber.Wake.fire_home tok);
+                  wake_main ())
+                ()
+              :: !threads)
+      done;
+      Fiber.join child);
+  List.iter Thread.join !threads;
+  Array.iteri
+    (fun i (before, after) ->
+      Alcotest.(check (option int))
+        (Printf.sprintf "round %d parked on worker 1" i)
+        (Some 1) before;
+      Alcotest.(check (option int))
+        (Printf.sprintf "round %d resumed on worker 1" i)
+        (Some 1) after)
+    seen
+
 (* Regression for the scheduler-context thread gate: Domain.DLS is
    shared by EVERY systhread of a domain, so a raw thread created on a
    worker domain used to read the worker's context and could push to
@@ -1338,6 +1391,8 @@ let () =
             test_par_spawn_on_placement;
           Alcotest.test_case "foreign thread has no worker identity" `Quick
             test_par_foreign_thread_identity;
+          Alcotest.test_case "a foreign wake returns to the parking worker"
+            `Quick test_par_foreign_wake_returns_home;
           Alcotest.test_case "executor affinity under migration" `Quick
             test_par_executor_affinity_under_migration;
           Alcotest.test_case "coupled off workers" `Quick

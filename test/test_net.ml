@@ -542,9 +542,11 @@ let test_reader_and_writer_one_fd () =
       Alcotest.(check int) "the writer's byte went out" 1 !wrote)
 
 (* On epoll a parked fiber arms its own watch: a park/wake cycle sends
-   the reactor thread no command, and the thread polls once per
-   readiness report, not once per arm.  A ping-pong over a socketpair
-   parks a reader on every hop. *)
+   the reactor no command, and the worker in the poller polls once per
+   readiness report, not once per arm.  That lone worker holds the turn,
+   so the wakes it fires are its own fibers' and deliver no wake token
+   (no notify, no self-pipe poke).  A ping-pong over a socketpair parks
+   a reader on every hop. *)
 let test_park_costs_no_command () =
   with_reactor (fun r ->
       if Reactor.backend r = `Epoll then begin
@@ -555,7 +557,10 @@ let test_park_costs_no_command () =
         Unix.set_nonblock b;
         let hops = 1000 in
         let before = ref (Reactor.stats r) and after = ref (Reactor.stats r) in
-        Fiber.run_parallel ~domains:1 (fun () ->
+        let sched = ref None in
+        Fiber.run_parallel ~domains:1
+          ~on_stats:(fun s -> sched := Some s)
+          (fun () ->
             (* let the reactor's first round settle before measuring *)
             Reactor.sleep r 0.01;
             before := Reactor.stats r;
@@ -577,9 +582,12 @@ let test_park_costs_no_command () =
         let commands = d (fun s -> s.Reactor.commands)
         and polls = d (fun s -> s.Reactor.polls)
         and wakeups = d (fun s -> s.Reactor.wakeups) in
-        Printf.printf "%d hops: %d wakeups, %d polls, %d commands\n%!" hops
-          wakeups polls commands;
+        let tokens = (Option.get !sched).Fiber.Sched_stats.wakes in
+        Printf.printf "%d hops: %d wakeups, %d polls, %d commands, %d wake tokens\n%!"
+          hops wakeups polls commands tokens;
         Alcotest.(check int) "no command per park" 0 commands;
+        (* the lone worker holds the turn: its own wakes cost no notify *)
+        Alcotest.(check int) "no wake token per hop" 0 tokens;
         Alcotest.(check bool)
           (Printf.sprintf "every hop parked (%d wakeups)" wakeups)
           true (wakeups >= hops);

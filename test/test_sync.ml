@@ -3,9 +3,10 @@
 
    The single-worker cases pin down API semantics deterministically
    under [Fiber.run]; the stress cases run the real parallel engine
-   ([Fiber.run_parallel]) with randomized yield points drawn from
-   TEST_SEED so failures replay: every failure message carries the seed
-   (TEST_SEED=<n> reruns the exact same schedule pressure). *)
+   ([Fiber.run_parallel]) at nproc and nproc + 1 domains, with
+   randomized yield points drawn from TEST_SEED so failures replay:
+   every failure message carries the seed (TEST_SEED=<n> reruns the
+   exact same schedule pressure). *)
 
 module Fiber = Fiber_rt.Fiber
 module Sync = Fiber_rt.Sync
@@ -32,7 +33,13 @@ let checkf cond fmt =
 let maybe_yield rng =
   if Random.State.int rng 4 = 0 then Fiber.yield ()
 
-let stress_domains = 4
+(* Each stress runs on as many domains as the host has cores, then on
+   one more, so every host runs both the parallel and the
+   oversubscribed schedule.  The bound keeps a many-core host's run
+   small. *)
+let stress_domains =
+  let n = min 32 (Domain.recommended_domain_count ()) in
+  [ n; n + 1 ]
 
 (* ------------------------------------------------------------------ *)
 (* Mutex                                                              *)
@@ -63,13 +70,13 @@ let test_mutex_unlock_unlocked () =
    [iters] to a plain ref under the lock, with seeded random yields
    inside and outside the critical section.  Any lost update or broken
    mutual exclusion shows up as a wrong total. *)
-let test_mutex_stress () =
+let mutex_stress domains =
   let fibers = 16 and iters = 400 in
   let m = Sync.Mutex.create () in
   let total = ref 0 in
   let in_cs = Atomic.make 0 in
   let overlap = Atomic.make false in
-  Fiber.run_parallel ~domains:stress_domains (fun () ->
+  Fiber.run_parallel ~domains (fun () ->
       let fs =
         List.init fibers (fun i ->
             Fiber.spawn (fun () ->
@@ -86,10 +93,15 @@ let test_mutex_stress () =
                 done))
       in
       List.iter Fiber.join fs);
-  checkf (not (Atomic.get overlap)) "two fibers inside the critical section";
+  checkf
+    (not (Atomic.get overlap))
+    "two fibers inside the critical section at domains=%d" domains;
   checkf
     (!total = fibers * iters)
-    "contended counter: expected %d, got %d" (fibers * iters) !total
+    "contended counter at domains=%d: expected %d, got %d" domains
+    (fibers * iters) !total
+
+let test_mutex_stress () = List.iter mutex_stress stress_domains
 
 (* Handoff order.  Under [Fiber.run] (one worker, so a failed lock
    parks at once) the main fiber holds the mutex, three fibers park on
@@ -120,7 +132,7 @@ let test_mutex_fifo_handoff () =
 (* Condition: a bounded buffer with produce/consume conservation.     *)
 (* ------------------------------------------------------------------ *)
 
-let test_condition_bounded_buffer () =
+let bounded_buffer domains =
   let capacity = 4 and producers = 4 and consumers = 4 in
   let per_producer = 200 in
   let m = Sync.Mutex.create () in
@@ -130,7 +142,7 @@ let test_condition_bounded_buffer () =
   let consumed = Atomic.make 0 in
   let sum = Atomic.make 0 in
   let stop = producers * per_producer in
-  Fiber.run_parallel ~domains:stress_domains (fun () ->
+  Fiber.run_parallel ~domains (fun () ->
       let ps =
         List.init producers (fun p ->
             Fiber.spawn (fun () ->
@@ -183,11 +195,14 @@ let test_condition_bounded_buffer () =
   in
   checkf
     (Atomic.get consumed = expected_n)
-    "consumed %d of %d items" (Atomic.get consumed) expected_n;
+    "consumed %d of %d items at domains=%d" (Atomic.get consumed) expected_n
+    domains;
   checkf
     (Atomic.get sum = expected_sum)
-    "item sum %d <> expected %d (lost or duplicated items)"
-    (Atomic.get sum) expected_sum
+    "item sum %d <> expected %d at domains=%d (lost or duplicated items)"
+    (Atomic.get sum) expected_sum domains
+
+let test_condition_bounded_buffer () = List.iter bounded_buffer stress_domains
 
 (* ------------------------------------------------------------------ *)
 (* Scope                                                              *)
@@ -264,12 +279,12 @@ let test_scope_spawn_after_exit () =
 
 exception Tagged of int
 
-let test_scope_stress () =
+let scope_stress domains =
   let children = 64 in
   let ran = Atomic.make 0 in
   let observed = ref None in
   (try
-     Fiber.run_parallel ~domains:stress_domains (fun () ->
+     Fiber.run_parallel ~domains (fun () ->
          Scope.run (fun sc ->
              for i = 0 to children - 1 do
                Scope.spawn sc (fun () ->
@@ -284,25 +299,32 @@ let test_scope_stress () =
    with Tagged i -> observed := Some i);
   checkf
     (Atomic.get ran = children)
-    "only %d/%d children ran before Scope.run returned" (Atomic.get ran)
-    children;
+    "only %d/%d children ran before Scope.run returned at domains=%d"
+    (Atomic.get ran) children domains;
   (* Whether a failure surfaced depends on the seed; when one did it
      must be one of the children's tags. *)
   match !observed with
   | None -> ()
-  | Some i -> checkf (i >= 0 && i < children) "alien failure tag %d" i
+  | Some i ->
+      checkf (i >= 0 && i < children) "alien failure tag %d at domains=%d" i
+        domains
 
-let test_scope_first_failure_wins () =
+let test_scope_stress () = List.iter scope_stress stress_domains
+
+let first_failure_wins domains =
   let winner = ref (-1) in
   (try
-     Fiber.run_parallel ~domains:stress_domains (fun () ->
+     Fiber.run_parallel ~domains (fun () ->
          Scope.run (fun sc ->
              for i = 0 to 15 do
                Scope.spawn sc (fun () -> raise (Tagged i))
              done))
    with Tagged i -> winner := i);
-  checkf (!winner >= 0 && !winner < 16) "exactly one tag must surface, got %d"
-    !winner
+  checkf
+    (!winner >= 0 && !winner < 16)
+    "exactly one tag must surface at domains=%d, got %d" domains !winner
+
+let test_scope_first_failure_wins () = List.iter first_failure_wins stress_domains
 
 (* ------------------------------------------------------------------ *)
 
