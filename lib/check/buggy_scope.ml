@@ -56,4 +56,4 @@ let await t =
   leave t;
   if not (Completion.is_done t.done_) then
     Fiber.suspend_token (fun tok ->
-        Completion.add_joiner t.done_ (fun () -> ignore (Fiber.Wake.fire_home tok)))
+        Completion.add_joiner t.done_ (fun () -> ignore (Fiber.Wake.fire tok)))

@@ -19,7 +19,7 @@
 
 type waiter = Fiber.Wake.token
 
-let wake_waiter w = ignore (Fiber.Wake.fire_home w)
+let wake_waiter w = ignore (Fiber.Wake.fire w)
 
 let split_last ws =
   let rec go acc = function

@@ -35,9 +35,6 @@ module Wake = struct
       Atomic.set t.woken true;
       true
     end
-
-  (* The checker is engine-less: there is no home to route to. *)
-  let fire_home = fire
 end
 
 let suspend_token register =

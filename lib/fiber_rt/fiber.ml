@@ -1,20 +1,22 @@
 (* A real cooperative fiber runtime on OCaml effect handlers: user
-   contexts as one-shot continuations, with a thread-safe injection
-   path so other OS threads (the executors of [Blt_rt]) can wake
-   suspended fibers.
+   contexts as one-shot continuations, with a thread-safe wake path so
+   other OS threads (the executors of [Blt_rt]) can resume suspended
+   fibers on the worker that parked them.
 
    One engine, the Section VII M:N extension made real on OCaml 5
    domains: [run_parallel ~domains:n] runs n workers, and [run] is the
    same engine with one worker.  Each worker owns a Chase-Lev
    [Atomic_deque] (LIFO owner pop, FIFO steal-half batches) plus a
-   private overflow FIFO for its own yields; cross-thread wake-ups
-   arrive on a lock-free MPSC injection channel reserved for foreign
-   threads; fiber completion is the lock-free [Completion] cell; and
+   private overflow FIFO for its own yields and a private MPSC inbox
+   for what other threads deliver to it -- a wake fired off the run's
+   workers returns its fiber to the worker that parked it, so a
+   decoupled fiber goes back to the scheduler it left; fiber
+   completion is the lock-free [Completion] cell; and
    an idle worker parks at once on a Treiber stack ([Idle_waker]) so
    one ready task wakes exactly one worker (the blocking idle-KC policy
    of the paper's Table II, without the thundering herd).  Workers
    beyond the host's cores start unlaunched: only a delivery aimed at
-   one of them ([spawn_on], a routed wake) spawns its domain.
+   one of them ([spawn_on], a wake) spawns its domain.
    Only *runnable* continuations migrate between domains; a fiber's
    blocking jobs still route to its home [Executor] (the original-KC
    analogue), so system-call consistency is preserved under migration.
@@ -42,22 +44,18 @@ type fiber = {
    readiness vs a timer, say -- resolve to exactly one resume and the
    losers learn they lost.  The closure inside routes through the
    engine that parked the fiber ([presume]), and remembers the worker
-   that parked it: [fire_home] routes the continuation back there,
-   [fire] takes the engine's ordinary path. *)
+   that parked it, its home. *)
 module Wake = struct
-  type token = { fired : bool Atomic.t; resume : bool -> unit }
+  type token = { fired : bool Atomic.t; resume : unit -> unit }
 
   let make resume = { fired = Atomic.make false; resume }
 
-  let claim t ~routed =
+  let fire t =
     if Atomic.exchange t.fired true then false
     else begin
-      t.resume routed;
+      t.resume ();
       true
     end
-
-  let fire t = claim t ~routed:false
-  let fire_home t = claim t ~routed:true
 end
 
 type _ Effect.t +=
@@ -80,15 +78,17 @@ type pworker = {
   wid : int;
   deque : (unit -> unit) Atomic_deque.t; (* runnable continuations *)
   overflow : (unit -> unit) Queue.t;
-      (* private FIFO: own yields + injected-batch tails (and, for a
+      (* private FIFO: own yields + inbox-batch tails (and, for a
          lone worker, its local spawns and wakes).  Only the owner
          domain touches it, so no synchronization; the owner never
          parks while it is non-empty. *)
   inbox : (unit -> unit) Mpsc_queue.t;
-      (* targeted cross-thread deliveries (a wake routed back to the
-         fiber's home worker, [spawn_on]).  Only the owner pops;
-         producers push from any thread.  Not stealable -- that is the
-         point: the continuation resumes on the chosen worker. *)
+      (* cross-thread deliveries: the wakes of fibers this worker
+         parked, fired by any thread but a worker of the run (a KC's
+         completion, a foreign thread, a peer's driver turn), [spawn_on]
+         and the run's main fiber.  Only the owner pops; producers push
+         from any thread.  Not stealable -- that is the point: the
+         continuation resumes on the chosen worker. *)
   mutable rng : int; (* xorshift state for victim selection *)
   mutable steals : int; (* items obtained from other workers' deques *)
   mutable tick : int; (* tasks run; paces the fairness drain *)
@@ -98,7 +98,7 @@ type pworker = {
          poller rather than on [parker] *)
   mutable turn_seen : int; (* the driver's turn count at the last fairness tick *)
   mutable turn_peers : int list option;
-      (* [Some peers] while this worker runs a driver turn: the routed
+      (* [Some peers] while this worker runs a driver turn: the
          wakes of its own fibers go straight to [overflow], and [peers]
          are the other workers whose inbox got one, notified once when
          the turn ends.  Owner only. *)
@@ -117,7 +117,7 @@ type pworker = {
   mutable t_steal_attempts : int; (* try_steal sessions entered *)
   mutable t_steal_fails : int; (* sessions that came back empty *)
   mutable t_parks : int; (* parks slept *)
-  mutable t_inj_drains : int; (* non-empty injection-channel drains *)
+  mutable t_inbox_drains : int; (* non-empty inbox drains *)
   t_wakes : int Atomic.t; (* tokens delivered to us, by any thread *)
   act_hist : int array;
       (* samples of the pool's launched-worker count (index = count, in
@@ -128,11 +128,6 @@ type pworker = {
 type psched = {
   ps_uid : int; (* names the run a driver is bound to *)
   workers : pworker array;
-  pinject : (unit -> unit) Mpsc_queue.t;
-      (* cross-thread wake-ups ONLY: executors, foreign domains.  A
-         worker's own yields take its private overflow FIFO instead --
-         the global MPSC head was the serialization point that made
-         run_parallel scale negatively. *)
   plive : int Atomic.t;
   pnext_fid : int Atomic.t;
   stop : bool Atomic.t;
@@ -188,7 +183,7 @@ let worker_ctx () =
 
 let psched_uid = Atomic.make 0
 
-let fairness_interval = 64 (* drain injected + overflow at least this often *)
+let fairness_interval = 64 (* drain inbox + overflow at least this often *)
 
 let make_psched ~domains =
   (* With domains > cores the excess workers would only take turns on
@@ -214,11 +209,10 @@ let make_psched ~domains =
             t_steal_attempts = 0;
             t_steal_fails = 0;
             t_parks = 0;
-            t_inj_drains = 0;
+            t_inbox_drains = 0;
             t_wakes = Atomic.make 0;
             act_hist = Array.make (domains + 1) 0;
           });
-    pinject = Mpsc_queue.create ();
     plive = Atomic.make 0;
     pnext_fid = Atomic.make 1;
     stop = Atomic.make false;
@@ -296,10 +290,6 @@ let push_targeted ps wid thunk =
   Mpsc_queue.push ps.workers.(wid).inbox thunk;
   notify_worker ps wid
 
-let push_foreign ps thunk =
-  Mpsc_queue.push ps.pinject thunk;
-  wake_one ps
-
 (* Make a runnable continuation available to the calling worker: its
    private FIFO when it is the pool's only worker (nothing can steal, so
    the LIFO deque would only reverse spawn and wake order), otherwise
@@ -311,36 +301,32 @@ let push_local ps w thunk =
     wake_one ps
   end
 
-(* Called from a worker of this scheduler, take the local path;
-   otherwise (executor threads, foreign domains) the MPSC injection
-   channel.  Either way at most one parked worker is woken. *)
-let pschedule ps thunk =
-  match worker_ctx () with
-  | Some c when c.ps == ps -> push_local ps c.w thunk
-  | _ -> push_foreign ps thunk
+(* The worker running the calling fiber.  An effect is handled on the
+   worker that runs its fiber, so a handler always finds one. *)
+let running_worker () =
+  match worker_ctx () with Some c -> c.w | None -> assert false
 
 (* Resume a parked fiber.  The routing is decided here, by where the
-   waker runs and whether it fired the token [routed] ([Wake.fire_home])
-   to the fiber's [home] worker:
-   - a worker running a driver turn puts a routed wake of its own
-     fiber straight on its private FIFO, and one of a peer's fiber in
-     that peer's inbox, noting the peer once for [end_turn]: k ready
-     fds cost at most one notification per worker, none for its own;
+   waker runs, relative to the fiber's [home] worker:
+   - a worker running a driver turn puts a wake of its own fiber
+     straight on its private FIFO, and one of a peer's fiber in that
+     peer's inbox, noting the peer once for [end_turn]: k ready fds
+     cost at most one notification per worker, none for its own;
    - any other worker of this scheduler takes the local path;
-   - any other thread delivers a routed wake to [home]'s inbox, and an
-     unrouted one to the injection channel. *)
-let presume ps thunk ~home routed =
+   - any other thread (a KC sending its section's completion, a
+     foreign thread or domain) delivers to [home]'s inbox. *)
+let presume ps thunk ~home () =
   match worker_ctx () with
   | Some c when c.ps == ps -> (
       match c.w.turn_peers with
-      | Some peers when routed ->
+      | Some peers ->
           if home = c.w.wid then Queue.push thunk c.w.overflow
           else begin
             Mpsc_queue.push ps.workers.(home).inbox thunk;
             if not (List.mem home peers) then c.w.turn_peers <- Some (home :: peers)
           end
       | _ -> push_local ps c.w thunk)
-  | _ -> if routed then push_targeted ps home thunk else push_foreign ps thunk
+  | _ -> push_targeted ps home thunk
 
 (* Bracket a driver turn run by worker [w] (see [presume]). *)
 let begin_turn w = w.turn_peers <- Some []
@@ -392,26 +378,19 @@ and phandle ps fb body =
               Some
                 (fun (k : (b, unit) continuation) ->
                   fb.state <- `Runnable;
-                  let thunk () = pexec fb (fun () -> continue k ()) in
-                  match worker_ctx () with
-                  | Some c when c.ps == ps ->
-                      (* fast path: the worker's private overflow FIFO.
-                         No atomics, no wake-up -- the owner drains it
-                         itself.  FIFO keeps co-located yielders
-                         round-robin (a LIFO deque self-push would
-                         re-pop the yielder immediately), and the
-                         global MPSC -- the old hot path -- is no
-                         longer touched by yields at all. *)
-                      Queue.push thunk c.w.overflow
-                  | _ -> push_foreign ps thunk)
+                  (* the worker's private overflow FIFO: no atomics, no
+                     wake-up -- the owner drains it itself.  FIFO keeps
+                     co-located yielders round-robin (a LIFO deque
+                     self-push would re-pop the yielder immediately). *)
+                  Queue.push
+                    (fun () -> pexec fb (fun () -> continue k ()))
+                    (running_worker ()).overflow)
           | Suspend register ->
               Some
                 (fun (k : (b, unit) continuation) ->
                   fb.state <- `Suspended;
-                  (* the parking worker: the home a routed wake returns to *)
-                  let home =
-                    match worker_ctx () with Some c when c.ps == ps -> c.w.wid | _ -> 0
-                  in
+                  (* the parking worker: the home a wake returns to *)
+                  let home = (running_worker ()).wid in
                   register
                     (Wake.make
                        (presume ps (fun () -> pexec fb (fun () -> continue k ())) ~home)))
@@ -419,7 +398,8 @@ and phandle ps fb body =
               Some
                 (fun (k : (b, unit) continuation) ->
                   let child = pnew_fiber ps in
-                  pschedule ps (fun () -> pexec child (fun () -> phandle ps child body'));
+                  push_local ps (running_worker ())
+                    (fun () -> pexec child (fun () -> phandle ps child body'));
                   continue k child)
           | Spawn_on (wid, body') ->
               Some
@@ -451,25 +431,16 @@ let rand_below w bound =
   in
   draw ()
 
-(* Drain the injection channel into the private overflow FIFO and hand
-   back its head.  Appending the whole batch behind the overflow (rather
-   than pushing it onto the LIFO deque, which reversed each batch for
-   the owner) keeps arrival order end to end: earlier wake-ups always
-   resume before later ones on this worker. *)
-let take_injected ps w =
-  match Mpsc_queue.pop_all ps.pinject with
-  | [] -> None
-  | batch ->
-      w.t_inj_drains <- w.t_inj_drains + 1;
-      List.iter (fun t -> Queue.push t w.overflow) batch;
-      Queue.take_opt w.overflow
-
-(* Drain the private inbox the same way: whole batch behind the
-   overflow FIFO, arrival order preserved. *)
+(* Drain the private inbox into the overflow FIFO and hand back its
+   head.  Appending the whole batch behind the overflow (rather than
+   pushing it onto the LIFO deque, which would reverse each batch)
+   keeps arrival order end to end: earlier wake-ups always resume
+   before later ones on this worker. *)
 let take_inbox w =
   match Mpsc_queue.pop_all w.inbox with
   | [] -> None
   | batch ->
+      w.t_inbox_drains <- w.t_inbox_drains + 1;
       List.iter (fun t -> Queue.push t w.overflow) batch;
       Queue.take_opt w.overflow
 
@@ -537,54 +508,43 @@ let next_task ps w =
   w.tick <- w.tick + 1;
   if w.tick mod fairness_interval = 0 then begin
     (* fairness tick: under a steady local load, give the poller, the
-       injection channel, the private inbox and the overflow FIFO a turn
-       so external wake-ups and parked yielders make progress *)
+       private inbox and the overflow FIFO a turn so external wake-ups
+       and parked yielders make progress *)
     sample_active ps w;
     tick_turn ps w;
-    match take_injected ps w with
+    match take_inbox w with
     | Some _ as r -> r
     | None -> (
-        match take_inbox w with
+        match Queue.take_opt w.overflow with
         | Some _ as r -> r
         | None -> (
-            match Queue.take_opt w.overflow with
+            match Atomic_deque.pop w.deque with
             | Some _ as r -> r
-            | None -> (
-                match Atomic_deque.pop w.deque with
-                | Some _ as r -> r
-                | None -> try_steal ps w)))
+            | None -> try_steal ps w))
   end
   else
     match Atomic_deque.pop w.deque with
     | Some _ as r -> r
     | None -> (
-        (* A non-empty injection channel is drained before the overflow
-           FIFO is served: its batch still queues behind the FIFO, so
-           order holds, but a KC's completion joins the round of the
-           yielders instead of waiting for the fairness tick. *)
-        match take_injected ps w with
+        (* A non-empty inbox is drained before the overflow FIFO is
+           served: its batch still queues behind the FIFO, so order
+           holds, but a KC's completion joins the round of the yielders
+           instead of waiting for the fairness tick. *)
+        match take_inbox w with
         | Some _ as r -> r
         | None -> (
             match Queue.take_opt w.overflow with
             | Some _ as r -> r
-            | None -> (
-                match take_inbox w with
-                | Some _ as r -> r
-                | None -> try_steal ps w)))
+            | None -> try_steal ps w))
 
-(* Work visible to OTHER workers: the injection channel and the deques.
-   Private overflow FIFOs are excluded on purpose -- only the owner can
-   run them, and the owner never parks while its own is non-empty
-   (next_task checks it on every path before returning None).  Private
-   inboxes are likewise excluded here; a parking worker checks its OWN
-   inbox via [parkable] below. *)
-let work_available ps =
-  (not (Mpsc_queue.is_empty ps.pinject))
-  || Array.exists (fun w -> not (Atomic_deque.is_empty w.deque)) ps.workers
-
+(* Nothing for [w] to run: no deque holds stealable work and its own
+   inbox is empty.  Other workers' private FIFOs and inboxes are
+   excluded on purpose -- only their owners can run them, and an owner
+   never parks while its own are non-empty (next_task checks the FIFO
+   on every path before returning None, and the inbox here). *)
 let parkable ps w =
   (not (Atomic.get ps.stop))
-  && (not (work_available ps))
+  && Array.for_all (fun v -> Atomic_deque.is_empty v.deque) ps.workers
   && Mpsc_queue.is_empty w.inbox
 
 (* A worker holding the turn waits in the poller.  The wakes of its
@@ -731,7 +691,7 @@ let snapshot_sched ps =
       fails := !fails + w.t_steal_fails;
       parks := !parks + w.t_parks;
       wakes := !wakes + Atomic.get w.t_wakes;
-      drains := !drains + w.t_inj_drains;
+      drains := !drains + w.t_inbox_drains;
       Array.iteri (fun i c -> hist.(i) <- hist.(i) + c) w.act_hist)
     ps.workers;
   {
@@ -788,7 +748,7 @@ let run_parallel ?domains ?on_stats main =
            go
          end);
   let fb = pnew_fiber ps in
-  Mpsc_queue.push ps.pinject (fun () -> pexec fb (fun () -> phandle ps fb main));
+  Mpsc_queue.push ps.workers.(0).inbox (fun () -> pexec fb (fun () -> phandle ps fb main));
   for wid = 1 to ps.eager - 1 do
     ignore (ps.pspawn ps.workers.(wid))
   done;

@@ -5,16 +5,17 @@
     domains: {!run_parallel} runs [domains] workers and {!run} is the
     same engine with one.  Per-domain Chase-Lev deques
     ({!Atomic_deque}, LIFO owner pop / FIFO randomized steal-half
-    batches) plus a private overflow FIFO per worker for its own yields,
-    a lock-free MPSC injection channel reserved for cross-thread
-    wake-ups (so other OS threads, such as the executors of {!Blt_rt},
-    can wake suspended fibers), lock-free fiber completion
-    ({!Completion}), and a blocking idle policy (the paper's Table II):
+    batches) plus a private overflow FIFO per worker for its own yields
+    and a private lock-free MPSC inbox for what other threads deliver to
+    it: a wake fired from outside the run's workers (the executors of
+    {!Blt_rt}, a foreign thread) returns the fiber to the worker that
+    parked it.  Lock-free fiber completion ({!Completion}), and a
+    blocking idle policy (the paper's Table II):
     a worker with nothing to run parks at once on a Treiber idle stack
     ({!Idle_waker}), so new work wakes exactly one of them, without the
     thundering herd.  When [domains] exceeds the host's cores the
     excess workers start unlaunched, and only a delivery aimed at one
-    of them ({!spawn_on}, a wake routed to its inbox) spawns
+    of them ({!spawn_on}, a wake sent to its inbox) spawns
     its domain.  A lone worker runs local spawns and wakes in FIFO
     order.  Only runnable continuations migrate between domains; a
     fiber's blocking jobs still route to its home executor, preserving
@@ -57,7 +58,11 @@ module Sched_stats : sig
     spins : int;
         (** always 0: idle workers park without spinning.  Kept only
             because perfbench reads it. *)
-    inj_drains : int;  (** non-empty injection-channel drains *)
+    inj_drains : int;
+        (** non-empty drains of the workers' private inboxes, where
+            every wake fired off the run's workers and every
+            {!spawn_on} child arrives (the name is kept because
+            perfbench reads it) *)
     active_now : int;  (** launched workers, at snapshot time *)
     target_now : int;  (** [min domains cores]: the workers launched at start *)
     active_hist : int array;
@@ -81,7 +86,7 @@ val run_parallel :
     calling domain is worker 0).  Workers [0, min domains cores) start
     at once; an explicit [domains] above the host's core count is
     honored as capacity: each worker beyond it is launched on the first
-    delivery aimed at it ({!spawn_on}, a wake routed to its inbox), and
+    delivery aimed at it ({!spawn_on}, a wake sent to its inbox), and
     never otherwise.
     A pool of one worker ([~domains:1], or the default on a one-core
     host) has no thief to take work from it, so it queues local spawns
@@ -116,9 +121,8 @@ val state : fiber -> [ `Runnable | `Running | `Suspended | `Done ]
 
 (** One-shot wake tokens: the resumption right for a suspended fiber,
     safe to duplicate across racing wakers (I/O readiness vs a timer,
-    an executor vs a canceller).  Exactly one {!Wake.fire} or
-    {!Wake.fire_home} wins.  A token remembers the worker that parked
-    its fiber, its home. *)
+    an executor vs a canceller).  Exactly one {!Wake.fire} wins.  A
+    token remembers the worker that parked its fiber, its home. *)
 module Wake : sig
   type token
 
@@ -127,16 +131,13 @@ module Wake : sig
       iff this call claimed the token; a [false] return means another
       waker won and the caller must treat the fiber as not-woken-by-us
       (e.g. report [`Timeout] only if the timer's fire returned
-      [true]). *)
-
-  val fire_home : token -> bool
-  (** Like {!fire}, routed back to the fiber's home: from any thread
-      but a worker of its run, the continuation goes to the home
-      worker's private inbox (never stolen) rather than the global
-      injection channel.  A worker running a reactor turn ({!Driver})
-      puts its own fibers straight on its private queue and notifies
-      each other worker it woke once, when the turn ends; any other
-      worker of the run schedules the fiber as {!fire} does. *)
+      [true]).  From any thread but a worker of the fiber's run, the
+      continuation goes to its home worker's private inbox (never
+      stolen), so it resumes where it parked.  A worker running a
+      reactor turn ({!Driver}) puts its own fibers straight on its
+      private queue and notifies each other worker it woke once, when
+      the turn ends; any other worker of the run queues the fiber
+      locally, where an idle peer may steal it. *)
 end
 
 (** A reactor as the engine sees it.  A run binds the reactor its fibers
@@ -144,7 +145,7 @@ end
     reactor's poller instead of on its parker, when no other worker
     holds the reactor's turn (one worker at a time).  A wake aimed at
     that worker pokes the poller; the wakes a turn fires route as
-    {!Wake.fire_home} says.  A worker that leaves the turn while
+    {!Wake.fire} says.  A worker that leaves the turn while
     watches or timers remain wakes a parked peer to take it, and a busy
     worker takes a non-blocking turn at its fairness tick when nobody
     has polled since its last one.  A run that never binds parks on its

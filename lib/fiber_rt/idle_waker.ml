@@ -1,7 +1,7 @@
 (* The idle-worker Treiber stack, factored out of [Fiber] so the exact
    production code can be recompiled against lib/check's traced atomics
-   and model-checked (the reactor's routed wake path of lib/net rides on
-   [take]).
+   and model-checked (every cross-thread wake rides on [take]: a wake
+   sent to its home worker's inbox un-parks that worker).
 
    A parked worker pushes its id; whoever removes an id -- [pop] for
    "wake any one", [take wid] for a targeted wake aimed at one worker's

@@ -10,32 +10,38 @@
    owner's first section behind the tail of the job that did the
    waking.
 
-   Both lists are Treiber stacks of immutable cells: a CAS compares the
-   physical cell, and a cell is never reused, so a pop cannot suffer
-   ABA.  Polymorphic in the KC so lib/check recompiles this exact file
-   over simulated KCs. *)
+   Both lists sit under one mutex, held for one push or pop: a lease
+   happens once per coupling fiber, so the lock is cold.  A new KC is
+   created outside it.  Polymorphic in the KC so lib/check recompiles
+   this exact file, against its traced Mutex, over simulated KCs. *)
 
-type 'kc t = { free : 'kc list Atomic.t; all : 'kc list Atomic.t }
+type 'kc t = { lock : Mutex.t; mutable free : 'kc list; mutable all : 'kc list }
 
-let create () = { free = Atomic.make []; all = Atomic.make [] }
+let create () = { lock = Mutex.create (); free = []; all = [] }
 
-let rec push stack kc =
-  let l = Atomic.get stack in
-  if not (Atomic.compare_and_set stack l (kc :: l)) then push stack kc
-
-let rec pop stack =
-  match Atomic.get stack with
-  | [] -> None
-  | kc :: rest as l -> if Atomic.compare_and_set stack l rest then Some kc else pop stack
+let locked t f =
+  (* ulplint: allow raw-mutex-in-fiber -- the KC pool's lock, taken by fibers on any worker domain and by the run's exit; held for one list push or pop, never across a syscall, a wake or a park *)
+  Mutex.lock t.lock;
+  let r = f () in
+  Mutex.unlock t.lock;
+  r
 
 let lease t ~create =
-  match pop t.free with
+  let free =
+    locked t (fun () ->
+        match t.free with
+        | kc :: rest ->
+            t.free <- rest;
+            Some kc
+        | [] -> None)
+  in
+  match free with
   | Some kc -> kc
   | None ->
       let kc = create () in
-      push t.all kc;
+      locked t (fun () -> t.all <- kc :: t.all);
       kc
 
-let recycle t kc = push t.free kc
+let recycle t kc = locked t (fun () -> t.free <- kc :: t.free)
 
-let all t = Atomic.get t.all
+let all t = locked t (fun () -> t.all)

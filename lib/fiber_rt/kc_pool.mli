@@ -2,8 +2,9 @@
     section, push back when the fiber finishes.
 
     There is no size knob: the pool grows to the largest number of
-    coupling fibers alive at once.  Lock-free (two Treiber stacks), and
-    polymorphic in the KC so [lib/check] model-checks this exact code. *)
+    coupling fibers alive at once.  One mutex guards both lists, held
+    for one push or pop; polymorphic in the KC so [lib/check]
+    model-checks this exact code. *)
 
 type 'kc t
 

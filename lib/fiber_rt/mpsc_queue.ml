@@ -1,9 +1,9 @@
-(* Lock-free multi-producer injection channel (Treiber stack with batch
-   reversal): any OS thread or domain pushes with a CAS; a consumer
-   takes the whole batch with one [exchange] and receives it in FIFO
-   order.  Because the take is a single atomic exchange the structure is
-   in fact multi-consumer safe too -- the parallel fiber scheduler lets
-   whichever worker notices the batch first drain it.
+(* Lock-free multi-producer queue (Treiber stack with batch reversal):
+   any OS thread or domain pushes with a CAS; a consumer takes the whole
+   batch with one [exchange] and receives it in FIFO order.  Because the
+   take is a single atomic exchange the structure is multi-consumer safe
+   too, though the fiber engine's inboxes each have one consumer, their
+   worker.
 
    Instrumentation seam (see Atomic_intf): this file is compiled a
    second time inside lib/check against a traced [Atomic] model, so it

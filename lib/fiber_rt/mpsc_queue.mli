@@ -1,7 +1,8 @@
-(** Lock-free multi-producer injection channel: push from any OS thread
-    or domain; [pop_all] takes the whole pending batch in FIFO order
-    with a single atomic exchange (safe even with several consumers).
-    The cross-thread wake-up path of the parallel fiber scheduler. *)
+(** Lock-free multi-producer queue: push from any OS thread or domain;
+    [pop_all] takes the whole pending batch in FIFO order with a single
+    atomic exchange (safe even with several consumers).  Each worker of
+    the fiber engine owns one as its inbox, the cross-thread delivery
+    path of the scheduler. *)
 
 type 'a t
 

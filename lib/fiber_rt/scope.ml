@@ -15,7 +15,7 @@
      so cancellation is quiet and only real errors propagate.
 
    Waiting rides on [Completion] — the same joiner cell fibers use —
-   with the wake fired home ([Fiber.Wake.fire_home]), back to the
+   with the wake fired home ([Fiber.Wake.fire]), back to the
    worker that parked the awaiting fiber.  Like [Sync], this file is
    recompiled inside lib/check against the traced shims, so it sticks
    to the Atomic/Fiber/Completion vocabulary. *)
@@ -65,7 +65,7 @@ let await t =
   leave t;
   if not (Completion.is_done t.done_) then
     Fiber.suspend_token (fun tok ->
-        Completion.add_joiner t.done_ (fun () -> ignore (Fiber.Wake.fire_home tok)))
+        Completion.add_joiner t.done_ (fun () -> ignore (Fiber.Wake.fire tok)))
 
 let spawn ?worker t body =
   enter t;

@@ -6,7 +6,7 @@
    current value, build the successor, [compare_and_set], retry on
    conflict) — the same discipline as [Completion] and [Idle_waker].
    A waiter is the bare token its fiber parked with
-   ([Fiber.suspend_token]); a wake fires it home ([Fiber.Wake.fire_home])
+   ([Fiber.suspend_token]); a wake fires it home ([Fiber.Wake.fire])
    and the engine decides where the fiber resumes.
 
    Wake-ups are *handoffs*: an unlock that finds a waiter transfers
@@ -25,7 +25,7 @@
 (* A parked fiber is its one-shot wake token. *)
 type waiter = Fiber.Wake.token
 
-let wake_waiter w = ignore (Fiber.Wake.fire_home w)
+let wake_waiter w = ignore (Fiber.Wake.fire w)
 
 (* [split_last ws] on a newest-first waiter list: the oldest waiter and
    the rest, preserving order.  O(length), and waiter lists only hold

@@ -6,7 +6,7 @@
     fiber code to.  Blocking here parks the {e fiber}
     ({!Fiber.suspend_token}), never the worker domain; wake-ups are
     ownership handoffs that fire the waiter's token home
-    ({!Fiber.Wake.fire_home}), to the worker that parked it.  Both keep their state in one
+    ({!Fiber.Wake.fire}), to the worker that parked it.  Both keep their state in one
     [Atomic.t] walked by CAS and are recompiled inside [lib/check]
     against the traced shims, where a seeded-bug twin proves the
     checker can see the races this code avoids.

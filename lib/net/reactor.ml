@@ -10,7 +10,7 @@
    the fiber next, as Go's netpoller and Tokio's driver park do.  Each
    turn is one round: run queued commands, wait in the poller until
    readiness, the next deadline or a poke, dispatch, fire due timers.
-   A wake is [Fiber.Wake.fire_home]: the engine routes the
+   A wake is [Fiber.Wake.fire]: the engine routes the
    continuation back to the worker that parked the fiber, onto the
    turn holder's own queue or into a peer's private inbox, and the
    holder notifies each woken peer once when its turn ends -- N ready
@@ -296,7 +296,7 @@ let await_fd t ?deadline fd dir =
   let key = fd_int fd in
   Fiber.suspend_token (fun tok ->
       let claim v () =
-        if Atomic.compare_and_set verdict `None v then ignore (Fiber.Wake.fire_home tok)
+        if Atomic.compare_and_set verdict `None v then ignore (Fiber.Wake.fire tok)
       in
       (match deadline with
       | None -> ()
@@ -327,7 +327,7 @@ let sleep_until t time =
   if time > now () then begin
     Fiber.Driver.bind t.driver;
     Fiber.suspend_token (fun tok ->
-        send t (Add_timer (Timers.make ~at:time (fun () -> ignore (Fiber.Wake.fire_home tok)))))
+        send t (Add_timer (Timers.make ~at:time (fun () -> ignore (Fiber.Wake.fire tok)))))
   end
 
 let sleep t seconds = sleep_until t (now () +. seconds)

@@ -10,7 +10,7 @@
     epoll the parked fiber arms its own one-shot watch from its worker
     ({!Interest}), so a wait costs no command; on poll and select the
     watch is a command the turn holder runs.  The wake is
-    {!Fiber_rt.Fiber.Wake.fire_home}: the engine routes the fiber back
+    {!Fiber_rt.Fiber.Wake.fire}: the engine routes the fiber back
     to the worker that parked it, and a turn notifies each woken peer
     worker once.  A wait is one {!Interest} watch holding its waiter's
     wake (the table is model-checked in [lib/check]); deadlines are

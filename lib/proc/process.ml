@@ -360,7 +360,7 @@ let waitpid ~parent ~vpid =
          exits; its exit fires the wake after unlocking, routed back to
          the worker that parked us *)
       Fiber.suspend_token (fun tok ->
-          let wake () = ignore (Fiber.Wake.fire_home tok) in
+          let wake () = ignore (Fiber.Wake.fire tok) in
           let parked =
             locked w (fun () ->
                 match c.status with

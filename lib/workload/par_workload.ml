@@ -8,7 +8,7 @@
    - [spawn_join]: embarrassingly parallel fan-out/fan-in -- the
      speedup-curve workload (scales with domains on a multicore host);
    - [yield_storm]: scheduler-bound yield churn -- measures dispatch
-     latency, dominated by the injection channel under contention;
+     latency through each worker's private overflow FIFO;
    - [ping_pong]: two fibers bouncing messages over bounded channels --
      cross-domain wake-up latency (the couple/decouple handoff shape of
      the paper's Table V, on real cores). *)
@@ -94,8 +94,9 @@ let work_steal_tree ~domains ~depth ~work =
 
 (* Two fibers, two rendezvous channels, [msgs] round trips: the
    cross-domain wake-up path.  With domains >= 2 the endpoints usually
-   land on different domains and every message crosses the MPSC
-   injection channel. *)
+   land on different domains: every message is a wake fired on one
+   worker, which queues the receiver on its own deque and un-parks a
+   peer to steal it. *)
 let ping_pong ~domains ~msgs =
   with_stats ~name:"ping_pong" ~domains ~items:msgs (fun () ->
       let there = Channel.create ~capacity:1 () in

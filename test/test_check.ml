@@ -1049,16 +1049,7 @@ let wait_two_waiters (module C : COMPLETION) () =
 
 (* ---------- the KC pool: lease on first couple, push back at finish - *)
 
-(* Parameterized over the pool so the same scenario drives the faithful
-   Kc_pool copy and the seeded get-then-set pop twin. *)
-module type KC_POOL = sig
-  type 'kc t
-
-  val create : unit -> 'kc t
-  val lease : 'kc t -> create:(unit -> 'kc) -> 'kc
-  val recycle : 'kc t -> 'kc -> unit
-  val all : 'kc t -> 'kc list
-end
+module Kc_pool = Check.Kc_pool
 
 (* A simulated KC: an executor's FIFO mailbox.  Every mailbox operation
    is one traced step on [kobj], as each real one is one critical
@@ -1122,9 +1113,8 @@ let kc_coupled kc who =
    would only add schedules of the same shape).  Invariants: a KC is
    never leased to two live fibers, a section runs only while its own
    fiber holds the lease, and at quiescence every KC the pool made is
-   leased or free, exactly once.  The seeded twin's get-then-set pop
-   lets C and D both take A's KC. *)
-let kc_pool_lease_vs_exit (module P : KC_POOL) () =
+   leased or free, exactly once. *)
+let kc_pool_lease_vs_exit () =
   let kcs =
     Array.init 3 (fun kid ->
         { kid; kobj = Sched.fresh_obj (); jobs = []; closed = false; owner = None })
@@ -1135,9 +1125,9 @@ let kc_pool_lease_vs_exit (module P : KC_POOL) () =
     incr made;
     kc
   in
-  let pool = P.create () in
+  let pool = Kc_pool.create () in
   let lease who =
-    let kc = P.lease pool ~create:make in
+    let kc = Kc_pool.lease pool ~create:make in
     (match kc.owner with
     | Some o ->
         failwith
@@ -1158,7 +1148,7 @@ let kc_pool_lease_vs_exit (module P : KC_POOL) () =
   let couple_then_exit who kc () =
     kc_coupled kc who;
     kc.owner <- None;
-    P.recycle pool kc;
+    Kc_pool.recycle pool kc;
     done_one ()
   in
   let couple who () =
@@ -1176,7 +1166,7 @@ let kc_pool_lease_vs_exit (module P : KC_POOL) () =
     @ [ couple_then_exit "A" a; couple "C"; hold "D" ],
     fun () ->
       let rec drain acc =
-        match P.lease pool ~create:(fun () -> raise Exit) with
+        match Kc_pool.lease pool ~create:(fun () -> raise Exit) with
         | kc -> drain (kc :: acc)
         | exception Exit -> acc
       in
@@ -1191,8 +1181,8 @@ let kc_pool_lease_vs_exit (module P : KC_POOL) () =
                    kc.kid
                    (Option.value owner ~default:"none")
                    n))
-        (P.all pool);
-      if List.length free + 2 <> List.length (P.all pool) then
+        (Kc_pool.all pool);
+      if List.length free + 2 <> List.length (Kc_pool.all pool) then
         failwith "kc-pool: the free list holds a KC the pool never made" )
 
 (* ---------- scenario: the interest table, arm vs fire ---------- *)
@@ -1539,8 +1529,6 @@ let rdy : (module READINESS) = (module Check.Readiness)
 let buggy_rdy : (module READINESS) = (module Check.Buggy_reactor)
 let idle : (module IDLE) = (module Check.Idle_waker)
 let buggy_idle : (module IDLE) = (module Check.Buggy_idle_waker)
-let kc_pool : (module KC_POOL) = (module Check.Kc_pool)
-let buggy_kc_pool : (module KC_POOL) = (module Check.Buggy_kc_pool)
 let interest : (module INTEREST) = (module Check.Interest)
 let drops_entry : (module INTEREST) = (module Check.Buggy_interest.Drops_entry)
 let mod_first : (module INTEREST) = (module Check.Buggy_interest.Mod_first)
@@ -1955,22 +1943,13 @@ let test_buggy_wait_caught =
 let test_kc_pool_lease_vs_exit () =
   ignore
     (expect_pass "kc-pool-lease-vs-exit"
-       (Sched.check ~max_schedules:20_000 (kc_pool_lease_vs_exit kc_pool)));
-  match
-    Sched.fuzz ~runs:2_000 ~seed:Test_seed.seed (kc_pool_lease_vs_exit kc_pool)
-  with
+       (Sched.check ~max_schedules:20_000 kc_pool_lease_vs_exit));
+  match Sched.fuzz ~runs:2_000 ~seed:Test_seed.seed kc_pool_lease_vs_exit with
   | Sched.Fuzz_pass _ -> ()
   | Sched.Fuzz_bug f ->
       Sched.dump_failure ~file:trace_file f;
       Sched.print_failure f;
       Alcotest.failf "kc-pool: fuzzed schedule failed (dumped to %s)" trace_file
-
-(* The get-then-set pop hands one free KC to two racing leases. *)
-let test_buggy_kc_pool_caught =
-  twin_caught "buggy-kc-pool-pop"
-    ~buggy:(kc_pool_lease_vs_exit buggy_kc_pool)
-    ~faithful:(kc_pool_lease_vs_exit kc_pool)
-    ~expect_reason:"kc-pool"
 
 let exhaustive ?(max_schedules = 20_000) name scenario () =
   let stats = expect_pass name (Sched.check ~max_schedules scenario) in
@@ -2296,8 +2275,6 @@ let () =
         [
           Alcotest.test_case "owners exit while fibers lease" `Quick
             test_kc_pool_lease_vs_exit;
-          Alcotest.test_case "get-then-set pop double-leases a KC" `Quick
-            test_buggy_kc_pool_caught;
         ] );
       ( "interest",
         [

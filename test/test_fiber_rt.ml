@@ -244,7 +244,7 @@ let test_adq_steal_batch_stress () =
     (List.init n Fun.id)
     (List.sort compare all)
 
-(* ---------- MPSC injection channel ---------- *)
+(* ---------- MPSC queue (the workers' inboxes) ---------- *)
 
 let test_mpsc_fifo_batches () =
   let q = Mpsc.create () in
@@ -592,14 +592,19 @@ let test_par_spawn_on_placement () =
   Alcotest.(check (option int))
     "num_workers outside run_parallel" None (Fiber.num_workers ())
 
-(* A token remembers the worker that parked its fiber: fired home from a
-   foreign systhread, the wake goes to that worker's private inbox, so
-   the fiber resumes where it parked.  Each round the child parks on
-   worker 1, then the main fiber parks worker 0 on top of the idle
-   stack, so an unrouted wake (the injection channel plus wake-one)
-   would resume the child on worker 0.  Worker 1 is launched by the
+(* A token remembers the worker that parked its fiber: fired from a
+   thread that is not a worker of the run, the wake goes to that
+   worker's private inbox, so the fiber resumes where it parked.  Each
+   round the child parks on worker 1, then the main fiber parks worker 0
+   on top of the idle stack, so a wake that woke whichever worker idled
+   last would resume the child on worker 0.  [park publish] parks the
+   child and hands [publish] the function that wakes it; a helper
+   systhread calls that function, waits for the wake to land, then wakes
+   the main fiber.  Three sources: a raw token, the plain [suspend] wake
+   function, and a coupled section's completion, sent by the child's KC
+   once the helper lets the section return.  Worker 1 is launched by the
    [spawn_on] delivery even on a one-core host. *)
-let test_par_foreign_wake_returns_home () =
+let foreign_wake_returns_home ~source ~park =
   let rounds = 5 in
   let seen = Array.make rounds (None, None) in
   let parked = Atomic.make None and threads = ref [] in
@@ -608,19 +613,19 @@ let test_par_foreign_wake_returns_home () =
         Fiber.spawn_on ~worker:1 (fun () ->
             for i = 0 to rounds - 1 do
               let before = Fiber.worker_index () in
-              Fiber.suspend_token (fun tok -> Atomic.set parked (Some tok));
+              park (fun fire -> Atomic.set parked (Some fire));
               seen.(i) <- (before, Fiber.worker_index ())
             done)
       in
       for _ = 1 to rounds do
         let rec await_parked () =
           match Atomic.exchange parked None with
-          | Some tok -> tok
+          | Some fire -> fire
           | None ->
               Fiber.yield ();
               await_parked ()
         in
-        let tok = await_parked () in
+        let fire = await_parked () in
         (* let worker 1 reach its parker before this worker parks *)
         Unix.sleepf 0.002;
         Fiber.suspend (fun wake_main ->
@@ -628,7 +633,8 @@ let test_par_foreign_wake_returns_home () =
               Thread.create
                 (fun () ->
                   Thread.delay 0.005;
-                  ignore (Fiber.Wake.fire_home tok);
+                  fire ();
+                  Thread.delay 0.005;
                   wake_main ())
                 ()
               :: !threads)
@@ -638,12 +644,25 @@ let test_par_foreign_wake_returns_home () =
   Array.iteri
     (fun i (before, after) ->
       Alcotest.(check (option int))
-        (Printf.sprintf "round %d parked on worker 1" i)
+        (Printf.sprintf "%s: round %d parked on worker 1" source i)
         (Some 1) before;
       Alcotest.(check (option int))
-        (Printf.sprintf "round %d resumed on worker 1" i)
+        (Printf.sprintf "%s: round %d resumed on worker 1" source i)
         (Some 1) after)
     seen
+
+let test_par_foreign_wake_returns_home () =
+  foreign_wake_returns_home ~source:"token" ~park:(fun publish ->
+      Fiber.suspend_token (fun tok ->
+          publish (fun () -> ignore (Fiber.Wake.fire tok))));
+  foreign_wake_returns_home ~source:"suspend" ~park:Fiber.suspend;
+  foreign_wake_returns_home ~source:"coupled" ~park:(fun publish ->
+      Blt_rt.coupled (fun () ->
+          let go = Atomic.make false in
+          publish (fun () -> Atomic.set go true);
+          while not (Atomic.get go) do
+            Thread.delay 0.0005
+          done))
 
 (* Regression for the scheduler-context thread gate: Domain.DLS is
    shared by EVERY systhread of a domain, so a raw thread created on a
@@ -741,6 +760,14 @@ let test_par_channel_pipeline_across_domains () =
     (List.init n (fun i -> i + 1))
     (List.rev !got)
 
+(* The multi-domain stresses run on as many domains as the host has
+   cores, then on one more, so every host runs both the parallel and
+   the oversubscribed schedule.  The bound keeps a many-core host's run
+   small. *)
+let stress_domains =
+  let n = min 32 (Domain.recommended_domain_count ()) in
+  [ n; n + 1 ]
+
 (* The big one: N fibers x M domains, each fiber doing a seeded random
    mix of yield / nested spawn+join / channel traffic / coupled
    sections.  Whatever the interleaving: every fiber completes exactly
@@ -748,8 +775,8 @@ let test_par_channel_pipeline_across_domains () =
    finishes in bounded time.  The per-fiber
    RNG streams derive from [Test_seed.seed], so a red run reproduces
    with TEST_SEED=<printed seed>. *)
-let test_par_mixed_traffic_stress () =
-  let domains = 4 and n = 48 and steps = 25 in
+let mixed_traffic_stress domains =
+  let n = 48 and steps = 25 in
   let t0 = Unix.gettimeofday () in
   let completions = Atomic.make 0 in
   let children = Atomic.make 0 in
@@ -788,7 +815,8 @@ let test_par_mixed_traffic_stress () =
       Fiber.join consumer);
   let dt = Unix.gettimeofday () -. t0 in
   let msg what =
-    Printf.sprintf "%s (TEST_SEED=%d to reproduce)" what Test_seed.seed
+    Printf.sprintf "%s (domains=%d, TEST_SEED=%d to reproduce)" what domains
+      Test_seed.seed
   in
   Alcotest.(check int)
     (msg "every fiber and child completed exactly once")
@@ -801,10 +829,12 @@ let test_par_mixed_traffic_stress () =
     (msg (Printf.sprintf "bounded runtime (%.2fs)" dt))
     true (dt < 30.0)
 
+let test_par_mixed_traffic_stress () = List.iter mixed_traffic_stress stress_domains
+
 (* Lost/dup completion accounting needs an exact count: run the same
    seeded traffic but tally children deterministically. *)
-let test_par_stress_exact_completions () =
-  let domains = 3 and n = 32 and steps = 20 in
+let stress_exact_completions domains =
+  let n = 32 and steps = 20 in
   (* precompute each fiber's op sequence from its seeded stream, so the
      expected completion count is known before the parallel run *)
   let plans =
@@ -841,16 +871,19 @@ let test_par_stress_exact_completions () =
       List.iter Fiber.join fs);
   Alcotest.(check int)
     (Printf.sprintf
-       "every fiber and child completed exactly once (TEST_SEED=%d)"
-       Test_seed.seed)
+       "every fiber and child completed exactly once (domains=%d, TEST_SEED=%d)"
+       domains Test_seed.seed)
     (n + expected_children) (Atomic.get completions)
+
+let test_par_stress_exact_completions () =
+  List.iter stress_exact_completions stress_domains
 
 (* Pool churn: an oversubscribed run (domains = 4, regardless of host
    cores) alternating seeded parallel bursts, quiet sequential
    stretches (idle workers park), and waves of foreign wakes from
-   short-lived OS threads (each one goes through the injection channel
-   and pops at most one parked worker; on a small host the workers
-   beyond its cores are never launched).  The pool must keep every
+   short-lived OS threads (each one goes to the inbox of the worker
+   that parked the main fiber and un-parks at most that worker; on a
+   small host the workers beyond its cores are never launched).  The pool must keep every
    completion exactly once through the whole park/wake cycle, and the
    run's telemetry must be sane. *)
 let test_par_elastic_collapse_stress () =
@@ -882,8 +915,8 @@ let test_par_elastic_collapse_stress () =
             Fiber.yield ()
           done;
           (* foreign wakes: 80 external threads resume this fiber
-             through the injection channel, each waking a parked
-             worker if there is one *)
+             through its home worker's inbox, each waking that worker
+             if it is parked *)
           let pending = ref [] in
           for _ = 1 to 80 do
             Fiber.suspend (fun wake ->
@@ -1011,8 +1044,8 @@ let test_completion_cross_domain_stress () =
 (* The same protocol end to end through the scheduler: N fibers join one
    target across M domains, racing the target's finish_fiber.  A lost
    wake would hang the run; a double wake would over-count. *)
-let test_par_join_stress () =
-  let domains = 4 and joiners = 64 and rounds = 10 in
+let join_stress domains =
+  let joiners = 64 and rounds = 10 in
   for _ = 1 to rounds do
     let woken = Atomic.make 0 in
     Fiber.run_parallel ~domains (fun () ->
@@ -1029,14 +1062,17 @@ let test_par_join_stress () =
                   Atomic.incr woken))
         in
         List.iter Fiber.join js);
-    Alcotest.(check int) "every joiner resumed exactly once" joiners
-      (Atomic.get woken)
+    Alcotest.(check int)
+      (Printf.sprintf "every joiner resumed exactly once (domains=%d)" domains)
+      joiners (Atomic.get woken)
   done
 
-(* Foreign-thread wake-ups must resume in arrival order: with a single
-   worker, the MPSC batches drain into the private overflow FIFO, so
-   wakes delivered 0..k-1 resume 0..k-1 (the old path pushed the batch
-   tail onto the LIFO deque and reversed it). *)
+let test_par_join_stress () = List.iter join_stress stress_domains
+
+(* Foreign-thread wake-ups must resume in arrival order: a foreign
+   domain's wakes land in worker 0's inbox, whose batches drain into the
+   private overflow FIFO, so wakes delivered 0..k-1 resume 0..k-1 (a
+   batch pushed onto the LIFO deque would come out reversed). *)
 let test_par_injected_fifo_order () =
   let k = 8 in
   let order = ref [] in
@@ -1051,7 +1087,7 @@ let test_par_injected_fifo_order () =
                     Atomic.incr registered);
                 order := i :: !order))
       in
-      (* a foreign domain: its wakes take the injection channel *)
+      (* a foreign domain: its wakes drain from worker 0's inbox *)
       let waker =
         Domain.spawn (fun () ->
             while Atomic.get registered < k do

@@ -273,8 +273,6 @@ let test_redetect_seeded_bugs () =
     (unwaived "buggy_scope.ml");
   (* Buggy_fd: the get-then-set pair (retain resurrects, release leaks) *)
   Alcotest.(check int) "buggy_fd refcount races" 2 (unwaived "buggy_fd.ml");
-  (* Buggy_kc_pool.pop: a racing pop takes the same free KC *)
-  Alcotest.(check int) "buggy_kc_pool double lease" 1 (unwaived "buggy_kc_pool.ml");
   (* Buggy_lockorder: credit takes A->B, debit takes B->A; both edges
      of the cycle are reported, on definition-site lock identities *)
   let lo file =
