@@ -1,37 +1,20 @@
-(* TEST-ONLY copy of Completion with a deliberately seeded bug: [finish]
+(* TEST-ONLY twin of Completion with a deliberately seeded bug: [finish]
    reads the joiner list with a plain [get] and then stores [Done v]
    with a plain [set], instead of snatching the list with one
    [exchange].  A joiner whose CAS lands BETWEEN the read and the store
    is silently overwritten -- its wake function never runs, so the
    joiner sleeps forever (a lost wake-up, observed by the checker as a
-   deadlock).  On a ULP's exit-status cell that joiner is a parked
-   waitpid: the parent never learns its child exited.
+   deadlock).  On the cell behind [Fiber.join] and [Scope.await] that
+   joiner is a parked fiber that never learns the fiber or scope it
+   waits for finished.
 
+   The twin is the lib/check copy of Completion with [finish] replaced.
    test_check asserts that the checker reports a bug on THIS module for
-   the finish-vs-join race and for waitpid-vs-exit, while the faithful
-   copy passes the same scenarios.  Never use outside tests. *)
+   the finish-vs-joiners race and for a parked joiner racing the
+   finish, while the faithful copy passes the same scenarios.  Never
+   use outside tests. *)
 
-type 'a state =
-  | Running
-  | Done of 'a
-  | Joiners of (unit -> unit) list (* newest first *)
-
-type 'a t = 'a state Atomic.t
-
-let create () = Atomic.make Running
-
-let is_done t = match Atomic.get t with Done _ -> true | _ -> false
-let status t = match Atomic.get t with Done v -> Some v | _ -> None
-
-let rec add_joiner t wake =
-  match Atomic.get t with
-  | Done _ -> wake ()
-  | Running as cur ->
-      if not (Atomic.compare_and_set t cur (Joiners [ wake ])) then
-        add_joiner t wake
-  | Joiners ws as cur ->
-      if not (Atomic.compare_and_set t cur (Joiners (wake :: ws))) then
-        add_joiner t wake
+include Completion
 
 let finish t v =
   (* THE SEEDED BUG: the correct code snatches the joiner list with

@@ -1,4 +1,4 @@
-(* TEST-ONLY copy of Atomic_deque with a deliberately seeded bug: the
+(* TEST-ONLY twin of Atomic_deque with a deliberately seeded bug: the
    last-element race in [pop] reads [top] with a plain load instead of
    claiming it with a CAS.  Two threads (the owner popping and a thief
    stealing) can now both decide they won the final element, so the same
@@ -7,47 +7,13 @@
    This module exists to prove the checker finds real interleaving bugs:
    test_check asserts that exploring the size-1 pop-vs-steal scenario on
    THIS deque reports a failure with a replayable schedule trace, while
-   the faithful copy passes.  Never use outside tests. *)
+   the faithful copy passes.  Never use outside tests.
 
-type 'a buffer = { mask : int; slots : 'a array }
+   The twin is the lib/check copy of Atomic_deque with [pop] and
+   [steal_batch] replaced; [push], [steal] and growth are the faithful
+   code. *)
 
-type 'a t = {
-  top : int Atomic.t;
-  bottom : int Atomic.t;
-  buf : 'a buffer Atomic.t;
-  dummy : 'a;
-}
-
-let initial_size = 8
-
-let make_buffer n dummy = { mask = n - 1; slots = Array.make n dummy }
-
-let create ~dummy =
-  {
-    top = Atomic.make 0;
-    bottom = Atomic.make 0;
-    buf = Atomic.make (make_buffer initial_size dummy);
-    dummy;
-  }
-
-let length t = max 0 (Atomic.get t.bottom - Atomic.get t.top)
-let is_empty t = length t = 0
-
-let grow t (old : 'a buffer) ~top ~bottom =
-  let buf = make_buffer (2 * (old.mask + 1)) t.dummy in
-  for i = top to bottom - 1 do
-    buf.slots.(i land buf.mask) <- old.slots.(i land old.mask)
-  done;
-  Atomic.set t.buf buf;
-  buf
-
-let push t x =
-  let b = Atomic.get t.bottom in
-  let tp = Atomic.get t.top in
-  let a = Atomic.get t.buf in
-  let a = if b - tp > a.mask then grow t a ~top:tp ~bottom:b else a in
-  a.slots.(b land a.mask) <- x;
-  Atomic.set t.bottom (b + 1)
+include Atomic_deque
 
 let pop t =
   let b = Atomic.get t.bottom - 1 in
@@ -71,19 +37,9 @@ let pop t =
        the read and the write: both sides claim the element. *)
     let won = Atomic.get t.top = tp in
     if won then Atomic.set t.top (tp + 1);
+    if won then a.slots.(b land a.mask) <- t.dummy;
     Atomic.set t.bottom (tp + 1);
     if won then Some x else None
-  end
-
-let rec steal t =
-  let tp = Atomic.get t.top in
-  let b = Atomic.get t.bottom in
-  if tp >= b then None
-  else begin
-    let a = Atomic.get t.buf in
-    let x = a.slots.(tp land a.mask) in
-    if Atomic.compare_and_set t.top tp (tp + 1) then Some x
-    else steal t
   end
 
 (* A SECOND SEEDED BUG: steal-half with one wide CAS [top -> top+k].

@@ -1,4 +1,4 @@
-(* TEST-ONLY copy of Idle_waker -- the idle-worker stack behind a
+(* TEST-ONLY twin of Idle_waker -- the idle-worker stack behind a
    reactor turn's end-of-turn notifications -- with a deliberately seeded
    bug: [take] is a get-then-set instead of a CAS retry loop.  It reads
    the list, computes the removal, then unconditionally stores it.
@@ -19,19 +19,14 @@
      one.
 
    The faithful [Idle_waker.take] CASes the whole-list transition so a
-   concurrent removal forces a retry and exactly one caller wins.
+   concurrent removal forces a retry and exactly one caller wins.  The
+   twin is the lib/check copy of Idle_waker with [take] replaced.
    test_check asserts the checker reports a bug on THIS module under
    those schedules while the faithful copy passes the same scenarios
    (and survives replay of the failing schedules).  Never use outside
    tests. *)
 
-type t = int list Atomic.t
-
-let create () = Atomic.make []
-
-let rec push t wid =
-  let cur = Atomic.get t in
-  if not (Atomic.compare_and_set t cur (wid :: cur)) then push t wid
+include Idle_waker
 
 let take t wid =
   (* THE SEEDED BUG: the correct code CASes [cur -> cur \ wid] and
@@ -44,12 +39,3 @@ let take t wid =
     true
   end
   else false
-
-let rec pop t =
-  match Atomic.get t with
-  | [] -> None
-  | wid :: rest as cur ->
-      if Atomic.compare_and_set t cur rest then Some wid else pop t
-
-let drain t = Atomic.exchange t []
-let snapshot t = Atomic.get t

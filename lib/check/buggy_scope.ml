@@ -5,43 +5,13 @@
    never reaches 0, [done_] never fires, and the parent parked in
    [await] sleeps forever.  test_check asserts the explorer finds that
    schedule here while the faithful copy passes it.  Never use outside
-   tests. *)
+   tests.
 
-exception Cancelled
+   The twin is the lib/check copy of Scope with [leave] replaced, and
+   [await] restated only because it calls [leave]; [spawn] and [run]
+   keep the faithful [leave]. *)
 
-type t = {
-  live : int Atomic.t;
-  failure : exn option Atomic.t;
-  cancelled : bool Atomic.t;
-  done_ : unit Completion.t;
-}
-
-let create () =
-  {
-    live = Atomic.make 1;
-    failure = Atomic.make None;
-    cancelled = Atomic.make false;
-    done_ = Completion.create ();
-  }
-
-let is_cancelled t = Atomic.get t.cancelled
-
-let cancel t = Atomic.set t.cancelled true
-
-let fail t exn =
-  (match exn with
-  | Cancelled -> ()
-  | _ -> ignore (Atomic.compare_and_set t.failure None (Some exn)));
-  Atomic.set t.cancelled true
-
-let failure t = Atomic.get t.failure
-
-let live t = Atomic.get t.live
-
-let enter t =
-  if Completion.is_done t.done_ then
-    invalid_arg "Buggy_scope.enter: scope already exited";
-  Atomic.incr t.live
+include Scope
 
 let leave t =
   (* THE SEEDED BUG: the faithful [Scope.leave] is

@@ -5,6 +5,9 @@
    survive replay of the exact failing schedules.  Never use outside
    tests.
 
+   The twins are the lib/check copy of Sync with one function replaced
+   in each module; whatever is not replaced ([Mutex.lock],
+   [Mutex.with_lock], [Condition.signal], ...) is the faithful code.
    The seeded shapes:
 
    - [Mutex.unlock]: get-then-set instead of a CAS retry.  A locker
@@ -17,45 +20,10 @@
      the gap finds no waiter, so the signal is dropped and the waiter
      parks forever even though the predicate it waits for is true. *)
 
-type waiter = Fiber.Wake.token
-
-let wake_waiter w = ignore (Fiber.Wake.fire w)
-
-let split_last ws =
-  let rec go acc = function
-    | [] -> None
-    | [ oldest ] -> Some (List.rev acc, oldest)
-    | w :: tl -> go (w :: acc) tl
-  in
-  go [] ws
+include Sync
 
 module Mutex = struct
-  type state = Unlocked | Locked of waiter list
-
-  type t = state Atomic.t
-
-  let create () = Atomic.make Unlocked
-
-  let try_lock m =
-    match Atomic.get m with
-    | Unlocked -> Atomic.compare_and_set m Unlocked (Locked [])
-    | Locked _ -> false
-
-  (* Faithful copy of [Sync.Mutex.lock]. *)
-  let lock m =
-    if not (try_lock m || Sync.retry (fun () -> try_lock m)) then
-      Fiber.suspend_token (fun w ->
-          let rec register () =
-            match Atomic.get m with
-            | Unlocked ->
-                if Atomic.compare_and_set m Unlocked (Locked []) then
-                  ignore (Fiber.Wake.fire w)
-                else register ()
-            | Locked ws as cur ->
-                if not (Atomic.compare_and_set m cur (Locked (w :: ws))) then
-                  register ()
-          in
-          register ())
+  include Sync.Mutex
 
   let unlock m =
     match Atomic.get m with
@@ -73,9 +41,7 @@ end
 module Condition = struct
   (* Pairs with the faithful [Sync.Mutex] — the seeded bug is purely in
      the wait protocol's ordering. *)
-  type t = waiter list Atomic.t
-
-  let create () = Atomic.make []
+  include Sync.Condition
 
   let wait t m =
     (* THE SEEDED BUG: unlock first, publish the waiter second.  The
@@ -90,16 +56,4 @@ module Condition = struct
         in
         register ());
     Sync.Mutex.lock m
-
-  let rec signal t =
-    let cur = Atomic.get t in
-    match split_last cur with
-    | None -> ()
-    | Some (rest, oldest) ->
-        if Atomic.compare_and_set t cur rest then wake_waiter oldest
-        else signal t
-
-  let broadcast t =
-    let ws = Atomic.exchange t [] in
-    List.iter wake_waiter (List.rev ws)
 end

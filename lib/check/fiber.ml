@@ -1,7 +1,7 @@
 (* Park/wake shim standing in for [Fiber_rt.Fiber] inside lib/check:
-   the copies of channel.ml, sync.ml and scope.ml compiled here need
-   [suspend], [suspend_token] + [Wake], [num_workers] (for Sync), and
-   [spawn] (for Scope).
+   the copies of sync.ml and scope.ml compiled here need
+   [suspend_token] + [Wake], [num_workers] (for Sync), and [spawn] (for
+   Scope); Sync_model, which Channel's copy runs on, needs [suspend].
 
    The real runtime's contract: [register] receives a wake function
    callable exactly once from any OS thread; the fiber stays parked
@@ -9,7 +9,7 @@
    write to a fresh flag, and the parked thread is a guarded step that
    is enabled once the flag is set.  [register] itself runs in the
    suspending thread's context, so traced operations inside it (for
-   Channel: the Mutex.unlock after enqueueing the waker; for Sync: the
+   Sync_model: the publish and the Mutex.unlock after it; for Sync: the
    CAS enqueue of the waiter) remain separate scheduling points -- the
    window in which a lost wakeup would hide.  An unfired token is a
    permanently-disabled guarded step, so a lost wakeup surfaces as the

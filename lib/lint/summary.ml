@@ -24,7 +24,7 @@
    inheriting the ambient locks would be noise.  Two closures do
    inherit: the body argument of [with_lock]/[Mutex.protect], which
    runs exactly inside the acquisition, and a let-bound local function, which this repo's idiom executes in place
-   (channel.ml's [go] retry loops).  [Condition.wait c m] atomically
+   (a [go] or [retry] loop).  [Condition.wait c m] atomically
    releases [m] around the park, so [m] is subtracted from the held
    set at that call.  Callees are assumed lock-balanced. *)
 
@@ -344,7 +344,7 @@ let of_structure ~file ~waived_blocking structure =
       | _, Some _ when is_function vb.pvb_expr ->
           (* let-bound local function: executed in place by idiom, so
              scanned with the ambient held set (the anonymous-closure
-             reset would hide channel.ml's [go]-loop shapes) *)
+             reset would hide a locked [go]-loop's shape) *)
           let entry = !held in
           go (fun_body vb.pvb_expr);
           held := entry

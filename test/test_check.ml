@@ -19,6 +19,7 @@ module Chan = Check.Channel
 module Compl = Check.Completion
 module Buggy_compl = Check.Buggy_completion
 module Atomic' = Check.Atomic
+module Cfiber = Check.Fiber
 module Consistency = Core.Consistency
 
 (* On an unexpected interleaving bug: print the schedule trace, dump it
@@ -220,6 +221,41 @@ let completion_race (module C : COMPLETION) () =
           if n <> 1 then
             failwith (Printf.sprintf "joiner %d woken %d times" i n))
         [ w0; w1 ] )
+
+(* A joiner parking vs the finish that publishes a result, on a
+   Completion carrying a payload (the cell behind Fiber.join and
+   Scope.await): the joiner registers its wake and parks (a guarded
+   step on the token); the finish exchange must either snatch the
+   registration or make the registration's CAS fail and see Done.  The
+   seeded get-then-set finish publishes the result over the stale
+   joiner list -- the joiner sleeps forever (Deadlock). *)
+let joiner_vs_finish (module C : COMPLETION) () =
+  let c = C.create () in
+  ( [
+      (fun () ->
+        Cfiber.suspend_token (fun tok ->
+            C.add_joiner c (fun () -> ignore (Cfiber.Wake.fire tok))));
+      (fun () -> C.finish c 7);
+    ],
+    fun () ->
+      match C.status c with
+      | Some 7 -> ()
+      | _ -> failwith "completion: result not published" )
+
+(* Racing parked joiners on one cell: both register, both must be
+   woken by the single finish. *)
+let two_joiners (module C : COMPLETION) () =
+  let c = C.create () in
+  let woken = ref 0 in
+  let waiter () =
+    Cfiber.suspend_token (fun tok ->
+        C.add_joiner c (fun () -> ignore (Cfiber.Wake.fire tok)));
+    incr woken
+  in
+  ( [ waiter; waiter; (fun () -> C.finish c 1) ],
+    fun () ->
+      if !woken <> 2 then
+        failwith (Printf.sprintf "completion: woke %d of 2" !woken) )
 
 (* ---------- scenario: reactor Readiness, register vs post ---------- *)
 
@@ -748,7 +784,6 @@ let scope_fail_race (module S : SCOPE) () =
 
 (* ---------- proc: the fd table, its refcount and wait cells ---------- *)
 
-module Cfiber = Check.Fiber
 module F = Check.Fd_core
 
 (* The refcount walks a lookup runs without the table lock, as a
@@ -1011,42 +1046,6 @@ let fd_grow_vs_close = Fd_growth.vs_close
 let fd_grow_vs_alloc = Fd_growth.vs_alloc
 let fd_grow_vs_dup2 = Fd_growth.vs_dup2
 
-(* A waiter parking vs the finish that publishes a status, on a
-   Completion carrying a payload (the shape of waitpid against an exit,
-   and of Fiber.join and Scope.await): the waiter registers its wake
-   and parks (a guarded step on the token); the finish exchange must
-   either snatch the registration or make the registration's CAS fail
-   and see Done.  The seeded get-then-set finish publishes the status
-   over the stale joiner list -- the waiter sleeps forever
-   (Deadlock). *)
-let wait_exit_vs_waiter (module C : COMPLETION) () =
-  let c = C.create () in
-  ( [
-      (fun () ->
-        Cfiber.suspend_token (fun tok ->
-            C.add_joiner c (fun () -> ignore (Cfiber.Wake.fire tok))));
-      (fun () -> C.finish c 7);
-    ],
-    fun () ->
-      match C.status c with
-      | Some 7 -> ()
-      | _ -> failwith "wait-cell: status not published" )
-
-(* Racing waiters on one cell: both register, both must be woken by
-   the single finish. *)
-let wait_two_waiters (module C : COMPLETION) () =
-  let c = C.create () in
-  let woken = ref 0 in
-  let waiter () =
-    Cfiber.suspend_token (fun tok ->
-        C.add_joiner c (fun () -> ignore (Cfiber.Wake.fire tok)));
-    incr woken
-  in
-  ( [ waiter; waiter; (fun () -> C.finish c 1) ],
-    fun () ->
-      if !woken <> 2 then
-        failwith (Printf.sprintf "wait-cell: woke %d of 2" !woken) )
-
 (* ---------- the KC pool: lease on first couple, push back at finish - *)
 
 module Kc_pool = Check.Kc_pool
@@ -1184,6 +1183,64 @@ let kc_pool_lease_vs_exit () =
         (Kc_pool.all pool);
       if List.length free + 2 <> List.length (Kc_pool.all pool) then
         failwith "kc-pool: the free list holds a KC the pool never made" )
+
+(* The pool alone, on plain KC records: no KC threads, no mailboxes,
+   since the pool is polymorphic in the KC.  Fiber A leases and then
+   recycles, fiber B leases, and the run's exit reads [all].  Small
+   enough to explore completely, where [kc_pool_lease_vs_exit] stops at
+   its schedule bound.  Invariants: no KC is leased twice, [all] holds
+   every KC created exactly once, and the exit's read lists only KCs
+   the pool made. *)
+type plain_kc = { pid : int; mutable holder : string option }
+
+let kc_pool_lease_recycle () =
+  let made = ref [] in
+  let create () =
+    let kc = { pid = List.length !made; holder = None } in
+    made := kc :: !made;
+    kc
+  in
+  let pool = Kc_pool.create () in
+  let lease who =
+    let kc = Kc_pool.lease pool ~create in
+    (match kc.holder with
+    | Some o ->
+        failwith
+          (Printf.sprintf "kc-pool: KC %d leased to both %s and %s" kc.pid o
+             who)
+    | None -> ());
+    kc.holder <- Some who;
+    kc
+  in
+  let seen = ref [] in
+  ( [
+      (fun () ->
+        let kc = lease "A" in
+        kc.holder <- None;
+        Kc_pool.recycle pool kc);
+      (fun () -> ignore (lease "B"));
+      (fun () -> seen := Kc_pool.all pool);
+    ],
+    fun () ->
+      let ids kcs = List.sort compare (List.map (fun kc -> kc.pid) kcs) in
+      if ids (Kc_pool.all pool) <> ids !made then
+        failwith "kc-pool: all does not hold every KC created, once each";
+      (* leasing out what is still free must not lease a held KC *)
+      let rec drain () =
+        match Kc_pool.lease pool ~create:(fun () -> raise Exit) with
+        | kc ->
+            (match kc.holder with
+            | Some o ->
+                failwith
+                  (Printf.sprintf "kc-pool: free KC %d still leased to %s"
+                     kc.pid o)
+            | None -> kc.holder <- Some "exit");
+            drain ()
+        | exception Exit -> ()
+      in
+      drain ();
+      if List.exists (fun kc -> not (List.memq kc !made)) !seen then
+        failwith "kc-pool: the exit read a KC the pool never made" )
 
 (* ---------- scenario: the interest table, arm vs fire ---------- *)
 
@@ -1858,17 +1915,17 @@ let test_fd_grow_two_growers () =
   in
   Alcotest.(check bool) "exhaustive" true stats.Sched.complete
 
-let test_wait_exit_vs_waiter () =
+let test_joiner_vs_finish () =
   let stats =
-    expect_pass "wait-exit-vs-waiter"
-      (Sched.check (wait_exit_vs_waiter compl))
+    expect_pass "joiner-vs-finish"
+      (Sched.check (joiner_vs_finish compl))
   in
   Alcotest.(check bool) "exhaustive" true stats.Sched.complete
 
-let test_wait_two_waiters () =
+let test_two_joiners () =
   ignore
-    (expect_pass "wait-two-waiters"
-       (Sched.check ~max_schedules:8_000 (wait_two_waiters compl)))
+    (expect_pass "two-joiners"
+       (Sched.check ~max_schedules:8_000 (two_joiners compl)))
 
 (* ---------- sync/scope: seeded twins caught, faithful replays ------- *)
 
@@ -1930,12 +1987,12 @@ let test_buggy_fd_resurrect_caught =
     ~faithful:(rc_retain_vs_last_release good_rc)
     ~expect_reason:"fd-refcount"
 
-(* The get-then-set finish publishes the exit status over a stale
-   waiter list: the parked waitpid fiber is never woken. *)
-let test_buggy_wait_caught =
-  twin_caught "buggy-wait-finish"
-    ~buggy:(wait_exit_vs_waiter buggy_compl)
-    ~faithful:(wait_exit_vs_waiter compl)
+(* The get-then-set finish publishes the result over a stale joiner
+   list: the parked joiner is never woken. *)
+let test_buggy_join_caught =
+  twin_caught "buggy-join-finish"
+    ~buggy:(joiner_vs_finish buggy_compl)
+    ~faithful:(joiner_vs_finish compl)
     ~expect_reason:"Deadlock"
 
 (* ---------- the KC pool ---------- *)
@@ -1955,6 +2012,9 @@ let exhaustive ?(max_schedules = 20_000) name scenario () =
   let stats = expect_pass name (Sched.check ~max_schedules scenario) in
   Printf.printf "%s: %d schedules\n%!" name stats.Sched.schedules;
   Alcotest.(check bool) "exhaustive" true stats.Sched.complete
+
+let test_kc_pool_lease_recycle =
+  exhaustive "kc-pool-lease-recycle" kc_pool_lease_recycle
 
 let test_interest_two_directions =
   exhaustive ~max_schedules:2_000_000 "interest-two-directions"
@@ -2146,8 +2206,8 @@ let test_fuzz_real_structures_clean () =
       ("fd-grow-vs-alloc", fd_grow_vs_alloc);
       ("fd-grow-vs-dup2", fd_grow_vs_dup2);
       ("fd-grow-two-growers", fd_grow_two_growers);
-      ("wait-exit-vs-waiter", wait_exit_vs_waiter compl);
-      ("wait-two-waiters", wait_two_waiters compl);
+      ("joiner-vs-finish", joiner_vs_finish compl);
+      ("two-joiners", two_joiners compl);
     ]
 
 (* ---------- the acceptance gate: >= 10k interleavings, bounded time -- *)
@@ -2193,8 +2253,8 @@ let test_interleaving_budget () =
         ("fd-grow-vs-alloc", 4_000, fd_grow_vs_alloc);
         ("fd-grow-vs-dup2", 4_000, fd_grow_vs_dup2);
         ("fd-grow-two-growers", 4_000, fd_grow_two_growers);
-        ("wait-exit-vs-waiter", 4_000, wait_exit_vs_waiter compl);
-        ("wait-two-waiters", 8_000, wait_two_waiters compl);
+        ("joiner-vs-finish", 4_000, joiner_vs_finish compl);
+        ("two-joiners", 8_000, two_joiners compl);
       ]
   in
   let dt = Unix.gettimeofday () -. t0 in
@@ -2229,6 +2289,12 @@ let () =
             test_buggy_completion_caught;
           Alcotest.test_case "wide-CAS steal_batch double-claims" `Quick
             test_buggy_steal_batch_caught;
+          Alcotest.test_case "parked joiner vs finish wakes it" `Quick
+            test_joiner_vs_finish;
+          Alcotest.test_case "one finish wakes every parked joiner" `Quick
+            test_two_joiners;
+          Alcotest.test_case "get-then-set finish strands a joiner" `Quick
+            test_buggy_join_caught;
         ] );
       ( "readiness",
         [
@@ -2275,6 +2341,8 @@ let () =
         [
           Alcotest.test_case "owners exit while fibers lease" `Quick
             test_kc_pool_lease_vs_exit;
+          Alcotest.test_case "lease and recycle, explored fully"
+            `Quick test_kc_pool_lease_recycle;
         ] );
       ( "interest",
         [
@@ -2362,16 +2430,10 @@ let () =
             test_fd_grow_vs_dup2;
           Alcotest.test_case "two growers publish one array" `Quick
             test_fd_grow_two_growers;
-          Alcotest.test_case "waitpid park vs exit never loses the wake"
-            `Quick test_wait_exit_vs_waiter;
-          Alcotest.test_case "one finish wakes every waiter" `Quick
-            test_wait_two_waiters;
           Alcotest.test_case "get-then-set release leaks the host fd" `Quick
             test_buggy_fd_caught;
           Alcotest.test_case "unguarded retain double-closes" `Quick
             test_buggy_fd_resurrect_caught;
-          Alcotest.test_case "get-then-set finish strands waitpid" `Quick
-            test_buggy_wait_caught;
           Alcotest.test_case "an alloc racing ordered closes is lowest-free"
             `Quick test_fd_alloc_vs_ordered_closes;
           Alcotest.test_case "a lookup racing a close pins or fails" `Quick

@@ -737,10 +737,18 @@ let test_par_coupled_runs_off_worker_domains () =
       in
       Fiber.join f)
 
-let test_par_channel_pipeline_across_domains () =
+(* The multi-domain stresses run on as many domains as the host has
+   cores, then on one more, so every host runs both the parallel and
+   the oversubscribed schedule.  The bound keeps a many-core host's run
+   small. *)
+let stress_domains =
+  let n = min 32 (Domain.recommended_domain_count ()) in
+  [ n; n + 1 ]
+
+let channel_pipeline_across_domains domains =
   let n = 500 in
   let got = ref [] in
-  Fiber.run_parallel ~domains:2 (fun () ->
+  Fiber.run_parallel ~domains (fun () ->
       let ch = Fiber_rt.Channel.create ~capacity:4 () in
       let producer =
         Fiber.spawn (fun () ->
@@ -756,17 +764,12 @@ let test_par_channel_pipeline_across_domains () =
       Fiber.join producer;
       Fiber.join consumer);
   Alcotest.(check (list int))
-    "every item exactly once, in order"
+    (Printf.sprintf "every item exactly once, in order (domains=%d)" domains)
     (List.init n (fun i -> i + 1))
     (List.rev !got)
 
-(* The multi-domain stresses run on as many domains as the host has
-   cores, then on one more, so every host runs both the parallel and
-   the oversubscribed schedule.  The bound keeps a many-core host's run
-   small. *)
-let stress_domains =
-  let n = min 32 (Domain.recommended_domain_count ()) in
-  [ n; n + 1 ]
+let test_par_channel_pipeline_across_domains () =
+  List.iter channel_pipeline_across_domains stress_domains
 
 (* The big one: N fibers x M domains, each fiber doing a seeded random
    mix of yield / nested spawn+join / channel traffic / coupled
@@ -1179,6 +1182,60 @@ let test_channel_close_semantics () =
       | exception Channel.Closed -> ()
       | () -> Alcotest.fail "send after close accepted")
 
+(* [close] wakes every parked party: senders parked on a full channel
+   raise [Closed], receivers parked on an empty one see [None], and
+   what the full channel held still drains.  Each party bumps [parked]
+   just before its blocking call, and the closer yields until all have;
+   on one worker every party is then parked.  The ten more yields give
+   a party on another worker time to reach its park. *)
+let close_wakes_parked domains =
+  let parties = 3 in
+  let parked = Atomic.make 0 in
+  let closed = Atomic.make 0 and nones = Atomic.make 0 in
+  let drained = ref [] in
+  Fiber.run_parallel ~domains (fun () ->
+      let full = Channel.create ~capacity:1 () in
+      Channel.send full 0;
+      let empty = Channel.create () in
+      let senders =
+        List.init parties (fun i ->
+            Fiber.spawn (fun () ->
+                Atomic.incr parked;
+                match Channel.send full (i + 1) with
+                | () -> ()
+                | exception Channel.Closed -> Atomic.incr closed))
+      in
+      let receivers =
+        List.init parties (fun _ ->
+            Fiber.spawn (fun () ->
+                Atomic.incr parked;
+                match Channel.recv empty with
+                | None -> Atomic.incr nones
+                | Some _ -> ()))
+      in
+      while Atomic.get parked < 2 * parties do
+        Fiber.yield ()
+      done;
+      for _ = 1 to 10 do
+        Fiber.yield ()
+      done;
+      Channel.close full;
+      Channel.close empty;
+      List.iter Fiber.join (senders @ receivers);
+      let first = Channel.recv full in
+      drained := [ first; Channel.recv full ]);
+  let msg what = Printf.sprintf "%s (domains=%d)" what domains in
+  Alcotest.(check int) (msg "every parked sender raised Closed") parties
+    (Atomic.get closed);
+  Alcotest.(check int) (msg "every parked receiver got None") parties
+    (Atomic.get nones);
+  Alcotest.(check (list (option int)))
+    (msg "the full channel drains, then None")
+    [ Some 0; None ] !drained
+
+let test_channel_close_wakes_parked () =
+  List.iter close_wakes_parked (1 :: stress_domains)
+
 let test_channel_pipeline () =
   (* three-stage pipeline across fibers, with a coupled stage *)
   let out = ref [] in
@@ -1499,6 +1556,8 @@ let () =
           Alcotest.test_case "close semantics" `Quick
             test_channel_close_semantics;
           Alcotest.test_case "pipeline" `Quick test_channel_pipeline;
+          Alcotest.test_case "close wakes every parked party" `Quick
+            test_channel_close_wakes_parked;
           Alcotest.test_case "fold" `Quick test_channel_fold;
           Alcotest.test_case "bad capacity" `Quick test_channel_bad_capacity;
         ] );
