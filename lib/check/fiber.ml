@@ -1,26 +1,18 @@
 (* Park/wake shim standing in for [Fiber_rt.Fiber] inside lib/check:
    the copies of sync.ml and scope.ml compiled here need
    [suspend_token] + [Wake], [num_workers] (for Sync), and [spawn] (for
-   Scope); Sync_model, which Channel's copy runs on, needs [suspend].
+   Scope).
 
-   The real runtime's contract: [register] receives a wake function
-   callable exactly once from any OS thread; the fiber stays parked
-   until it fires.  The model: the wake function performs a traced
-   write to a fresh flag, and the parked thread is a guarded step that
-   is enabled once the flag is set.  [register] itself runs in the
+   The real runtime's contract: [register] receives a token that any
+   OS thread may fire, and exactly one [Wake.fire] wins; the fiber
+   stays parked until it does.  The model: a win performs a traced
+   write to the token's flag, and the parked thread is a guarded step
+   that is enabled once the flag is set.  [register] itself runs in the
    suspending thread's context, so traced operations inside it (for
-   Sync_model: the publish and the Mutex.unlock after it; for Sync: the
-   CAS enqueue of the waiter) remain separate scheduling points -- the
-   window in which a lost wakeup would hide.  An unfired token is a
-   permanently-disabled guarded step, so a lost wakeup surfaces as the
-   checker's deadlock detection. *)
-
-let suspend register =
-  let woken = Atomic.make false in
-  register (fun () -> Atomic.set woken true);
-  Sched.guarded_step ~kind:Sched.Wait ~obj:(Atomic.id woken) ~note:"parked"
-    ~enabled:(fun () -> Atomic.peek woken)
-    (fun () -> ())
+   Sync: the CAS enqueue of the waiter) remain separate scheduling
+   points -- the window in which a lost wakeup would hide.  An unfired
+   token is a permanently-disabled guarded step, so a lost wakeup
+   surfaces as the checker's deadlock detection. *)
 
 module Wake = struct
   (* One-shot token: [fired] is the claim (exactly one [fire] returns

@@ -1,7 +1,6 @@
 (* Traced replacement for [Stdlib.Mutex], shadowing it inside lib/check
    so the locked sources compiled here (fd_core.ml, kc_pool.ml,
-   interest.ml, ...) are model-checked; Sync_model's mutex is this lock
-   too.
+   interest.ml, ...) are model-checked.
 
    [lock] is a single guarded scheduling point: the thread is simply not
    enabled while the mutex is held, so blocking costs no spin loop and

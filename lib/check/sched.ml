@@ -1,11 +1,10 @@
 (* Deterministic interleaving checker for the lock-free fiber runtime
    ("dscheck-lite").
 
-   The pieces under test -- Atomic_deque, Mpsc_queue, Sync, Channel and
-   the rest (lib/check/dune lists them) -- are recompiled inside this
-   library against traced shims (Atomic, Mutex, Fiber, and Channel's
-   Sync_model), so every synchronization operation funnels through [perform_op]
-   below.  A scenario declares N simulated domains as plain thunks; each
+   The pieces under test -- Atomic_deque, Mpsc_queue, Sync and the rest
+   (lib/check/dune lists them) -- are recompiled inside this library
+   against traced shims (Atomic, Mutex, Fiber), so every
+   synchronization operation funnels through [perform_op] below.  A scenario declares N simulated domains as plain thunks; each
    traced operation suspends its thread on an effect, and this module --
    a single-threaded scheduler -- decides which thread's pending
    operation executes next.  Everything a thread does between two traced

@@ -6,8 +6,7 @@
    [Mpsc_queue], [Sync] and the rest are compiled a *second* time inside
    lib/check (dune [copy_files#]) where sibling modules named [Atomic],
    [Mutex] and [Fiber] shadow the real ones with single-threaded,
-   effect-instrumented models ([Channel], built on [Sync], is compiled
-   there against a traced model of [Sync]'s contract).  The production build keeps calling
+   effect-instrumented models.  The production build keeps calling
    [Stdlib.Atomic] primitives directly — zero overhead, no indirection.
 
    This signature pins down the contract both sides must satisfy.  The

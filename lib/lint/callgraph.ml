@@ -8,7 +8,7 @@
    leaf -- which becomes the finding's call-path evidence.
 
    Name resolution is syntactic, against the module-qualified summary
-   names (channel.ml's [send] is [Channel.send]).  A call written as
+   names (sync.ml's [Mutex.lock] is [Sync.Mutex.lock]).  A call written as
    [p] inside module prefix [M.N] tries [M.N.p], [M.p], [p], then
    drops leading segments of [p] itself ([Fiber_rt.Clock.now] resolves
    to [Clock.now]) -- the shapes a dune-built tree actually writes.
@@ -47,8 +47,6 @@ let park_leaf path =
       Some ("Fiber." ^ List.hd (List.rev path))
   | ("await" | "run") :: "Scope" :: _ -> Some ("Scope." ^ List.hd (List.rev path))
   | "wait" :: "Condition" :: _ -> Some "Condition.wait"
-  | ("send" | "recv" | "iter" | "fold") :: "Channel" :: _ ->
-      Some ("Channel." ^ List.hd (List.rev path))
   | "waitpid" :: "Proc" :: _ -> Some "Proc.waitpid"
   | ("sleep" | "sleep_until") :: "Reactor" :: _ ->
       Some ("Reactor." ^ List.hd (List.rev path))

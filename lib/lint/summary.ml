@@ -75,7 +75,7 @@ type loop = {
 }
 
 type fn = {
-  fn_name : string;     (* fully qualified: "Channel.send" *)
+  fn_name : string;     (* fully qualified: "Sync.Mutex.lock" *)
   fn_file : string;
   fn_line : int;
   mutable fn_calls : call list;
@@ -86,7 +86,7 @@ type fn = {
 
 type file_summary = {
   fs_file : string;
-  fs_module : string;                       (* "Channel" *)
+  fs_module : string;                       (* "Sync" *)
   fs_fns : fn list;                         (* source order *)
   fs_lockdefs : (string * lock_kind * int) list;
       (* qualified binding name, kind, def line: "Lo_bad.order_a" *)

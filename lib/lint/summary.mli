@@ -46,7 +46,7 @@ type loop = {
 }
 
 type fn = {
-  fn_name : string;      (** fully qualified: ["Channel.send"] *)
+  fn_name : string;      (** fully qualified: ["Sync.Mutex.lock"] *)
   fn_file : string;
   fn_line : int;
   mutable fn_calls : call list;

@@ -9,12 +9,13 @@
      speedup-curve workload (scales with domains on a multicore host);
    - [yield_storm]: scheduler-bound yield churn -- measures dispatch
      latency through each worker's private overflow FIFO;
-   - [ping_pong]: two fibers bouncing messages over bounded channels --
-     cross-domain wake-up latency (the couple/decouple handoff shape of
-     the paper's Table V, on real cores). *)
+   - [ping_pong]: two fibers bouncing messages through one-slot
+     mailboxes over [Sync] -- cross-domain wake-up latency (the
+     couple/decouple handoff shape of the paper's Table V, on real
+     cores). *)
 
 module Fiber = Fiber_rt.Fiber
-module Channel = Fiber_rt.Channel
+module Sync = Fiber_rt.Sync
 
 type result = {
   name : string;
@@ -92,33 +93,59 @@ let work_steal_tree ~domains ~depth ~work =
       in
       node 0)
 
-(* Two fibers, two rendezvous channels, [msgs] round trips: the
+(* A one-slot mailbox: the slot under one fiber mutex, and one
+   condition its taker waits on.  [put] never waits: [ping_pong]'s two
+   fibers alternate, so a slot is always empty when it is filled. *)
+type mailbox = {
+  lock : Sync.Mutex.t;
+  filled : Sync.Condition.t;
+  mutable slot : int option;
+}
+
+let mailbox () =
+  { lock = Sync.Mutex.create (); filled = Sync.Condition.create (); slot = None }
+
+(* Fill the slot under the lock; signal after the unlock. *)
+let put b v =
+  Sync.Mutex.with_lock b.lock (fun () -> b.slot <- Some v);
+  Sync.Condition.signal b.filled
+
+let take b =
+  Sync.Mutex.with_lock b.lock (fun () ->
+      while Option.is_none b.slot do
+        Sync.Condition.wait b.filled b.lock
+      done;
+      let v = Option.get b.slot in
+      b.slot <- None;
+      v)
+
+(* Two fibers, two one-slot mailboxes, [msgs] round trips: the
    cross-domain wake-up path.  With domains >= 2 the endpoints usually
    land on different domains: every message is a wake fired on one
    worker, which queues the receiver on its own deque and un-parks a
-   peer to steal it. *)
+   peer to steal it.  Messages are 1..[msgs]; 0 tells the ponger to
+   stop. *)
 let ping_pong ~domains ~msgs =
   with_stats ~name:"ping_pong" ~domains ~items:msgs (fun () ->
-      let there = Channel.create ~capacity:1 () in
-      let back = Channel.create ~capacity:1 () in
+      let there = mailbox () and back = mailbox () in
       let ponger =
         Fiber.spawn (fun () ->
             let rec loop () =
-              match Channel.recv there with
-              | Some v ->
-                  Channel.send back v;
+              match take there with
+              | 0 -> ()
+              | v ->
+                  put back v;
                   loop ()
-              | None -> ()
             in
             loop ())
       in
       let pinger =
         Fiber.spawn (fun () ->
             for i = 1 to msgs do
-              Channel.send there i;
-              ignore (Channel.recv back)
+              put there i;
+              ignore (take back)
             done;
-            Channel.close there)
+            put there 0)
       in
       Fiber.join pinger;
       Fiber.join ponger)
@@ -164,8 +191,6 @@ let host_stalls ~seconds ~min_gap =
   Array.of_list (go (now ()) [])
 
 (* ---------- synchronization workloads (lib/fiber_rt/sync.ml) ---------- *)
-
-module Sync = Fiber_rt.Sync
 
 (* Contended counter: [fibers] fibers each take the lock [iters] times
    to bump a plain ref.  Pure handoff throughput under maximal

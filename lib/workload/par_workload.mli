@@ -1,9 +1,9 @@
 (** Scaling workloads for the parallel fiber runtime (substrate S3):
     wall-clock micro-benchmarks of {!Fiber_rt.Fiber.run_parallel} —
     spawn/join fan-out, fork-join trees, yield churn, cross-domain
-    channel ping-pong and the contended {!Fiber_rt.Sync.Mutex}.  These
-    run on the real machine, not the simulated one; speedup beyond 1
-    domain requires real cores. *)
+    ping-pong through {!Fiber_rt.Sync} mailboxes and the contended
+    {!Fiber_rt.Sync.Mutex}.  These run on the real machine, not the
+    simulated one; speedup beyond 1 domain requires real cores. *)
 
 type result = {
   name : string;
@@ -39,8 +39,9 @@ val work_steal_tree : domains:int -> depth:int -> work:int -> result
     the steal-half batching workload. *)
 
 val ping_pong : domains:int -> msgs:int -> result
-(** Two fibers bouncing [msgs] messages over rendezvous channels: the
-    cross-domain wake-up path. *)
+(** Two fibers bouncing [msgs] messages through two one-slot mailboxes,
+    each a {!Fiber_rt.Sync.Mutex}, a {!Fiber_rt.Sync.Condition} and a
+    slot: the cross-domain wake-up path. *)
 
 val sync_mutex : domains:int -> fibers:int -> iters:int -> result
 (** Contended counter: [fibers] fibers each take the

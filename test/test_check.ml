@@ -1,7 +1,7 @@
 (* Model-checked concurrency scenarios for the lock-free fiber runtime.
 
    Everything here runs on lib/check's deterministic interleaving
-   scheduler: the Atomic_deque / Mpsc_queue / Channel under test are the
+   scheduler: the Atomic_deque / Mpsc_queue / Sync under test are the
    SAME sources as production (recompiled against traced shims), and the
    explorer enumerates the interleavings of 2-3 simulated domains that
    the tier-1 stress tests can only sample by luck.
@@ -15,7 +15,6 @@ module Sched = Check.Sched
 module Adq = Check.Atomic_deque
 module Buggy = Check.Buggy_deque
 module Mpsc = Check.Mpsc_queue
-module Chan = Check.Channel
 module Compl = Check.Completion
 module Buggy_compl = Check.Buggy_completion
 module Atomic' = Check.Atomic
@@ -497,45 +496,6 @@ let mpsc_enqueue_drain () =
               (Printf.sprintf "producer %d order broken under batching" p))
         [ 1; 2 ] )
 
-(* ---------- scenario: channel send/recv wakeups ---------- *)
-
-let channel_send_recv () =
-  let ch = Chan.create ~capacity:1 () in
-  let got = ref [] in
-  ( [
-      (fun () ->
-        (* capacity 1: the second send must park and be woken by the
-           receiver -- the lost-wakeup window under test *)
-        Chan.send ch 1;
-        Chan.send ch 2;
-        Chan.close ch);
-      (fun () -> Chan.iter ch ~f:(fun v -> got := v :: !got));
-    ],
-    fun () ->
-      if List.rev !got <> [ 1; 2 ] then failwith "channel lost or reordered" )
-
-let channel_two_receivers () =
-  let ch = Chan.create ~capacity:1 () in
-  let a = ref [] and b = ref [] in
-  ( [
-      (fun () ->
-        Chan.send ch 1;
-        Chan.send ch 2;
-        Chan.close ch);
-      (fun () -> Chan.iter ch ~f:(fun v -> a := v :: !a));
-      (fun () -> Chan.iter ch ~f:(fun v -> b := v :: !b));
-    ],
-    fun () ->
-      let all = List.sort compare (!a @ !b) in
-      if all <> [ 1; 2 ] then failwith "two receivers lost/duplicated items" )
-
-(* A receiver on a channel nobody closes must be reported as a
-   deadlock, not hang the checker. *)
-let channel_forgotten_close () =
-  let ch = Chan.create ~capacity:1 () in
-  ( [ (fun () -> ignore (Chan.recv ch)); (fun () -> ()) ],
-    fun () -> () )
-
 (* ---------- scenario: couple() racing work-stealing (BLT) ----------- *)
 
 (* The paper's system-call-consistency invariant, as a protocol model:
@@ -709,12 +669,31 @@ module Bad_cond : CONDVAR = struct
   let signal = Bsy.Condition.signal
 end
 
+(* The seeded get-then-set unlock under the faithful condition: the
+   scenario's own unlocks are the buggy ones ([wait]'s release inside
+   its park registration stays faithful). *)
+module Bad_unlock_cond : CONDVAR = struct
+  type mutex = Bsy.Mutex.t
+  type t = Sy.Condition.t
+
+  let mcreate = Bsy.Mutex.create
+  let lock = Bsy.Mutex.lock
+  let unlock = Bsy.Mutex.unlock
+  let create = Sy.Condition.create
+  let wait = Sy.Condition.wait
+  let signal = Sy.Condition.signal
+end
+
 (* The textbook mailbox: consumer waits for the flag under the mutex,
    producer sets it and signals.  The faithful wait publishes the
    waiter before unlocking, so the signal can never fall into a gap;
    the seeded unlock-first wait loses it and the consumer parks
-   forever. *)
-let condition_mailbox (module C : CONDVAR) () =
+   forever.  With [signal_after_unlock] the producer unlocks before it
+   signals, the order lib/workload's [ping_pong] mailboxes use: the
+   signal then races the consumer's re-check and park without the
+   lock. *)
+let condition_mailbox ?(signal_after_unlock = false) (module C : CONDVAR) ()
+    =
   let m = C.mcreate () in
   let c = C.create () in
   let full = Atomic'.make false in
@@ -728,10 +707,29 @@ let condition_mailbox (module C : CONDVAR) () =
       (fun () ->
         C.lock m;
         Atomic'.set full true;
-        C.signal c;
-        C.unlock m);
+        if signal_after_unlock then begin
+          C.unlock m;
+          C.signal c
+        end
+        else begin
+          C.signal c;
+          C.unlock m
+        end);
     ],
     fun () -> if not (Atomic'.peek full) then failwith "mailbox still empty" )
+
+(* A waiter nobody signals must be reported as a deadlock, not hang the
+   checker. *)
+let forgotten_signal () =
+  let m = Sy.Mutex.create () and c = Sy.Condition.create () in
+  ( [
+      (fun () ->
+        Sy.Mutex.lock m;
+        Sy.Condition.wait c m;
+        Sy.Mutex.unlock m);
+      (fun () -> ());
+    ],
+    fun () -> () )
 
 module type SCOPE = sig
   type t
@@ -1091,7 +1089,7 @@ let kc_coupled kc who =
            who kc.kid
            (Option.value kc.owner ~default:"nobody"))
   in
-  Cfiber.suspend (fun wake ->
+  Cfiber.suspend_token (fun tok ->
       kc_step kc "submit" Sched.Set (fun () ->
           kc.jobs <-
             kc.jobs
@@ -1102,7 +1100,7 @@ let kc_coupled kc who =
                      flight *)
                   kc_step kc "syscall" Sched.Get ignore;
                   check ();
-                  wake ());
+                  ignore (Cfiber.Wake.fire tok));
               ]))
 
 (* An owner exits while two fibers lease.  A exits right after its
@@ -1790,19 +1788,8 @@ let test_mpsc () =
     (expect_pass "mpsc-enqueue-drain"
        (Sched.check ~max_schedules:4_000 mpsc_enqueue_drain))
 
-let test_channel () =
-  let stats =
-    expect_pass "channel-send-recv" (Sched.check channel_send_recv)
-  in
-  Alcotest.(check bool) "exhaustive" true stats.Sched.complete
-
-let test_channel_two_receivers () =
-  ignore
-    (expect_pass "channel-two-receivers"
-       (Sched.check ~max_schedules:4_000 channel_two_receivers))
-
 let test_deadlock_detected () =
-  let f, _ = expect_bug "forgotten close" (Sched.check channel_forgotten_close) in
+  let f, _ = expect_bug "forgotten signal" (Sched.check forgotten_signal) in
   Alcotest.(check bool)
     "reported as deadlock" true
     (contains ~sub:"Deadlock" f.Sched.f_reason)
@@ -1831,6 +1818,8 @@ let good_mutex : (module MUTEX) = (module Good_mutex)
 let bad_mutex : (module MUTEX) = (module Bad_mutex)
 let good_cond : (module CONDVAR) = (module Good_cond)
 let bad_cond : (module CONDVAR) = (module Bad_cond)
+let bad_unlock_cond : (module CONDVAR) = (module Bad_unlock_cond)
+let mailbox_after_unlock = condition_mailbox ~signal_after_unlock:true
 
 let test_mutex_exclusion () =
   ignore
@@ -1841,6 +1830,15 @@ let test_condition_mailbox () =
   ignore
     (expect_pass "condition-mailbox"
        (Sched.check ~max_schedules:8_000 (condition_mailbox good_cond)))
+
+let test_mailbox_after_unlock () =
+  let stats =
+    expect_pass "mailbox-signal-after-unlock"
+      (Sched.check (mailbox_after_unlock good_cond))
+  in
+  Printf.printf "mailbox-signal-after-unlock: %s\n%!"
+    (Format.asprintf "%a" Sched.pp_stats stats);
+  Alcotest.(check bool) "exhaustive" true stats.Sched.complete
 
 let test_scope_exit_race () =
   let stats =
@@ -1963,6 +1961,18 @@ let test_buggy_condition_caught =
   twin_caught "buggy-condition-wait"
     ~buggy:(condition_mailbox bad_cond)
     ~faithful:(condition_mailbox good_cond)
+    ~expect_reason:"Deadlock"
+
+let test_buggy_wait_after_unlock_caught =
+  twin_caught "buggy-condition-wait, signal after unlock"
+    ~buggy:(mailbox_after_unlock bad_cond)
+    ~faithful:(mailbox_after_unlock good_cond)
+    ~expect_reason:"Deadlock"
+
+let test_buggy_unlock_after_unlock_caught =
+  twin_caught "buggy-mutex-unlock, signal after unlock"
+    ~buggy:(mailbox_after_unlock bad_unlock_cond)
+    ~faithful:(mailbox_after_unlock good_cond)
     ~expect_reason:"Deadlock"
 
 let test_buggy_scope_caught =
@@ -2190,7 +2200,7 @@ let test_fuzz_real_structures_clean () =
       ("idle-take-vs-pop", idle_take_vs_pop idle);
       ("idle-wake-vs-park", idle_wake_vs_park idle);
       ("mpsc", mpsc_enqueue_drain);
-      ("channel", channel_send_recv);
+      ("mailbox-signal-after-unlock", mailbox_after_unlock good_cond);
       ("couple-vs-steal", couple_vs_steal ~buggy:false);
       ("mutex-exclusion-park", mutex_exclusion good_mutex);
       ("condition-mailbox", condition_mailbox good_cond);
@@ -2236,8 +2246,7 @@ let test_interleaving_budget () =
         ("idle-two-flushes", 4_000, idle_two_flushes idle);
         ("idle-wake-vs-park", 4_000, idle_wake_vs_park idle);
         ("mpsc-enqueue-drain", 4_000, mpsc_enqueue_drain);
-        ("channel-send-recv", 4_000, channel_send_recv);
-        ("channel-two-receivers", 4_000, channel_two_receivers);
+        ("mailbox-signal-after-unlock", 4_000, mailbox_after_unlock good_cond);
         ("couple-vs-steal", 4_000, couple_vs_steal ~buggy:false);
         ("mutex-exclusion-park", 8_000, mutex_exclusion good_mutex);
         ("condition-mailbox", 8_000, condition_mailbox good_cond);
@@ -2330,11 +2339,16 @@ let () =
         ] );
       ( "mpsc",
         [ Alcotest.test_case "enqueue vs drain" `Quick test_mpsc ] );
-      ( "channel",
+      ( "condition",
         [
-          Alcotest.test_case "send/recv wakeups" `Quick test_channel;
-          Alcotest.test_case "two receivers" `Quick test_channel_two_receivers;
-          Alcotest.test_case "forgotten close = deadlock" `Quick
+          Alcotest.test_case "mailbox, signal after unlock" `Quick
+            test_mailbox_after_unlock;
+          Alcotest.test_case "unlock-before-publish wait caught, signal after \
+                              unlock"
+            `Quick test_buggy_wait_after_unlock_caught;
+          Alcotest.test_case "get-then-set unlock caught, signal after unlock"
+            `Quick test_buggy_unlock_after_unlock_caught;
+          Alcotest.test_case "forgotten signal = deadlock" `Quick
             test_deadlock_detected;
         ] );
       ( "kc-pool",

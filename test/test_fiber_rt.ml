@@ -745,36 +745,65 @@ let stress_domains =
   let n = min 32 (Domain.recommended_domain_count ()) in
   [ n; n + 1 ]
 
-let channel_pipeline_across_domains domains =
-  let n = 500 in
-  let got = ref [] in
-  Fiber.run_parallel ~domains (fun () ->
-      let ch = Fiber_rt.Channel.create ~capacity:4 () in
-      let producer =
-        Fiber.spawn (fun () ->
-            for i = 1 to n do
-              Fiber_rt.Channel.send ch i
-            done;
-            Fiber_rt.Channel.close ch)
-      in
-      let consumer =
-        Fiber.spawn (fun () ->
-            Fiber_rt.Channel.iter ch ~f:(fun v -> got := v :: !got))
-      in
-      Fiber.join producer;
-      Fiber.join consumer);
-  Alcotest.(check (list int))
-    (Printf.sprintf "every item exactly once, in order (domains=%d)" domains)
-    (List.init n (fun i -> i + 1))
-    (List.rev !got)
+(* A bounded FIFO for the traffic tests: the queue under one
+   [Sync.Mutex], and one [Sync.Condition] that senders waiting for room
+   and receivers waiting for an item share, so every change broadcasts.
+   [recv] returns [None] once the box is closed and drained. *)
+module Box = struct
+  module Sync = Fiber_rt.Sync
 
-let test_par_channel_pipeline_across_domains () =
-  List.iter channel_pipeline_across_domains stress_domains
+  type 'a t = {
+    lock : Sync.Mutex.t;
+    changed : Sync.Condition.t;
+    items : 'a Queue.t;
+    capacity : int;
+    mutable closed : bool;
+  }
+
+  let create capacity =
+    {
+      lock = Sync.Mutex.create ();
+      changed = Sync.Condition.create ();
+      items = Queue.create ();
+      capacity;
+      closed = false;
+    }
+
+  let send t v =
+    Sync.Mutex.with_lock t.lock (fun () ->
+        while Queue.length t.items >= t.capacity do
+          Sync.Condition.wait t.changed t.lock
+        done;
+        Queue.push v t.items);
+    Sync.Condition.broadcast t.changed
+
+  let recv t =
+    let v =
+      Sync.Mutex.with_lock t.lock (fun () ->
+          while Queue.is_empty t.items && not t.closed do
+            Sync.Condition.wait t.changed t.lock
+          done;
+          Queue.take_opt t.items)
+    in
+    Sync.Condition.broadcast t.changed;
+    v
+
+  let close t =
+    Sync.Mutex.with_lock t.lock (fun () -> t.closed <- true);
+    Sync.Condition.broadcast t.changed
+
+  let rec iter t ~f =
+    match recv t with
+    | Some v ->
+        f v;
+        iter t ~f
+    | None -> ()
+end
 
 (* The big one: N fibers x M domains, each fiber doing a seeded random
-   mix of yield / nested spawn+join / channel traffic / coupled
+   mix of yield / nested spawn+join / [Box] traffic / coupled
    sections.  Whatever the interleaving: every fiber completes exactly
-   once, every channel message is accounted for, and the whole thing
+   once, every message is accounted for, and the whole thing
    finishes in bounded time.  The per-fiber
    RNG streams derive from [Test_seed.seed], so a red run reproduces
    with TEST_SEED=<printed seed>. *)
@@ -786,10 +815,9 @@ let mixed_traffic_stress domains =
   let received = Atomic.make 0 in
   let sent = Atomic.make 0 in
   Fiber.run_parallel ~domains (fun () ->
-      let ch = Fiber_rt.Channel.create ~capacity:8 () in
+      let box = Box.create 8 in
       let consumer =
-        Fiber.spawn (fun () ->
-            Fiber_rt.Channel.iter ch ~f:(fun _ -> Atomic.incr received))
+        Fiber.spawn (fun () -> Box.iter box ~f:(fun _ -> Atomic.incr received))
       in
       let fs =
         List.init n (fun i ->
@@ -808,13 +836,13 @@ let mixed_traffic_stress domains =
                       Fiber.join child
                   | 2 ->
                       Atomic.incr sent;
-                      Fiber_rt.Channel.send ch i
+                      Box.send box i
                   | _ -> ignore (Blt_rt.coupled (fun () -> ()))
                 done;
                 Atomic.incr completions))
       in
       List.iter Fiber.join fs;
-      Fiber_rt.Channel.close ch;
+      Box.close box;
       Fiber.join consumer);
   let dt = Unix.gettimeofday () -. t0 in
   let msg what =
@@ -826,7 +854,7 @@ let mixed_traffic_stress domains =
     (n + Atomic.get children)
     (Atomic.get completions);
   Alcotest.(check int)
-    (msg "no lost or duplicated channel messages")
+    (msg "no lost or duplicated messages")
     (Atomic.get sent) (Atomic.get received);
   Alcotest.(check bool)
     (msg (Printf.sprintf "bounded runtime (%.2fs)" dt))
@@ -1104,210 +1132,28 @@ let test_par_injected_fifo_order () =
     "injected wake-ups resume in arrival order"
     (List.init k Fun.id) (List.rev !order)
 
-(* ---------- channels ---------- *)
+(* ---------- properties ---------- *)
 
-module Channel = Fiber_rt.Channel
-
-let test_channel_roundtrip () =
-  let got = ref [] in
-  Fiber.run (fun () ->
-      let ch = Channel.create ~capacity:2 () in
-      let producer =
-        Fiber.spawn (fun () ->
-            for i = 1 to 5 do
-              Channel.send ch i
-            done;
-            Channel.close ch)
-      in
-      let consumer =
-        Fiber.spawn (fun () -> Channel.iter ch ~f:(fun v -> got := v :: !got))
-      in
-      Fiber.join producer;
-      Fiber.join consumer);
-  Alcotest.(check (list int)) "fifo delivery" [ 1; 2; 3; 4; 5 ] (List.rev !got)
-
-let test_channel_capacity_blocks_sender () =
-  let sent = ref 0 in
-  Fiber.run (fun () ->
-      let ch = Channel.create ~capacity:1 () in
-      let producer =
-        Fiber.spawn (fun () ->
-            Channel.send ch 1;
-            incr sent;
-            Channel.send ch 2 (* blocks: capacity 1 and nobody received *);
-            incr sent)
-      in
-      let observer =
-        Fiber.spawn (fun () ->
-            (* give the producer plenty of turns *)
-            for _ = 1 to 10 do
-              Fiber.yield ()
-            done;
-            Alcotest.(check int) "second send blocked" 1 !sent;
-            Alcotest.(check (option int)) "drain one" (Some 1) (Channel.recv ch))
-      in
-      Fiber.join observer;
-      Fiber.join producer);
-  Alcotest.(check int) "second send completed after drain" 2 !sent
-
-let test_channel_recv_blocks_until_send () =
-  Fiber.run (fun () ->
-      let ch = Channel.create () in
-      let consumer =
-        Fiber.spawn (fun () ->
-            Alcotest.(check (option string)) "waited for the value"
-              (Some "late") (Channel.recv ch))
-      in
-      let producer =
-        Fiber.spawn (fun () ->
-            for _ = 1 to 5 do
-              Fiber.yield ()
-            done;
-            Channel.send ch "late")
-      in
-      Fiber.join consumer;
-      Fiber.join producer)
-
-let test_channel_close_semantics () =
-  Fiber.run (fun () ->
-      let ch = Channel.create ~capacity:4 () in
-      Channel.send ch 1;
-      Channel.send ch 2;
-      Channel.close ch;
-      Alcotest.(check (option int)) "drains after close" (Some 1)
-        (Channel.recv ch);
-      Alcotest.(check (option int)) "drains fully" (Some 2) (Channel.recv ch);
-      Alcotest.(check (option int)) "then None" None (Channel.recv ch);
-      match Channel.send ch 3 with
-      | exception Channel.Closed -> ()
-      | () -> Alcotest.fail "send after close accepted")
-
-(* [close] wakes every parked party: senders parked on a full channel
-   raise [Closed], receivers parked on an empty one see [None], and
-   what the full channel held still drains.  Each party bumps [parked]
-   just before its blocking call, and the closer yields until all have;
-   on one worker every party is then parked.  The ten more yields give
-   a party on another worker time to reach its park. *)
-let close_wakes_parked domains =
-  let parties = 3 in
-  let parked = Atomic.make 0 in
-  let closed = Atomic.make 0 and nones = Atomic.make 0 in
-  let drained = ref [] in
-  Fiber.run_parallel ~domains (fun () ->
-      let full = Channel.create ~capacity:1 () in
-      Channel.send full 0;
-      let empty = Channel.create () in
-      let senders =
-        List.init parties (fun i ->
-            Fiber.spawn (fun () ->
-                Atomic.incr parked;
-                match Channel.send full (i + 1) with
-                | () -> ()
-                | exception Channel.Closed -> Atomic.incr closed))
-      in
-      let receivers =
-        List.init parties (fun _ ->
-            Fiber.spawn (fun () ->
-                Atomic.incr parked;
-                match Channel.recv empty with
-                | None -> Atomic.incr nones
-                | Some _ -> ()))
-      in
-      while Atomic.get parked < 2 * parties do
-        Fiber.yield ()
-      done;
-      for _ = 1 to 10 do
-        Fiber.yield ()
-      done;
-      Channel.close full;
-      Channel.close empty;
-      List.iter Fiber.join (senders @ receivers);
-      let first = Channel.recv full in
-      drained := [ first; Channel.recv full ]);
-  let msg what = Printf.sprintf "%s (domains=%d)" what domains in
-  Alcotest.(check int) (msg "every parked sender raised Closed") parties
-    (Atomic.get closed);
-  Alcotest.(check int) (msg "every parked receiver got None") parties
-    (Atomic.get nones);
-  Alcotest.(check (list (option int)))
-    (msg "the full channel drains, then None")
-    [ Some 0; None ] !drained
-
-let test_channel_close_wakes_parked () =
-  List.iter close_wakes_parked (1 :: stress_domains)
-
-let test_channel_pipeline () =
-  (* three-stage pipeline across fibers, with a coupled stage *)
-  let out = ref [] in
-  Fiber.run (fun () ->
-      let a = Channel.create ~capacity:2 () in
-      let b = Channel.create ~capacity:2 () in
-      let source =
-        Fiber.spawn (fun () ->
-            for i = 1 to 8 do
-              Channel.send a i
-            done;
-            Channel.close a)
-      in
-      let square =
-        Fiber.spawn (fun () ->
-            Channel.iter a ~f:(fun v ->
-                (* a "blocking" transformation on the original KC *)
-                let v2 = Blt_rt.coupled (fun () -> v * v) in
-                Channel.send b v2);
-            Channel.close b)
-      in
-      let sink = Fiber.spawn (fun () -> Channel.iter b ~f:(fun v -> out := v :: !out)) in
-      Fiber.join source;
-      Fiber.join square;
-      Fiber.join sink);
-  Alcotest.(check (list int)) "squares through the pipeline"
-    [ 1; 4; 9; 16; 25; 36; 49; 64 ]
-    (List.rev !out)
-
-let test_channel_fold () =
-  let total = ref 0 in
-  Fiber.run (fun () ->
-      let ch = Channel.create ~capacity:4 () in
-      let p =
-        Fiber.spawn (fun () ->
-            for i = 1 to 10 do
-              Channel.send ch i
-            done;
-            Channel.close ch)
-      in
-      let c =
-        Fiber.spawn (fun () -> total := Channel.fold ch ~init:0 ~f:( + ))
-      in
-      Fiber.join p;
-      Fiber.join c);
-  Alcotest.(check int) "sum 1..10" 55 !total
-
-let test_channel_bad_capacity () =
-  match Channel.create ~capacity:0 () with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "capacity 0 accepted"
-
-let prop_channel_preserves_all_items =
+(* A [Box] is a bounded channel: whatever its capacity, one sender and
+   one receiver see every item once, in order, under one worker. *)
+let prop_box_preserves_all_items =
   QCheck.Test.make ~name:"channel delivers every item exactly once" ~count:30
     QCheck.(pair (int_range 1 4) (list_of_size (Gen.int_range 0 30) small_nat))
     (fun (capacity, items) ->
       let got = ref [] in
       Fiber.run (fun () ->
-          let ch = Channel.create ~capacity () in
+          let box = Box.create capacity in
           let p =
             Fiber.spawn (fun () ->
-                List.iter (Channel.send ch) items;
-                Channel.close ch)
+                List.iter (Box.send box) items;
+                Box.close box)
           in
           let c =
-            Fiber.spawn (fun () -> Channel.iter ch ~f:(fun v -> got := v :: !got))
+            Fiber.spawn (fun () -> Box.iter box ~f:(fun v -> got := v :: !got))
           in
           Fiber.join p;
           Fiber.join c);
       List.rev !got = items)
-
-(* ---------- properties ---------- *)
 
 let prop_yield_count_independent_of_interleaving =
   QCheck.Test.make ~name:"n fibers of k yields all finish" ~count:20
@@ -1490,8 +1336,6 @@ let () =
             test_par_executor_affinity_under_migration;
           Alcotest.test_case "coupled off workers" `Quick
             test_par_coupled_runs_off_worker_domains;
-          Alcotest.test_case "channel pipeline across domains" `Quick
-            test_par_channel_pipeline_across_domains;
           Alcotest.test_case "mixed-traffic stress" `Quick
             test_par_mixed_traffic_stress;
           Alcotest.test_case "stress: exact completion accounting" `Quick
@@ -1546,24 +1390,9 @@ let () =
           Alcotest.test_case "two context switches per coupled call" `Quick
             test_pool_switches_per_coupled_call;
         ] );
-      ( "channels",
-        [
-          Alcotest.test_case "roundtrip" `Quick test_channel_roundtrip;
-          Alcotest.test_case "capacity blocks sender" `Quick
-            test_channel_capacity_blocks_sender;
-          Alcotest.test_case "recv blocks" `Quick
-            test_channel_recv_blocks_until_send;
-          Alcotest.test_case "close semantics" `Quick
-            test_channel_close_semantics;
-          Alcotest.test_case "pipeline" `Quick test_channel_pipeline;
-          Alcotest.test_case "close wakes every parked party" `Quick
-            test_channel_close_wakes_parked;
-          Alcotest.test_case "fold" `Quick test_channel_fold;
-          Alcotest.test_case "bad capacity" `Quick test_channel_bad_capacity;
-        ] );
       ( "properties",
         [
           qcheck prop_yield_count_independent_of_interleaving;
-          qcheck prop_channel_preserves_all_items;
+          qcheck prop_box_preserves_all_items;
         ] );
     ]

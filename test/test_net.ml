@@ -765,52 +765,61 @@ let count_fds () =
   | entries -> Some (Array.length entries)
   | exception Sys_error _ -> None
 
-let test_tcp_echo () =
-  with_reactor (fun r ->
-      let clients = 16 and rounds = 5 in
-      let ok = Atomic.make 0 in
-      Fiber.run_parallel ~domains:2 (fun () ->
-          let srv =
-            Tcp.start ~reactor:r
-              ~addr:(Unix.ADDR_INET (localhost, 0))
-              ~handler:echo_handler ()
-          in
-          let port = Tcp.port srv in
-          let fibers =
-            List.init clients (fun i ->
-                Fiber.spawn (fun () ->
-                    let fd = connect_local r port in
-                    let msg = Printf.sprintf "hello-%03d" i in
-                    let len = String.length msg in
-                    let buf = Bytes.create len in
-                    for _ = 1 to rounds do
-                      Fio.write_all r fd (Bytes.of_string msg) 0 len;
-                      Fio.read_exact r fd buf 0 len;
-                      if Bytes.to_string buf <> msg then
-                        failwith "echo mismatch"
-                    done;
-                    Unix.close fd;
-                    Atomic.incr ok))
-          in
-          List.iter Fiber.join fibers;
-          Tcp.stop srv;
-          let st = Tcp.stats srv in
-          if st.Tcp.accepted <> clients then
-            failwith
-              (Printf.sprintf "accepted %d of %d" st.Tcp.accepted clients);
-          if st.Tcp.active <> 0 then failwith "connections leaked past stop";
-          if st.Tcp.completed <> clients then
-            failwith
-              (Printf.sprintf "completed %d of %d" st.Tcp.completed clients));
-      Alcotest.(check int) "every client echoed" clients (Atomic.get ok))
-
-(* The backpressure case runs on as many domains as the host has cores,
-   then on one more, so every host runs both the parallel and the
+(* The serving cases run on as many domains as the host has cores, then
+   on one more, so every host runs both the parallel and the
    oversubscribed schedule; the bound keeps a many-core host's run
-   small. *)
+   small.  Each failure message names its domain count. *)
 let stress_domains =
   let n = min 32 (Domain.recommended_domain_count ()) in
   [ n; n + 1 ]
+
+(* [failwith] inside a run, with the run's domain count appended. *)
+let fail_at ~domains fmt =
+  Printf.ksprintf
+    (fun s -> failwith (Printf.sprintf "%s (domains=%d)" s domains))
+    fmt
+
+let tcp_echo r ~domains =
+  let clients = 16 and rounds = 5 in
+  let ok = Atomic.make 0 in
+  let fail fmt = fail_at ~domains fmt in
+  Fiber.run_parallel ~domains (fun () ->
+      let srv =
+        Tcp.start ~reactor:r
+          ~addr:(Unix.ADDR_INET (localhost, 0))
+          ~handler:echo_handler ()
+      in
+      let port = Tcp.port srv in
+      let fibers =
+        List.init clients (fun i ->
+            Fiber.spawn (fun () ->
+                let fd = connect_local r port in
+                let msg = Printf.sprintf "hello-%03d" i in
+                let len = String.length msg in
+                let buf = Bytes.create len in
+                for _ = 1 to rounds do
+                  Fio.write_all r fd (Bytes.of_string msg) 0 len;
+                  Fio.read_exact r fd buf 0 len;
+                  if Bytes.to_string buf <> msg then fail "echo mismatch"
+                done;
+                Unix.close fd;
+                Atomic.incr ok))
+      in
+      List.iter Fiber.join fibers;
+      Tcp.stop srv;
+      let st = Tcp.stats srv in
+      if st.Tcp.accepted <> clients then
+        fail "accepted %d of %d" st.Tcp.accepted clients;
+      if st.Tcp.active <> 0 then fail "connections leaked past stop";
+      if st.Tcp.completed <> clients then
+        fail "completed %d of %d" st.Tcp.completed clients);
+  Alcotest.(check int)
+    (Printf.sprintf "every client echoed (domains=%d)" domains)
+    clients (Atomic.get ok)
+
+let test_tcp_echo () =
+  with_reactor (fun r ->
+      List.iter (fun domains -> tcp_echo r ~domains) stress_domains)
 
 let tcp_backpressure r ~domains =
   let clients = 8 and cap = 2 in
@@ -866,53 +875,58 @@ let test_tcp_backpressure () =
    is gone, and then takes 50 ms more.  A [stop] that left the loop for
    a retiring connection to free would wait forever here.  [stop]
    returns after the handler, with every fd back. *)
+let tcp_stop_gated_loop ~baseline ~domains =
+  let served = Atomic.make false and st = ref None in
+  with_reactor (fun r ->
+      Fiber.run_parallel ~domains (fun () ->
+          (* fds open before [stop]; the listener's close lowers it *)
+          let open_fds = Atomic.make 0 in
+          let srv =
+            Tcp.start ~reactor:r ~max_conns:1
+              ~addr:(Unix.ADDR_INET (localhost, 0))
+              ~handler:(fun r _ ->
+                while Atomic.get open_fds = 0 do
+                  Reactor.sleep r 0.001
+                done;
+                while Option.get (count_fds ()) >= Atomic.get open_fds do
+                  Reactor.sleep r 0.001
+                done;
+                Reactor.sleep r 0.05;
+                Atomic.set served true)
+              ()
+          in
+          let port = Tcp.port srv in
+          let a = connect_local r port in
+          let b = connect_local r port in
+          let give_up = Reactor.now () +. 5.0 in
+          while
+            (Tcp.stats srv).Tcp.accept_retries = 0 && Reactor.now () < give_up
+          do
+            Reactor.sleep r 0.001
+          done;
+          Atomic.set open_fds (Option.get (count_fds ()));
+          Tcp.stop srv;
+          st := Some (Tcp.stats srv);
+          Unix.close a;
+          Unix.close b));
+  let st = Option.get !st in
+  let msg what = Printf.sprintf "%s (domains=%d)" what domains in
+  Alcotest.(check bool) (msg "the loop waited at capacity") true
+    (st.Tcp.accept_retries > 0);
+  Alcotest.(check bool) (msg "stop returned after the handler") true
+    (Atomic.get served);
+  Alcotest.(check int) (msg "one connection accepted") 1 st.Tcp.accepted;
+  Alcotest.(check int) (msg "drained") 0 st.Tcp.active;
+  Alcotest.(check (option int)) (msg "fd count back to baseline")
+    (Some baseline) (count_fds ())
+
 let test_tcp_stop_gated_loop () =
   match count_fds () with
   | None -> () (* no /proc: skip silently, the CI runner has it *)
   | Some baseline ->
-      let served = Atomic.make false and st = ref None in
-      with_reactor (fun r ->
-          Fiber.run_parallel ~domains:2 (fun () ->
-              (* fds open before [stop]; the listener's close lowers it *)
-              let open_fds = Atomic.make 0 in
-              let srv =
-                Tcp.start ~reactor:r ~max_conns:1
-                  ~addr:(Unix.ADDR_INET (localhost, 0))
-                  ~handler:(fun r _ ->
-                    while Atomic.get open_fds = 0 do
-                      Reactor.sleep r 0.001
-                    done;
-                    while Option.get (count_fds ()) >= Atomic.get open_fds do
-                      Reactor.sleep r 0.001
-                    done;
-                    Reactor.sleep r 0.05;
-                    Atomic.set served true)
-                  ()
-              in
-              let port = Tcp.port srv in
-              let a = connect_local r port in
-              let b = connect_local r port in
-              let give_up = Reactor.now () +. 5.0 in
-              while
-                (Tcp.stats srv).Tcp.accept_retries = 0
-                && Reactor.now () < give_up
-              do
-                Reactor.sleep r 0.001
-              done;
-              Atomic.set open_fds (Option.get (count_fds ()));
-              Tcp.stop srv;
-              st := Some (Tcp.stats srv);
-              Unix.close a;
-              Unix.close b));
-      let st = Option.get !st in
-      Alcotest.(check bool) "the loop waited at capacity" true
-        (st.Tcp.accept_retries > 0);
-      Alcotest.(check bool) "stop returned after the handler" true
-        (Atomic.get served);
-      Alcotest.(check int) "one connection accepted" 1 st.Tcp.accepted;
-      Alcotest.(check int) "drained" 0 st.Tcp.active;
-      Alcotest.(check (option int)) "fd count back to baseline" (Some baseline)
-        (count_fds ())
+      List.iter
+        (fun domains -> tcp_stop_gated_loop ~baseline ~domains)
+        stress_domains
 
 (* fd exhaustion on accept: with every fd taken, the accept of a
    pending client fails with EMFILE.  The server must back off and
@@ -978,80 +992,87 @@ let test_tcp_accept_emfile () =
               Tcp.stop srv)));
   Alcotest.(check string) "client echoed after fds freed" "hi" !echoed
 
+let tcp_graceful_stop r ~domains =
+  let served = Atomic.make false in
+  let msg what = Printf.sprintf "%s (domains=%d)" what domains in
+  Fiber.run_parallel ~domains (fun () ->
+      let srv =
+        Tcp.start ~reactor:r
+          ~addr:(Unix.ADDR_INET (localhost, 0))
+          ~handler:(fun r c ->
+            Reactor.sleep r 0.05;
+            ignore (Fio.write_once r c.Tcp.fd (Bytes.of_string "bye") 0 3);
+            Atomic.set served true)
+          ()
+      in
+      let port = Tcp.port srv in
+      let fd = connect_local r port in
+      (* ensure the connection is accepted and in its handler *)
+      let rec wait_accept n =
+        if Tcp.active srv = 0 && n > 0 then begin
+          Reactor.sleep r 0.005;
+          wait_accept (n - 1)
+        end
+      in
+      wait_accept 100;
+      Alcotest.(check int) (msg "one live connection") 1 (Tcp.active srv);
+      (* stop must drain: the in-flight handler finishes, is not
+         killed *)
+      Tcp.stop srv;
+      Alcotest.(check bool) (msg "stop waited for the handler") true
+        (Atomic.get served);
+      Alcotest.(check int) (msg "drained") 0 (Tcp.active srv);
+      let buf = Bytes.create 3 in
+      Fio.read_exact r fd buf 0 3;
+      Alcotest.(check string)
+        (msg "response arrived before the drain")
+        "bye" (Bytes.to_string buf);
+      Unix.close fd)
+
 let test_tcp_graceful_stop () =
   with_reactor (fun r ->
-      let served = Atomic.make false in
-      Fiber.run_parallel ~domains:2 (fun () ->
+      List.iter (fun domains -> tcp_graceful_stop r ~domains) stress_domains)
+
+let tcp_no_fd_leak ~baseline ~domains =
+  with_reactor (fun r ->
+      Fiber.run_parallel ~domains (fun () ->
           let srv =
             Tcp.start ~reactor:r
               ~addr:(Unix.ADDR_INET (localhost, 0))
-              ~handler:(fun r c ->
-                Reactor.sleep r 0.05;
-                ignore
-                  (Fio.write_once r c.Tcp.fd (Bytes.of_string "bye") 0 3);
-                Atomic.set served true)
-              ()
+              ~handler:echo_handler ()
           in
           let port = Tcp.port srv in
-          let fd = connect_local r port in
-          (* ensure the connection is accepted and in its handler *)
-          let rec wait_accept n =
-            if Tcp.active srv = 0 && n > 0 then begin
-              Reactor.sleep r 0.005;
-              wait_accept (n - 1)
-            end
+          let fibers =
+            List.init 8 (fun _ ->
+                Fiber.spawn (fun () ->
+                    let fd = connect_local r port in
+                    Fio.write_all r fd (Bytes.of_string "x") 0 1;
+                    let b = Bytes.create 1 in
+                    Fio.read_exact r fd b 0 1;
+                    Unix.close fd))
           in
-          wait_accept 100;
-          Alcotest.(check int) "one live connection" 1 (Tcp.active srv);
-          (* stop must drain: the in-flight handler finishes, is not
-             killed *)
-          Tcp.stop srv;
-          Alcotest.(check bool) "stop waited for the handler" true
-            (Atomic.get served);
-          Alcotest.(check int) "drained" 0 (Tcp.active srv);
-          let buf = Bytes.create 3 in
-          Fio.read_exact r fd buf 0 3;
-          Alcotest.(check string) "response arrived before the drain" "bye"
-            (Bytes.to_string buf);
-          Unix.close fd));
-  ()
+          List.iter Fiber.join fibers;
+          Tcp.stop srv));
+  (* reactor shut down by with_reactor: its self-pipe is gone too *)
+  let after = match count_fds () with Some n -> n | None -> baseline in
+  Alcotest.(check int)
+    (Printf.sprintf "fd count back to baseline (domains=%d)" domains)
+    baseline after
 
 let test_tcp_no_fd_leak () =
   match count_fds () with
   | None -> () (* no /proc: skip silently, the CI runner has it *)
   | Some baseline ->
-      with_reactor (fun r ->
-          Fiber.run_parallel ~domains:2 (fun () ->
-              let srv =
-                Tcp.start ~reactor:r
-                  ~addr:(Unix.ADDR_INET (localhost, 0))
-                  ~handler:echo_handler ()
-              in
-              let port = Tcp.port srv in
-              let fibers =
-                List.init 8 (fun _ ->
-                    Fiber.spawn (fun () ->
-                        let fd = connect_local r port in
-                        Fio.write_all r fd (Bytes.of_string "x") 0 1;
-                        let b = Bytes.create 1 in
-                        Fio.read_exact r fd b 0 1;
-                        Unix.close fd))
-              in
-              List.iter Fiber.join fibers;
-              Tcp.stop srv));
-      (* reactor shut down by with_reactor: its self-pipe is gone too *)
-      let after =
-        match count_fds () with Some n -> n | None -> baseline
-      in
-      Alcotest.(check int) "fd count back to baseline" baseline after
+      List.iter (fun domains -> tcp_no_fd_leak ~baseline ~domains) stress_domains
 
 (* ---------- backend matrix ---------- *)
 
 (* one echo burst against a caller-supplied reactor; returns how many
    clients round-tripped cleanly *)
-let echo_burst r ~clients =
+let echo_burst r ~clients ~domains =
   let ok = Atomic.make 0 in
-  Fiber.run_parallel ~domains:2 (fun () ->
+  let fail fmt = fail_at ~domains fmt in
+  Fiber.run_parallel ~domains (fun () ->
       let srv =
         Tcp.start ~reactor:r
           ~addr:(Unix.ADDR_INET (localhost, 0))
@@ -1068,7 +1089,7 @@ let echo_burst r ~clients =
                 for _ = 1 to 3 do
                   Fio.write_all r fd (Bytes.of_string msg) 0 len;
                   Fio.read_exact r fd buf 0 len;
-                  if Bytes.to_string buf <> msg then failwith "echo mismatch"
+                  if Bytes.to_string buf <> msg then fail "echo mismatch"
                 done;
                 Unix.close fd;
                 Atomic.incr ok))
@@ -1077,8 +1098,8 @@ let echo_burst r ~clients =
       Tcp.stop srv;
       let st = Tcp.stats srv in
       if st.Tcp.accepted <> clients then
-        failwith (Printf.sprintf "accepted %d of %d" st.Tcp.accepted clients);
-      if st.Tcp.active <> 0 then failwith "connections leaked past stop");
+        fail "accepted %d of %d" st.Tcp.accepted clients;
+      if st.Tcp.active <> 0 then fail "connections leaked past stop");
   Atomic.get ok
 
 let test_echo_every_backend () =
@@ -1096,8 +1117,14 @@ let test_echo_every_backend () =
           Alcotest.(check bool)
             (backend_name b ^ ": reactor picked it") true
             (Reactor.backend r = b);
-          let ok = echo_burst r ~clients:8 in
-          Alcotest.(check int) (backend_name b ^ ": all clients echoed") 8 ok))
+          List.iter
+            (fun domains ->
+              let ok = echo_burst r ~clients:8 ~domains in
+              Alcotest.(check int)
+                (Printf.sprintf "%s: all clients echoed (domains=%d)"
+                   (backend_name b) domains)
+                8 ok)
+            stress_domains))
     (available_backends ())
 
 let () =

@@ -689,8 +689,7 @@ let test_spawn_fiber_failure_kills_ulp () =
 (* Each stress runs on as many domains as the host has cores, then on
    one more, so every host runs both the parallel and the
    oversubscribed schedule.  The bound keeps a many-core host's run
-   small.  Their test names keep "4 domains", the count they used to
-   fix, so their ids stay stable. *)
+   small. *)
 let stress_domains =
   let n = min 32 (Domain.recommended_domain_count ()) in
   [ n; n + 1 ]
@@ -1067,11 +1066,11 @@ let () =
         [
           Alcotest.test_case "fiber failure kills the whole ULP" `Quick
             test_spawn_fiber_failure_kills_ulp;
-          Alcotest.test_case "300 ULPs across 4 domains (TEST_SEED)" `Slow
+          Alcotest.test_case "300 ULPs across nproc and nproc + 1 domains (TEST_SEED)" `Slow
             test_multidomain_stress;
-          Alcotest.test_case "fd table grows under 4 domains (TEST_SEED)"
+          Alcotest.test_case "fd table grows under nproc and nproc + 1 domains (TEST_SEED)"
             `Slow test_fd_growth_stress;
-          Alcotest.test_case "three-level tree on 4 domains (TEST_SEED)" `Slow
+          Alcotest.test_case "three-level tree on nproc and nproc + 1 domains (TEST_SEED)" `Slow
             test_three_level_stress;
         ] );
     ]

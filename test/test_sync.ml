@@ -204,6 +204,56 @@ let bounded_buffer domains =
 
 let test_condition_bounded_buffer () = List.iter bounded_buffer stress_domains
 
+(* [broadcast] wakes every parked waiter.  Each of [k] waiters counts
+   itself under the mutex, then waits on the flag; once the main fiber
+   has seen all [k] counted and taken the mutex, every one of them is
+   parked on the condition (a waiter releases the mutex only inside
+   [wait]).  The main fiber sets the flag, unlocks, then broadcasts,
+   and every waiter must return.  A waiter still parked after 5 s is
+   recorded, and more broadcasts release it so the run ends with a
+   message instead of a hang. *)
+let broadcast_wakes_all domains =
+  let k = 4 in
+  let fails = Domain_check.create () in
+  let m = Sync.Mutex.create () and c = Sync.Condition.create () in
+  let flag = ref false in
+  let parked = Atomic.make 0 and returned = Atomic.make 0 in
+  Fiber.run_parallel ~domains (fun () ->
+      let waiters =
+        List.init k (fun _ ->
+            Fiber.spawn (fun () ->
+                Sync.Mutex.lock m;
+                Atomic.incr parked;
+                while not !flag do
+                  Sync.Condition.wait c m
+                done;
+                Sync.Mutex.unlock m;
+                Atomic.incr returned))
+      in
+      while Atomic.get parked < k do
+        Fiber.yield ()
+      done;
+      Sync.Mutex.lock m;
+      flag := true;
+      Sync.Mutex.unlock m;
+      Sync.Condition.broadcast c;
+      let give_up = Unix.gettimeofday () +. 5.0 in
+      while Atomic.get returned < k && Unix.gettimeofday () < give_up do
+        Fiber.yield ()
+      done;
+      Domain_check.check fails Alcotest.int
+        (Printf.sprintf "waiters returned after one broadcast at domains=%d"
+           domains)
+        k (Atomic.get returned);
+      while Atomic.get returned < k do
+        Sync.Condition.broadcast c;
+        Fiber.yield ()
+      done;
+      List.iter Fiber.join waiters);
+  Domain_check.report fails
+
+let test_condition_broadcast () = List.iter broadcast_wakes_all (1 :: stress_domains)
+
 (* ------------------------------------------------------------------ *)
 (* Scope                                                              *)
 (* ------------------------------------------------------------------ *)
@@ -340,7 +390,11 @@ let () =
           case "stress/park" test_mutex_stress;
           case "fifo-handoff" test_mutex_fifo_handoff;
         ] );
-      ("condition", [ case "bounded-buffer" test_condition_bounded_buffer ]);
+      ( "condition",
+        [
+          case "bounded-buffer" test_condition_bounded_buffer;
+          case "broadcast wakes every parked waiter" test_condition_broadcast;
+        ] );
       ( "scope",
         [
           case "waits-for-children" test_scope_waits_for_children;
