@@ -10,7 +10,7 @@
       ablation-tls ablation-idle ablation-faults ablation-mn
       ablation-sigmask ablation-blocking ablation-oversub
       ablation-nonblock ablation-policy
-      parallel net [--quick] [--diff old.json] [--backend B]
+      parallel net [--quick] [--diff old.json]
       validate validate-net)
 
    The [parallel] target measures the work-stealing multicore fiber
@@ -751,19 +751,15 @@ let run_parallel_bench ~quick ~diff () =
    accept backlog; each request is a 64-byte write + exact echo read,
    timed individually on the client side.
 
-   [--backend epoll|poll|select|auto] picks the Poller backend; every
-   result row records it, so one file can hold a cross-backend
-   comparison.  The full sweep climbs to 10000 concurrent connections
-   (epoll's O(ready) wait vs poll's O(interest) scan is invisible at 64
-   conns and decisive at 10k); the select backend is capped at
-   [Bench_file.Net.select_conn_cap] connections.  A full epoll run also
-   re-measures the 1000-connection point on the poll backend as a
-   built-in cross-check row.
+   The full sweep climbs to 10000 concurrent connections, every one of
+   them busy; then the idle-heavy row holds 10000 connections open
+   while only 100 of them send, the case an O(ready) poller exists
+   for.  The one poller is edge-triggered epoll.
 
    RLIMIT_NOFILE is raised up front and the fd count must return to its
    baseline after the run -- [validate-net] gates on that, so a leaked
    socket fails CI.  Results go to BENCH_net.json (schema
-   ulp-pip/net-bench/v2, declared in Report.Bench_file). *)
+   ulp-pip/net-bench/v3, declared in Report.Bench_file). *)
 
 module Net_reactor = Net.Reactor
 module Net_io = Net.Fiber_io
@@ -787,68 +783,65 @@ let net_echo_handler r (c : Net_tcp.conn) =
   in
   loop ()
 
-let net_backend_name = function
-  | `Select -> "select"
-  | `Poll -> "poll"
-  | `Epoll -> "epoll"
-
 (* The client herd (fiber context): [conns] clients connect and echo
-   once, rendezvous on a Completion latch, then fire [reqs] echo
-   roundtrips each --
-   per-request RTTs feed the percentile stats.  Shared between the
-   in-process sweep and the [net-client] subprocess (below), so both
-   modes measure exactly the same workload.  Returns
+   once, rendezvous on a Completion latch, then the first [active] of
+   them fire [reqs] echo roundtrips each while the rest hold their
+   connections open, idle, until the timed phase ends.  Per-request
+   RTTs feed the percentile stats.  Shared between the in-process
+   sweep and the [net-client] subprocess (below), so both modes
+   measure exactly the same workload.  Returns
    (requests, elapsed_s, p50_s, p99_s, max_s). *)
-let net_run_clients r ~port ~conns ~reqs =
+let net_run_clients r ~port ~conns ~active ~reqs =
   let module Fiber = Fiber_rt.Fiber in
   let module Completion = Fiber_rt.Completion in
   let connected = Atomic.make 0 in
   let all_connected = Completion.create () in
-  let go = Completion.create () in
+  let go = Completion.create () and timed_done = Completion.create () in
   let await c = Fiber.suspend (fun wake -> Completion.add_joiner c wake) in
   let lat = Sim.Stats.create () in
   let lat_lock = Mutex.create () in
   let done_reqs = Atomic.make 0 in
-  let clients =
-    List.init conns (fun i ->
-        Fiber.spawn (fun () ->
-            let fd =
-              Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0
-            in
-            Unix.set_nonblock fd;
-            Net_io.connect r fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-            let msg =
-              Bytes.init net_msg_bytes (fun j -> Char.chr ((i + j) land 0xff))
-            in
-            let echo = Bytes.create net_msg_bytes in
-            (* connect returns once the kernel queues the handshake; one
-               untimed echo proves the server accepted this connection *)
-            Net_io.write_all r fd msg 0 net_msg_bytes;
-            Net_io.read_exact r fd echo 0 net_msg_bytes;
-            if Atomic.fetch_and_add connected 1 + 1 = conns then
-              Completion.finish all_connected ();
-            await go;
-            let rtts = Array.make reqs 0.0 in
-            for k = 0 to reqs - 1 do
-              let t0 = Fiber_rt.Clock.now () in
-              Net_io.write_all r fd msg 0 net_msg_bytes;
-              Net_io.read_exact r fd echo 0 net_msg_bytes;
-              rtts.(k) <- Fiber_rt.Clock.now () -. t0;
-              if not (Bytes.equal msg echo) then failwith "echo corrupted"
-            done;
-            (* ulplint: allow raw-mutex-in-fiber -- Sim.Stats sink shared across worker domains; short hold, never parks while held *)
-            Mutex.lock lat_lock;
-            Array.iter (Sim.Stats.add lat) rtts;
-            Mutex.unlock lat_lock;
-            Atomic.fetch_and_add done_reqs reqs |> ignore;
-            Unix.close fd))
+  let client i () =
+    let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
+    Unix.set_nonblock fd;
+    Net_io.connect r fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+    let msg = Bytes.init net_msg_bytes (fun j -> Char.chr ((i + j) land 0xff)) in
+    let echo = Bytes.create net_msg_bytes in
+    (* connect returns once the kernel queues the handshake; one untimed
+       echo proves the server accepted this connection *)
+    Net_io.write_all r fd msg 0 net_msg_bytes;
+    Net_io.read_exact r fd echo 0 net_msg_bytes;
+    if Atomic.fetch_and_add connected 1 + 1 = conns then
+      Completion.finish all_connected ();
+    await go;
+    if i < active then begin
+      let rtts = Array.make reqs 0.0 in
+      for k = 0 to reqs - 1 do
+        let t0 = Fiber_rt.Clock.now () in
+        Net_io.write_all r fd msg 0 net_msg_bytes;
+        Net_io.read_exact r fd echo 0 net_msg_bytes;
+        rtts.(k) <- Fiber_rt.Clock.now () -. t0;
+        if not (Bytes.equal msg echo) then failwith "echo corrupted"
+      done;
+      (* ulplint: allow raw-mutex-in-fiber -- Sim.Stats sink shared across worker domains; short hold, never parks while held *)
+      Mutex.lock lat_lock;
+      Array.iter (Sim.Stats.add lat) rtts;
+      Mutex.unlock lat_lock;
+      Atomic.fetch_and_add done_reqs reqs |> ignore
+    end
+    else await timed_done;
+    Net_io.close fd
   in
+  let clients = List.init conns (fun i -> Fiber.spawn (client i)) in
+  let join_if p = List.iteri (fun i f -> if p i then Fiber.join f) clients in
   await all_connected;
   (* every connection is live: start the clock and release the herd *)
   let t0 = Fiber_rt.Clock.now () in
   Completion.finish go ();
-  List.iter Fiber.join clients;
+  join_if (fun i -> i < active);
   let elapsed = Fiber_rt.Clock.now () -. t0 in
+  Completion.finish timed_done ();
+  join_if (fun i -> i >= active);
   ( Atomic.get done_reqs,
     elapsed,
     Sim.Stats.percentile lat 50.0,
@@ -861,12 +854,12 @@ let net_run_clients r ~port ~conns ~reqs =
    limit -- each side of the bench then only needs 1 fd/connection.
    Prints [requests, elapsed, p50, p99, max] as one JSON list on stdout
    and exits 0. *)
-let run_net_client ~port ~conns ~reqs () =
+let run_net_client ~port ~conns ~active ~reqs () =
   ignore (Net.Poller.raise_nofile (conns + 1024));
   let r = Net_reactor.create () in
   let result = ref (0, 0.0, 0.0, 0.0, 0.0) in
   Fiber_rt.Fiber.run_parallel (fun () ->
-      result := net_run_clients r ~port ~conns ~reqs);
+      result := net_run_clients r ~port ~conns ~active ~reqs);
   Net_reactor.shutdown r;
   let requests, elapsed, p50, p99, mx = !result in
   print_string
@@ -878,14 +871,15 @@ let run_net_client ~port ~conns ~reqs () =
 (* Run the herd in a [net-client] subprocess (fiber context): the
    parent keeps serving echoes while a fiber drains the child's stdout
    through the reactor; EOF means the child is done. *)
-let net_spawn_client r ~port ~conns ~reqs =
+let net_spawn_client r ~port ~conns ~active ~reqs =
   let out_r, out_w = Unix.pipe ~cloexec:true () in
   let exe = Sys.executable_name in
   let pid =
     Unix.create_process exe
       [|
         exe; "net-client"; "--port"; string_of_int port; "--conns";
-        string_of_int conns; "--reqs"; string_of_int reqs;
+        string_of_int conns; "--active"; string_of_int active; "--reqs";
+        string_of_int reqs;
       |]
       Unix.stdin out_w Unix.stderr
   in
@@ -901,7 +895,7 @@ let net_spawn_client r ~port ~conns ~reqs =
         drain ()
   in
   drain ();
-  Unix.close out_r;
+  Net_io.close out_r;
   (match Unix.waitpid [] pid with
   | _, Unix.WEXITED 0 -> ()
   | _ -> failwith "net bench: client subprocess failed");
@@ -912,7 +906,7 @@ let net_spawn_client r ~port ~conns ~reqs =
 
 (* One sweep point: start a server, run the herd ([`Subproc]: in a
    child process -- see [net_spawn_client]), collect the row. *)
-let net_sweep_point r ~mode ~conns ~reqs =
+let net_sweep_point r ~mode ~conns ~active ~reqs =
   let srv =
     Net_tcp.start ~reactor:r ~backlog:1024
       ~addr:(Unix.ADDR_INET (Unix.inet_addr_loopback, 0))
@@ -921,8 +915,8 @@ let net_sweep_point r ~mode ~conns ~reqs =
   let port = Net_tcp.port srv in
   let requests, elapsed, p50, p99, mx =
     match mode with
-    | `InProc -> net_run_clients r ~port ~conns ~reqs
-    | `Subproc -> net_spawn_client r ~port ~conns ~reqs
+    | `InProc -> net_run_clients r ~port ~conns ~active ~reqs
+    | `Subproc -> net_spawn_client r ~port ~conns ~active ~reqs
   in
   Net_tcp.stop srv;
   let st = Net_tcp.stats srv in
@@ -931,9 +925,8 @@ let net_sweep_point r ~mode ~conns ~reqs =
       (Printf.sprintf "net bench: accepted %d of %d connections"
          st.Net_tcp.accepted conns);
   {
-    Bench_file.Net.backend = net_backend_name (Net_reactor.backend r);
-    shards = 1 (* the v2 schema keeps the key; one poller *);
-    connections = conns;
+    Bench_file.Net.connections = conns;
+    active;
     reqs_per_conn = reqs;
     requests;
     elapsed_s = elapsed;
@@ -944,10 +937,12 @@ let net_sweep_point r ~mode ~conns ~reqs =
     max_active = st.Net_tcp.max_active;
   }
 
-let run_net_bench ~quick ~diff ~net_backend () =
-  let sweep =
-    if quick then [ 100; 1000 ] else [ 64; 256; 1000; 4000; 10000 ]
-  in
+let run_net_bench ~quick ~diff () =
+  (* (connections, active clients): the busy sweep, then the idle-heavy
+     row -- ten times the last busy point's connections open, one in a
+     hundred of them sending *)
+  let busy = if quick then [ 100; 1000 ] else [ 64; 256; 1000; 4000; 10000 ] in
+  let idle = if quick then (1000, 10) else (10000, 100) in
   let reqs = if quick then 5 else 20 in
   (* ~2 fds per connection, both ends in this process, plus slack *)
   let achieved = Net.Poller.raise_nofile (if quick then 8192 else 25000) in
@@ -959,68 +954,46 @@ let run_net_bench ~quick ~diff ~net_backend () =
     if achieved <= 0 || (2 * conns) + 512 <= achieved then `InProc
     else `Subproc
   in
+  let sweep = List.map (fun c -> (c, c)) busy @ [ idle ] in
   let sweep =
     if achieved > 0 then begin
       (* subprocess mode leaves ~1 fd per connection on each side, so a
          point is only infeasible when the server half alone (plus
          reactor/listener slack) would bust the budget *)
       let cap = max 64 (achieved - 512) in
-      if cap < List.fold_left max 0 sweep then
+      if cap < List.fold_left (fun m (c, _) -> max m c) 0 sweep then
         Printf.eprintf
           "warning: RLIMIT_NOFILE only %d; capping the sweep at %d \
            connections\n"
           achieved cap;
-      List.sort_uniq compare (List.map (fun c -> min c cap) sweep)
+      List.fold_left
+        (fun acc (c, a) ->
+          let p = (min c cap, min a cap) in
+          if List.mem p acc then acc else acc @ [ p ])
+        [] sweep
     end
     else sweep
   in
   let fd_baseline = count_fds () in
-  (* One reactor (a poller backend, no thread: the run's idle workers
-     take turns waiting in it) per backend run; [run_parallel] twice in
-     sequence is fine -- each run spins its worker domains up and
-     down. *)
-  let run_backend backend ~sweep =
-    let r = Net_reactor.create ~backend () in
-    let resolved = Net_reactor.backend r in
-    let sweep =
-      if resolved = `Select then
-        List.sort_uniq compare
-          (List.map (fun c -> min c Bench_file.Net.select_conn_cap) sweep)
-      else sweep
-    in
-    (* the 1000-connection point anchors the epoll-vs-poll gate in
-       validate-net: measure it twice, keep the lower-p99 row, so the
-       comparison rides above single-run scheduler noise *)
-    let measure conns =
-      let p = net_sweep_point r ~mode:(mode_for conns) ~conns ~reqs in
-      if quick || conns <> 1000 then p
-      else
-        let p' = net_sweep_point r ~mode:(mode_for conns) ~conns ~reqs in
-        if p'.Bench_file.Net.p99_s < p.Bench_file.Net.p99_s then p' else p
-    in
-    let points = ref [] in
-    Fiber_rt.Fiber.run_parallel (fun () ->
-        points := List.map measure sweep);
-    Net_reactor.shutdown r;
-    (resolved, !points)
-  in
-  let resolved, points = run_backend net_backend ~sweep in
-  (* A full epoll run re-measures the 1000-connection point on the poll
-     backend, so the committed file carries its own cross-backend
-     comparison rows (validate-net gates epoll p99 <= poll p99). *)
-  let points =
-    if (not quick) && resolved = `Epoll && List.mem 1000 sweep then
-      points @ snd (run_backend `Poll ~sweep:[ 1000 ])
-    else points
-  in
+  (* One reactor (no thread: the run's idle workers take turns waiting
+     in its poller) for the whole sweep. *)
+  let r = Net_reactor.create () in
+  let points = ref [] in
+  Fiber_rt.Fiber.run_parallel (fun () ->
+      points :=
+        List.map
+          (fun (conns, active) ->
+            net_sweep_point r ~mode:(mode_for conns) ~conns ~active ~reqs)
+          sweep);
+  Net_reactor.shutdown r;
   let fd_after = count_fds () in
   let doc =
     Bench_file.Net.doc ~host_cores:(host_cores ()) ~quick
-      ~backend:(net_backend_name resolved) ~shards:1
-      ~msg_bytes:net_msg_bytes ~fd_baseline ~fd_after points
+      ~backend:"epoll" ~msg_bytes:net_msg_bytes
+      ~fd_baseline ~fd_after !points
   in
-  Printf.printf "Net echo bench: %d-byte messages, %s backend, %d reqs/conn\n"
-    net_msg_bytes (net_backend_name resolved) reqs;
+  Printf.printf "Net echo bench: %d-byte messages, %d reqs/conn\n"
+    net_msg_bytes reqs;
   Bench_file.print_rows Bench_file.Net.suite doc;
   print_endline
     "  (every socket is multiplexed by one poller, which an idle worker\n\
@@ -1055,7 +1028,7 @@ let () =
   (* --quick shrinks the parallel workloads for CI smoke runs;
      --diff FILE prints a regression table against an older
      BENCH_parallel.json / BENCH_net.json after the matching target
-     runs; --backend steers the net bench only *)
+     runs *)
   let quick = List.mem "--quick" args in
   let rec extract_opt key acc = function
     | k :: v :: rest when k = key -> (Some v, List.rev_append acc rest)
@@ -1078,29 +1051,18 @@ let () =
       in
       let port, rest = want "--port" rest in
       let conns, rest = want "--conns" rest in
+      let active, rest = want "--active" rest in
       let reqs, _ = want "--reqs" rest in
-      run_net_client ~port ~conns ~reqs ();
+      run_net_client ~port ~conns ~active ~reqs ();
       exit 0
   | _ -> ());
   let diff, args = extract_opt "--diff" [] args in
-  let backend_arg, args = extract_opt "--backend" [] args in
-  let net_backend =
-    match backend_arg with
-    | None | Some "auto" -> `Auto
-    | Some "epoll" -> `Epoll
-    | Some "poll" -> `Poll
-    | Some "select" -> `Select
-    | Some other ->
-        Printf.eprintf
-          "--backend %s: unknown (want epoll, poll, select or auto)\n" other;
-        exit 2
-  in
   let names = List.filter (fun a -> a <> "--quick") args in
   let experiments =
     experiments
     @ [
         ("parallel", run_parallel_bench ~quick ~diff);
-        ("net", run_net_bench ~quick ~diff ~net_backend);
+        ("net", run_net_bench ~quick ~diff);
       ]
   in
   (* the validate targets are CI gates, only run by name -- never part

@@ -44,7 +44,7 @@ let () =
                     Fio.write_all r wfd (Bytes.of_string line) 0
                       (String.length line)
                   done;
-                  Unix.close wfd)
+                  Fio.close wfd)
             in
             let consumer =
               Fiber.spawn (fun () ->
@@ -55,7 +55,7 @@ let () =
                   let rec drain () =
                     match Fio.read r rfd buf 0 64 with
                     | 0 ->
-                        Unix.close rfd;
+                        Fio.close rfd;
                         Printf.printf "[%8.1f ms] %-6s closed\n%!" (stamp ())
                           name
                     | n ->

@@ -1,17 +1,21 @@
 (* TEST-ONLY copies of the reactor's Interest table, each with one
-   deliberately seeded bug in the arm-vs-fire protocol.  Both lose a
-   wakeup under EPOLLONESHOT, which the interleaving checker reports as
-   a deadlock:
+   deliberately seeded bug in the park-vs-report protocol.  Each loses a
+   wakeup under edge-triggered registration, which the interleaving
+   checker reports as a deadlock:
 
    - [Drops_entry.fire]: on a fire the reactor drops the fd's whole
      entry.  A writer parked beside the woken reader loses its watch,
-     and since the kernel disarmed the one-shot registration when it
-     reported the read, nothing re-arms the write direction.
+     and the write edge that follows finds no entry to wake.
 
-   - [Mod_first.arm]: the waiter issues its epoll_ctl before it
-     publishes its watch.  A report landing between the two finds no
-     watch to wake, the one-shot registration is spent, and the watch
-     published afterwards is never armed.
+   - [Two_sections.arm]: the waiter checks the pending bit and
+     publishes its watch in two critical sections.  An edge reported
+     between the two sets a bit nobody reads again, and the watch
+     published afterwards waits for an edge that already came.
+
+   - [No_rearm.arm]: a bare wait (one with no EAGAIN before it) skips
+     the re-arm.  An fd that is still ready after its edge was spent --
+     a second connection queued behind the one the last edge announced
+     -- is never reported again.
 
    - [Close_unlocked.arm]: the waiter reads [closed] before it takes the
      lock.  A shutdown sweep landing between the two misses the watch
@@ -37,56 +41,41 @@ module Drops_entry = struct
                   e.watches
               in
               (* THE SEEDED BUG: the faithful code keeps the unsatisfied
-                 watches and re-arms their directions *)
-              if woken <> [] then store t e [];
+                 watches and the fd's registration *)
+              if woken <> [] then ignore (drop t key e);
               woken)
         ()
     in
     wake_all woken
 end
 
-module Mod_first = struct
+module Two_sections = struct
   include Interest
 
-  let arm t key w =
-    let cur =
-      locked t
-        (fun () ->
-          match Hashtbl.find_opt t.entries key with
-          | Some e -> e.mask
-          | None -> 0)
-        ()
-    in
-    (* THE SEEDED BUG: the ctl runs before the watch is published, and
-       outside the lock *)
-    ignore (t.sync key (cur lor bit w.dir));
-    locked t
-      (fun () ->
-        match Hashtbl.find_opt t.entries key with
-        | Some e -> store t e (w :: e.watches)
-        | None ->
-            let e = { watches = []; mask = 0 } in
-            Hashtbl.add t.entries key e;
-            store t e [ w ])
-      ()
+  let arm t key w ~rearm =
+    let taken = locked t (fun () -> take_pending (entry t key) w.dir) () in
+    if taken && not rearm then w.wake ()
+    else
+      (* THE SEEDED BUG: the faithful code publishes in the section that
+         found no pending bit *)
+      ignore
+        (wake_all (locked t (fun () -> publish t key (entry t key) w ~rearm) ()))
+end
+
+module No_rearm = struct
+  include Interest
+
+  (* THE SEEDED BUG: the faithful code re-arms a bare wait *)
+  let arm t key w ~rearm:_ = arm t key w ~rearm:false
 end
 
 module Close_unlocked = struct
   include Interest
 
-  let arm t key w =
+  let arm t key w ~rearm =
     (* THE SEEDED BUG: the faithful code checks [closed] under the same
        lock as the publication *)
     let closed = locked t (fun () -> t.closed) () in
     if closed then w.wake ()
-    else
-      locked t
-        (fun () ->
-          match Hashtbl.find_opt t.entries key with
-          | Some e -> ignore (settle t key e (w :: e.watches))
-          | None ->
-              let e = { watches = []; mask = 0 } in
-              Hashtbl.add t.entries key e;
-              ignore (settle t key e [ w ]))
-        ()
+    else ignore (wake_all (locked t (fun () -> park t key w ~rearm) ()))
 end

@@ -105,14 +105,9 @@ let blocking_in_fiber =
                   add ~loc "blocking call Parker.park"
                     "park the fiber instead (Fiber.suspend, Sync); only an \
                      idle worker or a KC sleeps on its parker"
-              (* the poller's C stubs release the OCaml runtime lock and
-                 park the calling THREAD in poll(2)/epoll_wait(2) -- as
-                 blocking as Unix.select to a worker domain *)
-              | [ "poll_stub" ] | [ "Poller"; "poll_stub" ] ->
-                  add ~loc "blocking call poll_stub (poll(2))"
-                    "only a parked worker holding the reactor's turn may \
-                     wait in the poller, never a fiber; fibers go through \
-                     Fiber_io/Reactor"
+              (* the poller's C stub releases the OCaml runtime lock and
+                 parks the calling THREAD in epoll_wait(2) -- as blocking
+                 as Unix.select to a worker domain *)
               | [ "epoll_wait_stub" ] | [ "Poller"; "epoll_wait_stub" ] ->
                   add ~loc "blocking call epoll_wait_stub (epoll_wait(2))"
                     "only a parked worker holding the reactor's turn may \

@@ -104,7 +104,6 @@ let blocking_leaf path =
   | [ "Unix"; f ] when List.mem f blocking_unix -> Some ("Unix." ^ f)
   | [ "Thread"; "delay" ] -> Some "Thread.delay"
   | [ "Parker"; "park" ] | [ "Fiber_rt"; "Parker"; "park" ] -> Some "Parker.park"
-  | [ "poll_stub" ] | [ _; "poll_stub" ] -> Some "poll_stub (poll(2))"
   | [ "epoll_wait_stub" ] | [ _; "epoll_wait_stub" ] ->
       Some "epoll_wait_stub (epoll_wait(2))"
   | _ -> None

@@ -6,9 +6,16 @@
 
    Discipline: every fd is non-blocking; a syscall is attempted first
    (the fast path costs no reactor round-trip), and only EAGAIN /
-   EINPROGRESS routes through [Reactor.await_fd].  EINTR retries.
-   [?deadline]s are absolute wall-clock seconds; a lapsed deadline
-   raises [Timeout].
+   EINPROGRESS routes through [Reactor.await_edge], which costs no
+   syscall once the fd is registered.  EINTR retries.  [wait] is the
+   bare readiness wait: no EAGAIN before it, so it is [Reactor.await_fd]
+   and re-arms the registration.  [?deadline]s are absolute wall-clock
+   seconds; a lapsed deadline raises [Timeout].
+
+   [close] is the one way to close an fd a fiber has waited on: it
+   retires the fd's registration in every live reactor first, since
+   the kernel drops it silently on close and reuses the number at
+   once.
 
    Genuinely blocking calls with no non-blocking form (getaddrinfo)
    couple to the fiber's original KC via [Blt_rt.coupled] instead:
@@ -21,17 +28,23 @@ exception Timeout
 
 let set_nonblock fd = Unix.set_nonblock fd
 
-let wait r ?deadline fd dir =
-  match Reactor.await_fd r ?deadline fd dir with
-  | `Ready -> ()
-  | `Timeout -> raise Timeout
+let verdict = function `Ready -> () | `Timeout -> raise Timeout
+let wait r ?deadline fd dir = verdict (Reactor.await_fd r ?deadline fd dir)
+
+(* after EAGAIN or EINPROGRESS *)
+let wait_edge r ?deadline fd dir =
+  verdict (Reactor.await_edge r ?deadline fd dir)
+
+let close fd =
+  Reactor.forget fd;
+  Unix.close fd
 
 let rec read r ?deadline fd buf pos len =
   (* ulplint: allow blocking-in-fiber -- fd is O_NONBLOCK by contract; EAGAIN parks the fiber on the reactor instead of blocking *)
   match Unix.read fd buf pos len with
   | n -> n
   | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-      wait r ?deadline fd `R;
+      wait_edge r ?deadline fd `R;
       read r ?deadline fd buf pos len
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> read r ?deadline fd buf pos len
 
@@ -40,7 +53,7 @@ let rec write_once r ?deadline fd buf pos len =
   match Unix.write fd buf pos len with
   | n -> n
   | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-      wait r ?deadline fd `W;
+      wait_edge r ?deadline fd `W;
       write_once r ?deadline fd buf pos len
   | exception Unix.Unix_error (Unix.EINTR, _, _) ->
       write_once r ?deadline fd buf pos len
@@ -69,7 +82,7 @@ let rec accept r ?deadline fd =
       Unix.set_nonblock conn;
       (conn, peer)
   | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-      wait r ?deadline fd `R;
+      wait_edge r ?deadline fd `R;
       accept r ?deadline fd
   | exception Unix.Unix_error ((Unix.EINTR | Unix.ECONNABORTED), _, _) ->
       accept r ?deadline fd
@@ -81,13 +94,13 @@ let connect r ?deadline fd addr =
     -> (
       (* non-blocking connect: writable when resolved; the verdict is
          in SO_ERROR *)
-      wait r ?deadline fd `W;
+      wait_edge r ?deadline fd `W;
       match Unix.getsockopt_error fd with
       | None -> ()
       | Some err -> raise (Unix.Unix_error (err, "connect", "")))
   | exception Unix.Unix_error (Unix.EINTR, _, _) ->
       (* the kernel continues the connect; wait it out like EINPROGRESS *)
-      wait r ?deadline fd `W;
+      wait_edge r ?deadline fd `W;
       (match Unix.getsockopt_error fd with
       | None -> ()
       | Some err -> raise (Unix.Unix_error (err, "connect", "")))

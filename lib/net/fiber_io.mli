@@ -8,7 +8,14 @@
     All fds must be non-blocking ({!set_nonblock}; {!accept} marks
     accepted sockets itself).  [?deadline] is absolute wall-clock
     seconds ({!Reactor.now}); a lapsed deadline raises {!Timeout}.
-    Fiber context only. *)
+    Fiber context only, except {!close}.
+
+    A wait right after EAGAIN costs no syscall once the fd is
+    registered with the reactor's epoll (at its first wait).  Close
+    every fd a fiber has waited on with {!close}: a raw [Unix.close] of
+    a waited fd is unsupported while any reactor lives, because the
+    kernel drops the registration silently and reuses the number at
+    once. *)
 
 exception Timeout
 
@@ -40,7 +47,12 @@ val connect : Reactor.t -> ?deadline:float -> Unix.file_descr -> Unix.sockaddr -
     [SO_ERROR] as a [Unix.Unix_error] if the connect failed. *)
 
 val wait : Reactor.t -> ?deadline:float -> Unix.file_descr -> Reactor.dir -> unit
-(** Bare readiness wait.  @raise Timeout when the deadline lapses. *)
+(** Bare readiness wait ({!Reactor.await_fd}: level-triggered, one
+    epoll_ctl).  @raise Timeout when the deadline lapses. *)
+
+val close : Unix.file_descr -> unit
+(** Retire the fd in every live reactor ({!Reactor.forget}), then
+    [Unix.close] it.  Callable from any thread. *)
 
 val resolve : ?service:string -> string -> Unix.sockaddr list
 (** getaddrinfo (TCP results only).  It has no non-blocking form, so it

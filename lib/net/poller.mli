@@ -1,69 +1,44 @@
-(** Multiplexing of fd readiness for the reactor: a stateful poller with a
-    persistent interest table — {!set} mutates interest, {!wait} blocks
-    on it — behind one interface and three backends.
+(** The reactor's kernel poller: one epoll instance (lib/net runs on
+    Linux only), every registration edge-triggered.
 
-    - [`Epoll] (Linux; the [`Auto] choice there): level-triggered
-      kernel registration, [wait] costs O(ready).  It also offers
-      {!arm}, a one-shot watch the kernel disarms when it reports it;
-      {!arm} is thread-safe, so a fiber arms its own watch from its
-      worker and a wait costs the reactor no command.
-    - [`Poll]: poll(2) via a local C stub; no FD_SETSIZE ceiling;
-      compact interest arrays maintained incrementally (O(1) {!set}).
-      The portable Unix backend and epoll's independent cross-check.
-    - [`Select]: pure [Unix.select]; limited to fds below 1024 but runs
-      anywhere; per-round event coalescing reuses one scratch table so
-      even the fallback allocates nothing per wait.
+    An fd is registered once ({!add}) and stays registered until
+    {!remove} or its close; the kernel then reports each rise of its
+    readiness once.  {!add} and {!modify} also report a direction that
+    is already ready, so a waiter that cannot know whether it missed an
+    edge re-arms with one {!modify}.  Error and hang-up count as
+    both-ready: the waiter's next syscall surfaces the real errno.
 
-    All backends agree: {!set} interest is level-triggered and
-    persistent, events are reported only for current interest, and
-    error/hang-up counts as both-ready (the waiter's next syscall
-    surfaces the real errno).  {!set}, {!wait} and {!close} belong to
-    the worker holding the reactor's turn; only {!arm} may be called
-    from any thread. *)
-
-type backend = [ `Select | `Poll | `Epoll ]
+    {!add}, {!modify} and {!remove} may be called from any thread;
+    {!wait} and {!close} belong to the worker holding the reactor's
+    turn. *)
 
 type event = { fd : Unix.file_descr; readable : bool; writable : bool }
 
 type t
 
-val create : ?backend:[ `Select | `Poll | `Epoll | `Auto ] -> unit -> t
-(** [`Auto] (default) picks [`Epoll] where available, else [`Poll] on
-    Unix, else [`Select].
-    @raise Invalid_argument if [`Epoll] is requested on a platform
-    without it (check {!epoll_available}). *)
+val create : unit -> t
+(** @raise Failure off Linux. *)
 
-val backend : t -> backend
+val add : t -> Unix.file_descr -> write:bool -> bool
+(** Register the fd for reading, and for writing when [write].
+    [false] when the fd cannot be registered (e.g. closed, or already
+    registered). *)
 
-val epoll_available : bool
-(** Whether this build can create [`Epoll] pollers (Linux). *)
+val modify : t -> Unix.file_descr -> write:bool -> bool
+(** Replace the fd's registration (same directions as {!add}); a
+    direction already ready is reported by the next {!wait}.  [false]
+    when the fd has no registration. *)
 
-val set : t -> Unix.file_descr -> read:bool -> write:bool -> unit
-(** Declare persistent interest in [fd]; [~read:false ~write:false]
-    drops it.  Idempotent.  Reactor thread only. *)
-
-val oneshot : t -> bool
-(** Whether {!arm} is available: the epoll backend. *)
-
-val arm : t -> Unix.file_descr -> read:bool -> write:bool -> bool
-(** Arm a one-shot watch on [fd] (epoll only): the next {!wait} that
-    finds [fd] ready in an armed direction reports it once and disarms
-    it; a later {!arm} re-arms it, and one already ready is reported
-    at once.  Replaces [fd]'s previous one-shot mask.  Callable from
-    any thread.  [false] when the fd is gone (e.g. closed).
-    @raise Invalid_argument on the poll and select backends. *)
+val remove : t -> Unix.file_descr -> unit
+(** Drop the fd's registration; do it before the fd is closed. *)
 
 val wait : t -> timeout_ms:int -> event list
-(** Block until some fd under interest is ready or the timeout lapses
+(** Block until some registered fd reports or the timeout lapses
     ([timeout_ms < 0] = forever, [0] = non-blocking probe).  Returns
-    ready events, possibly [] (timeout or EINTR — callers loop). *)
+    the events, possibly [] (timeout or EINTR — callers loop). *)
 
 val close : t -> unit
-(** Release kernel resources (the epoll fd).  Idempotent. *)
-
-val interest_count : t -> int
-(** Fds under {!set} interest (one-shot {!arm}s are not counted) — a
-    test/diagnostic hook. *)
+(** Release the epoll fd.  Idempotent. *)
 
 val raise_nofile : int -> int
 (** Raise the soft RLIMIT_NOFILE toward the argument — privileged

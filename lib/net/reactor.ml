@@ -2,7 +2,7 @@
    that wait on it, with no thread of its own.
 
    Division of labour (the Fig. 8 overlap, for real): a worker domain
-   with fibers to run never sits in epoll/poll/select.  A fiber that
+   with fibers to run never sits in epoll_wait.  A fiber that
    would block parks on a [Fiber.Wake] token; a worker with nothing
    left to run waits in the poller itself, one worker at a time (the
    [Fiber.Driver] turn), and on readiness or deadline fires the token.
@@ -19,50 +19,49 @@
    A run binds the reactor at its first wait on it; a run that never
    waits here parks its workers on their parkers alone.
 
-   On epoll a parked fiber arms its own watch: [await_fd] publishes it in
-   the [Interest] table and issues the one-shot epoll_ctl from the
-   worker, so a wait costs no command.  The kernel disarms a watch when
-   it reports it.  poll and select cannot be armed from another thread,
-   so there the fiber sends a [Watch] command the turn holder runs.
-   Commands go through an MPSC queue plus a self-pipe poke (a coalescing
-   atomic flag keeps it to one written byte per quiet period); on epoll
-   only timers use them.  The same poke interrupts a worker waiting in
-   the poller when a wake is owed to it.  A wait is one [Interest]
-   watch holding its waiter's wake: the table's lock makes the
-   register-vs-report race safe (model-checked in lib/check, as is the
-   turn), and a watch is woken at most once.  Deadlines are absolute
-   wall-clock floats in a [Timers] heap; the poller waits until the
-   earliest one.  A wait's watch and its deadline timer are its only
-   contenders, and one verdict CAS between them picks exactly one
-   outcome. *)
+   A parked fiber publishes its own watch in the [Interest] table from
+   its worker, so a wait costs no command.  Each fd is registered with
+   the poller once, edge-triggered; an edge that arrives while no watch
+   of its direction is parked stays pending in the table, and a wait
+   right after EAGAIN ([await_edge]) takes it or parks under the same
+   lock, with no syscall.  A wait that did not just see EAGAIN
+   ([await_fd]) re-arms the registration with one modify, which
+   reports an fd already ready.  Only timers are commands: an MPSC
+   queue plus a self-pipe poke (a coalescing atomic flag keeps it to
+   one written byte per quiet period).  The same poke interrupts a
+   worker waiting in the poller when a wake is owed to it.  The
+   table's lock makes the park-vs-report race safe (model-checked in
+   lib/check, as is the turn), and a watch is woken at most once.
+   Deadlines are absolute wall-clock floats in a [Timers] heap; the
+   poller waits until the earliest one.  A wait's watch and its
+   deadline timer are its only contenders, and one verdict CAS between
+   them picks exactly one outcome.
+
+   The kernel drops a closed fd's registration without a report and
+   reuses its number at once, so a waited fd is closed through
+   [Fiber_io.close], which first [forget]s it in every live reactor. *)
 
 module Fiber = Fiber_rt.Fiber
 module Mpsc = Fiber_rt.Mpsc_queue
 
 type dir = [ `R | `W ]
 
-(* on poll and select the turn holder runs a wait's arm and unwatch *)
-type cmd =
-  | Watch of int * Interest.watch
-  | Unwatch of int * Interest.watch
-  | Add_timer of Timers.timer
-
 type stats = {
   polls : int;  (** poller waits: one per turn *)
   wakeups : int;  (** watches woken by readiness, reset or shutdown *)
   timers_fired : int;
   commands : int;
+  registrations : int;  (** epoll_ctl adds and modifies *)
   errors : int;  (** turns rescued by the fallback wake *)
 }
 
 type t = {
-  cmds : cmd Mpsc.t;
+  cmds : Timers.timer Mpsc.t; (* the commands: timers to add *)
   poked : bool Atomic.t; (* a poke byte is already in the pipe *)
   pipe_r : Unix.file_descr;
   pipe_w : Unix.file_descr;
   stopping : bool Atomic.t;
   poller : Poller.t;
-  inline : bool; (* waiters arm their own watches (epoll) *)
   interest : Interest.t; (* fd -> parked watches; its own lock *)
   mutable driver : Fiber.Driver.t; (* the turn; set once by [create] *)
   (* owned by the turn holder *)
@@ -75,6 +74,7 @@ type t = {
   n_wakeups : int Atomic.t;
   n_timers : int Atomic.t;
   n_cmds : int Atomic.t;
+  n_regs : int Atomic.t;
   n_errors : int Atomic.t;
 }
 
@@ -89,8 +89,8 @@ let poke t =
     try ignore (Unix.write t.pipe_w (Bytes.make 1 '!') 0 1)
     with Unix.Unix_error _ -> ()
 
-let send t cmd =
-  Mpsc.push t.cmds cmd;
+let add_timer t tm =
+  Mpsc.push t.cmds tm;
   poke t
 
 (* ---------------- the turn ---------------- *)
@@ -114,14 +114,10 @@ let count_wakeups t n =
 
 let run_commands t =
   List.iter
-    (fun cmd ->
+    (fun tm ->
       Atomic.incr t.n_cmds;
-      match cmd with
-      | Watch (key, w) -> Interest.arm t.interest key w
-      | Unwatch (key, w) -> Interest.unwatch t.interest key w
-      | Add_timer tm ->
-          (* during shutdown the final [fire_all] sweep resolves it *)
-          Timers.add t.timers tm)
+      (* during shutdown the final [fire_all] sweep resolves it *)
+      Timers.add t.timers tm)
     (Mpsc.pop_all t.cmds)
 
 let dispatch_event t (ev : Poller.event) =
@@ -131,9 +127,8 @@ let dispatch_event t (ev : Poller.event) =
       (Interest.fire t.interest (fd_int ev.fd) ~readable:ev.readable
          ~writable:ev.writable)
 
-(* Last resort when a turn dies (e.g. a watched fd was closed under
-   select): wake every waiter spuriously; each retries its syscall and
-   surfaces its own errno. *)
+(* Last resort when a turn dies: wake every waiter spuriously; each
+   retries its syscall and surfaces its own errno. *)
 let wake_everyone t =
   Atomic.incr t.n_errors;
   count_wakeups t (Interest.reset t.interest)
@@ -197,21 +192,28 @@ let pending t =
 let idle_driver =
   Fiber.Driver.make ~run:(fun ~block:_ -> ()) ~poke:ignore ~pending:(fun () -> false)
 
-let create ?backend () =
+(* Every reactor not yet shut down: [forget] reaches them all. *)
+let live : t list Atomic.t = Atomic.make []
+
+let rec update_live f =
+  let cur = Atomic.get live in
+  if not (Atomic.compare_and_set live cur (f cur)) then update_live f
+
+let create () =
   let pipe_r, pipe_w = Unix.pipe () in
   Unix.set_nonblock pipe_r;
   Unix.set_nonblock pipe_w;
-  let poller = Poller.create ?backend () in
-  let inline = Poller.oneshot poller in
-  let sync key mask =
-    let fd = fd_of_int key in
-    let read = mask land 1 <> 0 and write = mask land 2 <> 0 in
-    if inline then
-      (* mask 0: the one-shot registration disarms itself *)
-      mask = 0 || Poller.arm poller fd ~read ~write
+  let poller = Poller.create () in
+  let n_regs = Atomic.make 0 in
+  let register key ~was mask =
+    let fd = fd_of_int key and write = mask land 2 <> 0 in
+    if mask = 0 then (
+      Poller.remove poller fd;
+      true)
     else begin
-      Poller.set poller fd ~read ~write;
-      true
+      Atomic.incr n_regs;
+      if was = 0 then Poller.add poller fd ~write
+      else Poller.modify poller fd ~write
     end
   in
   let t =
@@ -222,8 +224,7 @@ let create ?backend () =
       pipe_w;
       stopping = Atomic.make false;
       poller;
-      inline;
-      interest = Interest.create ~sync;
+      interest = Interest.create ~register;
       driver = idle_driver;
       timers = Timers.create ();
       drain_buf = Bytes.create 64;
@@ -233,17 +234,25 @@ let create ?backend () =
       n_wakeups = Atomic.make 0;
       n_timers = Atomic.make 0;
       n_cmds = Atomic.make 0;
+      n_regs;
       n_errors = Atomic.make 0;
     }
   in
   t.driver <-
     Fiber.Driver.make ~run:(turn t) ~poke:(fun () -> poke t) ~pending:(fun () -> pending t);
-  (* persistent, not one-shot: every poke must wake the wait *)
-  Poller.set poller pipe_r ~read:true ~write:false;
+  (* edge-triggered like every fd: a turn drains the pipe whenever it was
+     reported or poked, and a byte written into a pipe not yet drained
+     sits behind one whose report is queued or already recorded in
+     [piped] *)
+  ignore (Poller.add poller pipe_r ~write:false);
+  update_live (fun l -> t :: l);
   t
 
-let backend t = Poller.backend t.poller
+let backend _ = `Epoll
 let shard_count _ = 1
+
+let forget fd =
+  List.iter (fun t -> Interest.forget t.interest (fd_int fd)) (Atomic.get live)
 
 let stats t =
   {
@@ -251,6 +260,7 @@ let stats t =
     wakeups = Atomic.get t.n_wakeups;
     timers_fired = Atomic.get t.n_timers;
     commands = Atomic.get t.n_cmds;
+    registrations = Atomic.get t.n_regs;
     errors = Atomic.get t.n_errors;
   }
 
@@ -261,17 +271,14 @@ let stats t =
    firing is safe). *)
 let shutdown t =
   if not (Atomic.exchange t.stopping true) then begin
+    update_live (List.filter (fun r -> r != t));
     Fiber.Driver.close t.driver;
     run_commands t;
     count_wakeups t (Interest.close t.interest);
     count_timers t (Timers.fire_all t.timers);
     (* commands that raced the sweep above: resolve them here *)
     List.iter
-      (fun cmd ->
-        match cmd with
-        | Watch (_, w) -> w.Interest.wake ()
-        | Unwatch _ -> ()
-        | Add_timer tm -> ignore (Timers.fire tm))
+      (fun tm -> ignore (Timers.fire tm))
       (Mpsc.pop_all t.cmds);
     Poller.close t.poller;
     Unix.close t.pipe_r;
@@ -287,8 +294,8 @@ let check_live t = if Atomic.get t.stopping then raise Reactor_stopped
 (* Wait until [fd] is ready in direction [dir], or [deadline] (absolute
    wall-clock seconds) passes.  The watch and the timer race on
    [verdict]; the CAS winner fires the fiber's wake token home, and
-   the loser does nothing. *)
-let await_fd t ?deadline fd dir =
+   the loser does nothing.  [rearm]: see [Interest.arm]. *)
+let await t ~rearm ?deadline fd dir =
   check_live t;
   Fiber.Driver.bind t.driver;
   let verdict = Atomic.make `None in
@@ -303,31 +310,29 @@ let await_fd t ?deadline fd dir =
       | Some d ->
           let tm = Timers.make ~at:d (claim `Timeout) in
           timer := Some tm;
-          send t (Add_timer tm));
+          add_timer t tm);
       let w = { Interest.dir; wake = claim `Ready } in
       watch := Some w;
-      if t.inline then Interest.arm t.interest key w
-      else send t (Watch (key, w)));
+      Interest.arm t.interest key w ~rearm);
   match Atomic.get verdict with
   | `Ready ->
       Option.iter (fun tm -> ignore (Timers.cancel tm)) !timer;
       `Ready
   | `Timeout ->
       (* the watch is dead: reclaim it *)
-      Option.iter
-        (fun w ->
-          if t.inline then Interest.unwatch t.interest key w
-          else send t (Unwatch (key, w)))
-        !watch;
+      Option.iter (Interest.unwatch t.interest key) !watch;
       `Timeout
   | `None -> assert false
+
+let await_fd t ?deadline fd dir = await t ~rearm:true ?deadline fd dir
+let await_edge t ?deadline fd dir = await t ~rearm:false ?deadline fd dir
 
 let sleep_until t time =
   check_live t;
   if time > now () then begin
     Fiber.Driver.bind t.driver;
     Fiber.suspend_token (fun tok ->
-        send t (Add_timer (Timers.make ~at:time (fun () -> ignore (Fiber.Wake.fire tok)))))
+        add_timer t (Timers.make ~at:time (fun () -> ignore (Fiber.Wake.fire tok))))
   end
 
 let sleep t seconds = sleep_until t (now () +. seconds)

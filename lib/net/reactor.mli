@@ -1,15 +1,16 @@
 (** The reactor: kernel fds and deadlines for every fiber of the runs
     that wait on it.  It starts no thread.
 
-    A worker domain with fibers to run never sits in epoll/poll/select
+    A worker domain with fibers to run never sits in epoll_wait
     (the paper's decoupled UCs).  A fiber that would block parks on a
     {!Fiber_rt.Fiber.Wake} token; a worker with nothing left to run
     waits in the {!Poller} itself, one worker at a time (the
     {!Fiber_rt.Fiber.Driver} turn), and on readiness or deadline fires
-    the token; a wake owed to that worker pokes it out of the wait.  On
-    epoll the parked fiber arms its own one-shot watch from its worker
-    ({!Interest}), so a wait costs no command; on poll and select the
-    watch is a command the turn holder runs.  The wake is
+    the token; a wake owed to that worker pokes it out of the wait.  The
+    parked fiber publishes its own watch from its worker ({!Interest}),
+    so a wait costs no command.  Each fd is registered with epoll once,
+    edge-triggered; a wait right after EAGAIN ({!await_edge}) costs no
+    syscall.  The wake is
     {!Fiber_rt.Fiber.Wake.fire}: the engine routes the fiber back
     to the worker that parked it, and a turn notifies each woken peer
     worker once.  A wait is one {!Interest} watch holding its waiter's
@@ -27,7 +28,14 @@
     first still goes; runs one after another may share a reactor.
     {!shutdown} only after the fiber run has drained its net waits (any
     stragglers are woken spuriously rather than leaked, but that is a
-    recovery path, not the contract). *)
+    recovery path, not the contract).
+
+    Close a waited fd with {!Fiber_io.close}, never a raw [Unix.close],
+    while any reactor lives: the kernel drops a closed fd's registration
+    without a report and reuses its number at once, and only
+    {!Fiber_io.close} retires the registration first ({!forget}).  A
+    wait on an fd whose number was reused after a raw close can park
+    until {!shutdown}. *)
 
 type t
 
@@ -37,18 +45,18 @@ type stats = {
   polls : int;  (** poller waits: one per turn *)
   wakeups : int;  (** watches woken by readiness, reset or shutdown *)
   timers_fired : int;
-  commands : int;
-      (** commands the turn holders ran: timers, plus watches on the
-          poll and select backends (an epoll wait sends none) *)
+  commands : int;  (** commands the turn holders ran: timers only *)
+  registrations : int;
+      (** epoll_ctl adds and modifies: an fd's first wait, its first
+          parked writer, and each {!await_fd} *)
   errors : int;  (** turns rescued by the wake-everyone fallback *)
 }
 
 exception Reactor_stopped
 (** Raised by the wait operations once {!shutdown} has begun. *)
 
-val create : ?backend:[ `Select | `Poll | `Epoll | `Auto ] -> unit -> t
-(** One poller and its self-pipe; no thread.  [backend] as in
-    {!Poller.create}. *)
+val create : unit -> t
+(** One epoll poller and its self-pipe; no thread. *)
 
 val shutdown : t -> unit
 (** Take the turn for good (poking a worker out of the poller if one
@@ -57,7 +65,9 @@ val shutdown : t -> unit
     reactor parks its workers on their parkers from then on.
     Idempotent. *)
 
-val backend : t -> Poller.backend
+val backend : t -> [> `Epoll ]
+(** Always [`Epoll]: the one poller backend.  Kept only because
+    perfbench reads it. *)
 
 val shard_count : t -> int
 (** Always 1: there is one poller.  Kept only because perfbench reads
@@ -72,13 +82,25 @@ val now : unit -> float
 val await_fd :
   t -> ?deadline:float -> Unix.file_descr -> dir -> [ `Ready | `Timeout ]
 (** Park the calling fiber until [fd] is ready in direction [dir]
-    (level-triggered one-shot semantics, whatever the backend) or
+    (level-triggered: an fd already ready reports at once) or
     [deadline] passes.  Exactly one verdict even when readiness and the
     deadline race.  Error/hang-up conditions report [`Ready] — the
-    caller's next syscall surfaces the errno.  Do not close an fd
-    another fiber is still awaiting: under the epoll backend the kernel
-    silently drops the registration and the waiter parks until
-    {!shutdown}. *)
+    caller's next syscall surfaces the errno.  Costs one epoll_ctl: the
+    re-arm that makes it level-triggered. *)
+
+val await_edge :
+  t -> ?deadline:float -> Unix.file_descr -> dir -> [ `Ready | `Timeout ]
+(** {!await_fd} for a caller whose last syscall on [fd] in direction
+    [dir] returned EAGAIN (or EINPROGRESS): it takes an edge that
+    arrived since, or parks until the next, with no syscall once the fd
+    is registered.  It may report [`Ready] spuriously; the caller
+    retries its syscall.  Waiting here without that EAGAIN may park on
+    readiness already reported. *)
+
+val forget : Unix.file_descr -> unit
+(** Retire [fd]'s registration and entry in every live reactor, waking
+    any waiter still parked on it.  {!Fiber_io.close} calls it before
+    closing; call it directly only for an fd closed another way. *)
 
 val sleep : t -> float -> unit
 (** Park the calling fiber for at least the given seconds; other

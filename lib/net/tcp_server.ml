@@ -114,7 +114,7 @@ let serve_conn t fd peer =
   (match t.handler t.reactor c with
   | () -> Atomic.incr t.completed
   | exception _ -> Atomic.incr t.failed);
-  if not c.detached then (try Unix.close fd with Unix.Unix_error _ -> ());
+  if not c.detached then (try Fiber_io.close fd with Unix.Unix_error _ -> ());
   retire t
 
 (* Spawn the connection handler on the next worker round-robin (one
@@ -135,7 +135,9 @@ let accept_backoff_s = 0.01
 
 (* Backpressure: the loop waits for a pending connection first and only
    then takes a slot, for the one non-blocking accept, so it never holds
-   a slot while idle. *)
+   a slot while idle.  That wait follows an accept, not an EAGAIN, so it
+   is the level-triggered [Fiber_io.wait]: one edge may announce several
+   queued connections, and the re-arm reports those still queued. *)
 let accept_loop t =
   let rec go () =
     if not (Atomic.get t.stopping) then
@@ -227,7 +229,7 @@ let stop t =
      with Unix.Unix_error _ -> ());
     Sync.Mutex.with_lock t.lock (fun () -> Sync.Condition.broadcast t.freed);
     Option.iter Fiber.join t.accept_done;
-    (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
+    (try Fiber_io.close t.listen_fd with Unix.Unix_error _ -> ());
     Sync.Mutex.lock t.lock;
     while Atomic.get t.active > 0 do
       Sync.Condition.wait t.freed t.lock

@@ -14,9 +14,10 @@
    to somebody else's recycled fd.
 
    This file is the ONE authorized home of raw host-fd lifecycle calls
-   in lib/proc (creation here, destruction in the table's destroy
-   callback); everywhere else the ulplint rule [raw-fd-in-proc] flags
-   them.  Each site below carries its waiver. *)
+   in lib/proc (creation here, destruction through [Fiber_io.close] in
+   the table's destroy callback); everywhere else the ulplint rule
+   [raw-fd-in-proc] flags them.  Each raw site below carries its
+   waiver. *)
 
 module Fiber_io = Net.Fiber_io
 
@@ -24,13 +25,14 @@ let ebadf name = raise (Unix.Unix_error (Unix.EBADF, name, ""))
 let emfile name = raise (Unix.Unix_error (Unix.EMFILE, name, ""))
 let esrch name = raise (Unix.Unix_error (Unix.ESRCH, name, ""))
 
-(* The destroy callback of every handle: the single authorized close
-   site.  Errors are swallowed -- the kernel releases the descriptor
-   even when close(2) reports e.g. a deferred NFS error, and the table
-   must not raise from another descriptor's release path. *)
-let host_close fd =
-  (* ulplint: allow raw-fd-in-proc -- the fd table's destroy callback: the one place a host fd is closed, exactly once per handle *)
-  try Unix.close fd with Unix.Unix_error _ -> ()
+(* The destroy callback of every handle: the single close site.  It
+   closes through [Fiber_io.close], which first retires the fd's epoll
+   registration in every live reactor: the fd may have been waited on,
+   and the kernel reuses its number at once.  Errors are swallowed --
+   the kernel releases the descriptor even when close(2) reports e.g. a
+   deferred NFS error, and the table must not raise from another
+   descriptor's release path. *)
+let host_close fd = try Fiber_io.close fd with Unix.Unix_error _ -> ()
 
 let handle fd = Fd_core.resource ~destroy:host_close fd
 

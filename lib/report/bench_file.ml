@@ -505,9 +505,8 @@ end
 
 module Net = struct
   type result = {
-    backend : string;
-    shards : int;
     connections : int;
+    active : int;
     reqs_per_conn : int;
     requests : int;
     elapsed_s : float;
@@ -520,9 +519,8 @@ module Net = struct
 
   let result_fields =
     [
-      c Text "backend" ~head:"backend" (fun r -> J.Str r.backend);
-      c Int "shards" ~head:"shards" (fun r -> int r.shards);
       c Int "connections" ~head:"conns" (fun r -> int r.connections);
+      c Int "active" ~head:"active" (fun r -> int r.active);
       c Int "reqs_per_conn" (fun r -> int r.reqs_per_conn);
       c Int "requests" ~head:"requests" (fun r -> int r.requests);
       c (dec 6 3) "elapsed_s" ~head:"elapsed [s]" (fun r ->
@@ -539,33 +537,29 @@ module Net = struct
     ]
 
   let results =
-    section "results" ~keys:[ "backend"; "connections" ] result_fields
+    section "results" ~keys:[ "connections"; "active" ] result_fields
       ~title:
         "Net echo bench (localhost; connect and one untimed echo per client, \
-         then a timed steady-state request phase)"
+         then a timed steady-state request phase from the active clients \
+         while the rest stay connected and idle)"
 
-  (* FD_SETSIZE is 1024 and each in-process connection costs two fds:
-     the bench caps the select backend's sweep here, and a select-only
-     file's floor is this point instead of 1000 connections. *)
-  let select_conn_cap = 400
   let tail_ratio_max = 25.0
-  let cross_backend_margin = 1.25
 
   let checks doc =
     let rs = rows doc results in
-    let at bk c =
+    (* a busy row: every connection issues requests *)
+    let busy c =
       List.find_opt
-        (fun r -> str "backend" r = bk && int_at "connections" r = c)
+        (fun r -> int_at "connections" r = c && int_at "active" r = c)
         rs
     in
     each
       (fun r ->
         let where = label results r and conns = int_at "connections" r in
-        (match str "backend" r with
-        | "epoll" | "poll" | "select" -> ()
-        | b -> fail "result with unknown backend %S" b);
-        if int_at "shards" r < 1 then fail "%s: shards < 1" where;
-        let expected = conns * int_at "reqs_per_conn" r in
+        let active = int_at "active" r in
+        if active < 1 || active > conns then
+          fail "%s: %d active of %d connections" where active conns;
+        let expected = active * int_at "reqs_per_conn" r in
         if int_at "requests" r <> expected then
           fail "%s: %d requests, expected %d -- some client died" where
             (int_at "requests" r) expected;
@@ -580,26 +574,12 @@ module Net = struct
           fail "%s: max_active %d -- not every connection was live" where
             (int_at "max_active" r))
       rs
-    @ (let floor =
-         if List.for_all (fun r -> str "backend" r = "select") rs then
-           select_conn_cap
-         else 1000
-       in
-       if List.exists (fun r -> int_at "connections" r >= floor) rs then []
-       else
-         [ Printf.sprintf "no sweep point with >= %d concurrent connections"
-             floor ])
-    @ List.concat_map
-      (fun bk ->
-        bounded ~optional:true results
-          (Option.to_list (at bk 10000))
-          ~peer:(fun _ -> at bk 1000)
-          ~metric:"p99_s" ~max:tail_ratio_max ~why:"the tail is not scaling")
-      [ "epoll"; "poll" ]
+    @ (if List.exists (fun r -> int_at "connections" r >= 1000) rs then []
+       else [ "no sweep point with >= 1000 concurrent connections" ])
     @ bounded ~optional:true results
-      (List.filter (fun r -> str "backend" r = "epoll") rs)
-      ~peer:(fun r -> at "poll" (int_at "connections" r))
-      ~metric:"p99_s" ~max:cross_backend_margin ~why:"epoll slower than poll"
+        (Option.to_list (busy 10000))
+        ~peer:(fun _ -> busy 1000)
+        ~metric:"p99_s" ~max:tail_ratio_max ~why:"the tail is not scaling"
     @
     match (J.member "fd_baseline" doc, J.member "fd_after" doc) with
     | Some (J.Num b), Some (J.Num a) when a <> b ->
@@ -608,19 +588,17 @@ module Net = struct
 
   let suite =
     {
-      schema = "ulp-pip/net-bench/v2";
+      schema = "ulp-pip/net-bench/v3";
       file = "BENCH_net.json";
       sections = [ results ];
       checks;
     }
 
-  let doc ~host_cores ~quick ~backend ~shards ~msg_bytes ~fd_baseline
-      ~fd_after rs =
+  let doc ~host_cores ~quick ~backend ~msg_bytes ~fd_baseline ~fd_after rs =
     let fds = function Some n -> int n | None -> J.Null in
     doc suite
       [ ("host_cores", int host_cores); ("quick", J.Bool quick);
-        ("backend", J.Str backend); ("shards", int shards);
-        ("msg_bytes", int msg_bytes); ("fd_baseline", fds fd_baseline);
-        ("fd_after", fds fd_after) ]
+        ("backend", J.Str backend); ("msg_bytes", int msg_bytes);
+        ("fd_baseline", fds fd_baseline); ("fd_after", fds fd_after) ]
       [ rows_of results result_fields rs ]
 end

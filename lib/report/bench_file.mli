@@ -91,15 +91,15 @@ module Parallel : sig
   (** [speedups] are derived: the domains=1 median over each row's. *)
 end
 
-(** [ulp-pip/net-bench/v2]: [results] keyed by [backend] and
-    [connections]; [req_per_s] (requests / elapsed) and [p99_s] are
+(** [ulp-pip/net-bench/v3]: [results] keyed by [connections] and
+    [active] (the clients that issue requests; the others stay connected
+    and idle); [req_per_s] (requests / elapsed) and [p99_s] are
     report-only. *)
 module Net : sig
   type result = {
-    backend : string;
-    shards : int;
     connections : int;
-    reqs_per_conn : int;
+    active : int;
+    reqs_per_conn : int;  (** per active client *)
     requests : int;
     elapsed_s : float;  (** the timed request phase only *)
     p50_s : float;
@@ -111,12 +111,7 @@ module Net : sig
 
   val suite : suite
 
-  val select_conn_cap : int
-  (** The select backend's connection ceiling (FD_SETSIZE), and a
-      select-only file's connection floor. *)
-
   val doc :
-    host_cores:int -> quick:bool -> backend:string -> shards:int ->
-    msg_bytes:int -> fd_baseline:int option -> fd_after:int option ->
-    result list -> Json.t
+    host_cores:int -> quick:bool -> backend:string -> msg_bytes:int ->
+    fd_baseline:int option -> fd_after:int option -> result list -> Json.t
 end

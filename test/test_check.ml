@@ -1240,7 +1240,7 @@ let kc_pool_lease_recycle () =
       if List.exists (fun kc -> not (List.memq kc !made)) !seen then
         failwith "kc-pool: the exit read a KC the pool never made" )
 
-(* ---------- scenario: the interest table, arm vs fire ---------- *)
+(* ---------- scenario: the interest table, park vs report ---------- *)
 
 (* Parameterized over the table so the same scenarios drive the
    faithful copy (recompiled from lib/net/interest.ml) and the seeded
@@ -1248,49 +1248,75 @@ let kc_pool_lease_recycle () =
 module type INTEREST = sig
   type t
 
-  val create : sync:(int -> int -> bool) -> t
-  val arm : t -> int -> Check.Interest.watch -> unit
+  val create : register:(int -> was:int -> int -> bool) -> t
+  val arm : t -> int -> Check.Interest.watch -> rearm:bool -> unit
   val fire : t -> int -> readable:bool -> writable:bool -> int
   val unwatch : t -> int -> Check.Interest.watch -> unit
   val close : t -> int
   val watched : t -> int
 end
 
-(* The kernel's side of one fd under EPOLLONESHOT: the armed mask and
-   the fd's readiness (bit 1 read, bit 2 write).  One object, changed in
-   single steps, so each kernel call is one scheduling point.  [left]
-   counts the waiters not yet served; only the turn holder's wakes
-   lower it, so it needs no step of its own. *)
+(* The kernel's side of one fd under edge-triggered epoll: its one
+   registration (bit 1 read, bit 2 write), its readiness, and the edges
+   queued for the next epoll_wait.  A readiness rise in a registered
+   direction queues an edge; adding or modifying the registration
+   queues one for each direction already ready; epoll_wait reports the
+   queued edges once.  One object, changed in single steps, so each
+   kernel call is one scheduling point.  [left] counts the waiters not
+   yet served; only the turn holder's wakes lower it, so it needs no
+   step of its own. *)
 type kfd = {
   kid : int;
-  mutable armed : int;
+  mutable registered : int;
   mutable ready : int;
+  mutable queued : int;
   mutable left : int;
 }
 
-let k_make ~ready ~left = { kid = Sched.fresh_obj (); armed = 0; ready; left }
+let k_make ~ready ~left =
+  { kid = Sched.fresh_obj (); registered = 0; ready; queued = 0; left }
 
 let k_step k f =
   Sched.atomic_step ~kind:Sched.Exchange ~obj:k.kid ~note:"kernel" (fun () ->
       f k)
 
-(* epoll_ctl(MOD, ONESHOT): replace the armed mask; the table passes
-   mask 0 only where the registration disarms itself *)
-let k_sync k _fd mask =
-  if mask <> 0 then k_step k (fun k -> k.armed <- mask);
-  true
+(* epoll_ctl: ADD fails on a registered fd (EEXIST), MOD on an
+   unregistered one (ENOENT), and both re-check readiness *)
+let k_register k _fd ~was mask =
+  k_step k (fun k ->
+      if (was = 0) <> (k.registered = 0) then false
+      else begin
+        k.registered <- mask;
+        k.queued <- (if mask = 0 then 0 else k.queued lor (k.ready land mask));
+        true
+      end)
 
-(* The turn holder.  epoll_wait blocks until an armed direction is
-   ready, reports it and disarms it, all in one step; then the table
-   fires.  It returns once every waiter was served. *)
+(* the fd turns ready in [bits]: one edge per registered direction *)
+let k_rise k bits =
+  k_step k (fun k ->
+      k.ready <- k.ready lor bits;
+      k.queued <- k.queued lor (bits land k.registered))
+
+(* An earlier wait on the fd registered it for reading and was served:
+   the registration stands, its edges spent.  Setup code, run before
+   the threads. *)
+let k_prime k ~arm ~unwatch =
+  let w = { Check.Interest.dir = `R; wake = ignore } in
+  arm w;
+  unwatch w;
+  k.queued <- 0
+
+(* The turn holder.  epoll_wait blocks until an edge is queued, reports
+   the queued edges once, all in one step; then the table fires.  It
+   returns once every waiter was served. *)
 let k_reactor fire k () =
   let rec loop () =
     let ev =
       Sched.guarded_step ~kind:Sched.Exchange ~obj:k.kid ~note:"epoll_wait"
-        ~enabled:(fun () -> k.left = 0 || k.armed land k.ready <> 0)
+        ~enabled:(fun () -> k.left = 0 || k.queued <> 0)
         (fun () ->
-          let ev = k.armed land k.ready in
-          if ev <> 0 then k.armed <- 0;
+          let ev = k.queued in
+          k.queued <- 0;
           ev)
     in
     if ev <> 0 then begin
@@ -1314,51 +1340,55 @@ let k_watch k dir =
 let k_parked woke =
   Sched.wait_until ~on:(Atomic'.id woke) (fun () -> Atomic'.peek woke)
 
-(* A reader and a writer parked on one socket whose send buffer is
-   full; a byte has arrived, and the peer drains.  The read's report
-   spends the one-shot registration, so the table must re-arm the
-   writer's direction.  [Drops_entry] forgets the writer with the
-   entry: a lost wakeup. *)
+(* A reader and a writer parked after EAGAIN on one socket: nothing to
+   read, the send buffer full.  A byte arrives, then the peer drains.
+   The read edge wakes the reader, and the writer must stay parked for
+   the write edge.  [Drops_entry] forgets the writer with the entry: a
+   lost wakeup. *)
 let interest_two_directions (module I : INTEREST) () =
-  let k = k_make ~ready:1 ~left:2 in
-  let it = I.create ~sync:(k_sync k) in
+  let k = k_make ~ready:0 ~left:2 in
+  let it = I.create ~register:(k_register k) in
   let rw, rwoke = k_watch k `R and ww, wwoke = k_watch k `W in
   ( [
       (fun () ->
-        I.arm it 0 rw;
+        I.arm it 0 rw ~rearm:false;
         k_parked rwoke);
       (fun () ->
-        I.arm it 0 ww;
+        I.arm it 0 ww ~rearm:false;
         k_parked wwoke);
-      (fun () -> k_step k (fun k -> k.ready <- 3) (* the peer drains *));
+      (fun () ->
+        k_rise k 1 (* a byte arrives *);
+        k_rise k 2 (* the peer drains *));
       k_reactor (I.fire it 0) k;
     ],
     fun () -> if I.watched it <> 0 then failwith "a watch outlived its wait" )
 
-(* One waiter arming while the fd turns readable: the report may land
-   right after the arm's ctl.  [Mod_first] issues the ctl before
-   publishing the watch, so a report in that window wakes nobody and
-   spends the registration. *)
+(* One waiter parking right after EAGAIN on a registered fd while the
+   fd turns readable: the edge may be reported before the watch is
+   published, and must then wait as the pending bit.  [Two_sections]
+   checks the bit and publishes in two critical sections, so an edge
+   reported between them is lost. *)
 let interest_arm_vs_fire (module I : INTEREST) () =
   let k = k_make ~ready:0 ~left:1 in
-  let it = I.create ~sync:(k_sync k) in
+  let it = I.create ~register:(k_register k) in
+  k_prime k ~arm:(I.arm it 0 ~rearm:false) ~unwatch:(I.unwatch it 0);
   let rw, rwoke = k_watch k `R in
   ( [
       (fun () ->
-        I.arm it 0 rw;
+        I.arm it 0 rw ~rearm:false;
         k_parked rwoke);
-      (fun () -> k_step k (fun k -> k.ready <- 1));
+      (fun () -> k_rise k 1);
       k_reactor (I.fire it 0) k;
     ],
     fun () -> if I.watched it <> 0 then failwith "a watch outlived its wait" )
 
 (* await_fd with a deadline on a readable fd: readiness and the timer
    race to claim one verdict.  On a timeout the waiter unwatches, and a
-   deadline-free re-await must still be served, while the spent watch's
-   report may still be in flight. *)
+   deadline-free re-await (a bare wait: its edge may have gone to the
+   dead watch) must still be served. *)
 let interest_timeout_unwatch (module I : INTEREST) () =
   let k = k_make ~ready:1 ~left:1 in
-  let it = I.create ~sync:(k_sync k) in
+  let it = I.create ~register:(k_register k) in
   let verdict = Atomic'.make 0 (* 0 none / 1 ready / 2 timeout *) in
   let claim v = Atomic'.compare_and_set verdict 0 v in
   let w =
@@ -1369,13 +1399,13 @@ let interest_timeout_unwatch (module I : INTEREST) () =
   in
   ( [
       (fun () ->
-        I.arm it 0 w;
+        I.arm it 0 w ~rearm:true;
         Sched.wait_until ~on:(Atomic'.id verdict) (fun () ->
             Atomic'.peek verdict <> 0);
         if Atomic'.get verdict = 2 then begin
           I.unwatch it 0 w;
           let again, woke = k_watch k `R in
-          I.arm it 0 again;
+          I.arm it 0 again ~rearm:true;
           k_parked woke
         end);
       (fun () -> ignore (claim 2) (* the deadline *));
@@ -1387,18 +1417,37 @@ let interest_timeout_unwatch (module I : INTEREST) () =
    sweep posts the watch or the arm finds the table closed and posts
    its own cell.  Nothing may stay parked on a dead reactor. *)
 let interest_arm_vs_close (module I : INTEREST) () =
-  let it = I.create ~sync:(fun _ _ -> true) in
+  let it = I.create ~register:(fun _ ~was:_ _ -> true) in
   let woke = Atomic'.make 0 in
   ( [
       (fun () ->
         I.arm it 0
-          { Check.Interest.dir = `R; wake = (fun () -> Atomic'.incr woke) };
+          { Check.Interest.dir = `R; wake = (fun () -> Atomic'.incr woke) }
+          ~rearm:false;
         Sched.wait_until ~on:(Atomic'.id woke) (fun () -> Atomic'.peek woke > 0));
       (fun () -> ignore (I.close it));
     ],
     fun () ->
       if Atomic'.peek woke <> 1 then failwith "waiter woken more than once";
       if I.watched it <> 0 then failwith "a watch outlived the reactor" )
+
+(* The accept loop's shape: one edge announced two queued connections,
+   the loop accepted one and waits again with no EAGAIN before the wait.
+   The fd is still ready and its edge is spent, so only the bare wait's
+   re-arm reports it.  [No_rearm] parks for an edge that never comes. *)
+let interest_bare_wait_rearms (module I : INTEREST) () =
+  let k = k_make ~ready:0 ~left:1 in
+  let it = I.create ~register:(k_register k) in
+  k_prime k ~arm:(I.arm it 0 ~rearm:false) ~unwatch:(I.unwatch it 0);
+  k.ready <- 1 (* the second connection, its edge spent *);
+  let rw, rwoke = k_watch k `R in
+  ( [
+      (fun () ->
+        I.arm it 0 rw ~rearm:true;
+        k_parked rwoke);
+      k_reactor (I.fire it 0) k;
+    ],
+    fun () -> if I.watched it <> 0 then failwith "a watch outlived its wait" )
 
 (* ---------- scenario: a worker waiting in the poller ---------- *)
 
@@ -1428,7 +1477,7 @@ let kp_step k f =
 
 let kp_poke k () = kp_step k (fun k -> k.pipe <- true)
 
-(* The reported readiness, disarming the fd's one-shot watch. *)
+(* The reported readiness; an edge is reported once. *)
 let kp_report k =
   let r = k.ready in
   k.ready <- false;
@@ -1586,7 +1635,10 @@ let idle : (module IDLE) = (module Check.Idle_waker)
 let buggy_idle : (module IDLE) = (module Check.Buggy_idle_waker)
 let interest : (module INTEREST) = (module Check.Interest)
 let drops_entry : (module INTEREST) = (module Check.Buggy_interest.Drops_entry)
-let mod_first : (module INTEREST) = (module Check.Buggy_interest.Mod_first)
+let two_sections : (module INTEREST) =
+  (module Check.Buggy_interest.Two_sections)
+
+let no_rearm : (module INTEREST) = (module Check.Buggy_interest.No_rearm)
 
 let close_unlocked : (module INTEREST) =
   (module Check.Buggy_interest.Close_unlocked)
@@ -2040,6 +2092,9 @@ let test_interest_timeout_unwatch =
 let test_interest_arm_vs_close =
   exhaustive "interest-arm-vs-close" (interest_arm_vs_close interest)
 
+let test_interest_bare_wait_rearms =
+  exhaustive "interest-bare-wait-rearms" (interest_bare_wait_rearms interest)
+
 let test_park_flag_vs_post =
   exhaustive "park-flag-vs-post" (park_flag_vs_post poll_park)
 
@@ -2085,10 +2140,16 @@ let test_buggy_interest_drops_entry =
     ~faithful:(interest_two_directions interest)
     ~expect_reason:"Deadlock"
 
-let test_buggy_interest_mod_first =
-  twin_caught "buggy-interest-mod-first"
-    ~buggy:(interest_arm_vs_fire mod_first)
+let test_buggy_interest_two_sections =
+  twin_caught "buggy-interest-two-sections"
+    ~buggy:(interest_arm_vs_fire two_sections)
     ~faithful:(interest_arm_vs_fire interest)
+    ~expect_reason:"Deadlock"
+
+let test_buggy_interest_no_rearm =
+  twin_caught "buggy-interest-no-rearm"
+    ~buggy:(interest_bare_wait_rearms no_rearm)
+    ~faithful:(interest_bare_wait_rearms interest)
     ~expect_reason:"Deadlock"
 
 let test_buggy_interest_close_unlocked =
@@ -2370,10 +2431,14 @@ let () =
             test_interest_arm_vs_close;
           Alcotest.test_case "dropping the entry on fire strands the writer"
             `Quick test_buggy_interest_drops_entry;
-          Alcotest.test_case "ctl before publish loses the report" `Quick
-            test_buggy_interest_mod_first;
+          Alcotest.test_case "pending check apart from publish loses the edge"
+            `Quick test_buggy_interest_two_sections;
           Alcotest.test_case "closed read outside the lock strands the arm"
             `Quick test_buggy_interest_close_unlocked;
+          Alcotest.test_case "a bare wait re-arms an fd still ready" `Quick
+            test_interest_bare_wait_rearms;
+          Alcotest.test_case "a bare wait without the re-arm hangs the backlog"
+            `Quick test_buggy_interest_no_rearm;
         ] );
       ( "poll-park",
         [

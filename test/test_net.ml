@@ -143,23 +143,19 @@ let test_readiness_memo () =
   Alcotest.(check bool) "cleared cell memoizes again" true (Rd.post c = `Memo);
   Alcotest.(check int) "abandoned waiter never ran" 2 !ran
 
-(* ---------- poller (all backends, sequential contract) ---------- *)
+(* ---------- poller (edge-triggered epoll, sequential contract) ---------- *)
 
 module Poller = Net.Poller
 
-let backend_name = function
-  | `Select -> "select"
-  | `Poll -> "poll"
-  | `Epoll -> "epoll"
+let reported p fd ~timeout_ms =
+  List.exists
+    (fun e -> e.Poller.fd = fd && e.Poller.readable)
+    (Poller.wait p ~timeout_ms)
 
-let available_backends () : Net.Poller.backend list =
-  [ `Select; `Poll ] @ (if Poller.epoll_available then [ `Epoll ] else [])
-
-(* the contract every backend must honour identically: events only for
-   currently-set interest, interest_count tracks set/drop, a quiet probe
-   returns nothing *)
-let poller_contract (b : Poller.backend) =
-  let p = Poller.create ~backend:(b :> [ `Select | `Poll | `Epoll | `Auto ]) () in
+(* Events only for registered fds, each readiness rise reported once,
+   and a removed fd is silent. *)
+let test_poller_contract () =
+  let p = Poller.create () in
   let rd, wr = Unix.pipe ~cloexec:true () in
   Fun.protect
     ~finally:(fun () ->
@@ -167,108 +163,108 @@ let poller_contract (b : Poller.backend) =
       Unix.close rd;
       Unix.close wr)
     (fun () ->
-      let name fmt = Printf.sprintf "%s: %s" (backend_name b) fmt in
-      Alcotest.(check bool) (name "created as requested") true
-        (Poller.backend p = b);
-      Alcotest.(check int) (name "fresh poller watches nothing") 0
-        (Poller.interest_count p);
-      Poller.set p rd ~read:true ~write:false;
-      Alcotest.(check int) (name "one fd under interest") 1
-        (Poller.interest_count p);
-      Alcotest.(check bool) (name "quiet pipe, empty probe") true
+      Alcotest.(check bool) "fresh poller, empty probe" true
+        (Poller.wait p ~timeout_ms:0 = []);
+      Alcotest.(check bool) "add" true (Poller.add p rd ~write:false);
+      Alcotest.(check bool) "a second add fails" false
+        (Poller.add p rd ~write:false);
+      Alcotest.(check bool) "quiet pipe, empty probe" true
         (Poller.wait p ~timeout_ms:0 = []);
       ignore (Unix.write_substring wr "x" 0 1);
       (match Poller.wait p ~timeout_ms:500 with
       | [ ev ] ->
-          Alcotest.(check bool) (name "read event on rd") true
+          Alcotest.(check bool) "read event on rd" true
             (ev.Poller.fd = rd && ev.Poller.readable)
-      | evs -> Alcotest.failf "%s: expected one event, got %d"
-                 (backend_name b) (List.length evs));
-      (* an empty pipe buffer is immediately writable *)
-      Poller.set p wr ~read:false ~write:true;
-      Alcotest.(check int) (name "two fds under interest") 2
-        (Poller.interest_count p);
-      let evs = Poller.wait p ~timeout_ms:500 in
-      Alcotest.(check bool) (name "wr reported writable") true
-        (List.exists (fun e -> e.Poller.fd = wr && e.Poller.writable) evs);
-      (* dropping interest silences a still-ready fd: the byte is still
-         in the pipe, but events follow interest, not kernel state *)
-      Poller.set p rd ~read:false ~write:false;
-      Poller.set p wr ~read:false ~write:false;
-      Alcotest.(check int) (name "interest dropped") 0
-        (Poller.interest_count p);
-      Alcotest.(check bool) (name "no interest, no events") true
-        (Poller.wait p ~timeout_ms:0 = []))
+      | evs -> Alcotest.failf "expected one event, got %d" (List.length evs));
+      Alcotest.(check bool) "the edge is reported once" false
+        (reported p rd ~timeout_ms:0);
+      (* an empty pipe buffer is immediately writable: the add reports it *)
+      Alcotest.(check bool) "add for writing" true (Poller.add p wr ~write:true);
+      Alcotest.(check bool) "wr reported writable" true
+        (List.exists
+           (fun e -> e.Poller.fd = wr && e.Poller.writable)
+           (Poller.wait p ~timeout_ms:500));
+      Poller.remove p rd;
+      Poller.remove p wr;
+      ignore (Unix.write_substring wr "y" 0 1);
+      Alcotest.(check bool) "removed fds are silent" true
+        (Poller.wait p ~timeout_ms:0 = []);
+      Alcotest.(check bool) "modify needs a registration" false
+        (Poller.modify p rd ~write:false))
 
-let test_poller_contract () = List.iter poller_contract (available_backends ())
-
-let test_poller_auto () =
+(* The reactor wakes fibers in the order the poller returns them; that
+   order must be the order the fds became ready, or under load the
+   first fd ready is served last and the tail latency grows. *)
+let test_poller_fifo () =
   let p = Poller.create () in
+  let pipes = List.init 3 (fun _ -> Unix.pipe ~cloexec:true ()) in
   Fun.protect
-    ~finally:(fun () -> Poller.close p)
+    ~finally:(fun () ->
+      Poller.close p;
+      List.iter (fun (rd, wr) -> Unix.close rd; Unix.close wr) pipes)
     (fun () ->
-      if Poller.epoll_available then
-        Alcotest.(check string) "Auto picks epoll where available" "epoll"
-          (backend_name (Poller.backend p))
-      else
-        Alcotest.(check bool) "Auto prefers poll over select" true
-          (Poller.backend p <> `Select))
+      List.iter (fun (rd, _) -> ignore (Poller.add p rd ~write:false)) pipes;
+      let order = [ 2; 0; 1 ] in
+      List.iter
+        (fun i -> ignore (Unix.write_substring (snd (List.nth pipes i)) "x" 0 1))
+        order;
+      let fds = List.map (fun e -> e.Poller.fd) (Poller.wait p ~timeout_ms:500) in
+      Alcotest.(check bool) "reported in the order they became ready" true
+        (fds = List.map (fun i -> fst (List.nth pipes i)) order))
 
-let test_poller_epoll_gate () =
-  if Poller.epoll_available then begin
-    let p = Poller.create ~backend:`Epoll () in
-    Alcotest.(check bool) "explicit `Epoll honoured" true
-      (Poller.backend p = `Epoll);
-    Poller.close p
-  end
-  else
-    match Poller.create ~backend:`Epoll () with
-    | exception Invalid_argument _ -> ()
-    | p ->
-        Poller.close p;
-        Alcotest.fail "`Epoll created on a platform without epoll"
+(* The race the pending bit closes, seen from the kernel: an edge that
+   lands after a reader's EAGAIN is reported whether or not anybody is
+   parked yet, and only once.  The bare wait's re-arm (modify) reports
+   an fd that is still ready after its edge was spent; so does the add
+   of an fd already ready. *)
+let test_poller_edge_after_eagain () =
+  let p = Poller.create () in
+  let rd, wr = Unix.pipe ~cloexec:true () in
+  Unix.set_nonblock rd;
+  Fun.protect
+    ~finally:(fun () ->
+      Poller.close p;
+      Unix.close rd;
+      Unix.close wr)
+    (fun () ->
+      ignore (Unix.write_substring wr "x" 0 1);
+      Alcotest.(check bool) "add" true (Poller.add p rd ~write:false);
+      Alcotest.(check bool) "an fd ready at its add is reported" true
+        (reported p rd ~timeout_ms:500);
+      let buf = Bytes.create 8 in
+      ignore (Unix.read rd buf 0 8);
+      (match Unix.read rd buf 0 8 with
+      | _ -> Alcotest.fail "the drained pipe read data"
+      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ());
+      (* EAGAIN seen; the byte arrives before the reader parks *)
+      ignore (Unix.write_substring wr "y" 0 1);
+      Alcotest.(check bool) "the edge after EAGAIN is reported" true
+        (reported p rd ~timeout_ms:500);
+      Alcotest.(check bool) "once" false (reported p rd ~timeout_ms:0);
+      (* data not drained: only a re-arm reports it again *)
+      Alcotest.(check bool) "modify" true (Poller.modify p rd ~write:false);
+      Alcotest.(check bool) "the re-arm reports a ready fd" true
+        (reported p rd ~timeout_ms:500);
+      (* a closed fd cannot be registered *)
+      let gone, other = Unix.pipe ~cloexec:true () in
+      Unix.close gone;
+      Unix.close other;
+      Alcotest.(check bool) "add on a closed fd" false
+        (Poller.add p gone ~write:false))
 
-let test_poller_epoll_recheck () =
-  (* the lost-edge race, closed because arming re-checks readiness:
-     (a) the fd turns ready BEFORE the watch arms, and (b) the one-shot
-     report is consumed without draining the data and the watch is
-     re-armed.  Between the two, the spent watch must stay silent. *)
-  if not Poller.epoll_available then ()
-  else begin
-    let p = Poller.create ~backend:`Epoll () in
-    let rd, wr = Unix.pipe ~cloexec:true () in
-    Fun.protect
-      ~finally:(fun () ->
-        Poller.close p;
-        Unix.close rd;
-        Unix.close wr)
-      (fun () ->
-        ignore (Unix.write_substring wr "x" 0 1);
-        let arm () =
-          Alcotest.(check bool) "arm succeeds" true
-            (Poller.arm p rd ~read:true ~write:false)
-        in
-        let readable ~timeout_ms =
-          List.exists
-            (fun e -> e.Poller.fd = rd && e.Poller.readable)
-            (Poller.wait p ~timeout_ms)
-        in
-        arm ();
-        Alcotest.(check bool) "ready before the watch still delivered" true
-          (readable ~timeout_ms:500);
-        Alcotest.(check bool) "a reported one-shot watch is disarmed" false
-          (readable ~timeout_ms:0);
-        (* data not drained; re-arm with the identical mask *)
-        arm ();
-        Alcotest.(check bool) "re-armed watch redelivers pending data" true
-          (readable ~timeout_ms:500);
-        (* a closed fd: the arm reports it gone instead of raising *)
-        let gone, other = Unix.pipe ~cloexec:true () in
-        Unix.close gone;
-        Unix.close other;
-        Alcotest.(check bool) "arm on a closed fd" false
-          (Poller.arm p gone ~read:true ~write:false))
-  end
+(* The serving cases run on as many domains as the host has cores, then
+   on one more, so every host runs both the parallel and the
+   oversubscribed schedule; the bound keeps a many-core host's run
+   small.  Each failure message names its domain count. *)
+let stress_domains =
+  let n = min 32 (Domain.recommended_domain_count ()) in
+  [ n; n + 1 ]
+
+(* [failwith] inside a run, with the run's domain count appended. *)
+let fail_at ~domains fmt =
+  Printf.ksprintf
+    (fun s -> failwith (Printf.sprintf "%s (domains=%d)" s domains))
+    fmt
 
 (* ---------- live reactor ---------- *)
 
@@ -276,12 +272,19 @@ let with_reactor f =
   let r = Reactor.create () in
   Fun.protect ~finally:(fun () -> Reactor.shutdown r) (fun () -> f r)
 
+(* [f r ~domains] at each of [stress_domains], a fresh reactor each *)
+let at_stress_domains f =
+  List.iter (fun domains -> with_reactor (fun r -> f r ~domains)) stress_domains
+
+(* a check's message, with the run's domain count appended *)
+let at ~domains what = Printf.sprintf "%s (domains=%d)" what domains
+
 let test_sleep () =
-  with_reactor (fun r ->
+  at_stress_domains (fun r ~domains ->
       let t0 = Unix.gettimeofday () in
       let order = ref [] in
       let push tag = order := tag :: !order in
-      Fiber.run_parallel ~domains:2 (fun () ->
+      Fiber.run_parallel ~domains (fun () ->
           ignore
             (Fiber.spawn (fun () ->
                  Reactor.sleep r 0.06;
@@ -290,17 +293,21 @@ let test_sleep () =
           push `Short;
           ());
       let dt = Unix.gettimeofday () -. t0 in
-      Alcotest.(check bool) "slept at least the long timer" true (dt >= 0.06);
-      Alcotest.(check bool) "short deadline fired first" true
+      Alcotest.(check bool)
+        (at ~domains "slept at least the long timer")
+        true (dt >= 0.06);
+      Alcotest.(check bool)
+        (at ~domains "short deadline fired first")
+        true
         (List.rev !order = [ `Short; `Long ]))
 
 let test_await_fd_pipe () =
-  with_reactor (fun r ->
+  at_stress_domains (fun r ~domains ->
       let rd, wr = Unix.pipe ~cloexec:true () in
       Unix.set_nonblock rd;
       Unix.set_nonblock wr;
       let got = ref "" in
-      Fiber.run_parallel ~domains:2 (fun () ->
+      Fiber.run_parallel ~domains (fun () ->
           ignore
             (Fiber.spawn (fun () ->
                  Reactor.sleep r 0.03;
@@ -311,13 +318,17 @@ let test_await_fd_pipe () =
               let n = Unix.read rd buf 0 16 in
               got := Bytes.sub_string buf 0 n
           | `Timeout -> Alcotest.fail "no deadline given, yet Timeout"));
-      Unix.close rd;
-      Unix.close wr;
-      Alcotest.(check string) "readiness delivered the write" "ping" !got)
+      Fio.close rd;
+      Fio.close wr;
+      Alcotest.(check string)
+        (at ~domains "readiness delivered the write")
+        "ping" !got)
 
 (* The wake of a parked fiber is routed back to the worker that parked
    it, whatever worker the writer runs on.  Worker 1 is launched by the
-   [spawn_on] delivery even on a one-core host. *)
+   [spawn_on] delivery even on a one-core host.  It runs at exactly two
+   domains, not at [stress_domains]: two workers, the parking one and
+   the writing one, are what it tests. *)
 let test_wake_returns_home () =
   with_reactor (fun r ->
       let rd, wr = Unix.pipe ~cloexec:true () in
@@ -343,25 +354,25 @@ let test_wake_returns_home () =
                  done;
                  ignore (Unix.write_substring wr "x" 0 1)));
           Fiber.join waiter);
-      Unix.close rd;
-      Unix.close wr;
+      Fio.close rd;
+      Fio.close wr;
       Alcotest.(check (option int)) "parked on worker 1" (Some 1) !before;
       Alcotest.(check (option int)) "resumed on worker 1" (Some 1) !after)
 
 let test_await_fd_deadline () =
-  with_reactor (fun r ->
+  at_stress_domains (fun r ~domains ->
       let rd, wr = Unix.pipe ~cloexec:true () in
       Unix.set_nonblock rd;
       let verdict = ref `Ready in
       let t0 = Unix.gettimeofday () in
-      Fiber.run_parallel ~domains:2 (fun () ->
+      Fiber.run_parallel ~domains (fun () ->
           (* nobody ever writes: the deadline must win *)
           verdict := Reactor.await_fd r ~deadline:(Reactor.now () +. 0.05) rd `R);
       let dt = Unix.gettimeofday () -. t0 in
-      Unix.close rd;
-      Unix.close wr;
-      Alcotest.(check bool) "timed out" true (!verdict = `Timeout);
-      Alcotest.(check bool) "after the deadline" true (dt >= 0.045))
+      Fio.close rd;
+      Fio.close wr;
+      Alcotest.(check bool) (at ~domains "timed out") true (!verdict = `Timeout);
+      Alcotest.(check bool) (at ~domains "after the deadline") true (dt >= 0.045))
 
 (* A pipe whose writer lands at the read's deadline, give or take half a
    millisecond: the poll round that sees the byte and the one that fires
@@ -382,43 +393,46 @@ let race_pipe r i f =
   in
   Fun.protect
     ~finally:(fun () ->
-      Unix.close rd;
-      Unix.close wr)
+      Fio.close rd;
+      Fio.close wr)
     (fun () ->
       let v = f rd ~deadline:(at +. race_offset i) in
       Fiber.join writer;
       v)
 
 let test_deadline_racing_io () =
-  with_reactor (fun r ->
+  at_stress_domains (fun r ~domains ->
       let oks = ref 0 and timeouts = ref 0 in
-      Fiber.run_parallel ~domains:2 (fun () ->
+      Fiber.run_parallel ~domains (fun () ->
           for i = 1 to 30 do
             race_pipe r i (fun rd ~deadline ->
                 let buf = Bytes.create 1 in
                 match Fio.read r ~deadline rd buf 0 1 with
                 | 1 when Bytes.get buf 0 = 'x' -> incr oks
-                | n -> Alcotest.failf "torn read %S" (Bytes.sub_string buf 0 n)
+                | n ->
+                    failwith
+                      (at ~domains
+                         (Printf.sprintf "torn read %S" (Bytes.sub_string buf 0 n)))
                 | exception Fio.Timeout -> incr timeouts)
           done);
-      Alcotest.(check int) "every race resolved" 30 (!oks + !timeouts);
-      Printf.printf "deadline-vs-io races: %d completed, %d timed out\n%!" !oks
-        !timeouts)
+      Alcotest.(check int) (at ~domains "every race resolved") 30 (!oks + !timeouts);
+      Printf.printf "deadline-vs-io races at domains=%d: %d completed, %d timed out\n%!"
+        domains !oks !timeouts)
 
 let test_sleep_edge_cases () =
   (* zero, negative and already-past deadlines must return promptly --
      no park, or a park the next poll round releases --
      and never hang the engine *)
-  with_reactor (fun r ->
+  at_stress_domains (fun r ~domains ->
       let t0 = Unix.gettimeofday () in
-      Fiber.run_parallel ~domains:2 (fun () ->
+      Fiber.run_parallel ~domains (fun () ->
           Reactor.sleep r 0.;
           Reactor.sleep r (-1.);
           Reactor.sleep_until r 0. (* the 1970 deadline *);
           Reactor.sleep_until r (Reactor.now () -. 5.));
       let dt = Unix.gettimeofday () -. t0 in
       Alcotest.(check bool)
-        (Printf.sprintf "degenerate sleeps returned promptly (%.3fs)" dt)
+        (at ~domains (Printf.sprintf "degenerate sleeps returned promptly (%.3fs)" dt))
         true (dt < 1.0))
 
 let test_deadline_during_cancel () =
@@ -427,9 +441,9 @@ let test_deadline_during_cancel () =
      turn holder's concurrent fire.  [`Ready] must mean the byte is
      there; a [`Timeout] must leave no stale registration, so a second,
      deadline-free await still sees the byte. *)
-  with_reactor (fun r ->
+  at_stress_domains (fun r ~domains ->
       let ready = ref 0 and timeouts = ref 0 in
-      Fiber.run_parallel ~domains:2 (fun () ->
+      Fiber.run_parallel ~domains (fun () ->
           for i = 1 to 30 do
             race_pipe r i (fun rd ~deadline ->
                 (match Reactor.await_fd r ~deadline rd `R with
@@ -437,36 +451,39 @@ let test_deadline_during_cancel () =
                 | `Timeout ->
                     incr timeouts;
                     if Reactor.await_fd r rd `R <> `Ready then
-                      Alcotest.fail "re-await after Timeout");
+                      failwith (at ~domains "re-await after Timeout"));
                 let buf = Bytes.create 1 in
                 match Unix.read rd buf 0 1 with
                 | 1 when Bytes.get buf 0 = 'x' -> ()
-                | n -> Alcotest.failf "torn read %S" (Bytes.sub_string buf 0 n))
+                | n ->
+                    failwith
+                      (at ~domains
+                         (Printf.sprintf "torn read %S" (Bytes.sub_string buf 0 n))))
           done);
-      Alcotest.(check int) "every race resolved" 30 (!ready + !timeouts);
-      Printf.printf "deadline-vs-cancel races: %d Ready, %d Timeout\n%!" !ready
-        !timeouts)
+      Alcotest.(check int) (at ~domains "every race resolved") 30 (!ready + !timeouts);
+      Printf.printf "deadline-vs-cancel races at domains=%d: %d Ready, %d Timeout\n%!"
+        domains !ready !timeouts)
 
 let test_fiber_io_pipe () =
-  with_reactor (fun r ->
+  at_stress_domains (fun r ~domains ->
       let rd, wr = Unix.pipe ~cloexec:true () in
       Unix.set_nonblock rd;
       Unix.set_nonblock wr;
       let n = 256 * 1024 in
       let src = Bytes.init n (fun i -> Char.chr (i land 0xff)) in
       let dst = Bytes.create n in
-      Fiber.run_parallel ~domains:2 (fun () ->
+      Fiber.run_parallel ~domains (fun () ->
           let w =
             Fiber.spawn (fun () ->
                 (* far beyond the pipe buffer: the writer must park on
                    `W` while the reader drains *)
                 Fio.write_all r wr src 0 n;
-                Unix.close wr)
+                Fio.close wr)
           in
           Fio.read_exact r rd dst 0 n;
           Fiber.join w);
-      Unix.close rd;
-      Alcotest.(check bool) "roundtrip intact" true (Bytes.equal src dst))
+      Fio.close rd;
+      Alcotest.(check bool) (at ~domains "roundtrip intact") true (Bytes.equal src dst))
 
 (* Every timer reaches the reactor as a command and a self-pipe poke.
    A self-pipe watch that disarmed after its first report would leave
@@ -485,11 +502,11 @@ let test_sleeps_stay_prompt () =
 
 (* Both directions of one socket parked at once.  The send buffer is
    full, so the writer parks; nothing has arrived, so the reader parks.
-   The peer writes one byte: the reader's report spends the fd's
-   one-shot registration, which must be re-armed for the writer still
-   queued.  Then the peer drains and the writer must wake. *)
+   The peer writes one byte: the read edge wakes the reader, and the
+   writer must stay parked.  Then the peer drains and the writer must
+   wake. *)
 let test_reader_and_writer_one_fd () =
-  with_reactor (fun r ->
+  at_stress_domains (fun r ~domains ->
       let a, b = Unix.socketpair ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
       Unix.set_nonblock a;
       Unix.set_nonblock b;
@@ -501,7 +518,7 @@ let test_reader_and_writer_one_fd () =
       in
       let queued = fill 0 in
       let got = ref "" and wrote = ref 0 in
-      Fiber.run_parallel ~domains:2 (fun () ->
+      Fiber.run_parallel ~domains (fun () ->
           let deadline = Reactor.now () +. 5.0 in
           let reader =
             Fiber.spawn (fun () ->
@@ -523,7 +540,8 @@ let test_reader_and_writer_one_fd () =
           until (fun () -> parked reader && parked writer);
           ignore (Unix.write_substring b "x" 0 1);
           until (fun () -> Fiber.state reader = `Done);
-          Alcotest.(check bool) "the writer is still parked" true (parked writer);
+          if not (parked writer) then
+            failwith (at ~domains "the writer woke before the drain");
           (* drain everything the filled buffer holds, plus the writer's
              byte once it lands *)
           let sink = Bytes.create 65536 in
@@ -536,20 +554,20 @@ let test_reader_and_writer_one_fd () =
           done;
           Fiber.join reader;
           Fiber.join writer);
-      Unix.close a;
-      Unix.close b;
-      Alcotest.(check string) "the reader got the byte" "x" !got;
-      Alcotest.(check int) "the writer's byte went out" 1 !wrote)
+      Fio.close a;
+      Fio.close b;
+      Alcotest.(check string) (at ~domains "the reader got the byte") "x" !got;
+      Alcotest.(check int) (at ~domains "the writer's byte went out") 1 !wrote)
 
-(* On epoll a parked fiber arms its own watch: a park/wake cycle sends
-   the reactor no command, and the worker in the poller polls once per
-   readiness report, not once per arm.  That lone worker holds the turn,
-   so the wakes it fires are its own fibers' and deliver no wake token
-   (no notify, no self-pipe poke).  A ping-pong over a socketpair parks
-   a reader on every hop. *)
+(* A parked fiber publishes its own watch: a park/wake cycle sends the
+   reactor no command and, after each fd's first wait registered it, no
+   syscall.  The worker in the poller polls once per readiness report,
+   not once per park.  That lone worker holds the turn, so the wakes it
+   fires are its own fibers' and deliver no wake token (no notify, no
+   self-pipe poke).  A ping-pong over a socketpair parks a reader on
+   every hop. *)
 let test_park_costs_no_command () =
   with_reactor (fun r ->
-      if Reactor.backend r = `Epoll then begin
         let a, b =
           Unix.socketpair ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0
         in
@@ -576,16 +594,23 @@ let test_park_costs_no_command () =
             bounce a ~serve:true;
             Fiber.join pong;
             after := Reactor.stats r);
-        Unix.close a;
-        Unix.close b;
+        Fio.close a;
+        Fio.close b;
         let d f = f !after - f !before in
         let commands = d (fun s -> s.Reactor.commands)
         and polls = d (fun s -> s.Reactor.polls)
-        and wakeups = d (fun s -> s.Reactor.wakeups) in
+        and wakeups = d (fun s -> s.Reactor.wakeups)
+        and registrations = d (fun s -> s.Reactor.registrations) in
         let tokens = (Option.get !sched).Fiber.Sched_stats.wakes in
-        Printf.printf "%d hops: %d wakeups, %d polls, %d commands, %d wake tokens\n%!"
-          hops wakeups polls commands tokens;
+        Printf.printf
+          "%d hops: %d wakeups, %d polls, %d commands, %d registrations, %d \
+           wake tokens\n%!"
+          hops wakeups polls commands registrations tokens;
         Alcotest.(check int) "no command per park" 0 commands;
+        Alcotest.(check bool)
+          (Printf.sprintf "one registration per fd, none per park (%d)"
+             registrations)
+          true (registrations <= 2);
         (* the lone worker holds the turn: its own wakes cost no notify *)
         Alcotest.(check int) "no wake token per hop" 0 tokens;
         Alcotest.(check bool)
@@ -593,8 +618,81 @@ let test_park_costs_no_command () =
           true (wakeups >= hops);
         Alcotest.(check bool)
           (Printf.sprintf "polls %d <= wakeups %d + 5" polls wakeups)
-          true (polls <= wakeups + 5)
-      end)
+          true (polls <= wakeups + 5))
+
+(* The race the pending bit closes, at the reactor: a reader's read
+   returns EAGAIN, the byte lands and a turn reports its edge before the
+   reader parks.  Nobody is parked for that edge, so the table keeps it,
+   and the reader's wait after EAGAIN takes it instead of parking until
+   the deadline.  One worker makes the order deterministic: the sleep
+   hands the worker to a turn, whose poll reports the edge. *)
+let test_edge_before_park () =
+  with_reactor (fun r ->
+      let rd, wr = Unix.pipe ~cloexec:true () in
+      Unix.set_nonblock rd;
+      Unix.set_nonblock wr;
+      let buf = Bytes.create 8 in
+      let verdict = ref `Timeout and waited = ref 0. in
+      Fiber.run_parallel ~domains:1 (fun () ->
+          (* the first wait registers the pipe *)
+          let w =
+            Fiber.spawn (fun () ->
+                Reactor.sleep r 0.005;
+                ignore (Unix.write_substring wr "a" 0 1))
+          in
+          ignore (Fio.read r rd buf 0 8);
+          Fiber.join w;
+          (match Unix.read rd buf 0 8 with
+          | _ -> Alcotest.fail "the drained pipe read data"
+          | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ());
+          ignore (Unix.write_substring wr "b" 0 1);
+          Reactor.sleep r 0.01;
+          let t0 = Reactor.now () in
+          verdict := Reactor.await_edge r ~deadline:(t0 +. 1.0) rd `R;
+          waited := Reactor.now () -. t0);
+      Fio.close rd;
+      Fio.close wr;
+      Alcotest.(check bool)
+        (Printf.sprintf "the edge reported before the park was kept (%.3f s)"
+           !waited)
+        true (!verdict = `Ready))
+
+(* The kernel drops a closed fd's registration without a report and
+   hands its number to the next open.  A pipe is waited on and closed
+   through [Fio.close]; the next pipe reuses the numbers; a read on it
+   that parks right after EAGAIN must still be served. *)
+let test_close_then_reuse () =
+  with_reactor (fun r ->
+      let pair () =
+        let rd, wr = Unix.pipe ~cloexec:true () in
+        Unix.set_nonblock rd;
+        Unix.set_nonblock wr;
+        (rd, wr)
+      in
+      let served rd wr =
+        let got = ref 0 in
+        Fiber.run_parallel ~domains:1 (fun () ->
+            let w =
+              Fiber.spawn (fun () ->
+                  Reactor.sleep r 0.005;
+                  ignore (Unix.write_substring wr "x" 0 1))
+            in
+            got :=
+              (try Fio.read r ~deadline:(Reactor.now () +. 1.0) rd (Bytes.create 1) 0 1
+               with Fio.Timeout -> 0);
+            Fiber.join w);
+        !got = 1
+      in
+      let rd, wr = pair () in
+      Alcotest.(check bool) "the first pipe is served" true (served rd wr);
+      Fio.close rd;
+      Fio.close wr;
+      let rd', wr' = pair () in
+      Alcotest.(check bool) "the numbers were reused" true (rd' = rd && wr' = wr);
+      let ok = served rd' wr' in
+      Fio.close rd';
+      Fio.close wr';
+      Alcotest.(check bool) "the reused number's wait is served within 1 s" true ok)
 
 (* ---------- the reactor has no thread: workers take turns ---------- *)
 
@@ -645,8 +743,8 @@ let kc_beside_parked_read r ~domains =
             Unix.gettimeofday () -. t0);
       ignore (Unix.write_substring b "x" 0 1);
       Fiber.join reader);
-  Unix.close a;
-  Unix.close b;
+  Fio.close a;
+  Fio.close b;
   Domain_check.report fails;
   Alcotest.(check string) "the parked read completed" "x" !got;
   Array.sort compare !lat;
@@ -658,20 +756,20 @@ let kc_beside_parked_read r ~domains =
     true (median < 0.005)
 
 let test_kc_wakes_poller () =
-  with_reactor (fun r ->
-      kc_beside_parked_read r ~domains:1;
-      kc_beside_parked_read r ~domains:2)
+  List.iter
+    (fun domains -> with_reactor (fun r -> kc_beside_parked_read r ~domains))
+    (List.sort_uniq compare (1 :: stress_domains))
 
-(* Both workers spin on [Fiber.yield], so neither parks and nobody waits
+(* Every worker spins on [Fiber.yield], so none parks and nobody waits
    in the poller; a busy worker's fairness tick takes a non-blocking
    turn, and readiness must still reach the parked reader. *)
 let test_busy_workers_poll () =
-  with_reactor (fun r ->
+  at_stress_domains (fun r ~domains ->
       let a, b = Unix.socketpair ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
       Unix.set_nonblock a;
       let fails = Domain_check.create () in
       let woke_at = ref infinity and deadline = ref 0. in
-      Fiber.run_parallel ~domains:2 (fun () ->
+      Fiber.run_parallel ~domains (fun () ->
           let stop = Atomic.make false in
           deadline := Reactor.now () +. 2.0;
           let reader =
@@ -691,17 +789,16 @@ let test_busy_workers_poll () =
               Fiber.yield ()
             done
           in
-          let s0 = Fiber.spawn_on ~worker:0 spin
-          and s1 = Fiber.spawn_on ~worker:1 spin in
+          let spinners = List.init domains (fun w -> Fiber.spawn_on ~worker:w spin) in
           ignore (Unix.write_substring b "x" 0 1);
           Fiber.join reader;
-          Fiber.join s0;
-          Fiber.join s1);
-      Unix.close a;
-      Unix.close b;
+          List.iter Fiber.join spinners);
+      Fio.close a;
+      Fio.close b;
       Domain_check.report fails;
-      Alcotest.(check bool) "the reader woke while the workers spun" true
-        (!woke_at < !deadline))
+      Alcotest.(check bool)
+        (at ~domains "the reader woke while the workers spun")
+        true (!woke_at < !deadline))
 
 (* One run waits on one reactor, and one reactor serves one run at a
    time. *)
@@ -765,20 +862,6 @@ let count_fds () =
   | entries -> Some (Array.length entries)
   | exception Sys_error _ -> None
 
-(* The serving cases run on as many domains as the host has cores, then
-   on one more, so every host runs both the parallel and the
-   oversubscribed schedule; the bound keeps a many-core host's run
-   small.  Each failure message names its domain count. *)
-let stress_domains =
-  let n = min 32 (Domain.recommended_domain_count ()) in
-  [ n; n + 1 ]
-
-(* [failwith] inside a run, with the run's domain count appended. *)
-let fail_at ~domains fmt =
-  Printf.ksprintf
-    (fun s -> failwith (Printf.sprintf "%s (domains=%d)" s domains))
-    fmt
-
 let tcp_echo r ~domains =
   let clients = 16 and rounds = 5 in
   let ok = Atomic.make 0 in
@@ -802,7 +885,7 @@ let tcp_echo r ~domains =
                   Fio.read_exact r fd buf 0 len;
                   if Bytes.to_string buf <> msg then fail "echo mismatch"
                 done;
-                Unix.close fd;
+                Fio.close fd;
                 Atomic.incr ok))
       in
       List.iter Fiber.join fibers;
@@ -845,7 +928,7 @@ let tcp_backpressure r ~domains =
                 Fio.read_exact r fd buf 0 2;
                 Domain_check.check fails Alcotest.string "echo" "hi"
                   (Bytes.to_string buf);
-                Unix.close fd))
+                Fio.close fd))
       in
       List.iter Fiber.join fibers;
       Tcp.stop srv;
@@ -907,8 +990,8 @@ let tcp_stop_gated_loop ~baseline ~domains =
           Atomic.set open_fds (Option.get (count_fds ()));
           Tcp.stop srv;
           st := Some (Tcp.stats srv);
-          Unix.close a;
-          Unix.close b));
+          Fio.close a;
+          Fio.close b));
   let st = Option.get !st in
   let msg what = Printf.sprintf "%s (domains=%d)" what domains in
   Alcotest.(check bool) (msg "the loop waited at capacity") true
@@ -928,6 +1011,42 @@ let test_tcp_stop_gated_loop () =
         (fun domains -> tcp_stop_gated_loop ~baseline ~domains)
         stress_domains
 
+(* One edge can announce several queued connections.  With one worker
+   the accept loop stays parked while two clients connect back to back,
+   so both sit in the backlog before a turn reports the listener once.
+   The loop accepts one, and only its re-armed wait can report the
+   other. *)
+let test_two_behind_one_edge () =
+  with_reactor (fun r ->
+      let accepted = ref 0 in
+      Fiber.run_parallel ~domains:1 (fun () ->
+          let srv =
+            Tcp.start ~reactor:r
+              ~addr:(Unix.ADDR_INET (localhost, 0))
+              ~handler:(fun _ _ -> ())
+              ()
+          in
+          (* let the accept loop park *)
+          Reactor.sleep r 0.01;
+          let connect () =
+            let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
+            Unix.set_nonblock fd;
+            (try Unix.connect fd (Unix.ADDR_INET (localhost, Tcp.port srv))
+             with Unix.Unix_error (Unix.EINPROGRESS, _, _) -> ());
+            fd
+          in
+          let a = connect () in
+          let b = connect () in
+          let give_up = Reactor.now () +. 1.0 in
+          while (Tcp.stats srv).Tcp.accepted < 2 && Reactor.now () < give_up do
+            Reactor.sleep r 0.001
+          done;
+          accepted := (Tcp.stats srv).Tcp.accepted;
+          Fio.close a;
+          Fio.close b;
+          Tcp.stop srv);
+      Alcotest.(check int) "both connections accepted within 1 s" 2 !accepted)
+
 (* fd exhaustion on accept: with every fd taken, the accept of a
    pending client fails with EMFILE.  The server must back off and
    retry rather than let the error abort the run, so once the hoarded
@@ -935,7 +1054,7 @@ let test_tcp_stop_gated_loop () =
 let test_tcp_accept_emfile () =
   let hoard = ref [] in
   let release () =
-    List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) !hoard;
+    List.iter (fun fd -> try Fio.close fd with Unix.Unix_error _ -> ()) !hoard;
     hoard := []
   in
   (* dup until EMFILE; give up (and skip) past a cap so a huge
@@ -968,7 +1087,7 @@ let test_tcp_accept_emfile () =
                 (* one free fd, for the client's socket *)
                 (match !hoard with
                 | fd :: rest ->
-                    Unix.close fd;
+                    Fio.close fd;
                     hoard := rest
                 | [] -> ());
                 let fd = connect_local r port in
@@ -982,7 +1101,7 @@ let test_tcp_accept_emfile () =
                 let buf = Bytes.create 2 in
                 Fio.read_exact r ~deadline fd buf 0 2;
                 echoed := Bytes.to_string buf;
-                Unix.close fd
+                Fio.close fd
               end
               else begin
                 release ();
@@ -1027,7 +1146,7 @@ let tcp_graceful_stop r ~domains =
       Alcotest.(check string)
         (msg "response arrived before the drain")
         "bye" (Bytes.to_string buf);
-      Unix.close fd)
+      Fio.close fd)
 
 let test_tcp_graceful_stop () =
   with_reactor (fun r ->
@@ -1049,7 +1168,7 @@ let tcp_no_fd_leak ~baseline ~domains =
                     Fio.write_all r fd (Bytes.of_string "x") 0 1;
                     let b = Bytes.create 1 in
                     Fio.read_exact r fd b 0 1;
-                    Unix.close fd))
+                    Fio.close fd))
           in
           List.iter Fiber.join fibers;
           Tcp.stop srv));
@@ -1064,68 +1183,6 @@ let test_tcp_no_fd_leak () =
   | None -> () (* no /proc: skip silently, the CI runner has it *)
   | Some baseline ->
       List.iter (fun domains -> tcp_no_fd_leak ~baseline ~domains) stress_domains
-
-(* ---------- backend matrix ---------- *)
-
-(* one echo burst against a caller-supplied reactor; returns how many
-   clients round-tripped cleanly *)
-let echo_burst r ~clients ~domains =
-  let ok = Atomic.make 0 in
-  let fail fmt = fail_at ~domains fmt in
-  Fiber.run_parallel ~domains (fun () ->
-      let srv =
-        Tcp.start ~reactor:r
-          ~addr:(Unix.ADDR_INET (localhost, 0))
-          ~handler:echo_handler ()
-      in
-      let port = Tcp.port srv in
-      let fibers =
-        List.init clients (fun i ->
-            Fiber.spawn (fun () ->
-                let fd = connect_local r port in
-                let msg = Printf.sprintf "msg-%04d" i in
-                let len = String.length msg in
-                let buf = Bytes.create len in
-                for _ = 1 to 3 do
-                  Fio.write_all r fd (Bytes.of_string msg) 0 len;
-                  Fio.read_exact r fd buf 0 len;
-                  if Bytes.to_string buf <> msg then fail "echo mismatch"
-                done;
-                Unix.close fd;
-                Atomic.incr ok))
-      in
-      List.iter Fiber.join fibers;
-      Tcp.stop srv;
-      let st = Tcp.stats srv in
-      if st.Tcp.accepted <> clients then
-        fail "accepted %d of %d" st.Tcp.accepted clients;
-      if st.Tcp.active <> 0 then fail "connections leaked past stop");
-  Atomic.get ok
-
-let test_echo_every_backend () =
-  (* the same echo workload through each compiled-in poller backend:
-     select and poll are epoll's independent cross-checks, so behavioural
-     drift between them is a test failure, not a portability footnote *)
-  List.iter
-    (fun (b : Poller.backend) ->
-      let r =
-        Reactor.create ~backend:(b :> [ `Select | `Poll | `Epoll | `Auto ]) ()
-      in
-      Fun.protect
-        ~finally:(fun () -> Reactor.shutdown r)
-        (fun () ->
-          Alcotest.(check bool)
-            (backend_name b ^ ": reactor picked it") true
-            (Reactor.backend r = b);
-          List.iter
-            (fun domains ->
-              let ok = echo_burst r ~clients:8 ~domains in
-              Alcotest.(check int)
-                (Printf.sprintf "%s: all clients echoed (domains=%d)"
-                   (backend_name b) domains)
-                8 ok)
-            stress_domains))
-    (available_backends ())
 
 let () =
   Test_seed.announce "test_net";
@@ -1145,13 +1202,11 @@ let () =
         [ Alcotest.test_case "memo / wake / clear contract" `Quick test_readiness_memo ] );
       ( "poller",
         [
-          Alcotest.test_case "set/wait contract, every backend" `Quick
-            test_poller_contract;
-          Alcotest.test_case "Auto backend resolution" `Quick test_poller_auto;
-          Alcotest.test_case "`Epoll gated on availability" `Quick
-            test_poller_epoll_gate;
-          Alcotest.test_case "epoll MOD re-check closes lost edges" `Quick
-            test_poller_epoll_recheck;
+          Alcotest.test_case "add/wait contract" `Quick test_poller_contract;
+          Alcotest.test_case "an edge between EAGAIN and the park is not lost"
+            `Quick test_poller_edge_after_eagain;
+          Alcotest.test_case "events come in the order fds became ready"
+            `Quick test_poller_fifo;
         ] );
       ( "reactor",
         [
@@ -1197,9 +1252,16 @@ let () =
           Alcotest.test_case "stop releases an accept loop parked at capacity"
             `Quick test_tcp_stop_gated_loop;
         ] );
-      ( "backend-matrix",
+      ( "edge-triggered",
         [
-          Alcotest.test_case "echo on every backend" `Quick
-            test_echo_every_backend;
+          Alcotest.test_case "an edge between EAGAIN and the park is not lost"
+            `Quick test_edge_before_park;
+          Alcotest.test_case
+            "a waited fd closed through Fiber_io.close and its number reused \
+             is served"
+            `Quick test_close_then_reuse;
+          Alcotest.test_case "two connections queued behind one edge are both \
+                              accepted"
+            `Quick test_two_behind_one_edge;
         ] );
     ]

@@ -325,46 +325,32 @@ let parallel_fixtures =
           (n (-1.0)) (with_probe d) );
   ]
 
-let nc bk c = [ ("backend", str bk); ("connections", n c) ]
+let nc c a = [ ("connections", n c); ("active", n a) ]
 
 let net_fixtures =
   [
-    ("unexpected schema", set_top "schema" (str "ulp-pip/net-bench/v1"));
-    ("unknown backend", set (nc "epoll" 64.) "backend" (str "kqueue"));
-    ("shards < 1", set (nc "epoll" 64.) "shards" (n 0.0));
-    ("some client died", set (nc "epoll" 256.) "requests" (n 5119.0));
-    ("not monotone", set (nc "epoll" 256.) "p50_s" (n 0.5));
-    ("zero throughput", set (nc "epoll" 256.) "req_per_s" (n 0.0));
-    ("accepted fewer", set (nc "epoll" 64.) "accepted" (n 63.0));
-    ("max_active 56", set (nc "epoll" 256.) "max_active" (n 56.0));
+    ("unexpected schema", set_top "schema" (str "ulp-pip/net-bench/v2"));
+    ("active of", set (nc 10000. 100.) "active" (n 10001.0));
+    ("some client died", set (nc 256. 256.) "requests" (n 5119.0));
+    ("not monotone", set (nc 256. 256.) "p50_s" (n 0.5));
+    ("zero throughput", set (nc 256. 256.) "req_per_s" (n 0.0));
+    ("accepted fewer", set (nc 64. 64.) "accepted" (n 63.0));
+    ("max_active 56", set (nc 256. 256.) "max_active" (n 56.0));
     ( ">= 1000 concurrent",
       rows "results"
         (List.filter (fun r -> Json.member "connections" r < Some (n 1000.)))
     );
-    ( ">= 400 concurrent",
-      fun d ->
-        rows "results"
-          (List.filter_map (fun r ->
-               if Json.member "connections" r < Some (n 1000.) then
-                 Some (set_top "backend" (str "select") r)
-               else None))
-          d );
     (* 25 x 34.2 ms = 855 ms *)
     ( "the tail is not scaling",
       fun d ->
-        set (nc "epoll" 10000.) "p99_s" (n 0.86)
-          (set (nc "epoll" 10000.) "max_s" (n 0.86) d) );
-    (* 1.25 x 44.0 ms = 55.0 ms *)
-    ( "epoll slower than poll",
-      fun d ->
-        set (nc "epoll" 1000.) "p99_s" (n 0.0551)
-          (set (nc "epoll" 1000.) "max_s" (n 0.0551) d) );
+        set (nc 10000. 10000.) "p99_s" (n 0.86)
+          (set (nc 10000. 10000.) "max_s" (n 0.86) d) );
     ("fd leak", set_top "fd_after" (n 5.0));
   ]
 
 let test_validate_fixtures () =
   (* just inside the thresholds: the oversubscription slack and the
-     epoll-vs-poll margin are allowed *)
+     tail ratio are allowed *)
   List.iter
     (fun (suite, doc) ->
       match Bf.validate suite doc with
@@ -376,8 +362,8 @@ let test_validate_fixtures () =
        let cb k = set ~sec:"coupled_busy" [ ("domains", n 2.) ] k (n 0.001) in
        cb "p99_s" (cb "max_s" (parallel ())));
       (Bf.Net.suite,
-       set (nc "epoll" 1000.) "p99_s" (n 0.0549)
-         (set (nc "epoll" 1000.) "max_s" (n 0.0549) (net ()))) ];
+       set (nc 10000. 10000.) "p99_s" (n 0.85)
+         (set (nc 10000. 10000.) "max_s" (n 0.85) (net ()))) ];
   List.iter
     (fun (suite, doc, fixtures) ->
       List.iter
@@ -495,13 +481,12 @@ let test_written_docs_valid () =
       [ coupled 1; coupled 2 ]
   in
   let point c : Bf.Net.result =
-    { backend = "epoll"; shards = 1; connections = c; reqs_per_conn = 5;
-      requests = 5 * c; elapsed_s = 0.5; p50_s = 0.001; p99_s = 0.002;
-      max_s = 0.003; accepted = c; max_active = c }
+    { connections = c; active = c; reqs_per_conn = 5; requests = 5 * c;
+      elapsed_s = 0.5; p50_s = 0.001; p99_s = 0.002; max_s = 0.003;
+      accepted = c; max_active = c }
   in
   let ndoc =
-    Bf.Net.doc ~host_cores:2 ~quick:true ~backend:"epoll" ~shards:1
-      ~msg_bytes:64
+    Bf.Net.doc ~host_cores:2 ~quick:true ~backend:"epoll" ~msg_bytes:64
       ~fd_baseline:(Some 4) ~fd_after:None [ point 100; point 1000 ]
   in
   List.iter
