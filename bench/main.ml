@@ -783,14 +783,21 @@ let net_echo_handler r (c : Net_tcp.conn) =
   in
   loop ()
 
+(* Connects per client before the herd gives up: when 10k connects
+   overflow the accept backlog, the kernel answers with SYN cookies and
+   a client's connect or first echo can be reset. *)
+let net_connect_tries = 8
+
 (* The client herd (fiber context): [conns] clients connect and echo
    once, rendezvous on a Completion latch, then the first [active] of
    them fire [reqs] echo roundtrips each while the rest hold their
    connections open, idle, until the timed phase ends.  Per-request
-   RTTs feed the percentile stats.  Shared between the in-process
-   sweep and the [net-client] subprocess (below), so both modes
-   measure exactly the same workload.  Returns
-   (requests, elapsed_s, p50_s, p99_s, max_s). *)
+   RTTs feed the percentile stats.  A client whose connect or untimed
+   echo is reset or refused closes the socket and connects again, up to
+   [net_connect_tries] times.  Shared between the in-process sweep and
+   the [net-client] subprocess (below), so both modes measure exactly
+   the same workload.  Returns
+   (requests, elapsed_s, p50_s, p99_s, max_s, connect_retries). *)
 let net_run_clients r ~port ~conns ~active ~reqs =
   let module Fiber = Fiber_rt.Fiber in
   let module Completion = Fiber_rt.Completion in
@@ -800,17 +807,32 @@ let net_run_clients r ~port ~conns ~active ~reqs =
   let await c = Fiber.suspend (fun wake -> Completion.add_joiner c wake) in
   let lat = Sim.Stats.create () in
   let lat_lock = Mutex.create () in
-  let done_reqs = Atomic.make 0 in
+  let done_reqs = Atomic.make 0 and retries = Atomic.make 0 in
+  (* a write to a reset socket must raise EPIPE, not kill the herd *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let client i () =
-    let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
-    Unix.set_nonblock fd;
-    Net_io.connect r fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
     let msg = Bytes.init net_msg_bytes (fun j -> Char.chr ((i + j) land 0xff)) in
     let echo = Bytes.create net_msg_bytes in
-    (* connect returns once the kernel queues the handshake; one untimed
-       echo proves the server accepted this connection *)
-    Net_io.write_all r fd msg 0 net_msg_bytes;
-    Net_io.read_exact r fd echo 0 net_msg_bytes;
+    let rec connect tries =
+      let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
+      Unix.set_nonblock fd;
+      (* connect returns once the kernel queues the handshake; one
+         untimed echo proves the server accepted this connection *)
+      match
+        Net_io.connect r fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+        Net_io.write_all r fd msg 0 net_msg_bytes;
+        Net_io.read_exact r fd echo 0 net_msg_bytes
+      with
+      | () -> fd
+      | exception
+          Unix.Unix_error
+            ((Unix.ECONNRESET | Unix.EPIPE | Unix.ECONNREFUSED), _, _)
+        when tries < net_connect_tries ->
+          Net_io.close fd;
+          Atomic.incr retries;
+          connect (tries + 1)
+    in
+    let fd = connect 1 in
     if Atomic.fetch_and_add connected 1 + 1 = conns then
       Completion.finish all_connected ();
     await go;
@@ -846,27 +868,31 @@ let net_run_clients r ~port ~conns ~active ~reqs =
     elapsed,
     Sim.Stats.percentile lat 50.0,
     Sim.Stats.percentile lat 99.0,
-    Sim.Stats.max_value lat )
+    Sim.Stats.max_value lat,
+    Atomic.get retries )
 
 (* The [net-client] hidden subcommand: the whole client herd in its own
    process, with its own RLIMIT_NOFILE budget.  The parent spawns this
    when 2 fds/connection would not fit under its (unraisable) hard
    limit -- each side of the bench then only needs 1 fd/connection.
-   Prints [requests, elapsed, p50, p99, max] as one JSON list on stdout
-   and exits 0. *)
+   Prints [requests, elapsed, p50, p99, max, connect retries] as one
+   JSON list on stdout and exits 0. *)
 let run_net_client ~port ~conns ~active ~reqs () =
   ignore (Net.Poller.raise_nofile (conns + 1024));
   let r = Net_reactor.create () in
-  let result = ref (0, 0.0, 0.0, 0.0, 0.0) in
+  let result = ref (0, 0.0, 0.0, 0.0, 0.0, 0) in
   Fiber_rt.Fiber.run_parallel (fun () ->
       result := net_run_clients r ~port ~conns ~active ~reqs);
   Net_reactor.shutdown r;
-  let requests, elapsed, p50, p99, mx = !result in
+  let requests, elapsed, p50, p99, mx, retries = !result in
   print_string
     (Json.print
        (Json.List
           (List.map (fun f -> Json.Num f)
-             [ float_of_int requests; elapsed; p50; p99; mx ])))
+             [
+               float_of_int requests; elapsed; p50; p99; mx;
+               float_of_int retries;
+             ])))
 
 (* Run the herd in a [net-client] subprocess (fiber context): the
    parent keeps serving echoes while a fiber drains the child's stdout
@@ -900,8 +926,9 @@ let net_spawn_client r ~port ~conns ~active ~reqs =
   | _, Unix.WEXITED 0 -> ()
   | _ -> failwith "net bench: client subprocess failed");
   match Json.parse (Buffer.contents buf) with
-  | Json.List [ Num requests; Num elapsed; Num p50; Num p99; Num mx ] ->
-      (int_of_float requests, elapsed, p50, p99, mx)
+  | Json.List
+      [ Num requests; Num elapsed; Num p50; Num p99; Num mx; Num retries ] ->
+      (int_of_float requests, elapsed, p50, p99, mx, int_of_float retries)
   | _ -> failwith "net bench: bad client result"
 
 (* One sweep point: start a server, run the herd ([`Subproc]: in a
@@ -913,7 +940,7 @@ let net_sweep_point r ~mode ~conns ~active ~reqs =
       ~handler:net_echo_handler ()
   in
   let port = Net_tcp.port srv in
-  let requests, elapsed, p50, p99, mx =
+  let requests, elapsed, p50, p99, mx, retries =
     match mode with
     | `InProc -> net_run_clients r ~port ~conns ~active ~reqs
     | `Subproc -> net_spawn_client r ~port ~conns ~active ~reqs
@@ -924,6 +951,8 @@ let net_sweep_point r ~mode ~conns ~active ~reqs =
     failwith
       (Printf.sprintf "net bench: accepted %d of %d connections"
          st.Net_tcp.accepted conns);
+  Printf.printf "net bench: %d connections, %d connect retries\n%!" conns
+    retries;
   {
     Bench_file.Net.connections = conns;
     active;

@@ -1,6 +1,6 @@
 (* The REAL bi-level thread runtime (substrate S2): OCaml effect-handler
-   fibers as user contexts, dedicated executor threads as original
-   kernel contexts, on this actual machine.
+   fibers as user contexts, dedicated KC threads as original kernel
+   contexts, on this actual machine.
 
    Demonstrates the paper's headline property with genuine blocking
    syscalls: while one fiber is coupled to its kernel thread inside a
@@ -55,7 +55,7 @@ let () =
               (List.length uniq)
               (String.concat "," (List.map string_of_int uniq));
             (* and a real syscall through the same discipline *)
-            let pid = Blt_rt.coupled_syscall (fun () -> Unix.getpid ()) in
+            let pid = Blt_rt.coupled (fun () -> Unix.getpid ()) in
             Printf.printf "consistent: coupled Unix.getpid () = %d\n%!" pid)
       in
 

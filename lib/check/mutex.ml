@@ -1,5 +1,5 @@
 (* Traced replacement for [Stdlib.Mutex], shadowing it inside lib/check
-   so the locked sources compiled here (fd_core.ml, kc_pool.ml,
+   so the locked sources compiled here (fd_core.ml, kc.ml,
    interest.ml, ...) are model-checked.
 
    [lock] is a single guarded scheduling point: the thread is simply not

@@ -1,10 +1,10 @@
 (** The bi-level thread API on the real fiber runtime.
 
     A fiber normally runs decoupled on a worker domain of the fiber
-    engine (the calling domain alone under {!Fiber.run});
-    {!coupled} ships a section to
-    the fiber's own executor thread (its original KC) and suspends the
-    fiber meanwhile — the scheduler keeps running every other fiber.
+    engine (the calling domain alone under {!Fiber.run}); {!coupled}
+    ships a section to the fiber's own original KC ({!Kc}), a dedicated
+    OS thread, and suspends the fiber meanwhile — the scheduler keeps
+    running every other fiber.
     Because each fiber always couples to the {e same} OS thread, even
     after migrating between domains, thread-keyed kernel state and
     blocking syscalls behave exactly as on a plain kernel thread:
@@ -34,9 +34,3 @@ val original_kc_thread_id : unit -> int
 (** The OS thread id of this fiber's original KC (stable across
     {!coupled} calls — the consistency property, preserved even when
     the runnable half of the fiber migrates between domains). *)
-
-val coupled_syscall : (unit -> 'a) -> 'a
-(** Alias of {!coupled}, named for its intended use. *)
-
-val sleep : float -> unit
-(** Sleep on the original KC; other fibers keep running meanwhile. *)

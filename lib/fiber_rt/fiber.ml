@@ -1,6 +1,6 @@
 (* A real cooperative fiber runtime on OCaml effect handlers: user
    contexts as one-shot continuations, with a thread-safe wake path so
-   other OS threads (the executors of [Blt_rt]) can resume suspended
+   other OS threads (the original KCs of [Blt_rt]) can resume suspended
    fibers on the worker that parked them.
 
    One engine, the Section VII M:N extension made real on OCaml 5
@@ -18,8 +18,8 @@
    beyond the host's cores start unlaunched: only a delivery aimed at
    one of them ([spawn_on], a wake) spawns its domain.
    Only *runnable* continuations migrate between domains; a fiber's
-   blocking jobs still route to its home [Executor] (the original-KC
-   analogue), so system-call consistency is preserved under migration.
+   coupled sections still run on its own original KC ([Kc]), so
+   system-call consistency is preserved under migration.
 
    A lone worker has no thief, so its local spawns and wakes go to the
    owner's FIFO instead of the LIFO deque: fibers run in spawn and wake
@@ -33,13 +33,12 @@ type fiber = {
   fid : int;
   mutable state : [ `Runnable | `Running | `Suspended | `Done ];
   completion : unit Completion.t; (* lock-free Done/joiners protocol *)
-  mutable executor : Executor.t option;
+  mutable kc : Kc.t option;
       (* original KC, leased on first use and recycled at finish *)
 }
 
 (* A wake token is the one-shot resumption right for a suspended fiber,
-   safe to hand to foreign threads (the reactor of lib/net, an
-   executor): [fire] CASes the token claimed and only the winner
+   safe to hand to foreign threads (the reactor of lib/net, a KC): [fire] CASes the token claimed and only the winner
    schedules the continuation, so several racing wakers -- I/O
    readiness vs a timer, say -- resolve to exactly one resume and the
    losers learn they lost.  The closure inside routes through the
@@ -148,7 +147,7 @@ type psched = {
       (* launch a worker's domain if not yet launched, [true] iff this
          call did; installed by [run_parallel] (it closes over
          [worker_loop], defined later) *)
-  kcs : Executor.t Kc_pool.t; (* the run's original KCs, leased per fiber *)
+  kcs : Kc.t Kc.pool; (* the run's original KCs, leased per fiber *)
   driver : driver option Atomic.t;
       (* the reactor this run waits in, bound by its first fiber wait on
          it ([Driver.bind]); [None] until then *)
@@ -168,7 +167,7 @@ and driver = {
 (* The worker executing on this domain, if any.  [tid] pins the context
    to the worker's own OS thread: Domain.DLS is shared by every
    systhread of a domain, so a thread the program creates on a worker
-   domain (an executor) would otherwise read this worker's context and
+   domain (a KC) would otherwise read this worker's context and
    push to its Chase-Lev deque from a foreign thread -- breaking the
    deque's single-owner invariant.  Always go
    through [worker_ctx], never read [pctx_key] directly. *)
@@ -225,7 +224,7 @@ let make_psched ~domains =
     n_running = 1;
     pdomains = [];
     pspawn = (fun _ -> false) (* installed by run_parallel *);
-    kcs = Kc_pool.create ();
+    kcs = Kc.pool ();
     driver = Atomic.make None;
   }
 
@@ -348,7 +347,7 @@ let pnew_fiber ps =
     fid = Atomic.fetch_and_add ps.pnext_fid 1;
     state = `Runnable;
     completion = Completion.create ();
-    executor = None;
+    kc = None;
   }
 
 let rec pexec (fb : fiber) (thunk : unit -> unit) =
@@ -363,10 +362,10 @@ and phandle ps fb body =
         (fun () ->
           (* every coupled section of this fiber has woken it, so its
              KC can go straight back to the pool *)
-          (match fb.executor with
-          | Some e ->
-              fb.executor <- None;
-              Kc_pool.recycle ps.kcs e
+          (match fb.kc with
+          | Some kc ->
+              fb.kc <- None;
+              Kc.recycle ps.kcs kc
           | None -> ());
           finish_fiber fb;
           if Atomic.fetch_and_add ps.plive (-1) = 1 then pstop ps);
@@ -757,7 +756,8 @@ let run_parallel ?domains ?on_stats main =
      only reap them once every worker loop has exited; they must be
      shut down BEFORE joining the helper domains -- a domain does not
      terminate while OS threads it created (the KCs first leased
-     there) are still alive.  Shutdown drains each KC's queue. *)
+     there) are still alive.  Shutdown runs a section still in a KC's
+     slot before the KC exits. *)
   (* ulplint: allow raw-mutex-in-fiber -- run_parallel shutdown handshake between raw domains, outside any fiber engine *)
   Mutex.lock ps.done_mutex;
   while ps.n_running > 0 do
@@ -767,7 +767,7 @@ let run_parallel ?domains ?on_stats main =
   let helpers = ps.pdomains in
   ps.pdomains <- [];
   Mutex.unlock ps.done_mutex;
-  List.iter Executor.shutdown (Kc_pool.all ps.kcs);
+  List.iter Kc.shutdown (Kc.all ps.kcs);
   List.iter Domain.join helpers;
   (* the reactor may serve the next run *)
   (match Atomic.get ps.driver with
@@ -866,16 +866,16 @@ module Driver = struct
 end
 
 (* The calling fiber's original KC, leased from its run's pool on first
-   use.  Only the fiber itself touches its [executor] field and a fiber
+   use.  Only the fiber itself touches its [kc] field and a fiber
    runs on one domain at a time, so the field needs no locking. *)
 let lease_kc () =
   match worker_ctx () with
   | None -> raise Not_in_scheduler
   | Some c -> (
       let fb = self () in
-      match fb.executor with
-      | Some e -> e
+      match fb.kc with
+      | Some kc -> kc
       | None ->
-          let e = Kc_pool.lease c.ps.kcs ~create:Executor.create in
-          fb.executor <- Some e;
-          e)
+          let kc = Kc.lease c.ps.kcs ~create:Kc.start in
+          fb.kc <- Some kc;
+          kc)

@@ -7,8 +7,8 @@
     ({!Atomic_deque}, LIFO owner pop / FIFO randomized steal-half
     batches) plus a private overflow FIFO per worker for its own yields
     and a private lock-free MPSC inbox for what other threads deliver to
-    it: a wake fired from outside the run's workers (the executors of
-    {!Blt_rt}, a foreign thread) returns the fiber to the worker that
+    it: a wake fired from outside the run's workers (the original KCs
+    of {!Blt_rt}, a foreign thread) returns the fiber to the worker that
     parked it.  Lock-free fiber completion ({!Completion}), and a
     blocking idle policy (the paper's Table II):
     a worker with nothing to run parks at once on a Treiber idle stack
@@ -18,15 +18,15 @@
     of them ({!spawn_on}, a wake sent to its inbox) spawns
     its domain.  A lone worker runs local spawns and wakes in FIFO
     order.  Only runnable continuations migrate between domains; a
-    fiber's blocking jobs still route to its home executor, preserving
-    system-call consistency under migration. *)
+    fiber's coupled sections still run on its own original KC ({!Kc}),
+    preserving system-call consistency under migration. *)
 
 type fiber = private {
   fid : int;
   mutable state : [ `Runnable | `Running | `Suspended | `Done ];
   completion : unit Completion.t;
       (** lock-free Done/joiners protocol; {!join} never locks *)
-  mutable executor : Executor.t option;
+  mutable kc : Kc.t option;
       (** the original KC ({!Blt_rt}) this fiber holds, if it coupled:
           set by {!lease_kc}, given back when the fiber finishes *)
 }
@@ -121,7 +121,7 @@ val state : fiber -> [ `Runnable | `Running | `Suspended | `Done ]
 
 (** One-shot wake tokens: the resumption right for a suspended fiber,
     safe to duplicate across racing wakers (I/O readiness vs a timer,
-    an executor vs a canceller).  Exactly one {!Wake.fire} wins.  A
+    a KC vs a canceller).  Exactly one {!Wake.fire} wins.  A
     token remembers the worker that parked its fiber, its home. *)
 module Wake : sig
   type token
@@ -200,7 +200,7 @@ val worker_index : unit -> int option
 (** Inside a run, the index of the worker domain currently executing
     the caller ([Some 0 .. domains-1]; [Some 0] under {!run}); [None]
     outside any engine — including on OS threads merely sharing a
-    worker's domain (an executor): the context is
+    worker's domain (a KC): the context is
     keyed by thread identity, not just [Domain.DLS].  A fiber that
     observes two different indices across a suspension has migrated. *)
 
@@ -209,14 +209,14 @@ val num_workers : unit -> int option
     under {!run}); [None] elsewhere (same thread-identity rule as
     {!worker_index}). *)
 
-val lease_kc : unit -> Executor.t
+val lease_kc : unit -> Kc.t
 (** The calling fiber's original KC.  The first call leases one from the
-    run's pool ({!Kc_pool}): a KC some finished fiber gave back, or a
-    new executor thread when none is free.  The fiber keeps it, across
+    run's pool ({!Kc.lease}): a KC some finished fiber gave back, or a
+    new KC thread when none is free.  The fiber keeps it, across
     migrations, until it finishes; two live fibers never share a KC.
     When the fiber finishes, the KC goes straight back to the pool:
     every coupled section the fiber made has woken it by then, and the
-    KC's FIFO mailbox runs the next owner's sections behind the tail of
-    the last one.  The pool has no size knob: it grows to the most
+    KC took the last one off its slot before running it, so the next
+    owner's first section lands in an empty slot.  The pool has no size knob: it grows to the most
     coupling fibers alive at once.
     @raise Not_in_scheduler outside any engine. *)

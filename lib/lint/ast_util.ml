@@ -4,7 +4,7 @@
 
    - [iter_idents]: every value identifier (and module path), with a
      flag telling whether the site sits inside the argument of a
-     [coupled]/[coupled_syscall] application -- the paper's sanctioned
+     [coupled] application -- the paper's sanctioned
      escape hatch for blocking/thread-keyed syscalls (run them on the
      fiber's original KC).
 
@@ -65,7 +65,7 @@ let is_coupled_head fn =
   match ident_of_expr fn with
   | Some p -> (
       match List.rev p with
-      | ("coupled" | "coupled_syscall") :: _ -> true
+      | "coupled" :: _ -> true
       | _ -> false)
   | None -> false
 

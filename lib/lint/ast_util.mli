@@ -34,7 +34,7 @@ val iter_idents :
   Parsetree.structure ->
   unit
 (** Visit every value identifier; [coupled] is true inside arguments of
-    [coupled]/[coupled_syscall] applications (the paper's escape hatch:
+    [coupled] applications (the paper's escape hatch:
     such code runs on the fiber's original KC, where blocking and
     thread-keyed syscalls are exactly what coupling is for).  [fmod]
     additionally receives module paths ([Pmod_ident]). *)

@@ -97,7 +97,7 @@ let blocking_in_fiber =
                      fiber's original KC"
               | [ "Thread"; "delay" ] ->
                   add ~loc "blocking call Thread.delay"
-                    "use Reactor.sleep / Blt_rt.sleep, or run it coupled to \
+                    "use Reactor.sleep, or run it in Blt_rt.coupled on \
                      the fiber's original KC"
               (* parks the calling OS thread until its permit is set:
                  only an idle worker or a KC may sleep there *)
@@ -270,7 +270,7 @@ let syscall_consistency =
        stack (lib/sim, lib/oskernel, lib/core, ...) must stay \
        host-syscall-free -- its syscalls are simulated -- and \
        thread-keyed syscalls (getpid, signals, fork, timers) in real \
-       fiber code must run inside coupled/coupled_syscall so they hit \
+       fiber code must run inside Blt_rt.coupled so they hit \
        the fiber's original KC.";
     in_scope = (fun segs -> sim_scope segs || fiber_scope segs);
     check =
@@ -301,7 +301,7 @@ let syscall_consistency =
                      "thread-keyed syscall Unix.%s outside a coupled \
                       section: on a migrated fiber it reads another KC's \
                       state (Section IV); wrap it in \
-                      Blt_rt.coupled_syscall"
+                      Blt_rt.coupled"
                      f)
             | _ -> ());
         List.rev !acc);

@@ -219,7 +219,7 @@ let of_structure ~file ~waived_blocking structure =
   in
   (* Scan one function body into [fn].  [held] is the mutable held-lock
      stack; [loops] are the call sinks of the enclosing loop bodies;
-     [coupled] is true inside coupled/coupled_syscall arguments. *)
+     [coupled] is true inside coupled arguments. *)
   let rec scan fn ~prefix ~held ~coupled ~loops e =
     let record_call loc path =
       (* operator applications -- [>=], [:=], [land] is kept since it
@@ -358,7 +358,7 @@ let of_structure ~file ~waived_blocking structure =
           let path = drop_stdlib path in
           let is_coupled_head =
             match List.rev path with
-            | ("coupled" | "coupled_syscall") :: _ -> true
+            | "coupled" :: _ -> true
             | _ -> false
           in
           if is_coupled_head then

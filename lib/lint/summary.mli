@@ -26,7 +26,7 @@ type call = {
   c_path : string list;  (** Stdlib-stripped ident path, as written *)
   c_line : int;
   c_col : int;
-  c_coupled : bool;      (** inside a coupled/coupled_syscall argument *)
+  c_coupled : bool;      (** inside a coupled argument *)
   c_held : lock list;    (** locks held at the call, outermost first *)
 }
 

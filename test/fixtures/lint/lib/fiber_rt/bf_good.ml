@@ -1,8 +1,7 @@
-(* Fixture: blocking calls inside coupled/coupled_syscall arguments are
-   the paper's escape hatch and must NOT be flagged. *)
+(* Fixture: blocking calls inside coupled arguments are the paper's
+   escape hatch and must NOT be flagged. *)
 
 let coupled f = f ()
-let coupled_syscall f = f ()
 
 let slurp fd buf = coupled (fun () -> Unix.read fd buf 0 (Bytes.length buf))
-let nap () = coupled_syscall (fun () -> Thread.delay 0.01)
+let nap () = coupled (fun () -> Thread.delay 0.01)

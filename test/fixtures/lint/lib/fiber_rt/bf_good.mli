@@ -1,5 +1,4 @@
 (* fixture interface: keeps mli-coverage quiet for this file *)
 val coupled : (unit -> 'a) -> 'a
-val coupled_syscall : (unit -> 'a) -> 'a
 val slurp : Unix.file_descr -> Bytes.t -> int
 val nap : unit -> unit

@@ -1,5 +1,5 @@
 (* Fixture: the same syscall coupled to the fiber's original KC is the
    sanctioned form and must NOT be flagged. *)
 
-let coupled_syscall f = f ()
-let me () = coupled_syscall (fun () -> Unix.getpid ())
+let coupled f = f ()
+let me () = coupled (fun () -> Unix.getpid ())

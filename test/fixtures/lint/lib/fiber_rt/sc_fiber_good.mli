@@ -1,3 +1,3 @@
 (* fixture interface: keeps mli-coverage quiet for this file *)
-val coupled_syscall : (unit -> 'a) -> 'a
+val coupled : (unit -> 'a) -> 'a
 val me : unit -> int

@@ -1046,62 +1046,37 @@ let fd_grow_vs_dup2 = Fd_growth.vs_dup2
 
 (* ---------- the KC pool: lease on first couple, push back at finish - *)
 
-module Kc_pool = Check.Kc_pool
+module Kc = Check.Kc
 
-(* A simulated KC: an executor's FIFO mailbox.  Every mailbox operation
-   is one traced step on [kobj], as each real one is one critical
-   section under the executor's mutex.  [owner] is the live fiber that
-   holds the lease. *)
-type sim_kc = {
+(* A pooled KC: the real [Kc] built without its thread (its [serve] runs
+   as a simulated thread), the object its syscall steps touch, and the
+   live fiber that holds the lease. *)
+type pooled_kc = {
+  kc : Kc.t;
   kid : int;
   kobj : int;
-  mutable jobs : (unit -> unit) list; (* oldest first *)
-  mutable closed : bool;
   mutable owner : string option;
 }
 
-let kc_step kc note kind f = Sched.atomic_step ~kind ~obj:kc.kobj ~note f
-
-(* The KC thread: run jobs in FIFO order until closed and drained. *)
-let rec kc_serve kc =
-  Sched.wait_until ~on:kc.kobj (fun () -> kc.jobs <> [] || kc.closed);
-  match
-    kc_step kc "take" Sched.Exchange (fun () ->
-        match kc.jobs with
-        | job :: rest ->
-            kc.jobs <- rest;
-            Some job
-        | [] -> None)
-  with
-  | None -> ()
-  | Some job ->
-      job ();
-      kc_serve kc
-
-(* [Blt_rt.coupled]: queue a section on the fiber's KC and park until
+(* [Blt_rt.coupled]: submit a section to the fiber's KC and park until
    the section wakes it.  The section checks, before and after its
-   syscall, that its own fiber holds the KC's lease. *)
-let kc_coupled kc who =
+   syscall, that its own fiber holds the KC's lease; [Kc.submit] fails
+   the schedule if the slot still holds an earlier owner's section. *)
+let kc_coupled p who =
   let check () =
-    if kc.owner <> Some who then
+    if p.owner <> Some who then
       failwith
         (Printf.sprintf "kc-pool: %s's section ran on KC %d, leased to %s"
-           who kc.kid
-           (Option.value kc.owner ~default:"nobody"))
+           who p.kid
+           (Option.value p.owner ~default:"nobody"))
   in
   Cfiber.suspend_token (fun tok ->
-      kc_step kc "submit" Sched.Set (fun () ->
-          kc.jobs <-
-            kc.jobs
-            @ [
-                (fun () ->
-                  check ();
-                  (* the syscall: other threads may run while it is in
-                     flight *)
-                  kc_step kc "syscall" Sched.Get ignore;
-                  check ();
-                  ignore (Cfiber.Wake.fire tok));
-              ]))
+      Kc.submit p.kc (fun () ->
+          check ();
+          (* the syscall: other threads may run while it is in flight *)
+          Sched.atomic_step ~kind:Sched.Get ~obj:p.kobj ~note:"syscall" ignore;
+          check ();
+          ignore (Cfiber.Wake.fire tok)))
 
 (* An owner exits while two fibers lease.  A exits right after its
    coupled section has woken it, while its KC thread may still be in
@@ -1109,12 +1084,13 @@ let kc_coupled kc who =
    a new one; C also runs one coupled section on it (a section by D
    would only add schedules of the same shape).  Invariants: a KC is
    never leased to two live fibers, a section runs only while its own
-   fiber holds the lease, and at quiescence every KC the pool made is
-   leased or free, exactly once. *)
+   fiber holds the lease, a recycled KC's slot is empty when its next
+   owner submits, and at quiescence every KC the pool made is leased or
+   free, exactly once. *)
 let kc_pool_lease_vs_exit () =
   let kcs =
     Array.init 3 (fun kid ->
-        { kid; kobj = Sched.fresh_obj (); jobs = []; closed = false; owner = None })
+        { kc = Kc.create (); kid; kobj = Sched.fresh_obj (); owner = None })
   in
   let made = ref 0 in
   let make () =
@@ -1122,9 +1098,9 @@ let kc_pool_lease_vs_exit () =
     incr made;
     kc
   in
-  let pool = Kc_pool.create () in
+  let pool = Kc.pool () in
   let lease who =
-    let kc = Kc_pool.lease pool ~create:make in
+    let kc = Kc.lease pool ~create:make in
     (match kc.owner with
     | Some o ->
         failwith
@@ -1138,14 +1114,12 @@ let kc_pool_lease_vs_exit () =
   let finished = Atomic'.make 0 in
   let done_one () =
     if Atomic'.fetch_and_add finished 1 = 2 then
-      Array.iter
-        (fun kc -> kc_step kc "close" Sched.Set (fun () -> kc.closed <- true))
-        kcs
+      Array.iter (fun p -> Kc.shutdown p.kc) kcs
   in
   let couple_then_exit who kc () =
     kc_coupled kc who;
     kc.owner <- None;
-    Kc_pool.recycle pool kc;
+    Kc.recycle pool kc;
     done_one ()
   in
   let couple who () =
@@ -1159,11 +1133,11 @@ let kc_pool_lease_vs_exit () =
   (* KC threads first: the explorer's default schedule serves each
      section at once, so the leases race at the deep end of the trace,
      where the DFS branches first. *)
-  ( Array.to_list (Array.map (fun kc () -> kc_serve kc) kcs)
+  ( Array.to_list (Array.map (fun p () -> Kc.serve p.kc) kcs)
     @ [ couple_then_exit "A" a; couple "C"; hold "D" ],
     fun () ->
       let rec drain acc =
-        match Kc_pool.lease pool ~create:(fun () -> raise Exit) with
+        match Kc.lease pool ~create:(fun () -> raise Exit) with
         | kc -> drain (kc :: acc)
         | exception Exit -> acc
       in
@@ -1178,11 +1152,11 @@ let kc_pool_lease_vs_exit () =
                    kc.kid
                    (Option.value owner ~default:"none")
                    n))
-        (Kc_pool.all pool);
-      if List.length free + 2 <> List.length (Kc_pool.all pool) then
+        (Kc.all pool);
+      if List.length free + 2 <> List.length (Kc.all pool) then
         failwith "kc-pool: the free list holds a KC the pool never made" )
 
-(* The pool alone, on plain KC records: no KC threads, no mailboxes,
+(* The pool alone, on plain KC records: no KC threads, no slots,
    since the pool is polymorphic in the KC.  Fiber A leases and then
    recycles, fiber B leases, and the run's exit reads [all].  Small
    enough to explore completely, where [kc_pool_lease_vs_exit] stops at
@@ -1198,9 +1172,9 @@ let kc_pool_lease_recycle () =
     made := kc :: !made;
     kc
   in
-  let pool = Kc_pool.create () in
+  let pool = Kc.pool () in
   let lease who =
-    let kc = Kc_pool.lease pool ~create in
+    let kc = Kc.lease pool ~create in
     (match kc.holder with
     | Some o ->
         failwith
@@ -1215,17 +1189,17 @@ let kc_pool_lease_recycle () =
       (fun () ->
         let kc = lease "A" in
         kc.holder <- None;
-        Kc_pool.recycle pool kc);
+        Kc.recycle pool kc);
       (fun () -> ignore (lease "B"));
-      (fun () -> seen := Kc_pool.all pool);
+      (fun () -> seen := Kc.all pool);
     ],
     fun () ->
       let ids kcs = List.sort compare (List.map (fun kc -> kc.pid) kcs) in
-      if ids (Kc_pool.all pool) <> ids !made then
+      if ids (Kc.all pool) <> ids !made then
         failwith "kc-pool: all does not hold every KC created, once each";
       (* leasing out what is still free must not lease a held KC *)
       let rec drain () =
-        match Kc_pool.lease pool ~create:(fun () -> raise Exit) with
+        match Kc.lease pool ~create:(fun () -> raise Exit) with
         | kc ->
             (match kc.holder with
             | Some o ->
@@ -1551,50 +1525,55 @@ let park_hand_off (module P : POLL_PARK) () =
     ],
     fun () -> () )
 
-(* ---------- scenario: the KC mailbox and its parker ---------- *)
+(* ---------- scenario: the KC's slot and its parker ---------- *)
 
-(* Parameterized over the mailbox so the same scenarios drive the
-   faithful copy (recompiled from lib/fiber_rt/kc_mailbox.ml over the
-   modelled parker, Check.Parker) and the seeded twins in
-   [Check.Buggy_kc_mailbox]. *)
-module type KC_MAILBOX = sig
-  type 'job t
+(* Parameterized over the KC so the same scenarios drive the faithful
+   copy (recompiled from lib/fiber_rt/kc.ml over the modelled parker,
+   Check.Parker) and the seeded twins in [Check.Buggy_kc].  Each KC is
+   built without its thread; its [serve] runs as a simulated thread. *)
+module type KC = sig
+  type t
 
-  val create : unit -> 'job t
-  val submit : 'job t -> 'job -> bool
-  val shutdown : 'job t -> unit
-  val serve : 'job t -> run:('job -> unit) -> unit
+  val create : unit -> t
+  val submit : t -> (unit -> unit) -> unit
+  val shutdown : t -> unit
+  val serve : t -> unit
 end
 
-(* A fiber submits while the KC goes to sleep, then waits for its job
-   before shutting the KC down.  The submit either finds the queue
-   taken first (the KC re-checks under the lock) or the flag set (it
-   unparks).  [Late_sleeping] sets the flag after the unlock: the submit
-   lands in between, skips the unpark, and the KC sleeps on its job. *)
-let mailbox_submit_vs_sleep (module M : KC_MAILBOX) () =
-  let mb = M.create () in
+(* A fiber submits while the KC goes to sleep, then waits for its
+   section before shutting the KC down.  The submit either lands before
+   the KC's empty check or leaves the permit for its park.
+   [Unpark_first] wakes the KC before the store: the KC spends the
+   permit on an empty slot and parks again on the section. *)
+let mailbox_submit_vs_sleep (module K : KC) () =
+  let kc = K.create () in
   let ran = Atomic'.make 0 in
   ( [
-      (fun () -> M.serve mb ~run:(fun job -> job ()));
+      (fun () -> K.serve kc);
       (fun () ->
-        if not (M.submit mb (fun () -> Atomic'.incr ran)) then
-          failwith "submit refused before shutdown";
+        K.submit kc (fun () -> Atomic'.incr ran);
         Sched.wait_until ~on:(Atomic'.id ran) (fun () -> Atomic'.peek ran = 1);
-        M.shutdown mb);
+        K.shutdown kc);
     ],
-    fun () -> if Atomic'.peek ran <> 1 then failwith "job ran more than once" )
+    fun () -> if Atomic'.peek ran <> 1 then failwith "section ran more than once" )
 
-(* Shutdown races the KC going to sleep: the KC must return either
-   way, and a submit after the shutdown is refused. *)
-let mailbox_shutdown_vs_sleep (module M : KC_MAILBOX) () =
-  let mb = M.create () in
+(* Shutdown races the KC going to sleep with a section still pending,
+   as on a failed run's exit: the KC runs the section, then returns
+   either way, and a submit after the shutdown is refused. *)
+let mailbox_shutdown_vs_sleep (module K : KC) () =
+  let kc = K.create () in
+  let ran = Atomic'.make 0 in
   ( [
-      (fun () -> M.serve mb ~run:(fun job -> job ()));
+      (fun () -> K.serve kc);
       (fun () ->
-        M.shutdown mb;
-        if M.submit mb ignore then failwith "submit accepted after shutdown");
+        K.submit kc (fun () -> Atomic'.incr ran);
+        K.shutdown kc;
+        match K.submit kc ignore with
+        | () -> failwith "submit accepted after shutdown"
+        | exception Invalid_argument _ -> ());
     ],
-    fun () -> () )
+    fun () ->
+      if Atomic'.peek ran <> 1 then failwith "shutdown dropped a pending section" )
 
 (* One coupled section end to end.  The worker submits inside
    [deferring], so it owes the KC its wake and issues it at its own
@@ -1602,9 +1581,9 @@ let mailbox_shutdown_vs_sleep (module M : KC_MAILBOX) () =
    [deferring], so the KC owes the worker its wake across its park.
    [Drops_owed] forgets that wake at the park: the worker sleeps on a
    finished section. *)
-let mailbox_owed_across_park (module M : KC_MAILBOX) () =
+let mailbox_owed_across_park (module K : KC) () =
   let module P = Check.Parker in
-  let mb = M.create () in
+  let kc = K.create () in
   let worker = P.create () in
   let result = Atomic'.make 0 in
   let section () =
@@ -1612,14 +1591,13 @@ let mailbox_owed_across_park (module M : KC_MAILBOX) () =
     P.deferring (fun () -> P.unpark worker)
   in
   ( [
-      (fun () -> M.serve mb ~run:(fun job -> job ()));
+      (fun () -> K.serve kc);
       (fun () ->
-        if not (P.deferring (fun () -> M.submit mb section)) then
-          failwith "submit refused before shutdown";
+        P.deferring (fun () -> K.submit kc section);
         while Atomic'.get result = 0 do
           P.park worker
         done;
-        M.shutdown mb);
+        K.shutdown kc);
     ],
     fun () -> if Atomic'.peek result <> 42 then failwith "section lost" )
 
@@ -1645,12 +1623,9 @@ let close_unlocked : (module INTEREST) =
 let poll_park : (module POLL_PARK) = (module Check.Poll_park)
 let late_flag : (module POLL_PARK) = (module Check.Buggy_poll_park.Late_flag)
 let no_hand_off : (module POLL_PARK) = (module Check.Buggy_poll_park.No_hand_off)
-let kc_mailbox : (module KC_MAILBOX) = (module Check.Kc_mailbox)
-
-let late_sleeping : (module KC_MAILBOX) =
-  (module Check.Buggy_kc_mailbox.Late_sleeping)
-
-let drops_owed : (module KC_MAILBOX) = (module Check.Buggy_kc_mailbox.Drops_owed)
+let kc : (module KC) = (module Check.Kc)
+let unpark_first : (module KC) = (module Check.Buggy_kc.Unpark_first)
+let drops_owed : (module KC) = (module Check.Buggy_kc.Drops_owed)
 
 let test_pop_steal_race () =
   let stats = expect_pass "pop-vs-steal" (Sched.check (pop_steal_race adq)) in
@@ -2060,9 +2035,11 @@ let test_buggy_join_caught =
 (* ---------- the KC pool ---------- *)
 
 let test_kc_pool_lease_vs_exit () =
-  ignore
-    (expect_pass "kc-pool-lease-vs-exit"
-       (Sched.check ~max_schedules:20_000 kc_pool_lease_vs_exit));
+  let stats =
+    expect_pass "kc-pool-lease-vs-exit"
+      (Sched.check ~max_schedules:20_000 kc_pool_lease_vs_exit)
+  in
+  Printf.printf "kc-pool-lease-vs-exit: %d schedules\n%!" stats.Sched.schedules;
   match Sched.fuzz ~runs:2_000 ~seed:Test_seed.seed kc_pool_lease_vs_exit with
   | Sched.Fuzz_pass _ -> ()
   | Sched.Fuzz_bug f ->
@@ -2114,24 +2091,25 @@ let test_buggy_park_no_hand_off =
     ~expect_reason:"Deadlock"
 
 let test_mailbox_submit_vs_sleep =
-  exhaustive "mailbox-submit-vs-sleep" (mailbox_submit_vs_sleep kc_mailbox)
+  exhaustive "mailbox-submit-vs-sleep" (mailbox_submit_vs_sleep kc)
 
 let test_mailbox_shutdown_vs_sleep =
-  exhaustive "mailbox-shutdown-vs-sleep" (mailbox_shutdown_vs_sleep kc_mailbox)
+  exhaustive "mailbox-shutdown-vs-sleep" (mailbox_shutdown_vs_sleep kc)
 
 let test_mailbox_owed_across_park =
-  exhaustive "mailbox-owed-across-park" (mailbox_owed_across_park kc_mailbox)
+  exhaustive ~max_schedules:100_000 "mailbox-owed-across-park"
+    (mailbox_owed_across_park kc)
 
-let test_buggy_mailbox_late_sleeping =
-  twin_caught "buggy-mailbox-late-sleeping"
-    ~buggy:(mailbox_submit_vs_sleep late_sleeping)
-    ~faithful:(mailbox_submit_vs_sleep kc_mailbox)
+let test_buggy_mailbox_unpark_first =
+  twin_caught "buggy-mailbox-unpark-first"
+    ~buggy:(mailbox_submit_vs_sleep unpark_first)
+    ~faithful:(mailbox_submit_vs_sleep kc)
     ~expect_reason:"Deadlock"
 
 let test_buggy_mailbox_drops_owed =
   twin_caught "buggy-mailbox-drops-owed"
     ~buggy:(mailbox_owed_across_park drops_owed)
-    ~faithful:(mailbox_owed_across_park kc_mailbox)
+    ~faithful:(mailbox_owed_across_park kc)
     ~expect_reason:"Deadlock"
 
 let test_buggy_interest_drops_entry =
@@ -2459,8 +2437,8 @@ let () =
             test_mailbox_shutdown_vs_sleep;
           Alcotest.test_case "a completion wake owed across park arrives"
             `Quick test_mailbox_owed_across_park;
-          Alcotest.test_case "flag after the unlock loses the submit" `Quick
-            test_buggy_mailbox_late_sleeping;
+          Alcotest.test_case "an unpark before the store loses the submit"
+            `Quick test_buggy_mailbox_unpark_first;
           Alcotest.test_case "dropping the owed wake strands the worker"
             `Quick test_buggy_mailbox_drops_owed;
         ] );

@@ -7,84 +7,8 @@
 
 module Fiber = Fiber_rt.Fiber
 module Blt_rt = Fiber_rt.Blt_rt
-module Executor = Fiber_rt.Executor
 module Adq = Fiber_rt.Atomic_deque
 module Mpsc = Fiber_rt.Mpsc_queue
-
-(* ---------- executor ---------- *)
-
-let test_executor_runs_jobs_in_order () =
-  let e = Executor.create () in
-  let log = ref [] in
-  let m = Mutex.create () and c = Condition.create () in
-  let done_count = ref 0 in
-  for i = 1 to 5 do
-    Executor.submit e (fun () ->
-        Mutex.lock m;
-        log := i :: !log;
-        incr done_count;
-        Condition.signal c;
-        Mutex.unlock m)
-  done;
-  Mutex.lock m;
-  while !done_count < 5 do
-    Condition.wait c m
-  done;
-  Mutex.unlock m;
-  Executor.shutdown e;
-  Alcotest.(check (list int)) "fifo" [ 1; 2; 3; 4; 5 ] (List.rev !log)
-
-let test_executor_single_thread () =
-  let e = Executor.create () in
-  let tids = ref [] in
-  let m = Mutex.create () and c = Condition.create () in
-  let done_count = ref 0 in
-  for _ = 1 to 4 do
-    Executor.submit e (fun () ->
-        Mutex.lock m;
-        tids := Thread.id (Thread.self ()) :: !tids;
-        incr done_count;
-        Condition.signal c;
-        Mutex.unlock m)
-  done;
-  Mutex.lock m;
-  while !done_count < 4 do
-    Condition.wait c m
-  done;
-  Mutex.unlock m;
-  Executor.shutdown e;
-  Alcotest.(check int) "one thread for all jobs" 1
-    (List.length (List.sort_uniq compare !tids))
-
-let test_executor_submit_after_shutdown_rejected () =
-  let e = Executor.create () in
-  Executor.shutdown e;
-  match Executor.submit e (fun () -> ()) with
-  | exception Invalid_argument _ -> ()
-  | () -> Alcotest.fail "submit after shutdown accepted"
-
-(* A job that raises is dropped: the KC thread lives on and runs the
-   next job. *)
-let test_executor_survives_raising_job () =
-  let e = Executor.create () in
-  Executor.submit e (fun () -> failwith "job blew up");
-  let m = Mutex.create () and c = Condition.create () in
-  let tid = ref None in
-  Executor.submit e (fun () ->
-      Mutex.lock m;
-      tid := Some (Thread.id (Thread.self ()));
-      Condition.signal c;
-      Mutex.unlock m);
-  Mutex.lock m;
-  while !tid = None do
-    Condition.wait c m
-  done;
-  Mutex.unlock m;
-  Alcotest.(check (option int))
-    "next job ran on the same thread"
-    (Some (Executor.thread_id e))
-    !tid;
-  Executor.shutdown e
 
 (* ---------- Chase-Lev atomic deque ---------- *)
 
@@ -450,8 +374,8 @@ let test_coupled_real_syscall () =
       let f =
         Fiber.spawn (fun () ->
             (* a real getpid via the Unix module, consistently *)
-            let p1 = Blt_rt.coupled_syscall (fun () -> Unix.getpid ()) in
-            let p2 = Blt_rt.coupled_syscall (fun () -> Unix.getpid ()) in
+            let p1 = Blt_rt.coupled (fun () -> Unix.getpid ()) in
+            let p2 = Blt_rt.coupled (fun () -> Unix.getpid ()) in
             Alcotest.(check int) "stable pid" p1 p2)
       in
       Fiber.join f)
@@ -459,7 +383,9 @@ let test_coupled_real_syscall () =
 let test_sleep_does_not_stall_scheduler () =
   let rounds = ref 0 in
   Fiber.run (fun () ->
-      let sleeper = Fiber.spawn (fun () -> Blt_rt.sleep 0.03) in
+      let sleeper =
+        Fiber.spawn (fun () -> Blt_rt.coupled (fun () -> Thread.delay 0.03))
+      in
       let worker =
         Fiber.spawn (fun () ->
             while Fiber.state sleeper <> `Done do
@@ -689,54 +615,6 @@ let test_par_foreign_thread_identity () =
       | Some _ -> ()
       | None -> Alcotest.fail "fiber lost its worker context")
 
-(* The system-call-consistency property under migration: whatever
-   domain a fiber's runnable half lands on after each suspension, its
-   coupled sections always execute on the SAME home executor thread.
-   Migration is schedule-dependent, so the property must hold either
-   way.  The fibers only record what they saw; every assertion runs
-   after [run_parallel] returns, because Alcotest's reporting is not
-   domain-safe and the fibers run on four domains at once. *)
-let test_par_executor_affinity_under_migration () =
-  let fibers = 8 and rounds = 5 in
-  let tid0s = Array.make fibers (-1) and declared = Array.make fibers (-2) in
-  let tids = Array.make_matrix fibers rounds (-1) in
-  let lost_ctx = Array.make fibers false in
-  Fiber.run_parallel ~domains:4 (fun () ->
-      let fs =
-        List.init fibers (fun i ->
-            Fiber.spawn (fun () ->
-                tid0s.(i) <-
-                  Blt_rt.coupled (fun () -> Thread.id (Thread.self ()));
-                declared.(i) <- Blt_rt.original_kc_thread_id ();
-                for r = 0 to rounds - 1 do
-                  if Fiber.worker_index () = None then lost_ctx.(i) <- true;
-                  Fiber.yield ();
-                  (* every post-suspension coupled call must land on the
-                     same home KC thread *)
-                  tids.(i).(r) <-
-                    Blt_rt.coupled (fun () -> Thread.id (Thread.self ()))
-                done))
-      in
-      List.iter Fiber.join fs);
-  for i = 0 to fibers - 1 do
-    Alcotest.(check bool) "kept worker context" false lost_ctx.(i);
-    Array.iter (fun tid -> Alcotest.(check int) "home KC stable" tid0s.(i) tid)
-      tids.(i);
-    Alcotest.(check int) "declared id matches" declared.(i) tid0s.(i)
-  done
-
-let test_par_coupled_runs_off_worker_domains () =
-  Fiber.run_parallel ~domains:2 (fun () ->
-      let f =
-        Fiber.spawn (fun () ->
-            Alcotest.(check int) "coupled value" 41
-              (Blt_rt.coupled (fun () -> 41));
-            let p1 = Blt_rt.coupled_syscall (fun () -> Unix.getpid ()) in
-            let p2 = Blt_rt.coupled_syscall (fun () -> Unix.getpid ()) in
-            Alcotest.(check int) "stable pid" p1 p2)
-      in
-      Fiber.join f)
-
 (* The multi-domain stresses run on as many domains as the host has
    cores, then on one more, so every host runs both the parallel and
    the oversubscribed schedule.  The bound keeps a many-core host's run
@@ -744,6 +622,67 @@ let test_par_coupled_runs_off_worker_domains () =
 let stress_domains =
   let n = min 32 (Domain.recommended_domain_count ()) in
   [ n; n + 1 ]
+
+(* The system-call-consistency property under migration: whatever
+   domain a fiber's runnable half lands on after each suspension, its
+   coupled sections always execute on the SAME original KC thread.
+   Migration is schedule-dependent, so the property must hold either
+   way.  The fibers only record what they saw; every assertion runs
+   after [run_parallel] returns, because Alcotest's reporting is not
+   domain-safe and the fibers run on several domains at once. *)
+let test_par_executor_affinity_under_migration () =
+  let fibers = 8 and rounds = 5 in
+  List.iter
+    (fun domains ->
+      let tid0s = Array.make fibers (-1) and declared = Array.make fibers (-2) in
+      let tids = Array.make_matrix fibers rounds (-1) in
+      let lost_ctx = Array.make fibers false in
+      Fiber.run_parallel ~domains (fun () ->
+          let fs =
+            List.init fibers (fun i ->
+                Fiber.spawn (fun () ->
+                    tid0s.(i) <-
+                      Blt_rt.coupled (fun () -> Thread.id (Thread.self ()));
+                    declared.(i) <- Blt_rt.original_kc_thread_id ();
+                    for r = 0 to rounds - 1 do
+                      if Fiber.worker_index () = None then lost_ctx.(i) <- true;
+                      Fiber.yield ();
+                      (* every post-suspension coupled call must land on
+                         the same KC thread *)
+                      tids.(i).(r) <-
+                        Blt_rt.coupled (fun () -> Thread.id (Thread.self ()))
+                    done))
+          in
+          List.iter Fiber.join fs);
+      let at msg = Printf.sprintf "%s at %d domains" msg domains in
+      for i = 0 to fibers - 1 do
+        Alcotest.(check bool) (at "kept worker context") false lost_ctx.(i);
+        Array.iter
+          (fun tid -> Alcotest.(check int) (at "home KC stable") tid0s.(i) tid)
+          tids.(i);
+        Alcotest.(check int) (at "declared id matches") declared.(i) tid0s.(i)
+      done)
+    stress_domains
+
+(* A coupled section returns its value, runs on a thread that is no
+   worker of the run, and sees one pid across calls.  As above, the
+   fiber records and the assertions run after [run_parallel]. *)
+let test_par_coupled_runs_off_worker_domains () =
+  List.iter
+    (fun domains ->
+      let value = ref 0 and on_worker = ref (Some (-1)) and pids = ref (0, 1) in
+      Fiber.run_parallel ~domains (fun () ->
+          Fiber.join
+            (Fiber.spawn (fun () ->
+                 value := Blt_rt.coupled (fun () -> 41);
+                 on_worker := Blt_rt.coupled Fiber.worker_index;
+                 let p1 = Blt_rt.coupled Unix.getpid in
+                 pids := (p1, Blt_rt.coupled Unix.getpid))));
+      let at msg = Printf.sprintf "%s at %d domains" msg domains in
+      Alcotest.(check int) (at "coupled value") 41 !value;
+      Alcotest.(check (option int)) (at "section off the workers") None !on_worker;
+      Alcotest.(check int) (at "stable pid") (fst !pids) (snd !pids))
+    stress_domains
 
 (* A bounded FIFO for the traffic tests: the queue under one
    [Sync.Mutex], and one [Sync.Condition] that senders waiting for room
@@ -1284,15 +1223,6 @@ let () =
   Test_seed.announce "test_fiber_rt";
   Alcotest.run "fiber_rt"
     [
-      ( "executor",
-        [
-          Alcotest.test_case "fifo order" `Quick test_executor_runs_jobs_in_order;
-          Alcotest.test_case "single thread" `Quick test_executor_single_thread;
-          Alcotest.test_case "shutdown rejects" `Quick
-            test_executor_submit_after_shutdown_rejected;
-          Alcotest.test_case "a raising job does not kill the KC" `Quick
-            test_executor_survives_raising_job;
-        ] );
       ( "atomic_deque",
         [
           Alcotest.test_case "owner LIFO, thief FIFO" `Quick

@@ -18,7 +18,23 @@ module Fiber = Fiber_rt.Fiber
 module Reactor = Net.Reactor
 module Fd = Proc.Fd_core
 
-let run2 f = Fiber.run_parallel ~domains:2 f
+(* Each multi-domain case runs on as many domains as the host has
+   cores, then on one more, so every host runs both the parallel and
+   the oversubscribed schedule (a pinned host runs 1 and 2).  The bound
+   keeps a many-core host's run small.  No case here tests placement,
+   so none is fixed at two workers. *)
+let stress_domains =
+  let n = min 32 (Domain.recommended_domain_count ()) in
+  [ n; n + 1 ]
+
+(* [f] once per count in [stress_domains].  The count is printed first,
+   so a failure's log names the run that failed. *)
+let on_stress_domains f =
+  List.iter
+    (fun domains ->
+      Printf.printf "at %d domains\n%!" domains;
+      Fiber.run_parallel ~domains f)
+    stress_domains
 
 let with_reactor f =
   let r = Reactor.create () in
@@ -96,7 +112,7 @@ let test_fd_close_all_concurrent_sharers () =
   (* two ULP tables naming the same host resource, both torn down
      concurrently (the do_exit close_all race): every iteration must
      destroy the resource exactly once *)
-  run2 (fun () ->
+  on_stress_domains (fun () ->
       for _ = 1 to 200 do
         let destroyed = Atomic.make 0 in
         let r =
@@ -120,7 +136,7 @@ let test_fd_close_all_concurrent_sharers () =
 (* ---------- fd table through Proc.Io on real host fds ---------- *)
 
 let test_io_lowest_slot_posix () =
-  run2 (fun () ->
+  on_stress_domains (fun () ->
       let w = Proc.boot () in
       let u = Proc.root w in
       let o () = Proc.Io.openfile u "/dev/null" [ Unix.O_WRONLY ] 0 in
@@ -141,7 +157,7 @@ let test_io_dup2_no_host_leak () =
   match count_fds () with
   | None -> ()
   | Some baseline ->
-      run2 (fun () ->
+      on_stress_domains (fun () ->
           let w = Proc.boot () in
           let u = Proc.root w in
           let a = Proc.Io.openfile u "/dev/null" [ Unix.O_WRONLY ] 0 in
@@ -155,7 +171,7 @@ let test_io_dup2_no_host_leak () =
 
 let test_io_share_pipe_across_ulps () =
   with_reactor (fun r ->
-      run2 (fun () ->
+      on_stress_domains (fun () ->
           let w = Proc.boot () in
           let u0 = Proc.root w in
           let rd, wr = Proc.Io.pipe u0 in
@@ -186,7 +202,7 @@ let test_io_fd_leak_gate_1000_spawns () =
   match count_fds () with
   | None -> ()
   | Some baseline ->
-      run2 (fun () ->
+      on_stress_domains (fun () ->
           let w = Proc.boot () in
           let u0 = Proc.root w in
           for _batch = 1 to 20 do
@@ -220,7 +236,7 @@ let test_io_no_bind_into_exited () =
   match count_fds () with
   | None -> ()
   | Some baseline ->
-      run2 (fun () ->
+      on_stress_domains (fun () ->
           let w = Proc.boot () in
           let u0 = Proc.root w in
           let rd, wr = Proc.Io.pipe u0 in
@@ -244,7 +260,7 @@ let test_io_no_bind_into_exited () =
 (* ---------- vpids, exit codes, wait semantics ---------- *)
 
 let test_spawn_exit_codes () =
-  run2 (fun () ->
+  on_stress_domains (fun () ->
       let w = Proc.boot () in
       let u0 = Proc.root w in
       Alcotest.(check int) "root is vpid 1" 1 (Proc.getpid u0);
@@ -263,7 +279,7 @@ let test_spawn_exit_codes () =
       Alcotest.(check int) "all reaped" 1 (Proc.live_procs w))
 
 let test_try_waitpid_wnohang () =
-  run2 (fun () ->
+  on_stress_domains (fun () ->
       let w = Proc.boot () in
       let u0 = Proc.root w in
       let gate = Atomic.make false in
@@ -288,7 +304,7 @@ let test_try_waitpid_wnohang () =
         (Proc.waitpid ~parent:u0 ~vpid:999 = Error `Echild))
 
 let test_zombie_holds_status_until_reaped () =
-  run2 (fun () ->
+  on_stress_domains (fun () ->
       let w = Proc.boot () in
       let u0 = Proc.root w in
       let c = Proc.spawn ~parent:u0 (fun u -> Proc.exit u 42) in
@@ -307,7 +323,7 @@ let test_zombie_holds_status_until_reaped () =
         (not (List.mem vpid (Proc.children u0))))
 
 let test_orphan_reparents_to_root () =
-  run2 (fun () ->
+  on_stress_domains (fun () ->
       let w = Proc.boot () in
       let u0 = Proc.root w in
       let gate = Atomic.make false in
@@ -385,7 +401,7 @@ let test_parked_root_reaps_adopted () =
    the live children it handed to the root answer to the root now, so
    they are listed there, once, and no longer under the zombie. *)
 let test_zombie_lists_no_orphans () =
-  run2 (fun () ->
+  on_stress_domains (fun () ->
       let w = Proc.boot () in
       let u0 = Proc.root w in
       let gate = Atomic.make false in
@@ -417,7 +433,7 @@ let test_zombie_lists_no_orphans () =
    entries as it grows, so 20k spawn/reap cycles leave the heap where
    they found it (each ULP kept reachable is ~900 words). *)
 let test_reaped_ulps_are_garbage () =
-  run2 (fun () ->
+  on_stress_domains (fun () ->
       let w = Proc.boot () in
       let u0 = Proc.root w in
       Gc.full_major ();
@@ -469,7 +485,7 @@ let await c =
    one middle child leaves behind is adopted by the root and reaps
    itself. *)
 let test_many_children_random_reaps () =
-  run2 (fun () ->
+  on_stress_domains (fun () ->
       let w = Proc.boot () in
       let u0 = Proc.root w in
       let n = 2000 in
@@ -527,7 +543,7 @@ let test_many_children_random_reaps () =
    to reap it and keep the population above 1 for good, so the spawn is
    refused. *)
 let test_spawn_under_exited_parent () =
-  run2 (fun () ->
+  on_stress_domains (fun () ->
       let w = Proc.boot () in
       let u0 = Proc.root w in
       let mid = Proc.spawn ~parent:u0 (fun _ -> ()) in
@@ -552,7 +568,7 @@ let looper u =
   loop ()
 
 let test_kill_default_disposition () =
-  run2 (fun () ->
+  on_stress_domains (fun () ->
       let w = Proc.boot () in
       let u0 = Proc.root w in
       let c = Proc.spawn ~parent:u0 looper in
@@ -566,7 +582,7 @@ let test_kill_default_disposition () =
         (Proc.kill w ~vpid Proc.sigterm = Error `Esrch))
 
 let test_handler_runs_at_check () =
-  run2 (fun () ->
+  on_stress_domains (fun () ->
       let w = Proc.boot () in
       let u0 = Proc.root w in
       let got = Atomic.make 0 in
@@ -593,7 +609,7 @@ let test_handler_runs_at_check () =
 (* Installing one handler keeps the others, and resetting one to [None]
    restores its default disposition. *)
 let test_handler_reset () =
-  run2 (fun () ->
+  on_stress_domains (fun () ->
       let w = Proc.boot () in
       let u0 = Proc.root w in
       let ready = Atomic.make false in
@@ -620,7 +636,7 @@ let test_handler_reset () =
         (wait_ok ~parent:u0 ~vpid))
 
 let test_sigkill_uncatchable () =
-  run2 (fun () ->
+  on_stress_domains (fun () ->
       let w = Proc.boot () in
       let u0 = Proc.root w in
       let c =
@@ -638,7 +654,7 @@ let test_sigkill_uncatchable () =
         (wait_ok ~parent:u0 ~vpid))
 
 let test_pending_mask () =
-  run2 (fun () ->
+  on_stress_domains (fun () ->
       let w = Proc.boot () in
       let u0 = Proc.root w in
       let gate = Atomic.make false in
@@ -671,7 +687,7 @@ let test_pending_mask () =
 (* ---------- multi-ULP fiber trees ---------- *)
 
 let test_spawn_fiber_failure_kills_ulp () =
-  run2 (fun () ->
+  on_stress_domains (fun () ->
       let w = Proc.boot () in
       let u0 = Proc.root w in
       let c =
@@ -685,14 +701,6 @@ let test_spawn_fiber_failure_kills_ulp () =
         (wait_ok ~parent:u0 ~vpid:(Proc.getpid c)))
 
 (* ---------- multi-domain stress under TEST_SEED ---------- *)
-
-(* Each stress runs on as many domains as the host has cores, then on
-   one more, so every host runs both the parallel and the
-   oversubscribed schedule.  The bound keeps a many-core host's run
-   small. *)
-let stress_domains =
-  let n = min 32 (Domain.recommended_domain_count ()) in
-  [ n; n + 1 ]
 
 let multidomain_stress domains =
   Fiber.run_parallel ~domains (fun () ->
@@ -981,7 +989,7 @@ let test_coupled_ulps_recycle_kcs () =
   | None -> ()
   | Some _ ->
       let baseline = ref 0 and peak = ref 0 in
-      run2 (fun () ->
+      on_stress_domains (fun () ->
           let w = Proc.boot () in
           let u0 = Proc.root w in
           baseline := Option.get (count_tasks ());
